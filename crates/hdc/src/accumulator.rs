@@ -7,12 +7,30 @@ use crate::BinaryHypervector;
 /// The SpecHD encoder XORs an `ID` vector with a `Level` vector for every
 /// peak and sums the results per dimension; the final spectrum hypervector
 /// sets each bit to the majority vote of the accumulated terms. In hardware
-/// this is an array of small signed counters next to the encoding pipeline;
-/// here it is a `Vec<i32>` holding `#ones − #zeros` per dimension.
+/// this is an array of small counters next to the encoding pipeline, fed a
+/// whole word of lanes per cycle. Here the counters are **bit-sliced**
+/// (Schmuck et al., arXiv:1807.08583): plane `p` is a row of
+/// `dim.div_ceil(64)` words holding bit `p` of every lane's *ones*-count,
+/// so one `u64` operation advances 64 counters at once.
+///
+/// * **Add** is a ripple-carry chain of half adders over whole words: the
+///   incoming vector is the carry into plane 0, and each plane does
+///   `t = plane & carry; plane ^= carry; carry = t`. A weight `w` enters the
+///   chain once per set bit `b` of `w`, at plane `b`.
+/// * **Planes grow with the count**: `count` accumulated votes need
+///   `⌈log₂(count + 1)⌉` planes (six for the ≤ 50 peaks of a preprocessed
+///   spectrum), so the chain never carries out of the top plane. The
+///   allocation survives [`clear`](Self::clear); a plane is zeroed when the
+///   count next grows into it.
+/// * **Finalize** compares every lane's ones-count against `⌊count / 2⌋`,
+///   most significant plane first, again a word at a time. A lane holds
+///   `ones` set votes and `count − ones` clear ones, so `ones > ⌊count / 2⌋`
+///   is exactly `#ones − #zeros > 0`.
 ///
 /// Ties (possible when an even number of vectors was accumulated) are broken
 /// deterministically towards zero, matching the `>` comparator the HLS
-/// kernel synthesizes.
+/// kernel synthesizes. Bits beyond `dim` in the last word are zero in every
+/// input, so their lanes count zero ones and stay zero in the output.
 ///
 /// # Examples
 ///
@@ -30,9 +48,15 @@ use crate::BinaryHypervector;
 /// // Majority of three: bits 0..4 set (>=2 votes), bits 4..8 clear.
 /// assert_eq!(hv, BinaryHypervector::from_fn(8, |i| i < 4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MajorityAccumulator {
-    counters: Vec<i32>,
+    dim: usize,
+    /// Plane-major counter bits: word `w` of plane `p` is
+    /// `planes[p * stride + w]`. Only the first `active_planes()` planes
+    /// are meaningful; anything above is stale from before a `clear`.
+    planes: Vec<u64>,
+    /// One row of scratch: the carry travelling up the adder chain.
+    carry: Vec<u64>,
     count: usize,
 }
 
@@ -45,14 +69,16 @@ impl MajorityAccumulator {
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "accumulator dimensionality must be positive");
         Self {
-            counters: vec![0; dim],
+            dim,
+            planes: Vec::new(),
+            carry: vec![0; dim.div_ceil(64)],
             count: 0,
         }
     }
 
     /// Dimensionality of the accumulated vectors.
     pub fn dim(&self) -> usize {
-        self.counters.len()
+        self.dim
     }
 
     /// Number of hypervectors accumulated so far.
@@ -65,7 +91,7 @@ impl MajorityAccumulator {
         self.count == 0
     }
 
-    /// Adds one hypervector: each set bit votes `+1`, each clear bit `−1`.
+    /// Adds one hypervector: each set bit votes `1`, each clear bit `0`.
     ///
     /// # Panics
     ///
@@ -74,38 +100,77 @@ impl MajorityAccumulator {
         self.add_weighted(hv, 1);
     }
 
-    /// Adds one hypervector with an integer weight (each set bit votes
-    /// `+w`, each clear bit `−w`). Weighted bundling is used by consensus
-    /// construction where larger clusters should dominate.
+    /// Adds one hypervector with an integer weight (the vector votes `w`
+    /// times). Weighted bundling is used by consensus construction where
+    /// larger clusters should dominate.
     ///
     /// # Panics
     ///
     /// Panics if dimensionalities differ or `weight <= 0`.
     pub fn add_weighted(&mut self, hv: &BinaryHypervector, weight: i32) {
-        assert_eq!(hv.dim(), self.counters.len(), "dimensionality mismatch");
+        assert_eq!(hv.dim(), self.dim, "dimensionality mismatch");
+        self.ripple(weight, |carry| carry.copy_from_slice(hv.words()));
+    }
+
+    /// Adds the bound vector `a ⊕ b` without materializing it: the XOR is
+    /// computed straight into the adder chain's carry row. This is the
+    /// encoder's per-peak `ID ⊕ Level` step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensionalities differ.
+    pub fn add_bound(&mut self, a: &BinaryHypervector, b: &BinaryHypervector) {
+        assert_eq!(a.dim(), self.dim, "dimensionality mismatch");
+        assert_eq!(b.dim(), self.dim, "dimensionality mismatch");
+        self.ripple(1, |carry| {
+            for ((c, x), y) in carry.iter_mut().zip(a.words()).zip(b.words()) {
+                *c = x ^ y;
+            }
+        });
+    }
+
+    /// Planes needed to hold a ones-count of up to `count`:
+    /// `⌈log₂(count + 1)⌉`, the bit length of `count`.
+    fn active_planes(&self) -> usize {
+        (usize::BITS - self.count.leading_zeros()) as usize
+    }
+
+    /// Adds `weight` copies of the vector `load` writes into the carry row.
+    fn ripple(&mut self, weight: i32, load: impl Fn(&mut [u64])) {
         assert!(weight > 0, "weight must be positive");
-        for (word_idx, word) in hv.words().iter().enumerate() {
-            let base = word_idx * 64;
-            let lanes = (self.counters.len() - base).min(64);
-            for bit in 0..lanes {
-                if (word >> bit) & 1 == 1 {
-                    self.counters[base + bit] += weight;
-                } else {
-                    self.counters[base + bit] -= weight;
+        let stride = self.carry.len();
+        let before = self.active_planes();
+        self.count += weight as usize;
+        let active = self.active_planes();
+        if active > before {
+            if self.planes.len() < active * stride {
+                self.planes.resize(active * stride, 0);
+            }
+            self.planes[before * stride..active * stride].fill(0);
+        }
+        // No lane ever counts more than `count < 2^active` ones, so the
+        // carry out of the top plane is always zero and can be dropped.
+        let mut bits = weight as u32;
+        while bits != 0 {
+            let first = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            load(&mut self.carry);
+            for plane in self.planes[first * stride..active * stride].chunks_exact_mut(stride) {
+                for (p, c) in plane.iter_mut().zip(&mut self.carry) {
+                    let t = *p & *c;
+                    *p ^= *c;
+                    *c = t;
                 }
             }
         }
-        self.count += weight as usize;
     }
 
-    /// Raw per-dimension counters (`#ones − #zeros`).
-    pub fn counters(&self) -> &[i32] {
-        &self.counters
-    }
-
-    /// Binarizes: bit `i` is set iff `counters[i] > 0` (ties → 0).
+    /// Binarizes: bit `i` is set iff more than half of the accumulated
+    /// votes for lane `i` were set (ties → 0).
     pub fn finalize(&self) -> BinaryHypervector {
-        BinaryHypervector::from_fn(self.counters.len(), |i| self.counters[i] > 0)
+        let mut words = vec![0; self.carry.len()];
+        self.finalize_into_words(&mut words);
+        BinaryHypervector::from_words(self.dim, words)
     }
 
     /// Binarizes directly into a packed word row (little-endian bit order,
@@ -116,25 +181,33 @@ impl MajorityAccumulator {
     ///
     /// Panics if `row.len() != dim.div_ceil(64)`.
     pub fn finalize_into_words(&self, row: &mut [u64]) {
+        let stride = self.carry.len();
         assert_eq!(
             row.len(),
-            self.counters.len().div_ceil(64),
+            stride,
             "row word count must match accumulator dimensionality"
         );
-        for (word, lanes) in row.iter_mut().zip(self.counters.chunks(64)) {
-            let mut w = 0u64;
-            for (bit, &c) in lanes.iter().enumerate() {
-                if c > 0 {
-                    w |= 1u64 << bit;
+        let threshold = self.count / 2;
+        let active = self.active_planes();
+        for (w, out) in row.iter_mut().enumerate() {
+            // Lanes already decided greater, and lanes still equal to the
+            // threshold on every plane above the current one.
+            let (mut greater, mut equal) = (0u64, u64::MAX);
+            for p in (0..active).rev() {
+                let ones = self.planes[p * stride + w];
+                if (threshold >> p) & 1 == 1 {
+                    equal &= ones;
+                } else {
+                    greater |= equal & ones;
+                    equal &= !ones;
                 }
             }
-            *word = w;
+            *out = greater;
         }
     }
 
     /// Resets the accumulator for reuse without reallocating.
     pub fn clear(&mut self) {
-        self.counters.fill(0);
         self.count = 0;
     }
 }
@@ -143,6 +216,83 @@ impl MajorityAccumulator {
 mod tests {
     use super::*;
     use spechd_rng::{Rng, Xoshiro256StarStar};
+
+    /// The ones-count of one lane, read back out of the planes.
+    fn lane_ones(acc: &MajorityAccumulator, lane: usize) -> usize {
+        let stride = acc.carry.len();
+        (0..acc.active_planes())
+            .map(|p| ((acc.planes[p * stride + lane / 64] >> (lane % 64)) as usize & 1) << p)
+            .sum()
+    }
+
+    /// The reference this accumulator must stay bit-identical to: one signed
+    /// `#ones − #zeros` counter per lane, binarized with `> 0`.
+    fn per_lane_majority(dim: usize, terms: &[(BinaryHypervector, i32)]) -> BinaryHypervector {
+        let mut counters = vec![0i32; dim];
+        for (hv, weight) in terms {
+            for (lane, counter) in counters.iter_mut().enumerate() {
+                if hv.bit(lane) {
+                    *counter += weight;
+                } else {
+                    *counter -= weight;
+                }
+            }
+        }
+        BinaryHypervector::from_fn(dim, |lane| counters[lane] > 0)
+    }
+
+    #[test]
+    fn matches_per_lane_oracle_on_a_reused_accumulator() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+        for dim in [1usize, 63, 64, 65, 130, 2048, 4097] {
+            let mut acc = MajorityAccumulator::new(dim);
+            for vectors in [0usize, 1, 2, 3, 4, 63, 64, 65, 500] {
+                // Drive the planes past anything this case reaches, so a
+                // stale high plane would show.
+                acc.add_weighted(&BinaryHypervector::random(dim, &mut rng), i32::MAX);
+                acc.clear();
+                let mut terms = Vec::with_capacity(vectors);
+                for i in 0..vectors {
+                    let hv = BinaryHypervector::random(dim, &mut rng);
+                    let weight = if i % 7 == 6 {
+                        let weight = 1 + (i / 7 % 9) as i32;
+                        acc.add_weighted(&hv, weight);
+                        weight
+                    } else {
+                        acc.add(&hv);
+                        1
+                    };
+                    terms.push((hv, weight));
+                }
+                let expect = per_lane_majority(dim, &terms);
+                assert_eq!(acc.finalize(), expect, "dim {dim}, {vectors} vectors");
+                let mut row = vec![u64::MAX; dim.div_ceil(64)];
+                acc.finalize_into_words(&mut row);
+                assert_eq!(
+                    BinaryHypervector::from_words(dim, row),
+                    expect,
+                    "dim {dim}, {vectors} vectors"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn add_bound_equals_add_of_the_xor() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(12);
+        for dim in [63usize, 64, 65, 2048] {
+            let mut fused = MajorityAccumulator::new(dim);
+            let mut plain = MajorityAccumulator::new(dim);
+            for _ in 0..9 {
+                let a = BinaryHypervector::random(dim, &mut rng);
+                let b = BinaryHypervector::random(dim, &mut rng);
+                fused.add_bound(&a, &b);
+                plain.add(&(&a ^ &b));
+            }
+            assert_eq!(fused.count(), plain.count());
+            assert_eq!(fused.finalize(), plain.finalize(), "dim {dim}");
+        }
+    }
 
     #[test]
     fn single_vector_majority_is_identity() {
@@ -245,7 +395,9 @@ mod tests {
             let hv = BinaryHypervector::random(128, &mut rng);
             acc.add(&hv);
         }
-        for &c in acc.counters() {
+        for lane in 0..128 {
+            // `#ones − #zeros` over nine votes: odd, and within ±9.
+            let c = 2 * lane_ones(&acc, lane) as i32 - 9;
             assert!(
                 c.unsigned_abs() as usize <= 9 && (c % 2 != 0),
                 "counter {c}"

@@ -214,6 +214,11 @@ impl IdLevelEncoder {
     }
 
     /// Clears `acc` and accumulates every bound `ID ⊕ L` term of `peaks`.
+    ///
+    /// Each peak is two quantizer lookups and one
+    /// [`MajorityAccumulator::add_bound`]: the XOR bind happens inside the
+    /// accumulator's word-parallel adder chain, so no bound vector is
+    /// allocated and no lane is visited one bit at a time.
     fn accumulate(&self, peaks: &[(f64, f64)], acc: &mut MajorityAccumulator) {
         acc.clear();
         for &(mz, intensity) in peaks {
@@ -221,9 +226,7 @@ impl IdLevelEncoder {
             let level = self
                 .level_memory
                 .get(self.intensity_quantizer.quantize(intensity));
-            // Bind: ID ⊕ L, then accumulate the bound vector.
-            let bound = id ^ level;
-            acc.add(&bound);
+            acc.add_bound(id, level);
         }
     }
 }

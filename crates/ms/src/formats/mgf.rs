@@ -40,10 +40,19 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
     let mut rt: Option<f64> = None;
     let mut peaks: Vec<Peak> = Vec::new();
 
-    for (idx, line) in BufReader::new(reader).lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line?;
-        let line = line.trim();
+    // One line buffer for the whole stream: `lines()` would allocate a
+    // `String` per line.
+    let mut reader = BufReader::new(reader);
+    let mut buf = String::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            break;
+        }
+        lineno += 1;
+        // `trim` also drops the `\n` / `\r\n` terminator `read_line` keeps.
+        let line = buf.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with(';') {
             continue;
         }
@@ -87,27 +96,28 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
             continue;
         }
         if let Some((key, value)) = line.split_once('=') {
-            match key.trim().to_ascii_uppercase().as_str() {
-                "TITLE" => title = value.trim().to_string(),
-                "PEPMASS" => {
-                    // PEPMASS may carry "mz [intensity]".
-                    let first = value.split_whitespace().next().unwrap_or("");
-                    pepmass = Some(first.parse::<f64>().map_err(|_| {
+            let key = key.trim();
+            let is = |name: &str| key.eq_ignore_ascii_case(name);
+            if is("TITLE") {
+                title.clear();
+                title.push_str(value.trim());
+            } else if is("PEPMASS") {
+                // PEPMASS may carry "mz [intensity]".
+                let first = value.split_whitespace().next().unwrap_or("");
+                pepmass =
+                    Some(first.parse::<f64>().map_err(|_| {
                         MsError::parse(lineno, format!("invalid PEPMASS {value:?}"))
                     })?);
-                }
-                "CHARGE" => {
-                    charge = Some(parse_charge(value).ok_or_else(|| {
+            } else if is("CHARGE") {
+                charge =
+                    Some(parse_charge(value).ok_or_else(|| {
                         MsError::parse(lineno, format!("invalid CHARGE {value:?}"))
                     })?);
-                }
-                "RTINSECONDS" => {
-                    rt = Some(value.trim().parse::<f64>().map_err(|_| {
-                        MsError::parse(lineno, format!("invalid RTINSECONDS {value:?}"))
-                    })?);
-                }
-                _ => {} // unknown header: skip
-            }
+            } else if is("RTINSECONDS") {
+                rt = Some(value.trim().parse::<f64>().map_err(|_| {
+                    MsError::parse(lineno, format!("invalid RTINSECONDS {value:?}"))
+                })?);
+            } // any other header: skip
             continue;
         }
         // Peak line: "mz intensity" (extra columns tolerated).
@@ -267,6 +277,32 @@ mod tests {
         let text = "BEGIN IONS\nPEPMASS=400\nnot_a_number 1.0\nEND IONS\n";
         let err = read(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 3"), "got: {err}");
+    }
+
+    #[test]
+    fn crlf_input_reads_like_lf() {
+        let lf = "COM=run42\nBEGIN IONS\nTitle=scan 7\nPEPMASS=444.4 9.0\ncharge=3+\n\
+                  RTINSECONDS=12.5\n\n100.0 1.0\n200.5 2.5\nEND IONS\n";
+        let crlf = lf.replace('\n', "\r\n");
+        let spectra = read(crlf.as_bytes()).unwrap();
+        assert_eq!(spectra, read(lf.as_bytes()).unwrap());
+        assert_eq!(spectra[0].title(), "scan 7");
+        assert_eq!(spectra[0].precursor().charge(), 3);
+        assert_eq!(spectra[0].peak_count(), 2);
+    }
+
+    #[test]
+    fn bad_peak_line_number_counts_blank_comment_and_crlf_lines() {
+        // 1-based, counting every physical line: the bad peak is line 7.
+        let text =
+            "# c\r\n\r\nBEGIN IONS\r\nPEPMASS=400\r\n; c\r\n100.0 1.0\r\n100.0 x\r\nEND IONS\r\n";
+        match read(text.as_bytes()).unwrap_err() {
+            MsError::Parse { line, message } => {
+                assert_eq!(line, 7);
+                assert!(message.contains("\"100.0 x\""), "got: {message}");
+            }
+            other => panic!("expected a parse error, got {other}"),
+        }
     }
 
     #[test]
