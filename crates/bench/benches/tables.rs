@@ -1,120 +1,17 @@
-//! Regenerates EVERY table and figure of the paper in one run; part of
-//! `cargo bench --workspace` so the full evaluation is one command.
-//! (harness = false: this is a reporting target, not a statistics run.)
+//! Regenerates EVERY table and figure of the paper in one run, in paper
+//! order (harness = false: this is a reporting target, not a statistics
+//! run).
 use spechd_bench::*;
 
 fn main() {
-    print_table(
-        "Table I: preprocessing performance (paper vs MSAS model)",
-        &[
-            "dataset",
-            "sample",
-            "#spectra",
-            "size",
-            "paper t(s)",
-            "model t(s)",
-            "paper E(J)",
-            "model E(J)",
-        ],
-        &table1_rows(),
-    );
-    print_table(
-        "Fig. 2: naive vs NN-chain HAC",
-        &[
-            "n",
-            "naive cmp (M)",
-            "chain cmp (M)",
-            "naive (s)",
-            "chain (s)",
-            "speedup",
-        ],
-        &fig2_rows(&[100, 200, 400, 800]),
-    );
-    let (generator, dataset) = hard_dataset(1_500, 6);
-    print_table(
-        "Fig. 6a: linkage efficacy at ICR <= 1.5%",
-        &[
-            "linkage",
-            "threshold",
-            "clustered(%)",
-            "ICR(%)",
-            "completeness",
-        ],
-        &fig6a_rows(&dataset, 0.015),
-    );
-    print_table(
-        "Fig. 6b: compression factor at D=2048",
-        &["dataset", "raw size", "HV archive", "factor"],
-        &fig6b_rows(),
-    );
-    print_table(
-        "Fig. 7: end-to-end speedup over SpecHD=1",
-        &[
-            "dataset",
-            "SpecHD (s)",
-            "GLEAMS",
-            "HyperSpec-HAC",
-            "msCRUSH",
-            "Falcon",
-        ],
-        &fig7_rows(),
-    );
-    print_table(
-        "Fig. 8: standalone clustering, PXD000561",
-        &["tool", "time (s)", "vs SpecHD"],
-        &fig8_rows(),
-    );
-    print_table(
-        "Fig. 9: energy on PXD000561",
-        &[
-            "tool",
-            "e2e (J)",
-            "e2e ratio",
-            "clustering (J)",
-            "clustering ratio",
-        ],
-        &fig9_rows(),
-    );
-    print_table(
-        "Fig. 10: clustered ratio vs ICR",
-        &["tool", "knob", "clustered(%)", "ICR(%)", "completeness"],
-        &fig10_rows(&dataset),
-    );
-    let rows: Vec<Vec<String>> = fig11_overlap(&generator, &dataset)
-        .iter()
-        .map(|o| {
-            vec![
-                format!("{}+", o.charge),
-                o.venn.total_a().to_string(),
-                o.venn.total_b().to_string(),
-                o.venn.total_c().to_string(),
-                o.venn.abc.to_string(),
-                format!("{:+.2}%", o.venn.a_vs_b_percent()),
-            ]
-        })
-        .collect();
-    print_table(
-        "Fig. 11: unique peptides at 1% FDR (A=SpecHD, B=GLEAMS, C=HyperSpec)",
-        &[
-            "charge",
-            "SpecHD",
-            "GLEAMS",
-            "HyperSpec",
-            "all three",
-            "vs GLEAMS",
-        ],
-        &rows,
-    );
-    print_table(
-        "DSE Pareto front on PXD000561",
-        &[
-            "encoders",
-            "cluster kernels",
-            "MSAS channels",
-            "p2p",
-            "total (s)",
-            "energy (J)",
-        ],
-        &dse_rows(),
-    );
+    print_table1();
+    print_fig2();
+    print_fig6a();
+    print_fig6b();
+    print_fig7();
+    print_fig8();
+    print_fig9();
+    print_fig10();
+    print_fig11();
+    print_dse();
 }

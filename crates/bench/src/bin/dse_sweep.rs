@@ -1,17 +1,4 @@
 //! Design-space exploration sweep (the paper's DSE claim, SS I).
-use spechd_bench::{dse_rows, print_table};
-
 fn main() {
-    print_table(
-        "DSE Pareto front on PXD000561 (time vs energy)",
-        &[
-            "encoders",
-            "cluster kernels",
-            "MSAS channels",
-            "p2p",
-            "total (s)",
-            "energy (J)",
-        ],
-        &dse_rows(),
-    );
+    spechd_bench::print_dse();
 }

@@ -1,12 +1,5 @@
 //! Regenerates Fig. 10: clustered spectra ratio vs incorrect clustering
 //! ratio for SpecHD and the comparator tools.
-use spechd_bench::{fig10_rows, hard_dataset, print_table};
-
 fn main() {
-    let (_, dataset) = hard_dataset(2_000, 10);
-    print_table(
-        "Fig. 10: clustered ratio vs ICR (paper: SpecHD ~45% at 1% ICR)",
-        &["tool", "knob", "clustered(%)", "ICR(%)", "completeness"],
-        &fig10_rows(&dataset),
-    );
+    spechd_bench::print_fig10();
 }

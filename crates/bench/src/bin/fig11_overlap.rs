@@ -1,36 +1,5 @@
 //! Regenerates Fig. 11: peptide-identification overlap of consensus
 //! spectra (SpecHD vs GLEAMS vs HyperSpec), split by precursor charge.
-use spechd_bench::{fig11_overlap, hard_dataset, print_table};
-
 fn main() {
-    let (generator, dataset) = hard_dataset(2_500, 11);
-    let outcomes = fig11_overlap(&generator, &dataset);
-    let rows: Vec<Vec<String>> = outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                format!("{}+", o.charge),
-                o.venn.total_a().to_string(),
-                o.venn.total_b().to_string(),
-                o.venn.total_c().to_string(),
-                o.venn.abc.to_string(),
-                format!("{:+.2}%", o.venn.a_vs_b_percent()),
-                format!(
-                    "{:+.2}%",
-                    if o.venn.total_c() == 0 {
-                        0.0
-                    } else {
-                        (o.venn.total_a() as f64 - o.venn.total_c() as f64)
-                            / o.venn.total_c() as f64
-                            * 100.0
-                    }
-                ),
-            ]
-        })
-        .collect();
-    print_table(
-        "Fig. 11: unique peptides at 1% FDR (paper: SpecHD -1.38/-3.24% vs GLEAMS, +7.33/+5.10% vs HyperSpec)",
-        &["charge", "SpecHD", "GLEAMS", "HyperSpec", "all three", "vs GLEAMS", "vs HyperSpec"],
-        &rows,
-    );
+    spechd_bench::print_fig11();
 }

@@ -1,17 +1,4 @@
 //! Regenerates Fig. 2: naive HAC vs NN-chain HAC work and runtime.
-use spechd_bench::{fig2_rows, print_table};
-
 fn main() {
-    print_table(
-        "Fig. 2: naive vs NN-chain HAC (complete linkage, random distances)",
-        &[
-            "n",
-            "naive cmp (M)",
-            "chain cmp (M)",
-            "naive (s)",
-            "chain (s)",
-            "speedup",
-        ],
-        &fig2_rows(&[100, 200, 400, 800, 1600]),
-    );
+    spechd_bench::print_fig2();
 }

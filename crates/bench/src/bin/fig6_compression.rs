@@ -1,10 +1,4 @@
 //! Regenerates Fig. 6b: hypervector compression factors (24x-108x).
-use spechd_bench::{fig6b_rows, print_table};
-
 fn main() {
-    print_table(
-        "Fig. 6b: compression factor at D=2048",
-        &["dataset", "raw size", "HV archive", "factor"],
-        &fig6b_rows(),
-    );
+    spechd_bench::print_fig6b();
 }

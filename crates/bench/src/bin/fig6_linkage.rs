@@ -1,17 +1,4 @@
 //! Regenerates Fig. 6a: linkage comparison at ~1% incorrect clustering.
-use spechd_bench::{fig6a_rows, hard_dataset, print_table};
-
 fn main() {
-    let (_, dataset) = hard_dataset(2_000, 6);
-    print_table(
-        "Fig. 6a: linkage efficacy at ICR <= 1.5% (paper: complete 44%/0.764, ward 40%/0.756)",
-        &[
-            "linkage",
-            "threshold",
-            "clustered(%)",
-            "ICR(%)",
-            "completeness",
-        ],
-        &fig6a_rows(&dataset, 0.015),
-    );
+    spechd_bench::print_fig6a();
 }

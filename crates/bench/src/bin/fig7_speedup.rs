@@ -1,17 +1,4 @@
 //! Regenerates Fig. 7: end-to-end runtime speedup over the baselines.
-use spechd_bench::{fig7_rows, print_table};
-
 fn main() {
-    print_table(
-        "Fig. 7: end-to-end speedup over SpecHD=1 (paper: GLEAMS 31-54x, HyperSpec-HAC 6x)",
-        &[
-            "dataset",
-            "SpecHD (s)",
-            "GLEAMS",
-            "HyperSpec-HAC",
-            "msCRUSH",
-            "Falcon",
-        ],
-        &fig7_rows(),
-    );
+    spechd_bench::print_fig7();
 }

@@ -1,10 +1,4 @@
 //! Regenerates Fig. 8: standalone clustering speedup on PXD000561.
-use spechd_bench::{fig8_rows, print_table};
-
 fn main() {
-    print_table(
-        "Fig. 8: standalone clustering, PXD000561 (paper: SpecHD 80s, HyperSpec 1000s, Falcon ~100x)",
-        &["tool", "time (s)", "vs SpecHD"],
-        &fig8_rows(),
-    );
+    spechd_bench::print_fig8();
 }

@@ -1,16 +1,4 @@
 //! Regenerates Fig. 9: energy efficiency vs HyperSpec flavours.
-use spechd_bench::{fig9_rows, print_table};
-
 fn main() {
-    print_table(
-        "Fig. 9: energy on PXD000561 (paper: e2e 14x/31x, clustering 12x/40x)",
-        &[
-            "tool",
-            "e2e (J)",
-            "e2e ratio",
-            "clustering (J)",
-            "clustering ratio",
-        ],
-        &fig9_rows(),
-    );
+    spechd_bench::print_fig9();
 }

@@ -1,19 +1,4 @@
 //! Regenerates Table I: preprocessing performance metrics.
-use spechd_bench::{print_table, table1_rows};
-
 fn main() {
-    print_table(
-        "Table I: preprocessing performance (paper vs MSAS model)",
-        &[
-            "dataset",
-            "sample",
-            "#spectra",
-            "size",
-            "paper t(s)",
-            "model t(s)",
-            "paper E(J)",
-            "model E(J)",
-        ],
-        &table1_rows(),
-    );
+    spechd_bench::print_table1();
 }

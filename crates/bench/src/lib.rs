@@ -1,27 +1,25 @@
-//! Benchmark harness for the SpecHD reproduction.
+//! The paper's tables and figures, regenerated.
 //!
-//! One function per table/figure of the paper computes the corresponding
-//! rows; the `src/bin/*` binaries and the `tables` bench target print
-//! them. Keeping the computation here lets the integration tests assert
-//! on the same numbers the benchmarks report.
+//! One `*_rows` function per table/figure of the paper computes the
+//! corresponding rows, and one `print_*` function owns its title, header
+//! and dataset; each `src/bin/*` binary is that one call and the `tables`
+//! bench target makes all ten in paper order. Keeping the computation here
+//! lets the integration tests assert on the same numbers the tables report.
 //!
-//! | Paper artifact | Function | Binary |
-//! |---|---|---|
-//! | Table I | [`table1_rows`] | `table1_preprocessing` |
-//! | Fig. 2 | [`fig2_rows`] | `fig2_nnchain_vs_naive` |
-//! | Fig. 6a | [`fig6a_rows`] | `fig6_linkage` |
-//! | Fig. 6b | [`fig6b_rows`] | `fig6_compression` |
-//! | Fig. 7 | [`fig7_rows`] | `fig7_speedup` |
-//! | Fig. 8 | [`fig8_rows`] | `fig8_standalone` |
-//! | Fig. 9 | [`fig9_rows`] | `fig9_energy` |
-//! | Fig. 10 | [`fig10_rows`] | `fig10_quality` |
-//! | Fig. 11 | [`fig11_overlap`] | `fig11_overlap` |
-//! | DSE (§I) | [`dse_rows`] | `dse_sweep` |
+//! | Paper artifact | Rows | Printer | Binary |
+//! |---|---|---|---|
+//! | Table I | [`table1_rows`] | [`print_table1`] | `table1_preprocessing` |
+//! | Fig. 2 | [`fig2_rows`] | [`print_fig2`] | `fig2_nnchain_vs_naive` |
+//! | Fig. 6a | [`fig6a_rows`] | [`print_fig6a`] | `fig6_linkage` |
+//! | Fig. 6b | [`fig6b_rows`] | [`print_fig6b`] | `fig6_compression` |
+//! | Fig. 7 | [`fig7_rows`] | [`print_fig7`] | `fig7_speedup` |
+//! | Fig. 8 | [`fig8_rows`] | [`print_fig8`] | `fig8_standalone` |
+//! | Fig. 9 | [`fig9_rows`] | [`print_fig9`] | `fig9_energy` |
+//! | Fig. 10 | [`fig10_rows`] | [`print_fig10`] | `fig10_quality` |
+//! | Fig. 11 | [`fig11_overlap`] | [`print_fig11`] | `fig11_overlap` |
+//! | DSE (§I) | [`dse_rows`] | [`print_dse`] | `dse_sweep` |
 
 #![forbid(unsafe_code)]
-
-pub mod harness;
-pub mod kernel_bench;
 
 use spechd_baselines::perf::ToolPerfModel;
 use spechd_baselines::{
@@ -59,7 +57,7 @@ pub fn hard_dataset(num_spectra: usize, seed: u64) -> (SyntheticGenerator, Spect
 }
 
 /// Prints a fixed-width table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let widths: Vec<usize> = header
         .iter()
@@ -455,6 +453,156 @@ pub fn dse_rows() -> Vec<Vec<String>> {
             ]
         })
         .collect()
+}
+
+/// Prints Table I.
+pub fn print_table1() {
+    print_table(
+        "Table I: preprocessing performance (paper vs MSAS model)",
+        &[
+            "dataset",
+            "sample",
+            "#spectra",
+            "size",
+            "paper t(s)",
+            "model t(s)",
+            "paper E(J)",
+            "model E(J)",
+        ],
+        &table1_rows(),
+    );
+}
+
+/// Prints Fig. 2 for n = 100 … 1 600.
+pub fn print_fig2() {
+    print_table(
+        "Fig. 2: naive vs NN-chain HAC (complete linkage, random distances)",
+        &[
+            "n",
+            "naive cmp (M)",
+            "chain cmp (M)",
+            "naive (s)",
+            "chain (s)",
+            "speedup",
+        ],
+        &fig2_rows(&[100, 200, 400, 800, 1600]),
+    );
+}
+
+/// Prints Fig. 6a on `hard_dataset(2_000, 6)`.
+pub fn print_fig6a() {
+    let (_, dataset) = hard_dataset(2_000, 6);
+    print_table(
+        "Fig. 6a: linkage efficacy at ICR <= 1.5% (paper: complete 44%/0.764, ward 40%/0.756)",
+        &[
+            "linkage",
+            "threshold",
+            "clustered(%)",
+            "ICR(%)",
+            "completeness",
+        ],
+        &fig6a_rows(&dataset, 0.015),
+    );
+}
+
+/// Prints Fig. 6b.
+pub fn print_fig6b() {
+    print_table(
+        "Fig. 6b: compression factor at D=2048",
+        &["dataset", "raw size", "HV archive", "factor"],
+        &fig6b_rows(),
+    );
+}
+
+/// Prints Fig. 7.
+pub fn print_fig7() {
+    print_table(
+        "Fig. 7: end-to-end speedup over SpecHD=1 (paper: GLEAMS 31-54x, HyperSpec-HAC 6x)",
+        &[
+            "dataset",
+            "SpecHD (s)",
+            "GLEAMS",
+            "HyperSpec-HAC",
+            "msCRUSH",
+            "Falcon",
+        ],
+        &fig7_rows(),
+    );
+}
+
+/// Prints Fig. 8.
+pub fn print_fig8() {
+    print_table(
+        "Fig. 8: standalone clustering, PXD000561 (paper: SpecHD 80s, HyperSpec 1000s, Falcon ~100x)",
+        &["tool", "time (s)", "vs SpecHD"],
+        &fig8_rows(),
+    );
+}
+
+/// Prints Fig. 9.
+pub fn print_fig9() {
+    print_table(
+        "Fig. 9: energy on PXD000561 (paper: e2e 14x/31x, clustering 12x/40x)",
+        &[
+            "tool",
+            "e2e (J)",
+            "e2e ratio",
+            "clustering (J)",
+            "clustering ratio",
+        ],
+        &fig9_rows(),
+    );
+}
+
+/// Prints Fig. 10 on `hard_dataset(2_000, 10)`.
+pub fn print_fig10() {
+    let (_, dataset) = hard_dataset(2_000, 10);
+    print_table(
+        "Fig. 10: clustered ratio vs ICR (paper: SpecHD ~45% at 1% ICR)",
+        &["tool", "knob", "clustered(%)", "ICR(%)", "completeness"],
+        &fig10_rows(&dataset),
+    );
+}
+
+/// Prints Fig. 11 on `hard_dataset(2_500, 11)`.
+pub fn print_fig11() {
+    let (generator, dataset) = hard_dataset(2_500, 11);
+    let rows: Vec<Vec<String>> = fig11_overlap(&generator, &dataset)
+        .iter()
+        .map(|o| {
+            let (a, c) = (o.venn.total_a() as f64, o.venn.total_c() as f64);
+            vec![
+                format!("{}+", o.charge),
+                o.venn.total_a().to_string(),
+                o.venn.total_b().to_string(),
+                o.venn.total_c().to_string(),
+                o.venn.abc.to_string(),
+                format!("{:+.2}%", o.venn.a_vs_b_percent()),
+                format!("{:+.2}%", if c == 0.0 { 0.0 } else { (a - c) / c * 100.0 }),
+            ]
+        })
+        .collect();
+    print_table(
+        "Fig. 11: unique peptides at 1% FDR (paper: SpecHD -1.38/-3.24% vs GLEAMS, +7.33/+5.10% vs HyperSpec)",
+        &["charge", "SpecHD", "GLEAMS", "HyperSpec", "all three", "vs GLEAMS", "vs HyperSpec"],
+        &rows,
+    );
+}
+
+/// Prints the DSE Pareto front.
+pub fn print_dse() {
+    print_table(
+        "DSE Pareto front on PXD000561 (time vs energy)",
+        &[
+            "encoders",
+            "cluster kernels",
+            "MSAS channels",
+            "p2p",
+            "total (s)",
+            "energy (J)",
+        ],
+        &dse_rows(),
+    );
 }
 
 #[cfg(test)]

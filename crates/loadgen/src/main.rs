@@ -1,4 +1,4 @@
-//! `spechd-loadgen`: concurrent load/latency bench client for
+//! `spechd-loadgen`: self-checking concurrent load driver for
 //! `spechd-server`.
 //!
 //! Drives a grid of *connections × batch size* scenarios against a
@@ -7,20 +7,13 @@
 //! disjoint slices), measures per-batch submit→ack round-trip latency
 //! and sustained ingest throughput, and then **verifies** that the
 //! reassembled served clustering is bit-identical to a local batch
-//! `SpecHd::run` over the same spectra in the same stream order.
-//!
-//! Results go to a `BENCH_pr6.json`-format file via
-//! [`spechd_bench::kernel_bench`], with a local `batch_pipeline`
-//! reference record so `bench_gate --reference batch_pipeline` can
-//! compare machines in relative mode:
-//!
-//! * `batch_pipeline` — ns per local batch run of the dataset,
-//! * `serve_throughput_cC_bB` — wall ns per served spectrum,
-//! * `serve_p50_cC_bB` / `serve_p99_cC_bB` — submit→ack RTT quantiles.
+//! `SpecHd::run` over the same spectra in the same stream order — any
+//! divergence panics, so the exit code is the result. One line per
+//! scenario reports sustained spectra/s and submit RTT p50/p99; numbers
+//! to compare across commits come from `benchmark/`, not from here.
 
 #![forbid(unsafe_code)]
 
-use spechd_bench::kernel_bench::{measure_interleaved, write_records, Kernel, KernelRecord};
 use spechd_core::{SpecHd, SpecHdOutcome};
 use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::{Spectrum, SpectrumDataset};
@@ -28,36 +21,22 @@ use spechd_server::{JobClient, JobConfig, ServiceOutcome};
 use std::time::Instant;
 
 const USAGE: &str = "\
-spechd-loadgen — concurrent load/latency bench client for spechd-server
+spechd-loadgen — self-checking concurrent load driver for spechd-server
 
 USAGE:
     spechd-loadgen --addr HOST:PORT [OPTIONS]
 
 OPTIONS:
     --addr HOST:PORT     Server address (required)
-    --out PATH           Bench output file (default BENCH_pr6.json)
     --smoke              Small CI grid: 1200 spectra, 1 and 4
                          connections, batch 8 (default grid: 4000
                          spectra, {1,2,4} connections × batch {16,64})
-    --spectra N          Override the dataset size
-    --samples N          Timing samples for the batch reference
-                         (default 3)
     --help               Show this help
 ";
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{USAGE}");
     std::process::exit(2);
-}
-
-fn parse_arg<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(value) = value else {
-        fail(&format!("{flag} needs a value"));
-    };
-    match value.parse() {
-        Ok(v) => v,
-        Err(_) => fail(&format!("invalid value {value:?} for {flag}")),
-    }
 }
 
 struct Scenario {
@@ -189,19 +168,16 @@ fn verify_equivalence(
 
 fn main() {
     let mut addr: Option<String> = None;
-    let mut out = String::from("BENCH_pr6.json");
     let mut smoke = false;
-    let mut spectra_override: Option<usize> = None;
-    let mut samples = 3usize;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(parse_arg("--addr", args.next())),
-            "--out" => out = parse_arg("--out", args.next()),
+            "--addr" => match args.next() {
+                Some(value) => addr = Some(value),
+                None => fail("--addr needs a value"),
+            },
             "--smoke" => smoke = true,
-            "--spectra" => spectra_override = Some(parse_arg("--spectra", args.next())),
-            "--samples" => samples = parse_arg("--samples", args.next()),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -213,7 +189,7 @@ fn main() {
         fail("--addr is required");
     };
 
-    let num_spectra = spectra_override.unwrap_or(if smoke { 1200 } else { 4000 });
+    let num_spectra = if smoke { 1200 } else { 4000 };
     let scenarios: Vec<Scenario> = if smoke {
         vec![(1, 8), (4, 8)]
     } else {
@@ -230,31 +206,7 @@ fn main() {
         ..SyntheticConfig::default()
     })
     .generate();
-    let pipeline_config = JobConfig::default().pipeline_config();
-    let threads = pipeline_config.threads;
-    let dim = pipeline_config.encoder.dim;
-    let engine = SpecHd::new(pipeline_config);
-
-    // Local batch reference: what one full clustering of this dataset
-    // costs on this machine. bench_gate normalizes the service numbers
-    // by it in relative mode.
-    eprintln!("measuring batch_pipeline reference ({num_spectra} spectra, {samples} samples)...");
-    let mut kernels: Vec<Kernel<'_>> = vec![(
-        "batch_pipeline",
-        threads,
-        Box::new(|| {
-            std::hint::black_box(engine.run(&dataset));
-        }),
-    )];
-    let reference_ns = measure_interleaved(samples, &mut kernels)[0];
-    drop(kernels);
-    let mut records = vec![KernelRecord {
-        kernel: "batch_pipeline".into(),
-        n: num_spectra,
-        dim,
-        threads,
-        ns_per_op: reference_ns,
-    }];
+    let engine = SpecHd::new(JobConfig::default().pipeline_config());
 
     let nonce = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -263,10 +215,6 @@ fn main() {
         ^ (u64::from(std::process::id()) << 32);
     for (k, scenario) in scenarios.iter().enumerate() {
         let tag = format!("c{}_b{}", scenario.connections, scenario.batch);
-        eprintln!(
-            "scenario {tag}: {} connections x batch {}...",
-            scenario.connections, scenario.batch
-        );
         let job_id = nonce.wrapping_add(1 + k as u64);
         let (reports, wall_ns) = run_scenario(&addr, job_id, &dataset, scenario);
         verify_equivalence(&engine, &dataset, &reports, &tag);
@@ -278,28 +226,11 @@ fn main() {
         latencies.sort_unstable();
         let p50 = percentile(&latencies, 50);
         let p99 = percentile(&latencies, 99);
-        let ns_per_spectrum = wall_ns / num_spectra as u128;
         let spectra_per_s = 1_000_000_000.0 * num_spectra as f64 / wall_ns as f64;
-        eprintln!(
-            "  ok: {spectra_per_s:.0} spectra/s sustained, submit RTT p50 {:.2} ms / p99 {:.2} ms, equivalence verified",
+        println!(
+            "{tag}: {spectra_per_s:.0} spectra/s sustained, submit RTT p50 {:.2} ms / p99 {:.2} ms, equivalence verified",
             p50 as f64 / 1e6,
             p99 as f64 / 1e6,
         );
-        for (name, ns) in [
-            (format!("serve_throughput_{tag}"), ns_per_spectrum),
-            (format!("serve_p50_{tag}"), p50),
-            (format!("serve_p99_{tag}"), p99),
-        ] {
-            records.push(KernelRecord {
-                kernel: name,
-                n: num_spectra,
-                dim,
-                threads: scenario.connections,
-                ns_per_op: ns.max(1),
-            });
-        }
     }
-
-    write_records(&out, &records);
-    eprintln!("wrote {} records to {out}", records.len());
 }

@@ -1,9 +1,16 @@
 //! Downstream database-search integration: the Fig. 11 peptide-overlap
-//! experiment and the consensus-search speedup claim.
+//! experiment, the consensus-search speedup claim, and HD search agreeing
+//! with hyperscore on real encoded spectra.
 
 use spechd_core::{SpecHd, SpecHdConfig};
+use spechd_hdc::{EncoderConfig, IdLevelEncoder};
 use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
-use spechd_search::{filter_at_fdr, PeptideDatabase, SearchConfig, SearchEngine};
+use spechd_search::overlap::venn3;
+use spechd_search::{
+    encode_spectrum_peaks, filter_at_fdr, HdPsm, HvLibrary, PackedSearchConfig, PackedSearchEngine,
+    PeptideDatabase, SearchConfig, SearchEngine,
+};
+use std::collections::BTreeSet;
 
 #[test]
 fn fig11_overlap_shape() {
@@ -142,5 +149,70 @@ fn fdr_control_is_effective_end_to_end() {
     assert!(
         wrong_rate < 0.05,
         "wrong-peptide rate too high: {wrong}/{correct}"
+    );
+}
+
+#[test]
+fn hd_search_identifies_what_hyperscore_identifies() {
+    // Hyperscore vs packed-standard vs packed-OMS top-1 target ids on one
+    // noise-free peptide workload, searched as real encoded spectra
+    // against a library encoded from the same database.
+    let generator = SyntheticGenerator::new(SyntheticConfig {
+        num_spectra: 400,
+        num_peptides: 80,
+        noise_spectrum_fraction: 0.0,
+        seed: 0x7EA5,
+        ..SyntheticConfig::default()
+    });
+    let dataset = generator.generate();
+    let db = PeptideDatabase::build(generator.peptide_library());
+    let hyper_ids: BTreeSet<String> = SearchEngine::new(db.clone(), SearchConfig::default())
+        .search_dataset(dataset.spectra())
+        .iter()
+        .flatten()
+        .filter(|p| !p.is_decoy)
+        .map(|p| p.peptide.sequence().to_string())
+        .collect();
+
+    let encoder = IdLevelEncoder::new(EncoderConfig::default());
+    let lib = HvLibrary::from_database(&db, &encoder, 1);
+    let packed = PackedSearchEngine::new(PackedSearchConfig {
+        top_k: 1,
+        ..PackedSearchConfig::default()
+    });
+    let top_target = |hits: &[HdPsm]| {
+        hits.iter()
+            .find(|h| !h.is_decoy)
+            .map(|h| lib.id(h.library_index).to_string())
+    };
+    let mut std_ids = BTreeSet::new();
+    let mut oms_ids = BTreeSet::new();
+    let mut oms_psms: Vec<HdPsm> = Vec::new();
+    for (i, s) in dataset.spectra().iter().enumerate() {
+        let hv = encode_spectrum_peaks(&encoder, s.peaks());
+        let mass = s.precursor().neutral_mass();
+        std_ids.extend(top_target(&packed.search_standard(&lib, &hv, mass, i)));
+        let open = packed.search_open(&lib, &hv, mass, i);
+        oms_ids.extend(top_target(&open));
+        oms_psms.extend(open.first().copied());
+    }
+
+    let venn = venn3(
+        hyper_ids.iter().map(String::as_str),
+        std_ids.iter().map(String::as_str),
+        oms_ids.iter().map(String::as_str),
+    );
+    assert!(venn.total_a() > 0, "hyperscore identified nothing");
+    assert!(
+        venn.abc * 10 >= venn.total_a() * 9,
+        "all three modes agree on {} of hyperscore's {} peptides",
+        venn.abc,
+        venn.total_a()
+    );
+    let accepted = filter_at_fdr(&oms_psms, 0.01).len();
+    assert!(
+        accepted * 10 >= oms_psms.len() * 9,
+        "{accepted} of {} OMS top-1 HD PSMs survive 1% FDR",
+        oms_psms.len()
     );
 }
