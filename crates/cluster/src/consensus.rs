@@ -6,11 +6,19 @@
 //! The medoid spectrum then represents the cluster in downstream database
 //! searches.
 
+use crate::condensed::{pair_index, Cells};
 use crate::{ClusterAssignment, CondensedMatrix};
 
-/// Returns the medoid of `members`: the member with the lowest average
-/// distance (from the **original** matrix) to the other members. Ties
-/// resolve to the lowest index; a singleton's medoid is its only member.
+/// Returns the medoid of `members`: the member with the lowest total
+/// (equivalently, average) distance to the other members, read from the
+/// **original** matrix — the one [`crate::nn_chain`] was given, which it
+/// leaves untouched. Ties resolve to the member listed first (the lowest
+/// index, for the ascending lists of [`ClusterAssignment::clusters`]); a
+/// singleton's medoid is its only member.
+///
+/// Over the kernel's 16-bit cells the totals are exact integer sums; over
+/// `f64` cells they are `f64` sums in member order. For integer-valued
+/// distances the two pick the same member.
 ///
 /// # Panics
 ///
@@ -29,25 +37,33 @@ pub fn medoid(matrix: &CondensedMatrix, members: &[usize]) -> usize {
         !members.is_empty(),
         "cannot take the medoid of an empty cluster"
     );
-    if members.len() == 1 {
-        assert!(members[0] < matrix.n(), "member index out of range");
-        return members[0];
+    assert!(
+        members.iter().all(|&m| m < matrix.n()),
+        "member index out of range"
+    );
+    match matrix.cells() {
+        Cells::U16(d) => lowest_total(members, |i, j| u64::from(d[pair_index(i, j)])),
+        Cells::F64(d) => lowest_total(members, |i, j| d[pair_index(i, j)]),
     }
-    let mut best = members[0];
-    let mut best_total = f64::INFINITY;
+}
+
+/// The first member whose distances to the other members sum lowest.
+fn lowest_total<S: PartialOrd + std::iter::Sum>(
+    members: &[usize],
+    distance: impl Fn(usize, usize) -> S,
+) -> usize {
+    let mut best: Option<(usize, S)> = None;
     for &candidate in members {
-        assert!(candidate < matrix.n(), "member index out of range");
-        let total: f64 = members
+        let total: S = members
             .iter()
             .filter(|&&other| other != candidate)
-            .map(|&other| matrix.get(candidate, other))
+            .map(|&other| distance(candidate, other))
             .sum();
-        if total < best_total {
-            best_total = total;
-            best = candidate;
+        if best.as_ref().map_or(true, |(_, lowest)| total < *lowest) {
+            best = Some((candidate, total));
         }
     }
-    best
+    best.expect("members is non-empty").0
 }
 
 /// Computes the medoid of every cluster of `assignment`, indexed by
@@ -110,6 +126,39 @@ mod tests {
         let m = CondensedMatrix::from_fn(6, |i, j| ((i as f64) - (j as f64)).abs());
         let a = ClusterAssignment::from_raw_labels(&[0, 0, 0, 1, 1, 1]);
         assert_eq!(medoid_all(&m, &a), vec![1, 4]);
+    }
+
+    #[test]
+    fn sixteen_bit_cells_pick_the_same_medoids_as_widened_cells() {
+        use spechd_rng::{Rng, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+        // Few distinct distances, so totals tie and the first-listed rule
+        // decides; members are listed in shuffled order to exercise it.
+        for values in [1u64, 2, 5, 2048] {
+            for n in [2usize, 3, 9, 40] {
+                let cells: Vec<u16> = (0..n * (n - 1) / 2)
+                    .map(|_| rng.bounded_u64(values) as u16)
+                    .collect();
+                let wide = CondensedMatrix::from_condensed(n, crate::condensed::widened(&cells));
+                let narrow = CondensedMatrix::from_condensed_u16(n, cells);
+                let mut members: Vec<usize> = (0..n).collect();
+                spechd_rng::shuffle(&mut members, &mut rng);
+                for len in 1..=n {
+                    assert_eq!(
+                        medoid(&narrow, &members[..len]),
+                        medoid(&wide, &members[..len]),
+                        "values {values} n {n} first {len}"
+                    );
+                }
+                let raw: Vec<usize> = (0..n).map(|i| i % 3).collect();
+                let a = ClusterAssignment::from_raw_labels(&raw);
+                assert_eq!(medoid_all(&narrow, &a), medoid_all(&wide, &a));
+            }
+        }
+        // All distances equal: the first member listed, not the lowest index.
+        let flat = CondensedMatrix::from_condensed_u16(4, vec![9; 6]);
+        assert_eq!(medoid(&flat, &[3, 0, 2]), 3);
+        assert_eq!(medoid(&flat, &[0, 3, 2]), 0);
     }
 
     #[test]

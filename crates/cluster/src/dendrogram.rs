@@ -59,14 +59,6 @@ impl Dendrogram {
         let mut node_id: Vec<usize> = (0..n).collect();
         let mut size: Vec<usize> = vec![1; n];
 
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-
         let mut merges = Vec::with_capacity(n - 1);
         for (k, (a, b, height)) in raw.into_iter().enumerate() {
             assert!(a < n && b < n, "merge record references point out of range");
@@ -116,14 +108,6 @@ impl Dendrogram {
     pub fn cut(&self, threshold: f64) -> ClusterAssignment {
         let mut parent: Vec<usize> = (0..self.n + self.merges.len()).collect();
 
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-
         for (k, m) in self.merges.iter().enumerate() {
             if m.height <= threshold {
                 let node = self.n + k;
@@ -145,16 +129,9 @@ impl Dendrogram {
         if applied == 0 {
             return ClusterAssignment::from_raw_labels(&(0..self.n).collect::<Vec<_>>());
         }
-        let threshold = self.merges[applied - 1].height;
-        // Heights can tie; fall back to applying exactly `applied` merges.
+        // Heights can tie, so apply exactly `applied` merges rather than
+        // cutting at the height of the last one.
         let mut parent: Vec<usize> = (0..self.n + self.merges.len()).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
         for (kidx, m) in self.merges.iter().take(applied).enumerate() {
             let node = self.n + kidx;
             let rl = find(&mut parent, m.left);
@@ -162,10 +139,18 @@ impl Dendrogram {
             parent[rl] = node;
             parent[rr] = node;
         }
-        let _ = threshold;
         let roots: Vec<usize> = (0..self.n).map(|i| find(&mut parent, i)).collect();
         ClusterAssignment::from_raw_labels(&roots)
     }
+}
+
+/// Union-find root of `x`, halving the path on the way up.
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //!
 //! * [`CondensedMatrix`] — lower-triangular pairwise distance storage
 //!   (the paper retains only the lower triangle in 16-bit fixed point;
-//!   [`CondensedMatrix::from_u16`] ingests exactly that form).
+//!   [`CondensedMatrix::from_condensed_u16`] keeps exactly that form, and
+//!   [`nn_chain`] and [`medoid`] work on it without widening).
 //! * [`Linkage`] — Lance–Williams update rules for single, complete,
 //!   average and Ward linkage (the paper's kernel supports all of these;
 //!   complete linkage is its default).

@@ -122,6 +122,24 @@ mod tests {
     }
 
     #[test]
+    fn matches_nnchain_on_tie_free_sixteen_bit_cells() {
+        // Distinct cell values (a shuffled range): no scan can tie, so the
+        // integer chain and the f64 baseline must build the same tree.
+        for linkage in [Linkage::Complete, Linkage::Single] {
+            for seed in 0..6 {
+                let n = 30;
+                let mut cells: Vec<u16> = (0..n * (n - 1) / 2).map(|v| 100 + v as u16).collect();
+                spechd_rng::shuffle(&mut cells, &mut Xoshiro256StarStar::seed_from_u64(seed));
+                let m = CondensedMatrix::from_condensed_u16(n, cells);
+                let a = naive_hac(&m, linkage);
+                let b = nn_chain(&m, linkage);
+                assert_eq!(a.dendrogram, b.dendrogram, "{linkage} seed {seed}");
+                assert_eq!(m.storage_bytes(), 2 * m.condensed_len(), "input untouched");
+            }
+        }
+    }
+
+    #[test]
     fn naive_does_cubically_more_comparisons() {
         let n = 100;
         let m = random_matrix(n, 2);

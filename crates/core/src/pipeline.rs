@@ -278,8 +278,9 @@ pub(crate) fn cluster_shard(
     let condensed_u16 = PackedDistanceEngine::new()
         .threads(1)
         .pairwise_condensed(sub);
-    // 16-bit lower-triangular matrix, exactly as the FPGA stores it.
-    let matrix = CondensedMatrix::from_u16(n, &condensed_u16);
+    // 16-bit lower-triangular matrix, exactly as the FPGA stores it: the
+    // kernel's buffer itself, which NN-chain and the medoids read as is.
+    let matrix = CondensedMatrix::from_condensed_u16(n, condensed_u16);
     let result = nn_chain(&matrix, linkage);
     let cut = result.dendrogram.cut(threshold);
     let medoids: Vec<usize> = cut
