@@ -6,17 +6,17 @@
 //!
 //! Two tiers are provided:
 //!
-//! * **Scalar reference** — [`pairwise_condensed`], [`one_to_many`],
-//!   [`nearest_neighbor`] operate on `&[BinaryHypervector]` one pair at a
-//!   time. Simple, allocation-per-vector, and kept as the bit-exact oracle
-//!   the packed tier is tested against.
+//! * **Scalar reference** — [`pairwise_condensed`] and [`one_to_many`]
+//!   operate on `&[BinaryHypervector]` one pair at a time. Simple,
+//!   allocation-per-vector, and kept as the bit-exact oracle the packed
+//!   tier is tested against.
 //! * **Packed engine** — [`PackedDistanceEngine`] (and the convenience
-//!   wrappers [`pairwise_condensed_packed`], [`one_to_many_packed`],
-//!   [`neighbors_within`]) runs over an [`HvPack`]'s contiguous buffer in
-//!   cache-sized row/column tiles, register-blocked four columns at a time,
-//!   with row tiles distributed across scoped worker threads. This mirrors
-//!   how the hardware kernel batches packed spectra instead of touching one
-//!   pair at a time.
+//!   wrappers [`pairwise_condensed_packed`], [`neighbors_within`]) runs
+//!   over an [`HvPack`]'s contiguous buffer in cache-sized row/column
+//!   tiles, register-blocked four columns at a time, with row tiles
+//!   distributed across scoped worker threads. This mirrors how the
+//!   hardware kernel batches packed spectra instead of touching one pair
+//!   at a time.
 //!
 //! # Distance type
 //!
@@ -105,46 +105,6 @@ pub fn one_to_many(query: &BinaryHypervector, hvs: &[BinaryHypervector]) -> Vec<
     hvs.iter().map(|h| query.hamming(h) as u16).collect()
 }
 
-/// Index and distance of the nearest neighbor of `query` in `hvs`,
-/// excluding `skip` (pass `usize::MAX` to exclude nothing).
-///
-/// Returns `None` if there is no eligible element.
-///
-/// # Panics
-///
-/// Panics if dimensionalities differ or `dim > u16::MAX as usize`.
-pub fn nearest_neighbor(
-    query: &BinaryHypervector,
-    hvs: &[BinaryHypervector],
-    skip: usize,
-) -> Option<(usize, u16)> {
-    assert_dim_fits_u16(query.dim());
-    hvs.iter()
-        .enumerate()
-        .filter(|&(i, _)| i != skip)
-        .map(|(i, h)| (i, query.hamming(h) as u16))
-        .min_by_key(|&(_, d)| d)
-}
-
-/// Mean pairwise normalized Hamming distance of a set — a cheap dispersion
-/// statistic used by diagnostics and tests.
-///
-/// Returns 0 for sets with fewer than two elements.
-pub fn mean_pairwise_distance(hvs: &[BinaryHypervector]) -> f64 {
-    let n = hvs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let dim = hvs[0].dim() as f64;
-    let mut total = 0.0;
-    for i in 1..n {
-        for j in 0..i {
-            total += hvs[i].hamming(&hvs[j]) as f64 / dim;
-        }
-    }
-    total / condensed_len(n) as f64
-}
-
 fn assert_dim_fits_u16(dim: usize) {
     assert!(
         dim <= u16::MAX as usize,
@@ -152,16 +112,23 @@ fn assert_dim_fits_u16(dim: usize) {
     );
 }
 
+fn assert_query_fits(query: &BinaryHypervector, pack: &HvPack, rows: &std::ops::Range<usize>) {
+    assert_eq!(
+        query.dim(),
+        pack.dim(),
+        "query/pack dimensionality mismatch"
+    );
+    assert!(
+        rows.start <= rows.end && rows.end <= pack.len(),
+        "row range {rows:?} out of bounds for pack of len {}",
+        pack.len()
+    );
+}
+
 /// All pairwise distances over a pack with the default engine — see
 /// [`PackedDistanceEngine::pairwise_condensed`].
 pub fn pairwise_condensed_packed(pack: &HvPack) -> Vec<u16> {
     PackedDistanceEngine::new().pairwise_condensed(pack)
-}
-
-/// Query-to-all distances over a pack with the default engine — see
-/// [`PackedDistanceEngine::one_to_many`].
-pub fn one_to_many_packed(query: &BinaryHypervector, pack: &HvPack) -> Vec<u16> {
-    PackedDistanceEngine::new().one_to_many(query, pack)
 }
 
 /// Epsilon-neighborhood lists over a pack with the default engine — see
@@ -307,33 +274,70 @@ impl PackedDistanceEngine {
         pack: &HvPack,
         range: std::ops::Range<usize>,
     ) -> Vec<u16> {
-        assert_eq!(
-            query.dim(),
-            pack.dim(),
-            "query/pack dimensionality mismatch"
-        );
         assert_dim_fits_u16(pack.dim());
-        assert!(
-            range.start <= range.end && range.end <= pack.len(),
-            "row range {range:?} out of bounds for pack of len {}",
-            pack.len()
-        );
-        let base = range.start;
-        let n = range.len();
-        let mut out = vec![0u16; n];
-        let chunk_rows = n.div_ceil(self.resolved_threads().max(1)).max(1);
+        assert_query_fits(query, pack, &range);
+        let mut out = vec![0u16; range.len()];
+        let chunk_rows = out.len().div_ceil(self.resolved_threads().max(1)).max(1);
         let jobs: Vec<(usize, &mut [u16])> = out
             .chunks_mut(chunk_rows)
             .enumerate()
-            .map(|(k, c)| (base + k * chunk_rows, c))
+            .map(|(k, c)| (range.start + k * chunk_rows, c))
             .collect();
         let qw = query.words();
-        self.dispatch(jobs, |(lo, chunk)| {
-            for (off, d) in chunk.iter_mut().enumerate() {
-                *d = hamming_words(qw, pack.row(lo + off)) as u16;
-            }
-        });
+        self.dispatch(jobs, |(lo, chunk)| sweep_rows(qw, pack, lo, chunk));
         out
+    }
+
+    /// Scores a block of queries, each against its own row range, in one
+    /// tiled walk over the pack: the queries are ordered by range start and
+    /// the union of their ranges is visited `tile_rows` rows at a time, each
+    /// tile scored against every query whose range covers it while the tile
+    /// is cache-resident. Rows no range covers are skipped, so the work is
+    /// Σ range lengths whatever the span between ranges.
+    ///
+    /// Each element of `queries` is `(query, rows, sink)`. For every tile
+    /// slice of `rows`, `feed(&mut sink, first, dists)` is called with
+    /// `dists[k]` the distance to row `first + k` — ascending, each row of
+    /// `rows` exactly once and bit-exact with
+    /// [`PackedDistanceEngine::one_to_many_range`]. The sinks come back in
+    /// the order the queries were given.
+    ///
+    /// `threads` here divides the *queries*, not the rows: contiguous groups
+    /// of the range-ordered queries walk on their own workers, and only when
+    /// each worker's share of the sweep outweighs starting it; a small block
+    /// runs inline at any setting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's dimensionality differs from the pack's,
+    /// `pack.dim() > u16::MAX as usize`, or a range is out of bounds.
+    pub fn one_to_many_block<'q, S: Send>(
+        &self,
+        pack: &HvPack,
+        queries: impl IntoIterator<Item = (&'q BinaryHypervector, std::ops::Range<usize>, S)>,
+        feed: impl Fn(&mut S, usize, &[u16]) + Sync,
+    ) -> Vec<S> {
+        assert_dim_fits_u16(pack.dim());
+        let mut lanes: Vec<Lane<S>> = queries
+            .into_iter()
+            .enumerate()
+            .map(|(query, (hv, rows, sink))| {
+                assert_query_fits(hv, pack, &rows);
+                Lane {
+                    query,
+                    words: hv.words(),
+                    rows,
+                    sink,
+                }
+            })
+            .collect();
+        lanes.sort_unstable_by_key(|lane| (lane.rows.start, lane.query));
+        let groups = split_block(&mut lanes, pack.stride(), self.resolved_threads());
+        self.dispatch(groups, |group| {
+            walk_block(pack, self.tile_rows, group, &feed);
+        });
+        lanes.sort_unstable_by_key(|lane| lane.query);
+        lanes.into_iter().map(|lane| lane.sink).collect()
     }
 
     /// For every row `p`, the ascending list of rows `q != p` with
@@ -434,28 +438,113 @@ fn fill_row_tile(pack: &HvPack, lo: usize, hi: usize, tile: usize, chunk: &mut [
             let row_i = pack.row(i);
             let j_hi = cj_hi.min(i);
             let row_off = condensed_len(i) - base;
-            let out_row = &mut chunk[row_off + cj..row_off + j_hi];
-            let mut j = cj;
-            // Register block: four columns share each loaded query word.
-            while j + 4 <= j_hi {
-                let d = hamming_words_x4(
-                    row_i,
-                    pack.row(j),
-                    pack.row(j + 1),
-                    pack.row(j + 2),
-                    pack.row(j + 3),
-                );
-                out_row[j - cj] = d[0] as u16;
-                out_row[j - cj + 1] = d[1] as u16;
-                out_row[j - cj + 2] = d[2] as u16;
-                out_row[j - cj + 3] = d[3] as u16;
-                j += 4;
-            }
-            while j < j_hi {
-                out_row[j - cj] = hamming_words(row_i, pack.row(j)) as u16;
-                j += 1;
+            sweep_rows(row_i, pack, cj, &mut chunk[row_off + cj..row_off + j_hi]);
+        }
+    }
+}
+
+/// One query of a block walk: its words, the rows it is scored against
+/// and the caller's sink for the distances.
+struct Lane<'a, S> {
+    query: usize,
+    words: &'a [u64],
+    rows: std::ops::Range<usize>,
+    sink: S,
+}
+
+/// Packed words a block worker must sweep to be worth starting: a scoped
+/// thread costs ≈ 40–80 µs to start and join, about 4 096 rows at D = 2048.
+const MIN_BLOCK_WORDS_PER_WORKER: usize = 1 << 17;
+
+/// Cuts range-ordered lanes into contiguous groups of about equal row
+/// counts, one per worker whose share clears the work floor.
+fn split_block<'l, 'a, S>(
+    mut lanes: &'l mut [Lane<'a, S>],
+    stride: usize,
+    threads: usize,
+) -> Vec<&'l mut [Lane<'a, S>]> {
+    let mut rows: usize = lanes.iter().map(|lane| lane.rows.len()).sum();
+    let workers = (rows.saturating_mul(stride) / MIN_BLOCK_WORDS_PER_WORKER).clamp(1, threads);
+    let mut groups = Vec::with_capacity(workers);
+    while groups.len() + 1 < workers && rows > 0 {
+        let share = rows.div_ceil(workers - groups.len());
+        let mut taken = 0;
+        let cut = lanes.iter().position(|lane| {
+            taken += lane.rows.len();
+            taken >= share
+        });
+        let (group, rest) = lanes.split_at_mut(cut.map_or(lanes.len(), |last| last + 1));
+        groups.push(group);
+        lanes = rest;
+        rows -= taken;
+    }
+    if !lanes.is_empty() {
+        groups.push(lanes);
+    }
+    groups
+}
+
+/// Walks the union of the lanes' ranges tile by tile. `lanes` is ordered by
+/// range start; the active set holds the lanes whose range reaches into the
+/// current tile, and the walk jumps to the next lane's start when it empties.
+fn walk_block<S>(
+    pack: &HvPack,
+    tile_rows: usize,
+    lanes: &mut [Lane<S>],
+    feed: &impl Fn(&mut S, usize, &[u16]),
+) {
+    let longest = lanes.iter().map(|lane| lane.rows.len()).max().unwrap_or(0);
+    let mut tile = vec![0u16; tile_rows.min(longest)];
+    let mut active: Vec<usize> = Vec::with_capacity(lanes.len());
+    let mut next = 0;
+    let mut lo = 0;
+    loop {
+        if active.is_empty() {
+            match lanes.get(next) {
+                Some(lane) => lo = lane.rows.start,
+                None => return,
             }
         }
+        let hi = lo.saturating_add(tile_rows);
+        while lanes.get(next).is_some_and(|lane| lane.rows.start < hi) {
+            if !lanes[next].rows.is_empty() {
+                active.push(next);
+            }
+            next += 1;
+        }
+        for &l in &active {
+            let lane = &mut lanes[l];
+            let first = lane.rows.start.max(lo);
+            let dists = &mut tile[..lane.rows.end.min(hi) - first];
+            sweep_rows(lane.words, pack, first, dists);
+            feed(&mut lane.sink, first, dists);
+        }
+        active.retain(|&l| lanes[l].rows.end > hi);
+        lo = hi;
+    }
+}
+
+/// The tile kernel: `out[k]` = distance from the query words to pack row
+/// `lo + k`, four rows per load of each query word.
+#[inline]
+fn sweep_rows(qw: &[u64], pack: &HvPack, lo: usize, out: &mut [u16]) {
+    let mut quads = out.chunks_exact_mut(4);
+    let mut row = lo;
+    for quad in &mut quads {
+        let d = hamming_words_x4(
+            qw,
+            pack.row(row),
+            pack.row(row + 1),
+            pack.row(row + 2),
+            pack.row(row + 3),
+        );
+        for (out, d) in quad.iter_mut().zip(d) {
+            *out = d as u16;
+        }
+        row += 4;
+    }
+    for (off, out) in quads.into_remainder().iter_mut().enumerate() {
+        *out = hamming_words(qw, pack.row(row + off)) as u16;
     }
 }
 
@@ -534,45 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_neighbor_finds_planted_match() {
-        let mut hvs = random_set(8, 1024, 4);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-        let mut near = hvs[3].clone();
-        near.flip_random_bits(10, &mut rng);
-        hvs.push(near);
-        let (idx, d) = nearest_neighbor(&hvs[3], &hvs, 3).unwrap();
-        assert_eq!(idx, 8);
-        assert_eq!(d, 10);
-    }
-
-    #[test]
-    fn nearest_neighbor_skip_self() {
-        let hvs = random_set(3, 64, 6);
-        let (idx, _) = nearest_neighbor(&hvs[1], &hvs, 1).unwrap();
-        assert_ne!(idx, 1);
-    }
-
-    #[test]
-    fn nearest_neighbor_empty_returns_none() {
-        let hvs: Vec<BinaryHypervector> = Vec::new();
-        let q = BinaryHypervector::zeros(8);
-        assert!(nearest_neighbor(&q, &hvs, usize::MAX).is_none());
-    }
-
-    #[test]
-    fn mean_pairwise_distance_random_near_half() {
-        let hvs = random_set(12, 2048, 7);
-        let m = mean_pairwise_distance(&hvs);
-        assert!((0.45..0.55).contains(&m), "mean {m}");
-    }
-
-    #[test]
-    fn mean_pairwise_distance_degenerate() {
-        assert_eq!(mean_pairwise_distance(&[]), 0.0);
-        assert_eq!(mean_pairwise_distance(&random_set(1, 64, 8)), 0.0);
-    }
-
-    #[test]
     fn packed_pairwise_matches_scalar() {
         for &(n, dim) in &[(9usize, 70usize), (33, 192), (130, 2048)] {
             let hvs = random_set(n, dim, (n + dim) as u64);
@@ -635,6 +685,142 @@ mod tests {
         let hvs = random_set(4, 64, 13);
         let pack = HvPack::from_hypervectors(64, &hvs);
         PackedDistanceEngine::new().one_to_many_range(&hvs[0], &pack, 2..5);
+    }
+
+    #[test]
+    fn tile_kernel_matches_scalar_through_the_quad_remainder() {
+        let hvs = random_set(12, 191, 14); // three words a row
+        let pack = HvPack::from_hypervectors(191, &hvs);
+        let q = &hvs[11];
+        for lo in [0, 1, 3] {
+            for len in 0..=9 {
+                let mut out = vec![0u16; len];
+                sweep_rows(q.words(), &pack, lo, &mut out);
+                let expect: Vec<u16> = (lo..lo + len).map(|r| q.hamming(&hvs[r]) as u16).collect();
+                assert_eq!(out, expect, "lo {lo} len {len}");
+            }
+        }
+    }
+
+    /// A block through the walk with sinks that record every slice fed.
+    fn recorded_block(
+        engine: &PackedDistanceEngine,
+        pack: &HvPack,
+        block: &[(&BinaryHypervector, std::ops::Range<usize>)],
+    ) -> Vec<Vec<(usize, u16)>> {
+        let lanes = block.iter().map(|(q, rows)| (*q, rows.clone(), Vec::new()));
+        engine.one_to_many_block(pack, lanes, |fed, first, dists| {
+            assert!(!dists.is_empty(), "empty slices are not fed");
+            fed.extend(dists.iter().enumerate().map(|(k, &d)| (first + k, d)));
+        })
+    }
+
+    #[test]
+    fn block_walk_feeds_each_query_row_exactly_once() {
+        let hvs = random_set(300, 2048, 15);
+        let pack = HvPack::from_hypervectors(2048, &hvs);
+        // Identical, nested, apart, empty, mid-tile and whole windows, then
+        // enough whole ones that two workers clear the work floor.
+        let mut ranges = vec![
+            40..90,
+            40..90,
+            0..300,
+            50..51,
+            7..7,
+            250..300,
+            8..24,
+            299..300,
+        ];
+        ranges.extend((0..30).map(|k| k..300 - k));
+        let mut lanes = lanes_over(&[], &ranges);
+        assert_eq!(split_block(&mut lanes, pack.stride(), 2).len(), 2);
+        let block: Vec<_> = ranges
+            .iter()
+            .enumerate()
+            .map(|(k, r)| (&hvs[k * 31 % 300], r.clone()))
+            .collect();
+        for threads in [1, 2, 4] {
+            for tile in [1, 8, 64, 1000] {
+                let engine = PackedDistanceEngine::new().threads(threads).tile_rows(tile);
+                let fed = recorded_block(&engine, &pack, &block);
+                assert_eq!(fed.len(), block.len());
+                let total: usize = fed.iter().map(Vec::len).sum();
+                assert_eq!(total, ranges.iter().map(|r| r.len()).sum::<usize>());
+                for ((q, rows), fed) in block.iter().zip(&fed) {
+                    let dists = engine.one_to_many_range(q, &pack, rows.clone());
+                    let expect: Vec<(usize, u16)> = rows.clone().zip(dists).collect();
+                    assert_eq!(fed, &expect, "rows {rows:?} threads {threads} tile {tile}");
+                }
+            }
+        }
+    }
+
+    fn lanes_over<'a>(words: &'a [u64], ranges: &[std::ops::Range<usize>]) -> Vec<Lane<'a, ()>> {
+        ranges
+            .iter()
+            .enumerate()
+            .map(|(query, rows)| Lane {
+                query,
+                words,
+                rows: rows.clone(),
+                sink: (),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_under_the_work_floor_runs_on_one_worker() {
+        let stride = 32;
+        let floor_rows = MIN_BLOCK_WORDS_PER_WORKER / stride;
+        // 64 seven-row windows: 448 rows, far under one worker's floor.
+        let narrow: Vec<_> = (0..64).map(|k| k * 4000..k * 4000 + 7).collect();
+        // Just short of two workers' worth.
+        let short: Vec<_> = (0..2).map(|k| k..k + floor_rows - 1).collect();
+        for ranges in [narrow, short, vec![], vec![5..5, 9..9]] {
+            for threads in [1, 2, 4, 64] {
+                let mut lanes = lanes_over(&[], &ranges);
+                let groups = split_block(&mut lanes, stride, threads);
+                assert!(groups.len() <= 1, "threads {threads}");
+                assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), ranges.len());
+            }
+        }
+    }
+
+    #[test]
+    fn block_over_the_work_floor_is_cut_by_rows_not_by_queries() {
+        let stride = 32;
+        let floor_rows = MIN_BLOCK_WORDS_PER_WORKER / stride;
+        // One window of two floors, then eight of a quarter floor: four
+        // floors of work, so at most four workers however many are offered.
+        // Two empty windows after the last row ride with the last group.
+        let ranges: Vec<_> = std::iter::once(0..2 * floor_rows)
+            .chain((0..8).map(|k| k * 10..k * 10 + floor_rows / 4))
+            .chain([7000..7000, 9000..9000])
+            .collect();
+        for (threads, expect) in [
+            (1, vec![11]),
+            (2, vec![1, 10]),
+            (3, vec![1, 4, 6]),
+            (4, vec![1, 3, 3, 4]),
+            (64, vec![1, 3, 3, 4]),
+        ] {
+            let mut lanes = lanes_over(&[], &ranges);
+            let groups = split_block(&mut lanes, stride, threads);
+            let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+            assert_eq!(sizes, expect, "threads {threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn block_walk_rejects_out_of_bounds_range() {
+        let hvs = random_set(4, 64, 16);
+        let pack = HvPack::from_hypervectors(64, &hvs);
+        PackedDistanceEngine::new().one_to_many_block(
+            &pack,
+            vec![(&hvs[0], 2..5, ())],
+            |_, _, _| {},
+        );
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //! oracle [`scalar_search_window`] at any thread count and batch size
 //! (pinned by the `packed_search_equivalence` integration suite).
 //!
+//! A block of queries goes through
+//! [`PackedSearchEngine::search_batch_standard`] /
+//! [`PackedSearchEngine::search_batch_open`]: one tiled walk over the
+//! library ([`PackedDistanceEngine::one_to_many_block`]) scores each
+//! library tile against every query whose window covers it while the
+//! tile is cache-resident. Both paths select through the same bounded
+//! top-k sink, so a block's hits are those of its queries searched one
+//! by one (pinned by the `batch_search_equivalence` suite).
+//!
 //! # Determinism and tie-breaks
 //!
 //! Hits are ordered by `(distance, library_index)` ascending: a lower
@@ -47,11 +56,17 @@ pub struct PackedSearchConfig {
     pub open_window_da: f64,
     /// Hits kept per query.
     pub top_k: usize,
-    /// Candidate rows scored per tiled-engine call; bounds the
-    /// per-query distance buffer during wide-window sweeps.
+    /// Candidate rows scored per distance-engine call on the single-query
+    /// path ([`PackedSearchEngine::search_window`] and the two modes over
+    /// it): bounds that path's per-call distance buffer during
+    /// wide-window sweeps. The batch path (`search_batch_*`) does not read
+    /// it — its buffer is one engine tile per worker.
     pub batch_rows: usize,
-    /// Worker threads for the distance engine (0 = all cores). Results
-    /// are bit-identical at any setting.
+    /// Worker threads for the distance engine (0 = all cores). On the
+    /// single-query path they divide each call's *rows*; on the batch path
+    /// they divide the block's *queries*, and only when each worker's
+    /// share of the sweep outweighs starting it. Results are bit-identical
+    /// at any setting.
     pub threads: usize,
 }
 
@@ -190,12 +205,12 @@ impl PackedSearchEngine {
         )
     }
 
-    /// The shared code path of both modes: scores every library entry
-    /// whose mass lies in the closed window
+    /// The single-query code path of both modes: scores every library
+    /// entry whose mass lies in the closed window
     /// `[query_mass − window_da, query_mass + window_da]` in
-    /// `batch_rows`-sized slices of the tiled distance engine, and
-    /// returns up to `top_k` hits ordered by
-    /// `(distance, library_index)` ascending.
+    /// `batch_rows`-sized calls of the distance engine, each one split by
+    /// rows over `threads` workers, and returns up to `top_k` hits ordered
+    /// by `(distance, library_index)` ascending.
     ///
     /// # Panics
     ///
@@ -211,66 +226,140 @@ impl PackedSearchEngine {
         window_da: f64,
     ) -> Vec<HdPsm> {
         let range = lib.window(query_mass, window_da);
-        let k = self.config.top_k;
-        // Max-heap of the k best (distance, index) keys seen so far:
-        // the root is the current worst keeper, evicted when a strictly
-        // smaller key arrives. Keys are unique (index), so selection is
-        // total-order deterministic.
-        let mut heap: BinaryHeap<(u16, usize)> = BinaryHeap::with_capacity(k + 1);
-        let mut lo = range.start;
-        while lo < range.end {
-            let hi = (lo + self.config.batch_rows).min(range.end);
+        let mut best = TopK::new(self.config.top_k, range.len());
+        for lo in range.clone().step_by(self.config.batch_rows) {
+            let hi = lo.saturating_add(self.config.batch_rows).min(range.end);
             let dists = self.engine.one_to_many_range(query, lib.pack(), lo..hi);
-            for (off, &d) in dists.iter().enumerate() {
-                let key = (d, lo + off);
-                if heap.len() < k {
-                    heap.push(key);
-                } else if key < *heap.peek().expect("heap holds k > 0 keys") {
-                    heap.pop();
-                    heap.push(key);
-                }
-            }
-            lo = hi;
+            best.offer(lo, &dists);
         }
-        heap.into_sorted_vec()
-            .into_iter()
-            .map(|(distance, library_index)| HdPsm {
-                query_index,
-                library_index,
-                distance,
-                mass_delta: query_mass - lib.mass(library_index),
-                is_decoy: lib.is_decoy(library_index),
-            })
-            .collect()
+        best.into_hits(lib, query_mass, query_index)
     }
 
     /// Standard-mode search of a whole query batch; entry `i` holds the
-    /// hits of `queries[i]` with `query_index == i`.
+    /// hits of `queries[i]` with `query_index == i`, bit-identical to
+    /// [`PackedSearchEngine::search_standard`] on each query. The block is
+    /// scored in one tiled walk over the library — see
+    /// [`PackedDistanceEngine::one_to_many_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's dimensionality differs from the library's or a
+    /// query mass is not finite.
     pub fn search_batch_standard(
         &self,
         lib: &HvLibrary,
         queries: &[(BinaryHypervector, f64)],
     ) -> Vec<Vec<HdPsm>> {
-        queries
-            .iter()
-            .enumerate()
-            .map(|(i, (q, m))| self.search_standard(lib, q, *m, i))
-            .collect()
+        self.search_batch_window(lib, queries, self.config.precursor_tol_da)
     }
 
     /// Open-modification search of a whole query batch; entry `i` holds
-    /// the hits of `queries[i]` with `query_index == i`.
+    /// the hits of `queries[i]` with `query_index == i`, bit-identical to
+    /// [`PackedSearchEngine::search_open`] on each query. The block is
+    /// scored in one tiled walk over the library — see
+    /// [`PackedDistanceEngine::one_to_many_block`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's dimensionality differs from the library's or a
+    /// query mass is not finite.
     pub fn search_batch_open(
         &self,
         lib: &HvLibrary,
         queries: &[(BinaryHypervector, f64)],
     ) -> Vec<Vec<HdPsm>> {
-        queries
-            .iter()
+        self.search_batch_window(lib, queries, self.config.open_window_da)
+    }
+
+    /// The block code path of both modes: every query's window through one
+    /// walk of the library, each with its own top-k sink.
+    fn search_batch_window(
+        &self,
+        lib: &HvLibrary,
+        queries: &[(BinaryHypervector, f64)],
+        window_da: f64,
+    ) -> Vec<Vec<HdPsm>> {
+        let lanes = queries.iter().map(|(query, mass)| {
+            let rows = lib.window(*mass, window_da);
+            let best = TopK::new(self.config.top_k, rows.len());
+            (query, rows, best)
+        });
+        self.engine
+            .one_to_many_block(lib.pack(), lanes, TopK::offer)
+            .into_iter()
+            .zip(queries)
             .enumerate()
-            .map(|(i, (q, m))| self.search_open(lib, q, *m, i))
+            .map(|(i, (best, (_, mass)))| best.into_hits(lib, *mass, i))
             .collect()
     }
+}
+
+/// The `k` smallest `(distance, library_index)` keys offered so far — the
+/// one top-k selection under both search paths. Keys are unique (the
+/// index), so the selection is a pure function of the set of rows offered,
+/// whatever their order.
+struct TopK {
+    k: usize,
+    /// Max-heap: the root is the current worst keeper.
+    heap: BinaryHeap<(u16, usize)>,
+}
+
+impl TopK {
+    /// Keeps `top_k` keys, or all `candidates` when there are fewer — the
+    /// heap is sized by what can arrive, not by what was asked for.
+    fn new(top_k: usize, candidates: usize) -> Self {
+        let k = top_k.min(candidates);
+        Self {
+            k,
+            heap: BinaryHeap::with_capacity(k),
+        }
+    }
+
+    /// Offers rows `first..first + dists.len()`. Once `k` keys are held, a
+    /// slice whose least distance is *greater* than the worst keeper's is
+    /// dropped whole; an equal distance can still win on a lower index, so
+    /// it goes through the key comparison.
+    fn offer(&mut self, first: usize, dists: &[u16]) {
+        if self.heap.len() == self.k {
+            let least = dists.iter().fold(u16::MAX, |m, &d| m.min(d));
+            match self.heap.peek() {
+                Some(worst) if least <= worst.0 => {}
+                _ => return,
+            }
+        }
+        for (off, &d) in dists.iter().enumerate() {
+            let key = (d, first + off);
+            if self.heap.len() < self.k {
+                self.heap.push(key);
+            } else if let Some(mut worst) = self.heap.peek_mut() {
+                if key < *worst {
+                    *worst = key;
+                }
+            }
+        }
+    }
+
+    fn into_hits(self, lib: &HvLibrary, query_mass: f64, query_index: usize) -> Vec<HdPsm> {
+        psms(lib, self.heap.into_sorted_vec(), query_mass, query_index)
+    }
+}
+
+/// The hits of one query from its selected keys, in the order given.
+fn psms(
+    lib: &HvLibrary,
+    keys: Vec<(u16, usize)>,
+    query_mass: f64,
+    query_index: usize,
+) -> Vec<HdPsm> {
+    keys.into_iter()
+        .map(|(distance, library_index)| HdPsm {
+            query_index,
+            library_index,
+            distance,
+            mass_delta: query_mass - lib.mass(library_index),
+            is_decoy: lib.is_decoy(library_index),
+        })
+        .collect()
 }
 
 /// The scalar per-spectrum reference scorer: materializes every
@@ -298,15 +387,7 @@ pub fn scalar_search_window(
         .collect();
     keys.sort_unstable();
     keys.truncate(top_k);
-    keys.into_iter()
-        .map(|(distance, library_index)| HdPsm {
-            query_index,
-            library_index,
-            distance,
-            mass_delta: query_mass - lib.mass(library_index),
-            is_decoy: lib.is_decoy(library_index),
-        })
-        .collect()
+    psms(lib, keys, query_mass, query_index)
 }
 
 #[cfg(test)]
@@ -435,6 +516,63 @@ mod tests {
         assert!(hits
             .windows(2)
             .all(|w| (w[0].distance, w[0].library_index) < (w[1].distance, w[1].library_index)));
+    }
+
+    #[test]
+    fn top_k_reserves_by_candidates_not_by_request() {
+        let lib = random_library(5, 64, 9); // 10 entries with decoys
+        let q = BinaryHypervector::zeros(64);
+        for top_k in [usize::MAX, 1 << 40] {
+            let engine = PackedSearchEngine::new(PackedSearchConfig {
+                open_window_da: 1e5,
+                top_k,
+                ..PackedSearchConfig::default()
+            });
+            let all = scalar_search_window(&lib, &q, 2000.0, 0, 1e5, top_k);
+            assert_eq!(all.len(), lib.len());
+            assert_eq!(engine.search_open(&lib, &q, 2000.0, 0), all);
+            let block = [(q.clone(), 2000.0), (q.clone(), 9e5)];
+            assert_eq!(engine.search_batch_open(&lib, &block), [all, vec![]]);
+        }
+    }
+
+    #[test]
+    fn equal_distance_tile_is_not_skipped() {
+        // Two kept, the worse one (7, 900). A later slice whose least
+        // distance is also 7, at row 40, must displace it: (7, 40) < (7, 900).
+        let mut best = TopK::new(2, 1000);
+        best.offer(899, &[3, 7]);
+        best.offer(38, &[9, 8, 7, 8]);
+        assert_eq!(best.heap.clone().into_sorted_vec(), [(3, 899), (7, 40)]);
+        // Strictly worse slices are dropped whole, equal index or not.
+        best.offer(0, &[8, 9, 65535]);
+        assert_eq!(best.heap.into_sorted_vec(), [(3, 899), (7, 40)]);
+    }
+
+    #[test]
+    fn batch_modes_match_per_query_search() {
+        let lib = random_library(150, 256, 12);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(78);
+        let block: Vec<(BinaryHypervector, f64)> = (0..9)
+            .map(|_| (random_hv(256, &mut rng), rng.range_f64(400.0, 3600.0)))
+            .collect();
+        let engine = PackedSearchEngine::new(PackedSearchConfig {
+            precursor_tol_da: 40.0,
+            open_window_da: 600.0,
+            top_k: 4,
+            threads: 2,
+            ..PackedSearchConfig::default()
+        });
+        let per_query = |window_da: f64| -> Vec<Vec<HdPsm>> {
+            block
+                .iter()
+                .enumerate()
+                .map(|(i, (q, m))| scalar_search_window(&lib, q, *m, i, window_da, 4))
+                .collect()
+        };
+        assert_eq!(engine.search_batch_standard(&lib, &block), per_query(40.0));
+        assert_eq!(engine.search_batch_open(&lib, &block), per_query(600.0));
+        assert!(engine.search_batch_open(&lib, &[]).is_empty());
     }
 
     #[test]
