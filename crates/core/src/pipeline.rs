@@ -6,7 +6,7 @@ use spechd_cluster::{
 };
 use spechd_fpga::{SystemConfig, SystemModel, Timeline, WorkloadShape};
 use spechd_hdc::distance::PackedDistanceEngine;
-use spechd_hdc::{BinaryHypervector, HvPack, IdLevelEncoder};
+use spechd_hdc::{BinaryHypervector, HvPack, IdLevelEncoder, MajorityAccumulator};
 use spechd_ms::SpectrumDataset;
 use spechd_preprocess::{bucket_stats, PrecursorBucketer, PreprocessPipeline};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -128,12 +128,15 @@ impl SpecHd {
     /// allocation-free batch path the pipeline and the packed distance
     /// kernels run on. Bit-exact with [`SpecHd::encode_dataset`].
     pub fn encode_dataset_packed(&self, dataset: &SpectrumDataset) -> HvPack {
-        let peak_lists: Vec<Vec<(f64, f64)>> = dataset
-            .spectra()
-            .iter()
-            .map(|s| s.relative_peaks())
-            .collect();
-        self.encoder.encode_batch_packed(&peak_lists)
+        let dim = self.encoder.dim();
+        let mut pack = HvPack::with_capacity(dim, dataset.len());
+        let mut acc = MajorityAccumulator::new(dim);
+        let mut peaks = Vec::new();
+        for spectrum in dataset.spectra() {
+            spectrum.relative_peaks_into(&mut peaks);
+            self.encoder.encode_into_pack(&peaks, &mut acc, &mut pack);
+        }
+        pack
     }
 
     /// Clusters pre-encoded hypervectors whose bucket memberships are

@@ -6,19 +6,26 @@
 //! lines. The reader skips unknown headers and comment lines (`#`, `;`),
 //! matching the tolerance of common proteomics parsers.
 
+use super::scan::{self, LineScanner};
 use crate::{MsError, Peak, Precursor, Spectrum};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 /// Reads all spectra from an MGF stream.
 ///
-/// A `&mut` reference can be passed for any `R: Read`.
+/// A `&mut` reference can be passed for any `R: Read`. The reader buffers
+/// the stream itself — 64 KiB, or the longest line if that is longer — so
+/// a `File` needs no `BufReader` in front. Peak lines of plain decimals,
+/// at most 15 digits each, are read straight off that buffer; any other
+/// line (header, comment, sign, exponent, `inf`/`nan`, longer number,
+/// non-ASCII) is checked as UTF-8 and goes through `str::parse`. Both
+/// routes give the same values and the same errors.
 ///
 /// # Errors
 ///
 /// Returns [`MsError::Parse`] (with line number) on malformed blocks and
-/// [`MsError::Io`] on read failures. Spectra with a missing `PEPMASS` are
-/// rejected; a missing `CHARGE` defaults to 2+ (the MGF convention for
-/// unspecified tryptic data).
+/// [`MsError::Io`] on read failures and invalid UTF-8. Spectra with a
+/// missing `PEPMASS` are rejected; a missing `CHARGE` defaults to 2+ (the
+/// MGF convention for unspecified tryptic data).
 ///
 /// # Examples
 ///
@@ -32,93 +39,103 @@ use std::io::{BufRead, BufReader, Read, Write};
 /// # Ok::<(), spechd_ms::MsError>(())
 /// ```
 pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
-    let mut spectra = Vec::new();
-    let mut in_block = false;
-    let mut title = String::new();
-    let mut pepmass: Option<f64> = None;
-    let mut charge: Option<u8> = None;
-    let mut rt: Option<f64> = None;
-    let mut peaks: Vec<Peak> = Vec::new();
-
-    // One line buffer for the whole stream: `lines()` would allocate a
-    // `String` per line.
-    let mut reader = BufReader::new(reader);
-    let mut buf = String::new();
-    let mut lineno = 0;
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
+    let mut lines = LineScanner::new(reader);
+    let mut blocks = Blocks::default();
+    while let Some((lineno, line)) = lines.next_line()? {
+        match scan::peak(line) {
+            Some(peak) if blocks.begin_line.is_some() => blocks.peaks.push(peak),
+            _ => blocks.line(lineno, scan::utf8(line)?)?,
         }
-        lineno += 1;
-        // `trim` also drops the `\n` / `\r\n` terminator `read_line` keeps.
-        let line = buf.trim();
+    }
+    blocks.finish()
+}
+
+/// The block state machine: what [`read`] has seen so far.
+#[derive(Default)]
+struct Blocks {
+    spectra: Vec<Spectrum>,
+    /// Line of the open `BEGIN IONS`, if any.
+    begin_line: Option<usize>,
+    title: String,
+    pepmass: Option<f64>,
+    charge: Option<u8>,
+    rt: Option<f64>,
+    peaks: Vec<Peak>,
+}
+
+impl Blocks {
+    /// Handles one line, with or without its terminator.
+    fn line(&mut self, lineno: usize, line: &str) -> Result<(), MsError> {
+        let line = line.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with(';') {
-            continue;
+            return Ok(());
         }
         if line.eq_ignore_ascii_case("BEGIN IONS") {
-            if in_block {
+            if self.begin_line.is_some() {
                 return Err(MsError::parse(lineno, "nested BEGIN IONS"));
             }
-            in_block = true;
-            title.clear();
-            pepmass = None;
-            charge = None;
-            rt = None;
-            peaks.clear();
-            continue;
+            self.begin_line = Some(lineno);
+            self.title.clear();
+            self.pepmass = None;
+            self.charge = None;
+            self.rt = None;
+            self.peaks.clear();
+            return Ok(());
         }
         if line.eq_ignore_ascii_case("END IONS") {
-            if !in_block {
+            if self.begin_line.take().is_none() {
                 return Err(MsError::parse(lineno, "END IONS without BEGIN IONS"));
             }
-            let mz =
-                pepmass.ok_or_else(|| MsError::parse(lineno, "spectrum block missing PEPMASS"))?;
-            let z = charge.unwrap_or(2);
+            let mz = self
+                .pepmass
+                .ok_or_else(|| MsError::parse(lineno, "spectrum block missing PEPMASS"))?;
+            let z = self.charge.unwrap_or(2);
             let precursor =
                 Precursor::new(mz, z).map_err(|e| MsError::parse(lineno, e.to_string()))?;
-            let spec_title = if title.is_empty() {
-                format!("index={}", spectra.len())
+            let spec_title = if self.title.is_empty() {
+                format!("index={}", self.spectra.len())
             } else {
-                title.clone()
+                self.title.clone()
             };
-            let mut s = Spectrum::new(spec_title, precursor, std::mem::take(&mut peaks))
+            // The next block starts with room for as many peaks as this one.
+            let room = Vec::with_capacity(self.peaks.len());
+            let peaks = std::mem::replace(&mut self.peaks, room);
+            let mut s = Spectrum::new(spec_title, precursor, peaks)
                 .map_err(|e| MsError::parse(lineno, e.to_string()))?;
-            if let Some(seconds) = rt {
+            if let Some(seconds) = self.rt {
                 s = s.with_retention_time(seconds);
             }
-            spectra.push(s);
-            in_block = false;
-            continue;
+            self.spectra.push(s);
+            return Ok(());
         }
-        if !in_block {
+        if self.begin_line.is_none() {
             // Global headers (e.g. COM=, SEARCH=) are permitted and skipped.
-            continue;
+            return Ok(());
         }
         if let Some((key, value)) = line.split_once('=') {
             let key = key.trim();
             let is = |name: &str| key.eq_ignore_ascii_case(name);
             if is("TITLE") {
-                title.clear();
-                title.push_str(value.trim());
+                self.title.clear();
+                self.title.push_str(value.trim());
             } else if is("PEPMASS") {
                 // PEPMASS may carry "mz [intensity]".
                 let first = value.split_whitespace().next().unwrap_or("");
-                pepmass =
+                self.pepmass =
                     Some(first.parse::<f64>().map_err(|_| {
                         MsError::parse(lineno, format!("invalid PEPMASS {value:?}"))
                     })?);
             } else if is("CHARGE") {
-                charge =
+                self.charge =
                     Some(parse_charge(value).ok_or_else(|| {
                         MsError::parse(lineno, format!("invalid CHARGE {value:?}"))
                     })?);
             } else if is("RTINSECONDS") {
-                rt = Some(value.trim().parse::<f64>().map_err(|_| {
+                self.rt = Some(value.trim().parse::<f64>().map_err(|_| {
                     MsError::parse(lineno, format!("invalid RTINSECONDS {value:?}"))
                 })?);
             } // any other header: skip
-            continue;
+            return Ok(());
         }
         // Peak line: "mz intensity" (extra columns tolerated).
         let mut parts = line.split_whitespace();
@@ -130,12 +147,36 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| MsError::parse(lineno, format!("invalid peak line {line:?}")))?;
-        peaks.push(Peak::new(mz, intensity));
+        self.peaks.push(Peak::new(mz, intensity));
+        Ok(())
     }
-    if in_block {
-        return Err(MsError::parse(0, "unterminated BEGIN IONS block"));
+
+    fn finish(self) -> Result<Vec<Spectrum>, MsError> {
+        match self.begin_line {
+            Some(line) => Err(MsError::parse(line, "unterminated BEGIN IONS block")),
+            None => Ok(self.spectra),
+        }
     }
-    Ok(spectra)
+}
+
+/// [`read`] as it was before the scanner — `read_line` into one `String`,
+/// every line through [`Blocks::line`] — kept as the oracle the scanner's
+/// differential tests compare against.
+#[cfg(test)]
+pub(super) fn read_oracle<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
+    use std::io::BufRead;
+    let mut reader = std::io::BufReader::new(reader);
+    let mut blocks = Blocks::default();
+    let mut buf = String::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            return blocks.finish();
+        }
+        lineno += 1;
+        blocks.line(lineno, &buf)?;
+    }
 }
 
 fn parse_charge(value: &str) -> Option<u8> {
@@ -249,6 +290,20 @@ mod tests {
     fn unterminated_block_is_error() {
         let text = "BEGIN IONS\nPEPMASS=444.4\n100.0 1.0\n";
         assert!(read(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn unterminated_block_names_its_begin_line() {
+        let text = "# c\nBEGIN IONS\nPEPMASS=4\nEND IONS\n\nBEGIN IONS\nPEPMASS=444.4\n100.0 1.0";
+        for result in [read(text.as_bytes()), read_oracle(text.as_bytes())] {
+            match result.unwrap_err() {
+                MsError::Parse { line, message } => {
+                    assert_eq!(line, 6);
+                    assert!(message.contains("unterminated"), "got: {message}");
+                }
+                other => panic!("expected a parse error, got {other}"),
+            }
+        }
     }
 
     #[test]

@@ -19,3 +19,4 @@ pub mod base64;
 pub mod mgf;
 pub mod ms2;
 pub mod mzml;
+mod scan;

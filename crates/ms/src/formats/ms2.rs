@@ -11,18 +11,23 @@
 //! 210.1 33.0                    (peak lines)
 //! ```
 
+use super::scan::{self, LineScanner};
 use crate::{MsError, Peak, Precursor, Spectrum, PROTON_MASS};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 /// Reads all spectra from an MS2 stream.
 ///
 /// When a spectrum carries several `Z` lines (ambiguous charge), the first
-/// is used — the convention of most downstream tools.
+/// is used — the convention of most downstream tools. Buffering and the
+/// two routes a line can take are those of
+/// [`mgf::read`](super::mgf::read): 64 KiB or the longest line, plain
+/// decimal peak lines read off the buffer, everything else through
+/// `str::parse`.
 ///
 /// # Errors
 ///
 /// Returns [`MsError::Parse`] with a line number on malformed records and
-/// [`MsError::Io`] on read failures.
+/// [`MsError::Io`] on read failures and invalid UTF-8.
 ///
 /// # Examples
 ///
@@ -34,22 +39,34 @@ use std::io::{BufRead, BufReader, Read, Write};
 /// # Ok::<(), spechd_ms::MsError>(())
 /// ```
 pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
-    let mut spectra = Vec::new();
-    let mut current: Option<PendingSpectrum> = None;
-
-    for (idx, line) in BufReader::new(reader).lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+    let mut lines = LineScanner::new(reader);
+    let mut records = Records::default();
+    while let Some((lineno, line)) = lines.next_line()? {
+        match (&mut records.current, scan::peak(line)) {
+            (Some(pending), Some(peak)) => pending.peaks.push(peak),
+            _ => records.line(lineno, scan::utf8(line)?)?,
         }
+    }
+    records.finish()
+}
+
+/// The record state machine: what [`read`] has seen so far.
+#[derive(Default)]
+struct Records {
+    spectra: Vec<Spectrum>,
+    current: Option<PendingSpectrum>,
+}
+
+impl Records {
+    /// Handles one line, with or without its terminator.
+    fn line(&mut self, lineno: usize, line: &str) -> Result<(), MsError> {
+        let trimmed = line.trim();
         let mut fields = trimmed.split_whitespace();
         match fields.next() {
-            Some("H") => continue, // file header
+            None | Some("H") => {} // blank line, file header
             Some("S") => {
-                if let Some(pending) = current.take() {
-                    spectra.push(pending.build(lineno)?);
+                if let Some(pending) = self.current.take() {
+                    self.spectra.push(pending.build(lineno)?);
                 }
                 let scan = fields
                     .next()
@@ -59,7 +76,8 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
                     .next()
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| MsError::parse(lineno, "S record missing precursor m/z"))?;
-                current = Some(PendingSpectrum {
+                self.current = Some(PendingSpectrum {
+                    line: lineno,
                     scan: scan.to_string(),
                     precursor_mz: mz,
                     charge: None,
@@ -68,7 +86,8 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
                 });
             }
             Some("Z") => {
-                let pending = current
+                let pending = self
+                    .current
                     .as_mut()
                     .ok_or_else(|| MsError::parse(lineno, "Z record before S record"))?;
                 let z: u8 = fields
@@ -80,7 +99,8 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
                 }
             }
             Some("I") => {
-                let pending = current
+                let pending = self
+                    .current
                     .as_mut()
                     .ok_or_else(|| MsError::parse(lineno, "I record before S record"))?;
                 if let (Some("RTime"), Some(v)) = (fields.next(), fields.next()) {
@@ -88,7 +108,8 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
                 }
             }
             Some(first) => {
-                let pending = current
+                let pending = self
+                    .current
                     .as_mut()
                     .ok_or_else(|| MsError::parse(lineno, "peak line before S record"))?;
                 let mz: f64 = first.parse().map_err(|_| {
@@ -100,16 +121,35 @@ pub fn read<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
                     })?;
                 pending.peaks.push(Peak::new(mz, intensity));
             }
-            None => unreachable!("split_whitespace on non-empty line yields a token"),
         }
+        Ok(())
     }
-    if let Some(pending) = current.take() {
-        spectra.push(pending.build(0)?);
+
+    fn finish(mut self) -> Result<Vec<Spectrum>, MsError> {
+        if let Some(pending) = self.current.take() {
+            let line = pending.line;
+            self.spectra.push(pending.build(line)?);
+        }
+        Ok(self.spectra)
     }
-    Ok(spectra)
+}
+
+/// [`read`] as it was before the scanner — a `String` per line from
+/// `lines()`, every line through [`Records::line`] — kept as the oracle
+/// the scanner's differential tests compare against.
+#[cfg(test)]
+pub(super) fn read_oracle<R: Read>(reader: R) -> Result<Vec<Spectrum>, MsError> {
+    use std::io::BufRead;
+    let mut records = Records::default();
+    for (idx, line) in std::io::BufReader::new(reader).lines().enumerate() {
+        records.line(idx + 1, &line?)?;
+    }
+    records.finish()
 }
 
 struct PendingSpectrum {
+    /// Line of the `S` record.
+    line: usize,
     scan: String,
     precursor_mz: f64,
     charge: Option<u8>,
@@ -225,6 +265,20 @@ mod tests {
     fn malformed_s_record_is_error() {
         assert!(read("S\t1\n".as_bytes()).is_err());
         assert!(read("S\t1\t1\tnot_a_number\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn invalid_final_record_names_its_s_line() {
+        let text = "H\tx\ty\nS\t1\t1\t500.0\n100.0 1.0\nS\t2\t2\t-1.0\nZ\t2\t1.0\n100.0 1.0\n";
+        for result in [read(text.as_bytes()), read_oracle(text.as_bytes())] {
+            match result.unwrap_err() {
+                MsError::Parse { line, message } => {
+                    assert_eq!(line, 4);
+                    assert!(message.contains("precursor"), "got: {message}");
+                }
+                other => panic!("expected a parse error, got {other}"),
+            }
+        }
     }
 
     #[test]

@@ -177,14 +177,24 @@ impl Spectrum {
     /// peak — the exact input shape of the HDC encoder. Returns an empty
     /// vector for empty spectra.
     pub fn relative_peaks(&self) -> Vec<(f64, f64)> {
-        let base = match self.base_peak() {
-            Some(p) if p.intensity > 0.0 => f64::from(p.intensity),
-            _ => return self.peaks.iter().map(|p| (p.mz, 0.0)).collect(),
+        let mut out = Vec::new();
+        self.relative_peaks_into(&mut out);
+        out
+    }
+
+    /// [`Spectrum::relative_peaks`] into a buffer the caller reuses from
+    /// spectrum to spectrum; what `out` held is replaced.
+    pub fn relative_peaks_into(&self, out: &mut Vec<(f64, f64)>) {
+        let base = self.base_peak().map_or(0.0, |p| f64::from(p.intensity));
+        let relative = |p: &Peak| {
+            if base > 0.0 {
+                f64::from(p.intensity) / base
+            } else {
+                0.0
+            }
         };
-        self.peaks
-            .iter()
-            .map(|p| (p.mz, f64::from(p.intensity) / base))
-            .collect()
+        out.clear();
+        out.extend(self.peaks.iter().map(|p| (p.mz, relative(p))));
     }
 
     /// Replaces the peak list (sorting and validating the new one).

@@ -50,31 +50,28 @@ impl SpectraFilter {
     /// Applies the filter, returning a new spectrum with the surviving
     /// peaks (metadata preserved).
     pub fn apply(&self, spectrum: &Spectrum) -> Spectrum {
+        spectrum
+            .with_peaks(self.surviving(spectrum))
+            .expect("filtering preserves peak validity")
+    }
+
+    /// The peaks of `spectrum` the filter keeps, in their m/z order.
+    pub(crate) fn surviving(&self, spectrum: &Spectrum) -> Vec<Peak> {
         let base = spectrum
             .base_peak()
             .map(|p| f64::from(p.intensity))
             .unwrap_or(0.0);
         let threshold = base * self.min_relative_intensity;
         let precursor_mz = spectrum.precursor().mz();
-        let kept: Vec<Peak> = spectrum
-            .peaks()
-            .iter()
-            .filter(|p| {
-                let rel_ok = f64::from(p.intensity) >= threshold;
-                let not_precursor = (p.mz - precursor_mz).abs() > self.precursor_tolerance;
-                let in_window = p.mz >= self.mz_window.0 && p.mz <= self.mz_window.1;
-                rel_ok && not_precursor && in_window
-            })
-            .copied()
-            .collect();
-        spectrum
-            .with_peaks(kept)
-            .expect("filtering preserves peak validity")
-    }
-
-    /// Number of peaks the filter would remove.
-    pub fn removed_count(&self, spectrum: &Spectrum) -> usize {
-        spectrum.peak_count() - self.apply(spectrum).peak_count()
+        // One allocation: `collect` on a filter grows by doubling.
+        let mut kept = Vec::with_capacity(spectrum.peak_count());
+        kept.extend(spectrum.peaks().iter().filter(|p| {
+            let rel_ok = f64::from(p.intensity) >= threshold;
+            let not_precursor = (p.mz - precursor_mz).abs() > self.precursor_tolerance;
+            let in_window = p.mz >= self.mz_window.0 && p.mz <= self.mz_window.1;
+            rel_ok && not_precursor && in_window
+        }));
+        kept
     }
 }
 
@@ -143,8 +140,8 @@ mod tests {
             Peak::new(500.1, 50.0),
             Peak::new(310.0, 0.1),
         ]);
-        let filter = SpectraFilter::default();
-        assert_eq!(filter.removed_count(&s), 2);
+        let kept = SpectraFilter::default().apply(&s);
+        assert_eq!(s.peak_count() - kept.peak_count(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`SpectraFilter`] — removes precursor-related peaks and peaks below
 //!   1% of the base peak.
 //! * [`topk`] — top-k peak selection via a bitonic sorting network (the
-//!   hardware algorithm) with a quickselect reference implementation.
+//!   hardware algorithm).
 //! * [`normalize`] — square-root intensity scaling and unit normalization.
 //! * [`PrecursorBucketer`] — Eq. (1): `bucket = ⌊(mz − 1.00794)·C / res⌋`.
 //! * [`PreprocessPipeline`] — the composed per-spectrum pipeline with

@@ -3,144 +3,107 @@
 //! Intensities are square-root transformed (compressing dynamic range) and
 //! scaled to unit Euclidean norm, the convention of falcon/HyperSpec that
 //! SpecHD inherits. Normalization happens after filtering and top-k
-//! selection, right before encoding.
+//! selection, right before encoding, in place on the selected peaks.
 
-use spechd_ms::{Peak, Spectrum};
+use spechd_ms::Peak;
 
-/// Applies `sqrt` to every intensity, returning a new spectrum.
-pub fn sqrt_scale(spectrum: &Spectrum) -> Spectrum {
-    let peaks: Vec<Peak> = spectrum
-        .peaks()
-        .iter()
-        .map(|p| Peak::new(p.mz, p.intensity.max(0.0).sqrt()))
-        .collect();
-    spectrum.with_peaks(peaks).expect("sqrt preserves validity")
+/// Applies `sqrt` to every intensity.
+fn sqrt_scale(peaks: &mut [Peak]) {
+    for p in peaks {
+        p.intensity = p.intensity.max(0.0).sqrt();
+    }
 }
 
-/// Scales intensities to unit Euclidean norm. An all-zero spectrum is
-/// returned unchanged.
-pub fn unit_norm(spectrum: &Spectrum) -> Spectrum {
-    let norm: f64 = spectrum
-        .peaks()
+/// Scales intensities to unit Euclidean norm. All-zero intensities are
+/// left unchanged.
+fn unit_norm(peaks: &mut [Peak]) {
+    let norm: f64 = peaks
         .iter()
         .map(|p| f64::from(p.intensity) * f64::from(p.intensity))
         .sum::<f64>()
         .sqrt();
     if norm <= 0.0 {
-        return spectrum.clone();
+        return;
     }
-    let peaks: Vec<Peak> = spectrum
-        .peaks()
-        .iter()
-        .map(|p| Peak::new(p.mz, (f64::from(p.intensity) / norm) as f32))
-        .collect();
-    spectrum
-        .with_peaks(peaks)
-        .expect("scaling preserves validity")
+    for p in peaks {
+        p.intensity = (f64::from(p.intensity) / norm) as f32;
+    }
 }
 
-/// The composed scale-and-normalize stage: `sqrt` then unit norm.
-pub fn scale_and_normalize(spectrum: &Spectrum) -> Spectrum {
-    unit_norm(&sqrt_scale(spectrum))
-}
-
-/// Replaces intensities with dense ranks in `[1, n]` (1 = weakest), a
-/// robust alternative normalization exposed for ablation experiments.
-pub fn rank_transform(spectrum: &Spectrum) -> Spectrum {
-    let n = spectrum.peak_count();
-    let mut order: Vec<usize> = (0..n).collect();
-    let peaks = spectrum.peaks();
-    order.sort_by(|&a, &b| peaks[a].intensity.total_cmp(&peaks[b].intensity));
-    let mut ranked = peaks.to_vec();
-    for (rank, &idx) in order.iter().enumerate() {
-        ranked[idx] = Peak::new(peaks[idx].mz, (rank + 1) as f32);
-    }
-    spectrum
-        .with_peaks(ranked)
-        .expect("ranking preserves validity")
+/// The composed scale-and-normalize stage, in place: `sqrt`, then unit
+/// norm (`[16, 9]` → `[4, 3]` → `[0.8, 0.6]`).
+pub fn scale_and_normalize(peaks: &mut [Peak]) {
+    sqrt_scale(peaks);
+    unit_norm(peaks);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spechd_ms::Precursor;
 
-    fn spectrum(intensities: &[f32]) -> Spectrum {
-        let peaks: Vec<Peak> = intensities
+    fn peaks(intensities: &[f32]) -> Vec<Peak> {
+        intensities
             .iter()
             .enumerate()
             .map(|(i, &it)| Peak::new(100.0 + 10.0 * i as f64, it))
-            .collect();
-        Spectrum::new("t", Precursor::new(500.0, 2).unwrap(), peaks).unwrap()
+            .collect()
+    }
+
+    fn intensities(peaks: &[Peak]) -> Vec<f32> {
+        peaks.iter().map(|p| p.intensity).collect()
     }
 
     #[test]
     fn sqrt_scale_values() {
-        let s = sqrt_scale(&spectrum(&[4.0, 9.0, 16.0]));
-        let its: Vec<f32> = s.peaks().iter().map(|p| p.intensity).collect();
-        assert_eq!(its, vec![2.0, 3.0, 4.0]);
+        let mut s = peaks(&[4.0, 9.0, 16.0]);
+        sqrt_scale(&mut s);
+        assert_eq!(intensities(&s), vec![2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn unit_norm_gives_unit_length() {
-        let s = unit_norm(&spectrum(&[3.0, 4.0]));
+        let mut s = peaks(&[3.0, 4.0]);
+        unit_norm(&mut s);
         let norm: f64 = s
-            .peaks()
             .iter()
             .map(|p| f64::from(p.intensity) * f64::from(p.intensity))
             .sum();
         assert!((norm - 1.0).abs() < 1e-6);
-        assert!((f64::from(s.peaks()[0].intensity) - 0.6).abs() < 1e-6);
+        assert!((f64::from(s[0].intensity) - 0.6).abs() < 1e-6);
     }
 
     #[test]
     fn unit_norm_zero_spectrum_unchanged() {
-        let s = spectrum(&[0.0, 0.0]);
-        assert_eq!(unit_norm(&s), s);
+        let mut s = peaks(&[0.0, 0.0]);
+        unit_norm(&mut s);
+        assert_eq!(s, peaks(&[0.0, 0.0]));
     }
 
     #[test]
     fn scale_and_normalize_composition() {
-        let s = scale_and_normalize(&spectrum(&[16.0, 9.0]));
+        let mut s = peaks(&[16.0, 9.0]);
+        scale_and_normalize(&mut s);
         // sqrt -> [4, 3]; norm 5 -> [0.8, 0.6].
-        assert!((f64::from(s.peaks()[0].intensity) - 0.8).abs() < 1e-6);
-        assert!((f64::from(s.peaks()[1].intensity) - 0.6).abs() < 1e-6);
+        assert!((f64::from(s[0].intensity) - 0.8).abs() < 1e-6);
+        assert!((f64::from(s[1].intensity) - 0.6).abs() < 1e-6);
     }
 
     #[test]
     fn sqrt_compresses_dynamic_range() {
-        let s = spectrum(&[1.0, 10_000.0]);
-        let scaled = sqrt_scale(&s);
-        let ratio_before = s.peaks()[1].intensity / s.peaks()[0].intensity;
-        let ratio_after = scaled.peaks()[1].intensity / scaled.peaks()[0].intensity;
+        let raw = peaks(&[1.0, 10_000.0]);
+        let mut scaled = raw.clone();
+        sqrt_scale(&mut scaled);
+        let ratio_before = raw[1].intensity / raw[0].intensity;
+        let ratio_after = scaled[1].intensity / scaled[0].intensity;
         assert!(ratio_after < ratio_before / 10.0);
     }
 
     #[test]
-    fn rank_transform_is_permutation_of_ranks() {
-        let s = rank_transform(&spectrum(&[50.0, 10.0, 30.0]));
-        let its: Vec<f32> = s.peaks().iter().map(|p| p.intensity).collect();
-        assert_eq!(its, vec![3.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn rank_transform_preserves_order_relation() {
-        let orig = spectrum(&[5.0, 2.0, 8.0, 1.0]);
-        let ranked = rank_transform(&orig);
-        for i in 0..4 {
-            for j in 0..4 {
-                let before = orig.peaks()[i].intensity < orig.peaks()[j].intensity;
-                let after = ranked.peaks()[i].intensity < ranked.peaks()[j].intensity;
-                assert_eq!(before, after);
-            }
-        }
-    }
-
-    #[test]
     fn empty_spectrum_all_transforms() {
-        let s = spectrum(&[]);
-        assert_eq!(sqrt_scale(&s).peak_count(), 0);
-        assert_eq!(unit_norm(&s).peak_count(), 0);
-        assert_eq!(rank_transform(&s).peak_count(), 0);
+        let mut s = peaks(&[]);
+        sqrt_scale(&mut s);
+        unit_norm(&mut s);
+        scale_and_normalize(&mut s);
+        assert!(s.is_empty());
     }
 }

@@ -123,21 +123,26 @@ impl PreprocessPipeline {
     ) -> Option<spechd_ms::Spectrum> {
         stats.spectra_in += 1;
         stats.peaks_in += spectrum.peak_count();
-        let filtered = self.config.filter.apply(spectrum);
-        let selected = topk::top_k_spectrum(&filtered, self.config.top_k);
-        if selected.peak_count() < self.config.min_peaks {
+        // One peak buffer through every stage, one `Spectrum` at the end.
+        let mut peaks = self.config.filter.surviving(spectrum);
+        if peaks.len() > self.config.top_k {
+            peaks = topk::bitonic_top_k(&peaks, self.config.top_k);
+        }
+        if peaks.len() < self.config.min_peaks {
             stats.peaks_removed += spectrum.peak_count();
             return None;
         }
-        let finished = if self.config.scale {
-            normalize::scale_and_normalize(&selected)
-        } else {
-            selected
-        };
+        if self.config.scale {
+            normalize::scale_and_normalize(&mut peaks);
+        }
         stats.spectra_out += 1;
-        stats.peaks_out += finished.peak_count();
-        stats.peaks_removed += spectrum.peak_count() - finished.peak_count();
-        Some(finished)
+        stats.peaks_out += peaks.len();
+        stats.peaks_removed += spectrum.peak_count() - peaks.len();
+        Some(
+            spectrum
+                .with_peaks(peaks)
+                .expect("preprocessing preserves peak validity"),
+        )
     }
 }
 
@@ -268,6 +273,125 @@ mod tests {
         }
         assert_eq!(stats, batch.stats);
         assert_eq!(survivors.as_slice(), batch.dataset.spectra());
+    }
+
+    /// `process_one` as it was before the stages shared one peak buffer:
+    /// a `Spectrum` (title clone, validation, sort) per stage and the
+    /// bitonic network on every spectrum.
+    fn process_one_staged(
+        config: &PreprocessConfig,
+        spectrum: &Spectrum,
+        stats: &mut PreprocessStats,
+    ) -> Option<Spectrum> {
+        fn sqrt_scale(spectrum: &Spectrum) -> Spectrum {
+            let peaks: Vec<Peak> = spectrum
+                .peaks()
+                .iter()
+                .map(|p| Peak::new(p.mz, p.intensity.max(0.0).sqrt()))
+                .collect();
+            spectrum.with_peaks(peaks).expect("sqrt preserves validity")
+        }
+        fn unit_norm(spectrum: &Spectrum) -> Spectrum {
+            let norm: f64 = spectrum
+                .peaks()
+                .iter()
+                .map(|p| f64::from(p.intensity) * f64::from(p.intensity))
+                .sum::<f64>()
+                .sqrt();
+            if norm <= 0.0 {
+                return spectrum.clone();
+            }
+            let peaks: Vec<Peak> = spectrum
+                .peaks()
+                .iter()
+                .map(|p| Peak::new(p.mz, (f64::from(p.intensity) / norm) as f32))
+                .collect();
+            spectrum
+                .with_peaks(peaks)
+                .expect("scaling preserves validity")
+        }
+        stats.spectra_in += 1;
+        stats.peaks_in += spectrum.peak_count();
+        let filtered = config.filter.apply(spectrum);
+        let selected = topk::top_k_spectrum(&filtered, config.top_k);
+        if selected.peak_count() < config.min_peaks {
+            stats.peaks_removed += spectrum.peak_count();
+            return None;
+        }
+        let finished = if config.scale {
+            unit_norm(&sqrt_scale(&selected))
+        } else {
+            selected
+        };
+        stats.spectra_out += 1;
+        stats.peaks_out += finished.peak_count();
+        stats.peaks_removed += spectrum.peak_count() - finished.peak_count();
+        Some(finished)
+    }
+
+    #[test]
+    fn process_one_matches_the_staged_composition() {
+        use spechd_rng::{Rng, Xoshiro256StarStar};
+        let configs = [
+            PreprocessConfig::default(),
+            PreprocessConfig {
+                scale: false,
+                ..PreprocessConfig::default()
+            },
+            PreprocessConfig {
+                top_k: 8,
+                min_peaks: 8,
+                ..PreprocessConfig::default()
+            },
+        ];
+        let mut rng = Xoshiro256StarStar::seed_from_u64(22);
+        let (mut kept, mut discarded, mut selected) = (0, 0, 0);
+        for round in 0..600 {
+            // Below, at and above top_k (50 and 8) and min_peaks (5 and 8).
+            let len = [0, 4, 5, 7, 8, 9, 49, 50, 51, 64, 65, 200][round % 12];
+            let precursor_mz = rng.range_f64(300.0, 900.0);
+            // 0: distinct intensities; 1: three levels, so ties at the
+            // top-k cut; 2: all zero.
+            let mode = round / 12 % 3;
+            let peaks: Vec<Peak> = (0..len)
+                .map(|i| {
+                    let mz = match i % 7 {
+                        0 => precursor_mz + rng.range_f64(-3.0, 3.0), // in or by the window
+                        1 => rng.range_f64(50.0, 2100.0),             // maybe off the m/z range
+                        _ => rng.range_f64(101.0, 1999.0),
+                    };
+                    let intensity = match mode {
+                        0 => rng.next_f32() * 1000.0,
+                        1 => [5.0, 50.0, 500.0][rng.range_usize(0, 3)],
+                        _ => 0.0,
+                    };
+                    Peak::new(mz, intensity)
+                })
+                .collect();
+            let spectrum = Spectrum::new(
+                format!("r{round}"),
+                Precursor::new(precursor_mz, 2).unwrap(),
+                peaks,
+            )
+            .unwrap()
+            .with_retention_time(round as f64);
+            for config in &configs {
+                let (mut stats, mut staged_stats) = Default::default();
+                let out = PreprocessPipeline::new(*config).process_one(&spectrum, &mut stats);
+                let staged = process_one_staged(config, &spectrum, &mut staged_stats);
+                assert_eq!(out, staged, "round {round}, {config:?}");
+                assert_eq!(stats, staged_stats, "round {round}, {config:?}");
+                match out {
+                    Some(s) => {
+                        kept += 1;
+                        selected += usize::from(s.peak_count() == config.top_k);
+                    }
+                    None => discarded += 1,
+                }
+            }
+        }
+        // Every branch was taken many times over.
+        assert!(kept > 300 && discarded > 300 && selected > 100);
     }
 
     #[test]

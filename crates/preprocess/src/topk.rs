@@ -4,12 +4,15 @@
 //! algorithm" (§III-A) because bitonic networks have a fixed,
 //! data-independent comparator schedule that maps directly onto FPGA
 //! pipelines. [`bitonic_top_k`] is a bit-exact software model of that
-//! network (padding to a power of two, full sort, take k);
-//! [`select_top_k`] is the O(n) quickselect reference both are tested
-//! against. Both return the k most intense peaks **re-sorted by m/z**, the
-//! order the encoder consumes.
+//! network (padding to a power of two, full sort, take k), tested against
+//! a plain sort-and-truncate. It returns the k most intense peaks
+//! **re-sorted by m/z**, the order the encoder consumes; the pipeline runs
+//! it only on spectra with more than k peaks, the others being their own
+//! top k.
 
-use spechd_ms::{Peak, Spectrum};
+use spechd_ms::Peak;
+#[cfg(test)]
+use spechd_ms::Spectrum;
 
 /// Selects the `k` most intense peaks using a bitonic sorting network,
 /// mirroring the FPGA implementation. Returns peaks sorted by m/z.
@@ -51,9 +54,9 @@ pub fn bitonic_top_k(peaks: &[Peak], k: usize) -> Vec<Peak> {
 
     bitonic_sort_desc(&mut lanes);
 
-    let mut out: Vec<Peak> = lanes.into_iter().take(k).collect();
-    out.sort_by(|a, b| a.mz.total_cmp(&b.mz));
-    out
+    lanes.truncate(k);
+    lanes.sort_by(|a, b| a.mz.total_cmp(&b.mz));
+    lanes
 }
 
 /// Rank key: intensity first, m/z as the deterministic tiebreak.
@@ -75,15 +78,16 @@ fn bitonic_sort_desc(data: &mut [Peak]) {
     while stage <= n {
         let mut step = stage / 2;
         while step > 0 {
-            for i in 0..n {
-                let partner = i ^ step;
-                if partner > i {
+            // The comparators of one column: lanes `i` with the `step` bit
+            // clear, each against `i ^ step`.
+            for block in (0..n).step_by(2 * step) {
+                for i in block..block + step {
                     // Direction: ascending blocks alternate; we sort the
                     // whole array descending, so invert the classic test.
                     let descending = (i & stage) == 0;
-                    let in_order = rank_ge(&data[i], &data[partner]);
+                    let in_order = rank_ge(&data[i], &data[i + step]);
                     if descending != in_order {
-                        data.swap(i, partner);
+                        data.swap(i, i + step);
                     }
                 }
             }
@@ -105,26 +109,10 @@ pub fn bitonic_comparator_count(len: usize) -> u64 {
     n / 2 * stages * (stages + 1) / 2
 }
 
-/// Quickselect-based top-k reference (host-side algorithm); same contract
-/// as [`bitonic_top_k`] and tested equal against it.
-pub fn select_top_k(peaks: &[Peak], k: usize) -> Vec<Peak> {
-    if k == 0 || peaks.is_empty() {
-        return Vec::new();
-    }
-    let mut work = peaks.to_vec();
-    let k = k.min(work.len());
-    work.sort_by(|a, b| match b.intensity.total_cmp(&a.intensity) {
-        std::cmp::Ordering::Equal => b.mz.total_cmp(&a.mz),
-        other => other,
-    });
-    work.truncate(k);
-    work.sort_by(|a, b| a.mz.total_cmp(&b.mz));
-    work
-}
-
-/// Convenience: applies [`bitonic_top_k`] to a spectrum, preserving its
-/// metadata.
-pub fn top_k_spectrum(spectrum: &Spectrum, k: usize) -> Spectrum {
+/// [`bitonic_top_k`] on a spectrum, preserving its metadata — the stage
+/// as the pipeline's equivalence test composes it.
+#[cfg(test)]
+pub(crate) fn top_k_spectrum(spectrum: &Spectrum, k: usize) -> Spectrum {
     let kept = bitonic_top_k(spectrum.peaks(), k);
     spectrum
         .with_peaks(kept)
@@ -135,6 +123,18 @@ pub fn top_k_spectrum(spectrum: &Spectrum, k: usize) -> Spectrum {
 mod tests {
     use super::*;
     use spechd_rng::{Rng, Xoshiro256StarStar};
+
+    /// Sort-and-truncate reference with [`bitonic_top_k`]'s contract.
+    fn select_top_k(peaks: &[Peak], k: usize) -> Vec<Peak> {
+        let mut work = peaks.to_vec();
+        work.sort_by(|a, b| match b.intensity.total_cmp(&a.intensity) {
+            std::cmp::Ordering::Equal => b.mz.total_cmp(&a.mz),
+            other => other,
+        });
+        work.truncate(k);
+        work.sort_by(|a, b| a.mz.total_cmp(&b.mz));
+        work
+    }
 
     fn random_peaks(n: usize, seed: u64) -> Vec<Peak> {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

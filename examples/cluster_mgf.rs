@@ -16,7 +16,7 @@ use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::SpectrumDataset;
 use std::error::Error;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let tmp = std::env::temp_dir();
@@ -38,8 +38,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     };
 
-    // Parse the MGF (titles, precursors, peaks).
-    let spectra = mgf::read(BufReader::new(File::open(&input_path)?))?;
+    // Parse the MGF (titles, precursors, peaks); the reader buffers the
+    // file itself.
+    let spectra = mgf::read(File::open(&input_path)?)?;
     println!(
         "parsed {} spectra from {}",
         spectra.len(),
