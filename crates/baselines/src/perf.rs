@@ -125,7 +125,7 @@ impl ToolPerfModel {
     }
 
     /// Embed-phase seconds.
-    pub fn embed_s(&self, shape: &WorkloadShape) -> f64 {
+    fn embed_s(&self, shape: &WorkloadShape) -> f64 {
         shape.num_spectra as f64 * self.embed_s_per_spectrum
     }
 

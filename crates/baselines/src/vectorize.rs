@@ -43,11 +43,6 @@ impl BinnedSpectrum {
         &self.entries
     }
 
-    /// Number of non-zero bins.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Cosine similarity with another binned spectrum (0 for empty ones).
     pub fn cosine(&self, other: &Self) -> f64 {
         let (mut i, mut j) = (0usize, 0usize);
@@ -166,7 +161,7 @@ mod tests {
     #[test]
     fn empty_spectrum() {
         let e = BinnedSpectrum::from_spectrum(&spectrum(&[]), 1.0);
-        assert_eq!(e.nnz(), 0);
+        assert!(e.entries().is_empty());
         let b = BinnedSpectrum::from_spectrum(&spectrum(&[(100.0, 1.0)]), 1.0);
         assert_eq!(e.cosine(&b), 0.0);
     }

@@ -1,23 +1,22 @@
 //! The paper's tables and figures, regenerated.
 //!
-//! One `*_rows` function per table/figure of the paper computes the
-//! corresponding rows, and one `print_*` function owns its title, header
-//! and dataset; each `src/bin/*` binary is that one call and the `tables`
-//! bench target makes all ten in paper order. Keeping the computation here
-//! lets the integration tests assert on the same numbers the tables report.
+//! One private `*_rows` function per table/figure of the paper computes
+//! the corresponding rows, and one `print_*` function owns its title,
+//! header and dataset; each `src/bin/*` binary is that one call and the
+//! `tables` bench target makes all ten in paper order.
 //!
 //! | Paper artifact | Rows | Printer | Binary |
 //! |---|---|---|---|
-//! | Table I | [`table1_rows`] | [`print_table1`] | `table1_preprocessing` |
-//! | Fig. 2 | [`fig2_rows`] | [`print_fig2`] | `fig2_nnchain_vs_naive` |
-//! | Fig. 6a | [`fig6a_rows`] | [`print_fig6a`] | `fig6_linkage` |
-//! | Fig. 6b | [`fig6b_rows`] | [`print_fig6b`] | `fig6_compression` |
-//! | Fig. 7 | [`fig7_rows`] | [`print_fig7`] | `fig7_speedup` |
-//! | Fig. 8 | [`fig8_rows`] | [`print_fig8`] | `fig8_standalone` |
-//! | Fig. 9 | [`fig9_rows`] | [`print_fig9`] | `fig9_energy` |
-//! | Fig. 10 | [`fig10_rows`] | [`print_fig10`] | `fig10_quality` |
+//! | Table I | `table1_rows` | [`print_table1`] | `table1_preprocessing` |
+//! | Fig. 2 | `fig2_rows` | [`print_fig2`] | `fig2_nnchain_vs_naive` |
+//! | Fig. 6a | `fig6a_rows` | [`print_fig6a`] | `fig6_linkage` |
+//! | Fig. 6b | `fig6b_rows` | [`print_fig6b`] | `fig6_compression` |
+//! | Fig. 7 | `fig7_rows` | [`print_fig7`] | `fig7_speedup` |
+//! | Fig. 8 | `fig8_rows` | [`print_fig8`] | `fig8_standalone` |
+//! | Fig. 9 | `fig9_rows` | [`print_fig9`] | `fig9_energy` |
+//! | Fig. 10 | `fig10_rows` | [`print_fig10`] | `fig10_quality` |
 //! | Fig. 11 | [`fig11_overlap`] | [`print_fig11`] | `fig11_overlap` |
-//! | DSE (§I) | [`dse_rows`] | [`print_dse`] | `dse_sweep` |
+//! | DSE (§I) | `dse_rows` | [`print_dse`] | `dse_sweep` |
 
 #![forbid(unsafe_code)]
 
@@ -34,18 +33,6 @@ use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::SpectrumDataset;
 use spechd_rng::{Rng, Xoshiro256StarStar};
 use spechd_search::{filter_at_fdr, overlap, PeptideDatabase, SearchConfig, SearchEngine};
-
-/// The reference labelled dataset used by quality experiments.
-pub fn reference_dataset(num_spectra: usize, seed: u64) -> (SyntheticGenerator, SpectrumDataset) {
-    let generator = SyntheticGenerator::new(SyntheticConfig {
-        num_spectra,
-        num_peptides: (num_spectra / 5).max(10),
-        seed,
-        ..SyntheticConfig::default()
-    });
-    let dataset = generator.generate();
-    (generator, dataset)
-}
 
 /// The *hard* labelled dataset (confusable peptide families, heavy noise)
 /// used by the Fig. 6a/10/11 quality-curve experiments — the regime where
@@ -86,7 +73,7 @@ fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Table I: preprocessing time and energy, paper vs model.
-pub fn table1_rows() -> Vec<Vec<String>> {
+fn table1_rows() -> Vec<Vec<String>> {
     let msas = MsasModel::default();
     TABLE1
         .iter()
@@ -109,7 +96,7 @@ pub fn table1_rows() -> Vec<Vec<String>> {
 
 /// Fig. 2: naive vs NN-chain HAC — measured runtime and comparison counts
 /// at several problem sizes.
-pub fn fig2_rows(sizes: &[usize]) -> Vec<Vec<String>> {
+fn fig2_rows(sizes: &[usize]) -> Vec<Vec<String>> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(2);
     sizes
         .iter()
@@ -136,7 +123,7 @@ pub fn fig2_rows(sizes: &[usize]) -> Vec<Vec<String>> {
 /// Fig. 6a: per-linkage clustered ratio and completeness at ≈1% ICR.
 /// The threshold is tuned per linkage exactly as the paper tunes each
 /// tool ("we fixed an incorrect clustering ratio at 1%").
-pub fn fig6a_rows(dataset: &SpectrumDataset, icr_cap: f64) -> Vec<Vec<String>> {
+fn fig6a_rows(dataset: &SpectrumDataset, icr_cap: f64) -> Vec<Vec<String>> {
     Linkage::ALL
         .iter()
         .map(|&linkage| {
@@ -185,7 +172,7 @@ pub fn tune_spechd_threshold(
 }
 
 /// Fig. 6b: hypervector compression factor per dataset at D=2048.
-pub fn fig6b_rows() -> Vec<Vec<String>> {
+fn fig6b_rows() -> Vec<Vec<String>> {
     TABLE1
         .iter()
         .map(|p| {
@@ -201,7 +188,7 @@ pub fn fig6b_rows() -> Vec<Vec<String>> {
 
 /// Fig. 7: end-to-end runtime and speedup over SpecHD for every tool and
 /// dataset.
-pub fn fig7_rows() -> Vec<Vec<String>> {
+fn fig7_rows() -> Vec<Vec<String>> {
     let model = SystemModel::new(SystemConfig::default());
     let mut rows = Vec::new();
     for (profile, shape) in TABLE1.iter().zip(WorkloadShape::table1()) {
@@ -217,7 +204,7 @@ pub fn fig7_rows() -> Vec<Vec<String>> {
 }
 
 /// Fig. 8: standalone clustering of pre-encoded vectors, PXD000561.
-pub fn fig8_rows() -> Vec<Vec<String>> {
+fn fig8_rows() -> Vec<Vec<String>> {
     let model = SystemModel::new(SystemConfig::default());
     let shape = WorkloadShape::pxd000561();
     let spechd_s = model.standalone_clustering_time(&shape);
@@ -244,7 +231,7 @@ pub fn fig8_rows() -> Vec<Vec<String>> {
 
 /// Fig. 9: energy efficiency vs the two HyperSpec flavours, end-to-end
 /// and clustering-phase.
-pub fn fig9_rows() -> Vec<Vec<String>> {
+fn fig9_rows() -> Vec<Vec<String>> {
     let model = SystemModel::new(SystemConfig::default());
     let shape = WorkloadShape::pxd000561();
     let spechd_e2e = model.end_to_end_energy(&shape).total_j;
@@ -275,7 +262,7 @@ pub fn fig9_rows() -> Vec<Vec<String>> {
 
 /// Fig. 10: (clustered ratio, ICR) operating points per tool across a
 /// threshold sweep on one labelled dataset.
-pub fn fig10_rows(dataset: &SpectrumDataset) -> Vec<Vec<String>> {
+fn fig10_rows(dataset: &SpectrumDataset) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     let mut push = |name: &str, knob: String, a: &ClusterAssignment| {
         let eval = ClusteringEval::compute(a.labels(), dataset.labels());
@@ -436,7 +423,7 @@ pub fn representatives(assignment: &ClusterAssignment, dataset: &SpectrumDataset
 }
 
 /// DSE sweep rows (time, energy, feasibility per configuration).
-pub fn dse_rows() -> Vec<Vec<String>> {
+fn dse_rows() -> Vec<Vec<String>> {
     let shape = WorkloadShape::pxd000561();
     let points = spechd_fpga::dse::explore(&shape, &spechd_fpga::dse::DseSweep::default());
     let front = spechd_fpga::dse::pareto_front(&points);
@@ -644,7 +631,7 @@ mod tests {
 
     #[test]
     fn representatives_one_per_cluster() {
-        let (_, ds) = reference_dataset(120, 3);
+        let (_, ds) = hard_dataset(120, 3);
         let a = HyperSpecHac::default().cluster(&ds);
         let reps = representatives(&a, &ds);
         assert_eq!(reps.len(), a.num_clusters());

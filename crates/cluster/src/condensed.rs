@@ -1,5 +1,6 @@
 //! Lower-triangular (condensed) pairwise distance matrix.
 
+use spechd_hdc::distance::PackedDistanceEngine;
 use std::fmt;
 
 /// A symmetric pairwise distance matrix storing only the strict lower
@@ -135,8 +136,8 @@ impl CondensedMatrix {
 
     /// Builds the matrix directly from a packed hypervector store, running
     /// the tiled XOR+popcount kernel
-    /// ([`spechd_hdc::distance::pairwise_condensed_packed`]) over the
-    /// contiguous buffer and keeping the buffer it returns.
+    /// ([`PackedDistanceEngine::pairwise_condensed`]) over the contiguous
+    /// buffer and keeping the buffer it returns.
     ///
     /// # Panics
     ///
@@ -145,7 +146,7 @@ impl CondensedMatrix {
     pub fn from_pack(pack: &spechd_hdc::HvPack) -> Self {
         Self::from_condensed_u16(
             pack.len(),
-            spechd_hdc::distance::pairwise_condensed_packed(pack),
+            PackedDistanceEngine::new().pairwise_condensed(pack),
         )
     }
 

@@ -5,6 +5,7 @@
 //! operates on the same [`CondensedMatrix`] the HAC kernels use.
 
 use crate::{ClusterAssignment, CondensedMatrix};
+use spechd_hdc::distance::PackedDistanceEngine;
 use std::borrow::Cow;
 
 /// DBSCAN parameters.
@@ -107,7 +108,7 @@ pub fn dbscan(matrix: &CondensedMatrix, params: DbscanParams) -> DbscanResult {
 /// must hold every point within `eps` of `p`, excluding `p` itself.
 ///
 /// This is the entry point the packed pipeline uses: the lists come from
-/// [`spechd_hdc::distance::PackedDistanceEngine::neighbors_within`], so the
+/// [`PackedDistanceEngine::neighbors_within`], so the
 /// O(n²) distance matrix is never materialized. Produces labels identical
 /// to [`dbscan`] over the corresponding matrix.
 ///
@@ -139,7 +140,7 @@ pub fn dbscan_packed(pack: &spechd_hdc::HvPack, params: DbscanParams) -> DbscanR
     );
     // Integer distances: d <= eps  ⟺  d <= floor(eps), capped at dim.
     let eps_bits = params.eps.min(pack.dim() as f64).floor() as u32;
-    let adjacency = spechd_hdc::distance::neighbors_within(pack, eps_bits);
+    let adjacency = PackedDistanceEngine::new().neighbors_within(pack, eps_bits);
     dbscan_from_neighbors(&adjacency, params.min_pts)
 }
 

@@ -120,28 +120,6 @@ impl Dendrogram {
         let roots: Vec<usize> = (0..self.n).map(|i| find(&mut parent, i)).collect();
         ClusterAssignment::from_raw_labels(&roots)
     }
-
-    /// Cuts the tree into exactly `k` clusters (the `k-1` highest merges
-    /// are left unapplied). `k` is clamped to `[1, n]`.
-    pub fn cut_into(&self, k: usize) -> ClusterAssignment {
-        let k = k.clamp(1, self.n);
-        let applied = self.n - k; // number of merges to apply
-        if applied == 0 {
-            return ClusterAssignment::from_raw_labels(&(0..self.n).collect::<Vec<_>>());
-        }
-        // Heights can tie, so apply exactly `applied` merges rather than
-        // cutting at the height of the last one.
-        let mut parent: Vec<usize> = (0..self.n + self.merges.len()).collect();
-        for (kidx, m) in self.merges.iter().take(applied).enumerate() {
-            let node = self.n + kidx;
-            let rl = find(&mut parent, m.left);
-            let rr = find(&mut parent, m.right);
-            parent[rl] = node;
-            parent[rr] = node;
-        }
-        let roots: Vec<usize> = (0..self.n).map(|i| find(&mut parent, i)).collect();
-        ClusterAssignment::from_raw_labels(&roots)
-    }
 }
 
 /// Union-find root of `x`, halving the path on the way up.
@@ -195,17 +173,6 @@ mod tests {
         assert_eq!(l[0], l[1]);
         assert_eq!(l[0], l[2]);
         assert_ne!(l[0], l[3]);
-    }
-
-    #[test]
-    fn cut_into_counts() {
-        let d = sample();
-        for k in 1..=4 {
-            assert_eq!(d.cut_into(k).num_clusters(), k, "k={k}");
-        }
-        // Clamping.
-        assert_eq!(d.cut_into(0).num_clusters(), 1);
-        assert_eq!(d.cut_into(99).num_clusters(), 4);
     }
 
     #[test]

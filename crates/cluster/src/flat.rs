@@ -99,11 +99,6 @@ impl ClusterAssignment {
         let clustered: usize = sizes.iter().filter(|&&s| s > 1).sum();
         clustered as f64 / self.labels.len() as f64
     }
-
-    /// Largest cluster size (0 for empty assignments).
-    pub fn max_cluster_size(&self) -> usize {
-        self.sizes().into_iter().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,6 @@ mod tests {
         assert_eq!(a.clusters(), vec![vec![0, 2, 5], vec![1, 4], vec![3]]);
         assert_eq!(a.sizes(), vec![3, 2, 1]);
         assert_eq!(a.singleton_count(), 1);
-        assert_eq!(a.max_cluster_size(), 3);
     }
 
     #[test]
@@ -154,6 +148,5 @@ mod tests {
         assert!(a.is_empty());
         assert_eq!(a.num_clusters(), 0);
         assert_eq!(a.clustered_ratio(), 0.0);
-        assert_eq!(a.max_cluster_size(), 0);
     }
 }

@@ -187,19 +187,6 @@ impl SpecHdConfig {
         Ok(())
     }
 
-    /// Validates invariants; the panicking shim over
-    /// [`SpecHdConfig::try_validate`] kept for quick scripts and tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] display message on any invalid
-    /// setting.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
     /// A 64-bit FNV-1a fingerprint over every *result-affecting* setting:
     /// encoder (dimensionality, item memories, range, seed), preprocessing
     /// (filter windows, top-k, min-peaks, scaling), bucketing resolution,

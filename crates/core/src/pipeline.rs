@@ -6,7 +6,7 @@ use spechd_cluster::{
 };
 use spechd_fpga::{SystemConfig, SystemModel, Timeline, WorkloadShape};
 use spechd_hdc::distance::PackedDistanceEngine;
-use spechd_hdc::{BinaryHypervector, HvPack, IdLevelEncoder, MajorityAccumulator};
+use spechd_hdc::{HvPack, IdLevelEncoder, MajorityAccumulator};
 use spechd_ms::SpectrumDataset;
 use spechd_preprocess::{bucket_stats, PrecursorBucketer, PreprocessPipeline};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,7 +92,7 @@ impl SpecHd {
         let t_cluster = std::time::Instant::now();
         let buckets = self.bucketer.bucketize(pre.dataset.spectra());
         let bstats = bucket_stats(&buckets);
-        let (assignment, consensus_local, hac) = self.cluster_buckets(&buckets, &pack);
+        let (assignment, consensus_local, hac) = self.cluster_encoded_packed(&buckets, &pack);
         let cluster_s = t_cluster.elapsed().as_secs_f64();
 
         // Consensus indices in the ORIGINAL dataset's index space.
@@ -104,7 +104,7 @@ impl SpecHd {
             assignment,
             pre.kept,
             consensus,
-            pack.to_hypervectors(),
+            pack,
             RunStats {
                 preprocess: pre.stats,
                 buckets: bstats,
@@ -118,15 +118,10 @@ impl SpecHd {
         )
     }
 
-    /// Encodes every spectrum of a (preprocessed) dataset into
-    /// hypervectors — the standalone encoding stage.
-    pub fn encode_dataset(&self, dataset: &SpectrumDataset) -> Vec<BinaryHypervector> {
-        self.encode_dataset_packed(dataset).to_hypervectors()
-    }
-
-    /// Encodes every spectrum straight into a contiguous [`HvPack`] — the
+    /// Encodes every spectrum of a (preprocessed) dataset straight into a
+    /// contiguous [`HvPack`] — the standalone encoding stage, and the
     /// allocation-free batch path the pipeline and the packed distance
-    /// kernels run on. Bit-exact with [`SpecHd::encode_dataset`].
+    /// kernels run on.
     pub fn encode_dataset_packed(&self, dataset: &SpectrumDataset) -> HvPack {
         let dim = self.encoder.dim();
         let mut pack = HvPack::with_capacity(dim, dataset.len());
@@ -144,28 +139,9 @@ impl SpecHd {
     /// "concentrating exclusively on standalone clustering of pre-encoded
     /// vectors").
     ///
-    /// Returns the flat assignment over the hypervector indices, the
-    /// medoid index per cluster, and aggregate HAC work counters.
-    pub fn cluster_encoded(
-        &self,
-        buckets: &[spechd_preprocess::Bucket],
-        hvs: &[BinaryHypervector],
-    ) -> (ClusterAssignment, Vec<usize>, HacStats) {
-        let pack = HvPack::from_hypervectors(self.encoder.dim(), hvs);
-        self.cluster_buckets(buckets, &pack)
-    }
-
-    /// [`SpecHd::cluster_encoded`] over an already-packed store, skipping
-    /// the per-hypervector copy.
+    /// Returns the flat assignment over the pack's rows, the medoid row
+    /// per cluster, and aggregate HAC work counters.
     pub fn cluster_encoded_packed(
-        &self,
-        buckets: &[spechd_preprocess::Bucket],
-        pack: &HvPack,
-    ) -> (ClusterAssignment, Vec<usize>, HacStats) {
-        self.cluster_buckets(buckets, pack)
-    }
-
-    fn cluster_buckets(
         &self,
         buckets: &[spechd_preprocess::Bucket],
         pack: &HvPack,
@@ -179,14 +155,10 @@ impl SpecHd {
             clustering: ShardClustering,
         }
 
-        let worker_count = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        }
-        .min(buckets.len().max(1));
+        let worker_count = PackedDistanceEngine::new()
+            .threads(self.config.threads)
+            .resolved_threads()
+            .min(buckets.len().max(1));
 
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<BucketOutcome>> = Mutex::new(Vec::with_capacity(buckets.len()));
@@ -404,27 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn encode_then_cluster_matches_run() {
-        let ds = dataset(200, 6);
-        let engine = SpecHd::new(SpecHdConfig::default());
-        let full = engine.run(&ds);
-        // Manual staging.
-        let pre = PreprocessPipeline::new(engine.config().preprocess).run(&ds);
-        let hvs = engine.encode_dataset(&pre.dataset);
-        let buckets =
-            PrecursorBucketer::new(engine.config().resolution).bucketize(pre.dataset.spectra());
-        let (assignment, _, _) = engine.cluster_encoded(&buckets, &hvs);
-        assert_eq!(assignment, *full.assignment());
-    }
-
-    #[test]
     fn packed_staging_matches_run() {
         let ds = dataset(200, 6);
         let engine = SpecHd::new(SpecHdConfig::default());
         let full = engine.run(&ds);
         let pre = PreprocessPipeline::new(engine.config().preprocess).run(&ds);
         let pack = engine.encode_dataset_packed(&pre.dataset);
-        assert_eq!(pack.to_hypervectors().as_slice(), full.hypervectors());
+        assert_eq!(&pack, full.hypervectors());
         let buckets =
             PrecursorBucketer::new(engine.config().resolution).bucketize(pre.dataset.spectra());
         let (assignment, _, _) = engine.cluster_encoded_packed(&buckets, &pack);

@@ -2,7 +2,7 @@
 
 use crate::CompressionReport;
 use spechd_cluster::{ClusterAssignment, HacStats};
-use spechd_hdc::BinaryHypervector;
+use spechd_hdc::HvPack;
 use spechd_metrics::ClusteringEval;
 use spechd_ms::SpectrumDataset;
 use spechd_preprocess::{BucketStats, PreprocessStats};
@@ -32,7 +32,7 @@ pub struct SpecHdOutcome {
     assignment: ClusterAssignment,
     kept: Vec<usize>,
     consensus: Vec<usize>,
-    hvs: Vec<BinaryHypervector>,
+    hvs: HvPack,
     stats: RunStats,
     compression: CompressionReport,
 }
@@ -42,7 +42,7 @@ impl SpecHdOutcome {
         assignment: ClusterAssignment,
         kept: Vec<usize>,
         consensus: Vec<usize>,
-        hvs: Vec<BinaryHypervector>,
+        hvs: HvPack,
         stats: RunStats,
         compression: CompressionReport,
     ) -> Self {
@@ -76,10 +76,13 @@ impl SpecHdOutcome {
         &self.consensus
     }
 
-    /// The spectrum hypervectors, parallel to [`SpecHdOutcome::kept`] —
-    /// the compressed archive the paper proposes storing for later
-    /// re-analysis.
-    pub fn hypervectors(&self) -> &[BinaryHypervector] {
+    /// The spectrum hypervectors, row `i` encoding spectrum
+    /// [`SpecHdOutcome::kept`]`[i]` — the compressed archive the paper
+    /// proposes storing for later re-analysis, in the packed layout the
+    /// distance kernels stream. A streaming run with
+    /// [`crate::StreamConfig::keep_hypervectors`] off holds an empty pack
+    /// of the encoder's dimensionality instead.
+    pub fn hypervectors(&self) -> &HvPack {
         &self.hvs
     }
 
@@ -170,9 +173,23 @@ mod tests {
     fn hypervectors_parallel_to_kept() {
         let (outcome, _) = outcome_and_dataset();
         assert_eq!(outcome.hypervectors().len(), outcome.kept().len());
-        for hv in outcome.hypervectors() {
-            assert_eq!(hv.dim(), 2048);
-        }
+        assert_eq!(outcome.hypervectors().dim(), 2048);
+    }
+
+    #[test]
+    fn debug_output_does_not_grow_with_the_archive() {
+        let ds = SyntheticGenerator::new(SyntheticConfig {
+            num_spectra: 400,
+            num_peptides: 80,
+            seed: 10,
+            ..SyntheticConfig::default()
+        })
+        .generate();
+        let outcome = SpecHd::new(SpecHdConfig::default()).run(&ds);
+        // `kept` and the labels are ≈ 2 KiB each at this size; the archive
+        // is the pack's one-line `Debug`, not a line per hypervector.
+        let printed = format!("{outcome:?}");
+        assert!(printed.len() < 8192, "{} bytes", printed.len());
     }
 
     #[test]

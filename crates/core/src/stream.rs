@@ -52,6 +52,7 @@
 use crate::pipeline::cluster_shard;
 use crate::{CompressionReport, RunStats, SpecHdOutcome};
 use spechd_cluster::{HacStats, ShardLabelMerger};
+use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_hdc::{HvPack, MajorityAccumulator};
 use spechd_ms::stream::SpectrumStream;
 use spechd_preprocess::{bucket_stats_from_sizes, PreprocessStats};
@@ -77,7 +78,7 @@ pub struct StreamConfig {
     /// (parallel to `kept`, as `run` does). Disabling it lets shard packs
     /// be recycled through the pack pool as soon as their shard is
     /// clustered, dropping steady-state memory to the open shards; the
-    /// outcome's `hypervectors()` is then empty.
+    /// outcome's `hypervectors()` is then an empty pack.
     pub keep_hypervectors: bool,
 }
 
@@ -286,13 +287,9 @@ impl crate::SpecHd {
         let keep_hvs = stream_config.keep_hypervectors;
         let threshold = self.config().distance_threshold_bits();
         let linkage = self.config().linkage;
-        let workers = if stream_config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            stream_config.workers
-        };
+        let workers = PackedDistanceEngine::new()
+            .threads(stream_config.workers)
+            .resolved_threads();
 
         let (shard_tx, shard_rx) = mpsc::channel::<ClosedShard>();
         let shard_rx = Mutex::new(shard_rx);
@@ -543,8 +540,9 @@ impl crate::SpecHd {
 
         // Scatter shard rows back into kept order for the archive `run`
         // exposes; skipped (empty archive) when not keeping hypervectors.
-        let hvs = if keep_hvs {
-            let mut full = HvPack::with_capacity(dim, kept.len());
+        let mut hvs = HvPack::new(dim);
+        if keep_hvs {
+            hvs.reserve(kept.len());
             let mut row_of = vec![(0usize, 0usize); kept.len()];
             for (ri, r) in results.iter().enumerate() {
                 for (row, &member) in r.members.iter().enumerate() {
@@ -553,12 +551,9 @@ impl crate::SpecHd {
             }
             for &(ri, row) in &row_of {
                 let pack = results[ri].pack.as_ref().expect("kept packs retained");
-                full.push_zeroed().copy_from_slice(pack.row(row));
+                hvs.push_zeroed().copy_from_slice(pack.row(row));
             }
-            full.to_hypervectors()
-        } else {
-            Vec::new()
-        };
+        }
 
         let compression = CompressionReport::new(raw_bytes, kept.len(), dim);
         let outcome = SpecHdOutcome::new(
@@ -794,6 +789,10 @@ mod tests {
         };
         let streamed = engine.run_streaming(AssertSorted::new(DatasetStream::new(&ds)), &cfg);
         assert!(streamed.outcome.hypervectors().is_empty());
+        assert_eq!(
+            streamed.outcome.hypervectors().dim(),
+            engine.config().encoder.dim
+        );
         // Reuse is opportunistic (a pack returns to the pool only once a
         // worker finishes while ingest still runs), so only bound it.
         assert!(streamed.stream.packs_reused < streamed.stream.shards_opened);

@@ -39,33 +39,12 @@ impl ResourceBudget {
     }
 
     /// Whether `self` fits within `capacity`.
-    pub fn fits_in(self, capacity: ResourceBudget) -> bool {
+    fn fits_in(self, capacity: ResourceBudget) -> bool {
         self.luts <= capacity.luts
             && self.ffs <= capacity.ffs
             && self.brams <= capacity.brams
             && self.urams <= capacity.urams
             && self.dsps <= capacity.dsps
-    }
-
-    /// Highest utilization fraction across resource classes (0 when the
-    /// capacity is all zero).
-    pub fn utilization_of(self, capacity: ResourceBudget) -> f64 {
-        let frac = |used: u64, cap: u64| -> f64 {
-            if cap == 0 {
-                0.0
-            } else {
-                used as f64 / cap as f64
-            }
-        };
-        [
-            frac(self.luts, capacity.luts),
-            frac(self.ffs, capacity.ffs),
-            frac(self.brams, capacity.brams),
-            frac(self.urams, capacity.urams),
-            frac(self.dsps, capacity.dsps),
-        ]
-        .into_iter()
-        .fold(0.0, f64::max)
     }
 }
 
@@ -90,7 +69,7 @@ impl AlveoU280 {
     /// dimensionality `dim`: the XOR array and majority counters dominate
     /// (counter array of `dim` 8-bit counters, `dim`-bit wide XOR, plus
     /// the partitioned ID/Level BRAMs).
-    pub fn encoder_kernel(dim: usize, mz_bins: usize, levels: usize) -> ResourceBudget {
+    fn encoder_kernel(dim: usize, mz_bins: usize, levels: usize) -> ResourceBudget {
         let dim = dim as u64;
         let item_bits = ((mz_bins + levels) as u64) * dim;
         ResourceBudget {
@@ -106,7 +85,7 @@ impl AlveoU280 {
     /// dimensionality `dim` and maximum bucket size `max_bucket`:
     /// the full-width XOR/popcount tree plus the partitioned distance-row
     /// BRAM and cluster bookkeeping.
-    pub fn clustering_kernel(dim: usize, max_bucket: usize) -> ResourceBudget {
+    fn clustering_kernel(dim: usize, max_bucket: usize) -> ResourceBudget {
         let dim = dim as u64;
         // popcount adder tree for dim bits ≈ dim LUT6 + dim/2 carry.
         let row_bits = (max_bucket as u64) * 16; // one u16 matrix row
@@ -192,7 +171,6 @@ mod tests {
             dsps: 1,
         };
         assert!(use_half.fits_in(cap));
-        assert!((use_half.utilization_of(cap) - 0.5).abs() < 1e-12);
         let too_big = ResourceBudget {
             luts: 200,
             ..use_half
@@ -213,11 +191,5 @@ mod tests {
         let small = AlveoU280::clustering_kernel(2048, 1024);
         let large = AlveoU280::clustering_kernel(2048, 32_768);
         assert!(large.brams > small.brams);
-    }
-
-    #[test]
-    fn utilization_zero_capacity() {
-        let z = ResourceBudget::default();
-        assert_eq!(z.utilization_of(z), 0.0);
     }
 }

@@ -39,16 +39,6 @@ impl PowerModel {
         self.fpga_active_w * seconds
     }
 
-    /// Energy in joules for `seconds` of full-load CPU work.
-    pub fn cpu_energy(&self, seconds: f64) -> f64 {
-        self.cpu_active_w * seconds
-    }
-
-    /// Energy in joules for `seconds` of GPU work.
-    pub fn gpu_energy(&self, seconds: f64) -> f64 {
-        self.gpu_active_w * seconds
-    }
-
     /// Energy in joules for `seconds` of host orchestration.
     pub fn orchestration_energy(&self, seconds: f64) -> f64 {
         self.host_orchestration_w * seconds
@@ -75,7 +65,7 @@ mod tests {
     fn energies_linear_in_time() {
         let p = PowerModel::default();
         assert!((p.fpga_energy(10.0) - 10.0 * p.fpga_active_w).abs() < 1e-12);
-        assert!((p.gpu_energy(2.0) / p.gpu_energy(1.0) - 2.0).abs() < 1e-12);
+        assert!((p.msas_energy(2.0) / p.msas_energy(1.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

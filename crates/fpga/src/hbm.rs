@@ -39,7 +39,7 @@ impl Default for HbmModel {
 
 impl HbmModel {
     /// Effective sustained bandwidth in bytes/second.
-    pub fn effective_bandwidth(&self) -> f64 {
+    fn effective_bandwidth(&self) -> f64 {
         self.peak_bandwidth_bps * self.efficiency
     }
 

@@ -1,4 +1,4 @@
-//! Cycle models of the four HLS kernels (Fig. 3 / §III of the paper).
+//! Cycle models of the HLS kernels (Fig. 3 / §III of the paper).
 //!
 //! Each model converts operation counts into cycles at the kernel clock;
 //! the constants live in [`crate::calib`] with their provenance.
@@ -31,7 +31,7 @@ impl Default for EncoderKernelModel {
 impl EncoderKernelModel {
     /// Cycles to encode `num_spectra` spectra with `peaks_per_spectrum`
     /// average surviving peaks.
-    pub fn cycles(&self, num_spectra: u64, peaks_per_spectrum: f64) -> f64 {
+    fn cycles(&self, num_spectra: u64, peaks_per_spectrum: f64) -> f64 {
         num_spectra as f64 * (peaks_per_spectrum / self.peaks_per_cycle + self.writeback_cycles)
     }
 
@@ -76,7 +76,7 @@ impl DistanceKernelModel {
     }
 
     /// Cycles to fill the lower-triangular matrix for one bucket of `n`.
-    pub fn cycles(&self, n: u64) -> f64 {
+    fn cycles(&self, n: u64) -> f64 {
         Self::pairs(n) as f64 / self.pairs_per_cycle
     }
 }
@@ -116,55 +116,20 @@ impl Default for NnChainKernelModel {
 
 impl NnChainKernelModel {
     /// Cycles for the NN-chain agglomeration of one bucket of `n`.
-    pub fn cluster_cycles(&self, n: u64) -> f64 {
+    fn cluster_cycles(&self, n: u64) -> f64 {
         let n2 = (n as f64) * (n as f64);
         n2 * self.comparisons_per_n2 / self.scan_lanes
             + n2 * self.updates_per_n2 / self.update_lanes
     }
 
     /// Cycles for the consensus (medoid) pass of one bucket of `n`.
-    pub fn consensus_cycles(&self, n: u64) -> f64 {
+    fn consensus_cycles(&self, n: u64) -> f64 {
         (n as f64) * (n as f64) * self.consensus_per_n2 / self.scan_lanes
     }
 
     /// Full per-bucket cycles: distance fill + agglomeration + consensus.
     pub fn bucket_cycles(&self, distance: &DistanceKernelModel, n: u64) -> f64 {
         distance.cycles(n) + self.cluster_cycles(n) + self.consensus_cycles(n)
-    }
-}
-
-/// Cycle model of the bitonic top-k selector inside the preprocessing
-/// path: a `width`-lane comparator network retiring one comparator column
-/// per lane per cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopKKernelModel {
-    /// Kernel clock in Hz.
-    pub clock_hz: f64,
-    /// Parallel comparators.
-    pub comparators: f64,
-}
-
-impl Default for TopKKernelModel {
-    fn default() -> Self {
-        Self {
-            clock_hz: calib::KERNEL_CLOCK_HZ,
-            comparators: 64.0,
-        }
-    }
-}
-
-impl TopKKernelModel {
-    /// Cycles to top-k one spectrum of `peaks` input peaks, using the
-    /// bitonic comparator count from `spechd-preprocess`.
-    pub fn cycles_per_spectrum(&self, peaks: usize) -> f64 {
-        // Same closed form as spechd_preprocess::topk::bitonic_comparator_count.
-        if peaks <= 1 {
-            return 0.0;
-        }
-        let n = peaks.next_power_of_two() as f64;
-        let stages = n.log2().round();
-        let comparator_ops = n / 2.0 * stages * (stages + 1.0) / 2.0;
-        comparator_ops / self.comparators
     }
 }
 
@@ -221,17 +186,6 @@ mod tests {
         nn.scan_lanes *= 2.0;
         nn.update_lanes *= 2.0;
         assert!((base / nn.cluster_cycles(1000) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn topk_cycles_match_network_size() {
-        let model = TopKKernelModel {
-            clock_hz: 300e6,
-            comparators: 1.0,
-        };
-        // 8 lanes -> 24 comparators (see preprocess::topk tests).
-        assert!((model.cycles_per_spectrum(8) - 24.0).abs() < 1e-9);
-        assert_eq!(model.cycles_per_spectrum(1), 0.0);
     }
 
     #[test]

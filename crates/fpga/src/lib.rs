@@ -13,8 +13,8 @@
 //! * [`HbmModel`] / [`NvmeModel`] — memory and storage transfer models.
 //! * [`MsasModel`] — the near-storage preprocessing accelerator
 //!   (calibrated to Table I: ≈3.0 GB/s, ≈9.1 W).
-//! * [`kernels`] — cycle models of the four HLS kernels (ID-Level encoder,
-//!   XOR/popcount distance array, NN-chain engine, bitonic top-k).
+//! * [`kernels`] — cycle models of the HLS kernels (ID-Level encoder,
+//!   XOR/popcount distance array, NN-chain engine).
 //! * [`PowerModel`] — XRT/RAPL/SMI-style power numbers.
 //! * [`SystemModel`] — composes everything into the end-to-end timeline of
 //!   Fig. 3 (1 encoder + 5 clustering kernels by default).

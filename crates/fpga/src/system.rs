@@ -114,7 +114,7 @@ impl SystemModel {
     }
 
     /// Preprocessed bytes shipped over PCIe for a workload.
-    pub fn preprocessed_bytes(&self, shape: &WorkloadShape) -> u64 {
+    fn preprocessed_bytes(&self, shape: &WorkloadShape) -> u64 {
         (shape.num_spectra as f64 * calib::preprocessed_bytes_per_spectrum(50)) as u64
     }
 
@@ -139,7 +139,7 @@ impl SystemModel {
     }
 
     /// Seconds for the encoding phase.
-    pub fn encode_time(&self, shape: &WorkloadShape) -> f64 {
+    fn encode_time(&self, shape: &WorkloadShape) -> f64 {
         self.config.encoder.time(
             shape.num_spectra,
             shape.peaks_per_spectrum,

@@ -67,7 +67,7 @@ impl WorkloadShape {
     }
 
     /// PXD001511 (4.2M spectra, 87 GB).
-    pub fn pxd001511() -> Self {
+    fn pxd001511() -> Self {
         Self::new(4_200_000, 87_000_000_000, 1_800.0)
     }
 

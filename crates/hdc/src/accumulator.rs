@@ -107,7 +107,7 @@ impl MajorityAccumulator {
     /// # Panics
     ///
     /// Panics if dimensionalities differ or `weight <= 0`.
-    pub fn add_weighted(&mut self, hv: &BinaryHypervector, weight: i32) {
+    fn add_weighted(&mut self, hv: &BinaryHypervector, weight: i32) {
         assert_eq!(hv.dim(), self.dim, "dimensionality mismatch");
         self.ripple(weight, |carry| carry.copy_from_slice(hv.words()));
     }

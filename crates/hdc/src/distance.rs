@@ -10,13 +10,12 @@
 //!   operate on `&[BinaryHypervector]` one pair at a time. Simple,
 //!   allocation-per-vector, and kept as the bit-exact oracle the packed
 //!   tier is tested against.
-//! * **Packed engine** — [`PackedDistanceEngine`] (and the convenience
-//!   wrappers [`pairwise_condensed_packed`], [`neighbors_within`]) runs
-//!   over an [`HvPack`]'s contiguous buffer in cache-sized row/column
-//!   tiles, register-blocked four columns at a time, with row tiles
-//!   distributed across scoped worker threads. This mirrors how the
-//!   hardware kernel batches packed spectra instead of touching one pair
-//!   at a time.
+//! * **Packed engine** — [`PackedDistanceEngine`] runs over an
+//!   [`HvPack`]'s contiguous buffer in cache-sized row/column tiles,
+//!   register-blocked four columns at a time, with row tiles distributed
+//!   across scoped worker threads. This mirrors how the hardware kernel
+//!   batches packed spectra instead of touching one pair at a time, and
+//!   is the only tier the pipeline, clustering and search call.
 //!
 //! # Distance type
 //!
@@ -57,8 +56,9 @@ pub fn condensed_len(n: usize) -> usize {
 /// condensed lower-triangular vector: entry for pair `(i, j)` with `i > j`
 /// lives at `i * (i - 1) / 2 + j`.
 ///
-/// This is the scalar reference path; [`pairwise_condensed_packed`] is the
-/// tiled equivalent over an [`HvPack`] and is bit-exact with this one.
+/// This is the scalar reference path;
+/// [`PackedDistanceEngine::pairwise_condensed`] is the tiled equivalent
+/// over an [`HvPack`] and is bit-exact with this one.
 ///
 /// # Panics
 ///
@@ -123,18 +123,6 @@ fn assert_query_fits(query: &BinaryHypervector, pack: &HvPack, rows: &std::ops::
         "row range {rows:?} out of bounds for pack of len {}",
         pack.len()
     );
-}
-
-/// All pairwise distances over a pack with the default engine — see
-/// [`PackedDistanceEngine::pairwise_condensed`].
-pub fn pairwise_condensed_packed(pack: &HvPack) -> Vec<u16> {
-    PackedDistanceEngine::new().pairwise_condensed(pack)
-}
-
-/// Epsilon-neighborhood lists over a pack with the default engine — see
-/// [`PackedDistanceEngine::neighbors_within`].
-pub fn neighbors_within(pack: &HvPack, eps: u32) -> Vec<Vec<usize>> {
-    PackedDistanceEngine::new().neighbors_within(pack, eps)
 }
 
 /// Tiled, multithreaded Hamming-distance engine over an [`HvPack`].
@@ -643,10 +631,11 @@ mod tests {
 
     #[test]
     fn packed_pairwise_empty_and_singleton() {
+        let engine = PackedDistanceEngine::new();
         let pack = HvPack::new(64);
-        assert!(pairwise_condensed_packed(&pack).is_empty());
+        assert!(engine.pairwise_condensed(&pack).is_empty());
         let pack = HvPack::from_hypervectors(64, &random_set(1, 64, 9));
-        assert!(pairwise_condensed_packed(&pack).is_empty());
+        assert!(engine.pairwise_condensed(&pack).is_empty());
     }
 
     #[test]
@@ -856,7 +845,7 @@ mod tests {
     #[should_panic(expected = "16-bit distance range")]
     fn packed_pairwise_rejects_oversized_dim() {
         let pack = HvPack::new(70000);
-        pairwise_condensed_packed(&pack);
+        PackedDistanceEngine::new().pairwise_condensed(&pack);
     }
 
     #[test]

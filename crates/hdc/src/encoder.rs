@@ -105,16 +105,6 @@ impl IdLevelEncoder {
         self.config.dim
     }
 
-    /// The ID item memory (`ID[0, f]`).
-    pub fn id_memory(&self) -> &ItemMemory {
-        &self.id_memory
-    }
-
-    /// The correlated level memory (`L[0, q]`).
-    pub fn level_memory(&self) -> &LevelMemory {
-        &self.level_memory
-    }
-
     /// On-chip memory footprint of both item memories in bytes — the
     /// quantity the paper partitions across BRAM banks.
     pub fn item_memory_bytes(&self) -> usize {
@@ -128,39 +118,14 @@ impl IdLevelEncoder {
     /// encodes to the all-zero hypervector.
     pub fn encode(&self, peaks: &[(f64, f64)]) -> BinaryHypervector {
         let mut acc = MajorityAccumulator::new(self.config.dim);
-        self.encode_into(peaks, &mut acc)
-    }
-
-    /// Encodes reusing a caller-provided accumulator (cleared first). This
-    /// mirrors the streaming HLS kernel, which reuses one counter array for
-    /// every spectrum, and avoids reallocation in hot loops.
-    pub fn encode_into(
-        &self,
-        peaks: &[(f64, f64)],
-        acc: &mut MajorityAccumulator,
-    ) -> BinaryHypervector {
-        assert_eq!(
-            acc.dim(),
-            self.config.dim,
-            "accumulator dimensionality mismatch"
-        );
-        self.accumulate(peaks, acc);
+        self.accumulate(peaks, &mut acc);
         acc.finalize()
-    }
-
-    /// Encodes a batch of peak lists, reusing one accumulator.
-    pub fn encode_batch(&self, spectra: &[Vec<(f64, f64)>]) -> Vec<BinaryHypervector> {
-        let mut acc = MajorityAccumulator::new(self.config.dim);
-        spectra
-            .iter()
-            .map(|peaks| self.encode_into(peaks, &mut acc))
-            .collect()
     }
 
     /// Encodes a batch of peak lists straight into a contiguous [`HvPack`],
     /// reusing one accumulator and binarizing each spectrum in place into
     /// its packed row — no per-spectrum `BinaryHypervector` allocation.
-    /// Bit-exact with [`IdLevelEncoder::encode_batch`].
+    /// Row `i` is bit-exact with [`IdLevelEncoder::encode`] of list `i`.
     pub fn encode_batch_packed(&self, spectra: &[Vec<(f64, f64)>]) -> HvPack {
         let mut pack = HvPack::with_capacity(self.config.dim, spectra.len());
         let mut acc = MajorityAccumulator::new(self.config.dim);
@@ -299,10 +264,8 @@ mod tests {
     fn single_peak_encodes_to_bound_pair() {
         let enc = test_encoder();
         let hv = enc.encode(&[(300.0, 1.0)]);
-        let id = enc.id_memory().get(enc.mz_quantizer.quantize(300.0));
-        let level = enc
-            .level_memory()
-            .get(enc.intensity_quantizer.quantize(1.0));
+        let id = enc.id_memory.get(enc.mz_quantizer.quantize(300.0));
+        let level = enc.level_memory.get(enc.intensity_quantizer.quantize(1.0));
         assert_eq!(hv, id ^ level);
     }
 
@@ -320,28 +283,17 @@ mod tests {
         let enc = test_encoder();
         let peaks = vec![(310.0, 0.8), (411.0, 0.6), (512.0, 0.4)];
         let mut acc = MajorityAccumulator::new(2048);
-        assert_eq!(enc.encode_into(&peaks, &mut acc), enc.encode(&peaks));
+        let mut pack = HvPack::new(2048);
+        enc.encode_into_pack(&peaks, &mut acc, &mut pack);
+        assert_eq!(pack.hypervector(0), enc.encode(&peaks));
         // Accumulator is reusable.
         let peaks2 = vec![(820.0, 1.0)];
-        assert_eq!(enc.encode_into(&peaks2, &mut acc), enc.encode(&peaks2));
+        enc.encode_into_pack(&peaks2, &mut acc, &mut pack);
+        assert_eq!(pack.hypervector(1), enc.encode(&peaks2));
     }
 
     #[test]
     fn encode_batch_matches_individual() {
-        let enc = test_encoder();
-        let spectra = vec![
-            vec![(300.0, 1.0)],
-            vec![(400.0, 0.5), (600.0, 0.25)],
-            vec![],
-        ];
-        let batch = enc.encode_batch(&spectra);
-        for (hv, peaks) in batch.iter().zip(&spectra) {
-            assert_eq!(*hv, enc.encode(peaks));
-        }
-    }
-
-    #[test]
-    fn encode_batch_packed_matches_encode_batch() {
         let enc = test_encoder();
         let spectra = vec![
             vec![(300.0, 1.0)],
@@ -352,7 +304,8 @@ mod tests {
         let pack = enc.encode_batch_packed(&spectra);
         assert_eq!(pack.len(), spectra.len());
         assert_eq!(pack.dim(), enc.dim());
-        assert_eq!(pack.to_hypervectors(), enc.encode_batch(&spectra));
+        let reference: Vec<_> = spectra.iter().map(|p| enc.encode(p)).collect();
+        assert_eq!(pack.to_hypervectors(), reference);
     }
 
     #[test]

@@ -134,24 +134,6 @@ impl BinaryHypervector {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Sets bit `i` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= dim`.
-    pub fn set_bit(&mut self, i: usize, value: bool) {
-        assert!(
-            i < self.dim,
-            "bit index {i} out of range for dim {}",
-            self.dim
-        );
-        if value {
-            self.words[i / 64] |= 1u64 << (i % 64);
-        } else {
-            self.words[i / 64] &= !(1u64 << (i % 64));
-        }
-    }
-
     /// Flips bit `i`.
     ///
     /// # Panics
@@ -188,15 +170,6 @@ impl BinaryHypervector {
             .sum()
     }
 
-    /// Normalized Hamming distance in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensionalities differ.
-    pub fn hamming_normalized(&self, other: &Self) -> f64 {
-        self.hamming(other) as f64 / self.dim as f64
-    }
-
     /// Cosine-like similarity in `[-1, 1]` for binary vectors:
     /// `1 - 2 * hamming / dim`.
     ///
@@ -204,19 +177,7 @@ impl BinaryHypervector {
     ///
     /// Panics if dimensionalities differ.
     pub fn similarity(&self, other: &Self) -> f64 {
-        1.0 - 2.0 * self.hamming_normalized(other)
-    }
-
-    /// In-place XOR (binding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensionalities differ.
-    pub fn xor_assign(&mut self, other: &Self) {
-        assert_eq!(self.dim, other.dim, "xor requires equal dimensionality");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a ^= b;
-        }
+        1.0 - 2.0 * self.hamming(other) as f64 / self.dim as f64
     }
 
     /// Cyclic permutation by `k` bit positions (used as a sequence-binding
@@ -237,11 +198,6 @@ impl BinaryHypervector {
         for idx in spechd_rng::sample_indices(self.dim, count, rng) {
             self.flip_bit(idx);
         }
-    }
-
-    /// Iterator over all bits, LSB-first.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.dim).map(move |i| self.bit(i))
     }
 
     fn mask_tail(&mut self) {
@@ -276,8 +232,11 @@ impl BitXor for &BinaryHypervector {
     type Output = BinaryHypervector;
 
     fn bitxor(self, rhs: Self) -> BinaryHypervector {
+        assert_eq!(self.dim, rhs.dim, "xor requires equal dimensionality");
         let mut out = self.clone();
-        out.xor_assign(rhs);
+        for (a, b) in out.words.iter_mut().zip(&rhs.words) {
+            *a ^= b;
+        }
         out
     }
 }
@@ -341,7 +300,7 @@ mod tests {
     #[test]
     fn set_and_flip_bits() {
         let mut hv = BinaryHypervector::zeros(70);
-        hv.set_bit(69, true);
+        hv.flip_bit(69);
         assert!(hv.bit(69));
         hv.flip_bit(69);
         assert!(!hv.bit(69));

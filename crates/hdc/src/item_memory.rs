@@ -45,21 +45,6 @@ impl ItemMemory {
         Self { vectors, dim }
     }
 
-    /// Builds an item memory from explicit vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vectors` is empty or dimensionalities are inconsistent.
-    pub fn from_vectors(vectors: Vec<BinaryHypervector>) -> Self {
-        assert!(!vectors.is_empty(), "item memory needs at least one entry");
-        let dim = vectors[0].dim();
-        assert!(
-            vectors.iter().all(|v| v.dim() == dim),
-            "all item memory entries must share one dimensionality"
-        );
-        Self { vectors, dim }
-    }
-
     /// Number of entries `f`.
     pub fn len(&self) -> usize {
         self.vectors.len()
@@ -250,23 +235,6 @@ mod tests {
     fn item_memory_storage() {
         let mem = ItemMemory::random(4, 2048, 0);
         assert_eq!(mem.storage_bytes(), 4 * 256);
-    }
-
-    #[test]
-    fn from_vectors_validates() {
-        let v = vec![BinaryHypervector::zeros(64), BinaryHypervector::ones(64)];
-        let mem = ItemMemory::from_vectors(v);
-        assert_eq!(mem.len(), 2);
-        assert_eq!(mem.dim(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "one dimensionality")]
-    fn from_vectors_rejects_mixed_dims() {
-        ItemMemory::from_vectors(vec![
-            BinaryHypervector::zeros(64),
-            BinaryHypervector::zeros(128),
-        ]);
     }
 
     #[test]

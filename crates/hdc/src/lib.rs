@@ -16,13 +16,15 @@
 //!   vectors for m/z bins and *correlated* `L[0,q]` vectors for quantized
 //!   intensities.
 //! * [`IdLevelEncoder`] — the full spectrum encoder:
-//!   `spectra_i = Σ (ID_i ⊕ L_j)` followed by a pointwise majority; batch
-//!   encoding can write straight into an [`HvPack`].
+//!   `spectra_i = Σ (ID_i ⊕ L_j)` followed by a pointwise majority;
+//!   `encode` returns one vector, every batch form writes straight into
+//!   an [`HvPack`].
 //! * [`HvPack`] — contiguous struct-of-arrays storage for N packed
-//!   hypervectors, the substrate of the batch distance kernels.
-//! * [`distance`] — batch Hamming distance kernels: scalar reference
-//!   helpers plus the tiled, multithreaded
-//!   [`distance::PackedDistanceEngine`] over an [`HvPack`].
+//!   hypervectors: the one multi-vector container, from the encoder
+//!   through the distance kernels to the pipeline outcome.
+//! * [`distance`] — batch Hamming distance kernels: the tiled,
+//!   multithreaded [`distance::PackedDistanceEngine`] over an [`HvPack`],
+//!   and two scalar reference functions kept as its test oracle.
 //!
 //! # Example: encode two peak lists and compare them
 //!

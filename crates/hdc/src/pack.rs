@@ -64,9 +64,9 @@ impl std::error::Error for PackError {}
 ///
 /// The tail invariant of [`BinaryHypervector`] carries over: bits beyond
 /// `dim` in the last word of every row are zero. All constructors and the
-/// batch encoder preserve it; code writing through [`HvPack::row_mut`] or
-/// [`HvPack::push_zeroed`] must do the same (the distance kernels rely on
-/// it so that the masked tail never contributes to a popcount).
+/// batch encoder preserve it; code writing through [`HvPack::push_zeroed`]
+/// must do the same (the distance kernels rely on it so that the masked
+/// tail never contributes to a popcount).
 ///
 /// # Examples
 ///
@@ -318,17 +318,6 @@ impl HvPack {
     #[inline]
     pub fn row(&self, i: usize) -> &[u64] {
         &self.words[i * self.stride..(i + 1) * self.stride]
-    }
-
-    /// Mutable view of row `i`'s packed words. Writers must keep bits
-    /// beyond `dim` in the last word zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.words[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Hamming distance between rows `i` and `j` (XOR + popcount over the

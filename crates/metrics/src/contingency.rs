@@ -67,11 +67,6 @@ impl Contingency {
         self.cluster_totals.len()
     }
 
-    /// Number of distinct ground-truth classes.
-    pub fn num_classes(&self) -> usize {
-        self.class_totals.len()
-    }
-
     fn entropy(totals: impl Iterator<Item = usize>, n: f64) -> f64 {
         let mut h = 0.0;
         for t in totals {
@@ -84,17 +79,17 @@ impl Contingency {
     }
 
     /// Entropy of the class marginal, `H(C)`.
-    pub fn class_entropy(&self) -> f64 {
+    fn class_entropy(&self) -> f64 {
         Self::entropy(self.class_totals.values().copied(), self.total as f64)
     }
 
     /// Entropy of the cluster marginal, `H(K)`.
-    pub fn cluster_entropy(&self) -> f64 {
+    fn cluster_entropy(&self) -> f64 {
         Self::entropy(self.cluster_totals.values().copied(), self.total as f64)
     }
 
     /// Conditional entropy of classes given clusters, `H(C|K)`.
-    pub fn class_given_cluster_entropy(&self) -> f64 {
+    fn class_given_cluster_entropy(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -109,7 +104,7 @@ impl Contingency {
     }
 
     /// Conditional entropy of clusters given classes, `H(K|C)`.
-    pub fn cluster_given_class_entropy(&self) -> f64 {
+    fn cluster_given_class_entropy(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -124,7 +119,7 @@ impl Contingency {
     }
 
     /// Mutual information `I(C; K)` in nats.
-    pub fn mutual_information(&self) -> f64 {
+    fn mutual_information(&self) -> f64 {
         (self.class_entropy() - self.class_given_cluster_entropy()).max(0.0)
     }
 
@@ -211,7 +206,6 @@ mod tests {
         let c = Contingency::build(&[0, 0, 1, 1], &truth(&[1, 1, 2, 3]));
         assert_eq!(c.total(), 4);
         assert_eq!(c.num_clusters(), 2);
-        assert_eq!(c.num_classes(), 3);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl SpectrumDataset {
     }
 
     /// Number of distinct ground-truth labels present.
-    pub fn distinct_labels(&self) -> usize {
+    fn distinct_labels(&self) -> usize {
         let mut seen: Vec<u32> = self.labels.iter().flatten().copied().collect();
         seen.sort_unstable();
         seen.dedup();

@@ -35,7 +35,7 @@ pub const AMINO_ACIDS: [(char, f64); 20] = [
 ];
 
 /// Returns the residue monoisotopic mass for a one-letter amino acid code.
-pub fn residue_mass(code: char) -> Option<f64> {
+fn residue_mass(code: char) -> Option<f64> {
     AMINO_ACIDS
         .iter()
         .find(|&&(c, _)| c == code)

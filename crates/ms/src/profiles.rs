@@ -2,10 +2,7 @@
 //!
 //! Performance and energy experiments (Table I, Figs 7–9) operate on these
 //! profiles at **full scale** through the analytic models in `spechd-fpga`,
-//! while quality experiments run on scaled-down synthetic datasets produced
-//! by [`DatasetProfile::synthetic_config`].
-
-use crate::synth::SyntheticConfig;
+//! while quality experiments run on scaled-down synthetic datasets.
 
 /// Static description of one PRIDE evaluation dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,29 +94,6 @@ impl DatasetProfile {
         self.bytes as f64 / self.num_spectra as f64
     }
 
-    /// Builds a scaled-down synthetic stand-in with `num_spectra` spectra
-    /// and a proportional peptide library, deterministic per profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_spectra == 0`.
-    pub fn synthetic_config(&self, num_spectra: usize) -> SyntheticConfig {
-        assert!(num_spectra > 0, "need at least one spectrum");
-        // Identified real runs resolve to roughly 1 peptide per 4 spectra;
-        // keep that ratio so cluster-size structure scales sensibly.
-        let num_peptides = (num_spectra / 4).max(8);
-        // Deterministic per-profile seed derived from the accession.
-        let seed = self.pride_id.bytes().fold(0xD15E_A5E0_u64, |acc, b| {
-            acc.wrapping_mul(31).wrapping_add(u64::from(b))
-        });
-        SyntheticConfig {
-            num_spectra,
-            num_peptides,
-            seed,
-            ..SyntheticConfig::default()
-        }
-    }
-
     /// Compression factor achieved by storing `dim`-bit hypervectors
     /// instead of the raw file: `bytes / (num_spectra * dim / 8)`.
     ///
@@ -188,17 +162,6 @@ mod tests {
         let max = factors.iter().cloned().fold(0.0, f64::max);
         assert!((15.0..30.0).contains(&min), "min factor {min:.1}");
         assert!((80.0..120.0).contains(&max), "max factor {max:.1}");
-    }
-
-    #[test]
-    fn synthetic_config_deterministic_and_distinct_per_profile() {
-        let a = TABLE1[0].synthetic_config(500);
-        let b = TABLE1[0].synthetic_config(500);
-        let c = TABLE1[1].synthetic_config(500);
-        assert_eq!(a, b);
-        assert_ne!(a.seed, c.seed);
-        assert_eq!(a.num_spectra, 500);
-        assert_eq!(a.num_peptides, 125);
     }
 
     #[test]

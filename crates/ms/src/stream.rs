@@ -35,7 +35,7 @@ pub trait SpectrumStream {
     fn next_spectrum(&mut self) -> Option<(Spectrum, Option<u32>)>;
 
     /// Whether spectra arrive in non-decreasing Eq. (1) neutral-mass order
-    /// (`(mz − 1.00794) · charge`, see [`neutral_mass_key`]).
+    /// (`(mz − 1.00794) · charge`).
     ///
     /// When `true`, a consumer that shards by precursor mass may close a
     /// shard as soon as a heavier spectrum arrives, overlapping clustering
@@ -56,7 +56,7 @@ pub trait SpectrumStream {
 /// of: the Eq. (1) neutral mass `(mz − 1.00794) · charge`. Any bucketing
 /// resolution preserves its order, so one sorted pass serves every
 /// resolution.
-pub fn neutral_mass_key(spectrum: &Spectrum) -> f64 {
+fn neutral_mass_key(spectrum: &Spectrum) -> f64 {
     (spectrum.precursor().mz() - HYDROGEN_AVG_MASS) * f64::from(spectrum.precursor().charge())
 }
 
@@ -191,19 +191,18 @@ impl SpectrumStream for ChannelStream {
     }
 }
 
-/// Marks an inner stream as sorted by non-decreasing neutral mass
-/// (see [`neutral_mass_key`]), unlocking early shard retirement in
-/// consumers. The claim is the caller's to get right; sharded consumers
-/// verify monotonicity as keys arrive and panic on violations rather than
-/// silently misclustering.
+/// Marks an inner stream as sorted by non-decreasing Eq. (1) neutral
+/// mass, unlocking early shard retirement in consumers. The claim is the
+/// caller's to get right; sharded consumers verify monotonicity as keys
+/// arrive and panic on violations rather than silently misclustering.
 #[derive(Debug)]
 pub struct AssertSorted<S> {
     inner: S,
 }
 
 impl<S: SpectrumStream> AssertSorted<S> {
-    /// Asserts that `inner` yields spectra in non-decreasing
-    /// [`neutral_mass_key`] order.
+    /// Asserts that `inner` yields spectra in non-decreasing neutral-mass
+    /// order.
     pub fn new(inner: S) -> Self {
         Self { inner }
     }
@@ -223,7 +222,7 @@ impl<S: SpectrumStream> SpectrumStream for AssertSorted<S> {
     }
 }
 
-/// Sorts a dataset by [`neutral_mass_key`] (stable, so equal-mass spectra
+/// Sorts a dataset by Eq. (1) neutral mass (stable, so equal-mass spectra
 /// keep their relative order), returning the reordered dataset. The
 /// convenience for feeding [`AssertSorted`] in tests and benches: batch-run
 /// the sorted dataset, stream it sorted, compare.

@@ -97,18 +97,6 @@ fn bitonic_sort_desc(data: &mut [Peak]) {
     }
 }
 
-/// Number of compare-exchange operations the bitonic network performs for
-/// `len` input peaks — the quantity the FPGA cycle model charges.
-pub fn bitonic_comparator_count(len: usize) -> u64 {
-    if len <= 1 {
-        return 0;
-    }
-    let n = len.next_power_of_two() as u64;
-    let stages = n.trailing_zeros() as u64; // log2(n)
-                                            // Sum over k=1..log2(n) of k comparator columns, each n/2 comparators.
-    n / 2 * stages * (stages + 1) / 2
-}
-
 /// [`bitonic_top_k`] on a spectrum, preserving its metadata — the stage
 /// as the pipeline's equivalence test composes it.
 #[cfg(test)]
@@ -203,17 +191,6 @@ mod tests {
         let out = bitonic_top_k(&peaks, 2);
         let mzs: Vec<f64> = out.iter().map(|p| p.mz).collect();
         assert_eq!(mzs, vec![200.0, 300.0]);
-    }
-
-    #[test]
-    fn comparator_count_formula() {
-        // n=8: log2=3 stages, 3*(3+1)/2 = 6 columns of 4 comparators = 24.
-        assert_eq!(bitonic_comparator_count(8), 24);
-        assert_eq!(bitonic_comparator_count(1), 0);
-        // Non-power-of-two pads up: 5 -> 8.
-        assert_eq!(bitonic_comparator_count(5), 24);
-        // n=1024: 10 stages -> 512 * 55 = 28160.
-        assert_eq!(bitonic_comparator_count(1024), 28_160);
     }
 
     #[test]

@@ -242,16 +242,6 @@ impl Xoshiro256StarStar {
         Self { s }
     }
 
-    /// Creates a generator directly from a full 256-bit state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeros (a degenerate fixed point).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s != [0, 0, 0, 0], "xoshiro256** state must be non-zero");
-        Self { s }
-    }
-
     /// Equivalent to 2^128 `next_u64` calls; used to derive statistically
     /// independent streams for parallel workers from one seed.
     pub fn jump(&mut self) {

@@ -57,7 +57,7 @@ pub struct Psm {
 ///     Precursor::new(pep.mz(2), 2)?,
 ///     theoretical_spectrum(&pep, 1),
 /// )?;
-/// let psm = engine.search_spectrum(&spectrum, 0).expect("hit");
+/// let psm = engine.search_dataset(&[spectrum]).remove(0).expect("hit");
 /// assert_eq!(psm.peptide, pep);
 /// assert!(!psm.is_decoy);
 /// # Ok::<(), spechd_ms::MsError>(())
@@ -98,7 +98,7 @@ impl SearchEngine {
 
     /// Searches one spectrum, returning the best PSM that clears the
     /// matched-ion gate (`None` if no candidate does).
-    pub fn search_spectrum(&self, spectrum: &Spectrum, index: usize) -> Option<Psm> {
+    fn search_spectrum(&self, spectrum: &Spectrum, index: usize) -> Option<Psm> {
         let neutral = spectrum.precursor().neutral_mass();
         let mut best: Option<Psm> = None;
         for entry in self.db.candidates(neutral, self.config.precursor_tol_da) {

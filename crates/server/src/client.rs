@@ -165,7 +165,7 @@ impl RetryPolicy {
 
     /// The backoff before retry `attempt` (1-based):
     /// `base_delay × 2^(attempt-1)`, capped at `max_delay`.
-    pub fn delay_for(&self, attempt: u32) -> Duration {
+    fn delay_for(&self, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(20);
         self.base_delay
             .saturating_mul(1u32 << exp)
@@ -269,20 +269,13 @@ impl Connection {
     /// decoded under [`Limits::default`]). No protocol traffic is
     /// exchanged — job handshakes belong to the clients layered on top.
     pub fn open(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::open_with(addr, Limits::default())
-    }
-
-    /// [`Connection::open`] with an explicit decode-cap table, for
-    /// clients talking to a server configured with non-default
-    /// [`Limits`].
-    pub fn open_with(addr: impl ToSocketAddrs, limits: Limits) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let reader = stream.try_clone()?;
         Ok(Self {
             reader,
             writer: BufWriter::new(stream),
-            limits,
+            limits: Limits::default(),
         })
     }
 

@@ -153,7 +153,7 @@ impl Server {
     /// A flag that, once set, makes [`Server::serve`] return after its
     /// next accept. Combine with a wake-up connection to the bound
     /// address, or use [`Server::spawn`] which does both.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
+    fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
 

@@ -125,7 +125,7 @@ fn masked_tail_invariant_survives_every_pack_path() {
         }
         // Distances against all-ones rows are honest only if no stray tail
         // bit contributes to a popcount. Gathered rows: [ones, hvs[0], ones].
-        let d = distance::pairwise_condensed_packed(&gathered);
+        let d = PackedDistanceEngine::new().pairwise_condensed(&gathered);
         assert_eq!(
             u32::from(d[0]),
             hvs[0].hamming(&BinaryHypervector::ones(dim))
@@ -152,11 +152,11 @@ fn batch_encoded_pack_is_bit_exact_with_scalar_encoder() {
         })
         .collect();
     let pack = encoder.encode_batch_packed(&spectra);
-    let reference = encoder.encode_batch(&spectra);
+    let reference: Vec<BinaryHypervector> = spectra.iter().map(|p| encoder.encode(p)).collect();
     assert_eq!(pack.to_hypervectors(), reference);
     // And the packed distances over encoded spectra match the oracle.
     assert_eq!(
-        distance::pairwise_condensed_packed(&pack),
+        PackedDistanceEngine::new().pairwise_condensed(&pack),
         oracle_condensed(&reference)
     );
 }

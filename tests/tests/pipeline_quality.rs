@@ -87,14 +87,16 @@ fn one_time_preprocessing_reclustering_consistency() {
     let engine = SpecHd::new(SpecHdConfig::default());
     let full = engine.run(&ds);
     let pre = spechd_preprocess::PreprocessPipeline::new(engine.config().preprocess).run(&ds);
-    let hvs = engine.encode_dataset(&pre.dataset);
-    assert_eq!(hvs.len(), full.hypervectors().len());
-    for (a, b) in hvs.iter().zip(full.hypervectors()) {
-        assert_eq!(a, b, "hypervectors must be bit-identical across runs");
-    }
+    let pack = engine.encode_dataset_packed(&pre.dataset);
+    assert_eq!(pack.len(), full.hypervectors().len());
+    assert_eq!(
+        &pack,
+        full.hypervectors(),
+        "hypervectors must be bit-identical across runs"
+    );
     let buckets = spechd_preprocess::PrecursorBucketer::new(engine.config().resolution)
         .bucketize(pre.dataset.spectra());
-    let (assignment, consensus, _) = engine.cluster_encoded(&buckets, &hvs);
+    let (assignment, consensus, _) = engine.cluster_encoded_packed(&buckets, &pack);
     assert_eq!(&assignment, full.assignment());
     let consensus_orig: Vec<usize> = consensus.iter().map(|&i| pre.kept[i]).collect();
     assert_eq!(consensus_orig, full.consensus());

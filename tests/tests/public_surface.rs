@@ -1,20 +1,16 @@
 //! Public-surface census (ROADMAP item 11): every `pub fn` under
 //! `crates/*/src` must be named, as a whole word, in some `.rs` file other
 //! than the one that defines it — under `crates/`, `tests/`, `examples/`,
-//! `benchmark/src/` or `spechd/` — or be on the allow-list
-//! `tests/public_surface_allow.txt`, one `crate::name` a line, where
-//! `crate` is the directory under `crates/`.
+//! `benchmark/src/` or `spechd/`. Offenders are reported as `crate::name`,
+//! where `crate` is the directory under `crates/`; there is no allow-list.
 //!
-//! The list may only shrink: a listed name that is no longer an offender
-//! (deleted, made private, or given a caller) fails the check until its
-//! line is removed. It is a word census, not name resolution — a `pub fn`
-//! sharing its name with any identifier in another file passes — so it
-//! under-reports; what it does report has no caller anywhere.
+//! It is a word census, not name resolution — a `pub fn` sharing its name
+//! with any identifier in another file passes — so it under-reports; what
+//! it does report has no caller anywhere.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
-const ALLOW_LIST: &str = include_str!("../public_surface_allow.txt");
 const SCANNED: [&str; 5] = ["crates", "tests", "examples", "benchmark/src", "spechd"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -90,22 +86,9 @@ fn every_pub_fn_is_named_outside_its_file_or_allow_listed() {
         defined > 400,
         "census saw only {defined} `pub fn`: wrong root?"
     );
-
-    let allowed: BTreeSet<String> = ALLOW_LIST
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_owned)
-        .collect();
-    let unlisted: Vec<&String> = offenders.difference(&allowed).collect();
-    let stale: Vec<&String> = allowed.difference(&offenders).collect();
     assert!(
-        unlisted.is_empty(),
-        "`pub fn` named in no file but its own — call it, make it private or delete it \
-         (do not grow tests/public_surface_allow.txt): {unlisted:?}"
-    );
-    assert!(
-        stale.is_empty(),
-        "no longer offenders — remove from tests/public_surface_allow.txt: {stale:?}"
+        offenders.is_empty(),
+        "`pub fn` named in no file but its own — call it, make it private or delete it: \
+         {offenders:?}"
     );
 }
