@@ -4,8 +4,9 @@
 //! (buffered writer + cloned reader), the frame codec under the shared
 //! [`Limits`] table, and the error-frame-to-[`ClientError`] translation
 //! every client needs. The three job-flavored clients are thin state
-//! machines over it, sharing one connect-with-[`RetryPolicy`] entry
-//! point and one error surface:
+//! machines over it, sharing one error surface and one round-trip loop
+//! (the private `Link`: send a frame, read its reply, and on a
+//! retryable failure back off, reconnect, resume, send it again):
 //!
 //! * [`JobClient`] wraps one connection participating in one clustering
 //!   job. Submission is acknowledged per batch (the ack carries the
@@ -32,9 +33,9 @@
 //! died, the peer hung up) and server frames in the retryable code range
 //! ([`ErrorCode::is_retryable`], e.g. [`ErrorCode::Busy`] load shedding)
 //! may be retried; protocol violations and fatal server errors must not
-//! be. Both clients accept a [`RetryPolicy`] — deterministic bounded
-//! exponential backoff — and, when one is set, transparently reconnect
-//! and resume:
+//! be. All three clients accept a [`RetryPolicy`] — deterministic
+//! bounded exponential backoff, a budget of retries per round trip —
+//! and, when one is set, transparently reconnect and resume:
 //!
 //! * A [`JobClient`] identifies itself to the server with a `client_id`
 //!   that outlives its TCP connection and sequence-numbers its submits,
@@ -223,41 +224,13 @@ fn default_client_id() -> u64 {
     h
 }
 
-fn resolve(addr: impl ToSocketAddrs) -> Result<Vec<SocketAddr>, ClientError> {
-    let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-    if addrs.is_empty() {
-        return Err(ClientError::Wire(WireError::Io(std::io::Error::other(
-            "address resolved to no socket addresses",
-        ))));
-    }
-    Ok(addrs)
-}
-
-/// The one connect loop every client goes through: open a
-/// [`Connection`], run the client-specific `handshake` on it, and on a
-/// retryable failure back off under `retry` and start over with a fresh
-/// connection.
-fn connect_retry<T>(
-    addrs: &[SocketAddr],
-    retry: RetryPolicy,
-    mut handshake: impl FnMut(Connection) -> Result<T, ClientError>,
-) -> Result<T, ClientError> {
-    let mut attempt = 0u32;
-    loop {
-        match Connection::open(addrs).and_then(&mut handshake) {
-            Ok(client) => return Ok(client),
-            Err(e) if retry.backoff(&e, &mut attempt) => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// One established client connection: socket pair, frame codec, and the
 /// server-error translation shared by every protocol client.
 ///
-/// [`JobClient`] and [`SearchClient`] each wrap one of these with their
-/// job-flavored handshake and state machine; custom tooling (load
-/// generators, protocol probes) can drive a raw `Connection` directly.
+/// [`JobClient`], [`SearchClient`] and [`StoreClient`] each wrap one of
+/// these with their job-flavored handshake and state machine; custom
+/// tooling (load generators, protocol probes) can drive a raw
+/// `Connection` directly.
 pub struct Connection {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
@@ -297,6 +270,108 @@ impl Connection {
     }
 }
 
+/// One live [`Connection`] plus what it takes to replace it. Every
+/// client talks through [`Link::call`] — the one place a failure is
+/// classified, backed off, and answered with a fresh connection.
+struct Link {
+    conn: Connection,
+    addrs: Vec<SocketAddr>,
+    retry: RetryPolicy,
+    reconnects: u64,
+}
+
+impl Link {
+    /// Opens a connection to `addr` and runs the client's `handshake`
+    /// on it, returning what the handshake read. A retryable failure
+    /// backs off under `retry` and starts over on a fresh connection.
+    fn connect<T>(
+        addr: impl ToSocketAddrs,
+        retry: RetryPolicy,
+        mut handshake: impl FnMut(&mut Connection) -> Result<T, ClientError>,
+    ) -> Result<(Self, T), ClientError> {
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        if addrs.is_empty() {
+            return Err(ClientError::Wire(WireError::Io(std::io::Error::other(
+                "address resolved to no socket addresses",
+            ))));
+        }
+        let mut attempt = 0u32;
+        loop {
+            let opened = Connection::open(&addrs[..]).and_then(|mut conn| {
+                let hello = handshake(&mut conn)?;
+                Ok((conn, hello))
+            });
+            match opened {
+                Ok((conn, hello)) => {
+                    let link = Self {
+                        conn,
+                        addrs,
+                        retry,
+                        reconnects: 0,
+                    };
+                    return Ok((link, hello));
+                }
+                Err(e) if retry.backoff(&e, &mut attempt) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// One round trip: sends `frame` and `read`s its reply. On a
+    /// retryable failure it backs off, opens a fresh connection, runs
+    /// the client's `resume` handshake on it, and sends the *same*
+    /// `frame` again — callers only pass frames the server treats as
+    /// harmless to repeat (a numbered submission is re-acked, queries
+    /// and admin frames are idempotent). `state` is the part of the
+    /// client that both `read` and `resume` write.
+    ///
+    /// The retry budget is **per round trip**: one call backs off at
+    /// most [`RetryPolicy::max_retries`] times, whichever step failed
+    /// (send, read, re-open or resume), and the next call starts from
+    /// zero. A fatal error — from `resume` too: the server no longer
+    /// knows this client — is returned as it is.
+    fn call<S, T>(
+        &mut self,
+        frame: &Frame,
+        state: &mut S,
+        read: impl Fn(&mut Connection, &mut S) -> Result<T, ClientError>,
+        resume: impl Fn(&mut Connection, &mut S) -> Result<(), ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut attempt = 0u32;
+        loop {
+            let outcome = (|| {
+                if attempt > 0 {
+                    let mut conn = Connection::open(&self.addrs[..])?;
+                    resume(&mut conn, state)?;
+                    self.conn = conn;
+                    self.reconnects += 1;
+                }
+                self.conn.send(frame)?;
+                read(&mut self.conn, state)
+            })();
+            match outcome {
+                Ok(reply) => return Ok(reply),
+                Err(e) if self.retry.backoff(&e, &mut attempt) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// A frame the client's state machine has no place for at this point.
+fn unexpected(when: &str, frame: &Frame) -> ClientError {
+    let message = format!("unexpected frame {when}: {frame:?}");
+    ClientError::Wire(WireError::Malformed(message))
+}
+
+/// `items` in chunks of at most `cap` — and one empty chunk for an
+/// empty slice, so that an empty load or search is still a round trip
+/// and the statistics it returns are the server's, not a default.
+fn wire_chunks<T>(items: &[T], cap: u32) -> impl Iterator<Item = &[T]> {
+    let empty = items.is_empty().then_some(items);
+    empty.into_iter().chain(items.chunks(cap as usize))
+}
+
 /// Acknowledgement of one submitted batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubmitReceipt {
@@ -317,15 +392,12 @@ pub struct SubmitReceipt {
 /// a re-ingest), and replayed result frames absorbed idempotently — so
 /// the final [`ServiceOutcome`] is bit-identical to an undisturbed run.
 pub struct JobClient {
-    conn: Connection,
-    addrs: Vec<SocketAddr>,
+    link: Link,
     job_id: u64,
     client_id: u64,
-    config: JobConfig,
-    retry: RetryPolicy,
+    /// The `OpenJob` frame: the connect handshake, sent again to resume.
+    open: Frame,
     next_seq: u64,
-    close_sent: bool,
-    reconnects: u64,
     assembler: AssignmentAssembler,
 }
 
@@ -363,27 +435,21 @@ impl JobClient {
         client_id: u64,
         retry: RetryPolicy,
     ) -> Result<Self, ClientError> {
-        let addrs = resolve(addr)?;
-        connect_retry(&addrs, retry, |conn| {
-            let mut client = Self {
-                conn,
-                addrs: addrs.clone(),
-                job_id,
-                client_id,
-                config: config.clone(),
-                retry,
-                next_seq: 0,
-                close_sent: false,
-                reconnects: 0,
-                assembler: AssignmentAssembler::new(),
-            };
-            client.conn.send(&Frame::OpenJob {
-                job_id,
-                client_id,
-                config: config.clone(),
-            })?;
-            client.wait_stats()?;
-            Ok(client)
+        let open = Frame::OpenJob {
+            job_id,
+            client_id,
+            config,
+        };
+        let mut assembler = AssignmentAssembler::new();
+        let (link, ()) =
+            Link::connect(addr, retry, |conn| join_job(conn, &open, 0, &mut assembler))?;
+        Ok(Self {
+            link,
+            job_id,
+            client_id,
+            open,
+            next_seq: 0,
+            assembler,
         })
     }
 
@@ -399,7 +465,7 @@ impl JobClient {
 
     /// How many times this client has reconnected and resumed.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.link.reconnects
     }
 
     /// Submits a batch and blocks until its acknowledgement, returning
@@ -411,61 +477,26 @@ impl JobClient {
     /// retries never duplicate spectra in the stream.
     pub fn submit(&mut self, spectra: Vec<Spectrum>) -> Result<SubmitReceipt, ClientError> {
         let seq = self.next_seq;
-        if !self.retry.enabled() {
-            self.conn.send(&Frame::Submit {
-                job_id: self.job_id,
-                seq,
-                spectra,
-            })?;
-            let receipt = self.await_submit_ack(seq)?;
-            self.next_seq += 1;
-            return Ok(receipt);
-        }
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self
-                .conn
-                .send(&Frame::Submit {
-                    job_id: self.job_id,
-                    seq,
-                    spectra: spectra.clone(),
-                })
-                .and_then(|()| self.await_submit_ack(seq));
-            match outcome {
-                Ok(receipt) => {
-                    self.next_seq += 1;
-                    return Ok(receipt);
-                }
-                Err(e) if self.retry.backoff(&e, &mut attempt) => {
-                    // If recovery fails, the stale connection makes the
-                    // next attempt fail fast and consume another retry.
-                    let _ = self.recover();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let frame = Frame::Submit {
+            job_id: self.job_id,
+            seq,
+            spectra,
+        };
+        let receipt = self.call(&frame, |conn, assembler| {
+            await_submit_ack(conn, assembler, seq)
+        })?;
+        self.next_seq += 1;
+        Ok(receipt)
     }
 
     /// Barrier: returns a statistics snapshot taken after the server
     /// has ingested every frame this connection sent before the flush.
     /// Idempotent, so freely retried under the policy.
     pub fn flush(&mut self) -> Result<JobStatsFrame, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self
-                .conn
-                .send(&Frame::Flush {
-                    job_id: self.job_id,
-                })
-                .and_then(|()| self.wait_stats());
-            match outcome {
-                Ok(stats) => return Ok(stats),
-                Err(e) if self.retry.backoff(&e, &mut attempt) => {
-                    let _ = self.recover();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let frame = Frame::Flush {
+            job_id: self.job_id,
+        };
+        self.call(&frame, wait_job_stats)
     }
 
     /// Declares this participant done submitting and waits for the
@@ -476,102 +507,99 @@ impl JobClient {
     /// server replays the result frames this client missed (absorbed
     /// idempotently) and the re-sent `CloseJob` is a no-op server-side.
     pub fn close_and_wait(mut self) -> Result<ServiceOutcome, ClientError> {
-        self.close_sent = true;
-        let mut result = self.conn.send(&Frame::CloseJob {
+        let frame = Frame::CloseJob {
             job_id: self.job_id,
-        });
-        let mut attempt = 0u32;
-        loop {
-            match result {
-                Ok(()) => {}
-                Err(e) if self.retry.backoff(&e, &mut attempt) => {
-                    // recover() re-sends CloseJob; if it fails, the next
-                    // recv fails fast and consumes another retry.
-                    let _ = self.recover();
-                    result = Ok(());
-                    continue;
-                }
-                Err(e) => return Err(e),
+        };
+        self.call(&frame, |conn, assembler| {
+            while !assembler.is_done() {
+                assembler.absorb(&conn.recv()?);
             }
-            if self.assembler.is_done() {
-                break;
-            }
-            result = self.conn.recv().map(|frame| {
-                attempt = 0;
-                self.assembler.absorb(&frame);
-            });
-        }
+            Ok(())
+        })?;
         Ok(self.assembler.finish())
     }
 
-    /// Re-opens the connection and resumes this participant's slot:
-    /// re-sends `OpenJob` with the same `client_id` (triggering the
-    /// server's result replay, absorbed by [`Self::wait_stats`]) and
-    /// re-sends `CloseJob` if it was already sent on the old connection.
-    fn recover(&mut self) -> Result<(), ClientError> {
-        self.conn = Connection::open(&self.addrs[..])?;
-        self.conn.send(&Frame::OpenJob {
-            job_id: self.job_id,
-            client_id: self.client_id,
-            config: self.config.clone(),
-        })?;
-        let stats = self.wait_stats()?;
-        if stats.done == 0 && stats.submitted == 0 && self.next_seq > 0 {
-            // The job no longer knows us: our slot (and the job's
-            // state) aged out of the server's rejoin grace, and the
-            // OpenJob just created a *fresh* job. Resuming into it
-            // would silently produce a wrong outcome — fail instead.
-            return Err(ClientError::Wire(WireError::Malformed(format!(
-                "resume failed: job {} no longer holds this client's state \
-                 (rejoin grace elapsed?)",
-                self.job_id
-            ))));
-        }
-        if self.close_sent {
-            self.conn.send(&Frame::CloseJob {
-                job_id: self.job_id,
-            })?;
-        }
-        self.reconnects += 1;
-        Ok(())
+    /// One [`Link::call`] whose resume re-joins this participant's slot.
+    fn call<T>(
+        &mut self,
+        frame: &Frame,
+        read: impl Fn(&mut Connection, &mut AssignmentAssembler) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let (open, next_seq) = (&self.open, self.next_seq);
+        self.link
+            .call(frame, &mut self.assembler, read, |conn, assembler| {
+                join_job(conn, open, next_seq, assembler)
+            })
     }
+}
 
-    /// Reads until the matching `SubmitAck`, absorbing result frames
-    /// seen on the way.
-    fn await_submit_ack(&mut self, seq: u64) -> Result<SubmitReceipt, ClientError> {
-        loop {
-            match self.conn.recv()? {
-                Frame::SubmitAck {
-                    seq: ack_seq,
-                    base,
-                    count,
-                    ..
-                } => {
-                    if ack_seq != seq {
-                        return Err(ClientError::Wire(WireError::Malformed(format!(
-                            "submit ack for seq {ack_seq}, expected {seq}"
-                        ))));
-                    }
-                    return Ok(SubmitReceipt { base, count });
+/// Sends the `OpenJob` frame `open` and reads to its ack, absorbing the
+/// result replay a rejoin triggers. `next_seq > 0` makes it a resume,
+/// which must land in the job this client already submitted to.
+fn join_job(
+    conn: &mut Connection,
+    open: &Frame,
+    next_seq: u64,
+    assembler: &mut AssignmentAssembler,
+) -> Result<(), ClientError> {
+    conn.send(open)?;
+    let stats = wait_job_stats(conn, assembler)?;
+    if stats.done == 0 && stats.submitted == 0 && next_seq > 0 {
+        // The job no longer knows us: our slot (and the job's state)
+        // aged out of the server's rejoin grace, and the OpenJob just
+        // created a *fresh* job. Resuming into it would silently
+        // produce a wrong outcome — fail instead.
+        return Err(ClientError::Wire(WireError::Malformed(format!(
+            "resume failed: job {} no longer holds this client's state \
+             (rejoin grace elapsed?)",
+            stats.job_id
+        ))));
+    }
+    Ok(())
+}
+
+/// Reads until the `SubmitAck` for `seq`, absorbing result frames seen
+/// on the way.
+fn await_submit_ack(
+    conn: &mut Connection,
+    assembler: &mut AssignmentAssembler,
+    seq: u64,
+) -> Result<SubmitReceipt, ClientError> {
+    loop {
+        match conn.recv()? {
+            Frame::SubmitAck {
+                seq: ack_seq,
+                base,
+                count,
+                ..
+            } => {
+                if ack_seq != seq {
+                    return Err(ClientError::Wire(WireError::Malformed(format!(
+                        "submit ack for seq {ack_seq}, expected {seq}"
+                    ))));
                 }
-                other => self.assembler.absorb(&other),
+                return Ok(SubmitReceipt { base, count });
             }
+            other => assembler.absorb(&other),
         }
     }
+}
 
-    /// Reads until a `JobStats` frame (an open/flush ack), absorbing
-    /// result frames seen on the way.
-    fn wait_stats(&mut self) -> Result<JobStatsFrame, ClientError> {
-        loop {
-            match self.conn.recv()? {
-                Frame::JobStats(stats) => {
-                    if stats.done != 0 {
-                        self.assembler.absorb(&Frame::JobStats(stats));
-                    }
-                    return Ok(stats);
+/// Reads until a `JobStats` frame (an open/flush ack), absorbing result
+/// frames seen on the way.
+fn wait_job_stats(
+    conn: &mut Connection,
+    assembler: &mut AssignmentAssembler,
+) -> Result<JobStatsFrame, ClientError> {
+    loop {
+        match conn.recv()? {
+            Frame::JobStats(stats) => {
+                if stats.done != 0 {
+                    assembler.absorb(&Frame::JobStats(stats));
                 }
-                other => self.assembler.absorb(&other),
+                return Ok(stats);
             }
+            other => assembler.absorb(&other),
         }
     }
 }
@@ -587,12 +615,9 @@ pub struct QueryHits {
 
 /// One connection participating in one search job.
 pub struct SearchClient {
-    conn: Connection,
-    addrs: Vec<SocketAddr>,
+    link: Link,
     job_id: u64,
     dim: u32,
-    retry: RetryPolicy,
-    reconnects: u64,
 }
 
 impl SearchClient {
@@ -615,24 +640,16 @@ impl SearchClient {
         dim: u32,
         retry: RetryPolicy,
     ) -> Result<Self, ClientError> {
-        let addrs = resolve(addr)?;
-        connect_retry(&addrs, retry, |conn| {
-            let mut client = Self {
-                conn,
-                addrs: addrs.clone(),
-                job_id,
-                dim,
-                retry,
-                reconnects: 0,
-            };
-            client.conn.send(&Frame::LoadLibrary {
-                job_id,
-                dim,
-                entries: Vec::new(),
-            })?;
-            client.wait_stats()?;
-            Ok(client)
-        })
+        let join = Frame::LoadLibrary {
+            job_id,
+            dim,
+            entries: Vec::new(),
+        };
+        let (link, _) = Link::connect(addr, retry, |conn| {
+            conn.send(&join)?;
+            search_stats(conn)
+        })?;
+        Ok(Self { link, job_id, dim })
     }
 
     /// The search job this connection participates in.
@@ -647,13 +664,14 @@ impl SearchClient {
 
     /// How many times this client has reconnected.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.link.reconnects
     }
 
     /// Loads entries into the job's library, chunked under the wire's
     /// per-frame cap; each chunk is acknowledged before the next is
-    /// sent. Returns the post-load statistics snapshot. Fails once the
-    /// library is sealed (a query was served).
+    /// sent. Returns the post-load statistics snapshot (an empty load
+    /// is a valid stats probe). Fails once the library is sealed (a
+    /// query was served).
     ///
     /// Loads are **never retried**, even with a retry policy set: if
     /// the connection dies between sending a chunk and reading its ack
@@ -662,23 +680,15 @@ impl SearchClient {
     /// idempotent, unlike queries). Callers that lose a load should
     /// restart the search job under a fresh `job_id`.
     pub fn load(&mut self, entries: &[LibraryEntryWire]) -> Result<SearchStatsFrame, ClientError> {
-        if entries.is_empty() {
-            // An empty load is still a valid stats probe.
-            self.conn.send(&Frame::LoadLibrary {
-                job_id: self.job_id,
-                dim: self.dim,
-                entries: Vec::new(),
-            })?;
-            return self.wait_stats();
-        }
         let mut stats = SearchStatsFrame::default();
-        for chunk in entries.chunks(MAX_LIBRARY_BATCH as usize) {
-            self.conn.send(&Frame::LoadLibrary {
+        for chunk in wire_chunks(entries, MAX_LIBRARY_BATCH) {
+            // Not a `Link::call`: see above.
+            self.link.conn.send(&Frame::LoadLibrary {
                 job_id: self.job_id,
                 dim: self.dim,
                 entries: chunk.to_vec(),
             })?;
-            stats = self.wait_stats()?;
+            stats = search_stats(&mut self.link.conn)?;
         }
         Ok(stats)
     }
@@ -687,7 +697,8 @@ impl SearchClient {
     /// job's first query), returning each query's hits in submission
     /// order plus the post-batch statistics snapshot. Queries are
     /// chunked under the wire's per-frame cap; each chunk's hit frames
-    /// are collected up to their closing [`Frame::SearchStats`].
+    /// are collected up to their closing [`Frame::SearchStats`]. Zero
+    /// queries still send one (empty, sealing) batch.
     ///
     /// With a retry policy set, a chunk that fails retryably is
     /// re-scored from scratch after a reconnect (its partial hits are
@@ -702,89 +713,58 @@ impl SearchClient {
     ) -> Result<(Vec<QueryHits>, SearchStatsFrame), ClientError> {
         let mut results = Vec::with_capacity(queries.len());
         let mut stats = SearchStatsFrame::default();
-        let mut any = false;
-        for chunk in queries.chunks(MAX_QUERY_BATCH as usize) {
-            any = true;
-            let (chunk_hits, chunk_stats) = self.search_chunk(chunk, window_da, top_k)?;
-            results.extend(chunk_hits);
-            stats = chunk_stats;
-        }
-        if !any {
-            // Zero queries: send an empty batch so the returned stats
-            // are a real (and sealing) snapshot, not a default.
-            let (_, chunk_stats) = self.search_chunk(&[], window_da, top_k)?;
+        for chunk in wire_chunks(queries, MAX_QUERY_BATCH) {
+            let frame = Frame::SearchQuery {
+                job_id: self.job_id,
+                dim: self.dim,
+                window_da,
+                top_k,
+                queries: chunk.to_vec(),
+            };
+            // No resume handshake: the re-sent query frame itself
+            // rejoins the job on the fresh connection.
+            let (hits, chunk_stats) = self.link.call(
+                &frame,
+                &mut (),
+                |conn, ()| search_hits(conn, chunk.len()),
+                |_, ()| Ok(()),
+            )?;
+            results.extend(hits);
             stats = chunk_stats;
         }
         Ok((results, stats))
     }
+}
 
-    /// One chunk, with retry: on a retryable failure the partial hits
-    /// are discarded, the connection re-opened (the next query frame
-    /// rejoins the job), and the chunk re-sent whole.
-    fn search_chunk(
-        &mut self,
-        chunk: &[QueryWire],
-        window_da: f64,
-        top_k: u32,
-    ) -> Result<(Vec<QueryHits>, SearchStatsFrame), ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.search_chunk_once(chunk, window_da, top_k) {
-                Ok(ok) => return Ok(ok),
-                Err(e) if self.retry.backoff(&e, &mut attempt) => {
-                    if let Ok(conn) = Connection::open(&self.addrs[..]) {
-                        self.conn = conn;
-                        self.reconnects += 1;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+/// Reads one query batch's reply: a `SearchHit` per query, closed by the
+/// batch's `SearchStats`.
+fn search_hits(
+    conn: &mut Connection,
+    queries: usize,
+) -> Result<(Vec<QueryHits>, SearchStatsFrame), ClientError> {
+    let mut hits = Vec::with_capacity(queries);
+    loop {
+        match conn.recv()? {
+            Frame::SearchHit {
+                query_index,
+                hits: h,
+                ..
+            } => hits.push(QueryHits {
+                query_index,
+                hits: h,
+            }),
+            Frame::SearchStats(stats) => return Ok((hits, stats)),
+            other => return Err(unexpected("during search", &other)),
         }
     }
+}
 
-    fn search_chunk_once(
-        &mut self,
-        chunk: &[QueryWire],
-        window_da: f64,
-        top_k: u32,
-    ) -> Result<(Vec<QueryHits>, SearchStatsFrame), ClientError> {
-        self.conn.send(&Frame::SearchQuery {
-            job_id: self.job_id,
-            dim: self.dim,
-            window_da,
-            top_k,
-            queries: chunk.to_vec(),
-        })?;
-        let mut hits = Vec::with_capacity(chunk.len());
-        loop {
-            match self.conn.recv()? {
-                Frame::SearchHit {
-                    query_index,
-                    hits: h,
-                    ..
-                } => hits.push(QueryHits {
-                    query_index,
-                    hits: h,
-                }),
-                Frame::SearchStats(s) => return Ok((hits, s)),
-                other => {
-                    return Err(ClientError::Wire(WireError::Malformed(format!(
-                        "unexpected frame during search: {other:?}"
-                    ))))
-                }
-            }
-        }
-    }
-
-    /// Reads the `SearchStats` frame acknowledging a load. Search jobs
-    /// never push unsolicited frames, so the ack is the next frame.
-    fn wait_stats(&mut self) -> Result<SearchStatsFrame, ClientError> {
-        match self.conn.recv()? {
-            Frame::SearchStats(stats) => Ok(stats),
-            other => Err(ClientError::Wire(WireError::Malformed(format!(
-                "unexpected frame while awaiting search stats: {other:?}"
-            )))),
-        }
+/// Reads the `SearchStats` frame acknowledging a load. Search jobs
+/// never push unsolicited frames, so the ack is the next frame.
+fn search_stats(conn: &mut Connection) -> Result<SearchStatsFrame, ClientError> {
+    match conn.recv()? {
+        Frame::SearchStats(stats) => Ok(stats),
+        other => Err(unexpected("while awaiting search stats", &other)),
     }
 }
 
@@ -806,14 +786,13 @@ impl SearchClient {
 /// retryable [`ErrorCode::StoreBusy`]; connecting with a policy waits
 /// out short sessions via the normal backoff schedule.
 pub struct StoreClient {
-    conn: Connection,
-    addrs: Vec<SocketAddr>,
+    link: Link,
     name: String,
     client_id: u64,
-    config: JobConfig,
-    retry: RetryPolicy,
+    /// The `OpenStore` frame: the connect handshake, sent again to
+    /// resume.
+    open: Frame,
     next_seq: u64,
-    reconnects: u64,
     opened: StoreAckFrame,
 }
 
@@ -823,7 +802,7 @@ impl std::fmt::Debug for StoreClient {
             .field("name", &self.name)
             .field("client_id", &self.client_id)
             .field("next_seq", &self.next_seq)
-            .field("reconnects", &self.reconnects)
+            .field("reconnects", &self.link.reconnects)
             .finish_non_exhaustive()
     }
 }
@@ -859,25 +838,19 @@ impl StoreClient {
         retry: RetryPolicy,
     ) -> Result<Self, ClientError> {
         check_store_name(name, &Limits::default()).map_err(ClientError::Wire)?;
-        let addrs = resolve(addr)?;
-        connect_retry(&addrs, retry, |mut conn| {
-            conn.send(&Frame::OpenStore {
-                name: name.to_string(),
-                client_id,
-                config: config.clone(),
-            })?;
-            let opened = expect_store_ack(&mut conn, name)?;
-            Ok(Self {
-                conn,
-                addrs: addrs.clone(),
-                name: name.to_string(),
-                client_id,
-                config: config.clone(),
-                retry,
-                next_seq: 0,
-                reconnects: 0,
-                opened,
-            })
+        let open = Frame::OpenStore {
+            name: name.to_string(),
+            client_id,
+            config,
+        };
+        let (link, opened) = Link::connect(addr, retry, |conn| open_store(conn, &open, name))?;
+        Ok(Self {
+            link,
+            name: name.to_string(),
+            client_id,
+            open,
+            next_seq: 0,
+            opened,
         })
     }
 
@@ -893,7 +866,7 @@ impl StoreClient {
 
     /// How many times this client has reconnected and resumed.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.link.reconnects
     }
 
     /// The store snapshot the server sent when this session opened:
@@ -927,39 +900,14 @@ impl StoreClient {
             ))));
         }
         let seq = self.next_seq;
-        if !self.retry.enabled() {
-            self.conn.send(&Frame::SubmitIncremental {
-                name: self.name.clone(),
-                seq,
-                spectra,
-            })?;
-            let ack = self.await_incremental_ack(seq)?;
-            self.next_seq += 1;
-            return Ok(ack);
-        }
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self
-                .conn
-                .send(&Frame::SubmitIncremental {
-                    name: self.name.clone(),
-                    seq,
-                    spectra: spectra.clone(),
-                })
-                .and_then(|()| self.await_incremental_ack(seq));
-            match outcome {
-                Ok(ack) => {
-                    self.next_seq += 1;
-                    return Ok(ack);
-                }
-                Err(e) if self.retry.backoff(&e, &mut attempt) => {
-                    // If recovery fails, the stale connection makes the
-                    // next attempt fail fast and consume another retry.
-                    let _ = self.recover();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let frame = Frame::SubmitIncremental {
+            name: self.name.clone(),
+            seq,
+            spectra,
+        };
+        let ack = self.call(&frame, |conn, name| await_incremental_ack(conn, name, seq))?;
+        self.next_seq += 1;
+        Ok(ack)
     }
 
     /// Saves the store to its server-side backing file (the atomic
@@ -967,16 +915,14 @@ impl StoreClient {
     /// (`persisted = 1`, `dirty = 0`). Idempotent, so freely retried; a
     /// server without a store directory refuses with a fatal error.
     pub fn persist(&mut self) -> Result<StoreAckFrame, ClientError> {
-        self.admin(Frame::PersistStore {
-            name: self.name.clone(),
-        })
+        let name = self.name.clone();
+        self.call(&Frame::PersistStore { name }, expect_store_ack)
     }
 
     /// Returns a point-in-time snapshot of the store. Idempotent.
     pub fn stats(&mut self) -> Result<StoreAckFrame, ClientError> {
-        self.admin(Frame::StoreStats {
-            name: self.name.clone(),
-        })
+        let name = self.name.clone();
+        self.call(&Frame::StoreStats { name }, expect_store_ack)
     }
 
     /// Runs the server-side medoid refresh / compaction pass and
@@ -988,65 +934,56 @@ impl StoreClient {
     /// to a reconnect re-runs the pass, and the re-run reports zero
     /// counters.
     pub fn refresh(&mut self) -> Result<StoreAckFrame, ClientError> {
-        self.admin(Frame::RefreshStore {
-            name: self.name.clone(),
-        })
+        let name = self.name.clone();
+        self.call(&Frame::RefreshStore { name }, expect_store_ack)
     }
 
-    /// One idempotent admin round trip (persist / stats / refresh),
-    /// under the shared retry-and-resume loop.
-    fn admin(&mut self, frame: Frame) -> Result<StoreAckFrame, ClientError> {
-        if !self.retry.enabled() {
-            self.conn.send(&frame)?;
-            return expect_store_ack(&mut self.conn, &self.name);
-        }
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self
-                .conn
-                .send(&frame)
-                .and_then(|()| expect_store_ack(&mut self.conn, &self.name));
-            match outcome {
-                Ok(ack) => return Ok(ack),
-                Err(e) if self.retry.backoff(&e, &mut attempt) => {
-                    let _ = self.recover();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// One [`Link::call`] whose resume re-opens this session and
+    /// refreshes the opened snapshot; `read` gets the store's name.
+    fn call<T>(
+        &mut self,
+        frame: &Frame,
+        read: impl Fn(&mut Connection, &str) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let (open, name) = (&self.open, self.name.as_str());
+        self.link.call(
+            frame,
+            &mut self.opened,
+            |conn, _| read(conn, name),
+            |conn, opened| {
+                *opened = open_store(conn, open, name)?;
+                Ok(())
+            },
+        )
     }
+}
 
-    /// Re-opens the connection and resumes this session: re-sends
-    /// `OpenStore` with the same `client_id` and refreshes the opened
-    /// snapshot.
-    fn recover(&mut self) -> Result<(), ClientError> {
-        let mut conn = Connection::open(&self.addrs[..])?;
-        conn.send(&Frame::OpenStore {
-            name: self.name.clone(),
-            client_id: self.client_id,
-            config: self.config.clone(),
-        })?;
-        let opened = expect_store_ack(&mut conn, &self.name)?;
-        self.conn = conn;
-        self.opened = opened;
-        self.reconnects += 1;
-        Ok(())
-    }
+/// Sends the `OpenStore` frame `open` and reads the snapshot that
+/// acknowledges it.
+fn open_store(
+    conn: &mut Connection,
+    open: &Frame,
+    name: &str,
+) -> Result<StoreAckFrame, ClientError> {
+    conn.send(open)?;
+    expect_store_ack(conn, name)
+}
 
-    /// Reads until this store's `IncrementalAck` for `seq`. Store
-    /// sessions never push unsolicited frames, so the ack is the next
-    /// frame; anything else is a protocol violation.
-    fn await_incremental_ack(&mut self, seq: u64) -> Result<IncrementalAckFrame, ClientError> {
-        match self.conn.recv()? {
-            Frame::IncrementalAck(ack) if ack.name == self.name && ack.seq == seq => Ok(ack),
-            Frame::IncrementalAck(ack) => Err(ClientError::Wire(WireError::Malformed(format!(
-                "incremental ack for {}#{}, expected {}#{seq}",
-                ack.name, ack.seq, self.name
-            )))),
-            other => Err(ClientError::Wire(WireError::Malformed(format!(
-                "unexpected frame while awaiting incremental ack: {other:?}"
-            )))),
-        }
+/// Reads store `name`'s `IncrementalAck` for `seq`. Store sessions
+/// never push unsolicited frames, so the ack is the next frame;
+/// anything else is a protocol violation.
+fn await_incremental_ack(
+    conn: &mut Connection,
+    name: &str,
+    seq: u64,
+) -> Result<IncrementalAckFrame, ClientError> {
+    match conn.recv()? {
+        Frame::IncrementalAck(ack) if ack.name == name && ack.seq == seq => Ok(ack),
+        Frame::IncrementalAck(ack) => Err(ClientError::Wire(WireError::Malformed(format!(
+            "incremental ack for {}#{}, expected {name}#{seq}",
+            ack.name, ack.seq
+        )))),
+        other => Err(unexpected("while awaiting incremental ack", &other)),
     }
 }
 
@@ -1055,8 +992,86 @@ impl StoreClient {
 fn expect_store_ack(conn: &mut Connection, name: &str) -> Result<StoreAckFrame, ClientError> {
     match conn.recv()? {
         Frame::StoreAck(ack) if ack.name == name => Ok(ack),
-        other => Err(ClientError::Wire(WireError::Malformed(format!(
-            "unexpected frame while awaiting store ack: {other:?}"
-        )))),
+        other => Err(unexpected("while awaiting store ack", &other)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{encode_frame, read_frame};
+    use spechd_ms::{Peak, Precursor};
+    use std::net::TcpListener;
+
+    /// A server that acks every `OpenJob`, hangs up on the first
+    /// `Submit` it reads and acks the `Submit` of every later
+    /// connection. Stops at a connection that closes without a frame and
+    /// returns the `Submit` frames' bytes, one per connection served.
+    fn flaky_server(listener: TcpListener) -> std::thread::JoinHandle<Vec<Vec<u8>>> {
+        std::thread::spawn(move || {
+            let (limits, mut submits) = (Limits::default(), Vec::new());
+            for stream in listener.incoming() {
+                let mut stream = stream.expect("accept");
+                let Ok(Frame::OpenJob { job_id, .. }) = read_frame(&mut stream, &limits) else {
+                    break;
+                };
+                let opened = Frame::JobStats(JobStatsFrame::default());
+                write_frame(&mut stream, &opened).expect("open ack");
+                let submit = read_frame(&mut stream, &limits).expect("a frame after the open");
+                assert!(matches!(submit, Frame::Submit { seq: 0, .. }), "{submit:?}");
+                submits.push(encode_frame(&submit));
+                if submits.len() > 1 {
+                    let (seq, base, count) = (0, 0, 1);
+                    let ack = Frame::SubmitAck {
+                        job_id,
+                        seq,
+                        base,
+                        count,
+                    };
+                    write_frame(&mut stream, &ack).expect("submit ack");
+                }
+            }
+            submits
+        })
+    }
+
+    /// The retrying and the fail-fast client run the same loop: the
+    /// first re-sends the very bytes it sent before, on exactly one
+    /// fresh connection; the second stops at the first failure.
+    #[test]
+    fn a_dropped_submit_is_resent_byte_for_byte_and_only_under_a_policy() {
+        let patient = RetryPolicy {
+            max_retries: 3,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(1),
+        };
+        let precursor = Precursor::new(500.0, 2).expect("precursor");
+        let spectrum =
+            Spectrum::new("s", precursor, vec![Peak::new(200.0, 1.0)]).expect("spectrum");
+        for retry in [patient, RetryPolicy::none()] {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = flaky_server(listener);
+            let mut client =
+                JobClient::connect_with(addr, 1, JobConfig::default(), 7, retry).expect("connect");
+            let outcome = client.submit(vec![spectrum.clone()]);
+            // A connection that says nothing stops the fake.
+            drop(TcpStream::connect(addr).expect("stop the fake"));
+            let submits = server.join().expect("fake server");
+            if retry == patient {
+                assert_eq!(outcome.expect("ack"), SubmitReceipt { base: 0, count: 1 });
+                assert_eq!(client.reconnects(), 1);
+                assert_eq!(submits.len(), 2, "one re-send");
+                assert_eq!(submits[0], submits[1], "the same bytes both times");
+            } else {
+                let err = outcome.expect_err("no policy, no second try");
+                assert!(err.is_retryable(), "a hang-up is retryable: {err}");
+                assert_eq!(
+                    (client.reconnects(), submits.len()),
+                    (0, 1),
+                    "one connection"
+                );
+            }
+        }
     }
 }

@@ -12,25 +12,20 @@
 //! ## Reconnect and resume
 //!
 //! A connection that dies abruptly *detaches* its slot instead of
-//! closing it: the slot survives for the registry's rejoin grace, during
-//! which the same `client_id` may reconnect, re-send `OpenJob`, and
-//! resume. Resume is idempotent on both directions of the stream:
+//! closing it, and the same `client_id` may reconnect, re-send
+//! `OpenJob`, and resume within the registry's rejoin grace. The slot
+//! rules — epoch steal, exactly-once `seq`, duplicate re-ack, grace
+//! expiry — are `session`'s; a slot whose grace lapses closes as if it
+//! had sent `CloseJob` (with a grace of zero a disconnect *is* a
+//! close). What is this module's own is the other direction of the
+//! stream:
 //!
-//! * **Submits** are sequence-numbered per slot. Each `seq` is ingested
-//!   exactly once; a duplicate of the last acknowledged `seq` (a re-send
-//!   after a lost ack) is answered with the stored ack instead of being
-//!   re-ingested, so the clustering input — and therefore the outcome —
-//!   is unchanged by retries.
 //! * **Results** are archived per job (`emitted`) and replayed to a
 //!   rejoining participant before it re-subscribes, so frames that were
 //!   in flight when the connection died are not lost. The archive holds
 //!   exactly the job's output frames and is freed when the job leaves
 //!   the registry (a bounded linger after completion, so a participant
 //!   disconnected across finalization can still rejoin for the replay).
-//!
-//! If the grace expires without a rejoin the slot closes as if it had
-//! sent `CloseJob` — with a grace of zero this degenerates to the old
-//! behavior where a disconnect *is* a close.
 //!
 //! Backpressure is bounded in both directions. Ingest: the job's
 //! bounded channel — when the pipeline falls behind, `submit` blocks,
@@ -52,6 +47,7 @@
 //! key set is known and the tail drains in order.
 
 use crate::protocol::{ErrorCode, Frame, JobConfig, JobStatsFrame};
+use crate::session::{after_grace, Slot};
 use spechd_core::{SpecHd, StreamEvent, StreamOutcome};
 use spechd_ms::stream::ChannelStream;
 use spechd_ms::Spectrum;
@@ -75,11 +71,16 @@ pub struct JobError {
 }
 
 impl JobError {
-    fn new(code: ErrorCode, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: ErrorCode, message: impl Into<String>) -> Self {
         Self {
             code,
             message: message.into(),
         }
+    }
+
+    /// A request that is well-formed but wrong for the state it meets.
+    pub(crate) fn state(message: impl Into<String>) -> Self {
+        Self::new(ErrorCode::ProtocolState, message)
     }
 }
 
@@ -97,19 +98,11 @@ struct IngestPlan {
 /// One participant's durable state, keyed by `client_id` — it outlives
 /// the TCP connection carrying it.
 struct ClientSlot {
-    /// A live connection currently holds this slot.
-    attached: bool,
+    /// Resume state; the recorded ack is a submit's `(base, count)`.
+    slot: Slot<(u64, u32)>,
     /// The participant is done submitting (explicit `CloseJob`, or its
     /// rejoin grace expired).
     closed: bool,
-    /// The next submit sequence number this slot will ingest.
-    next_seq: u64,
-    /// The last acknowledged submit, for duplicate re-acks:
-    /// `(seq, base, count)`.
-    last_ack: Option<(u64, u64, u32)>,
-    /// Bumped on every rejoin; lets a pending grace timer recognize it
-    /// has been superseded.
-    epoch: u64,
 }
 
 struct JobState {
@@ -140,11 +133,18 @@ impl JobState {
         self.clients.values().filter(|c| !c.closed).count() as u32
     }
 
-    /// Drops the template once every slot has closed, ending the
-    /// job's ingest stream so the pipeline can finalize.
-    fn maybe_finalize(&mut self) {
-        if self.participants() == 0 {
-            self.template = None;
+    /// Closes `client_id`'s slot if `may` allows it, and with the last
+    /// open slot drops the template — ending the job's ingest stream so
+    /// the pipeline can finalize.
+    fn close_slot(&mut self, client_id: u64, may: impl Fn(&Slot<(u64, u32)>) -> bool) {
+        let Some(client) = self.clients.get_mut(&client_id) else {
+            return;
+        };
+        if !client.closed && may(&client.slot) {
+            client.closed = true;
+            if self.participants() == 0 {
+                self.template = None;
+            }
         }
     }
 }
@@ -379,63 +379,48 @@ impl JobRegistry {
                     format!("job {job_id} exists with a different config"),
                 ));
             }
-            let known = state.clients.contains_key(&client_id);
-            if !known && (state.finished || state.template.is_none()) {
-                return Err(JobError::new(
-                    ErrorCode::JobClosed,
-                    format!("job {job_id} is finalizing and cannot be joined"),
-                ));
-            }
-            if known {
-                let slot = state.clients.get_mut(&client_id).expect("slot known");
-                // If the slot still reads as attached, the server has
-                // not yet noticed the old connection die — the rejoin
-                // *steals* it (newest connection wins). The epoch bump
-                // turns the zombie handle's close/detach into no-ops,
-                // and its dead subscription self-prunes on the next
-                // broadcast.
-                slot.attached = true;
-                slot.epoch += 1;
-                let epoch = slot.epoch;
-                let slot_closed = slot.closed;
-                // Replay the backlog *before* subscribing, so the
-                // rejoiner sees every frame exactly once and in order.
-                job.replay_locked(&state, &out_tx);
-                let (sender, handle_active) = if state.finished {
-                    // Nothing further will be broadcast; the replay
-                    // already delivered the final done frame.
-                    active.store(false, Ordering::Release);
-                    (None, active)
-                } else {
-                    state.subscribers.push(subscriber);
-                    let sender = if slot_closed {
-                        None
-                    } else {
-                        state.template.clone()
-                    };
-                    (sender, active)
-                };
-                drop(state);
-                return Ok(JobHandle {
-                    job,
-                    client_id,
-                    epoch,
-                    sender,
-                    active: handle_active,
-                    closed: slot_closed,
-                });
-            }
-            state.clients.insert(client_id, ClientSlot::fresh());
-            let sender = state.template.clone();
-            state.subscribers.push(subscriber);
+            // The same `client_id` back is a rejoin: the epoch bump
+            // turns a zombie handle's close/detach into no-ops, and its
+            // dead subscription self-prunes on the next broadcast.
+            let rejoined = state
+                .clients
+                .get_mut(&client_id)
+                .map(|client| (client.slot.rejoin(), client.closed));
+            let (epoch, closed) = match rejoined {
+                Some(resumed) => {
+                    // Replay the backlog *before* subscribing, so the
+                    // rejoiner sees every frame exactly once and in order.
+                    job.replay_locked(&state, &out_tx);
+                    resumed
+                }
+                None if state.finished || state.template.is_none() => {
+                    return Err(JobError::new(
+                        ErrorCode::JobClosed,
+                        format!("job {job_id} is finalizing and cannot be joined"),
+                    ));
+                }
+                None => {
+                    state.clients.insert(client_id, ClientSlot::fresh());
+                    (0, false)
+                }
+            };
+            let sender = if state.finished {
+                // Nothing further will be broadcast; the replay already
+                // delivered the final done frame.
+                active.store(false, Ordering::Release);
+                None
+            } else {
+                state.subscribers.push(subscriber);
+                state.template.clone().filter(|_| !closed)
+            };
             drop(state);
             return Ok(JobHandle {
                 job,
                 client_id,
-                epoch: 0,
+                epoch,
                 sender,
                 active,
-                closed: false,
+                closed,
             });
         }
 
@@ -510,27 +495,11 @@ impl JobRegistry {
     /// rejoin and replay the results it missed. A zero grace removes
     /// immediately (the pre-resume behavior).
     fn retire(self: &Arc<Self>, job_id: u64) {
-        if self.rejoin_grace.is_zero() {
-            self.jobs
-                .lock()
-                .expect("job table poisoned")
-                .remove(&job_id);
-            return;
-        }
-        let registry = Arc::clone(self);
-        // Detached on purpose: the linger must not block the pipeline
-        // thread, and joining it at shutdown would serialize shutdowns
-        // on the grace. Holds only the registry Arc.
-        let _ = std::thread::Builder::new()
-            .name(format!("spechd-job-{job_id}-linger"))
-            .spawn(move || {
-                std::thread::sleep(registry.rejoin_grace);
-                registry
-                    .jobs
-                    .lock()
-                    .expect("job table poisoned")
-                    .remove(&job_id);
-            });
+        let (registry, name) = (Arc::clone(self), format!("spechd-job-{job_id}-linger"));
+        after_grace(self.rejoin_grace, name, move || {
+            let mut jobs = registry.jobs.lock().expect("job table poisoned");
+            jobs.remove(&job_id);
+        });
     }
 
     /// Joins every pipeline thread ever spawned. Call only after all
@@ -552,11 +521,8 @@ impl JobRegistry {
 impl ClientSlot {
     fn fresh() -> Self {
         Self {
-            attached: true,
+            slot: Slot::new(),
             closed: false,
-            next_seq: 0,
-            last_ack: None,
-            epoch: 0,
         }
     }
 }
@@ -565,11 +531,9 @@ impl ClientSlot {
 pub struct JobHandle {
     job: Arc<Job>,
     client_id: u64,
-    /// The slot epoch this handle was issued under. A rejoin bumps the
-    /// slot's epoch (stealing it from a connection the server has not
-    /// yet reaped), after which this handle's close/detach are no-ops —
-    /// a zombie connection cannot close the slot out from under its
-    /// successor.
+    /// The slot epoch this handle was issued under; once a rejoin has
+    /// bumped it, this handle's submit is refused and its close/detach
+    /// are no-ops.
     epoch: u64,
     sender: Option<SyncSender<IngestItem>>,
     active: Arc<AtomicBool>,
@@ -615,35 +579,18 @@ impl JobHandle {
     /// clustering input exactly once.
     pub fn submit(&self, seq: u64, spectra: Vec<Spectrum>) -> Result<(u64, u32), JobError> {
         let Some(sender) = &self.sender else {
-            return Err(JobError::new(
-                ErrorCode::ProtocolState,
-                "job already closed on this connection",
-            ));
+            return Err(JobError::state("job already closed on this connection"));
         };
         let count = spectra.len() as u32;
         let mut state = self.job.state.lock().expect("job state poisoned");
-        let slot = state
+        let client = state
             .clients
             .get(&self.client_id)
             .expect("submitting client has a slot");
-        if slot.epoch != self.epoch {
-            return Err(JobError::new(
-                ErrorCode::ProtocolState,
-                "this connection's job slot was resumed by a newer connection",
-            ));
-        }
-        if let Some((ack_seq, base, count)) = slot.last_ack {
-            if seq == ack_seq {
-                // A re-sent batch whose ack was lost: re-ack, don't
-                // re-ingest.
-                return Ok((base, count));
-            }
-        }
-        if seq != slot.next_seq {
-            return Err(JobError::new(
-                ErrorCode::ProtocolState,
-                format!("submit seq {seq} out of order (expected {})", slot.next_seq),
-            ));
+        if let Some(receipt) = client.slot.admit(self.epoch, seq)? {
+            // A re-sent batch whose ack was lost: re-ack, don't
+            // re-ingest.
+            return Ok(receipt);
         }
         let base = state.next_index;
         for spectrum in spectra {
@@ -656,12 +603,11 @@ impl JobHandle {
         }
         state.next_index += u64::from(count);
         state.submitted += u64::from(count);
-        let slot = state
+        let client = state
             .clients
             .get_mut(&self.client_id)
             .expect("submitting client has a slot");
-        slot.next_seq = seq + 1;
-        slot.last_ack = Some((seq, base, count));
+        client.slot.record(seq, (base, count));
         Ok((base, count))
     }
 
@@ -685,12 +631,7 @@ impl JobHandle {
         self.closed = true;
         self.sender = None;
         let mut state = self.job.state.lock().expect("job state poisoned");
-        if let Some(slot) = state.clients.get_mut(&self.client_id) {
-            if slot.epoch == self.epoch && !slot.closed {
-                slot.closed = true;
-                state.maybe_finalize();
-            }
-        }
+        state.close_slot(self.client_id, |slot| slot.owned_by(self.epoch));
     }
 
     /// The connection died without a `CloseJob`: release the slot but
@@ -700,40 +641,19 @@ impl JobHandle {
     fn detach(&mut self) {
         self.sender = None;
         let mut state = self.job.state.lock().expect("job state poisoned");
-        let Some(slot) = state.clients.get_mut(&self.client_id) else {
+        let Some(client) = state.clients.get_mut(&self.client_id) else {
             return;
         };
-        if slot.epoch != self.epoch {
-            // The slot was stolen by a newer connection; this zombie
-            // handle has nothing left to release.
+        if !client.slot.detach(self.epoch) || client.closed {
             return;
         }
-        slot.attached = false;
-        if slot.closed {
-            return;
-        }
-        if self.job.rejoin_grace.is_zero() {
-            slot.closed = true;
-            state.maybe_finalize();
-            return;
-        }
-        let epoch = slot.epoch;
         drop(state);
-        let job = Arc::clone(&self.job);
-        let client_id = self.client_id;
-        // Detached grace timer; superseded by a rejoin (epoch bump).
-        let _ = std::thread::Builder::new()
-            .name(format!("spechd-job-{}-grace", job.id))
-            .spawn(move || {
-                std::thread::sleep(job.rejoin_grace);
-                let mut state = job.state.lock().expect("job state poisoned");
-                if let Some(slot) = state.clients.get_mut(&client_id) {
-                    if !slot.attached && !slot.closed && slot.epoch == epoch {
-                        slot.closed = true;
-                        state.maybe_finalize();
-                    }
-                }
-            });
+        let (job, client_id, epoch) = (Arc::clone(&self.job), self.client_id, self.epoch);
+        let name = format!("spechd-job-{}-grace", job.id);
+        after_grace(job.rejoin_grace, name, move || {
+            let mut state = job.state.lock().expect("job state poisoned");
+            state.close_slot(client_id, |slot| slot.lapsed(epoch));
+        });
     }
 }
 

@@ -24,6 +24,11 @@
 //!   bounded per-connection queues whose stalled consumers are dropped
 //!   — in both directions, slow peers cost bounded memory, never the
 //!   job's throughput or the server's heap.
+//! * `session` (private) — the reconnect-and-resume contract, once: a
+//!   participant is its `client_id`, its slot outlives its connection
+//!   for the rejoin grace, the newest connection wins by epoch, and a
+//!   re-sent `seq` is re-acked, never re-ingested. [`job`] and [`store`]
+//!   both keep their slots in it.
 //! * [`server`] — the accept loop and per-connection threads: idle
 //!   timeouts, frame deadlines, malformed-frame rejection that kills
 //!   the connection but never the server, graceful drain on shutdown.
@@ -31,12 +36,11 @@
 //!   with per-batch stream-index receipts, and reassembly of streamed
 //!   shard results into a final clustering bit-identical to a local
 //!   batch [`run`](spechd_core::SpecHd::run) over the same spectra.
-//!   With a [`RetryPolicy`] set, clients survive connection loss:
-//!   participants are identified by a `client_id` that outlives the
-//!   TCP connection, submits are sequence-numbered so a re-sent batch
-//!   is re-acked rather than re-ingested, and the server replays
-//!   missed result frames on rejoin — a mid-stream disconnect leaves
-//!   the assembled outcome bit-identical to an undisturbed run.
+//!   With a [`RetryPolicy`] set, all three clients survive connection
+//!   loss through one round-trip loop — back off, reconnect, resume the
+//!   `session` slot, send the same frame again — and the server replays
+//!   missed result frames on rejoin: a mid-stream disconnect leaves the
+//!   assembled outcome bit-identical to an undisturbed run.
 //! * [`search`] — the search job surface: shared
 //!   [`spechd_search::HvLibrary`] loading over `LoadLibrary` frames,
 //!   seal-on-first-query, and windowed packed scoring whose hits are
@@ -63,6 +67,7 @@ pub mod limits;
 pub mod protocol;
 pub mod search;
 pub mod server;
+mod session;
 pub mod store;
 
 pub use assemble::{AssignmentAssembler, ServiceOutcome};

@@ -25,6 +25,10 @@
 //! | [`Limits::max_search_window_da`] | [`MAX_SEARCH_WINDOW_DA`] | a meaningless `inf`-wide window |
 //! | [`Limits::max_store_name_len`] | [`MAX_STORE_NAME_LEN`] | unbounded store names (they become file names) |
 //! | [`Limits::max_incremental_batch`] | [`MAX_INCREMENTAL_BATCH`] | one `SubmitIncremental` holding the store lock for an unbounded installment |
+//!
+//! [`MAX_LIBRARY_TOTAL_ENTRIES`] is the one cap checked where state
+//! accumulates (a search job's library, over any number of frames)
+//! instead of at decode: a constant, not a field.
 
 /// Default cap on a frame's payload length: 32 MiB. At ~16 bytes per
 /// peak this is roughly 40k spectra of 50 peaks in one `Submit` — far
@@ -45,6 +49,12 @@ pub const MAX_WATERMARK: u32 = 1 << 20;
 /// rejected without reserving a single entry. Larger libraries ship as
 /// multiple frames.
 pub const MAX_LIBRARY_BATCH: u32 = 65_536;
+/// Server-side cap on a search job's **total** library size, across all
+/// `LoadLibrary` frames and participants. The per-frame cap
+/// ([`MAX_LIBRARY_BATCH`]) bounds one decode; this bounds what a client
+/// can make the server hold by looping frames. 2²⁰ entries at the
+/// paper's `D = 2048` is 256 MiB of packed rows.
+pub const MAX_LIBRARY_TOTAL_ENTRIES: usize = 1 << 20;
 /// Default cap on queries per `SearchQuery` frame, checked at decode
 /// time before allocation. Each query fans out into a windowed scan of
 /// the library, so this also bounds the work one frame can demand.

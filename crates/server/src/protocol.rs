@@ -1117,13 +1117,7 @@ impl<'a> Dec<'a> {
     /// A length prefix that at minimum `elem_size` bytes per element must
     /// follow — rejects absurd counts before any allocation.
     fn len_prefix(&mut self, elem_size: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_size) > self.buf.len() - self.pos {
-            return Err(WireError::malformed(format!(
-                "length prefix {n} exceeds remaining payload"
-            )));
-        }
-        Ok(n)
+        self.capped_count(u32::MAX, elem_size, "element")
     }
     /// A count prefix with an explicit protocol cap, checked *before*
     /// the remaining-payload bound and before any allocation: a hostile
@@ -1143,6 +1137,21 @@ impl<'a> Dec<'a> {
         }
         Ok(n)
     }
+    /// `n` items decoded one after another. Callers pass an `n` that is
+    /// already bounded — a count prefix checked against the remaining
+    /// payload, or the stride of a checked dim — so reserving it up
+    /// front is safe, and cheaper than growing.
+    fn list<T>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
     fn str(&mut self) -> Result<String, WireError> {
         let n = self.len_prefix(1)?;
         let bytes = self.take(n)?;
@@ -1154,10 +1163,7 @@ impl<'a> Dec<'a> {
     /// never has to).
     fn hv_words(&mut self, dim: u32) -> Result<Vec<u64>, WireError> {
         let stride = (dim as usize).div_ceil(64);
-        let mut words = Vec::with_capacity(stride);
-        for _ in 0..stride {
-            words.push(self.u64()?);
-        }
+        let words = self.list(stride, Self::u64)?;
         if dim % 64 != 0 && words[stride - 1] >> (dim % 64) != 0 {
             return Err(WireError::malformed(format!(
                 "hypervector has non-zero bits beyond dim {dim}"
@@ -1193,12 +1199,7 @@ impl<'a> Dec<'a> {
             }
         };
         let n = self.len_prefix(12)?;
-        let mut peaks = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mz = self.f64()?;
-            let intensity = self.f32()?;
-            peaks.push(Peak::new(mz, intensity));
-        }
+        let peaks = self.list(n, |d| Ok(Peak::new(d.f64()?, d.f32()?)))?;
         let mut s = Spectrum::new(title, Precursor::new(mz, charge)?, peaks)?;
         if let Some(rt) = rt {
             s = s.with_retention_time(rt);
@@ -1304,10 +1305,7 @@ pub fn decode_payload(
             let job_id = d.u64()?;
             let seq = d.u64()?;
             let n = d.len_prefix(18)?; // min spectrum: empty title + fixed fields
-            let mut spectra = Vec::with_capacity(n);
-            for _ in 0..n {
-                spectra.push(d.spectrum()?);
-            }
+            let spectra = d.list(n, Dec::spectrum)?;
             Frame::Submit {
                 job_id,
                 seq,
@@ -1323,16 +1321,15 @@ pub fn decode_payload(
             let stride_bytes = (dim as usize).div_ceil(64) * 8;
             // min entry: mass + charge + decoy flag + empty id + words
             let n = d.capped_count(limits.max_library_batch, 14 + stride_bytes, "library entry")?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(LibraryEntryWire {
+            let entries = d.list(n, |d| {
+                Ok(LibraryEntryWire {
                     mass: d.finite_f64("entry mass")?,
                     charge: d.u8()?,
                     is_decoy: d.bool_flag("is_decoy")?,
                     id: d.str()?,
                     words: d.hv_words(dim)?,
-                });
-            }
+                })
+            })?;
             Frame::LoadLibrary {
                 job_id,
                 dim,
@@ -1359,13 +1356,12 @@ pub fn decode_payload(
             }
             let stride_bytes = (dim as usize).div_ceil(64) * 8;
             let n = d.capped_count(limits.max_query_batch, 8 + stride_bytes, "query")?;
-            let mut queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                queries.push(QueryWire {
+            let queries = d.list(n, |d| {
+                Ok(QueryWire {
                     mass: d.finite_f64("query mass")?,
                     words: d.hv_words(dim)?,
-                });
-            }
+                })
+            })?;
             Frame::SearchQuery {
                 job_id,
                 dim,
@@ -1389,10 +1385,7 @@ pub fn decode_payload(
             let seq = d.u64()?;
             // min spectrum: empty title + fixed fields, as in `Submit`.
             let n = d.capped_count(limits.max_incremental_batch, 18, "incremental spectrum")?;
-            let mut spectra = Vec::with_capacity(n);
-            for _ in 0..n {
-                spectra.push(d.spectrum()?);
-            }
+            let spectra = d.list(n, Dec::spectrum)?;
             Frame::SubmitIncremental { name, seq, spectra }
         }
         FrameType::PersistStore => Frame::PersistStore {
@@ -1415,14 +1408,8 @@ pub fn decode_payload(
             let key = d.i64()?;
             let raw_base = d.u64()?;
             let n = d.len_prefix(12)?; // 8 bytes member + 4 bytes label
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(d.u64()?);
-            }
-            let mut labels = Vec::with_capacity(n);
-            for _ in 0..n {
-                labels.push(d.u32()?);
-            }
+            let members = d.list(n, Dec::u64)?;
+            let labels = d.list(n, Dec::u32)?;
             Frame::Assignment {
                 job_id,
                 key,
@@ -1435,10 +1422,7 @@ pub fn decode_payload(
             let job_id = d.u64()?;
             let raw_base = d.u64()?;
             let n = d.len_prefix(8)?;
-            let mut medoids = Vec::with_capacity(n);
-            for _ in 0..n {
-                medoids.push(d.u64()?);
-            }
+            let medoids = d.list(n, Dec::u64)?;
             Frame::Consensus {
                 job_id,
                 raw_base,
@@ -1464,16 +1448,15 @@ pub fn decode_payload(
             let query_index = d.u64()?;
             // min hit: index + distance + delta + decoy flag + empty id
             let n = d.len_prefix(23)?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                hits.push(HitWire {
+            let hits = d.list(n, |d| {
+                Ok(HitWire {
                     library_index: d.u64()?,
                     distance: d.u16()?,
                     mass_delta: d.f64()?,
                     is_decoy: d.bool_flag("is_decoy")?,
                     id: d.str()?,
-                });
-            }
+                })
+            })?;
             Frame::SearchHit {
                 job_id,
                 query_index,
@@ -1496,14 +1479,8 @@ pub fn decode_payload(
             let base_id = d.u64()?;
             // 4 bytes kept index + 8 bytes label per element.
             let n = d.capped_count(limits.max_incremental_batch, 12, "incremental label")?;
-            let mut kept = Vec::with_capacity(n);
-            for _ in 0..n {
-                kept.push(d.u32()?);
-            }
-            let mut labels = Vec::with_capacity(n);
-            for _ in 0..n {
-                labels.push(d.u64()?);
-            }
+            let kept = d.list(n, Dec::u32)?;
+            let labels = d.list(n, Dec::u64)?;
             Frame::IncrementalAck(IncrementalAckFrame {
                 name,
                 seq,

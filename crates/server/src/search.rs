@@ -27,18 +27,13 @@
 //! holds it open.
 
 use crate::job::JobError;
+use crate::limits::MAX_LIBRARY_TOTAL_ENTRIES;
 use crate::protocol::{ErrorCode, Frame, HitWire, LibraryEntryWire, QueryWire, SearchStatsFrame};
+use crate::session::after_grace;
 use spechd_hdc::BinaryHypervector;
 use spechd_search::{HvLibrary, HvLibraryBuilder, PackedSearchConfig, PackedSearchEngine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// Server-side cap on a search job's **total** library size, across all
-/// `LoadLibrary` frames and participants. The per-frame cap
-/// ([`crate::protocol::MAX_LIBRARY_BATCH`]) bounds one decode; this
-/// bounds what a client can make the server hold by looping frames.
-/// 2²⁰ entries at the paper's `D = 2048` is 256 MiB of packed rows.
-pub const MAX_LIBRARY_TOTAL_ENTRIES: usize = 1 << 20;
 
 struct SearchState {
     participants: u32,
@@ -129,10 +124,10 @@ impl SearchRegistry {
         let job = if let Some(job) = jobs.get(&job_id) {
             let job = Arc::clone(job);
             if job.dim != dim {
-                return Err(JobError {
-                    code: ErrorCode::ConfigMismatch,
-                    message: format!("search job {job_id} exists with dim {}, not {dim}", job.dim),
-                });
+                return Err(JobError::new(
+                    ErrorCode::ConfigMismatch,
+                    format!("search job {job_id} exists with dim {}, not {dim}", job.dim),
+                ));
             }
             let mut state = job.state.lock().expect("search state poisoned");
             state.participants += 1;
@@ -196,19 +191,15 @@ impl SearchHandle {
     pub fn load(&self, entries: Vec<LibraryEntryWire>) -> Result<SearchStatsFrame, JobError> {
         let mut state = self.job.state.lock().expect("search state poisoned");
         let Some(builder) = state.builder.as_mut() else {
-            return Err(JobError {
-                code: ErrorCode::ProtocolState,
-                message: format!(
-                    "search job {} is sealed; no further library loads",
-                    self.job.id
-                ),
-            });
+            return Err(JobError::state(format!(
+                "search job {} is sealed; no further library loads",
+                self.job.id
+            )));
         };
         if builder.len() + entries.len() > MAX_LIBRARY_TOTAL_ENTRIES {
-            return Err(JobError {
-                code: ErrorCode::ProtocolState,
-                message: format!("library would exceed {MAX_LIBRARY_TOTAL_ENTRIES} total entries"),
-            });
+            return Err(JobError::state(format!(
+                "library would exceed {MAX_LIBRARY_TOTAL_ENTRIES} total entries"
+            )));
         }
         let mut targets = 0u64;
         let mut decoys = 0u64;
@@ -240,19 +231,16 @@ impl SearchHandle {
     ) -> SearchStatsFrame {
         // Seal (if first query), reserve the batch's index range, and
         // snapshot the library Arc — then score without the lock.
-        let library = {
+        let (library, base) = {
             let mut state = self.job.state.lock().expect("search state poisoned");
             if state.library.is_none() {
                 let builder = state.builder.take().expect("unsealed job has a builder");
                 state.library = Some(Arc::new(builder.build()));
             }
-            Arc::clone(state.library.as_ref().expect("sealed job has a library"))
-        };
-        let base = {
-            let mut state = self.job.state.lock().expect("search state poisoned");
             let base = state.next_query_index;
             state.next_query_index += queries.len() as u64;
-            base
+            let library = state.library.as_ref().expect("sealed job has a library");
+            (Arc::clone(library), base)
         };
         let engine = PackedSearchEngine::new(PackedSearchConfig {
             precursor_tol_da: window_da,
@@ -290,38 +278,30 @@ impl SearchHandle {
 
 impl Drop for SearchHandle {
     fn drop(&mut self) {
-        let mut jobs = self.registry.jobs.lock().expect("search table poisoned");
-        let mut state = self.job.state.lock().expect("search state poisoned");
-        state.participants = state.participants.saturating_sub(1);
-        if state.participants > 0 {
-            return;
-        }
-        if self.registry.linger.is_zero() {
-            jobs.remove(&self.job.id);
-            return;
-        }
-        let generation = state.generation;
-        drop(state);
-        drop(jobs);
+        let generation = {
+            let mut state = self.job.state.lock().expect("search state poisoned");
+            state.participants = state.participants.saturating_sub(1);
+            if state.participants > 0 {
+                return;
+            }
+            state.generation
+        };
         // Keep the empty job around for the linger so a reconnecting
         // participant finds its library intact; a rejoin in the
         // meantime (participants > 0 again) cancels the removal.
-        let registry = Arc::clone(&self.registry);
-        let job_id = self.job.id;
-        let _ = std::thread::Builder::new()
-            .name(format!("spechd-search-{job_id}-linger"))
-            .spawn(move || {
-                std::thread::sleep(registry.linger);
-                let mut jobs = registry.jobs.lock().expect("search table poisoned");
-                if let Some(job) = jobs.get(&job_id) {
-                    let state = job.state.lock().expect("search state poisoned");
-                    let expired = state.participants == 0 && state.generation == generation;
-                    drop(state);
-                    if expired {
-                        jobs.remove(&job_id);
-                    }
+        let (registry, job_id) = (Arc::clone(&self.registry), self.job.id);
+        let name = format!("spechd-search-{job_id}-linger");
+        after_grace(registry.linger, name, move || {
+            let mut jobs = registry.jobs.lock().expect("search table poisoned");
+            if let Some(job) = jobs.get(&job_id) {
+                let state = job.state.lock().expect("search state poisoned");
+                let expired = state.participants == 0 && state.generation == generation;
+                drop(state);
+                if expired {
+                    jobs.remove(&job_id);
                 }
-            });
+            }
+        });
     }
 }
 

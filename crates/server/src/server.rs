@@ -26,11 +26,10 @@
 //! `job_id`) get an [`ErrorCode::ProtocolState`] error and the
 //! connection stays up.
 
-use crate::job::{JobHandle, JobRegistry};
+use crate::job::{JobError, JobHandle, JobRegistry};
 use crate::limits::Limits;
 use crate::protocol::{
-    decode_payload, parse_header, write_frame, ErrorCode, Frame, StoreAckFrame, WireError,
-    HEADER_LEN,
+    decode_payload, parse_header, write_frame, ErrorCode, Frame, WireError, HEADER_LEN,
 };
 use crate::search::{SearchHandle, SearchRegistry};
 use crate::store::{StoreRegistry, StoreSessionHandle};
@@ -110,51 +109,48 @@ impl Default for ServerConfig {
     }
 }
 
+/// What every connection thread shares with the accept loop.
+struct Shared {
+    config: ServerConfig,
+    jobs: Arc<JobRegistry>,
+    searches: Arc<SearchRegistry>,
+    stores: StoreRegistry,
+    /// Once set, [`Server::serve`] returns after its next accept and
+    /// every connection hangs up at its next poll.
+    shutdown: AtomicBool,
+}
+
 /// A bound, not-yet-serving clustering server.
 pub struct Server {
     listener: TcpListener,
-    config: ServerConfig,
-    registry: Arc<JobRegistry>,
-    search_registry: Arc<SearchRegistry>,
-    store_registry: Arc<StoreRegistry>,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let registry = Arc::new(JobRegistry::with_policy(
-            config.queue_depth,
-            config.max_jobs,
-            config.rejoin_grace,
-        ));
-        let search_registry = Arc::new(SearchRegistry::with_linger(config.rejoin_grace));
-        let store_registry = Arc::new(StoreRegistry::new(
-            config.store_dir.clone(),
-            config.rejoin_grace,
-            config.max_stores,
-        ));
-        Ok(Self {
-            listener,
+        let shared = Arc::new(Shared {
+            jobs: Arc::new(JobRegistry::with_policy(
+                config.queue_depth,
+                config.max_jobs,
+                config.rejoin_grace,
+            )),
+            searches: Arc::new(SearchRegistry::with_linger(config.rejoin_grace)),
+            stores: StoreRegistry::new(
+                config.store_dir.clone(),
+                config.rejoin_grace,
+                config.max_stores,
+            ),
+            shutdown: AtomicBool::new(false),
             config,
-            registry,
-            search_registry,
-            store_registry,
-            shutdown: Arc::new(AtomicBool::new(false)),
-        })
+        });
+        Ok(Self { listener, shared })
     }
 
     /// The bound address (resolves an ephemeral port).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// A flag that, once set, makes [`Server::serve`] return after its
-    /// next accept. Combine with a wake-up connection to the bound
-    /// address, or use [`Server::spawn`] which does both.
-    fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
     }
 
     /// Serves until the shutdown flag is set, then drains: waits for
@@ -164,39 +160,26 @@ impl Server {
     pub fn serve(self) -> std::io::Result<()> {
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::Acquire) {
+            if self.shared.shutdown.load(Ordering::Acquire) {
                 break;
             }
             let stream = match stream {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            let config = self.config.clone();
-            let registry = Arc::clone(&self.registry);
-            let search_registry = Arc::clone(&self.search_registry);
-            let store_registry = Arc::clone(&self.store_registry);
-            let shutdown = Arc::clone(&self.shutdown);
+            let shared = Arc::clone(&self.shared);
             connections.retain(|c| !c.is_finished());
             connections.push(
                 std::thread::Builder::new()
                     .name("spechd-conn".into())
-                    .spawn(move || {
-                        handle_connection(
-                            stream,
-                            config,
-                            registry,
-                            search_registry,
-                            store_registry,
-                            shutdown,
-                        )
-                    })
+                    .spawn(move || handle_connection(stream, &shared))
                     .expect("spawn connection thread"),
             );
         }
         for conn in connections {
             let _ = conn.join();
         }
-        self.registry.join_pipelines();
+        self.shared.jobs.join_pipelines();
         Ok(())
     }
 
@@ -204,14 +187,14 @@ impl Server {
     /// server down (and drains it) when asked or dropped.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
         let addr = self.local_addr()?;
-        let shutdown = self.shutdown_flag();
+        let shared = Arc::clone(&self.shared);
         let thread = std::thread::Builder::new()
             .name("spechd-accept".into())
             .spawn(move || self.serve())
             .expect("spawn accept thread");
         Ok(RunningServer {
             addr,
-            shutdown,
+            shared,
             thread: Some(thread),
         })
     }
@@ -220,7 +203,7 @@ impl Server {
 /// A server running on a background thread.
 pub struct RunningServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     thread: Option<JoinHandle<std::io::Result<()>>>,
 }
 
@@ -240,7 +223,7 @@ impl RunningServer {
         let Some(thread) = self.thread.take() else {
             return;
         };
-        self.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.store(true, Ordering::Release);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         let _ = thread.join();
@@ -261,14 +244,8 @@ enum ReadEvent {
     Hangup(Option<(ErrorCode, String)>),
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    config: ServerConfig,
-    registry: Arc<JobRegistry>,
-    search_registry: Arc<SearchRegistry>,
-    store_registry: Arc<StoreRegistry>,
-    shutdown: Arc<AtomicBool>,
-) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
+    let config = &shared.config;
     let _ = stream.set_nodelay(true);
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -284,44 +261,41 @@ fn handle_connection(
         .spawn(move || writer_loop(writer_stream, out_rx))
         .expect("spawn connection writer thread");
 
-    let mut reader = FrameReader::new(stream, &config);
-    let mut handle: Option<JobHandle> = None;
-    let mut search: Option<SearchHandle> = None;
-    let mut store: Option<StoreSessionHandle> = None;
+    let mut reader = FrameReader {
+        stream,
+        shared,
+        last_activity: Instant::now(),
+    };
+    let mut held = Held::default();
     loop {
         // Idle exemption stays clustering-only: search and store
         // sessions never push unsolicited frames, so a connection
         // merely *holding* one open is idle if it stops sending — the
         // timeout reclaims it (and the handle's drop leaves the job /
         // detaches the store session into its rejoin grace).
-        let engaged = handle.as_ref().is_some_and(JobHandle::is_active);
-        match reader.next_frame(&shutdown, engaged) {
-            ReadEvent::Frame(frame) => dispatch(
-                frame,
-                &mut handle,
-                &mut search,
-                &mut store,
-                &registry,
-                &search_registry,
-                &store_registry,
-                &out_tx,
-            ),
+        let engaged = held.job.as_ref().is_some_and(JobHandle::is_active);
+        // The one place a frame's outcome becomes what goes back.
+        let reply = match reader.next_frame(engaged) {
+            ReadEvent::Frame(frame) => match dispatch(frame, &mut held, shared, &out_tx) {
+                Ok(Some(reply)) => reply,
+                Ok(None) => continue,
+                Err(JobError { code, message }) => Frame::Error { code, message },
+            },
             ReadEvent::Hangup(parting) => {
                 if let Some((code, message)) = parting {
                     let _ = out_tx.send(Frame::Error { code, message });
                 }
                 break;
             }
-        }
+        };
+        let _ = out_tx.send(reply);
     }
     // Dropping the handles ends this connection's job participations;
     // if it was a job's last participant the clustering stream ends
     // (pipeline finalizes) / the search job is removed / the store
     // session detaches into its rejoin grace. Dropping `out_tx` lets
     // the writer exit once the job's subscription (if any) is gone too.
-    drop(handle);
-    drop(search);
-    drop(store);
+    drop(held);
     drop(out_tx);
     let _ = writer.join();
 }
@@ -329,39 +303,26 @@ fn handle_connection(
 /// Reads frames off a socket with a poll loop for the first byte (so
 /// shutdown and idle deadlines are honored between frames) and a
 /// deadline for the rest of each frame.
-struct FrameReader {
+struct FrameReader<'a> {
     stream: TcpStream,
-    limits: Limits,
-    idle_timeout: Duration,
-    poll_interval: Duration,
-    frame_deadline: Duration,
+    shared: &'a Shared,
     last_activity: Instant,
 }
 
-impl FrameReader {
-    fn new(stream: TcpStream, config: &ServerConfig) -> Self {
-        Self {
-            stream,
-            limits: config.limits.clone(),
-            idle_timeout: config.idle_timeout,
-            poll_interval: config.poll_interval,
-            frame_deadline: config.frame_deadline,
-            last_activity: Instant::now(),
-        }
-    }
-
-    fn next_frame(&mut self, shutdown: &AtomicBool, engaged: bool) -> ReadEvent {
+impl FrameReader<'_> {
+    fn next_frame(&mut self, engaged: bool) -> ReadEvent {
+        let config = &self.shared.config;
         // Phase 1: poll for the frame's first byte.
         let mut header = [0u8; HEADER_LEN];
         if self
             .stream
-            .set_read_timeout(Some(self.poll_interval))
+            .set_read_timeout(Some(config.poll_interval))
             .is_err()
         {
             return ReadEvent::Hangup(None);
         }
         loop {
-            if shutdown.load(Ordering::Acquire) {
+            if self.shared.shutdown.load(Ordering::Acquire) {
                 return ReadEvent::Hangup(Some((
                     ErrorCode::ServerShutdown,
                     "server shutting down".into(),
@@ -376,7 +337,7 @@ impl FrameReader {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if !engaged && self.last_activity.elapsed() >= self.idle_timeout {
+                    if !engaged && self.last_activity.elapsed() >= config.idle_timeout {
                         return ReadEvent::Hangup(Some((
                             ErrorCode::IdleTimeout,
                             "connection idle with no open job".into(),
@@ -390,7 +351,7 @@ impl FrameReader {
         // Phase 2: the frame has started — finish it under a deadline.
         if self
             .stream
-            .set_read_timeout(Some(self.frame_deadline))
+            .set_read_timeout(Some(config.frame_deadline))
             .is_err()
         {
             return ReadEvent::Hangup(None);
@@ -398,7 +359,7 @@ impl FrameReader {
         if let Err(e) = self.stream.read_exact(&mut header[1..]) {
             return hangup_for(truncation(e, "header"));
         }
-        let (frame_type, len) = match parse_header(&header, self.limits.max_frame_len) {
+        let (frame_type, len) = match parse_header(&header, config.limits.max_frame_len) {
             Ok(parsed) => parsed,
             Err(e) => return hangup_for(e),
         };
@@ -406,7 +367,7 @@ impl FrameReader {
         if let Err(e) = self.stream.read_exact(&mut payload) {
             return hangup_for(truncation(e, "payload"));
         }
-        match decode_payload(frame_type, &payload, &self.limits) {
+        match decode_payload(frame_type, &payload, &config.limits) {
             Ok(frame) => {
                 self.last_activity = Instant::now();
                 ReadEvent::Frame(frame)
@@ -433,57 +394,77 @@ fn hangup_for(e: WireError) -> ReadEvent {
     ReadEvent::Hangup(parting)
 }
 
-/// Resolves the connection's search handle for a frame naming
-/// `(job_id, dim)`: reuses the held handle when it matches, opens or
-/// joins the job when none is held, and rejects a mismatch — one
-/// connection drives at most one search job at a time (the search
-/// session ends with the connection; there is no search `CloseJob`).
-fn ensure_search<'a>(
-    search: &'a mut Option<SearchHandle>,
-    registry: &Arc<SearchRegistry>,
-    job_id: u64,
-    dim: u32,
-) -> Result<&'a SearchHandle, crate::job::JobError> {
-    if let Some(h) = search {
-        if h.job_id() != job_id {
-            return Err(crate::job::JobError {
-                code: ErrorCode::ProtocolState,
-                message: format!("connection is in search job {}, not {job_id}", h.job_id()),
-            });
-        }
-        if h.dim() != dim {
-            return Err(crate::job::JobError {
-                code: ErrorCode::ConfigMismatch,
-                message: format!("search job {job_id} has dim {}, not {dim}", h.dim()),
-            });
-        }
-    } else {
-        *search = Some(registry.open_or_join(job_id, dim)?);
-    }
-    Ok(search.as_ref().expect("search handle just ensured"))
+/// The sessions one connection holds: at most one of each kind at a
+/// time.
+#[derive(Default)]
+struct Held {
+    job: Option<JobHandle>,
+    search: Option<SearchHandle>,
+    store: Option<StoreSessionHandle>,
 }
 
-#[allow(clippy::too_many_arguments)]
+impl Held {
+    /// The held clustering-job handle, if it is for `job_id`.
+    fn job(&mut self, job_id: u64) -> Result<&mut JobHandle, JobError> {
+        match &mut self.job {
+            Some(h) if h.job_id() == job_id => Ok(h),
+            _ => Err(JobError::state(format!(
+                "job {job_id} is not open on this connection"
+            ))),
+        }
+    }
+
+    /// The held store session, if it is on store `name`.
+    fn store(&self, name: &str) -> Result<&StoreSessionHandle, JobError> {
+        match &self.store {
+            Some(h) if h.name() == name => Ok(h),
+            _ => Err(JobError::state(format!(
+                "store {name} is not open on this connection"
+            ))),
+        }
+    }
+
+    /// The search handle for a frame naming `(job_id, dim)`: reuses the
+    /// held handle when it matches, opens or joins the job when none is
+    /// held, and rejects a mismatch — one connection drives at most one
+    /// search job at a time (the search session ends with the
+    /// connection; there is no search `CloseJob`).
+    fn search(
+        &mut self,
+        registry: &Arc<SearchRegistry>,
+        job_id: u64,
+        dim: u32,
+    ) -> Result<&SearchHandle, JobError> {
+        if let Some(h) = &self.search {
+            if h.job_id() != job_id {
+                return Err(JobError::state(format!(
+                    "connection is in search job {}, not {job_id}",
+                    h.job_id()
+                )));
+            }
+            if h.dim() != dim {
+                return Err(JobError::new(
+                    ErrorCode::ConfigMismatch,
+                    format!("search job {job_id} has dim {}, not {dim}", h.dim()),
+                ));
+            }
+        } else {
+            self.search = Some(registry.open_or_join(job_id, dim)?);
+        }
+        Ok(self.search.as_ref().expect("search handle just ensured"))
+    }
+}
+
+/// Applies one client frame to the connection's sessions: `Ok(Some)` is
+/// the frame's direct ack, `Ok(None)` means it has none (`CloseJob`),
+/// `Err` becomes a [`Frame::Error`] and the connection stays up.
 fn dispatch(
     frame: Frame,
-    handle: &mut Option<JobHandle>,
-    search: &mut Option<SearchHandle>,
-    store: &mut Option<StoreSessionHandle>,
-    registry: &Arc<JobRegistry>,
-    search_registry: &Arc<SearchRegistry>,
-    store_registry: &Arc<StoreRegistry>,
+    held: &mut Held,
+    shared: &Shared,
     out_tx: &mpsc::SyncSender<Frame>,
-) {
-    let reply = |frame: Frame| {
-        let _ = out_tx.send(frame);
-    };
-    let state_error = |message: String| {
-        reply(Frame::Error {
-            code: ErrorCode::ProtocolState,
-            message,
-        });
-    };
-    match frame {
+) -> Result<Option<Frame>, JobError> {
+    Ok(Some(match frame {
         Frame::OpenJob {
             job_id,
             client_id,
@@ -492,147 +473,87 @@ fn dispatch(
             // A settled handle (closed, job finished) no longer
             // occupies the connection: vacate it so jobs can run
             // sequentially on one socket.
-            if handle.as_ref().is_some_and(JobHandle::is_settled) {
-                *handle = None;
+            if held.job.as_ref().is_some_and(JobHandle::is_settled) {
+                held.job = None;
             }
-            if handle.is_some() {
-                state_error("connection already has an open job".into());
-                return;
+            if held.job.is_some() {
+                return Err(JobError::state("connection already has an open job"));
             }
-            match registry.open_or_join(job_id, client_id, config, out_tx.clone()) {
-                Ok(h) => {
-                    reply(Frame::JobStats(h.stats()));
-                    *handle = Some(h);
-                }
-                Err(e) => reply(Frame::Error {
-                    code: e.code,
-                    message: e.message,
-                }),
-            }
+            let handle = shared
+                .jobs
+                .open_or_join(job_id, client_id, config, out_tx.clone())?;
+            Frame::JobStats(held.job.insert(handle).stats())
         }
         Frame::Submit {
             job_id,
             seq,
             spectra,
-        } => match handle {
-            Some(h) if h.job_id() == job_id => match h.submit(seq, spectra) {
-                Ok((base, count)) => reply(Frame::SubmitAck {
-                    job_id,
-                    seq,
-                    base,
-                    count,
-                }),
-                Err(e) => reply(Frame::Error {
-                    code: e.code,
-                    message: e.message,
-                }),
-            },
-            _ => state_error(format!("job {job_id} is not open on this connection")),
-        },
-        Frame::Flush { job_id } => match handle {
-            Some(h) if h.job_id() == job_id => reply(Frame::JobStats(h.stats())),
-            _ => state_error(format!("job {job_id} is not open on this connection")),
-        },
-        Frame::CloseJob { job_id } => match handle {
-            Some(h) if h.job_id() == job_id => h.close(),
-            _ => state_error(format!("job {job_id} is not open on this connection")),
-        },
+        } => {
+            let (base, count) = held.job(job_id)?.submit(seq, spectra)?;
+            Frame::SubmitAck {
+                job_id,
+                seq,
+                base,
+                count,
+            }
+        }
+        Frame::Flush { job_id } => Frame::JobStats(held.job(job_id)?.stats()),
+        Frame::CloseJob { job_id } => {
+            held.job(job_id)?.close();
+            return Ok(None);
+        }
         Frame::LoadLibrary {
             job_id,
             dim,
             entries,
-        } => match ensure_search(search, search_registry, job_id, dim) {
-            Ok(h) => match h.load(entries) {
-                Ok(stats) => reply(Frame::SearchStats(stats)),
-                Err(e) => reply(Frame::Error {
-                    code: e.code,
-                    message: e.message,
-                }),
-            },
-            Err(e) => reply(Frame::Error {
-                code: e.code,
-                message: e.message,
-            }),
-        },
+        } => Frame::SearchStats(held.search(&shared.searches, job_id, dim)?.load(entries)?),
         Frame::SearchQuery {
             job_id,
             dim,
             window_da,
             top_k,
             queries,
-        } => match ensure_search(search, search_registry, job_id, dim) {
-            Ok(h) => {
-                // Hit frames go through the same bounded outbound
-                // queue as everything else: a full queue blocks the
-                // reader here, so a client that stops draining its
-                // results stops being served — backpressure, not
-                // buffering.
-                let stats = h.query(window_da, top_k, queries, &reply);
-                reply(Frame::SearchStats(stats));
-            }
-            Err(e) => reply(Frame::Error {
-                code: e.code,
-                message: e.message,
-            }),
-        },
+        } => {
+            // Hit frames go through the same bounded outbound queue as
+            // everything else: a full queue blocks the reader here, so
+            // a client that stops draining its results stops being
+            // served — backpressure, not buffering.
+            let emit = |hit: Frame| {
+                let _ = out_tx.send(hit);
+            };
+            let search = held.search(&shared.searches, job_id, dim)?;
+            Frame::SearchStats(search.query(window_da, top_k, queries, emit))
+        }
         Frame::OpenStore {
             name,
             client_id,
             config,
         } => {
-            let job_error = |e: crate::job::JobError| {
-                reply(Frame::Error {
-                    code: e.code,
-                    message: e.message,
-                });
-            };
-            if let Some(h) = store {
+            let ack = match &held.store {
                 // Idempotent re-open of the held session (same store,
                 // same participant) is a stats snapshot; anything else
                 // would need a second session on one connection.
-                if h.name() == name && h.client_id() == client_id {
-                    match h.stats() {
-                        Ok(ack) => reply(Frame::StoreAck(ack)),
-                        Err(e) => job_error(e),
-                    }
-                } else {
-                    state_error("connection already has an open store session".into());
+                Some(h) if h.name() == name && h.client_id() == client_id => h.stats()?,
+                Some(_) => {
+                    return Err(JobError::state(
+                        "connection already has an open store session",
+                    ))
                 }
-                return;
-            }
-            match store_registry.open(&name, client_id, &config) {
-                Ok(h) => match h.stats() {
-                    Ok(ack) => {
-                        reply(Frame::StoreAck(ack));
-                        *store = Some(h);
-                    }
-                    Err(e) => job_error(e),
-                },
-                Err(e) => job_error(e),
-            }
+                None => {
+                    let handle = shared.stores.open(&name, client_id, &config)?;
+                    let ack = handle.stats()?;
+                    held.store = Some(handle);
+                    ack
+                }
+            };
+            Frame::StoreAck(ack)
         }
-        Frame::SubmitIncremental { name, seq, spectra } => match store {
-            Some(h) if h.name() == name => match h.submit_incremental(seq, spectra) {
-                Ok(ack) => reply(Frame::IncrementalAck(ack)),
-                Err(e) => reply(Frame::Error {
-                    code: e.code,
-                    message: e.message,
-                }),
-            },
-            _ => state_error(format!("store {name} is not open on this connection")),
-        },
-        Frame::PersistStore { name } => match store {
-            Some(h) if h.name() == name => reply(store_ack_or_error(h.persist())),
-            _ => state_error(format!("store {name} is not open on this connection")),
-        },
-        Frame::StoreStats { name } => match store {
-            Some(h) if h.name() == name => reply(store_ack_or_error(h.stats())),
-            _ => state_error(format!("store {name} is not open on this connection")),
-        },
-        Frame::RefreshStore { name } => match store {
-            Some(h) if h.name() == name => reply(store_ack_or_error(h.refresh())),
-            _ => state_error(format!("store {name} is not open on this connection")),
-        },
+        Frame::SubmitIncremental { name, seq, spectra } => {
+            Frame::IncrementalAck(held.store(&name)?.submit_incremental(seq, spectra)?)
+        }
+        Frame::PersistStore { name } => Frame::StoreAck(held.store(&name)?.persist()?),
+        Frame::StoreStats { name } => Frame::StoreAck(held.store(&name)?.stats()?),
+        Frame::RefreshStore { name } => Frame::StoreAck(held.store(&name)?.refresh()?),
         Frame::SubmitAck { .. }
         | Frame::Assignment { .. }
         | Frame::Consensus { .. }
@@ -642,21 +563,9 @@ fn dispatch(
         | Frame::IncrementalAck(_)
         | Frame::StoreAck(_)
         | Frame::Error { .. } => {
-            state_error("server-to-client frame sent by client".into());
+            return Err(JobError::state("server-to-client frame sent by client"))
         }
-    }
-}
-
-/// Folds a store-session admin result into the single frame that goes
-/// back to the client.
-fn store_ack_or_error(result: Result<StoreAckFrame, crate::job::JobError>) -> Frame {
-    match result {
-        Ok(ack) => Frame::StoreAck(ack),
-        Err(e) => Frame::Error {
-            code: e.code,
-            message: e.message,
-        },
-    }
+    }))
 }
 
 /// Drains the connection's outbound queue onto the socket, batching

@@ -15,14 +15,12 @@
 //!
 //! ## Resume
 //!
-//! The session slot mirrors the job slot's reconnect contract:
-//! installments are sequence-numbered, a duplicate `seq` is re-acked
-//! from the recorded ack instead of re-ingested, and a disconnected
-//! holder's slot survives the registry's rejoin grace for the same
-//! `client_id` to reconnect (re-`OpenStore`) and resume. A rejoin while
-//! the old connection still reads as attached *steals* the slot
-//! (newest connection wins, epoch bump), so a half-dead socket never
-//! wedges a store.
+//! The session slot follows the reconnect contract of `session` —
+//! sequence-numbered installments, duplicate re-ack, rejoin grace,
+//! newest connection wins — so a half-dead socket never wedges a store.
+//! What this module adds is exclusivity: the slot belongs to one
+//! `client_id`, and until it is released (disconnect plus grace) every
+//! other client is shed.
 //!
 //! ## Persistence
 //!
@@ -50,6 +48,7 @@ use spechd_ms::{Spectrum, SpectrumDataset};
 
 use crate::job::JobError;
 use crate::protocol::{ErrorCode, IncrementalAckFrame, JobConfig, StoreAckFrame};
+use crate::session::{after_grace, Slot};
 
 /// Maps a store-layer failure to the wire error code a client should
 /// see: config/fingerprint disagreements are [`ErrorCode::ConfigMismatch`],
@@ -71,32 +70,14 @@ fn store_error(e: &SpecHdError) -> JobError {
         SpecHdError::Store(s) => store_error_code(s),
         SpecHdError::Config(_) => ErrorCode::ConfigMismatch,
     };
-    JobError {
-        code,
-        message: format!("store: {e}"),
-    }
-}
-
-fn state_error(message: impl Into<String>) -> JobError {
-    JobError {
-        code: ErrorCode::ProtocolState,
-        message: message.into(),
-    }
+    JobError::new(code, format!("store: {e}"))
 }
 
 /// The single write session a store admits at a time.
 struct SessionSlot {
     /// Owner of the slot; survives the TCP connection.
     client_id: u64,
-    /// A live connection currently holds this slot.
-    attached: bool,
-    /// Bumped on every rejoin; lets a pending grace timer and zombie
-    /// handles recognize they have been superseded.
-    epoch: u64,
-    /// The next installment sequence number this session will ingest.
-    next_seq: u64,
-    /// The last acknowledged installment, for duplicate re-acks.
-    last_ack: Option<IncrementalAckFrame>,
+    slot: Slot<IncrementalAckFrame>,
 }
 
 /// Mutable state of one store: the archive, its engine, and the session.
@@ -185,33 +166,24 @@ impl StoreRegistry {
         let entry = self.entry(name, config)?;
         let mut state = entry.lock();
         if state.config != *config {
-            return Err(JobError {
-                code: ErrorCode::ConfigMismatch,
-                message: format!("store {name} is bound to a different clustering config"),
-            });
+            return Err(JobError::new(
+                ErrorCode::ConfigMismatch,
+                format!("store {name} is bound to a different clustering config"),
+            ));
         }
         let epoch = match &mut state.session {
-            Some(slot) if slot.client_id != client_id => {
-                return Err(JobError {
-                    code: ErrorCode::StoreBusy,
-                    message: format!("store {name} has an active write session for another client"),
-                });
+            Some(session) if session.client_id != client_id => {
+                return Err(JobError::new(
+                    ErrorCode::StoreBusy,
+                    format!("store {name} has an active write session for another client"),
+                ));
             }
-            Some(slot) => {
-                // Same participant back (resume or slot steal): the
-                // epoch bump turns the zombie handle's detach into a
-                // no-op and cancels any pending grace timer.
-                slot.attached = true;
-                slot.epoch += 1;
-                slot.epoch
-            }
+            // Same participant back (resume or slot steal).
+            Some(session) => session.slot.rejoin(),
             None => {
                 state.session = Some(SessionSlot {
                     client_id,
-                    attached: true,
-                    epoch: 0,
-                    next_seq: 0,
-                    last_ack: None,
+                    slot: Slot::new(),
                 });
                 0
             }
@@ -232,10 +204,10 @@ impl StoreRegistry {
             return Ok(Arc::clone(entry));
         }
         if stores.len() >= self.max_stores {
-            return Err(JobError {
-                code: ErrorCode::StoreBusy,
-                message: format!("server store cap {} reached", self.max_stores),
-            });
+            return Err(JobError::new(
+                ErrorCode::StoreBusy,
+                format!("server store cap {} reached", self.max_stores),
+            ));
         }
         let engine = SpecHd::try_new(config.pipeline_config())
             .map_err(|e| store_error(&SpecHdError::Config(e)))?;
@@ -327,11 +299,11 @@ impl StoreSessionHandle {
         let owns = state
             .session
             .as_ref()
-            .is_some_and(|s| s.client_id == self.client_id && s.epoch == self.epoch);
+            .is_some_and(|s| s.client_id == self.client_id && s.slot.owned_by(self.epoch));
         if owns {
             Ok(state)
         } else {
-            Err(state_error(format!(
+            Err(JobError::state(format!(
                 "store session for {} was superseded",
                 self.entry.name
             )))
@@ -349,17 +321,9 @@ impl StoreSessionHandle {
     ) -> Result<IncrementalAckFrame, JobError> {
         let mut guard = self.owned()?;
         let state = &mut *guard;
-        let slot = state.session.as_mut().expect("owned session");
-        if let Some(ack) = &slot.last_ack {
-            if ack.seq == seq {
-                return Ok(ack.clone());
-            }
-        }
-        if seq != slot.next_seq {
-            return Err(state_error(format!(
-                "out-of-order installment seq {seq} (expected {})",
-                slot.next_seq
-            )));
+        let session = state.session.as_ref().expect("owned session");
+        if let Some(ack) = session.slot.admit(self.epoch, seq)? {
+            return Ok(ack);
         }
         let dataset = SpectrumDataset::from_spectra(spectra);
         let outcome = state
@@ -384,9 +348,8 @@ impl StoreSessionHandle {
             total_clusters: state.store.num_clusters() as u64,
         };
         state.dirty = true;
-        let slot = state.session.as_mut().expect("owned session");
-        slot.last_ack = Some(ack.clone());
-        slot.next_seq = seq + 1;
+        let session = state.session.as_mut().expect("owned session");
+        session.slot.record(seq, ack.clone());
         Ok(ack)
     }
 
@@ -399,14 +362,14 @@ impl StoreSessionHandle {
         let mut guard = self.owned()?;
         let state = &mut *guard;
         let Some(path) = self.entry.path.as_deref() else {
-            return Err(state_error(format!(
+            return Err(JobError::state(format!(
                 "store {} cannot persist: server has no store directory",
                 self.entry.name
             )));
         };
-        state.store.save(path).map_err(|e| JobError {
-            code: ErrorCode::StoreBusy,
-            message: format!("store {} save failed: {e}", self.entry.name),
+        state.store.save(path).map_err(|e| {
+            let message = format!("store {} save failed: {e}", self.entry.name);
+            JobError::new(ErrorCode::StoreBusy, message)
         })?;
         state.dirty = false;
         Ok(self.ack(state, 1, 0, 0))
@@ -454,37 +417,26 @@ impl StoreSessionHandle {
     /// Releases the slot: immediately when the grace is zero, otherwise
     /// after a grace timer that a rejoin (epoch bump) supersedes.
     fn detach(&self) {
-        let mut state = self.entry.lock();
-        let Some(slot) = state.session.as_mut() else {
-            return;
-        };
-        if slot.client_id != self.client_id || slot.epoch != self.epoch {
+        let (client_id, epoch) = (self.client_id, self.epoch);
+        let released = self
+            .entry
+            .lock()
+            .session
+            .as_mut()
+            .is_some_and(|s| s.client_id == client_id && s.slot.detach(epoch));
+        if !released {
             // Stolen by a newer connection; nothing left to release.
             return;
         }
-        slot.attached = false;
-        if self.entry.rejoin_grace.is_zero() {
-            state.session = None;
-            return;
-        }
-        let epoch = slot.epoch;
-        let client_id = self.client_id;
-        drop(state);
         let entry = Arc::clone(&self.entry);
-        // Detached grace timer; superseded by a rejoin (epoch bump).
-        let _ = std::thread::Builder::new()
-            .name(format!("spechd-store-{}-grace", entry.name))
-            .spawn(move || {
-                std::thread::sleep(entry.rejoin_grace);
-                let mut state = entry.lock();
-                let expired = state
-                    .session
-                    .as_ref()
-                    .is_some_and(|s| s.client_id == client_id && s.epoch == epoch && !s.attached);
-                if expired {
-                    state.session = None;
-                }
-            });
+        let name = format!("spechd-store-{}-grace", entry.name);
+        after_grace(entry.rejoin_grace, name, move || {
+            let mut state = entry.lock();
+            let session = state.session.as_ref();
+            if session.is_some_and(|s| s.client_id == client_id && s.slot.lapsed(epoch)) {
+                state.session = None;
+            }
+        });
     }
 }
 
