@@ -4,11 +4,9 @@
 //! SpecHD never clusters across precursor-mass buckets, so a full run is a
 //! set of independent per-bucket (per-shard) clusterings that must be
 //! stitched into one flat [`ClusterAssignment`]. [`ShardLabelMerger`] is
-//! that stitching, shared verbatim by the batch pipeline and the streaming
-//! sharded pipeline in `spechd-core` — which is what makes the two modes
-//! bit-identical by construction: as long as shards are added in the same
-//! order (ascending bucket key) with the same per-shard labels, the merged
-//! result cannot differ.
+//! that stitching: `spechd-core` runs it once, in ascending bucket-key
+//! order, under every entry point of its one shard pipeline — so as long
+//! as the per-shard labels agree, the merged result cannot differ.
 
 use crate::{ClusterAssignment, HacStats};
 
@@ -19,7 +17,7 @@ use crate::{ClusterAssignment, HacStats};
 /// contiguous raw-label block in the order shards are added, then
 /// [`ClusterAssignment::from_raw_labels`] renumbers densely by first
 /// appearance in *item* order. Callers therefore fix determinism by fixing
-/// the shard-add order — both SpecHD pipelines use ascending bucket key.
+/// the shard-add order — SpecHD's pipeline uses ascending bucket key.
 ///
 /// # Examples
 ///

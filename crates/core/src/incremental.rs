@@ -5,17 +5,18 @@
 //! whole archive for every new run throws away all prior work.
 //! [`SpecHd::run_incremental`] is the subsequent-updates half:
 //!
-//! 1. preprocess + encode the new installment exactly as the batch path
-//!    does (hypervectors are deterministic for a fixed config);
-//! 2. route each new spectrum to its Eq. (1) precursor bucket;
-//! 3. in a bucket the store has never seen (**fresh**), cluster from
+//! 1. run the new installment through the pipeline's one shard ingest
+//!    ([`crate::stream`]): each spectrum preprocessed, routed to its
+//!    Eq. (1) precursor bucket and encoded into that bucket's pack
+//!    (hypervectors are deterministic for a fixed config);
+//! 2. in a bucket the store has never seen (**fresh**), cluster from
 //!    scratch with the same shard kernel the batch pipeline uses;
-//! 4. in a bucket with prior clusters (**dirty**), score each new
+//! 3. in a bucket with prior clusters (**dirty**), score each new
 //!    spectrum against the stored medoid rows with the packed distance
 //!    kernel and absorb it into the nearest cluster when that distance is
 //!    within the cut threshold; the spectra no existing cluster accepts
 //!    are reclustered among themselves and appended as new clusters;
-//! 5. replay the union through [`spechd_cluster::ShardLabelMerger`]
+//! 4. replay the union through [`spechd_cluster::ShardLabelMerger`]
 //!    ([`ClusterStore::union_assignment`]) for the global assignment.
 //!
 //! Label stability falls out of the dense-by-first-appearance renumbering:
@@ -31,6 +32,7 @@ use spechd_cluster::ClusterAssignment;
 use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_ms::SpectrumDataset;
 use spechd_store::{ClusterStore, RefreshReport};
+use std::sync::Mutex;
 
 /// Work counters of one incremental installment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -159,14 +161,16 @@ impl SpecHd {
         let threshold = self.config.distance_threshold_bits();
         let linkage = self.config.linkage;
 
-        let pre = self.preprocess.run(dataset);
-        let pack = self.encode_dataset_packed(&pre.dataset);
-        let buckets = self.bucketer.bucketize(pre.dataset.spectra());
-        let base = store.reserve_ids(pack.len() as u64)?;
+        // The ingest's shards, one per bucket in ascending key order.
+        let mut buckets = Vec::new();
+        let spectra = dataset.spectra().iter();
+        let mut keep = |shard, _: &[usize]| buckets.push(shard);
+        let ingested = self.ingest(spectra, false, &Mutex::default(), &mut keep);
+        let base = store.reserve_ids(ingested.kept.len() as u64)?;
 
         let mut stats = IncrementalStats {
             spectra_in: dataset.len(),
-            spectra_kept: pack.len(),
+            spectra_kept: ingested.kept.len(),
             ..IncrementalStats::default()
         };
         // Single-threaded scoring: medoid sets per bucket are small, and
@@ -175,7 +179,7 @@ impl SpecHd {
 
         for bucket in &buckets {
             let gid = |local: usize| base + bucket.members[local] as u64;
-            let sub = pack.gather(&bucket.members);
+            let sub = &bucket.pack;
 
             // Snapshot the stored medoid rows (if any) so scoring sees a
             // fixed target set while the store mutates below. Medoids are
@@ -258,7 +262,7 @@ impl SpecHd {
             assignment,
             consensus,
             base_id: base,
-            kept: pre.kept,
+            kept: ingested.kept,
             stats,
         })
     }

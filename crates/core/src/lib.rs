@@ -9,16 +9,16 @@
 //!         ──pairwise Hamming──▶ NN-chain HAC ──cut──▶ clusters ──▶ medoids
 //! ```
 //!
-//! Three execution modes share that dataflow: the batch [`SpecHd::run`]
-//! over a materialized dataset; the sharded [`SpecHd::run_streaming`] over
-//! a [`spechd_ms::stream::SpectrumStream`] (module [`stream`]), which
-//! bounds raw-spectrum memory by a per-shard watermark and clusters shards
-//! on a worker pool while ingest continues — with bit-identical results;
+//! One shard ingest (module [`stream`]) runs that dataflow for every
+//! entry point: each spectrum is preprocessed on arrival, routed to its
+//! precursor bucket's shard and encoded straight into the shard's packed
+//! rows, and one worker pool clusters shards while ingest continues.
+//! [`SpecHd::run`] feeds it a dataset's spectra, [`SpecHd::run_streaming`]
+//! a [`spechd_ms::stream::SpectrumStream`] — with bit-identical results —
 //! and the incremental [`SpecHd::run_incremental`] (module
-//! [`incremental`]), which folds new installments of spectra into a
-//! persistent [`ClusterStore`] across sessions, reclustering only the
-//! precursor buckets that actually changed while keeping prior labels
-//! stable.
+//! [`incremental`]) folds its shards into a persistent [`ClusterStore`]
+//! across sessions, reclustering only the precursor buckets that actually
+//! changed while keeping prior labels stable.
 //!
 //! Fallible entry points ([`SpecHd::try_new`],
 //! [`SpecHdConfigBuilder::try_build`], [`SpecHd::run_incremental`],

@@ -1,6 +1,7 @@
 //! The SpecHD pipeline.
 
-use crate::{CompressionReport, RunStats, SpecHdConfig, SpecHdOutcome};
+use crate::stream::StreamConfig;
+use crate::{SpecHdConfig, SpecHdOutcome};
 use spechd_cluster::{
     medoid, nn_chain, ClusterAssignment, CondensedMatrix, HacStats, ShardLabelMerger,
 };
@@ -8,9 +9,8 @@ use spechd_fpga::{SystemConfig, SystemModel, Timeline, WorkloadShape};
 use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_hdc::{HvPack, IdLevelEncoder, MajorityAccumulator};
 use spechd_ms::SpectrumDataset;
-use spechd_preprocess::{bucket_stats, PrecursorBucketer, PreprocessPipeline};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use spechd_preprocess::{Bucket, PrecursorBucketer, PreprocessPipeline};
+use std::sync::{mpsc, Mutex};
 
 /// The SpecHD clustering engine (Fig. 3's dataflow, executed on the host).
 ///
@@ -79,49 +79,22 @@ impl SpecHd {
     }
 
     /// Runs the full pipeline: preprocess → bucket → encode → NN-chain →
-    /// consensus.
+    /// consensus. The dataset's spectra go through the one shard ingest
+    /// (see the [`stream`](crate::stream) module), borrowed rather than
+    /// cloned, with [`SpecHdConfig::threads`] clustering workers.
     pub fn run(&self, dataset: &SpectrumDataset) -> SpecHdOutcome {
-        let start = std::time::Instant::now();
-        let pre = self.preprocess.run(dataset);
-        let preprocess_s = start.elapsed().as_secs_f64();
-
-        let t_encode = std::time::Instant::now();
-        let pack = self.encode_dataset_packed(&pre.dataset);
-        let encode_s = t_encode.elapsed().as_secs_f64();
-
-        let t_cluster = std::time::Instant::now();
-        let buckets = self.bucketer.bucketize(pre.dataset.spectra());
-        let bstats = bucket_stats(&buckets);
-        let (assignment, consensus_local, hac) = self.cluster_encoded_packed(&buckets, &pack);
-        let cluster_s = t_cluster.elapsed().as_secs_f64();
-
-        // Consensus indices in the ORIGINAL dataset's index space.
-        let consensus: Vec<usize> = consensus_local.iter().map(|&i| pre.kept[i]).collect();
-        let compression =
-            CompressionReport::new(dataset.approx_bytes(), pack.len(), self.config.encoder.dim);
-
-        SpecHdOutcome::new(
-            assignment,
-            pre.kept,
-            consensus,
-            pack,
-            RunStats {
-                preprocess: pre.stats,
-                buckets: bstats,
-                hac,
-                preprocess_s,
-                encode_s,
-                cluster_s,
-                total_s: start.elapsed().as_secs_f64(),
-            },
-            compression,
-        )
+        let config = StreamConfig {
+            workers: self.config.threads,
+            keep_hypervectors: true,
+        };
+        self.run_sharded(dataset.spectra().iter(), false, &config, None)
+            .outcome
     }
 
     /// Encodes every spectrum of a (preprocessed) dataset straight into a
-    /// contiguous [`HvPack`] — the standalone encoding stage, and the
-    /// allocation-free batch path the pipeline and the packed distance
-    /// kernels run on.
+    /// contiguous [`HvPack`] — the standalone encoding stage. Row `i` is
+    /// bit-identical to the row the pipeline's ingest encodes for spectrum
+    /// `i`.
     pub fn encode_dataset_packed(&self, dataset: &SpectrumDataset) -> HvPack {
         let dim = self.encoder.dim();
         let mut pack = HvPack::with_capacity(dim, dataset.len());
@@ -143,65 +116,29 @@ impl SpecHd {
     /// per cluster, and aggregate HAC work counters.
     pub fn cluster_encoded_packed(
         &self,
-        buckets: &[spechd_preprocess::Bucket],
+        buckets: &[Bucket],
         pack: &HvPack,
     ) -> (ClusterAssignment, Vec<usize>, HacStats) {
-        let threshold = self.config.distance_threshold_bits();
-        let linkage = self.config.linkage;
-
-        // Per-bucket results, merged in bucket order for determinism.
-        struct BucketOutcome {
-            bucket_idx: usize,
-            clustering: ShardClustering,
-        }
-
-        let worker_count = PackedDistanceEngine::new()
+        let (linkage, threshold) = (self.config.linkage, self.config.distance_threshold_bits());
+        let workers = PackedDistanceEngine::new()
             .threads(self.config.threads)
             .resolved_threads()
             .min(buckets.len().max(1));
-
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<BucketOutcome>> = Mutex::new(Vec::with_capacity(buckets.len()));
-
-        std::thread::scope(|scope| {
-            for _ in 0..worker_count {
-                scope.spawn(|| loop {
-                    let bucket_idx = next.fetch_add(1, Ordering::Relaxed);
-                    if bucket_idx >= buckets.len() {
-                        break;
-                    }
-                    let bucket = &buckets[bucket_idx];
-                    // Gather the bucket's rows into a contiguous sub-pack;
-                    // the streaming path gets this for free because each
-                    // shard encodes straight into its own pack.
-                    let sub = pack.gather(&bucket.members);
-                    let clustering = cluster_shard(&bucket.members, &sub, linkage, threshold);
-                    results
-                        .lock()
-                        .expect("no panics hold the lock")
-                        .push(BucketOutcome {
-                            bucket_idx,
-                            clustering,
-                        });
-                });
-            }
-        });
-
-        let mut per_bucket = results.into_inner().expect("threads joined");
-        per_bucket.sort_by_key(|r| r.bucket_idx);
-
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
-        let mut merger = ShardLabelMerger::new(total);
-        for outcome in per_bucket {
-            let bucket = &buckets[outcome.bucket_idx];
-            merger.add_shard(
-                &bucket.members,
-                &outcome.clustering.labels,
-                &outcome.clustering.medoids,
-                &outcome.clustering.stats,
-            );
-        }
-        merger.finish()
+        // Each worker gathers its bucket's rows into a contiguous sub-pack,
+        // clusters it and drops it.
+        let ((), mut clustered) = pool(
+            workers,
+            |send| buckets.iter().enumerate().for_each(send),
+            |(i, bucket): (usize, &Bucket)| {
+                let sub = pack.gather(&bucket.members);
+                (i, cluster_shard(&bucket.members, &sub, linkage, threshold))
+            },
+        );
+        clustered.sort_by_key(|&(i, _)| i);
+        merge(
+            buckets.iter().map(Bucket::len).sum(),
+            clustered.iter().map(|(i, c)| (&buckets[*i].members[..], c)),
+        )
     }
 
     /// Predicts the FPGA timeline for running this configuration on a
@@ -226,13 +163,59 @@ pub(crate) struct ShardClustering {
     pub stats: HacStats,
 }
 
+/// The one worker pool: `feed` runs on the calling thread and hands jobs
+/// to `workers` scoped threads, which turn each into a result with `work`
+/// while `feed` carries on. Returns what `feed` returned and the results,
+/// in completion order.
+pub(crate) fn pool<J: Send, R: Send, T>(
+    workers: usize,
+    feed: impl FnOnce(&mut dyn FnMut(J)) -> T,
+    work: impl Fn(J) -> R + Sync,
+) -> (T, Vec<R>) {
+    let (tx, rx) = mpsc::channel::<J>();
+    let rx = Mutex::new(rx);
+    let results = Mutex::new(Vec::new());
+    let fed = std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let received = rx.lock().expect("no panics hold the lock").recv();
+                let Ok(job) = received else {
+                    break; // every sender dropped: the feed is done
+                };
+                let result = work(job);
+                results
+                    .lock()
+                    .expect("no panics hold the lock")
+                    .push(result);
+            });
+        }
+        let fed = feed(&mut |job| tx.send(job).expect("workers outlive the feed"));
+        drop(tx); // hang up: workers drain the queue and exit
+        fed
+    });
+    (fed, results.into_inner().expect("threads joined"))
+}
+
+/// The one label merge: shard clusterings, given in ascending key order,
+/// into one dense global assignment over `total` items.
+pub(crate) fn merge<'a>(
+    total: usize,
+    shards: impl Iterator<Item = (&'a [usize], &'a ShardClustering)>,
+) -> (ClusterAssignment, Vec<usize>, HacStats) {
+    let mut merger = ShardLabelMerger::new(total);
+    for (members, c) in shards {
+        merger.add_shard(members, &c.labels, &c.medoids, &c.stats);
+    }
+    merger.finish()
+}
+
 /// Clusters one shard whose rows are already contiguous: tiled distance
 /// kernel → NN-chain → threshold cut → per-cluster medoid. `members` maps
 /// shard-local row `i` to its global hv index; `sub` holds exactly those
-/// rows in the same order. Shared by the batch pipeline (which gathers the
-/// sub-pack per bucket) and the streaming pipeline (whose shards encode
-/// straight into their own packs) — one implementation, so the two modes
-/// cannot drift apart.
+/// rows in the same order. Every front end clusters through it —
+/// `run` / `run_streaming` on each shard's own pack,
+/// `cluster_encoded_packed` on a gathered sub-pack, `run_incremental` on
+/// a bucket's residual rows — so they cannot drift apart.
 pub(crate) fn cluster_shard(
     members: &[usize],
     sub: &HvPack,
@@ -273,7 +256,10 @@ pub(crate) fn cluster_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spechd_ms::stream::{sort_dataset_by_mass, DatasetStream};
     use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
+    use spechd_ms::{Peak, Precursor, Spectrum};
+    use spechd_preprocess::bucket_stats;
 
     fn dataset(n: usize, seed: u64) -> SpectrumDataset {
         SyntheticGenerator::new(SyntheticConfig {
@@ -375,18 +361,73 @@ mod tests {
         }
     }
 
+    /// The independent oracle of the one ingest: the staged public stages
+    /// (the composition the benchmark's traced twin asserts), compared in
+    /// full on every input shape at 1, 2 and 4 threads.
     #[test]
     fn packed_staging_matches_run() {
-        let ds = dataset(200, 6);
-        let engine = SpecHd::new(SpecHdConfig::default());
-        let full = engine.run(&ds);
-        let pre = PreprocessPipeline::new(engine.config().preprocess).run(&ds);
-        let pack = engine.encode_dataset_packed(&pre.dataset);
-        assert_eq!(&pack, full.hypervectors());
-        let buckets =
-            PrecursorBucketer::new(engine.config().resolution).bucketize(pre.dataset.spectra());
-        let (assignment, _, _) = engine.cluster_encoded_packed(&buckets, &pack);
-        assert_eq!(assignment, *full.assignment());
+        let single_shard: SpectrumDataset = (0..40)
+            .map(|i| {
+                let peaks = (0..30)
+                    .map(|j| Peak::new(250.0 + 10.0 * j as f64 + 0.01 * i as f64, 10.0 + j as f32))
+                    .collect();
+                let precursor = Precursor::new(640.25, 2).unwrap();
+                (
+                    Spectrum::new(format!("s{i}"), precursor, peaks).unwrap(),
+                    Some(i % 3),
+                )
+            })
+            .collect();
+        let inputs = [
+            ("seeded 400", dataset(400, 0x5EED)),
+            (
+                "hard 500",
+                SyntheticGenerator::new(SyntheticConfig::hard(500, 77)).generate(),
+            ),
+            ("single shard", single_shard),
+            (
+                "mass-sorted 350",
+                sort_dataset_by_mass(&dataset(350, 0xBEEF)),
+            ),
+            ("empty", SpectrumDataset::new()),
+        ];
+        for (name, ds) in &inputs {
+            for threads in [1, 2, 4] {
+                let engine = SpecHd::new(SpecHdConfig::builder().threads(threads).build());
+                let run = engine.run(ds);
+                let pre = engine.preprocess().run(ds);
+                let pack = engine.encode_dataset_packed(&pre.dataset);
+                let buckets = engine.bucketer().bucketize(pre.dataset.spectra());
+                let (assignment, consensus, hac) = engine.cluster_encoded_packed(&buckets, &pack);
+                let consensus: Vec<usize> = consensus.iter().map(|&i| pre.kept[i]).collect();
+                let context = format!("{name}, threads {threads}");
+                assert_eq!(run.assignment(), &assignment, "{context}");
+                assert_eq!(run.kept(), pre.kept, "{context}");
+                assert_eq!(run.consensus(), consensus, "{context}");
+                assert_eq!(run.hypervectors(), &pack, "{context}");
+                assert_eq!(run.stats().buckets, bucket_stats(&buckets), "{context}");
+                assert_eq!(run.stats().preprocess, pre.stats, "{context}");
+                assert_eq!(run.stats().hac, hac, "{context}");
+            }
+        }
+    }
+
+    /// `RunStats`' timings partition the wall clock on one worker, and
+    /// `run_streaming` fills them the same way.
+    #[test]
+    fn run_stats_times_fit_in_the_total() {
+        let ds = dataset(300, 8);
+        let engine = SpecHd::new(SpecHdConfig::builder().threads(1).build());
+        let stream_config = StreamConfig {
+            workers: 1,
+            keep_hypervectors: true,
+        };
+        let streamed = engine.run_streaming(DatasetStream::new(&ds), &stream_config);
+        for stats in [*engine.run(&ds).stats(), *streamed.outcome.stats()] {
+            let parts = [stats.preprocess_s, stats.encode_s, stats.cluster_s];
+            assert!(parts.iter().all(|&s| s > 0.0), "{stats:?}");
+            assert!(parts.iter().sum::<f64>() <= stats.total_s, "{stats:?}");
+        }
     }
 
     #[test]

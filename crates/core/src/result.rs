@@ -8,6 +8,14 @@ use spechd_ms::SpectrumDataset;
 use spechd_preprocess::{BucketStats, PreprocessStats};
 
 /// Work and timing statistics of one pipeline run.
+///
+/// The timings mean the same for `run` and `run_streaming`. The stage
+/// seconds are summed, not wall-clock: ingest's two are summed per
+/// spectrum on the ingest thread, `cluster_s` per shard across the
+/// workers. On one worker and an unsorted source, where every shard is
+/// clustered after ingest, the three add up to at most `total_s`. With
+/// several workers, or on a mass-sorted source whose shards cluster
+/// during ingest, they can add up to more.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunStats {
     /// Preprocessing volume counters.
@@ -16,13 +24,16 @@ pub struct RunStats {
     pub buckets: BucketStats,
     /// Aggregate HAC work counters across buckets.
     pub hac: HacStats,
-    /// Host seconds spent preprocessing.
+    /// Host seconds of ingest outside the encoder: pulling each spectrum
+    /// from its source (a blocking source's wait included), preprocessing
+    /// it and routing it to its shard.
     pub preprocess_s: f64,
-    /// Host seconds spent encoding.
+    /// Host seconds encoding spectra into their shards' packed rows.
     pub encode_s: f64,
-    /// Host seconds spent clustering (distances + NN-chain + consensus).
+    /// Host seconds the workers spent clustering shards (distances +
+    /// NN-chain + cut + medoids).
     pub cluster_s: f64,
-    /// Total host seconds.
+    /// Wall-clock seconds of the whole run.
     pub total_s: f64,
 }
 

@@ -1,43 +1,42 @@
-//! Streaming, sharded execution of the SpecHD pipeline.
+//! The one front end of the SpecHD pipeline: sharded ingest.
 //!
-//! [`SpecHd::run`](crate::SpecHd::run) materializes the whole dataset
-//! before the first hypervector is encoded, so dataset size — not
-//! hardware — bounds a run.
-//! [`SpecHd::run_streaming`](crate::SpecHd::run_streaming) removes that
-//! bound: spectra are pulled from a
-//! [`SpectrumStream`] one at a time, preprocessed on arrival, routed into
-//! the per-precursor-mass **shard** Eq. (1) assigns them to, and encoded in
-//! bounded batches straight into the shard's own [`HvPack`]. A
-//! [`std::thread::scope`] worker pool clusters shards as they close while
-//! ingest continues, and a deterministic merge stitches per-shard labels
-//! into one global [`spechd_cluster::ClusterAssignment`].
+//! Every run goes through one ingest — [`SpecHd::run`](crate::SpecHd::run)
+//! over a dataset's spectra,
+//! [`SpecHd::run_streaming`](crate::SpecHd::run_streaming) over a
+//! [`SpectrumStream`] pulled one spectrum at a time, and each installment
+//! of [`SpecHd::run_incremental`](crate::SpecHd::run_incremental). A
+//! spectrum is preprocessed on arrival, routed into the per-precursor-mass
+//! **shard** Eq. (1) assigns it to, and encoded at once into that shard's
+//! own [`HvPack`] (one reused accumulator; no raw spectrum outlives its
+//! encoding). A [`std::thread::scope`] worker pool clusters shards as they
+//! close while ingest continues, and one key-ordered merge stitches
+//! per-shard labels into one global [`spechd_cluster::ClusterAssignment`].
 //!
 //! ```text
-//!  source ──▶ preprocess ──▶ sharder ──▶ [shard: raw buffer ≤ watermark]
-//!  (stream)   (per spectrum)  (Eq. 1)        │ encode flush (HvPack)
-//!                                            ▼ close
+//!  source ──▶ preprocess ──▶ sharder ──▶ encode ──▶ [shard: HvPack rows]
+//!  (dataset   (per spectrum)  (Eq. 1)   (on arrival)        │ close
+//!   or stream)                                              ▼
 //!                                      worker pool: packed HAC per shard
-//!                                            │
-//!                                            ▼
-//!                               key-ordered label merge ──▶ outcome
+//!                                                           │
+//!                                                           ▼
+//!                                     key-ordered label merge ──▶ outcome
 //! ```
 //!
 //! ## Identical results, bounded memory
 //!
 //! The streaming outcome is **bit-identical** to `SpecHd::run` on the same
-//! input sequence, for any watermark and worker count: preprocessing and
-//! encoding are per-spectrum deterministic, each shard accumulates exactly
-//! the member rows (in arrival order) that the batch bucketizer would have
-//! gathered, both modes cluster a shard through the same private
-//! `cluster_shard` code, and both merge through
-//! [`spechd_cluster::ShardLabelMerger`] in ascending bucket-key order.
-//! The `streaming_equivalence` integration suite enforces this.
+//! input sequence, for any worker count: both are the same ingest, each
+//! shard accumulates exactly the member rows (in arrival order) that the
+//! staged public stages (`PreprocessPipeline::run` →
+//! `encode_dataset_packed` → `bucketize` → `cluster_encoded_packed`)
+//! gather, every shard is clustered by the same private `cluster_shard`,
+//! and every run merges through [`spechd_cluster::ShardLabelMerger`] in
+//! ascending bucket-key order. The `streaming_equivalence` integration
+//! suite and the pipeline's staged oracle enforce this.
 //!
-//! What changes is the memory shape: at most
-//! [`StreamConfig::watermark`] *raw* spectra are buffered per open shard
-//! before being folded into packed rows (256 bytes each at `D = 2048` —
-//! the paper's 24–108× compression), so peak raw-spectrum memory tracks
-//! the watermark and the shard fan-out rather than the dataset.
+//! Memory tracks packed rows, not raw spectra: a spectrum lives only until
+//! it is folded into its shard's 256-byte row (at `D = 2048` — the paper's
+//! 24–108× compression).
 //!
 //! ## Overlapping clustering with ingest
 //!
@@ -49,30 +48,27 @@
 //! closed and handed to the workers *immediately*, so clustering runs
 //! while ingest is still pulling — the RapidOMS streaming-batch shape.
 
-use crate::pipeline::cluster_shard;
-use crate::{CompressionReport, RunStats, SpecHdOutcome};
-use spechd_cluster::{HacStats, ShardLabelMerger};
+use crate::pipeline::{cluster_shard, merge, pool, ShardClustering};
+use crate::{CompressionReport, RunStats, SpecHd, SpecHdOutcome};
 use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_hdc::{HvPack, MajorityAccumulator};
 use spechd_ms::stream::SpectrumStream;
+use spechd_ms::Spectrum;
 use spechd_preprocess::{bucket_stats_from_sizes, PreprocessStats};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Tuning knobs of [`SpecHd::run_streaming`](crate::SpecHd::run_streaming).
 ///
-/// None of these affect results — only memory shape and parallelism. The
-/// equivalence suite runs the full cross-product to prove it.
+/// Neither affects results — only parallelism and what the outcome keeps.
+/// The equivalence suite runs every worker count to prove it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Raw spectra buffered per shard before an encode flush folds them
-    /// into the shard's packed rows. `0` buffers without bound (encode
-    /// only at close). `1` encodes every spectrum on arrival.
-    pub watermark: usize,
-    /// Clustering worker threads (`0` = all available). Independent of
-    /// [`crate::SpecHdConfig::threads`], which governs the batch path.
+    /// Clustering worker threads (`0` = all available).
+    /// [`SpecHd::run`](crate::SpecHd::run) takes
+    /// [`crate::SpecHdConfig::threads`] here.
     pub workers: usize,
     /// Whether to retain the encoded hypervector archive in the outcome
     /// (parallel to `kept`, as `run` does). Disabling it lets shard packs
@@ -85,7 +81,6 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         Self {
-            watermark: 64,
             workers: 0,
             keep_hypervectors: true,
         }
@@ -102,13 +97,8 @@ pub struct StreamStats {
     pub shards_opened: usize,
     /// Maximum simultaneously open shards.
     pub peak_open_shards: usize,
-    /// Maximum raw spectra buffered across all open shards at once — the
-    /// quantity the watermark bounds per shard.
-    pub peak_buffered_spectra: usize,
     /// Largest shard, in encoded rows (the clustering-time memory peak).
     pub peak_shard_rows: usize,
-    /// Encode flushes performed (watermark hits + shard closes).
-    pub encode_flushes: usize,
     /// Shards closed before end-of-stream (sorted sources only) — shards
     /// whose clustering overlapped further ingest.
     pub early_closed_shards: usize,
@@ -182,38 +172,44 @@ pub enum StreamEvent {
     },
 }
 
-/// An open shard: arrival-ordered members, a bounded raw-peak buffer, and
-/// the packed rows encoded so far.
-struct OpenShard {
-    members: Vec<usize>,
-    buffer: Vec<Vec<(f64, f64)>>,
-    pack: HvPack,
+/// A shard whose membership is final: its Eq. (1) key, its members (kept
+/// indices, ascending — arrival order) and their packed rows, row `i`
+/// encoding member `i`.
+pub(crate) struct Shard {
+    pub key: i64,
+    pub members: Vec<usize>,
+    pub pack: HvPack,
+    /// Retired before the source ran out (mass-sorted sources only).
+    pub early_closed: bool,
 }
 
-/// A shard whose membership is final, en route to a clustering worker.
-struct ClosedShard {
-    key: i64,
-    members: Vec<usize>,
-    /// Stream index per member (only filled when an observer is
-    /// installed; the plain path skips the extra allocation).
-    stream_members: Vec<usize>,
-    early_closed: bool,
-    pack: HvPack,
+/// What [`SpecHd::ingest`] counted on its way through the source.
+#[derive(Default)]
+pub(crate) struct Ingested {
+    /// Source index of every spectrum that survived preprocessing: shard
+    /// member `m` is source spectrum `kept[m]`.
+    pub kept: Vec<usize>,
+    pub preprocess: PreprocessStats,
+    /// [`Spectrum::approx_bytes`] summed over the source.
+    pub raw_bytes: usize,
+    /// Ingest time outside the encoder, summed per spectrum.
+    pub preprocess_time: Duration,
+    /// Encoder time, summed per spectrum.
+    pub encode_time: Duration,
+    pub stream: StreamStats,
 }
 
 /// A clustered shard, awaiting the key-ordered merge.
-struct ShardResult {
+struct Clustered {
     key: i64,
     members: Vec<usize>,
-    labels: Vec<usize>,
-    medoids: Vec<usize>,
-    stats: HacStats,
+    clustering: ShardClustering,
     /// Retained only when the outcome keeps the hypervector archive.
     pack: Option<HvPack>,
-    cluster_ns: u128,
+    cluster_time: Duration,
 }
 
-impl crate::SpecHd {
+impl SpecHd {
     /// Runs the full pipeline over a [`SpectrumStream`] in sharded
     /// streaming mode. See the [module docs](crate::stream) for the
     /// dataflow; the result is bit-identical to [`crate::SpecHd::run`] on
@@ -230,7 +226,7 @@ impl crate::SpecHd {
         source: S,
         stream_config: &StreamConfig,
     ) -> StreamOutcome {
-        self.run_streaming_inner::<S, fn(StreamEvent)>(source, stream_config, None)
+        self.run_stream(source, stream_config, None)
     }
 
     /// [`run_streaming`](crate::SpecHd::run_streaming) with a progress
@@ -260,324 +256,230 @@ impl crate::SpecHd {
         &self,
         source: S,
         stream_config: &StreamConfig,
-        observer: F,
+        mut observer: F,
     ) -> StreamOutcome
     where
         S: SpectrumStream,
         F: FnMut(StreamEvent) + Send,
     {
-        self.run_streaming_inner(source, stream_config, Some(observer))
+        self.run_stream(source, stream_config, Some(&mut observer))
     }
 
-    fn run_streaming_inner<S, F>(
+    fn run_stream<S: SpectrumStream>(
         &self,
         mut source: S,
         stream_config: &StreamConfig,
-        observer: Option<F>,
-    ) -> StreamOutcome
-    where
-        S: SpectrumStream,
-        F: FnMut(StreamEvent) + Send,
-    {
+        observer: Option<&mut (dyn FnMut(StreamEvent) + Send)>,
+    ) -> StreamOutcome {
+        let sorted = source.sorted_by_mass();
+        let spectra = std::iter::from_fn(|| source.next_spectrum().map(|(spectrum, _)| spectrum));
+        self.run_sharded(spectra, sorted, stream_config, observer)
+    }
+
+    /// The one pipeline body under `run` and `run_streaming*`:
+    /// [`SpecHd::ingest`] feeding the one worker pool, then the one merge.
+    pub(crate) fn run_sharded(
+        &self,
+        spectra: impl Iterator<Item = impl Borrow<Spectrum>>,
+        sorted: bool,
+        stream_config: &StreamConfig,
+        observer: Option<&mut (dyn FnMut(StreamEvent) + Send)>,
+    ) -> StreamOutcome {
         let start = Instant::now();
-        let observer = observer.map(Mutex::new);
-        let observing = observer.is_some();
-        let dim = self.config().encoder.dim;
-        let watermark = stream_config.watermark;
+        let dim = self.encoder.dim();
         let keep_hvs = stream_config.keep_hypervectors;
-        let threshold = self.config().distance_threshold_bits();
-        let linkage = self.config().linkage;
+        let (linkage, threshold) = (self.config.linkage, self.config.distance_threshold_bits());
         let workers = PackedDistanceEngine::new()
             .threads(stream_config.workers)
             .resolved_threads();
-
-        let (shard_tx, shard_rx) = mpsc::channel::<ClosedShard>();
-        let shard_rx = Mutex::new(shard_rx);
-        let results: Mutex<Vec<ShardResult>> = Mutex::new(Vec::new());
+        let observer = observer.map(Mutex::new);
         // Cleared packs parked for reuse, so shard churn does not retread
         // the allocator (only populated when the archive is not kept —
         // kept packs live on into the final scatter).
-        let pack_pool: Mutex<Vec<HvPack>> = Mutex::new(Vec::new());
+        let spare = Mutex::default();
 
-        let mut kept: Vec<usize> = Vec::new();
-        let mut pre_stats = PreprocessStats::default();
-        let mut stream_stats = StreamStats::default();
-        let mut raw_bytes = 0usize;
-        let mut preprocess_ns = 0u128;
-        let mut encode_ns = 0u128;
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let received = shard_rx.lock().expect("no panics hold the lock").recv();
-                    let Ok(mut shard) = received else {
-                        break; // every sender dropped: ingest is done
-                    };
-                    let t_cluster = Instant::now();
-                    let clustering = cluster_shard(&shard.members, &shard.pack, linkage, threshold);
-                    let cluster_ns = t_cluster.elapsed().as_nanos();
-                    if let Some(obs) = observer.as_ref() {
-                        // Medoids are global member indices; members are
-                        // ascending (assigned in arrival order), so a
-                        // binary search maps each back to its slot and
-                        // from there to its stream index.
-                        let medoids = clustering
-                            .medoids
-                            .iter()
-                            .map(|m| {
-                                let slot = shard
-                                    .members
-                                    .binary_search(m)
-                                    .expect("medoid is a shard member");
-                                shard.stream_members[slot]
-                            })
-                            .collect();
-                        let event = StreamEvent::ShardClustered(ShardAssignment {
-                            key: shard.key,
-                            members: std::mem::take(&mut shard.stream_members),
-                            labels: clustering.labels.clone(),
-                            medoids,
-                            early_closed: shard.early_closed,
-                        });
-                        (obs.lock().expect("no panics hold the lock"))(event);
+        let (ingested, mut shards) = pool(
+            workers,
+            |send| {
+                let mut keys = Vec::new();
+                let ingested = self.ingest(spectra, sorted, &spare, &mut |shard, kept| {
+                    // Stream index per member, for the observer only.
+                    let mut stream_members = Vec::new();
+                    if observer.is_some() {
+                        keys.push(shard.key);
+                        stream_members = shard.members.iter().map(|&m| kept[m]).collect();
                     }
-                    let pack = if keep_hvs {
-                        Some(shard.pack)
-                    } else {
-                        let mut spare = shard.pack;
-                        spare.clear();
-                        pack_pool
-                            .lock()
-                            .expect("no panics hold the lock")
-                            .push(spare);
-                        None
-                    };
-                    results
-                        .lock()
-                        .expect("no panics hold the lock")
-                        .push(ShardResult {
-                            key: shard.key,
-                            members: shard.members,
-                            labels: clustering.labels,
-                            medoids: clustering.medoids,
-                            stats: clustering.stats,
-                            pack,
-                            cluster_ns,
-                        });
+                    send((shard, stream_members));
                 });
-            }
-
-            // ── Ingest (this thread), overlapping the workers above. ──
-            let sorted = source.sorted_by_mass();
-            let mut open: BTreeMap<i64, OpenShard> = BTreeMap::new();
-            let mut opened_keys: Vec<i64> = Vec::new();
-            let mut acc = MajorityAccumulator::new(dim);
-            let mut buffered_total = 0usize;
-            let mut last_key = i64::MIN;
-            let mut stream_index = 0usize;
-
-            // Flushes a shard's raw buffer into its packed rows.
-            let flush = |shard: &mut OpenShard,
-                         acc: &mut MajorityAccumulator,
-                         encode_ns: &mut u128,
-                         stream_stats: &mut StreamStats,
-                         buffered_total: &mut usize| {
-                if shard.buffer.is_empty() {
-                    return;
+                if let Some(obs) = &observer {
+                    (obs.lock().expect("no panics hold the lock"))(StreamEvent::IngestDone {
+                        keys,
+                        kept: ingested.kept.len(),
+                        streamed: ingested.stream.spectra_streamed,
+                    });
                 }
-                let t = Instant::now();
-                self.encoder()
-                    .encode_batch_packed_into(&shard.buffer, acc, &mut shard.pack);
-                *encode_ns += t.elapsed().as_nanos();
-                *buffered_total -= shard.buffer.len();
-                shard.buffer.clear();
-                stream_stats.encode_flushes += 1;
-            };
-
-            while let Some((spectrum, _label)) = source.next_spectrum() {
-                stream_stats.spectra_streamed += 1;
-                raw_bytes += spectrum.approx_bytes();
-                let t = Instant::now();
-                let processed = self.preprocess().process_one(&spectrum, &mut pre_stats);
-                preprocess_ns += t.elapsed().as_nanos();
-                let index = stream_index;
-                stream_index += 1;
-                let Some(processed) = processed else {
-                    continue;
-                };
-                let key = self.bucketer().bucket_of(&processed);
-
-                if sorted {
-                    assert!(
-                        key >= last_key,
-                        "stream claims sorted_by_mass but bucket key {key} arrived after \
-                         {last_key}; the shard it belongs to may already be clustered"
-                    );
-                    if key > last_key {
-                        // Everything lighter than the current key is final:
-                        // retire it to the workers while we keep ingesting.
-                        while let Some((&k, _)) = open.range(..key).next() {
-                            let mut shard = open.remove(&k).expect("key from range");
-                            flush(
-                                &mut shard,
-                                &mut acc,
-                                &mut encode_ns,
-                                &mut stream_stats,
-                                &mut buffered_total,
-                            );
-                            stream_stats.peak_shard_rows =
-                                stream_stats.peak_shard_rows.max(shard.pack.len());
-                            stream_stats.early_closed_shards += 1;
-                            let stream_members = if observing {
-                                shard.members.iter().map(|&m| kept[m]).collect()
-                            } else {
-                                Vec::new()
-                            };
-                            shard_tx
-                                .send(ClosedShard {
-                                    key: k,
-                                    members: shard.members,
-                                    stream_members,
-                                    early_closed: true,
-                                    pack: shard.pack,
-                                })
-                                .expect("workers outlive ingest");
-                        }
-                        last_key = key;
-                    }
+                ingested
+            },
+            |(shard, stream_members): (Shard, Vec<usize>)| {
+                let t_cluster = Instant::now();
+                let clustering = cluster_shard(&shard.members, &shard.pack, linkage, threshold);
+                let cluster_time = t_cluster.elapsed();
+                if let Some(obs) = &observer {
+                    // Medoids are kept indices; members are ascending, so a
+                    // binary search maps each back to its slot and from
+                    // there to its stream index.
+                    let slot = |m: &usize| shard.members.partition_point(|x| x < m);
+                    let medoids = clustering
+                        .medoids
+                        .iter()
+                        .map(|m| stream_members[slot(m)])
+                        .collect();
+                    let event = StreamEvent::ShardClustered(ShardAssignment {
+                        key: shard.key,
+                        members: stream_members,
+                        labels: clustering.labels.clone(),
+                        medoids,
+                        early_closed: shard.early_closed,
+                    });
+                    (obs.lock().expect("no panics hold the lock"))(event);
                 }
-
-                let member = kept.len();
-                kept.push(index);
-                let shard = open.entry(key).or_insert_with(|| {
-                    stream_stats.shards_opened += 1;
-                    opened_keys.push(key);
-                    let pack = match pack_pool.lock().expect("no panics hold the lock").pop() {
-                        Some(spare) => {
-                            stream_stats.packs_reused += 1;
-                            spare
-                        }
-                        None => HvPack::new(dim),
-                    };
-                    OpenShard {
-                        members: Vec::new(),
-                        buffer: Vec::new(),
-                        pack,
-                    }
-                });
-                shard.members.push(member);
-                shard.buffer.push(processed.relative_peaks());
-                buffered_total += 1;
-                // During ingest, shards leave `open` only through the
-                // early-close path, so this difference equals `open.len()`
-                // (which the `entry` borrow keeps us from reading here).
-                let open_count = stream_stats.shards_opened - stream_stats.early_closed_shards;
-                stream_stats.peak_open_shards = stream_stats.peak_open_shards.max(open_count);
-                stream_stats.peak_buffered_spectra =
-                    stream_stats.peak_buffered_spectra.max(buffered_total);
-                if watermark > 0 && shard.buffer.len() >= watermark {
-                    flush(
-                        shard,
-                        &mut acc,
-                        &mut encode_ns,
-                        &mut stream_stats,
-                        &mut buffered_total,
-                    );
-                }
-            }
-
-            // End of stream: every remaining shard is final.
-            for (key, mut shard) in std::mem::take(&mut open) {
-                flush(
-                    &mut shard,
-                    &mut acc,
-                    &mut encode_ns,
-                    &mut stream_stats,
-                    &mut buffered_total,
-                );
-                stream_stats.peak_shard_rows = stream_stats.peak_shard_rows.max(shard.pack.len());
-                let stream_members = if observing {
-                    shard.members.iter().map(|&m| kept[m]).collect()
+                let mut pack = shard.pack;
+                let pack = if keep_hvs {
+                    Some(pack)
                 } else {
-                    Vec::new()
+                    pack.clear();
+                    spare.lock().expect("no panics hold the lock").push(pack);
+                    None
                 };
-                shard_tx
-                    .send(ClosedShard {
-                        key,
-                        members: shard.members,
-                        stream_members,
-                        early_closed: false,
-                        pack: shard.pack,
-                    })
-                    .expect("workers outlive ingest");
-            }
-            if let Some(obs) = observer.as_ref() {
-                let mut keys = std::mem::take(&mut opened_keys);
-                keys.sort_unstable();
-                (obs.lock().expect("no panics hold the lock"))(StreamEvent::IngestDone {
-                    keys,
-                    kept: kept.len(),
-                    streamed: stream_stats.spectra_streamed,
-                });
-            }
-            drop(shard_tx); // hang up: workers drain the queue and exit
-        });
+                Clustered {
+                    key: shard.key,
+                    members: shard.members,
+                    clustering,
+                    pack,
+                    cluster_time,
+                }
+            },
+        );
 
-        // ── Merge, in ascending bucket-key order (batch bucket order). ──
-        let mut results = results.into_inner().expect("threads joined");
-        results.sort_by_key(|r| r.key);
-
-        let mut merger = ShardLabelMerger::new(kept.len());
-        let mut cluster_ns = 0u128;
-        for r in &results {
-            merger.add_shard(&r.members, &r.labels, &r.medoids, &r.stats);
-            cluster_ns += r.cluster_ns;
-        }
-        let (assignment, consensus_local, hac) = merger.finish();
+        shards.sort_by_key(|s| s.key);
+        let kept = ingested.kept;
+        let (assignment, consensus_local, hac) = merge(
+            kept.len(),
+            shards.iter().map(|s| (&s.members[..], &s.clustering)),
+        );
         let consensus: Vec<usize> = consensus_local.iter().map(|&m| kept[m]).collect();
 
-        let bstats = bucket_stats_from_sizes(results.iter().map(|r| r.members.len()));
-
         // Scatter shard rows back into kept order for the archive `run`
-        // exposes; skipped (empty archive) when not keeping hypervectors.
-        let mut hvs = HvPack::new(dim);
-        if keep_hvs {
-            hvs.reserve(kept.len());
-            let mut row_of = vec![(0usize, 0usize); kept.len()];
-            for (ri, r) in results.iter().enumerate() {
-                for (row, &member) in r.members.iter().enumerate() {
-                    row_of[member] = (ri, row);
-                }
-            }
-            for &(ri, row) in &row_of {
-                let pack = results[ri].pack.as_ref().expect("kept packs retained");
-                hvs.push_zeroed().copy_from_slice(pack.row(row));
+        // exposes; empty when not keeping hypervectors.
+        let stride = dim.div_ceil(64);
+        let mut words = vec![0; if keep_hvs { kept.len() * stride } else { 0 }];
+        for s in &shards {
+            let Some(pack) = &s.pack else { continue };
+            for (row, &member) in s.members.iter().enumerate() {
+                words[member * stride..][..stride].copy_from_slice(pack.row(row));
             }
         }
+        let hvs = HvPack::from_raw_parts(dim, words).expect("encoded rows keep the tail invariant");
 
-        let compression = CompressionReport::new(raw_bytes, kept.len(), dim);
-        let outcome = SpecHdOutcome::new(
-            assignment,
-            kept,
-            consensus,
-            hvs,
-            RunStats {
-                preprocess: pre_stats,
-                buckets: bstats,
-                hac,
-                preprocess_s: preprocess_ns as f64 * 1e-9,
-                encode_s: encode_ns as f64 * 1e-9,
-                // Aggregate worker-side clustering time; with several
-                // workers this exceeds its wall-clock share by design.
-                cluster_s: cluster_ns as f64 * 1e-9,
-                total_s: start.elapsed().as_secs_f64(),
-            },
-            compression,
-        );
+        let compression = CompressionReport::new(ingested.raw_bytes, kept.len(), dim);
+        let buckets = bucket_stats_from_sizes(shards.iter().map(|s| s.members.len()));
+        let cluster_time: Duration = shards.iter().map(|s| s.cluster_time).sum();
+        let stats = RunStats {
+            preprocess: ingested.preprocess,
+            buckets,
+            hac,
+            preprocess_s: ingested.preprocess_time.as_secs_f64(),
+            encode_s: ingested.encode_time.as_secs_f64(),
+            cluster_s: cluster_time.as_secs_f64(),
+            total_s: start.elapsed().as_secs_f64(),
+        };
         StreamOutcome {
-            outcome,
-            stream: stream_stats,
+            outcome: SpecHdOutcome::new(assignment, kept, consensus, hvs, stats, compression),
+            stream: StreamStats {
+                peak_shard_rows: buckets.max_size,
+                ..ingested.stream
+            },
         }
+    }
+
+    /// The one front end. For each spectrum: `process_one`, `bucket_of`,
+    /// then `encode_into_pack` (one reused accumulator and peak buffer)
+    /// straight into its shard's own pack. A shard goes to `retire`, with
+    /// the kept indices so far, as soon as its membership is final — on a
+    /// mass-sorted source when a heavier key arrives, otherwise when the
+    /// source runs out — so shards retire in ascending key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sorted` and a spectrum's key is lighter than one already
+    /// seen.
+    pub(crate) fn ingest(
+        &self,
+        spectra: impl Iterator<Item = impl Borrow<Spectrum>>,
+        sorted: bool,
+        spare: &Mutex<Vec<HvPack>>,
+        retire: &mut dyn FnMut(Shard, &[usize]),
+    ) -> Ingested {
+        let dim = self.encoder.dim();
+        let mut done = Ingested::default();
+        let mut open: BTreeMap<i64, Shard> = BTreeMap::new();
+        let mut acc = MajorityAccumulator::new(dim);
+        let mut peaks = Vec::new();
+        let mut last_key = i64::MIN;
+        let mut t = Instant::now();
+        for (index, spectrum) in spectra.enumerate() {
+            let spectrum = spectrum.borrow();
+            done.raw_bytes += spectrum.approx_bytes();
+            let Some(processed) = self.preprocess.process_one(spectrum, &mut done.preprocess)
+            else {
+                continue;
+            };
+            let key = self.bucketer.bucket_of(&processed);
+            if sorted && key != last_key {
+                assert!(
+                    key > last_key,
+                    "stream claims sorted_by_mass but bucket key {key} arrived after \
+                     {last_key}; the shard it belongs to may already be clustered"
+                );
+                // Every open shard is lighter than `key`, hence final:
+                // retire it to the workers while we keep ingesting.
+                for mut shard in std::mem::take(&mut open).into_values() {
+                    shard.early_closed = true;
+                    done.stream.early_closed_shards += 1;
+                    retire(shard, &done.kept);
+                }
+                last_key = key;
+            }
+            let shard = open.entry(key).or_insert_with(|| {
+                done.stream.shards_opened += 1;
+                let recycled = spare.lock().expect("no panics hold the lock").pop();
+                done.stream.packs_reused += usize::from(recycled.is_some());
+                Shard {
+                    key,
+                    members: Vec::new(),
+                    pack: recycled.unwrap_or_else(|| HvPack::new(dim)),
+                    early_closed: false,
+                }
+            });
+            shard.members.push(done.kept.len());
+            done.kept.push(index);
+            let t_encode = Instant::now();
+            done.preprocess_time += t_encode - t;
+            processed.relative_peaks_into(&mut peaks);
+            self.encoder
+                .encode_into_pack(&peaks, &mut acc, &mut shard.pack);
+            t = Instant::now();
+            done.encode_time += t - t_encode;
+            done.stream.peak_open_shards = done.stream.peak_open_shards.max(open.len());
+        }
+        done.preprocess_time += t.elapsed();
+        done.stream.spectra_streamed = done.preprocess.spectra_in;
+
+        // End of input: every remaining shard is final.
+        for shard in open.into_values() {
+            retire(shard, &done.kept);
+        }
+        done
     }
 }
 
@@ -621,24 +523,6 @@ mod tests {
         );
         assert_eq!(streamed.stream.spectra_streamed, ds.len());
         assert!(streamed.stream.shards_opened > 0);
-    }
-
-    #[test]
-    fn watermark_one_encodes_every_arrival() {
-        let ds = dataset(100, 22);
-        let engine = SpecHd::new(SpecHdConfig::default());
-        let cfg = StreamConfig {
-            watermark: 1,
-            ..StreamConfig::default()
-        };
-        let streamed = engine.run_streaming(DatasetStream::new(&ds), &cfg);
-        assert_eq!(
-            streamed.stream.encode_flushes,
-            streamed.outcome.kept().len(),
-            "watermark 1 must flush once per kept spectrum"
-        );
-        assert!(streamed.stream.peak_buffered_spectra <= 1);
-        assert_eq!(streamed.outcome.assignment(), engine.run(&ds).assignment());
     }
 
     #[test]
@@ -785,7 +669,6 @@ mod tests {
         let cfg = StreamConfig {
             keep_hypervectors: false,
             workers: 1,
-            ..StreamConfig::default()
         };
         let streamed = engine.run_streaming(AssertSorted::new(DatasetStream::new(&ds)), &cfg);
         assert!(streamed.outcome.hypervectors().is_empty());

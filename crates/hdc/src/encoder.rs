@@ -129,34 +129,15 @@ impl IdLevelEncoder {
     pub fn encode_batch_packed(&self, spectra: &[Vec<(f64, f64)>]) -> HvPack {
         let mut pack = HvPack::with_capacity(self.config.dim, spectra.len());
         let mut acc = MajorityAccumulator::new(self.config.dim);
-        self.encode_batch_packed_into(spectra, &mut acc, &mut pack);
+        for peaks in spectra {
+            self.encode_into_pack(peaks, &mut acc, &mut pack);
+        }
         pack
     }
 
-    /// Appends the encodings of `spectra` to an existing pack, reusing the
-    /// caller's accumulator — the incremental form of
-    /// [`IdLevelEncoder::encode_batch_packed`] the streaming sharder uses
-    /// to flush raw-spectrum buffers into a shard's pack without
-    /// per-flush allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pack's or accumulator's dimensionality differs from
-    /// the encoder's.
-    pub fn encode_batch_packed_into(
-        &self,
-        spectra: &[Vec<(f64, f64)>],
-        acc: &mut MajorityAccumulator,
-        pack: &mut HvPack,
-    ) {
-        assert_eq!(pack.dim(), self.config.dim, "pack dimensionality mismatch");
-        pack.reserve(spectra.len());
-        for peaks in spectra {
-            self.encode_into_pack(peaks, acc, pack);
-        }
-    }
-
-    /// Encodes one peak list and appends it as a new row of `pack`.
+    /// Encodes one peak list and appends it as a new row of `pack` — the
+    /// pipeline's ingest calls it once per spectrum, with one reused
+    /// accumulator, on the pack of the spectrum's shard.
     ///
     /// # Panics
     ///
@@ -318,16 +299,20 @@ mod tests {
             vec![(850.0, 0.9), (1999.0, 0.1)],
         ];
         let batch = enc.encode_batch_packed(&spectra);
-        // Same content arriving as chunks into a recycled pack.
+        // Same content arriving one spectrum at a time into a recycled
+        // pack through one reused accumulator, as the pipeline's ingest
+        // does.
         let mut pack = HvPack::new(enc.dim());
         let mut acc = MajorityAccumulator::new(enc.dim());
-        enc.encode_batch_packed_into(&spectra[..1], &mut acc, &mut pack);
-        enc.encode_batch_packed_into(&spectra[1..3], &mut acc, &mut pack);
-        enc.encode_into_pack(&spectra[3], &mut acc, &mut pack);
+        for peaks in &spectra {
+            enc.encode_into_pack(peaks, &mut acc, &mut pack);
+        }
         assert_eq!(pack, batch);
         // Reuse after clear stays bit-exact.
         pack.clear();
-        enc.encode_batch_packed_into(&spectra, &mut acc, &mut pack);
+        for peaks in &spectra {
+            enc.encode_into_pack(peaks, &mut acc, &mut pack);
+        }
         assert_eq!(pack, batch);
     }
 

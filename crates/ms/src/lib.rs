@@ -15,7 +15,7 @@
 //! * File formats ([`formats`]): MGF and MS2 read/write, and a minimal
 //!   mzML reader/writer with hand-rolled base64.
 //! * Streaming sources ([`stream`]): the [`stream::SpectrumStream`] trait
-//!   with dataset, iterator, channel and lazy-synthetic adapters, feeding
+//!   with dataset, channel and lazy-synthetic adapters, feeding
 //!   the sharded streaming pipeline in `spechd-core`.
 //!
 //! # Example

@@ -1,17 +1,16 @@
 //! Streaming spectrum sources.
 //!
-//! The batch pipeline materializes a whole [`SpectrumDataset`] before any
-//! downstream stage runs, so dataset size — not hardware — bounds what one
-//! run can process. [`SpectrumStream`] is the pull-based counterpart: a
+//! A [`SpectrumDataset`] holds every raw spectrum in memory at once, so
+//! dataset size — not hardware — bounds what one run over it can process.
+//! [`SpectrumStream`] is the pull-based counterpart: a
 //! source hands out one `(Spectrum, label)` pair at a time, which lets the
-//! consumer (the sharded streaming pipeline in `spechd-core`) keep only a
-//! bounded window of raw spectra alive.
+//! consumer (the sharded pipeline in `spechd-core`) keep only one raw
+//! spectrum alive at a time.
 //!
 //! Adapters cover the common source shapes:
 //!
 //! * [`DatasetStream`] — replays an in-memory dataset (the equivalence
 //!   bridge between streaming and batch runs).
-//! * [`IterStream`] — lifts any `Iterator<Item = (Spectrum, Option<u32>)>`.
 //! * [`ChannelStream`] — drains an [`std::sync::mpsc`] receiver, blocking
 //!   until producers hang up: the async-ingest shape where acquisition
 //!   threads feed clustering.
@@ -99,29 +98,6 @@ impl SpectrumStream for DatasetStream<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let rem = self.dataset.len() - self.next;
         (rem, Some(rem))
-    }
-}
-
-/// Lifts any iterator of `(Spectrum, Option<u32>)` into a stream.
-#[derive(Debug)]
-pub struct IterStream<I> {
-    iter: I,
-}
-
-impl<I: Iterator<Item = (Spectrum, Option<u32>)>> IterStream<I> {
-    /// Wraps `iter`.
-    pub fn new(iter: I) -> Self {
-        Self { iter }
-    }
-}
-
-impl<I: Iterator<Item = (Spectrum, Option<u32>)>> SpectrumStream for IterStream<I> {
-    fn next_spectrum(&mut self) -> Option<(Spectrum, Option<u32>)> {
-        self.iter.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.iter.size_hint()
     }
 }
 
@@ -279,14 +255,6 @@ mod tests {
             assert_eq!(s, &ds.spectra()[i]);
             assert_eq!(*l, ds.labels()[i]);
         }
-    }
-
-    #[test]
-    fn iter_stream_lifts_iterators() {
-        let ds = dataset();
-        let items: Vec<(Spectrum, Option<u32>)> = ds.iter().map(|(s, l)| (s.clone(), l)).collect();
-        let drained = drain(&mut IterStream::new(items.clone().into_iter()));
-        assert_eq!(drained, items);
     }
 
     #[test]

@@ -136,9 +136,10 @@ pub fn bucket_stats(buckets: &[Bucket]) -> BucketStats {
     bucket_stats_from_sizes(buckets.iter().map(Bucket::len))
 }
 
-/// Computes [`BucketStats`] from bucket sizes alone — for callers (like
-/// the streaming sharder) whose membership lists live elsewhere and should
-/// not be copied into [`Bucket`] values just for accounting.
+/// Computes [`BucketStats`] from bucket sizes alone — for the pipeline's
+/// shard ingest in `spechd-core`, whose membership lists live in its
+/// shards and should not be copied into [`Bucket`] values just for
+/// accounting.
 pub fn bucket_stats_from_sizes<I: IntoIterator<Item = usize>>(sizes: I) -> BucketStats {
     let mut count = 0usize;
     let mut max_size = 0usize;

@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | [`Limits::max_frame_len`] | [`DEFAULT_MAX_FRAME_LEN`] | a 4 GiB length prefix becoming an allocation |
 //! | [`Limits::max_workers`] | [`MAX_WORKERS`] | one `OpenJob` demanding billions of threads |
-//! | [`Limits::max_watermark`] | [`MAX_WATERMARK`] | unbounded shard buffers |
+//! | [`Limits::max_watermark`] | [`MAX_WATERMARK`] | nothing any more: SPHD v3 compatibility (the field has no effect) |
 //! | [`Limits::max_library_batch`] | [`MAX_LIBRARY_BATCH`] | a hostile entry-count prefix |
 //! | [`Limits::max_query_batch`] | [`MAX_QUERY_BATCH`] | one frame demanding unbounded scans |
 //! | [`Limits::max_top_k`] | [`MAX_TOP_K`] | unbounded per-query result memory |
@@ -39,10 +39,10 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 32 * 1024 * 1024;
 /// thread count: without this cap a single well-formed `OpenJob` frame
 /// could demand billions of pipeline threads.
 pub const MAX_WORKERS: u32 = 64;
-/// Default cap on `JobConfig::watermark` accepted over the wire, in
-/// spectra per open shard. 0 — the core pipeline's "flush only at shard
-/// close" mode — is also rejected: over the network it would let a
-/// client make every shard buffer grow without bound.
+/// Default cap on `JobConfig::watermark` accepted over the wire; 0 is
+/// also rejected. The field once sized a per-shard raw-spectrum buffer
+/// and now has no effect (the pipeline encodes on arrival); the range is
+/// still enforced so SPHD v3 accepts exactly the frames it always did.
 pub const MAX_WATERMARK: u32 = 1 << 20;
 /// Default cap on library entries per `LoadLibrary` frame. Checked at
 /// decode time *before* any allocation: a hostile count prefix is
@@ -92,7 +92,8 @@ pub struct Limits {
     pub max_frame_len: u32,
     /// Cap on `JobConfig::workers` (0 = server default stays allowed).
     pub max_workers: u32,
-    /// Cap on `JobConfig::watermark`; 0 is always rejected.
+    /// Cap on `JobConfig::watermark` (validated for SPHD v3
+    /// compatibility, no effect); 0 is always rejected.
     pub max_watermark: u32,
     /// Cap on library entries per `LoadLibrary` frame.
     pub max_library_batch: u32,

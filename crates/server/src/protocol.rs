@@ -54,6 +54,9 @@ pub const MAGIC: [u8; 4] = *b"SPHD";
 pub const VERSION: u16 = 3;
 /// Header size in bytes (magic + version + type + reserved + length).
 pub const HEADER_LEN: usize = 12;
+/// `JobConfig::default()`'s watermark, a value SPHD v3 validates but the
+/// pipeline no longer reads.
+const DEFAULT_WATERMARK: u32 = 64;
 
 /// Frame type discriminants as they appear on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,9 +225,11 @@ pub struct JobConfig {
     /// HAC linkage criterion (wire: 0 single, 1 complete, 2 average,
     /// 3 ward).
     pub linkage: Linkage,
-    /// [`StreamConfig::watermark`] of the job's pipeline. The wire
-    /// accepts only `[1, MAX_WATERMARK]`: the unbounded mode (0) is not
-    /// offered over the network (see [`MAX_WATERMARK`]).
+    /// Has no effect: the pipeline encodes every spectrum on arrival, so
+    /// there is no raw-spectrum buffer to bound. Kept for SPHD v3
+    /// compatibility — still encoded, validated to `[1, MAX_WATERMARK]`
+    /// (see [`MAX_WATERMARK`]) and compared when a participant joins a
+    /// job. Defaults to 64.
     pub watermark: u32,
     /// [`StreamConfig::workers`] of the job's pipeline (0 = all
     /// available on the server). The wire rejects counts above
@@ -241,7 +246,7 @@ impl Default for JobConfig {
             resolution: spechd.resolution,
             threshold_fraction: spechd.distance_threshold_fraction,
             linkage: spechd.linkage,
-            watermark: stream.watermark as u32,
+            watermark: DEFAULT_WATERMARK,
             workers: stream.workers as u32,
         }
     }
@@ -270,7 +275,6 @@ impl JobConfig {
     /// archive is proven label-identical by the pr5 equivalence suite.
     pub fn stream_config(&self) -> StreamConfig {
         StreamConfig {
-            watermark: self.watermark as usize,
             workers: self.workers as usize,
             keep_hypervectors: false,
         }
@@ -1999,7 +2003,7 @@ mod tests {
         let config = JobConfig::default();
         assert_eq!(config.pipeline_config(), SpecHdConfig::default());
         let stream = config.stream_config();
-        assert_eq!(stream.watermark, StreamConfig::default().watermark);
+        assert_eq!(config.watermark, DEFAULT_WATERMARK);
         assert_eq!(stream.workers, StreamConfig::default().workers);
         assert!(!stream.keep_hypervectors);
     }

@@ -1,12 +1,11 @@
 //! Streaming-vs-batch equivalence suite.
 //!
 //! `SpecHd::run_streaming` promises **bit-identical** results to
-//! `SpecHd::run` on the same input sequence, for every watermark and
-//! worker count. This suite enforces the promise across the full
-//! cross-product the issue calls for — shard watermarks {1 spectrum, 64,
-//! unbounded} × workers {1, 2, 4} — plus the degenerate shapes: an empty
-//! stream, a single-shard dataset, a mass-sorted stream (early shard
-//! retirement), and a channel-fed producer thread.
+//! `SpecHd::run` on the same input sequence, for every worker count. This
+//! suite enforces the promise across workers {1, 2, 4}, plus the
+//! degenerate shapes: an empty stream, a single-shard dataset, a
+//! mass-sorted stream (early shard retirement), and a channel-fed producer
+//! thread.
 
 use spechd_core::{SpecHd, SpecHdConfig, StreamConfig};
 use spechd_ms::stream::{sort_dataset_by_mass, AssertSorted, ChannelStream, DatasetStream};
@@ -15,25 +14,17 @@ use spechd_ms::{Peak, Precursor, Spectrum, SpectrumDataset};
 use spechd_tests::{assert_equivalent, synthetic_dataset as dataset};
 
 #[test]
-fn equivalence_across_watermarks_and_workers() {
+fn equivalence_across_workers() {
     let ds = dataset(400, 0x5EED);
     let engine = SpecHd::new(SpecHdConfig::default());
     let batch = engine.run(&ds);
-    // 0 = unbounded buffering (encode only at close).
-    for watermark in [1usize, 64, 0] {
-        for workers in [1usize, 2, 4] {
-            let cfg = StreamConfig {
-                watermark,
-                workers,
-                keep_hypervectors: true,
-            };
-            let streamed = engine.run_streaming(DatasetStream::new(&ds), &cfg);
-            assert_equivalent(
-                &streamed,
-                &batch,
-                &format!("watermark={watermark} workers={workers}"),
-            );
-        }
+    for workers in [1usize, 2, 4] {
+        let cfg = StreamConfig {
+            workers,
+            keep_hypervectors: true,
+        };
+        let streamed = engine.run_streaming(DatasetStream::new(&ds), &cfg);
+        assert_equivalent(&streamed, &batch, &format!("workers={workers}"));
     }
 }
 
@@ -44,15 +35,12 @@ fn equivalence_on_the_hard_preset() {
     let ds = SyntheticGenerator::new(SyntheticConfig::hard(500, 77)).generate();
     let engine = SpecHd::new(SpecHdConfig::default());
     let batch = engine.run(&ds);
-    for watermark in [1usize, 64, 0] {
-        let cfg = StreamConfig {
-            watermark,
-            workers: 3,
-            keep_hypervectors: true,
-        };
-        let streamed = engine.run_streaming(DatasetStream::new(&ds), &cfg);
-        assert_equivalent(&streamed, &batch, &format!("hard watermark={watermark}"));
-    }
+    let cfg = StreamConfig {
+        workers: 3,
+        keep_hypervectors: true,
+    };
+    let streamed = engine.run_streaming(DatasetStream::new(&ds), &cfg);
+    assert_equivalent(&streamed, &batch, "hard");
 }
 
 #[test]
@@ -83,20 +71,17 @@ fn single_shard_dataset_round_trips() {
     }
     let engine = SpecHd::new(SpecHdConfig::default());
     let batch = engine.run(&ds);
-    for watermark in [1usize, 7, 0] {
-        let cfg = StreamConfig {
-            watermark,
-            workers: 2,
-            keep_hypervectors: true,
-        };
-        let streamed = engine.run_streaming(DatasetStream::new(&ds), &cfg);
-        assert_equivalent(&streamed, &batch, &format!("single shard wm={watermark}"));
-        assert_eq!(streamed.stream.shards_opened, 1);
-        assert_eq!(
-            streamed.stream.peak_shard_rows,
-            streamed.outcome.kept().len()
-        );
-    }
+    let cfg = StreamConfig {
+        workers: 2,
+        keep_hypervectors: true,
+    };
+    let streamed = engine.run_streaming(DatasetStream::new(&ds), &cfg);
+    assert_equivalent(&streamed, &batch, "single shard");
+    assert_eq!(streamed.stream.shards_opened, 1);
+    assert_eq!(
+        streamed.stream.peak_shard_rows,
+        streamed.outcome.kept().len()
+    );
 }
 
 #[test]
@@ -109,7 +94,6 @@ fn sorted_stream_equivalent_with_early_retirement() {
     let batch = engine.run(&ds);
     for workers in [1usize, 4] {
         let cfg = StreamConfig {
-            watermark: 16,
             workers,
             keep_hypervectors: true,
         };
