@@ -250,21 +250,6 @@ impl HvPack {
         self.len = 0;
     }
 
-    /// Reserves storage for at least `additional` more rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grown storage size would overflow `usize`.
-    pub fn reserve(&mut self, additional: usize) {
-        let words = self.stride.checked_mul(additional).unwrap_or_else(|| {
-            panic!(
-                "HvPack storage for {additional} more rows of dim {} overflows usize",
-                self.dim
-            )
-        });
-        self.words.reserve(words);
-    }
-
     /// Copies the selected rows (in order, repeats allowed) into a new
     /// pack — the bucket-gather step of the clustering pipeline.
     ///
@@ -432,14 +417,6 @@ mod tests {
         pack.push(&hvs[2]);
         assert_eq!(pack.len(), 1);
         assert_eq!(pack.hypervector(0), hvs[2]);
-    }
-
-    #[test]
-    fn reserve_grows_capacity_by_rows() {
-        let mut pack = HvPack::new(130); // stride 3
-        pack.reserve(10);
-        assert!(pack.words.capacity() >= 30);
-        assert!(pack.is_empty());
     }
 
     #[test]

@@ -85,9 +85,10 @@ impl ClientError {
     /// Whether retrying the failed operation can possibly succeed.
     ///
     /// Transport faults (`Wire(Io)` / `Wire(Closed)` / `Wire(Truncated)`
-    /// — a connection killed mid-frame surfaces as a truncated read) are
-    /// retryable: the connection died, but a reconnect may find the
-    /// server healthy. Server error frames defer to the wire contract:
+    /// — a connection killed or stalled mid-frame surfaces as a
+    /// truncated read) are retryable: the connection died, but a
+    /// reconnect may find the server healthy. Server error frames defer
+    /// to the wire contract:
     /// [`ErrorCode::is_retryable`] (transient conditions such as
     /// [`ErrorCode::Busy`] load shedding). Everything else — malformed
     /// frames, protocol violations, config mismatches — is a bug or a

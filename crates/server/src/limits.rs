@@ -18,7 +18,6 @@
 //! |---|---|---|
 //! | [`Limits::max_frame_len`] | [`DEFAULT_MAX_FRAME_LEN`] | a 4 GiB length prefix becoming an allocation |
 //! | [`Limits::max_workers`] | [`MAX_WORKERS`] | one `OpenJob` demanding billions of threads |
-//! | [`Limits::max_watermark`] | [`MAX_WATERMARK`] | nothing any more: SPHD v3 compatibility (the field has no effect) |
 //! | [`Limits::max_library_batch`] | [`MAX_LIBRARY_BATCH`] | a hostile entry-count prefix |
 //! | [`Limits::max_query_batch`] | [`MAX_QUERY_BATCH`] | one frame demanding unbounded scans |
 //! | [`Limits::max_top_k`] | [`MAX_TOP_K`] | unbounded per-query result memory |
@@ -26,9 +25,10 @@
 //! | [`Limits::max_store_name_len`] | [`MAX_STORE_NAME_LEN`] | unbounded store names (they become file names) |
 //! | [`Limits::max_incremental_batch`] | [`MAX_INCREMENTAL_BATCH`] | one `SubmitIncremental` holding the store lock for an unbounded installment |
 //!
-//! [`MAX_LIBRARY_TOTAL_ENTRIES`] is the one cap checked where state
-//! accumulates (a search job's library, over any number of frames)
-//! instead of at decode: a constant, not a field.
+//! Two caps are constants, not fields: [`MAX_LIBRARY_TOTAL_ENTRIES`] is
+//! checked where state accumulates (a search job's library, over any
+//! number of frames) instead of at decode, and [`MAX_WATERMARK`] bounds a
+//! field that has no effect (SPHD v3 compatibility only).
 
 /// Default cap on a frame's payload length: 32 MiB. At ~16 bytes per
 /// peak this is roughly 40k spectra of 50 peaks in one `Submit` — far
@@ -39,10 +39,11 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 32 * 1024 * 1024;
 /// thread count: without this cap a single well-formed `OpenJob` frame
 /// could demand billions of pipeline threads.
 pub const MAX_WORKERS: u32 = 64;
-/// Default cap on `JobConfig::watermark` accepted over the wire; 0 is
-/// also rejected. The field once sized a per-shard raw-spectrum buffer
-/// and now has no effect (the pipeline encodes on arrival); the range is
-/// still enforced so SPHD v3 accepts exactly the frames it always did.
+/// Cap on `JobConfig::watermark` accepted over the wire; 0 is also
+/// rejected. The field once sized a per-shard raw-spectrum buffer and now
+/// has no effect (the pipeline encodes on arrival), so the cap guards
+/// nothing and is a constant, not a [`Limits`] field; the range is still
+/// enforced so SPHD v3 accepts exactly the frames it always did.
 pub const MAX_WATERMARK: u32 = 1 << 20;
 /// Default cap on library entries per `LoadLibrary` frame. Checked at
 /// decode time *before* any allocation: a hostile count prefix is
@@ -92,9 +93,6 @@ pub struct Limits {
     pub max_frame_len: u32,
     /// Cap on `JobConfig::workers` (0 = server default stays allowed).
     pub max_workers: u32,
-    /// Cap on `JobConfig::watermark` (validated for SPHD v3
-    /// compatibility, no effect); 0 is always rejected.
-    pub max_watermark: u32,
     /// Cap on library entries per `LoadLibrary` frame.
     pub max_library_batch: u32,
     /// Cap on queries per `SearchQuery` frame.
@@ -115,7 +113,6 @@ impl Default for Limits {
         Self {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_workers: MAX_WORKERS,
-            max_watermark: MAX_WATERMARK,
             max_library_batch: MAX_LIBRARY_BATCH,
             max_query_batch: MAX_QUERY_BATCH,
             max_top_k: MAX_TOP_K,
@@ -189,12 +186,6 @@ mod tests {
                 tighten(|l| l.max_workers = 3),
                 open_job(3, 16),
                 open_job(4, 16),
-            ),
-            (
-                "max_watermark",
-                tighten(|l| l.max_watermark = 5),
-                open_job(0, 5),
-                open_job(0, 6),
             ),
             (
                 "max_library_batch",
@@ -297,7 +288,6 @@ mod tests {
         let l = Limits::default();
         assert_eq!(l.max_frame_len, DEFAULT_MAX_FRAME_LEN);
         assert_eq!(l.max_workers, MAX_WORKERS);
-        assert_eq!(l.max_watermark, MAX_WATERMARK);
         assert_eq!(l.max_library_batch, MAX_LIBRARY_BATCH);
         assert_eq!(l.max_query_batch, MAX_QUERY_BATCH);
         assert_eq!(l.max_top_k, MAX_TOP_K);

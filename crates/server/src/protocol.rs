@@ -18,6 +18,13 @@
 //! robustness suite checks both for every frame type). Strings are
 //! `u32` length + UTF-8 bytes; vectors are `u32` count + elements.
 //!
+//! The frame table (`payloads!` in this file) is the single source of
+//! every payload layout: one row per frame type, listing its fields in
+//! wire order, each with the codec that carries it. [`encode_payload`],
+//! [`decode_payload`] and the frame-type mappings are generated from
+//! that table, and each codec's decode half does all of the field's
+//! validation, so the encoder and the decoder cannot disagree.
+//!
 //! A reader must reject, without reading the payload: wrong magic, wrong
 //! version, unknown frame type, a non-zero reserved byte, and a length
 //! prefix above its configured cap ([`DEFAULT_MAX_FRAME_LEN`] by
@@ -27,7 +34,7 @@
 //! *connection* (an [`Frame::Error`] is sent best-effort, then the socket
 //! closes); the server itself keeps serving.
 //!
-//! Every decode-time cap — the frame cap, the config knobs, the batch
+//! Every decode-time cap — the frame cap, the worker cap, the batch
 //! counts, the store-name bound — lives in one configurable
 //! [`Limits`] value threaded into
 //! [`decode_payload`] and [`read_frame`]; the `MAX_*` constants
@@ -37,7 +44,8 @@ use crate::limits::Limits;
 use spechd_cluster::Linkage;
 use spechd_core::{SpecHdConfig, StreamConfig};
 use spechd_ms::{MsError, Peak, Precursor, Spectrum};
-use std::io::{Read, Write};
+use std::borrow::Borrow;
+use std::io::{ErrorKind, Read, Write};
 
 pub use crate::limits::{
     DEFAULT_MAX_FRAME_LEN, MAX_INCREMENTAL_BATCH, MAX_LIBRARY_BATCH, MAX_QUERY_BATCH,
@@ -114,34 +122,6 @@ pub enum FrameType {
     StoreAck = 0x17,
     /// Server→client: an error. Fatal errors are followed by a close.
     Error = 0x1F,
-}
-
-impl FrameType {
-    fn from_wire(byte: u8) -> Option<Self> {
-        Some(match byte {
-            0x01 => Self::OpenJob,
-            0x02 => Self::Submit,
-            0x03 => Self::Flush,
-            0x04 => Self::CloseJob,
-            0x05 => Self::LoadLibrary,
-            0x06 => Self::SearchQuery,
-            0x07 => Self::OpenStore,
-            0x08 => Self::SubmitIncremental,
-            0x09 => Self::PersistStore,
-            0x0A => Self::StoreStats,
-            0x0B => Self::RefreshStore,
-            0x10 => Self::SubmitAck,
-            0x11 => Self::Assignment,
-            0x12 => Self::Consensus,
-            0x13 => Self::JobStats,
-            0x14 => Self::SearchHit,
-            0x15 => Self::SearchStats,
-            0x16 => Self::IncrementalAck,
-            0x17 => Self::StoreAck,
-            0x1F => Self::Error,
-            _ => return None,
-        })
-    }
 }
 
 /// Error codes carried by [`Frame::Error`], partitioned into two
@@ -685,39 +665,14 @@ pub enum Frame {
     },
 }
 
-impl Frame {
-    fn frame_type(&self) -> FrameType {
-        match self {
-            Frame::OpenJob { .. } => FrameType::OpenJob,
-            Frame::Submit { .. } => FrameType::Submit,
-            Frame::Flush { .. } => FrameType::Flush,
-            Frame::CloseJob { .. } => FrameType::CloseJob,
-            Frame::LoadLibrary { .. } => FrameType::LoadLibrary,
-            Frame::SearchQuery { .. } => FrameType::SearchQuery,
-            Frame::OpenStore { .. } => FrameType::OpenStore,
-            Frame::SubmitIncremental { .. } => FrameType::SubmitIncremental,
-            Frame::PersistStore { .. } => FrameType::PersistStore,
-            Frame::StoreStats { .. } => FrameType::StoreStats,
-            Frame::RefreshStore { .. } => FrameType::RefreshStore,
-            Frame::SubmitAck { .. } => FrameType::SubmitAck,
-            Frame::Assignment { .. } => FrameType::Assignment,
-            Frame::Consensus { .. } => FrameType::Consensus,
-            Frame::JobStats(_) => FrameType::JobStats,
-            Frame::SearchHit { .. } => FrameType::SearchHit,
-            Frame::SearchStats(_) => FrameType::SearchStats,
-            Frame::IncrementalAck(_) => FrameType::IncrementalAck,
-            Frame::StoreAck(_) => FrameType::StoreAck,
-            Frame::Error { .. } => FrameType::Error,
-        }
-    }
-}
-
 /// Why a frame could not be read or decoded.
 #[derive(Debug)]
 pub enum WireError {
     /// The peer closed the connection cleanly between frames.
     Closed,
-    /// An I/O error (including timeouts and mid-frame disconnects).
+    /// An I/O error: a failed or timed-out read between frames, or a
+    /// reset inside one (an EOF or a stall inside one is
+    /// [`WireError::Truncated`]).
     Io(std::io::Error),
     /// The header's magic bytes were wrong.
     BadMagic([u8; 4]),
@@ -785,280 +740,110 @@ impl From<MsError> for WireError {
     }
 }
 
-// ───────────────────────── encoding ─────────────────────────
+// ───────────────────────── the frame table ─────────────────────────
 
-struct Enc {
-    buf: Vec<u8>,
+/// Expands the frame table into the four per-frame matches:
+/// `FrameType::from_wire`, `Frame::frame_type`, [`encode_payload`] and
+/// [`decode_payload`]. A row is `Variant { field: codec, … }` — or
+/// `Variant[Struct] { … }` for a variant wrapping a named struct — with
+/// the fields in wire order. Each `codec` names a method on both `Enc`
+/// (writes the field) and `Dec` (reads it and does all of its
+/// validation), so the wire width is in the table, never inferred from
+/// the field's Rust type.
+macro_rules! payloads {
+    (@shape $name:ident { $($field:ident),* }) => {
+        Frame::$name { $($field),* }
+    };
+    (@shape $name:ident [$inner:ident] { $($field:ident),* }) => {
+        Frame::$name($inner { $($field),* })
+    };
+    ($($name:ident $([$inner:ident])? { $($field:ident: $codec:ident),* $(,)? })*) => {
+        impl FrameType {
+            fn from_wire(byte: u8) -> Option<Self> {
+                [$(Self::$name),*].into_iter().find(|&t| t as u8 == byte)
+            }
+        }
+
+        impl Frame {
+            fn frame_type(&self) -> FrameType {
+                match self {
+                    $(Frame::$name { .. } => FrameType::$name,)*
+                }
+            }
+        }
+
+        /// Encodes a frame's payload bytes (no header).
+        pub fn encode_payload(frame: &Frame) -> Vec<u8> {
+            let mut e = Enc::new();
+            match frame {
+                $(payloads!(@shape $name $([$inner])? { $($field),* }) => {
+                    $(e.$codec($field);)*
+                })*
+            }
+            e.buf
+        }
+
+        /// Decodes a frame's payload, given its type from the header.
+        /// Rejects truncated payloads, trailing bytes, and any value
+        /// beyond the caps in `limits` — this is the single enforcement
+        /// point for every decode-time cap (see [`crate::limits`]).
+        pub fn decode_payload(
+            frame_type: FrameType,
+            payload: &[u8],
+            limits: &Limits,
+        ) -> Result<Frame, WireError> {
+            let mut d = Dec::new(payload, limits);
+            let frame = match frame_type {
+                $(FrameType::$name => {
+                    $(let $field = d.$codec()?;)*
+                    payloads!(@shape $name $([$inner])? { $($field),* })
+                })*
+            };
+            d.finish()?;
+            Ok(frame)
+        }
+    };
 }
 
-impl Enc {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
+// Every SPHD v3 payload layout, written once. `client_id` trails
+// `OpenJob` (a v2 addition) so the config field offsets match v1.
+payloads! {
+    OpenJob { job_id: u64, config: job_config, client_id: u64 }
+    Submit { job_id: u64, seq: u64, spectra: spectra }
+    Flush { job_id: u64 }
+    CloseJob { job_id: u64 }
+    LoadLibrary { job_id: u64, dim: dim, entries: entries }
+    SearchQuery { job_id: u64, dim: dim, window_da: window, top_k: top_k, queries: queries }
+    OpenStore { name: store_name, client_id: u64, config: job_config }
+    SubmitIncremental { name: store_name, seq: u64, spectra: installment }
+    PersistStore { name: store_name }
+    StoreStats { name: store_name }
+    RefreshStore { name: store_name }
+    SubmitAck { job_id: u64, seq: u64, base: u64, count: u32 }
+    Assignment { job_id: u64, key: i64, raw_base: u64, members: members, labels: paired_u32s }
+    Consensus { job_id: u64, raw_base: u64, medoids: u64s }
+    JobStats[JobStatsFrame] {
+        job_id: u64, participants: u32, submitted: u64, streamed: u64, kept: u64,
+        shards_opened: u32, shards_clustered: u32, clusters: u64, hac_comparisons: u64,
+        hac_updates: u64, hac_merges: u64, done: u8,
     }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    SearchHit { job_id: u64, query_index: u64, hits: hits }
+    SearchStats[SearchStatsFrame] {
+        job_id: u64, participants: u32, entries: u64, targets: u64, decoys: u64, sealed: u8,
+        queries: u64, hits: u64,
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    IncrementalAck[IncrementalAckFrame] {
+        name: store_name, seq: u64, base_id: u64, kept: kept, labels: paired_u64s,
+        absorbed: u64, residual: u64, new_clusters: u64, total_spectra: u64,
+        total_clusters: u64,
     }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    // `dim` here is a plain snapshot value, not the validating `dim` codec.
+    StoreAck[StoreAckFrame] {
+        name: store_name, dim: u32, fingerprint: u64, spectra: u64, buckets: u64,
+        clusters: u64, keeps_member_rows: u8, dirty: u8, persisted: u8, refreshed: u64,
+        merged: u64,
     }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn spectrum(&mut self, s: &Spectrum) {
-        self.str(s.title());
-        self.f64(s.precursor().mz());
-        self.u8(s.precursor().charge());
-        match s.retention_time() {
-            Some(rt) => {
-                self.u8(1);
-                self.f64(rt);
-            }
-            None => self.u8(0),
-        }
-        self.u32(s.peaks().len() as u32);
-        for p in s.peaks() {
-            self.f64(p.mz);
-            self.f32(p.intensity);
-        }
-    }
-    /// Raw hypervector words — no count prefix: the count is implied by
-    /// the frame's `dim` (`dim.div_ceil(64)` words per row).
-    fn words(&mut self, words: &[u64]) {
-        for &w in words {
-            self.u64(w);
-        }
-    }
-    /// The [`JobConfig`] field block shared by `OpenJob` and
-    /// `OpenStore`: dim, resolution, threshold, linkage, watermark,
-    /// workers — in v1 field order.
-    fn job_config(&mut self, config: &JobConfig) {
-        self.u32(config.dim);
-        self.f64(config.resolution);
-        self.f64(config.threshold_fraction);
-        self.u8(linkage_to_wire(config.linkage));
-        self.u32(config.watermark);
-        self.u32(config.workers);
-    }
-}
-
-/// Encodes a frame's payload bytes (no header).
-pub fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut e = Enc::new();
-    match frame {
-        Frame::OpenJob {
-            job_id,
-            client_id,
-            config,
-        } => {
-            e.u64(*job_id);
-            e.job_config(config);
-            // v2 addition, kept at the tail so the config field offsets
-            // match v1 (and the offset-based decode tests).
-            e.u64(*client_id);
-        }
-        Frame::Submit {
-            job_id,
-            seq,
-            spectra,
-        } => {
-            e.u64(*job_id);
-            e.u64(*seq);
-            e.u32(spectra.len() as u32);
-            for s in spectra {
-                e.spectrum(s);
-            }
-        }
-        Frame::Flush { job_id } | Frame::CloseJob { job_id } => {
-            e.u64(*job_id);
-        }
-        Frame::LoadLibrary {
-            job_id,
-            dim,
-            entries,
-        } => {
-            e.u64(*job_id);
-            e.u32(*dim);
-            e.u32(entries.len() as u32);
-            for entry in entries {
-                e.f64(entry.mass);
-                e.u8(entry.charge);
-                e.u8(u8::from(entry.is_decoy));
-                e.str(&entry.id);
-                e.words(&entry.words);
-            }
-        }
-        Frame::SearchQuery {
-            job_id,
-            dim,
-            window_da,
-            top_k,
-            queries,
-        } => {
-            e.u64(*job_id);
-            e.u32(*dim);
-            e.f64(*window_da);
-            e.u32(*top_k);
-            e.u32(queries.len() as u32);
-            for q in queries {
-                e.f64(q.mass);
-                e.words(&q.words);
-            }
-        }
-        Frame::OpenStore {
-            name,
-            client_id,
-            config,
-        } => {
-            e.str(name);
-            e.u64(*client_id);
-            e.job_config(config);
-        }
-        Frame::SubmitIncremental { name, seq, spectra } => {
-            e.str(name);
-            e.u64(*seq);
-            e.u32(spectra.len() as u32);
-            for s in spectra {
-                e.spectrum(s);
-            }
-        }
-        Frame::PersistStore { name }
-        | Frame::StoreStats { name }
-        | Frame::RefreshStore { name } => {
-            e.str(name);
-        }
-        Frame::SubmitAck {
-            job_id,
-            seq,
-            base,
-            count,
-        } => {
-            e.u64(*job_id);
-            e.u64(*seq);
-            e.u64(*base);
-            e.u32(*count);
-        }
-        Frame::Assignment {
-            job_id,
-            key,
-            raw_base,
-            members,
-            labels,
-        } => {
-            e.u64(*job_id);
-            e.i64(*key);
-            e.u64(*raw_base);
-            e.u32(members.len() as u32);
-            for &m in members {
-                e.u64(m);
-            }
-            for &l in labels {
-                e.u32(l);
-            }
-        }
-        Frame::Consensus {
-            job_id,
-            raw_base,
-            medoids,
-        } => {
-            e.u64(*job_id);
-            e.u64(*raw_base);
-            e.u32(medoids.len() as u32);
-            for &m in medoids {
-                e.u64(m);
-            }
-        }
-        Frame::JobStats(s) => {
-            e.u64(s.job_id);
-            e.u32(s.participants);
-            e.u64(s.submitted);
-            e.u64(s.streamed);
-            e.u64(s.kept);
-            e.u32(s.shards_opened);
-            e.u32(s.shards_clustered);
-            e.u64(s.clusters);
-            e.u64(s.hac_comparisons);
-            e.u64(s.hac_updates);
-            e.u64(s.hac_merges);
-            e.u8(s.done);
-        }
-        Frame::SearchHit {
-            job_id,
-            query_index,
-            hits,
-        } => {
-            e.u64(*job_id);
-            e.u64(*query_index);
-            e.u32(hits.len() as u32);
-            for h in hits {
-                e.u64(h.library_index);
-                e.u16(h.distance);
-                e.f64(h.mass_delta);
-                e.u8(u8::from(h.is_decoy));
-                e.str(&h.id);
-            }
-        }
-        Frame::SearchStats(s) => {
-            e.u64(s.job_id);
-            e.u32(s.participants);
-            e.u64(s.entries);
-            e.u64(s.targets);
-            e.u64(s.decoys);
-            e.u8(s.sealed);
-            e.u64(s.queries);
-            e.u64(s.hits);
-        }
-        Frame::IncrementalAck(a) => {
-            e.str(&a.name);
-            e.u64(a.seq);
-            e.u64(a.base_id);
-            e.u32(a.kept.len() as u32);
-            for &k in &a.kept {
-                e.u32(k);
-            }
-            for &l in &a.labels {
-                e.u64(l);
-            }
-            e.u64(a.absorbed);
-            e.u64(a.residual);
-            e.u64(a.new_clusters);
-            e.u64(a.total_spectra);
-            e.u64(a.total_clusters);
-        }
-        Frame::StoreAck(s) => {
-            e.str(&s.name);
-            e.u32(s.dim);
-            e.u64(s.fingerprint);
-            e.u64(s.spectra);
-            e.u64(s.buckets);
-            e.u64(s.clusters);
-            e.u8(s.keeps_member_rows);
-            e.u8(s.dirty);
-            e.u8(s.persisted);
-            e.u64(s.refreshed);
-            e.u64(s.merged);
-        }
-        Frame::Error { code, message } => {
-            e.u8(*code as u8);
-            e.str(message);
-        }
-    }
-    e.buf
+    Error { code: error_code, message: str }
 }
 
 /// Encodes a full frame: header + payload.
@@ -1074,16 +859,167 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
+// ───────────────────────── encoding ─────────────────────────
+
+/// The write half of every codec in the frame table. Scalar writers take
+/// `impl Borrow<T>`, so the table passes field references and callers
+/// pass values.
+struct Enc {
+    buf: Vec<u8>,
+}
+
+impl Enc {
+    fn new() -> Self {
+        Self { buf: Vec::new() }
+    }
+    fn u8(&mut self, v: impl Borrow<u8>) {
+        self.buf.push(*v.borrow());
+    }
+    fn u16(&mut self, v: impl Borrow<u16>) {
+        self.buf.extend_from_slice(&v.borrow().to_le_bytes());
+    }
+    fn u32(&mut self, v: impl Borrow<u32>) {
+        self.buf.extend_from_slice(&v.borrow().to_le_bytes());
+    }
+    fn u64(&mut self, v: impl Borrow<u64>) {
+        self.buf.extend_from_slice(&v.borrow().to_le_bytes());
+    }
+    fn i64(&mut self, v: impl Borrow<i64>) {
+        self.buf.extend_from_slice(&v.borrow().to_le_bytes());
+    }
+    fn f32(&mut self, v: impl Borrow<f32>) {
+        self.buf.extend_from_slice(&v.borrow().to_le_bytes());
+    }
+    fn f64(&mut self, v: impl Borrow<f64>) {
+        self.buf.extend_from_slice(&v.borrow().to_le_bytes());
+    }
+    fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+    fn store_name(&mut self, name: &str) {
+        self.str(name);
+    }
+    fn dim(&mut self, dim: &u32) {
+        self.u32(dim);
+    }
+    fn window(&mut self, window_da: &f64) {
+        self.f64(window_da);
+    }
+    fn top_k(&mut self, top_k: &u32) {
+        self.u32(top_k);
+    }
+    fn error_code(&mut self, code: &ErrorCode) {
+        self.u8(*code as u8);
+    }
+    /// The [`JobConfig`] field block shared by `OpenJob` and
+    /// `OpenStore`: dim, resolution, threshold, linkage, watermark,
+    /// workers — in v1 field order.
+    fn job_config(&mut self, config: &JobConfig) {
+        self.u32(config.dim);
+        self.f64(config.resolution);
+        self.f64(config.threshold_fraction);
+        self.u8(linkage_to_wire(config.linkage));
+        self.u32(config.watermark);
+        self.u32(config.workers);
+    }
+    /// A `u32` count prefix, then each item.
+    fn counted<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.u32(items.len() as u32);
+        for x in items {
+            item(self, x);
+        }
+    }
+    fn spectrum(&mut self, s: &Spectrum) {
+        self.str(s.title());
+        self.f64(s.precursor().mz());
+        self.u8(s.precursor().charge());
+        match s.retention_time() {
+            Some(rt) => {
+                self.u8(1);
+                self.f64(rt);
+            }
+            None => self.u8(0),
+        }
+        self.counted(s.peaks(), |e, p| {
+            e.f64(p.mz);
+            e.f32(p.intensity);
+        });
+    }
+    fn spectra(&mut self, spectra: &[Spectrum]) {
+        self.counted(spectra, Self::spectrum);
+    }
+    fn installment(&mut self, spectra: &[Spectrum]) {
+        self.spectra(spectra);
+    }
+    fn entries(&mut self, entries: &[LibraryEntryWire]) {
+        self.counted(entries, |e, entry| {
+            e.f64(entry.mass);
+            e.u8(entry.charge);
+            e.u8(u8::from(entry.is_decoy));
+            e.str(&entry.id);
+            e.paired_u64s(&entry.words);
+        });
+    }
+    fn queries(&mut self, queries: &[QueryWire]) {
+        self.counted(queries, |e, q| {
+            e.f64(q.mass);
+            e.paired_u64s(&q.words);
+        });
+    }
+    fn hits(&mut self, hits: &[HitWire]) {
+        self.counted(hits, |e, h| {
+            e.u64(h.library_index);
+            e.u16(h.distance);
+            e.f64(h.mass_delta);
+            e.u8(u8::from(h.is_decoy));
+            e.str(&h.id);
+        });
+    }
+    fn u64s(&mut self, v: &[u64]) {
+        self.counted(v, |e, x| e.u64(x));
+    }
+    fn members(&mut self, v: &[u64]) {
+        self.u64s(v);
+    }
+    fn kept(&mut self, v: &[u32]) {
+        self.counted(v, |e, x| e.u32(x));
+    }
+    /// Elements with no count of their own: a list parallel to the
+    /// frame's last counted one, or a hypervector row (whose word count
+    /// the frame's `dim` implies).
+    fn paired_u64s(&mut self, v: &[u64]) {
+        v.iter().for_each(|x| self.u64(x));
+    }
+    fn paired_u32s(&mut self, v: &[u32]) {
+        v.iter().for_each(|x| self.u32(x));
+    }
+}
+
 // ───────────────────────── decoding ─────────────────────────
 
+/// The read half of every codec in the frame table: each reads its field
+/// and does all of its validation. Besides the cursor it carries the
+/// decode-time caps, the frame's `dim` (set by the `dim` codec, read by
+/// the row codecs after it) and the last count prefix (read by the
+/// `paired_*` lists, which carry no count of their own).
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    limits: &'a Limits,
+    dim: u32,
+    count: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+    fn new(buf: &'a [u8], limits: &'a Limits) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            limits,
+            dim: 0,
+            count: 0,
+        }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.pos + n > self.buf.len() {
@@ -1139,6 +1075,7 @@ impl<'a> Dec<'a> {
                 "length prefix {n} exceeds remaining payload"
             )));
         }
+        self.count = n;
         Ok(n)
     }
     /// `n` items decoded one after another. Callers pass an `n` that is
@@ -1161,33 +1098,76 @@ impl<'a> Dec<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::malformed("string is not UTF-8"))
     }
-    /// A packed hypervector row of exactly `dim.div_ceil(64)` words,
-    /// with any bits at or beyond `dim` in the last word required zero
-    /// (the packed store's invariant — validated here so the server
-    /// never has to).
-    fn hv_words(&mut self, dim: u32) -> Result<Vec<u64>, WireError> {
-        let stride = (dim as usize).div_ceil(64);
-        let words = self.list(stride, Self::u64)?;
-        if dim % 64 != 0 && words[stride - 1] >> (dim % 64) != 0 {
+    fn store_name(&mut self) -> Result<String, WireError> {
+        let name = self.str()?;
+        check_store_name(&name, self.limits)?;
+        Ok(name)
+    }
+    /// The frame's hypervector dimensionality, kept for the rows after it.
+    fn dim(&mut self) -> Result<u32, WireError> {
+        let dim = self.u32()?;
+        check_dim(dim)?;
+        self.dim = dim;
+        Ok(dim)
+    }
+    fn window(&mut self) -> Result<f64, WireError> {
+        let window_da = self.finite_f64("search window")?;
+        let max = self.limits.max_search_window_da;
+        if !(0.0..=max).contains(&window_da) {
             return Err(WireError::malformed(format!(
-                "hypervector has non-zero bits beyond dim {dim}"
+                "search window {window_da} outside [0, {max}]"
             )));
         }
-        Ok(words)
+        Ok(window_da)
     }
-    fn finite_f64(&mut self, what: &str) -> Result<f64, WireError> {
-        let v = self.f64()?;
-        if !v.is_finite() {
-            return Err(WireError::malformed(format!("{what} must be finite")));
+    fn top_k(&mut self) -> Result<u32, WireError> {
+        let top_k = self.u32()?;
+        let max = self.limits.max_top_k;
+        if top_k == 0 || top_k > max {
+            return Err(WireError::malformed(format!(
+                "top_k {top_k} outside [1, {max}]"
+            )));
         }
-        Ok(v)
+        Ok(top_k)
     }
-    fn bool_flag(&mut self, what: &str) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::malformed(format!("bad {what} flag {other}"))),
+    fn error_code(&mut self) -> Result<ErrorCode, WireError> {
+        let byte = self.u8()?;
+        ErrorCode::from_wire(byte)
+            .ok_or_else(|| WireError::malformed(format!("unknown error code {byte}")))
+    }
+    /// The [`JobConfig`] field block shared by `OpenJob` and
+    /// `OpenStore`, with its full validation: dim bounds, finite
+    /// positive resolution, threshold in `[0, 1]`, the worker cap from
+    /// the limits and the watermark range `[1, MAX_WATERMARK]`.
+    fn job_config(&mut self) -> Result<JobConfig, WireError> {
+        let config = JobConfig {
+            dim: self.u32()?,
+            resolution: self.f64()?,
+            threshold_fraction: self.f64()?,
+            linkage: linkage_from_wire(self.u8()?)?,
+            watermark: self.u32()?,
+            workers: self.u32()?,
+        };
+        check_dim(config.dim)?;
+        if !config.resolution.is_finite()
+            || config.resolution <= 0.0
+            || !(0.0..=1.0).contains(&config.threshold_fraction)
+        {
+            return Err(WireError::malformed("invalid job config values"));
         }
+        if config.workers > self.limits.max_workers {
+            return Err(WireError::malformed(format!(
+                "workers {} exceeds cap {}",
+                config.workers, self.limits.max_workers
+            )));
+        }
+        if config.watermark == 0 || config.watermark > MAX_WATERMARK {
+            return Err(WireError::malformed(format!(
+                "watermark {} outside [1, {MAX_WATERMARK}]",
+                config.watermark
+            )));
+        }
+        Ok(config)
     }
     fn spectrum(&mut self) -> Result<Spectrum, WireError> {
         let title = self.str()?;
@@ -1210,44 +1190,103 @@ impl<'a> Dec<'a> {
         }
         Ok(s)
     }
-    /// The [`JobConfig`] field block shared by `OpenJob` and
-    /// `OpenStore`, with its full validation: dim bounds, finite
-    /// positive resolution, threshold in `[0, 1]`, and the worker /
-    /// watermark caps from `limits`.
-    fn job_config(&mut self, limits: &Limits) -> Result<JobConfig, WireError> {
-        let config = JobConfig {
-            dim: self.u32()?,
-            resolution: self.f64()?,
-            threshold_fraction: self.f64()?,
-            linkage: linkage_from_wire(self.u8()?)?,
-            watermark: self.u32()?,
-            workers: self.u32()?,
-        };
-        check_dim(config.dim)?;
-        if !config.resolution.is_finite()
-            || config.resolution <= 0.0
-            || !(0.0..=1.0).contains(&config.threshold_fraction)
-        {
-            return Err(WireError::malformed("invalid job config values"));
-        }
-        if config.workers > limits.max_workers {
-            return Err(WireError::malformed(format!(
-                "workers {} exceeds cap {}",
-                config.workers, limits.max_workers
-            )));
-        }
-        if config.watermark == 0 || config.watermark > limits.max_watermark {
-            return Err(WireError::malformed(format!(
-                "watermark {} outside [1, {}]",
-                config.watermark, limits.max_watermark
-            )));
-        }
-        Ok(config)
+    fn spectra(&mut self) -> Result<Vec<Spectrum>, WireError> {
+        let n = self.len_prefix(18)?; // min spectrum: empty title + fixed fields
+        self.list(n, Self::spectrum)
     }
-    fn store_name(&mut self, limits: &Limits) -> Result<String, WireError> {
-        let name = self.str()?;
-        check_store_name(&name, limits)?;
-        Ok(name)
+    fn installment(&mut self) -> Result<Vec<Spectrum>, WireError> {
+        let cap = self.limits.max_incremental_batch;
+        let n = self.capped_count(cap, 18, "incremental spectrum")?;
+        self.list(n, Self::spectrum)
+    }
+    fn entries(&mut self) -> Result<Vec<LibraryEntryWire>, WireError> {
+        let cap = self.limits.max_library_batch;
+        // min entry: mass + charge + decoy flag + empty id + row
+        let n = self.capped_count(cap, 14 + self.row_bytes(), "library entry")?;
+        self.list(n, |d| {
+            Ok(LibraryEntryWire {
+                mass: d.finite_f64("entry mass")?,
+                charge: d.u8()?,
+                is_decoy: d.bool_flag("is_decoy")?,
+                id: d.str()?,
+                words: d.row()?,
+            })
+        })
+    }
+    fn queries(&mut self) -> Result<Vec<QueryWire>, WireError> {
+        let cap = self.limits.max_query_batch;
+        let n = self.capped_count(cap, 8 + self.row_bytes(), "query")?;
+        self.list(n, |d| {
+            Ok(QueryWire {
+                mass: d.finite_f64("query mass")?,
+                words: d.row()?,
+            })
+        })
+    }
+    fn hits(&mut self) -> Result<Vec<HitWire>, WireError> {
+        // min hit: index + distance + delta + decoy flag + empty id
+        let n = self.len_prefix(23)?;
+        self.list(n, |d| {
+            Ok(HitWire {
+                library_index: d.u64()?,
+                distance: d.u16()?,
+                mass_delta: d.f64()?,
+                is_decoy: d.bool_flag("is_decoy")?,
+                id: d.str()?,
+            })
+        })
+    }
+    fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
+        let n = self.len_prefix(8)?;
+        self.list(n, Self::u64)
+    }
+    fn members(&mut self) -> Result<Vec<u64>, WireError> {
+        let n = self.len_prefix(12)?; // 8 bytes member + 4 bytes label
+        self.list(n, Self::u64)
+    }
+    fn kept(&mut self) -> Result<Vec<u32>, WireError> {
+        let cap = self.limits.max_incremental_batch;
+        // 4 bytes kept index + 8 bytes label per element.
+        let n = self.capped_count(cap, 12, "incremental label")?;
+        self.list(n, Self::u32)
+    }
+    fn paired_u32s(&mut self) -> Result<Vec<u32>, WireError> {
+        self.list(self.count, Self::u32)
+    }
+    fn paired_u64s(&mut self) -> Result<Vec<u64>, WireError> {
+        self.list(self.count, Self::u64)
+    }
+    fn row_bytes(&self) -> usize {
+        (self.dim as usize).div_ceil(64) * 8
+    }
+    /// A packed hypervector row of exactly `dim.div_ceil(64)` words,
+    /// with any bits at or beyond `dim` in the last word required zero
+    /// (the packed store's invariant — validated here so the server
+    /// never has to).
+    fn row(&mut self) -> Result<Vec<u64>, WireError> {
+        let dim = self.dim;
+        let stride = (dim as usize).div_ceil(64);
+        let words = self.list(stride, Self::u64)?;
+        if dim % 64 != 0 && words[stride - 1] >> (dim % 64) != 0 {
+            return Err(WireError::malformed(format!(
+                "hypervector has non-zero bits beyond dim {dim}"
+            )));
+        }
+        Ok(words)
+    }
+    fn finite_f64(&mut self, what: &str) -> Result<f64, WireError> {
+        let v = self.f64()?;
+        if !v.is_finite() {
+            return Err(WireError::malformed(format!("{what} must be finite")));
+        }
+        Ok(v)
+    }
+    fn bool_flag(&mut self, what: &str) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::malformed(format!("bad {what} flag {other}"))),
+        }
     }
     fn finish(self) -> Result<(), WireError> {
         if self.pos != self.buf.len() {
@@ -1282,247 +1321,6 @@ pub fn parse_header(
         return Err(WireError::Oversized { len, max: max_len });
     }
     Ok((frame_type, len))
-}
-
-/// Decodes a frame's payload, given its type from the header. Rejects
-/// truncated payloads, trailing bytes, and any value beyond the caps in
-/// `limits` — this is the single enforcement point for every
-/// decode-time cap (see [`crate::limits`]).
-pub fn decode_payload(
-    frame_type: FrameType,
-    payload: &[u8],
-    limits: &Limits,
-) -> Result<Frame, WireError> {
-    let mut d = Dec::new(payload);
-    let frame = match frame_type {
-        FrameType::OpenJob => {
-            let job_id = d.u64()?;
-            let config = d.job_config(limits)?;
-            let client_id = d.u64()?;
-            Frame::OpenJob {
-                job_id,
-                client_id,
-                config,
-            }
-        }
-        FrameType::Submit => {
-            let job_id = d.u64()?;
-            let seq = d.u64()?;
-            let n = d.len_prefix(18)?; // min spectrum: empty title + fixed fields
-            let spectra = d.list(n, Dec::spectrum)?;
-            Frame::Submit {
-                job_id,
-                seq,
-                spectra,
-            }
-        }
-        FrameType::Flush => Frame::Flush { job_id: d.u64()? },
-        FrameType::CloseJob => Frame::CloseJob { job_id: d.u64()? },
-        FrameType::LoadLibrary => {
-            let job_id = d.u64()?;
-            let dim = d.u32()?;
-            check_dim(dim)?;
-            let stride_bytes = (dim as usize).div_ceil(64) * 8;
-            // min entry: mass + charge + decoy flag + empty id + words
-            let n = d.capped_count(limits.max_library_batch, 14 + stride_bytes, "library entry")?;
-            let entries = d.list(n, |d| {
-                Ok(LibraryEntryWire {
-                    mass: d.finite_f64("entry mass")?,
-                    charge: d.u8()?,
-                    is_decoy: d.bool_flag("is_decoy")?,
-                    id: d.str()?,
-                    words: d.hv_words(dim)?,
-                })
-            })?;
-            Frame::LoadLibrary {
-                job_id,
-                dim,
-                entries,
-            }
-        }
-        FrameType::SearchQuery => {
-            let job_id = d.u64()?;
-            let dim = d.u32()?;
-            check_dim(dim)?;
-            let window_da = d.finite_f64("search window")?;
-            if !(0.0..=limits.max_search_window_da).contains(&window_da) {
-                return Err(WireError::malformed(format!(
-                    "search window {window_da} outside [0, {}]",
-                    limits.max_search_window_da
-                )));
-            }
-            let top_k = d.u32()?;
-            if top_k == 0 || top_k > limits.max_top_k {
-                return Err(WireError::malformed(format!(
-                    "top_k {top_k} outside [1, {}]",
-                    limits.max_top_k
-                )));
-            }
-            let stride_bytes = (dim as usize).div_ceil(64) * 8;
-            let n = d.capped_count(limits.max_query_batch, 8 + stride_bytes, "query")?;
-            let queries = d.list(n, |d| {
-                Ok(QueryWire {
-                    mass: d.finite_f64("query mass")?,
-                    words: d.hv_words(dim)?,
-                })
-            })?;
-            Frame::SearchQuery {
-                job_id,
-                dim,
-                window_da,
-                top_k,
-                queries,
-            }
-        }
-        FrameType::OpenStore => {
-            let name = d.store_name(limits)?;
-            let client_id = d.u64()?;
-            let config = d.job_config(limits)?;
-            Frame::OpenStore {
-                name,
-                client_id,
-                config,
-            }
-        }
-        FrameType::SubmitIncremental => {
-            let name = d.store_name(limits)?;
-            let seq = d.u64()?;
-            // min spectrum: empty title + fixed fields, as in `Submit`.
-            let n = d.capped_count(limits.max_incremental_batch, 18, "incremental spectrum")?;
-            let spectra = d.list(n, Dec::spectrum)?;
-            Frame::SubmitIncremental { name, seq, spectra }
-        }
-        FrameType::PersistStore => Frame::PersistStore {
-            name: d.store_name(limits)?,
-        },
-        FrameType::StoreStats => Frame::StoreStats {
-            name: d.store_name(limits)?,
-        },
-        FrameType::RefreshStore => Frame::RefreshStore {
-            name: d.store_name(limits)?,
-        },
-        FrameType::SubmitAck => Frame::SubmitAck {
-            job_id: d.u64()?,
-            seq: d.u64()?,
-            base: d.u64()?,
-            count: d.u32()?,
-        },
-        FrameType::Assignment => {
-            let job_id = d.u64()?;
-            let key = d.i64()?;
-            let raw_base = d.u64()?;
-            let n = d.len_prefix(12)?; // 8 bytes member + 4 bytes label
-            let members = d.list(n, Dec::u64)?;
-            let labels = d.list(n, Dec::u32)?;
-            Frame::Assignment {
-                job_id,
-                key,
-                raw_base,
-                members,
-                labels,
-            }
-        }
-        FrameType::Consensus => {
-            let job_id = d.u64()?;
-            let raw_base = d.u64()?;
-            let n = d.len_prefix(8)?;
-            let medoids = d.list(n, Dec::u64)?;
-            Frame::Consensus {
-                job_id,
-                raw_base,
-                medoids,
-            }
-        }
-        FrameType::JobStats => Frame::JobStats(JobStatsFrame {
-            job_id: d.u64()?,
-            participants: d.u32()?,
-            submitted: d.u64()?,
-            streamed: d.u64()?,
-            kept: d.u64()?,
-            shards_opened: d.u32()?,
-            shards_clustered: d.u32()?,
-            clusters: d.u64()?,
-            hac_comparisons: d.u64()?,
-            hac_updates: d.u64()?,
-            hac_merges: d.u64()?,
-            done: d.u8()?,
-        }),
-        FrameType::SearchHit => {
-            let job_id = d.u64()?;
-            let query_index = d.u64()?;
-            // min hit: index + distance + delta + decoy flag + empty id
-            let n = d.len_prefix(23)?;
-            let hits = d.list(n, |d| {
-                Ok(HitWire {
-                    library_index: d.u64()?,
-                    distance: d.u16()?,
-                    mass_delta: d.f64()?,
-                    is_decoy: d.bool_flag("is_decoy")?,
-                    id: d.str()?,
-                })
-            })?;
-            Frame::SearchHit {
-                job_id,
-                query_index,
-                hits,
-            }
-        }
-        FrameType::SearchStats => Frame::SearchStats(SearchStatsFrame {
-            job_id: d.u64()?,
-            participants: d.u32()?,
-            entries: d.u64()?,
-            targets: d.u64()?,
-            decoys: d.u64()?,
-            sealed: d.u8()?,
-            queries: d.u64()?,
-            hits: d.u64()?,
-        }),
-        FrameType::IncrementalAck => {
-            let name = d.store_name(limits)?;
-            let seq = d.u64()?;
-            let base_id = d.u64()?;
-            // 4 bytes kept index + 8 bytes label per element.
-            let n = d.capped_count(limits.max_incremental_batch, 12, "incremental label")?;
-            let kept = d.list(n, Dec::u32)?;
-            let labels = d.list(n, Dec::u64)?;
-            Frame::IncrementalAck(IncrementalAckFrame {
-                name,
-                seq,
-                base_id,
-                kept,
-                labels,
-                absorbed: d.u64()?,
-                residual: d.u64()?,
-                new_clusters: d.u64()?,
-                total_spectra: d.u64()?,
-                total_clusters: d.u64()?,
-            })
-        }
-        FrameType::StoreAck => Frame::StoreAck(StoreAckFrame {
-            name: d.store_name(limits)?,
-            dim: d.u32()?,
-            fingerprint: d.u64()?,
-            spectra: d.u64()?,
-            buckets: d.u64()?,
-            clusters: d.u64()?,
-            keeps_member_rows: d.u8()?,
-            dirty: d.u8()?,
-            persisted: d.u8()?,
-            refreshed: d.u64()?,
-            merged: d.u64()?,
-        }),
-        FrameType::Error => {
-            let code_byte = d.u8()?;
-            let code = ErrorCode::from_wire(code_byte)
-                .ok_or_else(|| WireError::malformed(format!("unknown error code {code_byte}")))?;
-            Frame::Error {
-                code,
-                message: d.str()?,
-            }
-        }
-    };
-    d.finish()?;
-    Ok(frame)
 }
 
 fn check_dim(dim: u32) -> Result<(), WireError> {
@@ -1568,14 +1366,26 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
 /// `limits`. Returns [`WireError::Closed`] on a clean EOF at a frame
 /// boundary; an EOF mid-frame is [`WireError::Truncated`].
 pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, WireError> {
-    let mut header = [0u8; HEADER_LEN];
     // First byte separately: EOF here is a clean close, EOF later is a
     // truncated frame.
-    match r.read(&mut header[..1]) {
-        Ok(0) => return Err(WireError::Closed),
-        Ok(_) => {}
-        Err(e) => return Err(WireError::Io(e)),
+    let mut first = [0u8];
+    match r.read(&mut first) {
+        Ok(0) => Err(WireError::Closed),
+        Ok(_) => finish_frame(r, first[0], limits),
+        Err(e) => Err(WireError::Io(e)),
     }
+}
+
+/// Reads the rest of a frame whose first byte has arrived — header,
+/// payload, decode — enforcing every cap in `limits`. A stream that ends
+/// or stalls (a read timeout) inside the frame is
+/// [`WireError::Truncated`].
+pub(crate) fn finish_frame(
+    r: &mut impl Read,
+    first: u8,
+    limits: &Limits,
+) -> Result<Frame, WireError> {
+    let mut header = [first; HEADER_LEN];
     r.read_exact(&mut header[1..])
         .map_err(|e| truncated(e, "header"))?;
     let (frame_type, len) = parse_header(&header, limits.max_frame_len)?;
@@ -1586,10 +1396,11 @@ pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, WireError
 }
 
 fn truncated(e: std::io::Error, what: &str) -> WireError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        WireError::Truncated(format!("EOF inside {what}"))
-    } else {
-        WireError::Io(e)
+    match e.kind() {
+        ErrorKind::UnexpectedEof | ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+            WireError::Truncated(format!("stalled inside {what}"))
+        }
+        _ => WireError::Io(e),
     }
 }
 
@@ -2363,5 +2174,55 @@ mod tests {
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    /// Applies one seeded edit to `bytes`: a bit flip, a random byte, an
+    /// insert, a delete or a cut.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut impl spechd_rng::Rng) {
+        let len = bytes.len();
+        match rng.range_usize(0, 5) {
+            0 if len > 0 => bytes[rng.range_usize(0, len)] ^= 1 << rng.range_usize(0, 8),
+            1 if len > 0 => bytes[rng.range_usize(0, len)] = rng.next_u32() as u8,
+            2 => bytes.insert(rng.range_usize(0, len + 1), rng.next_u32() as u8),
+            3 if len > 0 => {
+                bytes.remove(rng.range_usize(0, len));
+            }
+            _ => bytes.truncate(rng.range_usize(0, len + 1)),
+        }
+    }
+
+    /// 2 000 seeded mutants of every frame's payload: decoding never
+    /// panics and only ever rejects as `Malformed`, and every accepted
+    /// mutant re-encodes to bytes that decode again to the same bytes
+    /// (compared as bytes, since NaN fields defeat value equality).
+    #[test]
+    fn seeded_payload_mutations_are_rejected_or_reencode_stably() {
+        use spechd_rng::{Rng, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5048_4433);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for frame in all_frames() {
+            let frame_type = frame.frame_type();
+            let payload = encode_payload(&frame);
+            for _ in 0..2000 {
+                let mut mutant = payload.clone();
+                for _ in 0..rng.range_usize(1, 4) {
+                    mutate(&mut mutant, &mut rng);
+                }
+                match decode_payload(frame_type, &mutant) {
+                    Ok(decoded) => {
+                        accepted += 1;
+                        let bytes = encode_payload(&decoded);
+                        let again = decode_payload(frame_type, &bytes).unwrap_or_else(|e| {
+                            panic!("{frame_type:?}: re-encoded mutant rejected: {e}")
+                        });
+                        assert_eq!(encode_payload(&again), bytes, "{frame_type:?}");
+                    }
+                    Err(WireError::Malformed(_)) => rejected += 1,
+                    Err(other) => panic!("{frame_type:?}: unexpected {other}"),
+                }
+            }
+        }
+        println!("payload mutations: {accepted} accepted / {rejected} rejected");
+        assert!(accepted > 0 && rejected > 0);
     }
 }

@@ -28,9 +28,7 @@
 
 use crate::job::{JobError, JobHandle, JobRegistry};
 use crate::limits::Limits;
-use crate::protocol::{
-    decode_payload, parse_header, write_frame, ErrorCode, Frame, WireError, HEADER_LEN,
-};
+use crate::protocol::{finish_frame, write_frame, ErrorCode, Frame, WireError};
 use crate::search::{SearchHandle, SearchRegistry};
 use crate::store::{StoreRegistry, StoreSessionHandle};
 use std::io::{Read, Write};
@@ -313,7 +311,7 @@ impl FrameReader<'_> {
     fn next_frame(&mut self, engaged: bool) -> ReadEvent {
         let config = &self.shared.config;
         // Phase 1: poll for the frame's first byte.
-        let mut header = [0u8; HEADER_LEN];
+        let mut first = [0u8];
         if self
             .stream
             .set_read_timeout(Some(config.poll_interval))
@@ -328,7 +326,7 @@ impl FrameReader<'_> {
                     "server shutting down".into(),
                 )));
             }
-            match self.stream.read(&mut header[..1]) {
+            match self.stream.read(&mut first) {
                 Ok(0) => return ReadEvent::Hangup(None),
                 Ok(_) => break,
                 Err(e)
@@ -356,33 +354,13 @@ impl FrameReader<'_> {
         {
             return ReadEvent::Hangup(None);
         }
-        if let Err(e) = self.stream.read_exact(&mut header[1..]) {
-            return hangup_for(truncation(e, "header"));
-        }
-        let (frame_type, len) = match parse_header(&header, config.limits.max_frame_len) {
-            Ok(parsed) => parsed,
-            Err(e) => return hangup_for(e),
-        };
-        let mut payload = vec![0u8; len as usize];
-        if let Err(e) = self.stream.read_exact(&mut payload) {
-            return hangup_for(truncation(e, "payload"));
-        }
-        match decode_payload(frame_type, &payload, &config.limits) {
+        match finish_frame(&mut self.stream, first[0], &config.limits) {
             Ok(frame) => {
                 self.last_activity = Instant::now();
                 ReadEvent::Frame(frame)
             }
             Err(e) => hangup_for(e),
         }
-    }
-}
-
-fn truncation(e: std::io::Error, what: &str) -> WireError {
-    match e.kind() {
-        std::io::ErrorKind::UnexpectedEof
-        | std::io::ErrorKind::WouldBlock
-        | std::io::ErrorKind::TimedOut => WireError::Truncated(format!("stalled inside {what}")),
-        _ => WireError::Io(e),
     }
 }
 
