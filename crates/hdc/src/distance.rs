@@ -252,6 +252,10 @@ impl PackedDistanceEngine {
     /// slice without gathering it into a fresh pack; it is bit-exact
     /// with slicing the full result.
     ///
+    /// The rows are cut into contiguous chunks, one per worker, and only
+    /// as many workers start as the range has work floors: a range of a
+    /// few thousand rows is swept inline at any thread setting.
+    ///
     /// # Panics
     ///
     /// Panics if `query.dim() != pack.dim()`,
@@ -265,7 +269,8 @@ impl PackedDistanceEngine {
         assert_dim_fits_u16(pack.dim());
         assert_query_fits(query, pack, &range);
         let mut out = vec![0u16; range.len()];
-        let chunk_rows = out.len().div_ceil(self.resolved_threads().max(1)).max(1);
+        let workers = sweep_workers(out.len(), pack.stride(), self.resolved_threads());
+        let chunk_rows = out.len().div_ceil(workers).max(1);
         let jobs: Vec<(usize, &mut [u16])> = out
             .chunks_mut(chunk_rows)
             .enumerate()
@@ -440,9 +445,18 @@ struct Lane<'a, S> {
     sink: S,
 }
 
-/// Packed words a block worker must sweep to be worth starting: a scoped
+/// Packed words a sweep worker must score to be worth starting: a scoped
 /// thread costs ≈ 40–80 µs to start and join, about 4 096 rows at D = 2048.
-const MIN_BLOCK_WORDS_PER_WORKER: usize = 1 << 17;
+/// The one work floor of both sweeps that split: `one_to_many_range` cuts
+/// its rows into chunks of at least this much, and `split_block` gives a
+/// block walk one worker per floor of its summed ranges.
+const MIN_SWEEP_WORDS_PER_WORKER: usize = 1 << 17;
+
+/// Workers a sweep of `rows` rows of `stride` words earns: one per work
+/// floor, at least one, at most `threads`.
+fn sweep_workers(rows: usize, stride: usize, threads: usize) -> usize {
+    (rows.saturating_mul(stride) / MIN_SWEEP_WORDS_PER_WORKER).clamp(1, threads.max(1))
+}
 
 /// Cuts range-ordered lanes into contiguous groups of about equal row
 /// counts, one per worker whose share clears the work floor.
@@ -452,7 +466,7 @@ fn split_block<'l, 'a, S>(
     threads: usize,
 ) -> Vec<&'l mut [Lane<'a, S>]> {
     let mut rows: usize = lanes.iter().map(|lane| lane.rows.len()).sum();
-    let workers = (rows.saturating_mul(stride) / MIN_BLOCK_WORDS_PER_WORKER).clamp(1, threads);
+    let workers = sweep_workers(rows, stride, threads);
     let mut groups = Vec::with_capacity(workers);
     while groups.len() + 1 < workers && rows > 0 {
         let share = rows.div_ceil(workers - groups.len());
@@ -760,7 +774,7 @@ mod tests {
     #[test]
     fn block_under_the_work_floor_runs_on_one_worker() {
         let stride = 32;
-        let floor_rows = MIN_BLOCK_WORDS_PER_WORKER / stride;
+        let floor_rows = MIN_SWEEP_WORDS_PER_WORKER / stride;
         // 64 seven-row windows: 448 rows, far under one worker's floor.
         let narrow: Vec<_> = (0..64).map(|k| k * 4000..k * 4000 + 7).collect();
         // Just short of two workers' worth.
@@ -778,7 +792,7 @@ mod tests {
     #[test]
     fn block_over_the_work_floor_is_cut_by_rows_not_by_queries() {
         let stride = 32;
-        let floor_rows = MIN_BLOCK_WORDS_PER_WORKER / stride;
+        let floor_rows = MIN_SWEEP_WORDS_PER_WORKER / stride;
         // One window of two floors, then eight of a quarter floor: four
         // floors of work, so at most four workers however many are offered.
         // Two empty windows after the last row ride with the last group.
@@ -798,6 +812,30 @@ mod tests {
             let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
             assert_eq!(sizes, expect, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn range_sweep_starts_a_worker_per_work_floor() {
+        let stride = 32;
+        let floor_rows = MIN_SWEEP_WORDS_PER_WORKER / stride;
+        // A range is cut into one chunk per worker it earns. A seven-row
+        // window, one floor, and just short of two: one chunk.
+        for rows in [0, 1, 7, floor_rows, 2 * floor_rows - 1] {
+            for threads in [1, 2, 3, 64] {
+                assert_eq!(sweep_workers(rows, stride, threads), 1, "rows {rows}");
+            }
+        }
+        assert_eq!(sweep_workers(2 * floor_rows, stride, 1), 1);
+        assert_eq!(sweep_workers(2 * floor_rows, stride, 2), 2);
+        assert_eq!(sweep_workers(2 * floor_rows, stride, 64), 2);
+        // Two chunks on two workers sweep what one does.
+        let hvs = random_set(2 * floor_rows, 2048, 17);
+        let pack = HvPack::from_hypervectors(2048, &hvs);
+        let q = &hvs[5];
+        assert_eq!(
+            PackedDistanceEngine::new().threads(2).one_to_many(q, &pack),
+            one_to_many(q, &hvs)
+        );
     }
 
     #[test]

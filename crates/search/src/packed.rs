@@ -64,9 +64,9 @@ pub struct PackedSearchConfig {
     pub batch_rows: usize,
     /// Worker threads for the distance engine (0 = all cores). On the
     /// single-query path they divide each call's *rows*; on the batch path
-    /// they divide the block's *queries*, and only when each worker's
-    /// share of the sweep outweighs starting it. Results are bit-identical
-    /// at any setting.
+    /// they divide the block's *queries*. On both, a worker starts only
+    /// when its share of the sweep outweighs starting it, so a narrow
+    /// window is scored inline. Results are bit-identical at any setting.
     pub threads: usize,
 }
 
@@ -209,8 +209,9 @@ impl PackedSearchEngine {
     /// entry whose mass lies in the closed window
     /// `[query_mass − window_da, query_mass + window_da]` in
     /// `batch_rows`-sized calls of the distance engine, each one split by
-    /// rows over `threads` workers, and returns up to `top_k` hits ordered
-    /// by `(distance, library_index)` ascending.
+    /// rows over at most `threads` workers (none for a call under the
+    /// engine's work floor), and returns up to `top_k` hits ordered by
+    /// `(distance, library_index)` ascending.
     ///
     /// # Panics
     ///

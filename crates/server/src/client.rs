@@ -1,7 +1,7 @@
 //! A blocking client for the `spechd` protocol.
 //!
 //! [`Connection`] is the shared transport: it owns the TCP socket pair
-//! (buffered writer + cloned reader), the frame codec under the shared
+//! (buffered writer + buffered reader), the frame codec under the shared
 //! [`Limits`] table, and the error-frame-to-[`ClientError`] translation
 //! every client needs. The three job-flavored clients are thin state
 //! machines over it, sharing one error surface and one round-trip loop
@@ -63,7 +63,7 @@ use crate::protocol::{
     WireError, MAX_INCREMENTAL_BATCH, MAX_LIBRARY_BATCH, MAX_QUERY_BATCH,
 };
 use spechd_ms::Spectrum;
-use std::io::BufWriter;
+use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -233,7 +233,7 @@ fn default_client_id() -> u64 {
 /// tooling (load generators, protocol probes) can drive a raw
 /// `Connection` directly.
 pub struct Connection {
-    reader: TcpStream,
+    reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     limits: Limits,
 }
@@ -245,9 +245,8 @@ impl Connection {
     pub fn open(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let reader = stream.try_clone()?;
         Ok(Self {
-            reader,
+            reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
             limits: Limits::default(),
         })

@@ -1,5 +1,5 @@
 //! Search job lifecycle: shared library loading, seal-on-first-query,
-//! and windowed scoring.
+//! and block scoring.
 //!
 //! A **search job** is a shared [`HvLibrary`]: any number of
 //! connections load entry batches into it ([`Frame::LoadLibrary`]
@@ -13,8 +13,15 @@
 //! Scoring happens **outside** the job lock. A query batch reserves its
 //! contiguous job-global query-index range and grabs the sealed
 //! library's [`Arc`] under the lock, then releases it for the whole
-//! windowed scan — concurrent participants score in parallel and only
-//! re-take the lock to bump the job's counters. Every wire-facing
+//! block walk — concurrent participants score in parallel and only
+//! re-take the lock to bump the job's counters. A batch is scored the
+//! way the library scores a block
+//! ([`PackedSearchEngine::search_batch_standard`]): one tiled walk over
+//! the mass-sorted library, each tile scored against every query whose
+//! window covers it, on the connection's own thread unless the batch's
+//! windows hold enough rows to be worth splitting across workers. Its
+//! hit frames are emitted only after the walk, in batch order, so a
+//! reply reaches the writer as one burst. Every wire-facing
 //! precondition of the packed engine (finite masses, `dim ≤ 65535`,
 //! exact row stride, zero tail bits, `top_k ≥ 1`) is enforced at frame
 //! decode, so no client input can reach a panic in the search path.
@@ -216,12 +223,12 @@ impl SearchHandle {
         Ok(self.job.stats_locked(&state))
     }
 
-    /// Scores a decoded query batch against the job's library, sealing
-    /// it first if this is the job's first query. Emits one
-    /// [`Frame::SearchHit`] per query (in batch order, with job-global
-    /// contiguous query indices) through `emit`, and returns the
-    /// post-batch snapshot — the frame pair's closing
-    /// [`Frame::SearchStats`].
+    /// Scores a decoded query batch against the job's library in one
+    /// block walk, sealing it first if this is the job's first query.
+    /// Once the walk is done, emits one [`Frame::SearchHit`] per query
+    /// (in batch order, with job-global contiguous query indices)
+    /// through `emit`, and returns the post-batch snapshot — the frame
+    /// pair's closing [`Frame::SearchStats`].
     pub fn query(
         &self,
         window_da: f64,
@@ -244,15 +251,19 @@ impl SearchHandle {
         };
         let engine = PackedSearchEngine::new(PackedSearchConfig {
             precursor_tol_da: window_da,
-            open_window_da: window_da,
             top_k: top_k as usize,
             ..PackedSearchConfig::default()
         });
         let dim = self.job.dim as usize;
+        let block: Vec<(BinaryHypervector, f64)> = queries
+            .into_iter()
+            .map(|q| (BinaryHypervector::from_words(dim, q.words), q.mass))
+            .collect();
+        // The whole batch in one walk of the library; hits go out only
+        // once every query is scored, so the reply is one burst.
+        let scored = engine.search_batch_standard(&library, &block);
         let mut emitted_hits = 0u64;
-        for (offset, q) in queries.iter().enumerate() {
-            let hv = BinaryHypervector::from_words(dim, q.words.clone());
-            let psms = engine.search_window(&library, &hv, q.mass, offset, window_da);
+        for (offset, psms) in scored.into_iter().enumerate() {
             emitted_hits += psms.len() as u64;
             emit(Frame::SearchHit {
                 job_id: self.job.id,
@@ -270,7 +281,7 @@ impl SearchHandle {
             });
         }
         let mut state = self.job.state.lock().expect("search state poisoned");
-        state.queries += queries.len() as u64;
+        state.queries += block.len() as u64;
         state.hits += emitted_hits;
         self.job.stats_locked(&state)
     }

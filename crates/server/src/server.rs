@@ -11,7 +11,10 @@
 //! subscription (streamed results) — one queue, so every client sees a
 //! single total order of server frames, and one cap
 //! ([`ServerConfig::outbound_queue_depth`]) on what a connection can
-//! make the server buffer. A client that stops draining results is
+//! make the server buffer. The writer flushes at reply boundaries: a
+//! search reply (its `SearchHit` frames and the closing `SearchStats`)
+//! leaves in one flush, and any other frame is flushed once the queue
+//! runs empty behind it. A client that stops draining results is
 //! dropped from its job's fan-out when the queue fills, and a socket
 //! that stops accepting writes fails the writer at the frame deadline —
 //! a stalled consumer costs a bounded queue, never the job's output.
@@ -546,29 +549,160 @@ fn dispatch(
     }))
 }
 
-/// Drains the connection's outbound queue onto the socket, batching
-/// writes and flushing at queue-empty boundaries. Exits when every
-/// sender is gone (reader exited and job subscription pruned) or on a
-/// write failure — in which case it shuts the socket down so the
-/// reader notices too.
+/// Drains the connection's outbound queue onto the socket, flushing at
+/// reply boundaries (see [`drain`]). Exits when every sender is gone
+/// (reader exited and job subscription pruned) or on a write failure —
+/// in which case it shuts the socket down so the reader notices too.
 fn writer_loop(stream: TcpStream, out_rx: mpsc::Receiver<Frame>) {
     let mut w = std::io::BufWriter::new(stream);
-    while let Ok(frame) = out_rx.recv() {
-        if write_frame(&mut w, &frame).is_err() {
-            break;
-        }
-        let mut flush_due = true;
-        while let Ok(next) = out_rx.try_recv() {
-            if write_frame(&mut w, &next).is_err() {
-                flush_due = false;
-                break;
-            }
-        }
-        if !flush_due || w.flush().is_err() {
-            break;
-        }
-    }
+    let _ = drain(&mut w, &out_rx);
     if let Ok(stream) = w.into_inner() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// Writes queued frames to `w` until every sender is gone or a write
+/// fails, flushing only at the end of a reply. A `SearchHit` never ends
+/// a write batch: the protocol always follows a batch's hits with its
+/// `SearchStats`, so after a hit the writer blocks for the next frame,
+/// and a search reply leaves in one flush however the reader's sends
+/// interleave with the writer. After any other frame it flushes once
+/// the queue is empty.
+fn drain(w: &mut impl Write, out_rx: &mpsc::Receiver<Frame>) -> std::io::Result<()> {
+    let mut next = out_rx.recv().ok();
+    while let Some(frame) = next {
+        write_frame(w, &frame)?;
+        next = match frame {
+            Frame::SearchHit { .. } => out_rx.recv().ok(),
+            _ => out_rx.try_recv().ok(),
+        };
+        if next.is_none() {
+            w.flush()?;
+            next = out_rx.recv().ok();
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{parse_header, FrameType, SearchStatsFrame, HEADER_LEN};
+
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Wrote(FrameType),
+        Flushed,
+    }
+
+    /// A writer that reports every frame it is handed and every flush.
+    /// `write_frame` hands it one whole frame per call.
+    struct Recorder(mpsc::Sender<Event>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let header: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("a frame");
+            let (frame_type, _) = parse_header(header, u32::MAX).expect("a frame header");
+            let _ = self.0.send(Event::Wrote(frame_type));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            let _ = self.0.send(Event::Flushed);
+            Ok(())
+        }
+    }
+
+    /// `drain` on its own thread over a queue holding `queued`: the
+    /// queue's sender, the writer's events, and the thread.
+    fn spawn_drain(
+        queued: Vec<Frame>,
+    ) -> (
+        mpsc::SyncSender<Frame>,
+        mpsc::Receiver<Event>,
+        JoinHandle<()>,
+    ) {
+        let (out_tx, out_rx) = mpsc::sync_channel(16);
+        for frame in queued {
+            out_tx.send(frame).expect("queue open");
+        }
+        let (events_tx, events) = mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            drain(&mut Recorder(events_tx), &out_rx).expect("the recorder never fails");
+        });
+        (out_tx, events, writer)
+    }
+
+    /// The writer's next event; a writer that waits where it should
+    /// report fails the test instead of hanging it.
+    fn next(events: &mpsc::Receiver<Event>) -> Event {
+        events
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the writer reports")
+    }
+
+    fn hit(query_index: u64) -> Frame {
+        Frame::SearchHit {
+            job_id: 1,
+            query_index,
+            hits: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_search_reply_leaves_in_one_flush() {
+        let (out_tx, events, writer) = spawn_drain(Vec::new());
+        for first in [0, 8] {
+            // Each hit is queued only once the one before is written, so
+            // the queue is empty behind every hit, and still no flush.
+            for query_index in first..first + 8 {
+                out_tx.send(hit(query_index)).expect("writer up");
+                assert_eq!(next(&events), Event::Wrote(FrameType::SearchHit));
+            }
+            let stats = Frame::SearchStats(SearchStatsFrame::default());
+            out_tx.send(stats).expect("writer up");
+            assert_eq!(next(&events), Event::Wrote(FrameType::SearchStats));
+            assert_eq!(next(&events), Event::Flushed);
+        }
+        drop(out_tx);
+        writer.join().expect("writer exits");
+        assert_eq!(events.iter().collect::<Vec<_>>(), []);
+    }
+
+    #[test]
+    fn fan_out_frames_flush_when_the_queue_runs_empty() {
+        let assignment = || Frame::Assignment {
+            job_id: 1,
+            key: 0,
+            raw_base: 0,
+            members: vec![0],
+            labels: vec![0],
+        };
+        let consensus = Frame::Consensus {
+            job_id: 1,
+            raw_base: 0,
+            medoids: vec![0],
+        };
+        // Frames queued together go out in one flush …
+        let (out_tx, events, writer) = spawn_drain(vec![assignment(), consensus]);
+        assert_eq!(next(&events), Event::Wrote(FrameType::Assignment));
+        assert_eq!(next(&events), Event::Wrote(FrameType::Consensus));
+        assert_eq!(next(&events), Event::Flushed);
+        // … and a lone one is flushed without waiting for another.
+        out_tx.send(assignment()).expect("writer up");
+        assert_eq!(next(&events), Event::Wrote(FrameType::Assignment));
+        assert_eq!(next(&events), Event::Flushed);
+        drop(out_tx);
+        writer.join().expect("writer exits");
+    }
+
+    #[test]
+    fn a_queue_dropped_mid_reply_ends_the_writer() {
+        let (out_tx, events, writer) = spawn_drain(vec![hit(0), hit(1)]);
+        assert_eq!(next(&events), Event::Wrote(FrameType::SearchHit));
+        assert_eq!(next(&events), Event::Wrote(FrameType::SearchHit));
+        drop(out_tx);
+        writer.join().expect("writer exits");
+        assert_eq!(events.iter().collect::<Vec<_>>(), [Event::Flushed]);
     }
 }
