@@ -64,7 +64,7 @@ pub use error::SpecHdError;
 pub use incremental::{IncrementalOutcome, IncrementalStats};
 pub use pipeline::SpecHd;
 pub use result::{RunStats, SpecHdOutcome};
-pub use stream::{ShardAssignment, StreamConfig, StreamEvent, StreamOutcome, StreamStats};
+pub use stream::{ShardAssignment, StreamConfig, StreamOutcome, StreamStats};
 
 // Re-export the workspace components a downstream user needs alongside the
 // pipeline, so `spechd-core` works as a single entry point.

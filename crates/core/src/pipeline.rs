@@ -10,6 +10,7 @@ use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_hdc::{HvPack, IdLevelEncoder, MajorityAccumulator};
 use spechd_ms::SpectrumDataset;
 use spechd_preprocess::{Bucket, PrecursorBucketer, PreprocessPipeline};
+use std::collections::BTreeMap;
 use std::sync::{mpsc, Mutex};
 
 /// The SpecHD clustering engine (Fig. 3's dataflow, executed on the host).
@@ -126,18 +127,18 @@ impl SpecHd {
             .min(buckets.len().max(1));
         // Each worker gathers its bucket's rows into a contiguous sub-pack,
         // clusters it and drops it.
-        let ((), mut clustered) = pool(
+        let ((), clustered) = pool(
             workers,
-            |send| buckets.iter().enumerate().for_each(send),
-            |(i, bucket): (usize, &Bucket)| {
+            |send| buckets.iter().for_each(send),
+            |bucket: &Bucket| {
                 let sub = pack.gather(&bucket.members);
-                (i, cluster_shard(&bucket.members, &sub, linkage, threshold))
+                cluster_shard(&bucket.members, &sub, linkage, threshold)
             },
+            |_| {},
         );
-        clustered.sort_by_key(|&(i, _)| i);
         merge(
             buckets.iter().map(Bucket::len).sum(),
-            clustered.iter().map(|(i, c)| (&buckets[*i].members[..], c)),
+            buckets.iter().map(|b| &b.members[..]).zip(&clustered),
         )
     }
 
@@ -165,35 +166,47 @@ pub(crate) struct ShardClustering {
 
 /// The one worker pool: `feed` runs on the calling thread and hands jobs
 /// to `workers` scoped threads, which turn each into a result with `work`
-/// while `feed` carries on. Returns what `feed` returned and the results,
-/// in completion order.
+/// while `feed` carries on. A result that finishes ahead of an earlier
+/// job's waits, so `in_order` sees every result in feed order, each as
+/// soon as it and all earlier ones are done (one worker at a time, under
+/// the results lock). Returns what `feed` returned and the results, in
+/// feed order.
 pub(crate) fn pool<J: Send, R: Send, T>(
     workers: usize,
     feed: impl FnOnce(&mut dyn FnMut(J)) -> T,
     work: impl Fn(J) -> R + Sync,
+    in_order: impl FnMut(&mut R) + Send,
 ) -> (T, Vec<R>) {
-    let (tx, rx) = mpsc::channel::<J>();
+    let (tx, rx) = mpsc::channel::<(usize, J)>();
     let rx = Mutex::new(rx);
-    let results = Mutex::new(Vec::new());
+    // Results in feed order, those parked ahead of their turn, the hook.
+    let results = Mutex::new((Vec::new(), BTreeMap::new(), in_order));
     let fed = std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let received = rx.lock().expect("no panics hold the lock").recv();
-                let Ok(job) = received else {
+                let Ok((seq, job)) = received else {
                     break; // every sender dropped: the feed is done
                 };
                 let result = work(job);
-                results
-                    .lock()
-                    .expect("no panics hold the lock")
-                    .push(result);
+                let mut guard = results.lock().expect("no panics hold the lock");
+                let (done, parked, in_order) = &mut *guard;
+                parked.insert(seq, result);
+                while let Some(mut next) = parked.remove(&done.len()) {
+                    in_order(&mut next);
+                    done.push(next);
+                }
             });
         }
-        let fed = feed(&mut |job| tx.send(job).expect("workers outlive the feed"));
+        let mut seq = 0;
+        let fed = feed(&mut |job| {
+            tx.send((seq, job)).expect("workers outlive the feed");
+            seq += 1;
+        });
         drop(tx); // hang up: workers drain the queue and exit
         fed
     });
-    (fed, results.into_inner().expect("threads joined"))
+    (fed, results.into_inner().expect("threads joined").0)
 }
 
 /// The one label merge: shard clusterings, given in ascending key order,
@@ -428,6 +441,34 @@ mod tests {
             assert!(parts.iter().all(|&s| s > 0.0), "{stats:?}");
             assert!(parts.iter().sum::<f64>() <= stats.total_s, "{stats:?}");
         }
+    }
+
+    /// Job 0 cannot finish before job 1 has been parked: job 0 waits for
+    /// job 2, which the other worker only takes once job 1 is done. The
+    /// hook and the returned results still see feed order.
+    #[test]
+    fn pool_hands_results_back_in_feed_order() {
+        let (job_2_ran, wait_for_job_2) = mpsc::channel();
+        let (job_2_ran, wait_for_job_2) = (Mutex::new(job_2_ran), Mutex::new(wait_for_job_2));
+        let finished = Mutex::new(Vec::new());
+        let mut hooked = Vec::new();
+        let ((), results) = pool(
+            2,
+            |send| (0..3).for_each(send),
+            |job: usize| {
+                match job {
+                    0 => wait_for_job_2.lock().unwrap().recv().unwrap(),
+                    2 => job_2_ran.lock().unwrap().send(()).unwrap(),
+                    _ => {}
+                }
+                finished.lock().unwrap().push(job);
+                job
+            },
+            |&mut job| hooked.push(job),
+        );
+        assert_eq!(finished.into_inner().unwrap()[0], 1, "job 1 finished first");
+        assert_eq!(hooked, [0, 1, 2]);
+        assert_eq!(results, [0, 1, 2]);
     }
 
     #[test]

@@ -117,21 +117,25 @@ pub struct StreamOutcome {
 
 /// One shard's final clustering, reported to a
 /// [`run_streaming_observed`](crate::SpecHd::run_streaming_observed)
-/// observer the moment a worker retires the shard — while other shards may
-/// still be ingesting or clustering.
+/// observer in ascending `key` order, as soon as the shard and every
+/// lighter one are clustered — while heavier shards may still be
+/// ingesting or clustering.
 ///
-/// Labels are **shard-local** (`[0, medoids.len())`); the global dense
-/// labels of [`StreamOutcome`] are obtained by giving each shard a raw
-/// label block in ascending `key` order and renumbering by first
-/// appearance in stream order — exactly what
-/// [`spechd_cluster::ShardLabelMerger`] does. A consumer that collects
-/// every `ShardAssignment` can therefore reconstruct the final global
-/// assignment without waiting for the run to return, which is what lets
-/// `spechd-server` stream per-shard results to clients as they finalize.
+/// Labels are **shard-local** (`[0, medoids.len())`); local label `l` is
+/// raw label `raw_base + l` of the run, and the global dense labels of
+/// [`StreamOutcome`] renumber raw labels by first appearance in stream
+/// order — exactly what [`spechd_cluster::ShardLabelMerger`] does. A
+/// consumer that collects every `ShardAssignment` can therefore
+/// reconstruct the final global assignment without waiting for the run
+/// to return, which is what lets `spechd-server` stream per-shard results
+/// to clients as they finalize.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAssignment {
     /// The shard's Eq. (1) precursor bucket key.
     pub key: i64,
+    /// Local clusters in all lighter shards: the first raw label of this
+    /// shard's block.
+    pub raw_base: usize,
     /// Stream indices (positions in the input stream — the values
     /// [`SpecHdOutcome::kept`] holds) of the shard's members, ascending.
     pub members: Vec<usize>,
@@ -140,36 +144,6 @@ pub struct ShardAssignment {
     /// Stream index of the consensus (medoid) spectrum per local cluster;
     /// entry `c` represents local cluster `c`.
     pub medoids: Vec<usize>,
-    /// Whether the shard retired before end-of-stream (mass-sorted
-    /// sources only).
-    pub early_closed: bool,
-}
-
-/// Progress events emitted by
-/// [`run_streaming_observed`](crate::SpecHd::run_streaming_observed).
-///
-/// Events arrive from the ingest thread and the clustering workers,
-/// serialized through one lock. [`StreamEvent::IngestDone`] fires once,
-/// when the source is exhausted; [`StreamEvent::ShardClustered`] fires
-/// once per shard, in worker **completion** order — possibly before *and*
-/// after `IngestDone`, and in no particular key order. Every event is
-/// delivered before `run_streaming_observed` returns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamEvent {
-    /// A worker finished clustering one shard.
-    ShardClustered(ShardAssignment),
-    /// The source is exhausted: the shard key set and the kept count are
-    /// final. `keys` is ascending and holds every shard ever opened, so a
-    /// consumer can emit buffered [`ShardAssignment`]s in key order and
-    /// know when the last one has arrived.
-    IngestDone {
-        /// All shard keys of the run, ascending.
-        keys: Vec<i64>,
-        /// Spectra that survived preprocessing (= final `kept().len()`).
-        kept: usize,
-        /// Spectra pulled from the stream.
-        streamed: usize,
-    },
 }
 
 /// A shard whose membership is final: its Eq. (1) key, its members (kept
@@ -179,8 +153,6 @@ pub(crate) struct Shard {
     pub key: i64,
     pub members: Vec<usize>,
     pub pack: HvPack,
-    /// Retired before the source ran out (mass-sorted sources only).
-    pub early_closed: bool,
 }
 
 /// What [`SpecHd::ingest`] counted on its way through the source.
@@ -207,6 +179,8 @@ struct Clustered {
     /// Retained only when the outcome keeps the hypervector archive.
     pack: Option<HvPack>,
     cluster_time: Duration,
+    /// Stream index per member; filled only when a run is observed.
+    stream_members: Vec<usize>,
 }
 
 impl SpecHd {
@@ -230,13 +204,11 @@ impl SpecHd {
     }
 
     /// [`run_streaming`](crate::SpecHd::run_streaming) with a progress
-    /// observer: `observer` is invoked for every [`StreamEvent`] — one
-    /// [`StreamEvent::ShardClustered`] per shard as the worker pool
-    /// retires it, plus one final [`StreamEvent::IngestDone`] when the
-    /// source is exhausted.
+    /// observer: `observer` is handed one [`ShardAssignment`] per shard,
+    /// in ascending key order, as soon as that shard and every lighter
+    /// one are clustered.
     ///
-    /// Calls arrive from the ingest thread and from clustering worker
-    /// threads but are serialized through one internal lock, so the
+    /// Calls arrive from clustering worker threads, one at a time, so the
     /// observer needs `Send` but not `Sync`. The observer runs on the
     /// pipeline's critical path: a slow observer stalls the worker that
     /// calls it, so observers must stay cheap and non-blocking
@@ -244,8 +216,8 @@ impl SpecHd {
     /// to bounded per-connection queues with a non-blocking send and
     /// drops subscribers that stopped draining, rather than ever
     /// blocking here). Results are bit-identical to
-    /// [`run_streaming`](crate::SpecHd::run_streaming); the events are a
-    /// pure tap.
+    /// [`run_streaming`](crate::SpecHd::run_streaming); the observer is
+    /// a pure tap.
     ///
     /// # Panics
     ///
@@ -260,7 +232,7 @@ impl SpecHd {
     ) -> StreamOutcome
     where
         S: SpectrumStream,
-        F: FnMut(StreamEvent) + Send,
+        F: FnMut(ShardAssignment) + Send,
     {
         self.run_stream(source, stream_config, Some(&mut observer))
     }
@@ -269,7 +241,7 @@ impl SpecHd {
         &self,
         mut source: S,
         stream_config: &StreamConfig,
-        observer: Option<&mut (dyn FnMut(StreamEvent) + Send)>,
+        observer: Option<&mut (dyn FnMut(ShardAssignment) + Send)>,
     ) -> StreamOutcome {
         let sorted = source.sorted_by_mass();
         let spectra = std::iter::from_fn(|| source.next_spectrum().map(|(spectrum, _)| spectrum));
@@ -283,7 +255,7 @@ impl SpecHd {
         spectra: impl Iterator<Item = impl Borrow<Spectrum>>,
         sorted: bool,
         stream_config: &StreamConfig,
-        observer: Option<&mut (dyn FnMut(StreamEvent) + Send)>,
+        mut observer: Option<&mut (dyn FnMut(ShardAssignment) + Send)>,
     ) -> StreamOutcome {
         let start = Instant::now();
         let dim = self.encoder.dim();
@@ -292,57 +264,30 @@ impl SpecHd {
         let workers = PackedDistanceEngine::new()
             .threads(stream_config.workers)
             .resolved_threads();
-        let observer = observer.map(Mutex::new);
         // Cleared packs parked for reuse, so shard churn does not retread
         // the allocator (only populated when the archive is not kept —
         // kept packs live on into the final scatter).
         let spare = Mutex::default();
+        let observed = observer.is_some();
+        let mut raw_base = 0;
 
-        let (ingested, mut shards) = pool(
+        let (ingested, shards) = pool(
             workers,
             |send| {
-                let mut keys = Vec::new();
-                let ingested = self.ingest(spectra, sorted, &spare, &mut |shard, kept| {
+                self.ingest(spectra, sorted, &spare, &mut |shard, kept| {
                     // Stream index per member, for the observer only.
-                    let mut stream_members = Vec::new();
-                    if observer.is_some() {
-                        keys.push(shard.key);
-                        stream_members = shard.members.iter().map(|&m| kept[m]).collect();
-                    }
+                    let stream_members = if observed {
+                        shard.members.iter().map(|&m| kept[m]).collect()
+                    } else {
+                        Vec::new()
+                    };
                     send((shard, stream_members));
-                });
-                if let Some(obs) = &observer {
-                    (obs.lock().expect("no panics hold the lock"))(StreamEvent::IngestDone {
-                        keys,
-                        kept: ingested.kept.len(),
-                        streamed: ingested.stream.spectra_streamed,
-                    });
-                }
-                ingested
+                })
             },
             |(shard, stream_members): (Shard, Vec<usize>)| {
                 let t_cluster = Instant::now();
                 let clustering = cluster_shard(&shard.members, &shard.pack, linkage, threshold);
                 let cluster_time = t_cluster.elapsed();
-                if let Some(obs) = &observer {
-                    // Medoids are kept indices; members are ascending, so a
-                    // binary search maps each back to its slot and from
-                    // there to its stream index.
-                    let slot = |m: &usize| shard.members.partition_point(|x| x < m);
-                    let medoids = clustering
-                        .medoids
-                        .iter()
-                        .map(|m| stream_members[slot(m)])
-                        .collect();
-                    let event = StreamEvent::ShardClustered(ShardAssignment {
-                        key: shard.key,
-                        members: stream_members,
-                        labels: clustering.labels.clone(),
-                        medoids,
-                        early_closed: shard.early_closed,
-                    });
-                    (obs.lock().expect("no panics hold the lock"))(event);
-                }
                 let mut pack = shard.pack;
                 let pack = if keep_hvs {
                     Some(pack)
@@ -357,11 +302,32 @@ impl SpecHd {
                     clustering,
                     pack,
                     cluster_time,
+                    stream_members,
                 }
+            },
+            // Ingest retires shards in ascending key order, which is the
+            // order this hook and the merge below see them in.
+            |shard: &mut Clustered| {
+                let Some(observer) = observer.as_mut() else {
+                    return;
+                };
+                // Medoids are kept indices; members are ascending, so a
+                // binary search maps each back to its slot and from there
+                // to its stream index.
+                let slot = |m: &usize| shard.members.partition_point(|x| x < m);
+                let c = &shard.clustering;
+                let medoids = c.medoids.iter().map(|m| shard.stream_members[slot(m)]);
+                observer(ShardAssignment {
+                    key: shard.key,
+                    raw_base,
+                    medoids: medoids.collect(),
+                    members: std::mem::take(&mut shard.stream_members),
+                    labels: c.labels.clone(),
+                });
+                raw_base += c.medoids.len();
             },
         );
 
-        shards.sort_by_key(|s| s.key);
         let kept = ingested.kept;
         let (assignment, consensus_local, hac) = merge(
             kept.len(),
@@ -443,8 +409,7 @@ impl SpecHd {
                 );
                 // Every open shard is lighter than `key`, hence final:
                 // retire it to the workers while we keep ingesting.
-                for mut shard in std::mem::take(&mut open).into_values() {
-                    shard.early_closed = true;
+                for shard in std::mem::take(&mut open).into_values() {
                     done.stream.early_closed_shards += 1;
                     retire(shard, &done.kept);
                 }
@@ -458,7 +423,6 @@ impl SpecHd {
                     key,
                     members: Vec::new(),
                     pack: recycled.unwrap_or_else(|| HvPack::new(dim)),
-                    early_closed: false,
                 }
             });
             shard.members.push(done.kept.len());
@@ -569,97 +533,67 @@ mod tests {
         );
     }
 
-    /// The contract `spechd-server` streams results over: giving each
-    /// shard a raw label block in ascending key order and renumbering by
-    /// first appearance in stream order reproduces the final outcome
-    /// bit-identically — without ever touching the returned outcome.
+    /// The contract `spechd-server` streams results over: the observer
+    /// sees every shard once, in strictly ascending key order, with
+    /// contiguous raw label blocks, and feeding what it saw through
+    /// `ShardLabelMerger` reproduces the outcome — at every worker count.
+    fn assert_observed_shards_rebuild_the_outcome(ds: &SpectrumDataset, sorted: bool) {
+        for workers in [1, 2, 4] {
+            let context = format!("sorted {sorted}, workers {workers}");
+            let engine = SpecHd::new(SpecHdConfig::default());
+            let config = StreamConfig {
+                workers,
+                ..StreamConfig::default()
+            };
+            let mut seen: Vec<ShardAssignment> = Vec::new();
+            let observe = |shard| seen.push(shard);
+            let source = DatasetStream::new(ds);
+            let streamed = if sorted {
+                engine.run_streaming_observed(AssertSorted::new(source), &config, observe)
+            } else {
+                engine.run_streaming_observed(source, &config, observe)
+            };
+            let outcome = &streamed.outcome;
+            assert_eq!(seen.len(), streamed.stream.shards_opened, "{context}");
+            assert!(seen.windows(2).all(|w| w[0].key < w[1].key), "{context}");
+            let mut raw_base = 0;
+            for shard in &seen {
+                assert_eq!(shard.raw_base, raw_base, "{context}");
+                raw_base += shard.medoids.len();
+            }
+            // Stream indices are kept indices' images: map back to
+            // kept positions, then merge as the pipeline does.
+            let kept_of = |i: &usize| outcome.kept().binary_search(i).unwrap();
+            let mut merger = spechd_cluster::ShardLabelMerger::new(outcome.kept().len());
+            for shard in &seen {
+                let members: Vec<usize> = shard.members.iter().map(kept_of).collect();
+                let medoids: Vec<usize> = shard.medoids.iter().map(kept_of).collect();
+                merger.add_shard(&members, &shard.labels, &medoids, &Default::default());
+            }
+            let (assignment, consensus, _) = merger.finish();
+            let consensus: Vec<usize> = consensus.iter().map(|&m| outcome.kept()[m]).collect();
+            assert_eq!(&assignment, outcome.assignment(), "{context}");
+            assert_eq!(consensus, outcome.consensus(), "{context}");
+            if sorted {
+                // All but the final shard retire before end-of-stream.
+                assert_eq!(
+                    streamed.stream.early_closed_shards,
+                    streamed.stream.shards_opened - 1,
+                    "{context}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn observed_events_reconstruct_the_outcome() {
-        let ds = dataset(300, 25);
-        let engine = SpecHd::new(SpecHdConfig::default());
-        let mut events: Vec<StreamEvent> = Vec::new();
-        let streamed =
-            engine.run_streaming_observed(DatasetStream::new(&ds), &StreamConfig::default(), |e| {
-                events.push(e)
-            });
-        let outcome = &streamed.outcome;
-
-        let mut shards: BTreeMap<i64, ShardAssignment> = BTreeMap::new();
-        let mut ingest_done = None;
-        for event in events {
-            match event {
-                StreamEvent::ShardClustered(sa) => {
-                    assert!(shards.insert(sa.key, sa).is_none(), "duplicate shard");
-                }
-                StreamEvent::IngestDone {
-                    keys,
-                    kept,
-                    streamed,
-                } => {
-                    assert!(ingest_done.is_none(), "IngestDone fired twice");
-                    ingest_done = Some((keys, kept, streamed));
-                }
-            }
-        }
-        let (keys, kept, spectra) = ingest_done.expect("IngestDone fired");
-        assert_eq!(kept, outcome.kept().len());
-        assert_eq!(spectra, ds.len());
-        assert_eq!(
-            keys,
-            shards.keys().copied().collect::<Vec<_>>(),
-            "IngestDone keys must name exactly the clustered shards"
-        );
-
-        // Client-side reassembly: raw blocks in ascending key order, then
-        // dense renumbering by first appearance in stream order.
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut medoid_by_raw: Vec<usize> = Vec::new();
-        for key in &keys {
-            let sa = &shards[key];
-            let raw_base = medoid_by_raw.len();
-            for (&stream_idx, &local) in sa.members.iter().zip(&sa.labels) {
-                pairs.push((stream_idx, raw_base + local));
-            }
-            medoid_by_raw.extend_from_slice(&sa.medoids);
-        }
-        pairs.sort_unstable();
-        let kept_rebuilt: Vec<usize> = pairs.iter().map(|&(s, _)| s).collect();
-        assert_eq!(kept_rebuilt, outcome.kept());
-        let mut dense_of = vec![usize::MAX; medoid_by_raw.len()];
-        let mut labels = Vec::with_capacity(pairs.len());
-        let mut consensus = Vec::new();
-        let mut next = 0usize;
-        for &(_, raw) in &pairs {
-            if dense_of[raw] == usize::MAX {
-                dense_of[raw] = next;
-                consensus.push(medoid_by_raw[raw]);
-                next += 1;
-            }
-            labels.push(dense_of[raw]);
-        }
-        assert_eq!(labels, outcome.assignment().labels());
-        assert_eq!(consensus, outcome.consensus());
+        assert_observed_shards_rebuild_the_outcome(&dataset(300, 25), false);
     }
 
     #[test]
     fn sorted_observer_sees_early_closed_shards() {
         let ds = spechd_ms::stream::sort_dataset_by_mass(&dataset(300, 26));
-        let engine = SpecHd::new(SpecHdConfig::default());
-        let mut early = 0usize;
-        let mut total = 0usize;
-        let streamed = engine.run_streaming_observed(
-            AssertSorted::new(DatasetStream::new(&ds)),
-            &StreamConfig::default(),
-            |e| {
-                if let StreamEvent::ShardClustered(sa) = e {
-                    total += 1;
-                    early += usize::from(sa.early_closed);
-                }
-            },
-        );
-        assert_eq!(total, streamed.stream.shards_opened);
-        assert_eq!(early, streamed.stream.early_closed_shards);
-        assert_eq!(early, total - 1, "all but the final shard retire early");
+        assert_observed_shards_rebuild_the_outcome(&ds, true);
     }
 
     #[test]

@@ -2,16 +2,18 @@
 //! global clustering.
 //!
 //! The server emits each shard's [`Frame::Assignment`] /
-//! [`Frame::Consensus`] pair in ascending shard-key order, with raw
-//! label blocks allocated in that order — the same layout
+//! [`Frame::Consensus`] pair in ascending shard-key order, with the raw
+//! label block the pipeline gave the shard — the same layout
 //! [`spechd_cluster::ShardLabelMerger`] builds inside the pipeline. The
 //! assembler therefore only has to do what the merger does next:
-//! renumber raw labels densely by first appearance in **stream order**.
-//! The result is bit-identical to a local
-//! [`spechd_core::SpecHd::run`] over the same spectra (the core crate's
-//! `observed_events_reconstruct_the_outcome` test pins this contract).
+//! renumber raw labels densely by first appearance in **stream order**,
+//! through the same [`ClusterAssignment::from_raw_labels`]. The result is
+//! bit-identical to a local [`spechd_core::SpecHd::run`] over the same
+//! spectra (the core crate's `observed_events_reconstruct_the_outcome`
+//! test pins this contract).
 
 use crate::protocol::{Frame, JobStatsFrame};
+use spechd_cluster::ClusterAssignment;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The reassembled result of a served clustering job, in the shapes
@@ -53,11 +55,11 @@ pub struct ServiceOutcome {
 #[derive(Debug, Default)]
 pub struct AssignmentAssembler {
     /// `(stream index, raw global label)` per member, across shards.
-    pairs: Vec<(u64, u64)>,
+    pairs: Vec<(u64, usize)>,
     /// `raw_base` of every `Assignment` frame already absorbed.
     absorbed_assignments: BTreeSet<u64>,
     /// Raw global label → medoid stream index.
-    medoid_by_raw: BTreeMap<u64, u64>,
+    medoid_by_raw: BTreeMap<usize, u64>,
     stats: Option<JobStatsFrame>,
 }
 
@@ -81,14 +83,16 @@ impl AssignmentAssembler {
                     return;
                 }
                 for (&member, &label) in members.iter().zip(labels) {
-                    self.pairs.push((member, raw_base + u64::from(label)));
+                    self.pairs
+                        .push((member, *raw_base as usize + label as usize));
                 }
             }
             Frame::Consensus {
                 raw_base, medoids, ..
             } => {
                 for (offset, &medoid) in medoids.iter().enumerate() {
-                    self.medoid_by_raw.insert(raw_base + offset as u64, medoid);
+                    self.medoid_by_raw
+                        .insert(*raw_base as usize + offset, medoid);
                 }
             }
             Frame::JobStats(stats) if stats.done != 0 => {
@@ -119,26 +123,18 @@ impl AssignmentAssembler {
             .stats
             .expect("finish() before the final JobStats frame");
         self.pairs.sort_unstable();
-        let mut dense_of_raw: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut kept = Vec::with_capacity(self.pairs.len());
-        let mut labels = Vec::with_capacity(self.pairs.len());
-        let mut consensus = Vec::new();
-        for (member, raw) in self.pairs {
-            let next = dense_of_raw.len();
-            let dense = *dense_of_raw.entry(raw).or_insert(next);
-            if dense == consensus.len() {
-                let medoid = self
-                    .medoid_by_raw
-                    .get(&raw)
-                    .expect("raw label without a consensus medoid");
-                consensus.push(*medoid);
-            }
-            kept.push(member);
-            labels.push(dense);
+        let (kept, raw): (Vec<u64>, Vec<usize>) = self.pairs.into_iter().unzip();
+        let assignment = ClusterAssignment::from_raw_labels(&raw);
+        let mut consensus = vec![0; assignment.num_clusters()];
+        for (&dense, raw) in assignment.labels().iter().zip(&raw) {
+            consensus[dense] = *self
+                .medoid_by_raw
+                .get(raw)
+                .expect("raw label without a consensus medoid");
         }
         ServiceOutcome {
             kept,
-            labels,
+            labels: assignment.labels().to_vec(),
             consensus,
             stats,
         }

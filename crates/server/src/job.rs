@@ -39,19 +39,18 @@
 //! the one blocking send: it pushes the backlog into the rejoining
 //! connection's own bounded queue, throttled by that client's reads.)
 //!
-//! Results stream back as shards finalize. Shard events arrive in
-//! completion order, but raw label blocks must be assigned in ascending
-//! key order (the [`spechd_cluster::ShardLabelMerger`] contract), so
-//! finished shards buffer in a [`BTreeMap`] until every
-//! lower-keyed shard has been emitted; once ingest finishes the full
-//! key set is known and the tail drains in order.
+//! Results stream back as shards finalize: the pipeline hands each
+//! [`ShardAssignment`] over in ascending key order, with its raw label
+//! block already placed (the [`spechd_cluster::ShardLabelMerger`]
+//! layout), and the job turns it into an `Assignment` / `Consensus`
+//! frame pair on the spot.
 
 use crate::protocol::{ErrorCode, Frame, JobConfig, JobStatsFrame};
 use crate::session::{after_grace, Slot};
-use spechd_core::{SpecHd, StreamEvent, StreamOutcome};
+use spechd_core::{ShardAssignment, SpecHd, StreamOutcome};
 use spechd_ms::stream::ChannelStream;
 use spechd_ms::Spectrum;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -89,12 +88,6 @@ struct Subscriber {
     active: Arc<AtomicBool>,
 }
 
-struct IngestPlan {
-    keys: Vec<i64>,
-    kept: usize,
-    streamed: usize,
-}
-
 /// One participant's durable state, keyed by `client_id` — it outlives
 /// the TCP connection carrying it.
 struct ClientSlot {
@@ -114,12 +107,8 @@ struct JobState {
     next_index: u64,
     submitted: u64,
     subscribers: Vec<Subscriber>,
+    /// Shards whose result frames have been sent.
     shards_clustered: u32,
-    /// Finished shards not yet emitted (waiting on lower keys).
-    pending: BTreeMap<i64, spechd_core::ShardAssignment>,
-    plan: Option<IngestPlan>,
-    emit_ptr: usize,
-    raw_base: u64,
     finished: bool,
     /// Every result frame the job has broadcast, in order — the replay
     /// backlog for rejoining participants. Bounded by the job's own
@@ -189,83 +178,41 @@ impl Job {
         state.emitted.push(frame);
     }
 
-    /// Emits every buffered shard whose turn (in ascending key order)
-    /// has come, assigning each a contiguous raw label block.
-    fn try_emit(&self, state: &mut JobState) {
-        loop {
-            let Some(plan) = &state.plan else { return };
-            if state.emit_ptr >= plan.keys.len() {
-                return;
-            }
-            let key = plan.keys[state.emit_ptr];
-            let Some(shard) = state.pending.remove(&key) else {
-                return;
-            };
-            let assignment = Frame::Assignment {
-                job_id: self.id,
-                key,
-                raw_base: state.raw_base,
-                members: shard.members.iter().map(|&m| m as u64).collect(),
-                labels: shard.labels.iter().map(|&l| l as u32).collect(),
-            };
-            let consensus = Frame::Consensus {
-                job_id: self.id,
-                raw_base: state.raw_base,
-                medoids: shard.medoids.iter().map(|&m| m as u64).collect(),
-            };
-            self.emit(state, assignment);
-            self.emit(state, consensus);
-            state.raw_base += shard.medoids.len() as u64;
-            state.emit_ptr += 1;
-        }
-    }
-
-    /// Observer callback run inside the pipeline (ingest thread and
-    /// clustering workers, serialized by the pipeline's observer lock).
-    fn on_event(&self, event: StreamEvent) {
+    /// Observer callback, run by the pipeline once per shard in ascending
+    /// key order: emits the shard's `Assignment` and `Consensus` frames.
+    fn on_shard(&self, shard: ShardAssignment) {
         let mut state = self.state.lock().expect("job state poisoned");
-        match event {
-            StreamEvent::ShardClustered(shard) => {
-                state.shards_clustered += 1;
-                state.pending.insert(shard.key, shard);
-            }
-            StreamEvent::IngestDone {
-                keys,
-                kept,
-                streamed,
-            } => {
-                state.plan = Some(IngestPlan {
-                    keys,
-                    kept,
-                    streamed,
-                });
-            }
-        }
-        self.try_emit(&mut state);
+        state.shards_clustered += 1;
+        let raw_base = shard.raw_base as u64;
+        let assignment = Frame::Assignment {
+            job_id: self.id,
+            key: shard.key,
+            raw_base,
+            members: shard.members.iter().map(|&m| m as u64).collect(),
+            labels: shard.labels.iter().map(|&l| l as u32).collect(),
+        };
+        let consensus = Frame::Consensus {
+            job_id: self.id,
+            raw_base,
+            medoids: shard.medoids.iter().map(|&m| m as u64).collect(),
+        };
+        self.emit(&mut state, assignment);
+        self.emit(&mut state, consensus);
     }
 
     /// Runs after the pipeline returns: every shard has been emitted
-    /// (the pipeline delivers all events before returning), so the
+    /// (the pipeline hands over every shard before returning), so the
     /// final `done = 1` stats frame is the job's last.
     fn on_complete(&self, outcome: &StreamOutcome) {
         let mut state = self.state.lock().expect("job state poisoned");
-        debug_assert!(state.pending.is_empty(), "unemitted shards at completion");
         state.finished = true;
         let hac = outcome.outcome.stats().hac;
-        let plan_streamed = state
-            .plan
-            .as_ref()
-            .map_or(outcome.stream.spectra_streamed, |p| p.streamed);
-        let plan_kept = state
-            .plan
-            .as_ref()
-            .map_or(outcome.outcome.kept().len(), |p| p.kept);
         let frame = Frame::JobStats(JobStatsFrame {
             job_id: self.id,
             participants: state.participants(),
             submitted: state.submitted,
-            streamed: plan_streamed as u64,
-            kept: plan_kept as u64,
+            streamed: outcome.stream.spectra_streamed as u64,
+            kept: outcome.outcome.kept().len() as u64,
             shards_opened: outcome.stream.shards_opened as u32,
             shards_clustered: state.shards_clustered,
             clusters: outcome.outcome.assignment().num_clusters() as u64,
@@ -446,10 +393,6 @@ impl JobRegistry {
                 submitted: 0,
                 subscribers: vec![subscriber],
                 shards_clustered: 0,
-                pending: BTreeMap::new(),
-                plan: None,
-                emit_ptr: 0,
-                raw_base: 0,
                 finished: false,
                 emitted: Vec::new(),
             }),
@@ -465,8 +408,8 @@ impl JobRegistry {
                 let engine = SpecHd::new(pipeline_job.config.pipeline_config());
                 let stream_cfg = pipeline_job.config.stream_config();
                 let outcome =
-                    engine.run_streaming_observed(ChannelStream::new(rx), &stream_cfg, |event| {
-                        pipeline_job.on_event(event)
+                    engine.run_streaming_observed(ChannelStream::new(rx), &stream_cfg, |shard| {
+                        pipeline_job.on_shard(shard)
                     });
                 pipeline_job.on_complete(&outcome);
                 registry.retire(pipeline_job.id);
@@ -666,5 +609,83 @@ impl Drop for JobHandle {
         // rather than closes, so the participant can reconnect and
         // resume within the grace.
         self.detach();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::assemble::AssignmentAssembler;
+    use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
+
+    /// One job's frames, read off its subscriber queue with no socket in
+    /// between: per shard an `Assignment` then its `Consensus`, keys
+    /// strictly ascending, raw blocks back to back, the `done` stats
+    /// last — and together they reassemble to a local `run`.
+    #[test]
+    fn job_frames_leave_in_key_order_and_reassemble_to_run() {
+        let ds = SyntheticGenerator::new(SyntheticConfig {
+            num_spectra: 400,
+            num_peptides: 80,
+            seed: 31,
+            ..SyntheticConfig::default()
+        })
+        .generate();
+        for workers in [1, 4] {
+            let config = JobConfig {
+                workers,
+                ..JobConfig::default()
+            };
+            let registry = Arc::new(JobRegistry::new(64));
+            let (tx, rx) = mpsc::sync_channel(4096);
+            let mut handle = registry.open_or_join(42, 7, config.clone(), tx).unwrap();
+            handle.submit(0, ds.spectra().to_vec()).unwrap();
+            handle.close();
+            let mut frames = Vec::new();
+            loop {
+                let frame = rx.recv().expect("the job sends a done frame");
+                let done = matches!(frame, Frame::JobStats(s) if s.done != 0);
+                frames.push(frame);
+                if done {
+                    break;
+                }
+            }
+            registry.join_pipelines();
+
+            let Some((Frame::JobStats(stats), results)) = frames.split_last() else {
+                panic!("workers {workers}: the done stats must come last");
+            };
+            assert_eq!(2 * stats.shards_clustered as usize, results.len());
+            let (mut keys, mut raw_base) = (Vec::new(), 0);
+            for pair in results.chunks(2) {
+                let [Frame::Assignment {
+                    key, raw_base: a, ..
+                }, Frame::Consensus {
+                    raw_base: c,
+                    medoids,
+                    ..
+                }] = pair
+                else {
+                    panic!("workers {workers}: not an Assignment/Consensus pair: {pair:?}");
+                };
+                assert_eq!((*a, *c), (raw_base, raw_base), "workers {workers}");
+                raw_base += medoids.len() as u64;
+                keys.push(*key);
+            }
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "workers {workers}");
+
+            let mut assembler = AssignmentAssembler::new();
+            frames.iter().for_each(|f| assembler.absorb(f));
+            let served = assembler.finish();
+            let run = SpecHd::new(config.pipeline_config()).run(&ds);
+            let wide = |v: &[usize]| v.iter().map(|&i| i as u64).collect::<Vec<_>>();
+            assert_eq!(served.kept, wide(run.kept()), "workers {workers}");
+            assert_eq!(
+                served.labels,
+                run.assignment().labels(),
+                "workers {workers}"
+            );
+            assert_eq!(served.consensus, wide(run.consensus()), "workers {workers}");
+        }
     }
 }

@@ -8,9 +8,9 @@
 //! `Submit` batches are appended (with contiguous stream indices) to
 //! one bounded ingest queue feeding one
 //! [`run_streaming_observed`](spechd_core::SpecHd::run_streaming_observed)
-//! run, and per-shard results stream back to **all** participants as
-//! shards finalize — clients do not wait for the run to end to start
-//! receiving assignments.
+//! run, and per-shard results stream back to **all** participants in
+//! ascending shard-key order as shards finalize — clients do not wait
+//! for the run to end to start receiving assignments.
 //!
 //! Design pillars, each carried by one module:
 //!

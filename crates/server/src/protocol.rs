@@ -298,7 +298,9 @@ pub struct JobStatsFrame {
     pub kept: u64,
     /// Shards opened so far (final value only).
     pub shards_opened: u32,
-    /// Shards whose clustering has finished.
+    /// Shards whose results have been sent. Shards go out in key order,
+    /// so an intermediate snapshot counts only shards whose lighter
+    /// neighbours are done too; the final frame counts every shard.
     pub shards_clustered: u32,
     /// Dense global cluster count (final frame only; 0 before).
     pub clusters: u64,

@@ -244,10 +244,8 @@ impl StoreRegistry {
 fn load_or_create(engine: &SpecHd, path: &Path) -> Result<ClusterStore, JobError> {
     match ClusterStore::load_or_recover(path) {
         Ok((store, _report)) => {
-            // Probe store: the engine's dim/fingerprint via public API.
-            let probe = engine.new_store().map_err(|e| store_error(&e))?;
             store
-                .ensure_compatible(probe.dim(), probe.fingerprint())
+                .ensure_compatible(engine.encoder().dim(), engine.config().fingerprint())
                 .map_err(|e| store_error(&SpecHdError::Store(e)))?;
             Ok(store)
         }

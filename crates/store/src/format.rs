@@ -250,9 +250,11 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
 
     // Total length: header + table + body + footer must match the file
     // exactly before the checksum (and any section parse) is trusted.
-    let body_len = usize::try_from(expected_offset)
-        .map_err(|_| StoreError::Corrupt("body larger than addressable memory".into()))?;
-    let expected_total = HEADER_LEN + bucket_count * TABLE_ENTRY_LEN + body_len + FOOTER_LEN;
+    let expected_total = usize::try_from(expected_offset)
+        .ok()
+        .and_then(|body| (HEADER_LEN + bucket_count * TABLE_ENTRY_LEN).checked_add(body))
+        .and_then(|len| len.checked_add(FOOTER_LEN))
+        .ok_or_else(|| StoreError::Corrupt("file length overflows the address space".into()))?;
     match bytes.len().cmp(&expected_total) {
         std::cmp::Ordering::Less => {
             return Err(StoreError::Truncated {
@@ -605,6 +607,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Header and table only (228 bytes): `dim = u32::MAX` makes each
+    /// cluster `2^29 + 16` bytes, and eight sequential sections sum to
+    /// `2^64 - 232`, so header + table + body + footer is one past the
+    /// address space. That must be `Corrupt`, not an overflow.
+    #[test]
+    fn file_length_past_the_address_space_is_corrupt() {
+        let stride = u32::MAX.div_ceil(64);
+        let cluster_len = (CLUSTER_META_LEN + stride as usize * 8) as u64;
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(VERSION.to_le_bytes());
+        bytes.extend(0u16.to_le_bytes()); // flags
+        bytes.extend(u32::MAX.to_le_bytes()); // dim
+        bytes.extend(stride.to_le_bytes());
+        bytes.extend([0; 16]); // fingerprint, next id
+        bytes.extend(8u32.to_le_bytes()); // bucket count
+        let (mut offset, mut remaining) = (0u64, 0u64.wrapping_sub(232));
+        for key in 0..8i64 {
+            let clusters = (remaining / cluster_len).min(u64::from(u32::MAX));
+            let mut len = clusters * cluster_len;
+            let members = if key == 7 {
+                (remaining - len) / MEMBER_LEN as u64
+            } else {
+                0
+            };
+            len += members * MEMBER_LEN as u64;
+            bytes.extend(key.to_le_bytes());
+            bytes.extend((clusters as u32).to_le_bytes());
+            bytes.extend((members as u32).to_le_bytes());
+            bytes.extend(offset.to_le_bytes());
+            (offset, remaining) = (offset + len, remaining - len);
+        }
+        assert_eq!((remaining, bytes.len()), (0, 228));
+        let err = from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("overflows the address space"),
+            "{err}"
+        );
+    }
+
+    /// One mutation of the kind `seeded_mutations_never_panic` draws.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut impl spechd_rng::Rng) {
+        let len = bytes.len();
+        match rng.range_usize(0, 5) {
+            0 if len > 0 => bytes[rng.range_usize(0, len)] ^= 1 << rng.range_usize(0, 8),
+            1 if len > 0 => bytes[rng.range_usize(0, len)] = rng.next_u32() as u8,
+            2 => bytes.insert(rng.range_usize(0, len + 1), rng.next_u32() as u8),
+            3 if len > 0 => {
+                bytes.remove(rng.range_usize(0, len));
+            }
+            _ => bytes.truncate(rng.range_usize(0, len + 1)),
+        }
+    }
+
+    /// 5 000 seeded mutants each of a rowless and a row-keeping store
+    /// (bit flip, random byte, insert, delete, cut), most re-sealed so
+    /// they reach the body decoder: each one either decodes to a store
+    /// whose bytes are the mutant's, or is a typed error. None panics.
+    #[test]
+    fn seeded_mutations_never_panic() {
+        use spechd_rng::Rng;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5348_504B);
+        let (mut accepted, mut rejected) = (0u32, 0u32);
+        for bytes in [sample_bytes(100), sample_bytes_with_rows(100)] {
+            for _ in 0..5000 {
+                let mut mutant = bytes.clone();
+                for _ in 0..rng.range_usize(1, 4) {
+                    mutate(&mut mutant, &mut rng);
+                }
+                if mutant.len() >= FOOTER_LEN && rng.range_usize(0, 4) != 0 {
+                    reseal(&mut mutant);
+                }
+                match from_bytes(&mutant) {
+                    Ok(store) => {
+                        accepted += 1;
+                        assert_eq!(store.to_bytes(), mutant, "accepted mutant re-saves");
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        println!("store mutations: {accepted} accepted / {rejected} rejected");
+        assert!(accepted > 0 && rejected > 0);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use spechd_server::{
 use spechd_tests::{assert_service_equivalent, synthetic_dataset};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
 use std::time::Duration;
 
 fn start_server(config: ServerConfig) -> RunningServer {
@@ -93,13 +94,17 @@ fn four_concurrent_clients_reassemble_the_batch_outcome() {
     let dataset = synthetic_dataset(600, 0x5E4F);
     let job = job_id(1);
 
+    // Every client joins before any submits: a client that closed before
+    // the last one connected would let the job finalize without it.
+    let joined = Barrier::new(CONNECTIONS);
     let results: Vec<(Placements, ServiceOutcome)> = std::thread::scope(|scope| {
-        let dataset = &dataset;
+        let (dataset, joined) = (&dataset, &joined);
         let handles: Vec<_> = (0..CONNECTIONS)
             .map(|conn| {
                 scope.spawn(move || {
                     let mut client =
                         JobClient::connect(addr, job, JobConfig::default()).expect("connect");
+                    joined.wait();
                     let placements = submit_slice(&mut client, dataset, conn, CONNECTIONS, 13);
                     let stats = client.flush().expect("flush");
                     assert!(stats.submitted > 0);
