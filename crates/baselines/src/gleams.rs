@@ -3,7 +3,7 @@
 //! supervised DNN embeds spectra into 32 dimensions, followed by
 //! clustering in the embedded space.
 //!
-//! **Substitution (DESIGN.md §2):** the trained DNN is unavailable, so the
+//! **Substitution:** the trained DNN is unavailable, so the
 //! embedding is a seeded Johnson–Lindenstrauss random projection of the
 //! binned spectrum to the same 32 dimensions. JL projections preserve the
 //! relative distances the downstream HAC consumes, reproducing GLEAMS'

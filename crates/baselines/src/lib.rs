@@ -15,8 +15,7 @@
 //!    * [`MaRaCluster`] — rare-peak pairwise scores + complete-link HAC
 //!      (The & Käll 2016).
 //!    * [`Gleams`] — a random-projection embedding standing in for the
-//!      trained DNN (Bittremieux et al. 2022), then HAC (documented
-//!      substitution, DESIGN.md §2).
+//!      trained DNN (Bittremieux et al. 2022), then HAC.
 //!    * [`GreedyCascade`] — the spectra-cluster / MSCluster family of
 //!      iterative representative-merging algorithms.
 //!

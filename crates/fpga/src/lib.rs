@@ -2,7 +2,7 @@
 //!
 //! The paper runs on a Xilinx Alveo U280 plus an SSD-embedded preprocessing
 //! accelerator (MSAS) reached over PCIe peer-to-peer. This crate is the
-//! documented hardware substitution (DESIGN.md §2): a mechanistic
+//! hardware substitution: a mechanistic
 //! performance and energy model of that system, built from cycle counts ×
 //! clock frequency and device power, with every calibration constant tied
 //! to a number the paper itself reports ([`calib`]).

@@ -15,8 +15,7 @@ use crate::BinaryHypervector;
 ///
 /// * **Add** is a ripple-carry chain of half adders over whole words: the
 ///   incoming vector is the carry into plane 0, and each plane does
-///   `t = plane & carry; plane ^= carry; carry = t`. A weight `w` enters the
-///   chain once per set bit `b` of `w`, at plane `b`.
+///   `t = plane & carry; plane ^= carry; carry = t`.
 /// * **Planes grow with the count**: `count` accumulated votes need
 ///   `⌈log₂(count + 1)⌉` planes (six for the ≤ 50 peaks of a preprocessed
 ///   spectrum), so the chain never carries out of the top plane. The
@@ -97,33 +96,26 @@ impl MajorityAccumulator {
     ///
     /// Panics if dimensionalities differ.
     pub fn add(&mut self, hv: &BinaryHypervector) {
-        self.add_weighted(hv, 1);
-    }
-
-    /// Adds one hypervector with an integer weight (the vector votes `w`
-    /// times). Weighted bundling is used by consensus construction where
-    /// larger clusters should dominate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensionalities differ or `weight <= 0`.
-    fn add_weighted(&mut self, hv: &BinaryHypervector, weight: i32) {
         assert_eq!(hv.dim(), self.dim, "dimensionality mismatch");
-        self.ripple(weight, |carry| carry.copy_from_slice(hv.words()));
+        self.ripple(|carry| carry.copy_from_slice(hv.words()));
     }
 
-    /// Adds the bound vector `a ⊕ b` without materializing it: the XOR is
+    /// Adds the bound vector `a ⊕ b` of two packed rows (e.g.
+    /// [`crate::HvPack::row`]s) without materializing it: the XOR is
     /// computed straight into the adder chain's carry row. This is the
     /// encoder's per-peak `ID ⊕ Level` step.
     ///
     /// # Panics
     ///
-    /// Panics if dimensionalities differ.
-    pub fn add_bound(&mut self, a: &BinaryHypervector, b: &BinaryHypervector) {
-        assert_eq!(a.dim(), self.dim, "dimensionality mismatch");
-        assert_eq!(b.dim(), self.dim, "dimensionality mismatch");
-        self.ripple(1, |carry| {
-            for ((c, x), y) in carry.iter_mut().zip(a.words()).zip(b.words()) {
+    /// Panics if either row's word count differs from `dim.div_ceil(64)`.
+    pub fn add_bound(&mut self, a: &[u64], b: &[u64]) {
+        let stride = self.carry.len();
+        assert!(
+            a.len() == stride && b.len() == stride,
+            "row word count must match accumulator dimensionality"
+        );
+        self.ripple(|carry| {
+            for ((c, x), y) in carry.iter_mut().zip(a).zip(b) {
                 *c = x ^ y;
             }
         });
@@ -135,12 +127,11 @@ impl MajorityAccumulator {
         (usize::BITS - self.count.leading_zeros()) as usize
     }
 
-    /// Adds `weight` copies of the vector `load` writes into the carry row.
-    fn ripple(&mut self, weight: i32, load: impl Fn(&mut [u64])) {
-        assert!(weight > 0, "weight must be positive");
+    /// Adds the vector `load` writes into the carry row.
+    fn ripple(&mut self, load: impl FnOnce(&mut [u64])) {
         let stride = self.carry.len();
         let before = self.active_planes();
-        self.count += weight as usize;
+        self.count += 1;
         let active = self.active_planes();
         if active > before {
             if self.planes.len() < active * stride {
@@ -150,17 +141,12 @@ impl MajorityAccumulator {
         }
         // No lane ever counts more than `count < 2^active` ones, so the
         // carry out of the top plane is always zero and can be dropped.
-        let mut bits = weight as u32;
-        while bits != 0 {
-            let first = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            load(&mut self.carry);
-            for plane in self.planes[first * stride..active * stride].chunks_exact_mut(stride) {
-                for (p, c) in plane.iter_mut().zip(&mut self.carry) {
-                    let t = *p & *c;
-                    *p ^= *c;
-                    *c = t;
-                }
+        load(&mut self.carry);
+        for plane in self.planes[..active * stride].chunks_exact_mut(stride) {
+            for (p, c) in plane.iter_mut().zip(&mut self.carry) {
+                let t = *p & *c;
+                *p ^= *c;
+                *c = t;
             }
         }
     }
@@ -227,14 +213,14 @@ mod tests {
 
     /// The reference this accumulator must stay bit-identical to: one signed
     /// `#ones − #zeros` counter per lane, binarized with `> 0`.
-    fn per_lane_majority(dim: usize, terms: &[(BinaryHypervector, i32)]) -> BinaryHypervector {
+    fn per_lane_majority(dim: usize, terms: &[BinaryHypervector]) -> BinaryHypervector {
         let mut counters = vec![0i32; dim];
-        for (hv, weight) in terms {
+        for hv in terms {
             for (lane, counter) in counters.iter_mut().enumerate() {
                 if hv.bit(lane) {
-                    *counter += weight;
+                    *counter += 1;
                 } else {
-                    *counter -= weight;
+                    *counter -= 1;
                 }
             }
         }
@@ -247,23 +233,23 @@ mod tests {
         for dim in [1usize, 63, 64, 65, 130, 2048, 4097] {
             let mut acc = MajorityAccumulator::new(dim);
             for vectors in [0usize, 1, 2, 3, 4, 63, 64, 65, 500] {
-                // Drive the planes past anything this case reaches, so a
-                // stale high plane would show.
-                acc.add_weighted(&BinaryHypervector::random(dim, &mut rng), i32::MAX);
-                acc.clear();
-                let mut terms = Vec::with_capacity(vectors);
-                for i in 0..vectors {
-                    let hv = BinaryHypervector::random(dim, &mut rng);
-                    let weight = if i % 7 == 6 {
-                        let weight = 1 + (i / 7 % 9) as i32;
-                        acc.add_weighted(&hv, weight);
-                        weight
-                    } else {
-                        acc.add(&hv);
-                        1
-                    };
-                    terms.push((hv, weight));
+                // Drive the planes past anything this case reaches (1 025
+                // votes fill 11 planes, 500 need 9), so a stale high plane
+                // would show.
+                let noise: Vec<_> = (0..3)
+                    .map(|_| BinaryHypervector::random(dim, &mut rng))
+                    .collect();
+                for i in 0..1025 {
+                    acc.add(&noise[i % 3]);
                 }
+                acc.clear();
+                let terms: Vec<_> = (0..vectors)
+                    .map(|_| BinaryHypervector::random(dim, &mut rng))
+                    .collect();
+                for hv in &terms {
+                    acc.add(hv);
+                }
+                assert_eq!(acc.count(), vectors);
                 let expect = per_lane_majority(dim, &terms);
                 assert_eq!(acc.finalize(), expect, "dim {dim}, {vectors} vectors");
                 let mut row = vec![u64::MAX; dim.div_ceil(64)];
@@ -286,7 +272,7 @@ mod tests {
             for _ in 0..9 {
                 let a = BinaryHypervector::random(dim, &mut rng);
                 let b = BinaryHypervector::random(dim, &mut rng);
-                fused.add_bound(&a, &b);
+                fused.add_bound(a.words(), b.words());
                 plain.add(&(&a ^ &b));
             }
             assert_eq!(fused.count(), plain.count());
@@ -354,26 +340,6 @@ mod tests {
                 "bundle should stay close to members"
             );
         }
-    }
-
-    #[test]
-    fn weighted_add_dominates() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(4);
-        let a = BinaryHypervector::random(512, &mut rng);
-        let b = BinaryHypervector::random(512, &mut rng);
-        let mut acc = MajorityAccumulator::new(512);
-        acc.add_weighted(&a, 5);
-        acc.add(&b);
-        assert_eq!(acc.finalize(), a, "weight-5 member must win every lane");
-    }
-
-    #[test]
-    fn count_tracks_weights() {
-        let hv = BinaryHypervector::zeros(8);
-        let mut acc = MajorityAccumulator::new(8);
-        acc.add(&hv);
-        acc.add_weighted(&hv, 3);
-        assert_eq!(acc.count(), 4);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The ID-Level spectrum encoder (Eq. 2 of the SpecHD paper).
 
-use crate::{
-    BinaryHypervector, HvPack, IntensityQuantizer, IntensityScale, ItemMemory, LevelMemory,
-    MajorityAccumulator, MzQuantizer,
-};
+use crate::item_memory::{id_memory, level_memory};
+use crate::{BinaryHypervector, HvPack, MajorityAccumulator};
 
 /// Configuration for [`IdLevelEncoder`].
 ///
@@ -47,6 +45,16 @@ impl Default for EncoderConfig {
 /// spectra_i = majority( Σ_peaks ID[f(mz)] ⊕ L[g(intensity)] )
 /// ```
 ///
+/// `f` splits `mz_range` into `mz_bins` equal-width bins (values outside
+/// clamp to the first/last bin, like the saturating HLS kernel); `g` takes
+/// the square root of the relative intensity (clamped to `[0, 1]`) onto
+/// `intensity_levels` equal steps, so medium peaks spread over the levels
+/// instead of saturating on the base peak. `ID` is one i.i.d. random row
+/// per bin; `L` is a thermometer of rows where adjacent levels differ in
+/// `D / (2(q-1))` bits and the extremes in `D/2`. Both memories are
+/// read-only [`HvPack`] slabs, the arrays the paper partitions across
+/// on-chip RAM.
+///
 /// The encoder is deterministic for a given [`EncoderConfig`]; two encoders
 /// built from the same config produce identical hypervectors, which is what
 /// lets SpecHD store HVs once and re-cluster later ("one-time
@@ -63,10 +71,10 @@ impl Default for EncoderConfig {
 #[derive(Debug, Clone)]
 pub struct IdLevelEncoder {
     config: EncoderConfig,
-    id_memory: ItemMemory,
-    level_memory: LevelMemory,
-    mz_quantizer: MzQuantizer,
-    intensity_quantizer: IntensityQuantizer,
+    /// `ID[0, f]`, one row per m/z bin.
+    id_memory: HvPack,
+    /// `L[0, q]`, one row per intensity level.
+    level_memory: HvPack,
 }
 
 impl IdLevelEncoder {
@@ -75,23 +83,26 @@ impl IdLevelEncoder {
     /// # Panics
     ///
     /// Panics if any config field is degenerate (zero dim/bins, fewer than
-    /// two levels, or an empty m/z range).
+    /// two levels, or an empty or non-finite m/z range).
     pub fn new(config: EncoderConfig) -> Self {
-        let id_memory = ItemMemory::random(config.mz_bins, config.dim, config.seed);
-        let level_memory = LevelMemory::new(
-            config.intensity_levels,
-            config.dim,
-            config.seed.wrapping_add(1),
+        let (lo, hi) = config.mz_range;
+        assert!(config.mz_bins > 0, "mz quantizer needs at least one bin");
+        assert!(
+            config.intensity_levels >= 2,
+            "intensity quantizer needs at least two levels"
         );
-        let mz_quantizer = MzQuantizer::new(config.mz_bins, config.mz_range);
-        let intensity_quantizer =
-            IntensityQuantizer::new(config.intensity_levels, IntensityScale::Sqrt);
+        assert!(
+            lo.is_finite() && hi.is_finite() && lo < hi,
+            "mz range must be a non-empty finite interval"
+        );
         Self {
+            id_memory: id_memory(config.mz_bins, config.dim, config.seed),
+            level_memory: level_memory(
+                config.intensity_levels,
+                config.dim,
+                config.seed.wrapping_add(1),
+            ),
             config,
-            id_memory,
-            level_memory,
-            mz_quantizer,
-            intensity_quantizer,
         }
     }
 
@@ -162,19 +173,45 @@ impl IdLevelEncoder {
     /// Clears `acc` and accumulates every bound `ID ⊕ L` term of `peaks`.
     ///
     /// Each peak is two quantizer lookups and one
-    /// [`MajorityAccumulator::add_bound`]: the XOR bind happens inside the
-    /// accumulator's word-parallel adder chain, so no bound vector is
-    /// allocated and no lane is visited one bit at a time.
+    /// [`MajorityAccumulator::add_bound`] of the two memory rows: the XOR
+    /// bind happens inside the accumulator's word-parallel adder chain, so
+    /// no bound vector is allocated and no lane is visited one bit at a
+    /// time.
     fn accumulate(&self, peaks: &[(f64, f64)], acc: &mut MajorityAccumulator) {
+        let EncoderConfig {
+            mz_bins,
+            intensity_levels,
+            mz_range,
+            ..
+        } = self.config;
         acc.clear();
         for &(mz, intensity) in peaks {
-            let id = self.id_memory.get(self.mz_quantizer.quantize(mz));
-            let level = self
-                .level_memory
-                .get(self.intensity_quantizer.quantize(intensity));
-            acc.add_bound(id, level);
+            acc.add_bound(
+                self.id_memory.row(mz_bin(mz, mz_bins, mz_range)),
+                self.level_memory
+                    .row(intensity_level(intensity, intensity_levels)),
+            );
         }
     }
+}
+
+/// The m/z bin `f(mz)`: `bins` equal-width bins over `[range.0, range.1)`;
+/// values below the range (and NaN or infinities) map to bin 0, values
+/// above it to the last bin.
+fn mz_bin(mz: f64, bins: usize, range: (f64, f64)) -> usize {
+    let (lo, hi) = range;
+    if !mz.is_finite() || mz <= lo {
+        return 0;
+    }
+    let idx = ((mz - lo) / ((hi - lo) / bins as f64)) as usize;
+    idx.min(bins - 1)
+}
+
+/// The intensity level `g(rel)`: `√rel` on `levels` equal steps, with
+/// `rel` clamped to `[0, 1]` first (NaN maps to level 0).
+fn intensity_level(rel: f64, levels: usize) -> usize {
+    let idx = (rel.clamp(0.0, 1.0).sqrt() * levels as f64) as usize;
+    idx.min(levels - 1)
 }
 
 #[cfg(test)]
@@ -245,9 +282,11 @@ mod tests {
     fn single_peak_encodes_to_bound_pair() {
         let enc = test_encoder();
         let hv = enc.encode(&[(300.0, 1.0)]);
-        let id = enc.id_memory.get(enc.mz_quantizer.quantize(300.0));
-        let level = enc.level_memory.get(enc.intensity_quantizer.quantize(1.0));
-        assert_eq!(hv, id ^ level);
+        let id = enc
+            .id_memory
+            .hypervector(mz_bin(300.0, 512, (200.0, 2000.0)));
+        let level = enc.level_memory.hypervector(intensity_level(1.0, 32));
+        assert_eq!(hv, &id ^ &level);
     }
 
     #[test]
@@ -353,5 +392,88 @@ mod tests {
     fn default_config_matches_paper_dim() {
         let cfg = EncoderConfig::default();
         assert_eq!(cfg.dim, 2048);
+    }
+
+    #[test]
+    fn mz_quantizer_monotone() {
+        let mut prev = 0;
+        let mut mz = 100.0;
+        while mz < 2000.0 {
+            let b = mz_bin(mz, 64, (100.0, 2000.0));
+            assert!(b >= prev, "quantizer must be monotone");
+            prev = b;
+            mz += 13.7;
+        }
+    }
+
+    #[test]
+    fn mz_quantizer_clamps() {
+        let range = (0.0, 10.0);
+        assert_eq!(mz_bin(-5.0, 10, range), 0);
+        assert_eq!(mz_bin(999.0, 10, range), 9);
+        assert_eq!(mz_bin(f64::NAN, 10, range), 0);
+    }
+
+    #[test]
+    fn mz_quantizer_covers_all_bins() {
+        let bins: Vec<usize> = [0.1, 1.1, 2.1, 3.1, 4.1]
+            .iter()
+            .map(|&x| mz_bin(x, 5, (0.0, 5.0)))
+            .collect();
+        assert_eq!(bins, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn intensity_quantizer_bounds() {
+        assert_eq!(intensity_level(0.0, 16), 0);
+        assert_eq!(intensity_level(1.0, 16), 15);
+        assert_eq!(intensity_level(2.0, 16), 15, "clamps above 1");
+        assert_eq!(intensity_level(-1.0, 16), 0, "clamps below 0");
+        assert_eq!(intensity_level(f64::NAN, 16), 0);
+    }
+
+    #[test]
+    fn intensity_quantizer_monotone() {
+        let mut prev = 0;
+        for i in 0..=100 {
+            let level = intensity_level(i as f64 / 100.0, 32);
+            assert!(level >= prev);
+            prev = level;
+        }
+    }
+
+    #[test]
+    fn sqrt_scale_boosts_small_intensities() {
+        // sqrt(0.09) = 0.3: a markedly higher level than 0.09 would get on
+        // a linear scale.
+        assert_eq!(intensity_level(0.09, 32), 9);
+        assert!(intensity_level(0.09, 32) > (0.09 * 32.0) as usize);
+    }
+
+    fn degenerate(edit: impl FnOnce(&mut EncoderConfig)) -> IdLevelEncoder {
+        let mut config = EncoderConfig {
+            dim: 64,
+            ..EncoderConfig::default()
+        };
+        edit(&mut config);
+        IdLevelEncoder::new(config)
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bin")]
+    fn mz_zero_bins_panics() {
+        degenerate(|c| c.mz_bins = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two levels")]
+    fn intensity_one_level_panics() {
+        degenerate(|c| c.intensity_levels = 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty finite interval")]
+    fn mz_empty_range_panics() {
+        degenerate(|c| c.mz_range = (5.0, 5.0));
     }
 }

@@ -11,14 +11,13 @@
 //! * [`BinaryHypervector`] — bit-packed (64 bits/word) binary hypervector
 //!   with XOR/AND/OR, popcount and Hamming distance.
 //! * [`MajorityAccumulator`] — the pointwise accumulate-then-threshold
-//!   bundler of Eq. (2) in the paper.
-//! * [`ItemMemory`] / [`LevelMemory`] — pre-allocated random `ID[0,f]`
-//!   vectors for m/z bins and *correlated* `L[0,q]` vectors for quantized
-//!   intensities.
-//! * [`IdLevelEncoder`] — the full spectrum encoder:
-//!   `spectra_i = Σ (ID_i ⊕ L_j)` followed by a pointwise majority;
-//!   `encode` returns one vector, every batch form writes straight into
-//!   an [`HvPack`].
+//!   bundler of Eq. (2) in the paper, on bit-sliced counters.
+//! * [`IdLevelEncoder`] — the spectrum encoder, the one place the
+//!   decisions of Eq. (2) live: the m/z bins, the √ intensity levels, the
+//!   random `ID[0,f]` and correlated `L[0,q]` memories (two private
+//!   [`HvPack`] slabs), and `spectra_i = Σ (ID_i ⊕ L_j)` followed by a
+//!   pointwise majority; `encode` returns one vector, every batch form
+//!   writes straight into an [`HvPack`].
 //! * [`HvPack`] — contiguous struct-of-arrays storage for N packed
 //!   hypervectors: the one multi-vector container, from the encoder
 //!   through the distance kernels to the pipeline outcome.
@@ -53,11 +52,8 @@ mod encoder;
 mod hypervector;
 mod item_memory;
 mod pack;
-mod quantize;
 
 pub use accumulator::MajorityAccumulator;
 pub use encoder::{EncoderConfig, IdLevelEncoder};
 pub use hypervector::BinaryHypervector;
-pub use item_memory::{ItemMemory, LevelMemory};
 pub use pack::{HvPack, PackError};
-pub use quantize::{IntensityQuantizer, IntensityScale, MzQuantizer};

@@ -6,9 +6,7 @@
 //! over a fixed number of seeded cases, which keeps failures perfectly
 //! reproducible.
 
-use spechd_hdc::{
-    BinaryHypervector, EncoderConfig, IdLevelEncoder, LevelMemory, MajorityAccumulator,
-};
+use spechd_hdc::{BinaryHypervector, EncoderConfig, IdLevelEncoder, MajorityAccumulator};
 use spechd_rng::{Rng, Xoshiro256StarStar};
 
 const CASES: u64 = 64;
@@ -122,23 +120,6 @@ fn majority_within_union_bounds() {
             union = &union | h;
         }
         assert_eq!(&(&maj & &union), &maj, "majority must be subset of union");
-    }
-}
-
-#[test]
-fn level_memory_gap_monotone() {
-    for case in 0..CASES {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x9000 + case);
-        let q = rng.range_usize(3, 24);
-        let seed = rng.next_u64();
-        let levels = LevelMemory::new(q, 1024, seed);
-        let base = levels.get(0);
-        let mut prev = 0u32;
-        for k in 1..q {
-            let d = base.hamming(levels.get(k));
-            assert!(d >= prev, "level distance must be non-decreasing in gap");
-            prev = d;
-        }
     }
 }
 

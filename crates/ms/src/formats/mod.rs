@@ -8,8 +8,7 @@
 //!   format for MS/MS peak lists).
 //! * [`ms2`] — the MS2 text format, read/write.
 //! * [`mzml`] — a minimal mzML reader/writer (uncompressed, base64-encoded
-//!   32/64-bit binary arrays; see DESIGN.md §6 for the documented
-//!   limitation regarding zlib-compressed files).
+//!   32/64-bit binary arrays; zlib-compressed files are rejected).
 //! * [`base64`] — the RFC 4648 codec used by mzML binary arrays.
 //!
 //! All readers are line/byte tolerant: unknown headers are skipped, and

@@ -9,7 +9,7 @@
 //! * **Reader** — a lightweight scanner (no general XML parser) that
 //!   extracts `<spectrum>` elements, their `selected ion m/z` / `charge
 //!   state` cvParams and their binary data arrays. zlib-compressed arrays
-//!   are rejected with a clear error (documented limitation, DESIGN.md §6).
+//!   are rejected with a clear error (a known limitation).
 //!
 //! The reader accepts any mzML whose binary arrays are uncompressed and
 //! whose cvParams use the standard accessions (`MS:1000744`, `MS:1000041`,
@@ -80,7 +80,7 @@ fn parse_spectrum_element(element: &str, index: usize) -> Result<Spectrum, MsErr
         if array.contains("MS:1000574") {
             return Err(MsError::parse(
                 0,
-                "zlib-compressed binary arrays are not supported (see DESIGN.md)",
+                "zlib-compressed binary arrays are not supported",
             ));
         }
         let payload = extract_tag_text(array, "binary")

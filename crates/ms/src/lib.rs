@@ -8,8 +8,7 @@
 //!   fragment-ion generation ([`fragment`]).
 //! * A **synthetic dataset generator** ([`synth`]) producing labelled
 //!   MS/MS runs with realistic cluster-size (Zipf), noise and jitter
-//!   models — the stand-in for the PRIDE datasets the paper clusters
-//!   (documented in `DESIGN.md`).
+//!   models — the stand-in for the PRIDE datasets the paper clusters.
 //! * The five Table-I dataset profiles ([`profiles`]) at full scale for the
 //!   performance models.
 //! * File formats ([`formats`]): MGF and MS2 read/write, and a minimal

@@ -2,8 +2,8 @@
 //!
 //! The SpecHD paper evaluates on PRIDE datasets (Table I) whose raw files
 //! are tens of gigabytes and whose ground truth comes from an MSGF+
-//! reanalysis. This module is the documented substitution (DESIGN.md §2):
-//! it synthesizes labelled MS/MS runs whose *observable statistics* match
+//! reanalysis. This module is the substitution: it
+//! synthesizes labelled MS/MS runs whose *observable statistics* match
 //! what the clustering algorithms care about —
 //!
 //! * replicate spectra of the same peptide are similar but jittered

@@ -3,7 +3,7 @@
 //! SpecHD's downstream evaluation (Fig. 11, §IV-E2) feeds consensus
 //! spectra to a database search engine (the paper uses MSGF+) and compares
 //! the sets of identified unique peptides across clustering tools. This
-//! crate is the documented stand-in (DESIGN.md §2): a compact but complete
+//! crate is the stand-in: a compact but complete
 //! search engine with
 //!
 //! * a target–decoy [`PeptideDatabase`] indexed by precursor neutral mass,

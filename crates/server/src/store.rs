@@ -238,9 +238,9 @@ impl StoreRegistry {
     }
 }
 
-/// Loads the backing file (with crash recovery) when any replica of it
-/// exists, otherwise creates a fresh row-keeping store. A loaded store
-/// must match the engine's dim and config fingerprint.
+/// Loads the backing file (with crash recovery), or creates a fresh
+/// row-keeping store when it was never persisted. A loaded store must
+/// match the engine's dim and config fingerprint.
 fn load_or_create(engine: &SpecHd, path: &Path) -> Result<ClusterStore, JobError> {
     match ClusterStore::load_or_recover(path) {
         Ok((store, _report)) => {
@@ -249,8 +249,10 @@ fn load_or_create(engine: &SpecHd, path: &Path) -> Result<ClusterStore, JobError
                 .map_err(|e| store_error(&SpecHdError::Store(e)))?;
             Ok(store)
         }
-        // A clean not-found (no primary, pending, or backup replica)
-        // means the store has simply never been persisted: start fresh.
+        // Recovery reports a not-found only when neither the primary nor
+        // a backup exists (a lone torn `.tmp` is a crashed first save):
+        // the store was never persisted, so start fresh. A lost primary
+        // beside a backup reports the backup's error instead.
         Err(StoreError::Io { ref source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
             engine.new_store_keeping_rows().map_err(|e| store_error(&e))
         }
@@ -464,6 +466,20 @@ mod tests {
         StoreRegistry::new(dir, Duration::ZERO, 8)
     }
 
+    /// A fresh directory under the system temp dir, unique per test.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "spechd-store-reg-{tag}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
     #[test]
     fn exclusive_session_busy_then_free_after_drop() {
         let reg = registry(None);
@@ -533,15 +549,7 @@ mod tests {
 
     #[test]
     fn persist_then_reload_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join(format!(
-            "spechd-store-reg-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .expect("clock")
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = temp_dir("pers");
         let config = JobConfig::default();
         let ack = {
             let reg = registry(Some(dir.clone()));
@@ -560,6 +568,57 @@ mod tests {
         assert_eq!(stats.clusters, ack.clusters);
         assert_eq!(stats.fingerprint, ack.fingerprint);
         assert_eq!(stats.keeps_member_rows, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lost primary beside a damaged backup is refused, not reopened
+    /// as an empty store that the next persist would write over it.
+    #[test]
+    fn lost_archive_is_refused_and_left_untouched() {
+        let dir = temp_dir("lost");
+        let config = JobConfig::default();
+        {
+            let reg = registry(Some(dir.clone()));
+            let h = reg.open("lost", 3, &config).expect("open");
+            h.submit_incremental(0, spectra(20, 6)).expect("ingest");
+            h.persist().expect("first persist");
+            h.submit_incremental(1, spectra(10, 7)).expect("ingest");
+            h.persist().expect("second persist rotates a backup");
+        }
+        let primary = dir.join("lost.shpk");
+        let backup = dir.join("lost.shpk.bak");
+        std::fs::remove_file(&primary).expect("lose the primary");
+        let mut damaged = std::fs::read(&backup).expect("backup");
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x04;
+        std::fs::write(&backup, &damaged).expect("damage the backup");
+
+        let err = registry(Some(dir.clone()))
+            .open("lost", 3, &config)
+            .expect_err("a damaged archive must not reopen empty");
+        assert_eq!(err.code, ErrorCode::ProtocolState, "{}", err.message);
+        assert_eq!(std::fs::read(&backup).expect("backup"), damaged);
+        assert!(!primary.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lone torn `.tmp` is a first save that crashed before its commit:
+    /// nothing was ever persisted, so the store opens fresh.
+    #[test]
+    fn torn_first_save_opens_a_fresh_store() {
+        let dir = temp_dir("torn");
+        let config = JobConfig::default();
+        let valid = SpecHd::try_new(config.pipeline_config())
+            .expect("engine")
+            .new_store_keeping_rows()
+            .expect("store")
+            .to_bytes();
+        std::fs::write(dir.join("torn.shpk.tmp"), &valid[..10]).expect("plant");
+
+        let h = registry(Some(dir.clone()))
+            .open("torn", 1, &config)
+            .expect("a torn first save opens fresh");
+        assert_eq!(h.stats().expect("stats").spectra, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -580,8 +580,12 @@ impl ClusterStore {
     ///
     /// On success the [`RecoveryReport`] says which generation was used
     /// and, when it was not the primary, why the primary was rejected.
-    /// Fails with the primary's error only when no candidate passes the
-    /// checksum — recovery never yields a partially-written store.
+    /// When no candidate passes the checksum it fails — recovery never
+    /// yields a partially-written store — with the backup's error if the
+    /// primary is missing and a `.bak` exists (a lost archive is not a
+    /// store that was never saved), and otherwise with the primary's
+    /// error. A lone torn `.tmp` is a crashed first save, so it reports
+    /// the primary's [`StoreError::Io`].
     pub fn load_or_recover(path: impl AsRef<Path>) -> Result<(Self, RecoveryReport), StoreError> {
         Self::load_or_recover_with(&DiskIo, path)
     }
@@ -610,22 +614,29 @@ impl ClusterStore {
             (RecoverySource::Pending, crate::io::pending_path(path)),
             (RecoverySource::Backup, crate::io::backup_path(path)),
         ];
+        let mut backup_error = None;
         for (source, candidate) in candidates {
-            let Ok(bytes) = io.read(&candidate) else {
-                continue;
-            };
-            if let Ok(store) = Self::from_bytes(&bytes) {
-                return Ok((
-                    store,
-                    RecoveryReport {
-                        source,
-                        loaded_from: candidate,
-                        primary_error: Some(Box::new(primary_error)),
-                    },
-                ));
+            match Self::load_with(io, &candidate) {
+                Ok(store) => {
+                    return Ok((
+                        store,
+                        RecoveryReport {
+                            source,
+                            loaded_from: candidate,
+                            primary_error: Some(Box::new(primary_error)),
+                        },
+                    ))
+                }
+                Err(e) if source == RecoverySource::Backup && io.exists(&candidate) => {
+                    backup_error = Some(e);
+                }
+                Err(_) => {}
             }
         }
-        Err(primary_error)
+        match backup_error {
+            Some(e) if !io.exists(path) => Err(e),
+            _ => Err(primary_error),
+        }
     }
 
     pub(crate) fn buckets(&self) -> &BTreeMap<i64, StoredBucket> {
@@ -754,6 +765,28 @@ mod tests {
             store.add_cluster(0, &[0, 0], 1),
             Err(StoreError::Pack(_))
         ));
+    }
+
+    /// A missing primary beside a damaged `.bak` is a lost archive, not a
+    /// store that was never saved: recovery reports the backup's
+    /// checksum failure, not the primary's not-found.
+    #[test]
+    fn lost_primary_with_a_damaged_backup_reports_the_backup_error() {
+        let (io, path) = (crate::io::MemIo::new(), Path::new("a.shpk"));
+        sample(100).save_with(&io, path).unwrap();
+        sample(64).save_with(&io, path).unwrap();
+        io.remove(path).unwrap();
+        let bak = crate::io::backup_path(path);
+        let mut damaged = io.contents(&bak).unwrap();
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x04;
+        io.plant(&bak, damaged);
+
+        let err = ClusterStore::load_or_recover_with(&io, path).unwrap_err();
+        assert!(
+            matches!(err, StoreError::ChecksumMismatch { .. }),
+            "expected the backup's error: {err}"
+        );
     }
 
     #[test]
