@@ -20,9 +20,11 @@
 //!   epsilon-neighborhood kernel, never materializing the O(n²) matrix.
 //! * [`medoid`] — consensus selection: the member with the lowest average
 //!   distance to the rest of its cluster, per §III-C.
-//! * [`ShardLabelMerger`] — deterministic stitching of independent
-//!   per-bucket clusterings into one global [`ClusterAssignment`], shared
-//!   by the batch and streaming pipelines.
+//! * [`cluster_shard`] — the one per-bucket kernel (distance matrix →
+//!   NN-chain → cut → medoids), and [`ShardLabelMerger`] — deterministic
+//!   stitching of independent per-bucket clusterings into one global
+//!   [`ClusterAssignment`]; shared by the batch, streaming and
+//!   incremental paths.
 //!
 //! # Example
 //!
@@ -59,7 +61,7 @@ pub use dbscan::{dbscan, dbscan_from_neighbors, dbscan_packed, DbscanParams, Dbs
 pub use dendrogram::{Dendrogram, Merge};
 pub use flat::ClusterAssignment;
 pub use linkage::Linkage;
-pub use merge::ShardLabelMerger;
+pub use merge::{cluster_shard, ShardClustering, ShardLabelMerger};
 pub use naive::naive_hac;
 pub use nnchain::nn_chain;
 

@@ -1,14 +1,71 @@
-//! Deterministic merging of per-shard clusterings into one global
-//! assignment.
+//! Per-shard clustering and the deterministic merge of its results.
 //!
 //! SpecHD never clusters across precursor-mass buckets, so a full run is a
-//! set of independent per-bucket (per-shard) clusterings that must be
-//! stitched into one flat [`ClusterAssignment`]. [`ShardLabelMerger`] is
-//! that stitching: `spechd-core` runs it once, in ascending bucket-key
-//! order, under every entry point of its one shard pipeline — so as long
-//! as the per-shard labels agree, the merged result cannot differ.
+//! set of independent per-bucket (per-shard) clusterings stitched into one
+//! flat [`ClusterAssignment`]. [`cluster_shard`] is the one per-shard
+//! kernel and [`ShardLabelMerger`] the one stitching, under every entry
+//! point of `spechd-core`'s shard pipeline and every store installment —
+//! so as long as the per-shard rows agree, the results cannot differ.
 
-use crate::{ClusterAssignment, HacStats};
+use crate::{medoid, nn_chain, ClusterAssignment, CondensedMatrix, HacStats, Linkage};
+use spechd_hdc::distance::PackedDistanceEngine;
+use spechd_hdc::HvPack;
+
+/// One shard's (= one precursor bucket's) clustering, in the form
+/// [`ShardLabelMerger::add_shard`] consumes.
+#[derive(Debug, Clone)]
+pub struct ShardClustering {
+    /// Local cluster label per member, parallel to the shard's members.
+    pub labels: Vec<usize>,
+    /// Global item index of the medoid of each local cluster.
+    pub medoids: Vec<usize>,
+    /// HAC work counters.
+    pub stats: HacStats,
+}
+
+/// Clusters one shard whose rows are already contiguous: tiled distance
+/// kernel → NN-chain → threshold cut → per-cluster medoid. `members` maps
+/// shard-local row `i` to its global item index; `sub` holds exactly those
+/// rows in the same order. Every front end clusters through it — the
+/// pipeline's shards on their own packs, `cluster_encoded_packed` on a
+/// gathered sub-pack, `ClusterStore::install` on a bucket's residual rows
+/// — so they cannot drift apart.
+pub fn cluster_shard(
+    members: &[usize],
+    sub: &HvPack,
+    linkage: Linkage,
+    threshold: f64,
+) -> ShardClustering {
+    let n = members.len();
+    debug_assert_eq!(sub.len(), n, "sub-pack rows must parallel members");
+    if n <= 1 {
+        return ShardClustering {
+            labels: vec![0; n],
+            medoids: members.to_vec(),
+            stats: HacStats::default(),
+        };
+    }
+    // The tiled kernel runs single-threaded — shards already run in
+    // parallel across the bucket/shard worker pool.
+    let condensed_u16 = PackedDistanceEngine::new()
+        .threads(1)
+        .pairwise_condensed(sub);
+    // 16-bit lower-triangular matrix, exactly as the FPGA stores it: the
+    // kernel's buffer itself, which NN-chain and the medoids read as is.
+    let matrix = CondensedMatrix::from_condensed_u16(n, condensed_u16);
+    let result = nn_chain(&matrix, linkage);
+    let cut = result.dendrogram.cut(threshold);
+    let medoids: Vec<usize> = cut
+        .clusters()
+        .iter()
+        .map(|cluster| members[medoid(&matrix, cluster)])
+        .collect();
+    ShardClustering {
+        labels: cut.labels().to_vec(),
+        medoids,
+        stats: result.stats,
+    }
+}
 
 /// Accumulates per-shard flat clusterings over disjoint item subsets into
 /// one dense global assignment with deterministic cluster IDs.

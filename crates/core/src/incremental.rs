@@ -3,19 +3,20 @@
 //! The paper's usage model (§IV-B) is "one-time preprocessing and
 //! subsequent updates": an archive grows run by run, and reclustering the
 //! whole archive for every new run throws away all prior work.
-//! [`SpecHd::run_incremental`] is the subsequent-updates half:
+//! [`SpecHd::run_incremental`] is the subsequent-updates half, in four
+//! steps:
 //!
-//! 1. run the new installment through the pipeline's one shard ingest
+//! 1. check that the store was built under this engine's dimensionality
+//!    and configuration ([`ClusterStore::ensure_compatible`]);
+//! 2. run the new installment through the pipeline's one shard ingest
 //!    ([`crate::stream`]): each spectrum preprocessed, routed to its
 //!    Eq. (1) precursor bucket and encoded into that bucket's pack
 //!    (hypervectors are deterministic for a fixed config);
-//! 2. in a bucket the store has never seen (**fresh**), cluster from
-//!    scratch with the same shard kernel the batch pipeline uses;
-//! 3. in a bucket with prior clusters (**dirty**), score each new
-//!    spectrum against the stored medoid rows with the packed distance
-//!    kernel and absorb it into the nearest cluster when that distance is
-//!    within the cut threshold; the spectra no existing cluster accepts
-//!    are reclustered among themselves and appended as new clusters;
+//! 3. hand the shards to [`ClusterStore::install`], which clusters every
+//!    bucket against the unchanged store — a fresh one from scratch, a
+//!    dirty one by joining each row to its nearest stored medoid within
+//!    the cut threshold — and commits only once every change is computed,
+//!    so a rejected installment leaves the store untouched;
 //! 4. replay the union through [`spechd_cluster::ShardLabelMerger`]
 //!    ([`ClusterStore::union_assignment`]) for the global assignment.
 //!
@@ -26,33 +27,13 @@
 //! an empty store the fresh-bucket path runs for every bucket, making the
 //! first installment bit-identical to [`SpecHd::run`] over the same data.
 
-use crate::pipeline::cluster_shard;
 use crate::{SpecHd, SpecHdError};
 use spechd_cluster::ClusterAssignment;
-use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_ms::SpectrumDataset;
 use spechd_store::{ClusterStore, RefreshReport};
 use std::sync::Mutex;
 
-/// Work counters of one incremental installment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IncrementalStats {
-    /// Spectra in the installment before preprocessing.
-    pub spectra_in: usize,
-    /// Spectra surviving preprocessing (= global ids reserved).
-    pub spectra_kept: usize,
-    /// Buckets of this installment the store had never seen.
-    pub fresh_buckets: usize,
-    /// Buckets of this installment with prior clusters.
-    pub dirty_buckets: usize,
-    /// New spectra absorbed into an existing cluster.
-    pub absorbed: usize,
-    /// New spectra that no existing cluster accepted and that were
-    /// reclustered among themselves.
-    pub residual: usize,
-    /// Clusters appended this installment (fresh buckets + residuals).
-    pub new_clusters: usize,
-}
+pub use spechd_store::IncrementalStats;
 
 /// Result of [`SpecHd::run_incremental`]: the updated global view plus
 /// installment bookkeeping.
@@ -136,7 +117,7 @@ impl SpecHd {
     pub fn refresh_store(&self, store: &mut ClusterStore) -> Result<RefreshReport, SpecHdError> {
         store.ensure_compatible(self.encoder.dim(), self.config.fingerprint())?;
         // The integer floor of the cut threshold accepts exactly the
-        // distances `run_incremental`'s `d <= threshold` accepts.
+        // distances `ClusterStore::install`'s `d <= threshold` accepts.
         let threshold_bits = self.config.distance_threshold_bits().floor() as u32;
         Ok(store.refresh(threshold_bits)?)
     }
@@ -151,117 +132,28 @@ impl SpecHd {
     /// dimensionality or configuration fingerprint
     /// ([`spechd_store::StoreError::DimMismatch`] /
     /// [`spechd_store::StoreError::ConfigMismatch`]), or if its id space
-    /// is exhausted.
+    /// is exhausted; the store is then unchanged.
     pub fn run_incremental(
         &self,
         store: &mut ClusterStore,
         dataset: &SpectrumDataset,
     ) -> Result<IncrementalOutcome, SpecHdError> {
         store.ensure_compatible(self.encoder.dim(), self.config.fingerprint())?;
-        let threshold = self.config.distance_threshold_bits();
-        let linkage = self.config.linkage;
-
         // The ingest's shards, one per bucket in ascending key order.
-        let mut buckets = Vec::new();
+        let mut shards = Vec::new();
         let spectra = dataset.spectra().iter();
-        let mut keep = |shard, _: &[usize]| buckets.push(shard);
+        let mut keep = |shard, _: &[usize]| shards.push(shard);
         let ingested = self.ingest(spectra, false, &Mutex::default(), &mut keep);
-        let base = store.reserve_ids(ingested.kept.len() as u64)?;
-
-        let mut stats = IncrementalStats {
-            spectra_in: dataset.len(),
-            spectra_kept: ingested.kept.len(),
-            ..IncrementalStats::default()
-        };
-        // Single-threaded scoring: medoid sets per bucket are small, and
-        // buckets already arrive in deterministic ascending-key order.
-        let engine = PackedDistanceEngine::new().threads(1);
-
-        for bucket in &buckets {
-            let gid = |local: usize| base + bucket.members[local] as u64;
-            let sub = &bucket.pack;
-
-            // Snapshot the stored medoid rows (if any) so scoring sees a
-            // fixed target set while the store mutates below. Medoids are
-            // frozen on absorption — recomputing them would relabel old
-            // spectra and break cross-session stability.
-            let stored_medoids = store.bucket(bucket.key).map(|b| b.medoids().clone());
-
-            let (absorbed, residual_rows) = match &stored_medoids {
-                None => (Vec::new(), (0..sub.len()).collect::<Vec<_>>()),
-                Some(medoids) => {
-                    stats.dirty_buckets += 1;
-                    let mut absorbed = Vec::new();
-                    let mut residual = Vec::new();
-                    for row in 0..sub.len() {
-                        let query = sub.hypervector(row);
-                        let dists = engine.one_to_many(&query, medoids);
-                        // First minimum wins: deterministic lowest-index
-                        // tiebreak, mirroring the dendrogram cut's `<=`.
-                        let best = dists
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &d)| d)
-                            .expect("stored buckets hold at least one cluster");
-                        if f64::from(*best.1) <= threshold {
-                            absorbed.push((best.0, row));
-                        } else {
-                            residual.push(row);
-                        }
-                    }
-                    (absorbed, residual)
-                }
-            };
-            if stored_medoids.is_none() {
-                stats.fresh_buckets += 1;
-            }
-
-            stats.absorbed += absorbed.len();
-            for (cluster, row) in absorbed {
-                let cluster = u32::try_from(cluster).expect("cluster index fits u32");
-                if store.keeps_member_rows() {
-                    store.absorb_with_row(bucket.key, cluster, gid(row), sub.row(row))?;
-                } else {
-                    store.absorb(bucket.key, cluster, gid(row))?;
-                }
-            }
-
-            if residual_rows.is_empty() {
-                continue;
-            }
-            if stored_medoids.is_some() {
-                stats.residual += residual_rows.len();
-            }
-            // Recluster the leftovers with the same shard kernel the batch
-            // pipeline uses; on a fresh bucket this IS the batch path.
-            let rsub = sub.gather(&residual_rows);
-            let local: Vec<usize> = (0..residual_rows.len()).collect();
-            let clustering = cluster_shard(&local, &rsub, linkage, threshold);
-            stats.new_clusters += clustering.medoids.len();
-            let mut appended = Vec::with_capacity(clustering.medoids.len());
-            for &medoid_row in &clustering.medoids {
-                let id = gid(residual_rows[medoid_row]);
-                appended.push(store.add_cluster(bucket.key, rsub.row(medoid_row), id)?);
-            }
-            for (j, &label) in clustering.labels.iter().enumerate() {
-                if store.keeps_member_rows() {
-                    store.absorb_with_row(
-                        bucket.key,
-                        appended[label],
-                        gid(residual_rows[j]),
-                        rsub.row(j),
-                    )?;
-                } else {
-                    store.absorb(bucket.key, appended[label], gid(residual_rows[j]))?;
-                }
-            }
-        }
-
+        let installment = shards.iter().map(|s| (s.key, &s.members[..], &s.pack));
+        let (linkage, threshold) = (self.config.linkage, self.config.distance_threshold_bits());
+        let (base_id, mut stats) =
+            store.install(ingested.kept.len(), installment, linkage, threshold)?;
+        stats.spectra_in = dataset.len();
         let (assignment, consensus) = store.union_assignment()?;
         Ok(IncrementalOutcome {
             assignment,
             consensus,
-            base_id: base,
+            base_id,
             kept: ingested.kept,
             stats,
         })
@@ -364,9 +256,7 @@ mod tests {
         assert_eq!(rowed, twin);
         assert!(matches!(
             engine.refresh_store(&mut rowless),
-            Err(SpecHdError::Store(StoreError::MemberRowMode {
-                keeps_rows: false
-            }))
+            Err(SpecHdError::Store(StoreError::MemberRowMode))
         ));
     }
 

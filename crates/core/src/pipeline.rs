@@ -3,7 +3,7 @@
 use crate::stream::StreamConfig;
 use crate::{SpecHdConfig, SpecHdOutcome};
 use spechd_cluster::{
-    medoid, nn_chain, ClusterAssignment, CondensedMatrix, HacStats, ShardLabelMerger,
+    cluster_shard, ClusterAssignment, HacStats, ShardClustering, ShardLabelMerger,
 };
 use spechd_fpga::{SystemConfig, SystemModel, Timeline, WorkloadShape};
 use spechd_hdc::distance::PackedDistanceEngine;
@@ -153,17 +153,6 @@ impl SpecHd {
     }
 }
 
-/// One shard's (= one precursor bucket's) clustering, in the form
-/// [`ShardLabelMerger::add_shard`] consumes.
-pub(crate) struct ShardClustering {
-    /// Local cluster label per member, parallel to the shard's members.
-    pub labels: Vec<usize>,
-    /// Global hv-index of the medoid of each local cluster.
-    pub medoids: Vec<usize>,
-    /// HAC work counters.
-    pub stats: HacStats,
-}
-
 /// The one worker pool: `feed` runs on the calling thread and hands jobs
 /// to `workers` scoped threads, which turn each into a result with `work`
 /// while `feed` carries on. A result that finishes ahead of an earlier
@@ -220,50 +209,6 @@ pub(crate) fn merge<'a>(
         merger.add_shard(members, &c.labels, &c.medoids, &c.stats);
     }
     merger.finish()
-}
-
-/// Clusters one shard whose rows are already contiguous: tiled distance
-/// kernel → NN-chain → threshold cut → per-cluster medoid. `members` maps
-/// shard-local row `i` to its global hv index; `sub` holds exactly those
-/// rows in the same order. Every front end clusters through it —
-/// `run` / `run_streaming` on each shard's own pack,
-/// `cluster_encoded_packed` on a gathered sub-pack, `run_incremental` on
-/// a bucket's residual rows — so they cannot drift apart.
-pub(crate) fn cluster_shard(
-    members: &[usize],
-    sub: &HvPack,
-    linkage: spechd_cluster::Linkage,
-    threshold: f64,
-) -> ShardClustering {
-    let n = members.len();
-    debug_assert_eq!(sub.len(), n, "sub-pack rows must parallel members");
-    if n == 1 {
-        return ShardClustering {
-            labels: vec![0],
-            medoids: vec![members[0]],
-            stats: HacStats::default(),
-        };
-    }
-    // The tiled kernel runs single-threaded — shards already run in
-    // parallel across the bucket/shard worker pool.
-    let condensed_u16 = PackedDistanceEngine::new()
-        .threads(1)
-        .pairwise_condensed(sub);
-    // 16-bit lower-triangular matrix, exactly as the FPGA stores it: the
-    // kernel's buffer itself, which NN-chain and the medoids read as is.
-    let matrix = CondensedMatrix::from_condensed_u16(n, condensed_u16);
-    let result = nn_chain(&matrix, linkage);
-    let cut = result.dendrogram.cut(threshold);
-    let medoids: Vec<usize> = cut
-        .clusters()
-        .iter()
-        .map(|cluster| members[medoid(&matrix, cluster)])
-        .collect();
-    ShardClustering {
-        labels: cut.labels().to_vec(),
-        medoids,
-        stats: result.stats,
-    }
 }
 
 #[cfg(test)]

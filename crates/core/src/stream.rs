@@ -29,7 +29,7 @@
 //! shard accumulates exactly the member rows (in arrival order) that the
 //! staged public stages (`PreprocessPipeline::run` →
 //! `encode_dataset_packed` → `bucketize` → `cluster_encoded_packed`)
-//! gather, every shard is clustered by the same private `cluster_shard`,
+//! gather, every shard is clustered by the same `spechd_cluster::cluster_shard`,
 //! and every run merges through [`spechd_cluster::ShardLabelMerger`] in
 //! ascending bucket-key order. The `streaming_equivalence` integration
 //! suite and the pipeline's staged oracle enforce this.
@@ -48,8 +48,9 @@
 //! closed and handed to the workers *immediately*, so clustering runs
 //! while ingest is still pulling — the RapidOMS streaming-batch shape.
 
-use crate::pipeline::{cluster_shard, merge, pool, ShardClustering};
+use crate::pipeline::{merge, pool};
 use crate::{CompressionReport, RunStats, SpecHd, SpecHdOutcome};
+use spechd_cluster::{cluster_shard, ShardClustering};
 use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_hdc::{HvPack, MajorityAccumulator};
 use spechd_ms::stream::SpectrumStream;

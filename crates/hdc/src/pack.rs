@@ -16,8 +16,7 @@ use crate::BinaryHypervector;
 ///
 /// The panicking build API ([`HvPack::push`], [`HvPack::push_row_words`])
 /// treats malformed rows as caller bugs; deserializers instead use the
-/// fallible counterparts ([`HvPack::from_raw_parts`],
-/// [`HvPack::try_push_row_words`]) and surface these as data errors.
+/// fallible [`HvPack::from_raw_parts`] and surface these as data errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PackError {
     /// The dimensionality was zero.
@@ -222,24 +221,6 @@ impl HvPack {
             len,
             words,
         })
-    }
-
-    /// Fallible [`HvPack::push_row_words`]: appends one pre-packed row,
-    /// reporting stride or tail-invariant violations as [`PackError`]s
-    /// instead of panicking. The pack is unchanged on error.
-    pub fn try_push_row_words(&mut self, words: &[u64]) -> Result<(), PackError> {
-        if words.len() != self.stride {
-            return Err(PackError::WordCountMismatch {
-                stride: self.stride,
-                found: words.len(),
-            });
-        }
-        if self.dim % 64 != 0 && words[self.stride - 1] >> (self.dim % 64) != 0 {
-            return Err(PackError::NonZeroTail { row: self.len });
-        }
-        self.words.extend_from_slice(words);
-        self.len += 1;
-        Ok(())
     }
 
     /// Removes every row while keeping the allocated storage, so a pack
@@ -476,26 +457,6 @@ mod tests {
             HvPack::from_raw_parts(63, vec![0, 1u64 << 63]),
             Err(PackError::NonZeroTail { row: 1 })
         );
-    }
-
-    #[test]
-    fn try_push_row_words_reports_instead_of_panicking() {
-        let mut pack = HvPack::new(63);
-        assert_eq!(
-            pack.try_push_row_words(&[0, 0]),
-            Err(PackError::WordCountMismatch {
-                stride: 1,
-                found: 2
-            })
-        );
-        assert_eq!(
-            pack.try_push_row_words(&[1u64 << 63]),
-            Err(PackError::NonZeroTail { row: 0 })
-        );
-        assert!(pack.is_empty(), "failed pushes must leave the pack intact");
-        pack.try_push_row_words(&[7]).unwrap();
-        assert_eq!(pack.len(), 1);
-        assert_eq!(pack.row(0), &[7]);
     }
 
     #[test]

@@ -80,31 +80,15 @@ pub enum StoreError {
     Corrupt(String),
     /// A medoid row violated the [`spechd_hdc::HvPack`] invariants.
     Pack(PackError),
-    /// A mutation referenced a bucket the store does not hold.
-    UnknownBucket {
-        /// The requested bucket key.
-        key: i64,
-    },
-    /// A mutation referenced a cluster the bucket does not hold.
-    UnknownCluster {
-        /// The bucket key.
-        key: i64,
-        /// The requested local cluster index.
-        cluster: u32,
-    },
-    /// A member registration (or refresh) used the wrong row mode for
-    /// this store: [`crate::ClusterStore::absorb`] on a row-keeping
-    /// store, or [`crate::ClusterStore::absorb_with_row`] /
-    /// [`crate::ClusterStore::refresh`] on a row-less one.
-    MemberRowMode {
-        /// Whether the store keeps member hypervector rows.
-        keeps_rows: bool,
-    },
-    /// A mutation used a spectrum id outside the reserved id space.
+    /// [`crate::ClusterStore::refresh`] on a store that does not keep
+    /// member rows (see [`crate::ClusterStore::new_keeping_rows`]).
+    MemberRowMode,
+    /// An installment's members do not number its spectra `0..count`
+    /// exactly once; `id` is a global id where the numbering breaks.
     InvalidSpectrumId {
         /// The offending id.
         id: u64,
-        /// The store's current id horizon (`next_spectrum_id`).
+        /// The id horizon the installment would leave behind.
         next: u64,
     },
     /// The 64-bit spectrum id space is exhausted.
@@ -154,23 +138,12 @@ impl std::fmt::Display for StoreError {
             ),
             StoreError::Corrupt(detail) => write!(f, "corrupt store file: {detail}"),
             StoreError::Pack(e) => write!(f, "malformed medoid row: {e}"),
-            StoreError::UnknownBucket { key } => write!(f, "no bucket with key {key}"),
-            StoreError::UnknownCluster { key, cluster } => {
-                write!(f, "bucket {key} has no cluster {cluster}")
-            }
-            StoreError::MemberRowMode { keeps_rows } => {
-                if *keeps_rows {
-                    write!(
-                        f,
-                        "row-keeping store requires absorb_with_row (absorb drops the member row)"
-                    )
-                } else {
-                    write!(f, "store does not keep member rows (see new_keeping_rows)")
-                }
+            StoreError::MemberRowMode => {
+                write!(f, "store does not keep member rows (see new_keeping_rows)")
             }
             StoreError::InvalidSpectrumId { id, next } => write!(
                 f,
-                "spectrum id {id} is outside the reserved id space (next id {next})"
+                "installment does not cover its spectrum ids once (at id {id}, next id {next})"
             ),
             StoreError::IdSpaceExhausted => write!(f, "64-bit spectrum id space exhausted"),
         }

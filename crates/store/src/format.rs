@@ -6,8 +6,8 @@
 //! *requires* that canonical form, so `to_bytes ∘ from_bytes` is the
 //! identity on valid files and any two stores with equal contents have
 //! equal bytes. Validation is strictly ordered — truncation, magic,
-//! version, header consistency, total length, checksum, then body — so a
-//! hostile file always reports its outermost defect.
+//! version, header consistency, total length, checksum, body, then id
+//! coverage — so a hostile file always reports its outermost defect.
 
 use crate::store::{ClusterStore, StoredBucket, StoredCluster, StoredMember};
 use crate::StoreError;
@@ -368,13 +368,9 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
     }
     debug_assert_eq!(r.pos, expected_total - FOOTER_LEN);
 
-    Ok(ClusterStore::from_parts(
-        dim as usize,
-        fingerprint,
-        next_id,
-        keep_rows,
-        buckets,
-    ))
+    let store = ClusterStore::from_parts(dim as usize, fingerprint, next_id, keep_rows, buckets);
+    store.covered()?;
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -383,35 +379,24 @@ mod tests {
     use spechd_hdc::BinaryHypervector;
     use spechd_rng::Xoshiro256StarStar;
 
-    fn sample_bytes(dim: usize) -> Vec<u8> {
+    /// Bucket 5 holds ids 0 and 1 in one cluster, bucket 9 holds id 2.
+    fn sample_store_bytes(dim: usize, keep_rows: bool) -> Vec<u8> {
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        let mut store = ClusterStore::new(dim, 0xABCD).unwrap();
-        store.reserve_ids(3).unwrap();
-        let row: Vec<u64> = BinaryHypervector::random(dim, &mut rng).words().to_vec();
-        let c = store.add_cluster(5, &row, 0).unwrap();
-        store.absorb(5, c, 0).unwrap();
-        store.absorb(5, c, 1).unwrap();
-        let row: Vec<u64> = BinaryHypervector::random(dim, &mut rng).words().to_vec();
-        let c = store.add_cluster(9, &row, 2).unwrap();
-        store.absorb(9, c, 2).unwrap();
-        store.to_bytes()
+        let mut row = || BinaryHypervector::random(dim, &mut rng).words().to_vec();
+        // Id 1's row is drawn only where it is kept.
+        let (r0, r1) = (row(), if keep_rows { row() } else { Vec::new() });
+        let members = [(5, 0, 0, &r0[..]), (5, 0, 1, &r1), (9, 0, 2, &row())];
+        ClusterStore::fixture(dim, 0xABCD, keep_rows, &members).to_bytes()
+    }
+
+    fn sample_bytes(dim: usize) -> Vec<u8> {
+        sample_store_bytes(dim, false)
     }
 
     /// Same shape as [`sample_bytes`] but through a row-keeping store,
     /// so the member-rows section and flag bit are exercised.
     fn sample_bytes_with_rows(dim: usize) -> Vec<u8> {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        let mut store = ClusterStore::new_keeping_rows(dim, 0xABCD).unwrap();
-        store.reserve_ids(3).unwrap();
-        let rows: Vec<Vec<u64>> = (0..3)
-            .map(|_| BinaryHypervector::random(dim, &mut rng).words().to_vec())
-            .collect();
-        let c = store.add_cluster(5, &rows[0], 0).unwrap();
-        store.absorb_with_row(5, c, 0, &rows[0]).unwrap();
-        store.absorb_with_row(5, c, 1, &rows[1]).unwrap();
-        let c = store.add_cluster(9, &rows[2], 2).unwrap();
-        store.absorb_with_row(9, c, 2, &rows[2]).unwrap();
-        store.to_bytes()
+        sample_store_bytes(dim, true)
     }
 
     #[test]

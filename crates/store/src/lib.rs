@@ -6,8 +6,8 @@
 //! that cannot be recomputed cheaply — the per-bucket **medoid
 //! hypervector** of every cluster, plus the per-spectrum membership
 //! bookkeeping — as a first-class on-disk artifact, so a later session can
-//! route new spectra to their precursor bucket, score them against the
-//! stored medoids, and recluster only the shards that actually changed
+//! score new spectra against the stored medoids of their precursor bucket
+//! and recluster only what no stored cluster accepts
 //! (`SpecHd::run_incremental` in `spechd-core` is that consumer).
 //!
 //! * [`ClusterStore`] — the in-memory model: per-bucket medoid rows in an
@@ -15,6 +15,8 @@
 //!   the deterministic [`ClusterStore::union_assignment`] merge through
 //!   [`spechd_cluster::ShardLabelMerger`] that keeps labels stable across
 //!   sessions.
+//! * [`ClusterStore::install`] — the one way a store grows; a rejected
+//!   installment leaves the store untouched.
 //! * [`format`](self) — the versioned `SHPK` byte format (diagram below),
 //!   written by [`ClusterStore::save`] / [`ClusterStore::to_bytes`] and
 //!   read back by [`ClusterStore::load`] / [`ClusterStore::from_bytes`].
@@ -86,6 +88,8 @@ pub use error::StoreError;
 pub use io::{
     DiskIo, FaultIo, FaultKind, FaultPlan, MemIo, RecoveryReport, RecoverySource, StoreIo,
 };
-pub use store::{ClusterStore, RefreshReport, StoredBucket, StoredCluster, StoredMember};
+pub use store::{
+    ClusterStore, IncrementalStats, RefreshReport, StoredBucket, StoredCluster, StoredMember,
+};
 
 pub use spechd_hdc::HvPack;

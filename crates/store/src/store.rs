@@ -3,7 +3,10 @@
 use crate::format;
 use crate::io::{DiskIo, RecoveryReport, RecoverySource, StoreIo};
 use crate::StoreError;
-use spechd_cluster::{ClusterAssignment, HacStats, ShardLabelMerger};
+use spechd_cluster::{
+    cluster_shard, ClusterAssignment, HacStats, Linkage, ShardClustering, ShardLabelMerger,
+};
+use spechd_hdc::distance::PackedDistanceEngine;
 use spechd_hdc::HvPack;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -42,6 +45,15 @@ pub struct StoredBucket {
 }
 
 impl StoredBucket {
+    fn empty(dim: usize, keep_rows: bool) -> Self {
+        Self {
+            medoids: HvPack::new(dim),
+            clusters: Vec::new(),
+            members: Vec::new(),
+            member_rows: keep_rows.then(|| HvPack::new(dim)),
+        }
+    }
+
     /// The medoid hypervector rows, one per cluster.
     pub fn medoids(&self) -> &HvPack {
         &self.medoids
@@ -75,12 +87,45 @@ pub struct RefreshReport {
     pub merged: u64,
 }
 
+/// Work counters of one [`ClusterStore::install`] installment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IncrementalStats {
+    /// Spectra in the installment before preprocessing (0 from `install`).
+    pub spectra_in: usize,
+    /// Spectra surviving preprocessing (= global ids assigned).
+    pub spectra_kept: usize,
+    /// Buckets of this installment the store had never seen.
+    pub fresh_buckets: usize,
+    /// Buckets of this installment with prior clusters.
+    pub dirty_buckets: usize,
+    /// New spectra absorbed into an existing cluster.
+    pub absorbed: usize,
+    /// New spectra that no existing cluster accepted and that were
+    /// reclustered among themselves.
+    pub residual: usize,
+    /// Clusters appended this installment (fresh buckets + residuals).
+    pub new_clusters: usize,
+}
+
+/// One bucket's share of a [`ClusterStore::install`], computed before any is committed.
+struct BucketChange<'a> {
+    key: i64,
+    members: &'a [usize],
+    rows: &'a HvPack,
+    /// `(stored cluster, row)` for every row a stored medoid accepts.
+    joins: Vec<(usize, usize)>,
+    /// The rows no stored cluster accepts, ascending.
+    residual: Vec<usize>,
+    /// The residual rows' clustering; its medoids index into `residual`.
+    clustering: ShardClustering,
+}
+
 /// A persistent store of per-bucket medoid hypervectors and cluster
 /// memberships — the state `SpecHd::run_incremental` (in `spechd-core`)
 /// reads, extends, and re-persists between sessions.
 ///
 /// Spectra are identified by dense **global ids** assigned in arrival
-/// order across sessions ([`ClusterStore::reserve_ids`]); every id in
+/// order across sessions ([`ClusterStore::install`]); every id in
 /// `[0, next_spectrum_id)` belongs to exactly one bucket. That density is
 /// what makes [`ClusterStore::union_assignment`] a pure
 /// [`ShardLabelMerger`] replay: buckets added in ascending key order, raw
@@ -117,9 +162,8 @@ impl ClusterStore {
     /// hypervector row alongside its membership record. Row-keeping
     /// stores cost `O(spectra)` extra rows on disk and in memory, and in
     /// exchange support [`ClusterStore::refresh`] without access to the
-    /// original spectra — members are registered through
-    /// [`ClusterStore::absorb_with_row`] instead of
-    /// [`ClusterStore::absorb`].
+    /// original spectra; [`ClusterStore::install`] records each new
+    /// member's row.
     pub fn new_keeping_rows(dim: usize, fingerprint: u64) -> Result<Self, StoreError> {
         let mut store = Self::new(dim, fingerprint)?;
         store.keep_rows = true;
@@ -143,7 +187,7 @@ impl ClusterStore {
         self.fingerprint
     }
 
-    /// The id the next reserved spectrum will receive — also the total
+    /// The id the next installed spectrum will receive — also the total
     /// number of spectra the store covers.
     pub fn next_spectrum_id(&self) -> u64 {
         self.next_id
@@ -201,118 +245,136 @@ impl ClusterStore {
         Ok(())
     }
 
-    /// Reserves `count` consecutive global spectrum ids, returning the
-    /// first. Every kept spectrum of a session must be registered (via
-    /// [`ClusterStore::absorb`]) under exactly one reserved id before
-    /// [`ClusterStore::union_assignment`] is meaningful again.
-    pub fn reserve_ids(&mut self, count: u64) -> Result<u64, StoreError> {
+    /// Clusters one installment of `count` new spectra into the store,
+    /// returning the first global id it assigned and its work counters.
+    /// Each shard is `(key, members, rows)` in ascending key order: row
+    /// `i` encodes installment spectrum `members[i]`, global id
+    /// `base + members[i]`, and the shards number `0..count` exactly once.
+    ///
+    /// A bucket the store has never seen (**fresh**) is clustered by
+    /// [`cluster_shard`], the batch kernel. In a bucket with stored
+    /// clusters (**dirty**) a row joins its nearest stored medoid's
+    /// cluster (lowest index on a tie) when within `threshold`, so no
+    /// medoid moves and no old spectrum is relabeled; the other rows are
+    /// clustered among themselves into new clusters.
+    ///
+    /// Every change is computed against the unchanged store, then all are
+    /// committed in steps that cannot fail, so an `Err` leaves the store
+    /// untouched: [`StoreError::IdSpaceExhausted`],
+    /// [`StoreError::DimMismatch`], [`StoreError::InvalidSpectrumId`], or
+    /// [`StoreError::Corrupt`] for shards out of key order, rows that do
+    /// not parallel their members, or a bucket outgrowing `u32` counts.
+    pub fn install<'a>(
+        &mut self,
+        count: usize,
+        shards: impl IntoIterator<Item = (i64, &'a [usize], &'a HvPack)>,
+        linkage: Linkage,
+        threshold: f64,
+    ) -> Result<(u64, IncrementalStats), StoreError> {
         let base = self.next_id;
-        self.next_id = base
-            .checked_add(count)
-            .ok_or(StoreError::IdSpaceExhausted)?;
-        Ok(base)
-    }
-
-    /// Appends a new cluster to bucket `key` (creating the bucket if
-    /// absent) with the given medoid hypervector row and medoid spectrum
-    /// id, returning the cluster's local index. The medoid itself still
-    /// needs to be registered as a member via [`ClusterStore::absorb`].
-    pub fn add_cluster(
-        &mut self,
-        key: i64,
-        medoid_words: &[u64],
-        medoid_id: u64,
-    ) -> Result<u32, StoreError> {
-        if medoid_id >= self.next_id {
-            return Err(StoreError::InvalidSpectrumId {
-                id: medoid_id,
-                next: self.next_id,
-            });
+        let next = base.checked_add(count as u64);
+        let next = next.ok_or(StoreError::IdSpaceExhausted)?;
+        let shards: Vec<_> = shards.into_iter().collect();
+        for (i, &(key, members, rows)) in shards.iter().enumerate() {
+            if rows.dim() != self.dim {
+                let (store, expected) = (self.dim, rows.dim());
+                return Err(StoreError::DimMismatch { store, expected });
+            }
+            if rows.len() != members.len() || (i > 0 && shards[i - 1].0 >= key) {
+                return Err(StoreError::Corrupt(format!(
+                    "installment shard {key} is out of key order or its rows miss its members"
+                )));
+            }
         }
-        let dim = self.dim;
-        let keep_rows = self.keep_rows;
-        let bucket = self.buckets.entry(key).or_insert_with(|| StoredBucket {
-            medoids: HvPack::new(dim),
-            clusters: Vec::new(),
-            members: Vec::new(),
-            member_rows: keep_rows.then(|| HvPack::new(dim)),
-        });
-        let local = u32::try_from(bucket.clusters.len())
-            .map_err(|_| StoreError::Corrupt(format!("bucket {key} exceeds 2^32 clusters")))?;
-        bucket.medoids.try_push_row_words(medoid_words)?;
-        bucket.clusters.push(StoredCluster {
-            medoid_id,
-            members: 0,
-        });
-        Ok(local)
-    }
-
-    /// Registers spectrum `id` as a member of cluster `cluster` in bucket
-    /// `key`, bumping that cluster's member count. Row-keeping stores
-    /// must use [`ClusterStore::absorb_with_row`] instead, so every
-    /// member has a row — mixing the two would desynchronize the
-    /// membership list from the row pack.
-    pub fn absorb(&mut self, key: i64, cluster: u32, id: u64) -> Result<(), StoreError> {
-        if self.keep_rows {
-            return Err(StoreError::MemberRowMode { keeps_rows: true });
-        }
-        self.absorb_inner(key, cluster, id, None)
-    }
-
-    /// [`ClusterStore::absorb`] for row-keeping stores: registers the
-    /// member *and* its hypervector row (the same words the member was
-    /// encoded to — what [`ClusterStore::refresh`] later re-medoids
-    /// over). Fails with [`StoreError::MemberRowMode`] on a row-less
-    /// store and with [`StoreError::Pack`] if the row does not fit the
-    /// store's dimensionality.
-    pub fn absorb_with_row(
-        &mut self,
-        key: i64,
-        cluster: u32,
-        id: u64,
-        row_words: &[u64],
-    ) -> Result<(), StoreError> {
-        if !self.keep_rows {
-            return Err(StoreError::MemberRowMode { keeps_rows: false });
-        }
-        self.absorb_inner(key, cluster, id, Some(row_words))
-    }
-
-    fn absorb_inner(
-        &mut self,
-        key: i64,
-        cluster: u32,
-        id: u64,
-        row_words: Option<&[u64]>,
-    ) -> Result<(), StoreError> {
-        if id >= self.next_id {
-            return Err(StoreError::InvalidSpectrumId {
-                id,
-                next: self.next_id,
-            });
-        }
-        let bucket = self
-            .buckets
-            .get_mut(&key)
-            .ok_or(StoreError::UnknownBucket { key })?;
-        let meta = bucket
-            .clusters
-            .get_mut(cluster as usize)
-            .ok_or(StoreError::UnknownCluster { key, cluster })?;
-        if let Some(words) = row_words {
-            // Validate the row before any state changes so a malformed
-            // row leaves the bucket untouched.
-            bucket
-                .member_rows
-                .as_mut()
-                .expect("row-keeping store bucket has member rows")
-                .try_push_row_words(words)?;
-        }
-        meta.members = meta.members.checked_add(1).ok_or_else(|| {
-            StoreError::Corrupt(format!("cluster {key}/{cluster} count overflow"))
+        let listed = shards.iter().map(|s| s.1.len()).sum();
+        let ids = shards.iter().flat_map(|s| s.1.iter().map(|&m| m as u64));
+        dense(count as u64, listed, ids).map_err(|id| StoreError::InvalidSpectrumId {
+            id: base.saturating_add(id),
+            next,
         })?;
-        bucket.members.push(StoredMember { id, cluster });
-        Ok(())
+
+        let mut stats = IncrementalStats::default();
+        // Single-threaded scoring: medoid sets per bucket are small.
+        let engine = PackedDistanceEngine::new().threads(1);
+        let mut changes = Vec::with_capacity(shards.len());
+        for (key, members, rows) in shards.into_iter().filter(|s| !s.1.is_empty()) {
+            let stored = self.buckets.get(&key);
+            let (mut joins, mut residual) = (Vec::new(), Vec::new());
+            if let Some(bucket) = stored {
+                let (queries, medoids) = (rows.to_hypervectors(), &bucket.medoids);
+                let lanes = queries.iter().map(|q| (q, 0..medoids.len(), (0, u32::MAX)));
+                // A strict `<` over ascending rows keeps the first minimum:
+                // the lowest cluster index wins a tie.
+                let nearest = engine.one_to_many_block(medoids, lanes, |best, first, ds| {
+                    for (k, &d) in ds.iter().enumerate() {
+                        if u32::from(d) < best.1 {
+                            *best = (first + k, u32::from(d));
+                        }
+                    }
+                });
+                for (row, (cluster, d)) in nearest.into_iter().enumerate() {
+                    if f64::from(d) <= threshold {
+                        joins.push((cluster, row));
+                    } else {
+                        residual.push(row);
+                    }
+                }
+                stats.dirty_buckets += 1;
+                stats.absorbed += joins.len();
+                stats.residual += residual.len();
+            } else {
+                stats.fresh_buckets += 1;
+                residual = (0..rows.len()).collect();
+            }
+            let local: Vec<usize> = (0..residual.len()).collect();
+            let clustering = cluster_shard(&local, &rows.gather(&residual), linkage, threshold);
+            stats.new_clusters += clustering.medoids.len();
+            // Each new cluster has a new member, so this bounds both counts.
+            let held = stored.map_or(0, |b| b.clusters.len().max(b.members.len()));
+            if u32::try_from(held + members.len()).is_err() {
+                let detail = format!("bucket {key} outgrows u32 counts");
+                return Err(StoreError::Corrupt(detail));
+            }
+            changes.push(BucketChange {
+                key,
+                members,
+                rows,
+                joins,
+                residual,
+                clustering,
+            });
+        }
+
+        // Commit: nothing below can fail.
+        self.next_id = next;
+        stats.spectra_kept = count;
+        let (dim, keep_rows) = (self.dim, self.keep_rows);
+        for change in changes {
+            let empty = || StoredBucket::empty(dim, keep_rows);
+            let bucket = self.buckets.entry(change.key).or_insert_with(empty);
+            let gid = |row: usize| base + change.members[row] as u64;
+            let first_new = bucket.clusters.len();
+            for &medoid in &change.clustering.medoids {
+                let row = change.residual[medoid];
+                bucket.medoids.push_row_words(change.rows.row(row));
+                bucket.clusters.push(StoredCluster {
+                    medoid_id: gid(row),
+                    members: 0,
+                });
+            }
+            // Joins first, then the residual members by label order.
+            let labels = change.clustering.labels.iter().zip(&change.residual);
+            let founded = labels.map(|(&label, &row)| (first_new + label, row));
+            for (cluster, row) in change.joins.iter().copied().chain(founded) {
+                bucket.clusters[cluster].members += 1;
+                let (id, cluster) = (gid(row), cluster as u32);
+                bucket.members.push(StoredMember { id, cluster });
+                if let Some(member_rows) = &mut bucket.member_rows {
+                    member_rows.push_row_words(change.rows.row(row));
+                }
+            }
+        }
+        Ok((base, stats))
     }
 
     /// The maintenance pass: re-medoids every cluster over its kept
@@ -342,7 +404,7 @@ impl ClusterStore {
     /// re-medoids to a fixed point.
     pub fn refresh(&mut self, threshold_bits: u32) -> Result<RefreshReport, StoreError> {
         if !self.keep_rows {
-            return Err(StoreError::MemberRowMode { keeps_rows: false });
+            return Err(StoreError::MemberRowMode);
         }
         // Validate everything before mutating anything: refresh either
         // completes in full or leaves the store untouched.
@@ -465,30 +527,10 @@ impl ClusterStore {
     /// which is what keeps labels stable across sessions.
     ///
     /// Fails with [`StoreError::Corrupt`] if the memberships do not cover
-    /// every reserved id exactly once (a store mid-session, or a
-    /// hand-edited file that slipped past the checksum).
+    /// every id exactly once, which neither [`ClusterStore::install`] nor
+    /// [`ClusterStore::from_bytes`] lets through.
     pub fn union_assignment(&self) -> Result<(ClusterAssignment, Vec<u64>), StoreError> {
-        let total = usize::try_from(self.next_id)
-            .map_err(|_| StoreError::Corrupt("id space exceeds usize".into()))?;
-        let mut seen = vec![false; total];
-        for (key, bucket) in &self.buckets {
-            for m in &bucket.members {
-                let idx = m.id as usize; // < next_id, enforced by absorb/load
-                if idx >= total || seen[idx] {
-                    return Err(StoreError::Corrupt(format!(
-                        "spectrum id {} of bucket {key} is out of range or duplicated",
-                        m.id
-                    )));
-                }
-                seen[idx] = true;
-            }
-        }
-        if seen.iter().any(|&s| !s) {
-            let missing = seen.iter().filter(|&&s| !s).count();
-            return Err(StoreError::Corrupt(format!(
-                "{missing} reserved spectrum ids have no bucket membership"
-            )));
-        }
+        let total = self.covered()?;
         let mut merger = ShardLabelMerger::new(total);
         for bucket in self.buckets.values() {
             let members: Vec<usize> = bucket.members.iter().map(|m| m.id as usize).collect();
@@ -639,6 +681,18 @@ impl ClusterStore {
         }
     }
 
+    /// Checks that the memberships cover the ids `0..next_id` exactly
+    /// once and returns `next_id`.
+    pub(crate) fn covered(&self) -> Result<usize, StoreError> {
+        let (next, members) = (self.next_id, self.buckets.values().flat_map(|b| &b.members));
+        let listed = self.buckets.values().map(|b| b.members.len()).sum();
+        dense(next, listed, members.map(|m| m.id)).map_err(|id| {
+            StoreError::Corrupt(format!(
+                "members do not cover the {next} ids once (at id {id})"
+            ))
+        })
+    }
+
     pub(crate) fn buckets(&self) -> &BTreeMap<i64, StoredBucket> {
         &self.buckets
     }
@@ -658,6 +712,23 @@ impl ClusterStore {
             buckets,
         }
     }
+}
+
+/// Checks that the `listed` ids number `0..total` exactly once, returning
+/// `total` or an id where the numbering breaks. The count is compared
+/// before the bitmap is allocated, so a hostile `total` costs nothing.
+fn dense(total: u64, listed: usize, ids: impl Iterator<Item = u64>) -> Result<usize, u64> {
+    if listed as u64 != total {
+        return Err(total.min(listed as u64));
+    }
+    let mut seen = vec![false; listed];
+    for id in ids {
+        match usize::try_from(id).ok().and_then(|i| seen.get_mut(i)) {
+            Some(seen) if !*seen => *seen = true,
+            _ => return Err(id),
+        }
+    }
+    Ok(listed)
 }
 
 /// The member (by position into `members`/`rows`) minimizing total
@@ -683,6 +754,40 @@ fn medoid_position(rows: &HvPack, members: &[StoredMember], positions: &[usize])
 }
 
 #[cfg(test)]
+impl ClusterStore {
+    /// A store over [`ClusterStore::from_parts`] with one member per
+    /// `(key, cluster, id, row)`, ids `0..members.len()`. A member whose
+    /// cluster index is new to its bucket founds that cluster as its
+    /// medoid; the rows are kept only when `keep_rows`.
+    pub(crate) fn fixture(
+        dim: usize,
+        fingerprint: u64,
+        keep_rows: bool,
+        members: &[(i64, u32, u64, &[u64])],
+    ) -> Self {
+        let mut buckets = BTreeMap::new();
+        for &(key, cluster, id, row) in members {
+            let empty = || StoredBucket::empty(dim, keep_rows);
+            let bucket: &mut StoredBucket = buckets.entry(key).or_insert_with(empty);
+            if cluster as usize == bucket.clusters.len() {
+                bucket.medoids.push_row_words(row);
+                let medoid = StoredCluster {
+                    medoid_id: id,
+                    members: 0,
+                };
+                bucket.clusters.push(medoid);
+            }
+            bucket.clusters[cluster as usize].members += 1;
+            bucket.members.push(StoredMember { id, cluster });
+            if let Some(rows) = &mut bucket.member_rows {
+                rows.push_row_words(row);
+            }
+        }
+        Self::from_parts(dim, fingerprint, members.len() as u64, keep_rows, buckets)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use spechd_hdc::BinaryHypervector;
@@ -696,16 +801,14 @@ mod tests {
     /// A small two-bucket store: bucket 10 has clusters {0: ids 0,2} and
     /// {1: id 3}, bucket -4 has cluster {0: id 1}.
     fn sample(dim: usize) -> ClusterStore {
-        let mut store = ClusterStore::new(dim, 0xF00D).unwrap();
-        assert_eq!(store.reserve_ids(4).unwrap(), 0);
-        let c0 = store.add_cluster(10, &row(dim, 1), 0).unwrap();
-        let c1 = store.add_cluster(10, &row(dim, 2), 3).unwrap();
-        let d0 = store.add_cluster(-4, &row(dim, 3), 1).unwrap();
-        store.absorb(10, c0, 0).unwrap();
-        store.absorb(-4, d0, 1).unwrap();
-        store.absorb(10, c0, 2).unwrap();
-        store.absorb(10, c1, 3).unwrap();
-        store
+        let (r1, r2, r3) = (row(dim, 1), row(dim, 2), row(dim, 3));
+        let members = [
+            (10, 0, 0, &r1[..]),
+            (-4, 0, 1, &r3),
+            (10, 0, 2, &[]),
+            (10, 1, 3, &r2),
+        ];
+        ClusterStore::fixture(dim, 0xF00D, false, &members)
     }
 
     #[test]
@@ -734,37 +837,100 @@ mod tests {
     #[test]
     fn union_assignment_rejects_uncovered_ids() {
         let mut store = sample(100);
-        store.reserve_ids(1).unwrap();
+        store.next_id += 1;
         let err = store.union_assignment().unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
     }
 
+    /// Id 0 twice and id 2 never: the count matches `next_id`, so only
+    /// the bitmap catches it, at load, before any installment runs.
     #[test]
-    fn mutations_validate_their_references() {
-        let mut store = ClusterStore::new(64, 1).unwrap();
-        assert!(matches!(
-            store.add_cluster(0, &[0], 0),
-            Err(StoreError::InvalidSpectrumId { .. })
-        ));
-        store.reserve_ids(2).unwrap();
-        assert!(matches!(
-            store.absorb(0, 0, 0),
-            Err(StoreError::UnknownBucket { key: 0 })
-        ));
-        let c = store.add_cluster(0, &[0], 0).unwrap();
-        assert!(matches!(
-            store.absorb(0, c + 1, 0),
-            Err(StoreError::UnknownCluster { .. })
-        ));
-        assert!(matches!(
-            store.absorb(0, c, 9),
-            Err(StoreError::InvalidSpectrumId { id: 9, next: 2 })
-        ));
-        // A malformed medoid row is a PackError, not a panic.
-        assert!(matches!(
-            store.add_cluster(0, &[0, 0], 1),
-            Err(StoreError::Pack(_))
-        ));
+    fn duplicate_plus_missing_id_is_corrupt() {
+        let mut store = sample(100);
+        store.buckets.get_mut(&10).unwrap().members[1].id = 0;
+        let err = ClusterStore::from_bytes(&store.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("(at id 0)"), "{err}");
+    }
+
+    /// A sealed header claiming 2^64 - 1 ids over one member is refused
+    /// by its count, before a bitmap that large could be allocated.
+    #[test]
+    fn huge_next_id_is_corrupt_without_allocating() {
+        let mut store = ClusterStore::fixture(64, 1, false, &[(0, 0, 0, &[0])]);
+        store.next_id = u64::MAX;
+        let err = ClusterStore::from_bytes(&store.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("(at id 1)"), "{err}");
+    }
+
+    type Shards = Vec<(i64, Vec<usize>, HvPack)>;
+    type Installed = Result<(u64, IncrementalStats), StoreError>;
+
+    /// Six spectra: one row a stored medoid accepts and one it does not
+    /// in each of [`sample`]'s buckets, and the fresh buckets 3 and 20.
+    fn installment(dim: usize) -> Shards {
+        let pack = |seeds: &[u64]| {
+            let rows: Vec<u64> = seeds.iter().flat_map(|&s| row(dim, s)).collect();
+            HvPack::from_raw_parts(dim, rows).unwrap()
+        };
+        vec![
+            (-4, vec![0, 1], pack(&[3, 8])),
+            (3, vec![2], pack(&[5])),
+            (10, vec![3, 4], pack(&[1, 9])),
+            (20, vec![5], pack(&[6])),
+        ]
+    }
+
+    fn install(store: &mut ClusterStore, count: usize, shards: &Shards) -> Installed {
+        let shards = shards.iter().map(|(key, ids, rows)| (*key, &ids[..], rows));
+        store.install(count, shards, Linkage::Complete, 10.0)
+    }
+
+    /// Installs `shards`, expecting an error and an unchanged store.
+    fn rejected(store: &mut ClusterStore, count: usize, shards: &Shards) -> StoreError {
+        let (before, bytes) = (store.clone(), store.to_bytes());
+        let err = install(store, count, shards).unwrap_err();
+        assert!(*store == before && store.to_bytes() == bytes, "{err}");
+        err
+    }
+
+    #[test]
+    fn rejected_installments_leave_the_store_untouched() {
+        let mut store = sample(100);
+        // A wrong-dim pack at every index, after fresh and dirty buckets.
+        for k in 0..4 {
+            let mut shards = installment(100);
+            shards[k].2 = installment(64).swap_remove(k).2;
+            let err = rejected(&mut store, 6, &shards);
+            let dim = matches!(err, StoreError::DimMismatch { expected: 64, .. });
+            assert!(dim, "{err}");
+        }
+        // Bucket 10's ids 3 and `second` repeat, skip or exceed `count`.
+        for (count, second, at) in [(6, 3, 7), (6, 6, 10), (5, 4, 9), (7, 4, 10)] {
+            let mut shards = installment(100);
+            shards[2].1 = vec![3, second];
+            let err = rejected(&mut store, count, &shards);
+            let want = (at, 4 + count as u64);
+            let ok =
+                matches!(err, StoreError::InvalidSpectrumId { id, next } if (id, next) == want);
+            assert!(ok, "{err}");
+        }
+        let mut shards = installment(100);
+        shards.swap(0, 1);
+        let err = rejected(&mut store, 6, &shards);
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+
+        // Well formed, it commits; ids 4 and 7 join stored clusters.
+        let mut twin = store.clone();
+        let (base, s) = install(&mut store, 6, &installment(100)).unwrap();
+        let counts = [s.fresh_buckets, s.dirty_buckets, s.absorbed, s.residual];
+        assert_eq!((base, counts, s.new_clusters), (4, [2; 4], 4));
+        let (assignment, _) = store.union_assignment().unwrap();
+        assert_eq!(&assignment.labels()[..8], &[0, 1, 0, 2, 1, 3, 4, 0]);
+        assert_eq!(ClusterStore::from_bytes(&store.to_bytes()).unwrap(), store);
+        // Two short of the end of the 64-bit id space, it cannot.
+        twin.next_id = u64::MAX - 2;
+        let err = rejected(&mut twin, 6, &installment(100));
+        assert!(matches!(err, StoreError::IdSpaceExhausted), "{err}");
     }
 
     /// A missing primary beside a damaged `.bak` is a lost archive, not a
@@ -836,35 +1002,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_mode_is_enforced_both_ways() {
-        let mut rowless = ClusterStore::new(64, 1).unwrap();
-        rowless.reserve_ids(1).unwrap();
-        let c = rowless.add_cluster(0, &[0b1], 0).unwrap();
+    fn refresh_requires_a_row_keeping_store() {
         assert!(matches!(
-            rowless.absorb_with_row(0, c, 0, &[0b1]),
-            Err(StoreError::MemberRowMode { keeps_rows: false })
+            sample(64).refresh(4),
+            Err(StoreError::MemberRowMode)
         ));
-        assert!(matches!(
-            rowless.refresh(4),
-            Err(StoreError::MemberRowMode { keeps_rows: false })
-        ));
-
-        let mut rowed = ClusterStore::new_keeping_rows(64, 1).unwrap();
+        let rowed = ClusterStore::new_keeping_rows(64, 1).unwrap();
         assert!(rowed.keeps_member_rows());
-        rowed.reserve_ids(1).unwrap();
-        let c = rowed.add_cluster(0, &[0b1], 0).unwrap();
-        assert!(matches!(
-            rowed.absorb(0, c, 0),
-            Err(StoreError::MemberRowMode { keeps_rows: true })
-        ));
-        // A malformed row is rejected before any bucket state changes.
-        assert!(matches!(
-            rowed.absorb_with_row(0, c, 0, &[0, 0]),
-            Err(StoreError::Pack(_))
-        ));
-        assert!(rowed.bucket(0).unwrap().members().is_empty());
-        rowed.absorb_with_row(0, c, 0, &[0b1]).unwrap();
-        assert_eq!(rowed.bucket(0).unwrap().member_rows().unwrap().len(), 1);
     }
 
     /// A drifted cluster: founded on id 0's row, then absorbed members
@@ -872,15 +1016,11 @@ mod tests {
     /// the minimum total Hamming distance.
     #[test]
     fn refresh_re_medoids_a_drifted_cluster() {
-        let mut store = ClusterStore::new_keeping_rows(64, 7).unwrap();
-        store.reserve_ids(3).unwrap();
         // Pairwise distances: d(0,1)=8, d(0,2)=7, d(1,2)=1.
         // Totals: id0 = 15, id1 = 9, id2 = 8 → new medoid is id 2.
         let rows: [&[u64]; 3] = [&[0x00], &[0xFF], &[0xFE]];
-        let c = store.add_cluster(3, rows[0], 0).unwrap();
-        for (id, row) in rows.iter().enumerate() {
-            store.absorb_with_row(3, c, id as u64, row).unwrap();
-        }
+        let members = [(3, 0, 0, rows[0]), (3, 0, 1, rows[1]), (3, 0, 2, rows[2])];
+        let mut store = ClusterStore::fixture(64, 7, true, &members);
         let report = store.refresh(0).unwrap();
         assert_eq!(
             report,
@@ -900,17 +1040,15 @@ mod tests {
 
     #[test]
     fn refresh_merges_colliding_clusters_and_compacts_the_bucket() {
-        let mut store = ClusterStore::new_keeping_rows(64, 7).unwrap();
-        store.reserve_ids(4).unwrap();
         // Three clusters; 0 and 2 sit within threshold 2 of each other
         // (d = 1) while cluster 1 is far from both.
-        let c0 = store.add_cluster(5, &[0b0011], 0).unwrap();
-        let c1 = store.add_cluster(5, &[u64::MAX], 1).unwrap();
-        let c2 = store.add_cluster(5, &[0b0001], 2).unwrap();
-        store.absorb_with_row(5, c0, 0, &[0b0011]).unwrap();
-        store.absorb_with_row(5, c1, 1, &[u64::MAX]).unwrap();
-        store.absorb_with_row(5, c2, 2, &[0b0001]).unwrap();
-        store.absorb_with_row(5, c2, 3, &[0b0001]).unwrap();
+        let members: [(i64, u32, u64, &[u64]); 4] = [
+            (5, 0, 0, &[0b0011]),
+            (5, 1, 1, &[u64::MAX]),
+            (5, 2, 2, &[1]),
+            (5, 2, 3, &[1]),
+        ];
+        let mut store = ClusterStore::fixture(64, 7, true, &members);
         let report = store.refresh(2).unwrap();
         assert_eq!(report.merged, 1);
         let bucket = store.bucket(5).unwrap();
@@ -937,12 +1075,12 @@ mod tests {
 
     #[test]
     fn refresh_rejects_half_registered_stores_untouched() {
-        let mut store = ClusterStore::new_keeping_rows(64, 7).unwrap();
-        store.reserve_ids(2).unwrap();
-        let c = store.add_cluster(1, &[0b1], 0).unwrap();
-        store.absorb_with_row(1, c, 0, &[0b1]).unwrap();
+        let mut store = ClusterStore::fixture(64, 7, true, &[(1, 0, 0, &[1]), (2, 0, 1, &[2])]);
         // A founded-but-memberless cluster in a later bucket.
-        store.add_cluster(2, &[0b10], 1).unwrap();
+        let bucket = store.buckets.get_mut(&2).unwrap();
+        bucket.members.clear();
+        bucket.clusters[0].members = 0;
+        bucket.member_rows = Some(HvPack::new(64));
         let before = store.clone();
         assert!(matches!(store.refresh(0), Err(StoreError::Corrupt(_))));
         assert_eq!(store, before, "failed refresh must not mutate");
@@ -951,13 +1089,9 @@ mod tests {
     #[test]
     fn row_keeping_round_trip_all_dims() {
         for dim in [63, 64, 65, 100] {
-            let mut store = ClusterStore::new_keeping_rows(dim, 0xF00D).unwrap();
-            store.reserve_ids(2).unwrap();
-            let r0 = row(dim, 1);
-            let r1 = row(dim, 2);
-            let c = store.add_cluster(10, &r0, 0).unwrap();
-            store.absorb_with_row(10, c, 0, &r0).unwrap();
-            store.absorb_with_row(10, c, 1, &r1).unwrap();
+            let (r0, r1) = (row(dim, 1), row(dim, 2));
+            let members = [(10, 0, 0, &r0[..]), (10, 0, 1, &r1)];
+            let store = ClusterStore::fixture(dim, 0xF00D, true, &members);
             let bytes = store.to_bytes();
             let reloaded = ClusterStore::from_bytes(&bytes).unwrap();
             assert_eq!(reloaded, store, "dim {dim}");
