@@ -5,10 +5,9 @@
 //! loosens over rounds.
 
 use crate::vectorize::BinnedSpectrum;
-use crate::{expand_to_full, ClusteringTool};
+use crate::{cluster_by_bucket, ClusteringTool};
 use spechd_cluster::ClusterAssignment;
 use spechd_ms::SpectrumDataset;
-use spechd_preprocess::{PrecursorBucketer, PreprocessConfig, PreprocessPipeline};
 
 /// A configurable greedy cascade clusterer; use
 /// [`GreedyCascade::spectra_cluster`] and [`GreedyCascade::mscluster`]
@@ -46,8 +45,9 @@ impl GreedyCascade {
     }
 }
 
-/// A cluster under construction: member indices and the (unnormalized)
-/// sum of member vectors serving as the representative consensus.
+/// A cluster under construction: member positions within the bucket and
+/// the (unnormalized) sum of member vectors serving as the representative
+/// consensus.
 struct Draft {
     members: Vec<usize>,
     sum: std::collections::BTreeMap<u32, f64>,
@@ -94,30 +94,20 @@ impl ClusteringTool for GreedyCascade {
     }
 
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment {
-        let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
-        let vectors: Vec<BinnedSpectrum> = pre
-            .dataset
-            .spectra()
-            .iter()
-            .map(|s| BinnedSpectrum::from_spectrum(s, self.bin_width))
-            .collect();
-        let buckets = PrecursorBucketer::new(self.resolution).bucketize(pre.dataset.spectra());
-
-        let mut raw = vec![0usize; pre.dataset.len()];
-        let mut next = 0usize;
-        for bucket in &buckets {
+        let prepare = |kept: &SpectrumDataset| BinnedSpectrum::all(kept, self.bin_width);
+        cluster_by_bucket(dataset, self.resolution, prepare, |vectors, members| {
             // One draft per spectrum initially; rounds merge drafts greedily.
-            let mut drafts: Vec<Draft> = bucket
-                .members
+            let mut drafts: Vec<Draft> = members
                 .iter()
-                .map(|&m| Draft::new(m, &vectors[m]))
+                .enumerate()
+                .map(|(local, &m)| Draft::new(local, &vectors[m]))
                 .collect();
             for &threshold in &self.round_thresholds {
                 let mut merged: Vec<Draft> = Vec::with_capacity(drafts.len());
                 for draft in drafts {
                     // Try to absorb this draft's members into an existing
                     // merged cluster via its first member's vector.
-                    let probe = &vectors[draft.members[0]];
+                    let probe = &vectors[members[draft.members[0]]];
                     let target = merged
                         .iter_mut()
                         .map(|c| (c.cosine(probe), c))
@@ -125,8 +115,8 @@ impl ClusteringTool for GreedyCascade {
                         .max_by(|a, b| a.0.total_cmp(&b.0));
                     match target {
                         Some((_, cluster)) => {
-                            for &m in &draft.members {
-                                cluster.absorb(m, &vectors[m]);
+                            for &local in &draft.members {
+                                cluster.absorb(local, &vectors[members[local]]);
                             }
                         }
                         None => merged.push(draft),
@@ -134,15 +124,14 @@ impl ClusteringTool for GreedyCascade {
                 }
                 drafts = merged;
             }
-            for draft in &drafts {
-                for &m in &draft.members {
-                    raw[m] = next;
+            let mut raw = vec![0usize; members.len()];
+            for (label, draft) in drafts.iter().enumerate() {
+                for &local in &draft.members {
+                    raw[local] = label;
                 }
-                next += 1;
             }
-        }
-        let local = ClusterAssignment::from_raw_labels(&raw);
-        expand_to_full(&local, &pre.kept, dataset.len())
+            ClusterAssignment::from_raw_labels(&raw)
+        })
     }
 }
 

@@ -1,12 +1,13 @@
-//! DBSCAN over a precomputed distance matrix.
+//! DBSCAN over a precomputed distance matrix or a packed hypervector store.
 //!
 //! HyperSpec's faster-but-lower-quality clustering flavour runs DBSCAN (via
-//! cuML); SpecHD compares against it in Figs. 9–10. This implementation
-//! operates on the same [`CondensedMatrix`] the HAC kernels use.
+//! cuML); SpecHD compares against it in Figs. 9–10, and falcon joins
+//! cosine neighbours with the same density rule. Both forms build
+//! epsilon-neighbourhood lists and share one expansion loop.
 
-use crate::{ClusterAssignment, CondensedMatrix};
+use spechd_cluster::{ClusterAssignment, CondensedMatrix};
 use spechd_hdc::distance::PackedDistanceEngine;
-use std::borrow::Cow;
+use spechd_hdc::HvPack;
 
 /// DBSCAN parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +53,7 @@ impl DbscanResult {
 
     /// Converts to a flat assignment, giving each noise point its own
     /// singleton cluster (the convention the quality metrics expect).
-    pub fn to_assignment(&self) -> ClusterAssignment {
+    pub(crate) fn to_assignment(&self) -> ClusterAssignment {
         let mut next = self.num_clusters;
         let raw: Vec<usize> = self
             .labels
@@ -78,7 +79,8 @@ impl DbscanResult {
 /// # Examples
 ///
 /// ```
-/// use spechd_cluster::{dbscan, CondensedMatrix, DbscanParams};
+/// use spechd_baselines::dbscan::{dbscan, DbscanParams};
+/// use spechd_cluster::CondensedMatrix;
 /// // Two tight pairs and one far outlier.
 /// let m = CondensedMatrix::from_fn(5, |i, j| match (i, j) {
 ///     (1, 0) => 0.1,
@@ -95,33 +97,14 @@ pub fn dbscan(matrix: &CondensedMatrix, params: DbscanParams) -> DbscanResult {
         "eps must be non-negative"
     );
     let n = matrix.n();
-    dbscan_core(n, params.min_pts, &|p| {
-        Cow::Owned(
+    let neighbors: Vec<Vec<usize>> = (0..n)
+        .map(|p| {
             (0..n)
                 .filter(|&q| q != p && matrix.get(p, q) <= params.eps)
-                .collect(),
-        )
-    })
-}
-
-/// Runs DBSCAN over precomputed epsilon-neighborhood lists: `neighbors[p]`
-/// must hold every point within `eps` of `p`, excluding `p` itself.
-///
-/// This is the entry point the packed pipeline uses: the lists come from
-/// [`PackedDistanceEngine::neighbors_within`], so the
-/// O(n²) distance matrix is never materialized. Produces labels identical
-/// to [`dbscan`] over the corresponding matrix.
-///
-/// # Panics
-///
-/// Panics if `min_pts == 0` or any list references an out-of-range point.
-pub fn dbscan_from_neighbors(neighbors: &[Vec<usize>], min_pts: usize) -> DbscanResult {
-    let n = neighbors.len();
-    assert!(
-        neighbors.iter().flatten().all(|&q| q < n),
-        "neighbor index out of range"
-    );
-    dbscan_core(n, min_pts, &|p| Cow::Borrowed(neighbors[p].as_slice()))
+                .collect()
+        })
+        .collect();
+    dbscan_from_neighbors(&neighbors, params.min_pts)
 }
 
 /// Runs DBSCAN directly over a packed hypervector store using the tiled
@@ -133,7 +116,7 @@ pub fn dbscan_from_neighbors(neighbors: &[Vec<usize>], min_pts: usize) -> Dbscan
 /// # Panics
 ///
 /// Panics if `min_pts == 0` or `eps` is negative/NaN.
-pub fn dbscan_packed(pack: &spechd_hdc::HvPack, params: DbscanParams) -> DbscanResult {
+pub fn dbscan_packed(pack: &HvPack, params: DbscanParams) -> DbscanResult {
     assert!(
         params.eps >= 0.0 && !params.eps.is_nan(),
         "eps must be non-negative"
@@ -144,14 +127,21 @@ pub fn dbscan_packed(pack: &spechd_hdc::HvPack, params: DbscanParams) -> DbscanR
     dbscan_from_neighbors(&adjacency, params.min_pts)
 }
 
-/// The shared expansion loop over an abstract neighborhood oracle. The
-/// oracle returns `Cow` so precomputed adjacency is borrowed, not cloned.
-fn dbscan_core<'a>(
-    n: usize,
-    min_pts: usize,
-    neighbors: &'a dyn Fn(usize) -> Cow<'a, [usize]>,
-) -> DbscanResult {
+/// The one expansion loop: DBSCAN over epsilon-neighborhood lists, where
+/// `neighbors[p]` holds every point within `eps` of `p`, excluding `p`
+/// itself, in ascending order. A border point joins the first cluster that
+/// reaches it, so the order of a list can change labels.
+///
+/// # Panics
+///
+/// Panics if `min_pts == 0` or any list references an out-of-range point.
+pub(crate) fn dbscan_from_neighbors(neighbors: &[Vec<usize>], min_pts: usize) -> DbscanResult {
     assert!(min_pts > 0, "min_pts must be positive");
+    let n = neighbors.len();
+    assert!(
+        neighbors.iter().flatten().all(|&q| q < n),
+        "neighbor index out of range"
+    );
     let mut labels: Vec<Option<usize>> = vec![None; n];
     let mut visited = vec![false; n];
     let mut cluster = 0usize;
@@ -161,13 +151,12 @@ fn dbscan_core<'a>(
             continue;
         }
         visited[p] = true;
-        let nbrs = neighbors(p);
-        if nbrs.len() + 1 < min_pts {
+        if neighbors[p].len() + 1 < min_pts {
             continue; // noise (may later be claimed as border point)
         }
         // Expand a new cluster from core point p.
         labels[p] = Some(cluster);
-        let mut queue: std::collections::VecDeque<usize> = nbrs.iter().copied().collect();
+        let mut queue: std::collections::VecDeque<usize> = neighbors[p].iter().copied().collect();
         while let Some(q) = queue.pop_front() {
             if labels[q].is_none() {
                 labels[q] = Some(cluster);
@@ -176,9 +165,8 @@ fn dbscan_core<'a>(
                 continue;
             }
             visited[q] = true;
-            let q_nbrs = neighbors(q);
-            if q_nbrs.len() + 1 >= min_pts {
-                for &r in q_nbrs.iter() {
+            if neighbors[q].len() + 1 >= min_pts {
+                for &r in &neighbors[q] {
                     if !visited[r] || labels[r].is_none() {
                         queue.push_back(r);
                     }
@@ -196,6 +184,14 @@ fn dbscan_core<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spechd_rng::{Rng, Xoshiro256StarStar};
+
+    const CASES: u64 = 48;
+
+    fn random_matrix(n: usize, seed: u64) -> CondensedMatrix {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        CondensedMatrix::from_fn(n, |_, _| rng.range_f64(0.01, 50.0))
+    }
 
     /// 0-1-2 chained within eps, 3-4 pair, 5 isolated.
     fn chain_matrix() -> CondensedMatrix {
@@ -293,7 +289,7 @@ mod tests {
         let a = r.to_assignment();
         assert_eq!(a.num_clusters(), 3); // 2 clusters + 1 noise singleton
         assert_eq!(a.len(), 6);
-        assert_eq!(a.singleton_count(), 1);
+        assert_eq!(a.sizes().iter().filter(|&&size| size == 1).count(), 1);
     }
 
     #[test]
@@ -327,8 +323,7 @@ mod tests {
 
     #[test]
     fn packed_matches_matrix_path_on_hypervectors() {
-        use spechd_hdc::{BinaryHypervector, HvPack};
-        use spechd_rng::Xoshiro256StarStar;
+        use spechd_hdc::BinaryHypervector;
         let mut rng = Xoshiro256StarStar::seed_from_u64(42);
         // Three noisy copies each of two prototypes, plus two random points.
         let mut hvs = Vec::new();
@@ -369,5 +364,30 @@ mod tests {
                 min_pts: 0,
             },
         );
+    }
+
+    #[test]
+    fn dbscan_eps_monotone() {
+        for case in 0..CASES {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0x6_0000 + case);
+            let n = rng.range_usize(3, 30);
+            // Larger eps can only merge clusters / reduce noise.
+            let m = random_matrix(n, rng.next_u64());
+            let small = dbscan(
+                &m,
+                DbscanParams {
+                    eps: 5.0,
+                    min_pts: 2,
+                },
+            );
+            let large = dbscan(
+                &m,
+                DbscanParams {
+                    eps: 45.0,
+                    min_pts: 2,
+                },
+            );
+            assert!(large.noise_count() <= small.noise_count());
+        }
     }
 }

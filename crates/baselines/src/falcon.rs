@@ -8,11 +8,11 @@
 //! bucket standing in for the ANN index (exactness only *improves*
 //! fidelity at these bucket sizes).
 
+use crate::dbscan::{dbscan, DbscanParams};
 use crate::vectorize::BinnedSpectrum;
-use crate::{expand_to_full, ClusteringTool};
-use spechd_cluster::{dbscan, ClusterAssignment, CondensedMatrix, DbscanParams};
+use crate::{cluster_by_bucket, ClusteringTool};
+use spechd_cluster::{ClusterAssignment, CondensedMatrix};
 use spechd_ms::SpectrumDataset;
-use spechd_preprocess::{PrecursorBucketer, PreprocessConfig, PreprocessPipeline};
 
 /// The falcon clustering tool.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,42 +44,17 @@ impl ClusteringTool for Falcon {
     }
 
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment {
-        let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
-        let vectors: Vec<BinnedSpectrum> = pre
-            .dataset
-            .spectra()
-            .iter()
-            .map(|s| BinnedSpectrum::from_spectrum(s, self.bin_width))
-            .collect();
-        let buckets = PrecursorBucketer::new(self.resolution).bucketize(pre.dataset.spectra());
-
-        let mut raw = vec![0usize; pre.dataset.len()];
-        let mut next = 0usize;
-        for bucket in &buckets {
-            if bucket.len() == 1 {
-                raw[bucket.members[0]] = next;
-                next += 1;
-                continue;
-            }
-            let n = bucket.len();
-            let matrix = CondensedMatrix::from_fn(n, |i, j| {
-                vectors[bucket.members[i]].cosine_distance(&vectors[bucket.members[j]])
+        let prepare = |kept: &SpectrumDataset| BinnedSpectrum::all(kept, self.bin_width);
+        cluster_by_bucket(dataset, self.resolution, prepare, |vectors, members| {
+            let matrix = CondensedMatrix::from_fn(members.len(), |i, j| {
+                vectors[members[i]].cosine_distance(&vectors[members[j]])
             });
-            let result = dbscan(
-                &matrix,
-                DbscanParams {
-                    eps: self.eps,
-                    min_pts: self.min_pts,
-                },
-            );
-            let assignment = result.to_assignment();
-            for (&member, &label) in bucket.members.iter().zip(assignment.labels()) {
-                raw[member] = next + label;
-            }
-            next += assignment.num_clusters();
-        }
-        let local = ClusterAssignment::from_raw_labels(&raw);
-        expand_to_full(&local, &pre.kept, dataset.len())
+            let params = DbscanParams {
+                eps: self.eps,
+                min_pts: self.min_pts,
+            };
+            dbscan(&matrix, params).to_assignment()
+        })
     }
 }
 

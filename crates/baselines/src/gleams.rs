@@ -12,10 +12,9 @@
 //! inference) is modelled separately in [`crate::perf`].
 
 use crate::vectorize::{euclidean, BinnedSpectrum};
-use crate::{expand_to_full, ClusteringTool};
+use crate::{cluster_by_bucket, ClusteringTool};
 use spechd_cluster::{nn_chain, ClusterAssignment, CondensedMatrix, Linkage};
 use spechd_ms::SpectrumDataset;
-use spechd_preprocess::{PrecursorBucketer, PreprocessConfig, PreprocessPipeline};
 
 /// The GLEAMS clustering tool (embedding + average-linkage HAC).
 #[derive(Debug, Clone, PartialEq)]
@@ -50,58 +49,37 @@ impl ClusteringTool for Gleams {
     }
 
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment {
-        let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
-        let embedded: Vec<Vec<f32>> = pre
-            .dataset
-            .spectra()
-            .iter()
-            .map(|s| {
-                BinnedSpectrum::from_spectrum(s, self.bin_width).project(self.embed_dims, self.seed)
-            })
-            .collect();
-        // Normalize embeddings to unit norm (GLEAMS trains with a
-        // contrastive loss that effectively does the same).
-        let embedded: Vec<Vec<f32>> = embedded
-            .into_iter()
-            .map(|v| {
-                let norm: f64 = v
-                    .iter()
-                    .map(|&x| f64::from(x) * f64::from(x))
-                    .sum::<f64>()
-                    .sqrt();
-                if norm > 0.0 {
-                    v.into_iter()
-                        .map(|x| (f64::from(x) / norm) as f32)
-                        .collect()
-                } else {
-                    v
-                }
-            })
-            .collect();
-        let buckets = PrecursorBucketer::new(self.resolution).bucketize(pre.dataset.spectra());
-
-        let mut raw = vec![0usize; pre.dataset.len()];
-        let mut next = 0usize;
-        for bucket in &buckets {
-            if bucket.len() == 1 {
-                raw[bucket.members[0]] = next;
-                next += 1;
-                continue;
-            }
-            let n = bucket.len();
-            let matrix = CondensedMatrix::from_fn(n, |i, j| {
-                euclidean(&embedded[bucket.members[i]], &embedded[bucket.members[j]])
+        let embed = |kept: &SpectrumDataset| -> Vec<Vec<f32>> {
+            kept.spectra()
+                .iter()
+                .map(|s| {
+                    let v = BinnedSpectrum::from_spectrum(s, self.bin_width)
+                        .project(self.embed_dims, self.seed);
+                    // Normalize embeddings to unit norm (GLEAMS trains with a
+                    // contrastive loss that effectively does the same).
+                    let norm: f64 = v
+                        .iter()
+                        .map(|&x| f64::from(x) * f64::from(x))
+                        .sum::<f64>()
+                        .sqrt();
+                    if norm > 0.0 {
+                        v.into_iter()
+                            .map(|x| (f64::from(x) / norm) as f32)
+                            .collect()
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        };
+        cluster_by_bucket(dataset, self.resolution, embed, |embedded, members| {
+            let matrix = CondensedMatrix::from_fn(members.len(), |i, j| {
+                euclidean(&embedded[members[i]], &embedded[members[j]])
             });
-            let cut = nn_chain(&matrix, Linkage::Average)
+            nn_chain(&matrix, Linkage::Average)
                 .dendrogram
-                .cut(self.threshold);
-            for (&member, &label) in bucket.members.iter().zip(cut.labels()) {
-                raw[member] = next + label;
-            }
-            next += cut.num_clusters();
-        }
-        let local = ClusterAssignment::from_raw_labels(&raw);
-        expand_to_full(&local, &pre.kept, dataset.len())
+                .cut(self.threshold)
+        })
     }
 }
 
@@ -110,6 +88,7 @@ mod tests {
     use super::*;
     use spechd_metrics::ClusteringEval;
     use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
+    use spechd_preprocess::{PreprocessConfig, PreprocessPipeline};
 
     fn dataset(seed: u64) -> SpectrumDataset {
         SyntheticGenerator::new(SyntheticConfig {

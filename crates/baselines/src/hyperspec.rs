@@ -7,29 +7,25 @@
 //! encoder seed and the fastcluster default (average linkage) so the two
 //! tools are independent implementations, as in the paper's comparison.
 
-use crate::{expand_to_full, ClusteringTool};
-use spechd_cluster::{
-    dbscan_packed, medoid_all, nn_chain, ClusterAssignment, CondensedMatrix, DbscanParams,
-};
+use crate::dbscan::{dbscan_packed, DbscanParams};
+use crate::{cluster_by_bucket, ClusteringTool};
+use spechd_cluster::{nn_chain, ClusterAssignment, CondensedMatrix, Linkage};
 use spechd_hdc::{EncoderConfig, HvPack, IdLevelEncoder};
 use spechd_ms::SpectrumDataset;
-use spechd_preprocess::{PrecursorBucketer, PreprocessConfig, PreprocessPipeline};
 
-/// Encodes the preprocessed spectra straight into a contiguous pack.
-fn encode_packed(encoder: &IdLevelEncoder, dataset: &SpectrumDataset) -> HvPack {
+/// Encodes the preprocessed spectra straight into a contiguous pack, with
+/// HyperSpec's own item memories.
+fn encode_packed(dataset: &SpectrumDataset) -> HvPack {
+    let encoder = IdLevelEncoder::new(EncoderConfig {
+        seed: 0x4159_7E12_5EC5_0001, // independent item memories
+        ..EncoderConfig::default()
+    });
     let peak_lists: Vec<Vec<(f64, f64)>> = dataset
         .spectra()
         .iter()
         .map(|s| s.relative_peaks())
         .collect();
     encoder.encode_batch_packed(&peak_lists)
-}
-
-fn hyperspec_encoder() -> EncoderConfig {
-    EncoderConfig {
-        seed: 0x4159_7E12_5EC5_0001, // independent item memories
-        ..EncoderConfig::default()
-    }
 }
 
 /// HyperSpec with hierarchical agglomerative clustering (the
@@ -57,33 +53,14 @@ impl ClusteringTool for HyperSpecHac {
     }
 
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment {
-        let encoder = IdLevelEncoder::new(hyperspec_encoder());
-        let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
-        let pack = encode_packed(&encoder, &pre.dataset);
-        let buckets = PrecursorBucketer::new(self.resolution).bucketize(pre.dataset.spectra());
-        let threshold = self.threshold_fraction * encoder.dim() as f64;
-
-        let mut raw = vec![0usize; pre.dataset.len()];
-        let mut next = 0usize;
-        for bucket in &buckets {
-            if bucket.len() == 1 {
-                raw[bucket.members[0]] = next;
-                next += 1;
-                continue;
-            }
-            let matrix = CondensedMatrix::from_pack(&pack.gather(&bucket.members));
+        cluster_by_bucket(dataset, self.resolution, encode_packed, |pack, members| {
+            let matrix = CondensedMatrix::from_pack(&pack.gather(members));
+            let threshold = self.threshold_fraction * pack.dim() as f64;
             // fastcluster default: average linkage.
-            let cut = nn_chain(&matrix, spechd_cluster::Linkage::Average)
+            nn_chain(&matrix, Linkage::Average)
                 .dendrogram
-                .cut(threshold);
-            let _ = medoid_all(&matrix, &cut); // consensus, as HyperSpec reports
-            for (&member, &label) in bucket.members.iter().zip(cut.labels()) {
-                raw[member] = next + label;
-            }
-            next += cut.num_clusters();
-        }
-        let local = ClusterAssignment::from_raw_labels(&raw);
-        expand_to_full(&local, &pre.kept, dataset.len())
+                .cut(threshold)
+        })
     }
 }
 
@@ -116,36 +93,14 @@ impl ClusteringTool for HyperSpecDbscan {
     }
 
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment {
-        let encoder = IdLevelEncoder::new(hyperspec_encoder());
-        let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
-        let pack = encode_packed(&encoder, &pre.dataset);
-        let buckets = PrecursorBucketer::new(self.resolution).bucketize(pre.dataset.spectra());
-        let eps = self.eps_fraction * encoder.dim() as f64;
-
-        let mut raw = vec![0usize; pre.dataset.len()];
-        let mut next = 0usize;
-        for bucket in &buckets {
-            if bucket.len() == 1 {
-                raw[bucket.members[0]] = next;
-                next += 1;
-                continue;
-            }
+        cluster_by_bucket(dataset, self.resolution, encode_packed, |pack, members| {
             // Density query straight off the packed rows — no O(n²) matrix.
-            let result = dbscan_packed(
-                &pack.gather(&bucket.members),
-                DbscanParams {
-                    eps,
-                    min_pts: self.min_pts,
-                },
-            );
-            let assignment = result.to_assignment();
-            for (&member, &label) in bucket.members.iter().zip(assignment.labels()) {
-                raw[member] = next + label;
-            }
-            next += assignment.num_clusters();
-        }
-        let local = ClusterAssignment::from_raw_labels(&raw);
-        expand_to_full(&local, &pre.kept, dataset.len())
+            let params = DbscanParams {
+                eps: self.eps_fraction * pack.dim() as f64,
+                min_pts: self.min_pts,
+            };
+            dbscan_packed(&pack.gather(members), params).to_assignment()
+        })
     }
 }
 

@@ -19,6 +19,12 @@
 //!    * [`GreedyCascade`] — the spectra-cluster / MSCluster family of
 //!      iterative representative-merging algorithms.
 //!
+//!    Every tool runs the same loop — preprocess, bucket by precursor
+//!    mass, cluster each bucket, report discarded spectra as singletons —
+//!    and brings only its vectorizer and its per-bucket clustering.
+//!    [`dbscan`] holds the density clustering HyperSpec-DBSCAN and falcon
+//!    use, over a distance matrix or straight off a packed store.
+//!
 //! 2. **Performance models** ([`perf`]) — analytic runtime/energy models
 //!    calibrated to the numbers the paper reports for each tool (we have
 //!    neither the authors' GPU nor their binaries), used for Figs 7–9.
@@ -41,13 +47,14 @@
 #![warn(missing_docs)]
 
 mod cascade;
+pub mod dbscan;
 mod falcon;
 mod gleams;
 mod hyperspec;
 mod maracluster;
 mod mscrush;
 pub mod perf;
-pub mod vectorize;
+mod vectorize;
 
 pub use cascade::GreedyCascade;
 pub use falcon::Falcon;
@@ -58,6 +65,7 @@ pub use mscrush::MsCrush;
 
 use spechd_cluster::ClusterAssignment;
 use spechd_ms::SpectrumDataset;
+use spechd_preprocess::{PrecursorBucketer, PreprocessConfig, PreprocessPipeline};
 
 /// A spectral clustering tool: takes a raw dataset, returns a flat
 /// assignment over **all** input spectra (tools that discard low-quality
@@ -70,24 +78,37 @@ pub trait ClusteringTool {
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment;
 }
 
-/// Expands an assignment over a kept-subset back to the full dataset,
-/// making every discarded spectrum a singleton. Shared by every tool that
-/// preprocesses before clustering.
-pub(crate) fn expand_to_full(
-    assignment: &ClusterAssignment,
-    kept: &[usize],
-    full_len: usize,
+/// The loop every tool shares: preprocess, `prepare` the kept spectra
+/// once, then cluster each precursor bucket of two or more with `cluster`,
+/// which gets the bucket's indices into the kept spectra and returns the
+/// bucket's assignment, member by member. Each bucket's labels get their
+/// own range, a bucket of one is a singleton, and so is every spectrum
+/// preprocessing discarded.
+fn cluster_by_bucket<T>(
+    dataset: &SpectrumDataset,
+    resolution: f64,
+    prepare: impl FnOnce(&SpectrumDataset) -> T,
+    cluster: impl Fn(&T, &[usize]) -> ClusterAssignment,
 ) -> ClusterAssignment {
-    let mut raw = vec![usize::MAX; full_len];
-    for (i, &orig) in kept.iter().enumerate() {
-        raw[orig] = assignment.labels()[i];
-    }
-    let mut next = assignment.num_clusters();
-    for slot in raw.iter_mut() {
-        if *slot == usize::MAX {
-            *slot = next;
+    let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
+    let prepared = prepare(&pre.dataset);
+    let mut raw = vec![usize::MAX; dataset.len()];
+    let mut next = 0usize;
+    for bucket in PrecursorBucketer::new(resolution).bucketize(pre.dataset.spectra()) {
+        if bucket.len() == 1 {
+            raw[pre.kept[bucket.members[0]]] = next;
             next += 1;
+            continue;
         }
+        let assignment = cluster(&prepared, &bucket.members);
+        for (&member, &label) in bucket.members.iter().zip(assignment.labels()) {
+            raw[pre.kept[member]] = next + label;
+        }
+        next += assignment.num_clusters();
+    }
+    for slot in raw.iter_mut().filter(|slot| **slot == usize::MAX) {
+        *slot = next;
+        next += 1;
     }
     ClusterAssignment::from_raw_labels(&raw)
 }
@@ -107,10 +128,8 @@ mod tests {
         .generate()
     }
 
-    #[test]
-    fn every_tool_covers_all_spectra() {
-        let ds = dataset();
-        let tools: Vec<Box<dyn ClusteringTool>> = vec![
+    fn every_tool() -> Vec<Box<dyn ClusteringTool>> {
+        vec![
             Box::new(HyperSpecHac::default()),
             Box::new(HyperSpecDbscan::default()),
             Box::new(Falcon::default()),
@@ -119,12 +138,51 @@ mod tests {
             Box::new(Gleams::default()),
             Box::new(GreedyCascade::spectra_cluster()),
             Box::new(GreedyCascade::mscluster()),
-        ];
-        for tool in &tools {
+        ]
+    }
+
+    #[test]
+    fn every_tool_covers_all_spectra() {
+        let ds = dataset();
+        for tool in &every_tool() {
             let a = tool.cluster(&ds);
             assert_eq!(a.len(), ds.len(), "{}", tool.name());
             assert!(!tool.name().is_empty());
         }
+    }
+
+    /// FNV-1a-64 over each label as eight little-endian bytes.
+    fn label_digest(labels: &[usize]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in labels.iter().flat_map(|&l| (l as u64).to_le_bytes()) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Labels of every tool on [`dataset`], recorded before the tools
+    /// shared one bucket loop: the loop may move, the labels may not.
+    #[test]
+    fn every_tool_keeps_its_pinned_labels() {
+        let ds = dataset();
+        let digests: Vec<(&str, u64)> = every_tool()
+            .iter()
+            .map(|tool| (tool.name(), label_digest(tool.cluster(&ds).labels())))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                ("HyperSpec-HAC", 0xd405_64dd_0e85_a872),
+                ("HyperSpec-DBSCAN", 0x6d2d_eec2_2090_5cc2),
+                ("Falcon", 0xe5d8_e7ca_8967_0b91),
+                ("msCRUSH", 0x5c55_c52a_64b8_2528),
+                ("MaRaCluster", 0x0154_4970_ddde_055f),
+                ("GLEAMS", 0x8d7e_50ec_8da9_e5e1),
+                ("spectra-cluster", 0x0305_d6cc_948f_60cd),
+                ("MSCluster", 0x97a0_5874_7149_d253),
+            ]
+        );
     }
 
     #[test]
@@ -157,9 +215,31 @@ mod tests {
     }
 
     #[test]
-    fn expand_to_full_singleton_logic() {
-        let a = ClusterAssignment::from_raw_labels(&[0, 0, 1]);
-        let full = expand_to_full(&a, &[0, 2, 4], 6);
+    fn cluster_by_bucket_makes_discarded_spectra_singletons() {
+        use spechd_ms::{Peak, Precursor, Spectrum};
+        // Even positions are dense and kept (0 and 2 share a precursor
+        // bucket, 4 has its own); odd positions are too sparse to keep.
+        let mut ds = SpectrumDataset::new();
+        for (i, precursor_mz) in [600.0, 600.0, 600.0, 900.0, 900.0, 900.0]
+            .into_iter()
+            .enumerate()
+        {
+            let peaks: Vec<Peak> = (0..if i % 2 == 0 { 30 } else { 2 })
+                .map(|p| Peak::new(250.0 + 10.0 * p as f64, 10.0))
+                .collect();
+            let precursor = Precursor::new(precursor_mz, 2).unwrap();
+            ds.push(
+                Spectrum::new(format!("s{i}"), precursor, peaks).unwrap(),
+                None,
+            );
+        }
+        // Each bucket is one cluster.
+        let full = cluster_by_bucket(
+            &ds,
+            1.0,
+            |_| (),
+            |_, members| ClusterAssignment::from_raw_labels(&vec![0; members.len()]),
+        );
         assert_eq!(full.len(), 6);
         // 0 and 2 share a cluster; 4 is its own; 1, 3, 5 are singletons.
         assert_eq!(full.labels()[0], full.labels()[2]);

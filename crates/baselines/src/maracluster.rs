@@ -8,10 +8,9 @@
 //! and feeds `exp(−score)` as the distance into complete-linkage HAC.
 
 use crate::vectorize::BinnedSpectrum;
-use crate::{expand_to_full, ClusteringTool};
+use crate::{cluster_by_bucket, ClusteringTool};
 use spechd_cluster::{nn_chain, ClusterAssignment, CondensedMatrix, Linkage};
 use spechd_ms::SpectrumDataset;
-use spechd_preprocess::{PrecursorBucketer, PreprocessConfig, PreprocessPipeline};
 
 /// The MaRaCluster clustering tool.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,51 +70,26 @@ impl ClusteringTool for MaRaCluster {
     }
 
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment {
-        let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
-        let vectors: Vec<BinnedSpectrum> = pre
-            .dataset
-            .spectra()
-            .iter()
-            .map(|s| BinnedSpectrum::from_spectrum(s, self.bin_width))
-            .collect();
-        let buckets = PrecursorBucketer::new(self.resolution).bucketize(pre.dataset.spectra());
-
-        let mut raw = vec![0usize; pre.dataset.len()];
-        let mut next = 0usize;
-        for bucket in &buckets {
-            if bucket.len() == 1 {
-                raw[bucket.members[0]] = next;
-                next += 1;
-                continue;
-            }
+        let prepare = |kept: &SpectrumDataset| BinnedSpectrum::all(kept, self.bin_width);
+        cluster_by_bucket(dataset, self.resolution, prepare, |vectors, members| {
             // Document frequency of every bin within this bucket.
             let mut bin_freq: std::collections::HashMap<u32, usize> =
                 std::collections::HashMap::new();
-            for &m in &bucket.members {
+            for &m in members {
                 for &(bin, _) in vectors[m].entries() {
                     *bin_freq.entry(bin).or_insert(0) += 1;
                 }
             }
-            let n = bucket.len();
+            let n = members.len();
             let matrix = CondensedMatrix::from_fn(n, |i, j| {
-                let score = Self::pair_score(
-                    &vectors[bucket.members[i]],
-                    &vectors[bucket.members[j]],
-                    &bin_freq,
-                    n,
-                );
+                let score =
+                    Self::pair_score(&vectors[members[i]], &vectors[members[j]], &bin_freq, n);
                 (-score).exp() // strong evidence -> tiny distance
             });
-            let cut = nn_chain(&matrix, Linkage::Complete)
+            nn_chain(&matrix, Linkage::Complete)
                 .dendrogram
-                .cut(self.threshold);
-            for (&member, &label) in bucket.members.iter().zip(cut.labels()) {
-                raw[member] = next + label;
-            }
-            next += cut.num_clusters();
-        }
-        let local = ClusterAssignment::from_raw_labels(&raw);
-        expand_to_full(&local, &pre.kept, dataset.len())
+                .cut(self.threshold)
+        })
     }
 }
 

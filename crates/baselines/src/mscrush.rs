@@ -8,10 +8,9 @@
 //! cosine similarity clears the threshold.
 
 use crate::vectorize::BinnedSpectrum;
-use crate::{expand_to_full, ClusteringTool};
+use crate::{cluster_by_bucket, ClusteringTool};
 use spechd_cluster::ClusterAssignment;
 use spechd_ms::SpectrumDataset;
-use spechd_preprocess::{PrecursorBucketer, PreprocessConfig, PreprocessPipeline};
 
 /// The msCRUSH clustering tool.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,56 +65,45 @@ impl ClusteringTool for MsCrush {
     }
 
     fn cluster(&self, dataset: &SpectrumDataset) -> ClusterAssignment {
-        let pre = PreprocessPipeline::new(PreprocessConfig::default()).run(dataset);
-        let vectors: Vec<BinnedSpectrum> = pre
-            .dataset
-            .spectra()
-            .iter()
-            .map(|s| BinnedSpectrum::from_spectrum(s, self.bin_width))
-            .collect();
-        let buckets = PrecursorBucketer::new(self.resolution).bucketize(pre.dataset.spectra());
-
-        // Union-find over kept spectra.
-        let n = pre.dataset.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-
-        for bucket in &buckets {
-            if bucket.len() < 2 {
-                continue;
+        let prepare = |kept: &SpectrumDataset| BinnedSpectrum::all(kept, self.bin_width);
+        cluster_by_bucket(dataset, self.resolution, prepare, |vectors, members| {
+            // Union-find over the bucket's members.
+            let mut parent: Vec<usize> = (0..members.len()).collect();
+            fn find(parent: &mut [usize], mut x: usize) -> usize {
+                while parent[x] != x {
+                    parent[x] = parent[parent[x]];
+                    x = parent[x];
+                }
+                x
             }
             for table in 0..self.tables {
                 // Group members by LSH signature; verify within groups.
                 let mut groups: std::collections::HashMap<u64, Vec<usize>> =
                     std::collections::HashMap::new();
-                for &m in &bucket.members {
+                for (local, &m) in members.iter().enumerate() {
                     groups
                         .entry(self.signature(&vectors[m], table))
                         .or_default()
-                        .push(m);
+                        .push(local);
                 }
-                for members in groups.values() {
-                    for (idx, &a) in members.iter().enumerate() {
-                        for &b in &members[idx + 1..] {
+                for group in groups.values() {
+                    for (idx, &a) in group.iter().enumerate() {
+                        for &b in &group[idx + 1..] {
                             let ra = find(&mut parent, a);
                             let rb = find(&mut parent, b);
-                            if ra != rb && vectors[a].cosine(&vectors[b]) >= self.min_similarity {
+                            if ra != rb
+                                && vectors[members[a]].cosine(&vectors[members[b]])
+                                    >= self.min_similarity
+                            {
                                 parent[rb] = ra;
                             }
                         }
                     }
                 }
             }
-        }
-        let roots: Vec<usize> = (0..n).map(|i| find(&mut parent, i)).collect();
-        let local = ClusterAssignment::from_raw_labels(&roots);
-        expand_to_full(&local, &pre.kept, dataset.len())
+            let roots: Vec<usize> = (0..members.len()).map(|i| find(&mut parent, i)).collect();
+            ClusterAssignment::from_raw_labels(&roots)
+        })
     }
 }
 

@@ -4,12 +4,12 @@
 //! primitive: the spectrum as a sparse binned intensity vector with
 //! square-root scaling and unit norm.
 
-use spechd_ms::Spectrum;
+use spechd_ms::{Spectrum, SpectrumDataset};
 
 /// A sparse binned spectrum vector: sorted `(bin, weight)` pairs with
 /// unit Euclidean norm (all-zero spectra stay empty).
 #[derive(Debug, Clone, PartialEq)]
-pub struct BinnedSpectrum {
+pub(crate) struct BinnedSpectrum {
     entries: Vec<(u32, f32)>,
 }
 
@@ -20,7 +20,7 @@ impl BinnedSpectrum {
     /// # Panics
     ///
     /// Panics if `bin_width` is not positive.
-    pub fn from_spectrum(spectrum: &Spectrum, bin_width: f64) -> Self {
+    pub(crate) fn from_spectrum(spectrum: &Spectrum, bin_width: f64) -> Self {
         assert!(bin_width > 0.0, "bin width must be positive");
         let mut map: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
         for p in spectrum.peaks() {
@@ -38,13 +38,22 @@ impl BinnedSpectrum {
         Self { entries }
     }
 
+    /// Bins every spectrum of `dataset`, in order.
+    pub(crate) fn all(dataset: &SpectrumDataset, bin_width: f64) -> Vec<Self> {
+        dataset
+            .spectra()
+            .iter()
+            .map(|s| Self::from_spectrum(s, bin_width))
+            .collect()
+    }
+
     /// The sorted sparse entries.
-    pub fn entries(&self) -> &[(u32, f32)] {
+    pub(crate) fn entries(&self) -> &[(u32, f32)] {
         &self.entries
     }
 
     /// Cosine similarity with another binned spectrum (0 for empty ones).
-    pub fn cosine(&self, other: &Self) -> f64 {
+    pub(crate) fn cosine(&self, other: &Self) -> f64 {
         let (mut i, mut j) = (0usize, 0usize);
         let mut dot = 0.0f64;
         while i < self.entries.len() && j < other.entries.len() {
@@ -62,7 +71,7 @@ impl BinnedSpectrum {
     }
 
     /// Cosine distance `1 − cosine` (clamped to `[0, 1]`).
-    pub fn cosine_distance(&self, other: &Self) -> f64 {
+    pub(crate) fn cosine_distance(&self, other: &Self) -> f64 {
         (1.0 - self.cosine(other)).clamp(0.0, 1.0)
     }
 
@@ -70,7 +79,7 @@ impl BinnedSpectrum {
     /// Rademacher (±1) matrix generated per bin on the fly — the
     /// Johnson–Lindenstrauss transform GLEAMS' learned embedding is
     /// substituted with, and the hyperplane generator msCRUSH's LSH uses.
-    pub fn project(&self, dims: usize, seed: u64) -> Vec<f32> {
+    pub(crate) fn project(&self, dims: usize, seed: u64) -> Vec<f32> {
         let mut out = vec![0.0f32; dims];
         for &(bin, weight) in &self.entries {
             // One deterministic SplitMix stream per (bin, seed); each draw
@@ -99,7 +108,7 @@ impl BinnedSpectrum {
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn euclidean(a: &[f32], b: &[f32]) -> f64 {
+pub(crate) fn euclidean(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter()
         .zip(b)

@@ -12,8 +12,7 @@ use std::fmt;
 /// `i·(i−1)/2 + j`; the diagonal is implicitly zero.
 ///
 /// Storage follows the source. A matrix built from the distance kernel's
-/// output ([`CondensedMatrix::from_u16`],
-/// [`CondensedMatrix::from_condensed_u16`], [`CondensedMatrix::from_pack`])
+/// output ([`CondensedMatrix::from_u16`], [`CondensedMatrix::from_pack`])
 /// keeps the kernel's 16-bit cells — 2 bytes each, the paper's fixed-point
 /// format — and [`crate::nn_chain`] and [`crate::medoid`] work on them as
 /// integers. A matrix built from arbitrary values
@@ -119,13 +118,12 @@ impl CondensedMatrix {
     /// # Panics
     ///
     /// Panics if the length does not match `n` or `n == 0`.
-    pub fn from_condensed_u16(n: usize, data: Vec<u16>) -> Self {
+    pub(crate) fn from_condensed_u16(n: usize, data: Vec<u16>) -> Self {
         Self::checked(n, Cells::U16(data))
     }
 
     /// Copies a borrowed 16-bit condensed slice, keeping its 16-bit
-    /// cells; [`CondensedMatrix::from_condensed_u16`] is the same without
-    /// the copy.
+    /// cells.
     ///
     /// # Panics
     ///

@@ -50,7 +50,7 @@ impl Dendrogram {
     ///
     /// Panics if `n == 0`, if the number of records differs from `n - 1`,
     /// or if a record references an out-of-range point.
-    pub fn from_raw_merges(n: usize, mut raw: Vec<(usize, usize, f64)>) -> Self {
+    pub(crate) fn from_raw_merges(n: usize, mut raw: Vec<(usize, usize, f64)>) -> Self {
         assert!(n > 0, "dendrogram needs at least one point");
         assert_eq!(raw.len(), n - 1, "a full agglomeration has n-1 merges");
         raw.sort_by(|a, b| a.2.total_cmp(&b.2));

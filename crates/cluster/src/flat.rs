@@ -85,7 +85,8 @@ impl ClusterAssignment {
     }
 
     /// Number of singleton clusters.
-    pub fn singleton_count(&self) -> usize {
+    #[cfg(test)]
+    fn singleton_count(&self) -> usize {
         self.sizes().iter().filter(|&&s| s == 1).count()
     }
 

@@ -4,7 +4,7 @@
 //!
 //! * [`CondensedMatrix`] — lower-triangular pairwise distance storage
 //!   (the paper retains only the lower triangle in 16-bit fixed point;
-//!   [`CondensedMatrix::from_condensed_u16`] keeps exactly that form, and
+//!   [`CondensedMatrix::from_pack`] keeps exactly that form, and
 //!   [`nn_chain`] and [`medoid`] work on it without widening).
 //! * [`Linkage`] — Lance–Williams update rules for single, complete,
 //!   average and Ward linkage (the paper's kernel supports all of these;
@@ -14,10 +14,6 @@
 //! * [`naive_hac`] — the classic O(n³) HAC baseline the paper compares
 //!   against in Fig. 2.
 //! * [`Dendrogram`] — merge tree with threshold cutting into flat clusters.
-//! * [`dbscan`] — density clustering over the same matrices
-//!   (the HyperSpec-DBSCAN comparison flavour); [`dbscan_packed`] runs it
-//!   straight off a packed hypervector store via the tiled
-//!   epsilon-neighborhood kernel, never materializing the O(n²) matrix.
 //! * [`medoid`] — consensus selection: the member with the lowest average
 //!   distance to the rest of its cluster, per §III-C.
 //! * [`cluster_shard`] — the one per-bucket kernel (distance matrix →
@@ -47,7 +43,6 @@
 
 mod condensed;
 mod consensus;
-mod dbscan;
 mod dendrogram;
 mod flat;
 mod linkage;
@@ -57,7 +52,6 @@ mod nnchain;
 
 pub use condensed::CondensedMatrix;
 pub use consensus::{medoid, medoid_all};
-pub use dbscan::{dbscan, dbscan_from_neighbors, dbscan_packed, DbscanParams, DbscanResult};
 pub use dendrogram::{Dendrogram, Merge};
 pub use flat::ClusterAssignment;
 pub use linkage::Linkage;

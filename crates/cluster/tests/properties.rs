@@ -4,9 +4,7 @@
 //! these tests loop over seeded cases drawn from the in-repo
 //! deterministic PRNG; failures are reproducible from the case seed.
 
-use spechd_cluster::{
-    dbscan, medoid, naive_hac, nn_chain, ClusterAssignment, CondensedMatrix, DbscanParams, Linkage,
-};
+use spechd_cluster::{medoid, naive_hac, nn_chain, ClusterAssignment, CondensedMatrix, Linkage};
 use spechd_rng::{Rng, Xoshiro256StarStar};
 
 const CASES: u64 = 48;
@@ -117,31 +115,6 @@ fn linkage_order_complete_geq_single() {
         for (s, c) in hs.iter().zip(&hc) {
             assert!(c + 1e-9 >= *s, "complete {c} < single {s}");
         }
-    }
-}
-
-#[test]
-fn dbscan_eps_monotone() {
-    for case in 0..CASES {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x6_0000 + case);
-        let n = rng.range_usize(3, 30);
-        // Larger eps can only merge clusters / reduce noise.
-        let m = random_matrix(n, rng.next_u64());
-        let small = dbscan(
-            &m,
-            DbscanParams {
-                eps: 5.0,
-                min_pts: 2,
-            },
-        );
-        let large = dbscan(
-            &m,
-            DbscanParams {
-                eps: 45.0,
-                min_pts: 2,
-            },
-        );
-        assert!(large.noise_count() <= small.noise_count());
     }
 }
 

@@ -5,7 +5,8 @@ use spechd_hdc::EncoderConfig;
 use spechd_preprocess::PreprocessConfig;
 
 /// A degenerate [`SpecHdConfig`] setting, reported by
-/// [`SpecHdConfig::try_validate`] / [`SpecHdConfigBuilder::try_build`].
+/// [`SpecHd::try_new`](crate::SpecHd::try_new) /
+/// [`SpecHdConfigBuilder::try_build`].
 ///
 /// Every variant corresponds to a setting that some stage downstream would
 /// otherwise reject with a panic deep inside its constructor; validating
@@ -147,7 +148,7 @@ impl SpecHdConfig {
 
     /// Checks every invariant, returning the first violation as a typed
     /// [`ConfigError`].
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn try_validate(&self) -> Result<(), ConfigError> {
         if !(self.resolution.is_finite() && self.resolution > 0.0) {
             return Err(ConfigError::InvalidResolution {
                 value: self.resolution,
@@ -298,8 +299,7 @@ impl SpecHdConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see
-    /// [`SpecHdConfig::try_validate`]).
+    /// Panics if the configuration is invalid (see [`ConfigError`]).
     pub fn build(&self) -> SpecHdConfig {
         match self.try_build() {
             Ok(config) => config,

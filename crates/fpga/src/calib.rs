@@ -110,7 +110,7 @@ pub const GPU_ACTIVE_W: f64 = 320.0;
 
 /// Post-top-k bytes per spectrum shipped over P2P: k peaks × (8 B m/z +
 /// 4 B intensity) + header. With k = 50 this is ≈ 616 B.
-pub fn preprocessed_bytes_per_spectrum(top_k: usize) -> f64 {
+pub(crate) fn preprocessed_bytes_per_spectrum(top_k: usize) -> f64 {
     (top_k * 12 + 16) as f64
 }
 

@@ -35,17 +35,17 @@ impl Default for PowerModel {
 
 impl PowerModel {
     /// Energy in joules for `seconds` of FPGA kernel activity.
-    pub fn fpga_energy(&self, seconds: f64) -> f64 {
+    pub(crate) fn fpga_energy(&self, seconds: f64) -> f64 {
         self.fpga_active_w * seconds
     }
 
     /// Energy in joules for `seconds` of host orchestration.
-    pub fn orchestration_energy(&self, seconds: f64) -> f64 {
+    pub(crate) fn orchestration_energy(&self, seconds: f64) -> f64 {
         self.host_orchestration_w * seconds
     }
 
     /// Energy in joules for `seconds` of MSAS preprocessing.
-    pub fn msas_energy(&self, seconds: f64) -> f64 {
+    pub(crate) fn msas_energy(&self, seconds: f64) -> f64 {
         self.msas_w * seconds
     }
 }

@@ -128,7 +128,7 @@ impl NnChainKernelModel {
     }
 
     /// Full per-bucket cycles: distance fill + agglomeration + consensus.
-    pub fn bucket_cycles(&self, distance: &DistanceKernelModel, n: u64) -> f64 {
+    pub(crate) fn bucket_cycles(&self, distance: &DistanceKernelModel, n: u64) -> f64 {
         distance.cycles(n) + self.cluster_cycles(n) + self.consensus_cycles(n)
     }
 }

@@ -60,7 +60,7 @@ impl MsasModel {
 
     /// A DSE variant with a different channel count (bandwidth scales,
     /// power scales sublinearly: the controller logic is shared).
-    pub fn with_channels(&self, channels: usize) -> MsasModel {
+    pub(crate) fn with_channels(&self, channels: usize) -> MsasModel {
         assert!(channels > 0, "need at least one NAND channel");
         let base_controller_w = 2.5;
         let per_channel_w = (self.power_w - base_controller_w) / self.nand_channels as f64;

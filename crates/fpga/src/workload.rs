@@ -57,12 +57,12 @@ impl WorkloadShape {
     }
 
     /// PXD001197 (1.1M spectra, 25 GB).
-    pub fn pxd001197() -> Self {
+    pub(crate) fn pxd001197() -> Self {
         Self::new(1_100_000, 25_000_000_000, 700.0)
     }
 
     /// PXD003258 (4.1M spectra, 54 GB).
-    pub fn pxd003258() -> Self {
+    pub(crate) fn pxd003258() -> Self {
         Self::new(4_100_000, 54_000_000_000, 1_800.0)
     }
 

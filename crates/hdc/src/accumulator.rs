@@ -108,7 +108,7 @@ impl MajorityAccumulator {
     /// # Panics
     ///
     /// Panics if either row's word count differs from `dim.div_ceil(64)`.
-    pub fn add_bound(&mut self, a: &[u64], b: &[u64]) {
+    pub(crate) fn add_bound(&mut self, a: &[u64], b: &[u64]) {
         let stride = self.carry.len();
         assert!(
             a.len() == stride && b.len() == stride,
@@ -166,7 +166,7 @@ impl MajorityAccumulator {
     /// # Panics
     ///
     /// Panics if `row.len() != dim.div_ceil(64)`.
-    pub fn finalize_into_words(&self, row: &mut [u64]) {
+    pub(crate) fn finalize_into_words(&self, row: &mut [u64]) {
         let stride = self.carry.len();
         assert_eq!(
             row.len(),

@@ -139,7 +139,7 @@ impl BinaryHypervector {
     /// # Panics
     ///
     /// Panics if `i >= dim`.
-    pub fn flip_bit(&mut self, i: usize) {
+    pub(crate) fn flip_bit(&mut self, i: usize) {
         assert!(
             i < self.dim,
             "bit index {i} out of range for dim {}",

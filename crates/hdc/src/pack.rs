@@ -63,9 +63,8 @@ impl std::error::Error for PackError {}
 ///
 /// The tail invariant of [`BinaryHypervector`] carries over: bits beyond
 /// `dim` in the last word of every row are zero. All constructors and the
-/// batch encoder preserve it; code writing through [`HvPack::push_zeroed`]
-/// must do the same (the distance kernels rely on it so that the masked
-/// tail never contributes to a popcount).
+/// batch encoder preserve it (the distance kernels rely on it so that the
+/// masked tail never contributes to a popcount).
 ///
 /// # Examples
 ///
@@ -152,7 +151,7 @@ impl HvPack {
     /// avoid intermediate allocations).
     ///
     /// Writers must keep bits beyond `dim` in the last word zero.
-    pub fn push_zeroed(&mut self) -> &mut [u64] {
+    pub(crate) fn push_zeroed(&mut self) -> &mut [u64] {
         self.words.resize(self.words.len() + self.stride, 0);
         self.len += 1;
         let start = (self.len - 1) * self.stride;

@@ -8,7 +8,7 @@ pub enum MsError {
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// A file could not be parsed; carries the 1-based line number (0 when
-    /// unknown, e.g. for binary payload errors) and a description.
+    /// unknown) and a description.
     Parse {
         /// 1-based line number of the offending input, 0 if not line-oriented.
         line: usize,

@@ -11,8 +11,7 @@
 //!   models — the stand-in for the PRIDE datasets the paper clusters.
 //! * The five Table-I dataset profiles ([`profiles`]) at full scale for the
 //!   performance models.
-//! * File formats ([`formats`]): MGF and MS2 read/write, and a minimal
-//!   mzML reader/writer with hand-rolled base64.
+//! * File formats ([`formats`]): MGF and MS2 read/write.
 //! * Streaming sources ([`stream`]): the [`stream::SpectrumStream`] trait
 //!   with dataset, channel and lazy-synthetic adapters, feeding
 //!   the sharded streaming pipeline in `spechd-core`.

@@ -30,7 +30,7 @@ impl Peak {
     }
 
     /// Whether both fields are finite and the intensity is non-negative.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.mz.is_finite() && self.mz > 0.0 && self.intensity.is_finite() && self.intensity >= 0.0
     }
 }

@@ -98,7 +98,7 @@ impl Peptide {
     }
 
     /// Residue masses in sequence order.
-    pub fn residue_masses(&self) -> Vec<f64> {
+    pub(crate) fn residue_masses(&self) -> Vec<f64> {
         self.sequence
             .chars()
             .map(|c| residue_mass(c).expect("validated at construction"))

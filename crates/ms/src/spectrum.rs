@@ -65,9 +65,9 @@ impl fmt::Display for Precursor {
 /// A tandem mass spectrum: an identifier, a precursor and a peak list
 /// sorted by ascending m/z.
 ///
-/// Construction validates every peak ([`Peak::is_valid`]) and sorts the
-/// list, so downstream code (preprocessing, encoding) can rely on ordering
-/// without re-checking.
+/// Construction validates every peak (a finite, positive m/z and a
+/// finite, non-negative intensity) and sorts the list, so downstream code
+/// (preprocessing, encoding) can rely on ordering without re-checking.
 ///
 /// # Examples
 ///

@@ -32,7 +32,7 @@ fn unit_norm(peaks: &mut [Peak]) {
 
 /// The composed scale-and-normalize stage, in place: `sqrt`, then unit
 /// norm (`[16, 9]` → `[4, 3]` → `[0.8, 0.6]`).
-pub fn scale_and_normalize(peaks: &mut [Peak]) {
+pub(crate) fn scale_and_normalize(peaks: &mut [Peak]) {
     sqrt_scale(peaks);
     unit_norm(peaks);
 }

@@ -128,11 +128,6 @@ impl Poisson {
         Self { lambda }
     }
 
-    /// The rate parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// Draws one count.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
         if self.lambda == 0.0 {

@@ -30,7 +30,8 @@
 //!   path, bit-identical to the [`scalar_search_window`] oracle;
 //! * [`HdPsm`] — hits implementing [`ScoredMatch`] so the same
 //!   [`assign_q_values`] / [`filter_at_fdr`] machinery controls FDR on
-//!   HD scores via [`shuffled_decoy`] library entries.
+//!   HD scores via shuffled-decoy library entries
+//!   ([`HvLibraryBuilder::push_with_shuffled_decoy`]).
 //!
 //! # Example
 //!
@@ -64,6 +65,6 @@ mod score;
 pub use db::{DbEntry, PeptideDatabase};
 pub use engine::{Psm, SearchConfig, SearchEngine};
 pub use fdr::{assign_q_values, filter_at_fdr, ScoredMatch};
-pub use library::{encode_spectrum_peaks, shuffled_decoy, HvLibrary, HvLibraryBuilder};
+pub use library::{encode_spectrum_peaks, HvLibrary, HvLibraryBuilder};
 pub use packed::{scalar_search_window, HdPsm, PackedSearchConfig, PackedSearchEngine};
-pub use score::{hyperscore, shared_peak_count, MatchedIons};
+pub use score::{hyperscore, MatchedIons};

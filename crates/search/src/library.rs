@@ -15,7 +15,7 @@
 //!   ([`HvLibrary::from_database`]); reversed-peptide decoys flow
 //!   through as decoy entries, and
 //! * a clustered run's consensus hypervectors — pushed through an
-//!   [`HvLibraryBuilder`], optionally with one [`shuffled_decoy`] per
+//!   [`HvLibraryBuilder`], optionally with one shuffled decoy per
 //!   target so HD scores stay FDR-controllable
 //!   ([`HvLibraryBuilder::push_with_shuffled_decoy`]).
 //!
@@ -283,9 +283,10 @@ impl HvLibraryBuilder {
         self.decoys.push(is_decoy);
     }
 
-    /// Appends a target entry plus its [`shuffled_decoy`] (same mass
-    /// and charge, id prefixed `DECOY_`) — the entry pair that makes HD
-    /// scores against a consensus library FDR-controllable.
+    /// Appends a target entry plus its shuffled decoy — the bits of `hv`
+    /// under a seeded permutation of positions, same mass and charge, id
+    /// prefixed `DECOY_` — the entry pair that makes HD scores against a
+    /// consensus library FDR-controllable.
     pub fn push_with_shuffled_decoy(
         &mut self,
         hv: &BinaryHypervector,
@@ -372,7 +373,7 @@ fn relative_peaks(peaks: &[Peak]) -> Vec<(f64, f64)> {
 /// distance statistics) is preserved while the placement is
 /// decorrelated — the HD analogue of peak-shuffled decoy spectra used
 /// by open-modification search tools.
-pub fn shuffled_decoy(hv: &BinaryHypervector, seed: u64) -> BinaryHypervector {
+pub(crate) fn shuffled_decoy(hv: &BinaryHypervector, seed: u64) -> BinaryHypervector {
     let dim = hv.dim();
     let mut perm: Vec<u32> = (0..dim as u32).collect();
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

@@ -26,7 +26,7 @@ impl MatchedIons {
 /// Matches the theoretical b/y ladder of `peptide` against the sorted
 /// experimental `peaks` (each theoretical ion claims the most intense
 /// experimental peak within `± frag_tol_da`).
-pub fn match_ions(peptide: &Peptide, peaks: &[Peak], frag_tol_da: f64) -> MatchedIons {
+pub(crate) fn match_ions(peptide: &Peptide, peaks: &[Peak], frag_tol_da: f64) -> MatchedIons {
     let mut matched = MatchedIons::default();
     let max_frag_charge = 1;
     for ion in fragment_ions(peptide, max_frag_charge) {
@@ -56,7 +56,8 @@ pub fn match_ions(peptide: &Peptide, peaks: &[Peak], frag_tol_da: f64) -> Matche
 
 /// Number of spectrum peaks within `± frag_tol_da` of any theoretical
 /// fragment of `peptide` — the simplest similarity used by legacy engines.
-pub fn shared_peak_count(peptide: &Peptide, peaks: &[Peak], frag_tol_da: f64) -> usize {
+#[cfg(test)]
+fn shared_peak_count(peptide: &Peptide, peaks: &[Peak], frag_tol_da: f64) -> usize {
     let ions = fragment_ions(peptide, 1);
     peaks
         .iter()

@@ -53,7 +53,7 @@ pub struct ServiceOutcome {
 /// [`is_done`]: AssignmentAssembler::is_done
 /// [`finish`]: AssignmentAssembler::finish
 #[derive(Debug, Default)]
-pub struct AssignmentAssembler {
+pub(crate) struct AssignmentAssembler {
     /// `(stream index, raw global label)` per member, across shards.
     pairs: Vec<(u64, usize)>,
     /// `raw_base` of every `Assignment` frame already absorbed.
@@ -65,13 +65,13 @@ pub struct AssignmentAssembler {
 
 impl AssignmentAssembler {
     /// Creates an empty assembler.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Feeds one received frame. `Assignment`, `Consensus`, and final
     /// `JobStats` frames accumulate; everything else is ignored.
-    pub fn absorb(&mut self, frame: &Frame) {
+    pub(crate) fn absorb(&mut self, frame: &Frame) {
         match frame {
             Frame::Assignment {
                 raw_base,
@@ -105,7 +105,7 @@ impl AssignmentAssembler {
     /// Whether the job's final `JobStats` frame has been absorbed. The
     /// server sends it after every result frame, so once this is true
     /// the assembly is complete.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.stats.is_some()
     }
 
@@ -118,7 +118,7 @@ impl AssignmentAssembler {
     /// Panics if called before [`AssignmentAssembler::is_done`], or if
     /// the frame set is internally inconsistent (a raw label without a
     /// medoid), which a correct server never produces.
-    pub fn finish(mut self) -> ServiceOutcome {
+    pub(crate) fn finish(mut self) -> ServiceOutcome {
         let stats = self
             .stats
             .expect("finish() before the final JobStats frame");

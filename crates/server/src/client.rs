@@ -12,7 +12,7 @@
 //!   job. Submission is acknowledged per batch (the ack carries the
 //!   batch's base stream index, so a participant knows exactly which
 //!   stream slots its spectra occupy); result frames arriving in between
-//!   are absorbed into an [`AssignmentAssembler`], and
+//!   are absorbed into the job's [`assemble`](crate::assemble) state, and
 //!   [`JobClient::close_and_wait`] turns them into a [`ServiceOutcome`]
 //!   once the job's final frame lands.
 //! * [`SearchClient`] is the search-job counterpart: library batches are
@@ -827,9 +827,9 @@ impl StoreClient {
     /// own half-dead slot). Use the same id across process restarts to
     /// deterministically resume a store's installment stream.
     ///
-    /// The store name is validated locally first
-    /// ([`check_store_name`]), so a hostile or over-long name fails
-    /// fast without a round trip.
+    /// The store name is validated locally first, by the server's own
+    /// rule, so a hostile or over-long name fails fast without a round
+    /// trip.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         name: &str,

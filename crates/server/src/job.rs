@@ -139,7 +139,7 @@ impl JobState {
 }
 
 /// One clustering job: config, pipeline, and fan-out to subscribers.
-pub struct Job {
+pub(crate) struct Job {
     id: u64,
     config: JobConfig,
     rejoin_grace: Duration,
@@ -259,7 +259,8 @@ impl JobRegistry {
     /// Creates an empty registry whose jobs use an ingest queue of
     /// `queue_depth` spectra (the backpressure bound), with no job cap
     /// and a zero rejoin grace — disconnect means close, exactly the
-    /// pre-resume semantics. Servers use [`JobRegistry::with_policy`].
+    /// pre-resume semantics. Servers also set a job cap and a rejoin
+    /// grace ([`ServerConfig`](crate::ServerConfig)).
     pub fn new(queue_depth: usize) -> Self {
         Self::with_policy(queue_depth, usize::MAX, Duration::ZERO)
     }
@@ -270,7 +271,7 @@ impl JobRegistry {
     /// disconnected participant's slot survives `rejoin_grace` for the
     /// same `client_id` to reconnect and resume. The same grace is the
     /// linger a finished job stays in the registry for result replay.
-    pub fn with_policy(queue_depth: usize, max_jobs: usize, rejoin_grace: Duration) -> Self {
+    pub(crate) fn with_policy(queue_depth: usize, max_jobs: usize, rejoin_grace: Duration) -> Self {
         Self {
             jobs: Mutex::new(HashMap::new()),
             threads: Mutex::new(Vec::new()),
@@ -302,7 +303,8 @@ impl JobRegistry {
     /// and a subscriber whose queue is full is dropped from the job.
     /// The returned [`JobHandle`] counts as one participant until
     /// closed or dropped. Creating a new job when `max_jobs` are live
-    /// is shed with a retryable [`ErrorCode::Busy`].
+    /// is shed with a retryable [`ErrorCode::Busy`], and one whose
+    /// config the pipeline rejects with [`ErrorCode::ConfigMismatch`].
     pub fn open_or_join(
         self: &Arc<Self>,
         job_id: u64,
@@ -381,6 +383,10 @@ impl JobRegistry {
             ));
         }
 
+        // Build the engine before the job is registered: a config the
+        // pipeline rejects must not leave a job that never retires.
+        let engine = SpecHd::try_new(config.pipeline_config())
+            .map_err(|e| JobError::new(ErrorCode::ConfigMismatch, e.to_string()))?;
         let (tx, rx) = mpsc::sync_channel::<IngestItem>(self.queue_depth);
         let job = Arc::new(Job {
             id: job_id,
@@ -405,7 +411,6 @@ impl JobRegistry {
         let handle = std::thread::Builder::new()
             .name(format!("spechd-job-{job_id}"))
             .spawn(move || {
-                let engine = SpecHd::new(pipeline_job.config.pipeline_config());
                 let stream_cfg = pipeline_job.config.stream_config();
                 let outcome =
                     engine.run_streaming_observed(ChannelStream::new(rx), &stream_cfg, |shard| {
@@ -497,7 +502,7 @@ impl JobHandle {
     /// Whether the subscription is still live (job not finished).
     /// Connections use this for idle accounting: a connection waiting on
     /// a live job's results is not idle.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.active.load(Ordering::Acquire)
     }
 
@@ -687,5 +692,23 @@ mod tests {
             );
             assert_eq!(served.consensus, wide(run.consensus()), "workers {workers}");
         }
+    }
+
+    /// A library caller can hand `open_or_join` a config the wire would
+    /// never decode: it is refused, and no job holds a slot for it.
+    #[test]
+    fn out_of_range_config_is_refused_and_registers_no_job() {
+        let registry = Arc::new(JobRegistry::new(64));
+        let (tx, _rx) = mpsc::sync_channel(16);
+        let config = JobConfig {
+            threshold_fraction: 1.5,
+            ..JobConfig::default()
+        };
+        let Err(err) = registry.open_or_join(1, 1, config, tx) else {
+            panic!("a threshold fraction above 1 opened a job");
+        };
+        assert_eq!(err.code, ErrorCode::ConfigMismatch);
+        assert!(registry.is_empty());
+        registry.join_pipelines();
     }
 }

@@ -27,7 +27,7 @@
 //! * `session` (private) — the reconnect-and-resume contract, once: a
 //!   participant is its `client_id`, its slot outlives its connection
 //!   for the rejoin grace, the newest connection wins by epoch, and a
-//!   re-sent `seq` is re-acked, never re-ingested. [`job`] and [`store`]
+//!   re-sent `seq` is re-acked, never re-ingested. [`job`] and `store`
 //!   both keep their slots in it.
 //! * [`server`] — the accept loop and per-connection threads: idle
 //!   timeouts, frame deadlines, malformed-frame rejection that kills
@@ -41,13 +41,13 @@
 //!   `session` slot, send the same frame again — and the server replays
 //!   missed result frames on rejoin: a mid-stream disconnect leaves the
 //!   assembled outcome bit-identical to an undisturbed run.
-//! * [`search`] — the search job surface: shared
+//! * `search` (private) — the search job surface: shared
 //!   [`spechd_search::HvLibrary`] loading over `LoadLibrary` frames,
 //!   seal-on-first-query, and windowed packed scoring whose hits are
 //!   bit-identical to a local [`spechd_search::PackedSearchEngine`]
 //!   run over the same entries (pinned by the served-path equivalence
 //!   tests).
-//! * [`store`] — incremental clustering as a service: `OpenStore`
+//! * `store` (private) — incremental clustering as a service: `OpenStore`
 //!   binds a connection to the **exclusive** write session of a named
 //!   persistent [`spechd_core::ClusterStore`] (a second writer is shed
 //!   with the retryable [`ErrorCode::StoreBusy`]), sequence-numbered
@@ -65,12 +65,12 @@ pub mod client;
 pub mod job;
 pub mod limits;
 pub mod protocol;
-pub mod search;
+mod search;
 pub mod server;
 mod session;
-pub mod store;
+mod store;
 
-pub use assemble::{AssignmentAssembler, ServiceOutcome};
+pub use assemble::ServiceOutcome;
 pub use client::{
     ClientError, Connection, JobClient, QueryHits, RetryPolicy, SearchClient, StoreClient,
     SubmitReceipt,
@@ -78,9 +78,7 @@ pub use client::{
 pub use job::{JobError, JobHandle, JobRegistry};
 pub use limits::Limits;
 pub use protocol::{
-    check_store_name, ErrorCode, Frame, FrameType, HitWire, IncrementalAckFrame, JobConfig,
-    JobStatsFrame, LibraryEntryWire, QueryWire, SearchStatsFrame, StoreAckFrame, WireError,
+    ErrorCode, Frame, FrameType, HitWire, IncrementalAckFrame, JobConfig, JobStatsFrame,
+    LibraryEntryWire, QueryWire, SearchStatsFrame, StoreAckFrame, WireError,
 };
-pub use search::{SearchHandle, SearchJob, SearchRegistry};
 pub use server::{RunningServer, Server, ServerConfig};
-pub use store::{StoreRegistry, StoreSessionHandle};

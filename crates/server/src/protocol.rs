@@ -20,7 +20,7 @@
 //!
 //! The frame table (`payloads!` in this file) is the single source of
 //! every payload layout: one row per frame type, listing its fields in
-//! wire order, each with the codec that carries it. [`encode_payload`],
+//! wire order, each with the codec that carries it. The payload encoder,
 //! [`decode_payload`] and the frame-type mappings are generated from
 //! that table, and each codec's decode half does all of the field's
 //! validation, so the encoder and the decoder cannot disagree.
@@ -237,17 +237,21 @@ impl JobConfig {
     /// applied over [`SpecHdConfig::default`]. `JobConfig::default()`
     /// maps to exactly `SpecHdConfig::default()`, which is what makes
     /// server results comparable against local batch runs.
+    ///
+    /// Nothing is validated here: an out-of-range field surfaces as the
+    /// [`ConfigError`](spechd_core::ConfigError) of
+    /// [`SpecHd::try_new`](spechd_core::SpecHd::try_new).
     pub fn pipeline_config(&self) -> SpecHdConfig {
-        let encoder = spechd_core::EncoderConfig {
-            dim: self.dim as usize,
-            ..Default::default()
-        };
-        SpecHdConfig::builder()
-            .encoder(encoder)
-            .resolution(self.resolution)
-            .distance_threshold_fraction(self.threshold_fraction)
-            .linkage(self.linkage)
-            .build()
+        SpecHdConfig {
+            encoder: spechd_core::EncoderConfig {
+                dim: self.dim as usize,
+                ..Default::default()
+            },
+            resolution: self.resolution,
+            distance_threshold_fraction: self.threshold_fraction,
+            linkage: self.linkage,
+            ..SpecHdConfig::default()
+        }
     }
 
     /// The streaming configuration of the job's pipeline. The archive is
@@ -704,7 +708,7 @@ impl WireError {
     }
 
     /// The [`ErrorCode`] a server should report for this failure.
-    pub fn error_code(&self) -> ErrorCode {
+    pub(crate) fn error_code(&self) -> ErrorCode {
         match self {
             WireError::Oversized { .. } => ErrorCode::Oversized,
             _ => ErrorCode::Malformed,
@@ -745,7 +749,7 @@ impl From<MsError> for WireError {
 // ───────────────────────── the frame table ─────────────────────────
 
 /// Expands the frame table into the four per-frame matches:
-/// `FrameType::from_wire`, `Frame::frame_type`, [`encode_payload`] and
+/// `FrameType::from_wire`, `Frame::frame_type`, `encode_payload` and
 /// [`decode_payload`]. A row is `Variant { field: codec, … }` — or
 /// `Variant[Struct] { … }` for a variant wrapping a named struct — with
 /// the fields in wire order. Each `codec` names a method on both `Enc`
@@ -775,7 +779,7 @@ macro_rules! payloads {
         }
 
         /// Encodes a frame's payload bytes (no header).
-        pub fn encode_payload(frame: &Frame) -> Vec<u8> {
+        pub(crate) fn encode_payload(frame: &Frame) -> Vec<u8> {
             let mut e = Enc::new();
             match frame {
                 $(payloads!(@shape $name $([$inner])? { $($field),* }) => {
@@ -1337,9 +1341,9 @@ fn check_dim(dim: u32) -> Result<(), WireError> {
 /// Validates a store name: non-empty, at most
 /// [`Limits::max_store_name_len`] bytes, and drawn from `[A-Za-z0-9_-]`.
 /// Store names become server-side file names (`<store_dir>/<name>.shpk`),
-/// so the alphabet admits no separators, no dots, no traversal. Public
-/// so clients can fail fast before a frame ever leaves the machine.
-pub fn check_store_name(name: &str, limits: &Limits) -> Result<(), WireError> {
+/// so the alphabet admits no separators, no dots, no traversal. The
+/// client checks too, so a bad name fails before a frame is sent.
+pub(crate) fn check_store_name(name: &str, limits: &Limits) -> Result<(), WireError> {
     if name.is_empty() {
         return Err(WireError::malformed("store name is empty"));
     }
@@ -1360,7 +1364,7 @@ pub fn check_store_name(name: &str, limits: &Limits) -> Result<(), WireError> {
 }
 
 /// Writes one frame to `w` (no flush — callers batch then flush).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
     w.write_all(&encode_frame(frame))
 }
 

@@ -59,7 +59,7 @@ struct SearchState {
 }
 
 /// One search job: a shared library and its usage counters.
-pub struct SearchJob {
+pub(crate) struct SearchJob {
     id: u64,
     dim: u32,
     state: Mutex<SearchState>,
@@ -81,7 +81,7 @@ impl SearchJob {
 }
 
 /// The server's table of live search jobs.
-pub struct SearchRegistry {
+pub(crate) struct SearchRegistry {
     jobs: Mutex<HashMap<u64, Arc<SearchJob>>>,
     linger: std::time::Duration,
 }
@@ -97,7 +97,7 @@ impl SearchRegistry {
     /// last participant leaves. Servers that want reconnecting clients
     /// to find their library still loaded use
     /// [`SearchRegistry::with_linger`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_linger(std::time::Duration::ZERO)
     }
 
@@ -105,7 +105,7 @@ impl SearchRegistry {
     /// last participant leaves, so a client whose connection dropped
     /// mid-session can reconnect and rejoin the job (library and all)
     /// instead of starting over.
-    pub fn with_linger(linger: std::time::Duration) -> Self {
+    pub(crate) fn with_linger(linger: std::time::Duration) -> Self {
         Self {
             jobs: Mutex::new(HashMap::new()),
             linger,
@@ -113,12 +113,14 @@ impl SearchRegistry {
     }
 
     /// Number of live search jobs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.jobs.lock().expect("search table poisoned").len()
     }
 
     /// Whether no search jobs are live.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -126,7 +128,11 @@ impl SearchRegistry {
     /// requires the same `dim`. The returned handle counts as one
     /// participant until dropped; the job is removed when the last
     /// participant leaves.
-    pub fn open_or_join(self: &Arc<Self>, job_id: u64, dim: u32) -> Result<SearchHandle, JobError> {
+    pub(crate) fn open_or_join(
+        self: &Arc<Self>,
+        job_id: u64,
+        dim: u32,
+    ) -> Result<SearchHandle, JobError> {
         let mut jobs = self.jobs.lock().expect("search table poisoned");
         let job = if let Some(job) = jobs.get(&job_id) {
             let job = Arc::clone(job);
@@ -168,24 +174,25 @@ impl SearchRegistry {
 }
 
 /// One connection's participation in one search job.
-pub struct SearchHandle {
+pub(crate) struct SearchHandle {
     registry: Arc<SearchRegistry>,
     job: Arc<SearchJob>,
 }
 
 impl SearchHandle {
     /// The search job this handle participates in.
-    pub fn job_id(&self) -> u64 {
+    pub(crate) fn job_id(&self) -> u64 {
         self.job.id
     }
 
     /// The job's hypervector dimensionality.
-    pub fn dim(&self) -> u32 {
+    pub(crate) fn dim(&self) -> u32 {
         self.job.dim
     }
 
     /// A statistics snapshot of the job.
-    pub fn stats(&self) -> SearchStatsFrame {
+    #[cfg(test)]
+    fn stats(&self) -> SearchStatsFrame {
         let state = self.job.state.lock().expect("search state poisoned");
         self.job.stats_locked(&state)
     }
@@ -195,7 +202,10 @@ impl SearchHandle {
     /// were already enforced at frame decode. Fails once the library is
     /// sealed or when the load would exceed
     /// [`MAX_LIBRARY_TOTAL_ENTRIES`].
-    pub fn load(&self, entries: Vec<LibraryEntryWire>) -> Result<SearchStatsFrame, JobError> {
+    pub(crate) fn load(
+        &self,
+        entries: Vec<LibraryEntryWire>,
+    ) -> Result<SearchStatsFrame, JobError> {
         let mut state = self.job.state.lock().expect("search state poisoned");
         let Some(builder) = state.builder.as_mut() else {
             return Err(JobError::state(format!(
@@ -229,7 +239,7 @@ impl SearchHandle {
     /// (in batch order, with job-global contiguous query indices)
     /// through `emit`, and returns the post-batch snapshot — the frame
     /// pair's closing [`Frame::SearchStats`].
-    pub fn query(
+    pub(crate) fn query(
         &self,
         window_da: f64,
         top_k: u32,

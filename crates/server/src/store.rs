@@ -111,7 +111,7 @@ impl StoreEntry {
 /// when one exists) and stay resident until the server stops — the
 /// in-memory archive *is* the continuation state that makes a later
 /// session's labels extend the earlier session's verbatim.
-pub struct StoreRegistry {
+pub(crate) struct StoreRegistry {
     stores: Mutex<HashMap<String, Arc<StoreEntry>>>,
     /// Directory of `<name>.shpk` backing files; `None` = memory-only.
     dir: Option<PathBuf>,
@@ -126,7 +126,7 @@ impl StoreRegistry {
     /// `client_id` to resume, and at most `max_stores` stores may be
     /// resident (one more is shed with retryable
     /// [`ErrorCode::StoreBusy`]).
-    pub fn new(dir: Option<PathBuf>, rejoin_grace: Duration, max_stores: usize) -> Self {
+    pub(crate) fn new(dir: Option<PathBuf>, rejoin_grace: Duration, max_stores: usize) -> Self {
         Self {
             stores: Mutex::new(HashMap::new()),
             dir,
@@ -136,12 +136,14 @@ impl StoreRegistry {
     }
 
     /// Number of resident stores.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.stores.lock().expect("store registry poisoned").len()
     }
 
     /// Whether no store is resident.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -157,7 +159,7 @@ impl StoreRegistry {
     /// * A config differing from the one the store was opened (or
     ///   persisted) with is refused with
     ///   [`ErrorCode::ConfigMismatch`].
-    pub fn open(
+    pub(crate) fn open(
         &self,
         name: &str,
         client_id: u64,
@@ -266,7 +268,7 @@ fn load_or_create(engine: &SpecHd, path: &Path) -> Result<ClusterStore, JobError
 /// than ending it: the slot survives the rejoin grace for the same
 /// client to reconnect and resume, after which the store is free for
 /// any client.
-pub struct StoreSessionHandle {
+pub(crate) struct StoreSessionHandle {
     entry: Arc<StoreEntry>,
     client_id: u64,
     epoch: u64,
@@ -284,12 +286,12 @@ impl std::fmt::Debug for StoreSessionHandle {
 
 impl StoreSessionHandle {
     /// The store's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.entry.name
     }
 
     /// The session owner's client id.
-    pub fn client_id(&self) -> u64 {
+    pub(crate) fn client_id(&self) -> u64 {
         self.client_id
     }
 
@@ -314,7 +316,7 @@ impl StoreSessionHandle {
     /// engine. A duplicate of the last acknowledged `seq` is re-acked
     /// verbatim without re-ingesting (resume idempotency); any other
     /// out-of-order `seq` is a fatal protocol error.
-    pub fn submit_incremental(
+    pub(crate) fn submit_incremental(
         &self,
         seq: u64,
         spectra: Vec<Spectrum>,
@@ -358,7 +360,7 @@ impl StoreSessionHandle {
     /// directory; a failed save is retryable
     /// ([`ErrorCode::StoreBusy`]) and leaves any previous replica
     /// intact.
-    pub fn persist(&self) -> Result<StoreAckFrame, JobError> {
+    pub(crate) fn persist(&self) -> Result<StoreAckFrame, JobError> {
         let mut guard = self.owned()?;
         let state = &mut *guard;
         let Some(path) = self.entry.path.as_deref() else {
@@ -376,7 +378,7 @@ impl StoreSessionHandle {
     }
 
     /// A point-in-time snapshot of the store's shape and session state.
-    pub fn stats(&self) -> Result<StoreAckFrame, JobError> {
+    pub(crate) fn stats(&self) -> Result<StoreAckFrame, JobError> {
         let guard = self.owned()?;
         Ok(self.ack(&guard, 0, 0, 0))
     }
@@ -385,7 +387,7 @@ impl StoreSessionHandle {
     /// ([`SpecHd::refresh_store`]) on the store. Sits outside the
     /// stable-label contract: labels may merge. Refused (fatal) on a
     /// store loaded without member rows.
-    pub fn refresh(&self) -> Result<StoreAckFrame, JobError> {
+    pub(crate) fn refresh(&self) -> Result<StoreAckFrame, JobError> {
         let mut guard = self.owned()?;
         let state = &mut *guard;
         let report = state
@@ -536,6 +538,20 @@ mod tests {
         };
         let err = reg.open("a", 1, &other).expect_err("other config");
         assert_eq!(err.code, ErrorCode::ConfigMismatch);
+    }
+
+    #[test]
+    fn out_of_range_config_is_refused_without_a_store() {
+        let reg = registry(None);
+        let config = JobConfig {
+            threshold_fraction: 1.5,
+            ..JobConfig::default()
+        };
+        let Err(err) = reg.open("a", 1, &config) else {
+            panic!("a threshold fraction above 1 opened a store");
+        };
+        assert_eq!(err.code, ErrorCode::ConfigMismatch);
+        assert!(reg.is_empty());
     }
 
     #[test]

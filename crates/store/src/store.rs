@@ -72,7 +72,7 @@ impl StoredBucket {
     /// Member hypervector rows (row `i` belongs to `members()[i]`), only
     /// present in row-keeping stores
     /// ([`ClusterStore::keeps_member_rows`]).
-    pub fn member_rows(&self) -> Option<&HvPack> {
+    pub(crate) fn member_rows(&self) -> Option<&HvPack> {
         self.member_rows.as_ref()
     }
 }

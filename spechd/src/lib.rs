@@ -8,14 +8,14 @@
 //! | Module | Crate | Layer |
 //! |---|---|---|
 //! | [`rng`] | `spechd-rng` | deterministic randomness |
-//! | [`ms`] | `spechd-ms` | spectra, formats, synthetic data |
+//! | [`ms`] | `spechd-ms` | spectra, MGF/MS2 formats, synthetic data |
 //! | [`preprocess`] | `spechd-preprocess` | filtering, top-k, bucketing |
 //! | [`hdc`] | `spechd-hdc` | binary hypervector core |
-//! | [`cluster`] | `spechd-cluster` | NN-chain HAC, DBSCAN, medoids |
+//! | [`cluster`] | `spechd-cluster` | NN-chain HAC, medoids |
 //! | [`metrics`] | `spechd-metrics` | clustering quality measures |
 //! | [`fpga`] | `spechd-fpga` | FPGA / near-storage system model |
 //! | [`search`] | `spechd-search` | database search + FDR |
-//! | [`baselines`] | `spechd-baselines` | comparator tools |
+//! | [`baselines`] | `spechd-baselines` | comparator tools, DBSCAN |
 //! | [`store`] | `spechd-store` | persistent versioned cluster store |
 //! | [`core`] | `spechd-core` | the end-to-end pipeline |
 //!

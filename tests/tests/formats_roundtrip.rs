@@ -2,7 +2,7 @@
 //! Fig. 1 (instrument formats → preprocessing → clustering).
 
 use spechd_core::{SpecHd, SpecHdConfig};
-use spechd_ms::formats::{mgf, ms2, mzml};
+use spechd_ms::formats::{mgf, ms2};
 use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::SpectrumDataset;
 
@@ -33,22 +33,6 @@ fn mgf_roundtrip_preserves_clustering() {
 }
 
 #[test]
-fn mzml_roundtrip_is_bit_exact_and_cluster_identical() {
-    let ds = dataset(200, 202);
-    let xml = mzml::to_string(ds.spectra());
-    let parsed = mzml::read_str(&xml).unwrap();
-    assert_eq!(parsed.len(), ds.len());
-    // mzML binary arrays are exact: every peak must match bit-for-bit.
-    for (orig, back) in ds.spectra().iter().zip(&parsed) {
-        assert_eq!(orig.peaks(), back.peaks(), "{}", orig.title());
-        assert_eq!(orig.precursor().charge(), back.precursor().charge());
-    }
-    let ds2 = SpectrumDataset::from_spectra(parsed);
-    let engine = SpecHd::new(SpecHdConfig::default());
-    assert_eq!(engine.run(&ds).assignment(), engine.run(&ds2).assignment());
-}
-
-#[test]
 fn ms2_roundtrip_preserves_clustering() {
     let ds = dataset(200, 203);
     let text = ms2::to_string(ds.spectra());
@@ -57,20 +41,6 @@ fn ms2_roundtrip_preserves_clustering() {
     let ds2 = SpectrumDataset::from_spectra(parsed);
     let engine = SpecHd::new(SpecHdConfig::default());
     assert_eq!(engine.run(&ds).assignment(), engine.run(&ds2).assignment());
-}
-
-#[test]
-fn cross_format_consistency() {
-    // MGF -> spectra -> mzML -> spectra must agree with the original
-    // within text precision.
-    let ds = dataset(60, 204);
-    let via_mgf = mgf::read(mgf::to_string(ds.spectra()).as_bytes()).unwrap();
-    let via_mzml = mzml::read_str(&mzml::to_string(&via_mgf)).unwrap();
-    assert_eq!(via_mzml.len(), ds.len());
-    for (a, b) in via_mgf.iter().zip(&via_mzml) {
-        assert_eq!(a.peak_count(), b.peak_count());
-        assert!((a.precursor().mz() - b.precursor().mz()).abs() < 1e-6);
-    }
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! counts — including the masked-tail invariant for dims that do not fill
 //! their last 64-bit word.
 
-use spechd_cluster::{dbscan, dbscan_packed, CondensedMatrix, DbscanParams};
+use spechd_baselines::dbscan::{dbscan, dbscan_packed, DbscanParams};
+use spechd_cluster::CondensedMatrix;
 use spechd_hdc::distance::{self, PackedDistanceEngine};
 use spechd_hdc::{BinaryHypervector, EncoderConfig, HvPack, IdLevelEncoder};
 use spechd_rng::{Rng, Xoshiro256StarStar};
