@@ -1,8 +1,8 @@
 //! A blocking client for the `spechd` protocol.
 //!
 //! [`Connection`] is the shared transport: it owns the TCP socket pair
-//! (buffered writer + buffered reader), the frame codec under the shared
-//! [`Limits`] table, and the error-frame-to-[`ClientError`] translation
+//! (buffered writer + buffered reader), the frame codec under the default
+//! [`Limits`], and the error-frame-to-[`ClientError`] translation
 //! every client needs. The three job-flavored clients are thin state
 //! machines over it, sharing one error surface and one round-trip loop
 //! (the private `Link`: send a frame, read its reply, and on a
@@ -837,7 +837,7 @@ impl StoreClient {
         client_id: u64,
         retry: RetryPolicy,
     ) -> Result<Self, ClientError> {
-        check_store_name(name, &Limits::default()).map_err(ClientError::Wire)?;
+        check_store_name(name).map_err(ClientError::Wire)?;
         let open = Frame::OpenStore {
             name: name.to_string(),
             client_id,

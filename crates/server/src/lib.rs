@@ -16,8 +16,9 @@
 //!
 //! * [`protocol`] — the wire format: 12-byte header, capped length
 //!   prefixes, byte-exact round-trippable frames. Every decode-time
-//!   cap it enforces lives in the [`limits`] table, configurable per
-//!   server through [`ServerConfig::limits`].
+//!   cap it enforces lives in the [`limits`] table: a server sets the
+//!   frame and worker caps through [`ServerConfig::limits`], and the
+//!   rest are protocol constants both sides split their batches at.
 //! * [`job`] — job lifecycle and backpressure: the last participant's
 //!   close (or disconnect) ends the stream; a full ingest queue blocks
 //!   the submitter at the socket, and result fan-out goes through

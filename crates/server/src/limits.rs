@@ -5,30 +5,32 @@
 //! knob, or a length that exceeds its cap is a
 //! [`WireError::Malformed`](crate::protocol::WireError) (or
 //! [`WireError::Oversized`](crate::protocol::WireError) for the frame
-//! cap) and the offending connection is closed. [`Limits`] gathers all
-//! of those caps into one configurable value, surfaced through
-//! [`ServerConfig`](crate::server::ServerConfig) and threaded into
-//! [`decode_payload`](crate::protocol::decode_payload) /
-//! [`read_frame`](crate::protocol::read_frame) — the *only* enforcement
-//! points, so raising or lowering a cap in one place changes every code
-//! path uniformly. The `MAX_*` constants are the documented defaults
-//! ([`Limits::default`]); they are what both bundled clients assume.
+//! cap) and the offending connection is closed.
+//! [`decode_payload`](crate::protocol::decode_payload) and
+//! [`read_frame`](crate::protocol::read_frame) are the *only*
+//! enforcement points.
 //!
-//! | cap | default | guards against |
+//! Two caps are per-server settings, the fields of [`Limits`] (surfaced
+//! through [`ServerConfig`](crate::server::ServerConfig); the binary's
+//! `--max-frame-mb` sets the first). Every other cap is a protocol
+//! constant: both bundled clients split their batches at the `MAX_*`
+//! values, so a server that refused less would refuse its own clients.
+//!
+//! | cap | value | guards against |
 //! |---|---|---|
-//! | [`Limits::max_frame_len`] | [`DEFAULT_MAX_FRAME_LEN`] | a 4 GiB length prefix becoming an allocation |
-//! | [`Limits::max_workers`] | [`MAX_WORKERS`] | one `OpenJob` demanding billions of threads |
-//! | [`Limits::max_library_batch`] | [`MAX_LIBRARY_BATCH`] | a hostile entry-count prefix |
-//! | [`Limits::max_query_batch`] | [`MAX_QUERY_BATCH`] | one frame demanding unbounded scans |
-//! | [`Limits::max_top_k`] | [`MAX_TOP_K`] | unbounded per-query result memory |
-//! | [`Limits::max_search_window_da`] | [`MAX_SEARCH_WINDOW_DA`] | a meaningless `inf`-wide window |
-//! | [`Limits::max_store_name_len`] | [`MAX_STORE_NAME_LEN`] | unbounded store names (they become file names) |
-//! | [`Limits::max_incremental_batch`] | [`MAX_INCREMENTAL_BATCH`] | one `SubmitIncremental` holding the store lock for an unbounded installment |
+//! | [`Limits::max_frame_len`] | [`DEFAULT_MAX_FRAME_LEN`] by default | a 4 GiB length prefix becoming an allocation |
+//! | [`Limits::max_workers`] | [`MAX_WORKERS`] by default | one `OpenJob` demanding billions of threads |
+//! | [`MAX_LIBRARY_BATCH`] | 65 536 entries per `LoadLibrary` | a hostile entry-count prefix |
+//! | [`MAX_QUERY_BATCH`] | 4 096 queries per `SearchQuery` | one frame demanding unbounded scans |
+//! | [`MAX_TOP_K`] | 1 024 hits per query | unbounded per-query result memory |
+//! | [`MAX_SEARCH_WINDOW_DA`] | 10⁴ Da | a meaningless `inf`-wide window |
+//! | [`MAX_STORE_NAME_LEN`] | 64 bytes | unbounded store names (they become file names) |
+//! | [`MAX_INCREMENTAL_BATCH`] | 65 536 spectra per `SubmitIncremental`, labels per `IncrementalAck` | one `SubmitIncremental` holding the store lock for an unbounded installment |
+//! | [`MAX_WATERMARK`] | 2²⁰ | nothing: the field has no effect (SPHD v3 compatibility only) |
 //!
-//! Two caps are constants, not fields: [`MAX_LIBRARY_TOTAL_ENTRIES`] is
-//! checked where state accumulates (a search job's library, over any
-//! number of frames) instead of at decode, and [`MAX_WATERMARK`] bounds a
-//! field that has no effect (SPHD v3 compatibility only).
+//! [`MAX_LIBRARY_TOTAL_ENTRIES`] is not checked at decode but where
+//! state accumulates: it bounds one search job's library over any number
+//! of frames, and every live search job's library together.
 
 /// Default cap on a frame's payload length: 32 MiB. At ~16 bytes per
 /// peak this is roughly 40k spectra of 50 peaks in one `Submit` — far
@@ -42,49 +44,51 @@ pub const MAX_WORKERS: u32 = 64;
 /// Cap on `JobConfig::watermark` accepted over the wire; 0 is also
 /// rejected. The field once sized a per-shard raw-spectrum buffer and now
 /// has no effect (the pipeline encodes on arrival), so the cap guards
-/// nothing and is a constant, not a [`Limits`] field; the range is still
-/// enforced so SPHD v3 accepts exactly the frames it always did.
+/// nothing; the range is still enforced so SPHD v3 accepts exactly the
+/// frames it always did.
 pub const MAX_WATERMARK: u32 = 1 << 20;
-/// Default cap on library entries per `LoadLibrary` frame. Checked at
-/// decode time *before* any allocation: a hostile count prefix is
-/// rejected without reserving a single entry. Larger libraries ship as
-/// multiple frames.
+/// Cap on library entries per `LoadLibrary` frame. Checked at decode
+/// time *before* any allocation: a hostile count prefix is rejected
+/// without reserving a single entry. Larger libraries ship as multiple
+/// frames.
 pub const MAX_LIBRARY_BATCH: u32 = 65_536;
-/// Server-side cap on a search job's **total** library size, across all
-/// `LoadLibrary` frames and participants. The per-frame cap
-/// ([`MAX_LIBRARY_BATCH`]) bounds one decode; this bounds what a client
-/// can make the server hold by looping frames. 2²⁰ entries at the
-/// paper's `D = 2048` is 256 MiB of packed rows.
+/// Cap on library entries held by the server, across all `LoadLibrary`
+/// frames and participants. The per-frame cap ([`MAX_LIBRARY_BATCH`])
+/// bounds one decode; this bounds what clients can make the server hold
+/// by looping frames or opening jobs. A load past it within its own job
+/// is a protocol-state error; a load that fits its job but not what
+/// every live search job holds together is shed with the retryable
+/// `Busy`. 2²⁰ entries at the paper's `D = 2048` is 256 MiB of packed
+/// rows.
 pub const MAX_LIBRARY_TOTAL_ENTRIES: usize = 1 << 20;
-/// Default cap on queries per `SearchQuery` frame, checked at decode
-/// time before allocation. Each query fans out into a windowed scan of
-/// the library, so this also bounds the work one frame can demand.
+/// Cap on queries per `SearchQuery` frame, checked at decode time before
+/// allocation. Each query fans out into a windowed scan of the library,
+/// so this also bounds the work one frame can demand.
 pub const MAX_QUERY_BATCH: u32 = 4096;
-/// Default cap on `SearchQuery::top_k`: hits kept (and sent back) per
-/// query. `top_k = 0` is also rejected — it would make a search a no-op.
+/// Cap on `SearchQuery::top_k`: hits kept (and sent back) per query.
+/// `top_k = 0` is also rejected — it would make a search a no-op.
 pub const MAX_TOP_K: u32 = 1024;
-/// Default cap on `SearchQuery::window_da` in Dalton. Open-modification
-/// searches use windows of a few hundred Dalton; 10⁴ already admits any
-/// practical library slice, and capping it keeps a hostile `inf`/huge
-/// window from being meaningful.
+/// Cap on `SearchQuery::window_da` in Dalton. Open-modification searches
+/// use windows of a few hundred Dalton; 10⁴ already admits any practical
+/// library slice, and capping it keeps a hostile `inf`/huge window from
+/// being meaningful.
 pub const MAX_SEARCH_WINDOW_DA: f64 = 10_000.0;
-/// Default cap on a store name's length in bytes. Store names become
-/// server-side file names (`<store_dir>/<name>.shpk`), so they are also
-/// restricted to `[A-Za-z0-9_-]` at decode time — no separators, no
-/// dots, no traversal.
+/// Cap on a store name's length in bytes. Store names become server-side
+/// file names (`<store_dir>/<name>.shpk`), so they are also restricted
+/// to `[A-Za-z0-9_-]` at decode time — no separators, no dots, no
+/// traversal.
 pub const MAX_STORE_NAME_LEN: u32 = 64;
-/// Default cap on spectra per `SubmitIncremental` frame. Incremental
-/// installments run synchronously under the store-session lock, so this
-/// bounds how long one frame can hold it; larger installments ship as
-/// multiple sequence-numbered frames.
+/// Cap on spectra per `SubmitIncremental` frame, and so on the labels
+/// of an `IncrementalAck`. Incremental installments run synchronously
+/// under the store-session lock, so this bounds how long one frame can
+/// hold it; larger installments ship as multiple sequence-numbered
+/// frames.
 pub const MAX_INCREMENTAL_BATCH: u32 = 65_536;
 
-/// The full set of decode-time caps, threaded into
+/// The decode-time caps a server sets, threaded into
 /// [`decode_payload`](crate::protocol::decode_payload) and
 /// [`read_frame`](crate::protocol::read_frame). [`Limits::default`]
-/// mirrors the documented `MAX_*` constants; servers expose the value
-/// through [`ServerConfig`](crate::server::ServerConfig) so every cap
-/// is configurable without touching the protocol layer.
+/// mirrors the documented defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Limits {
     /// Cap on a frame's payload length in bytes; longer frames are
@@ -93,19 +97,6 @@ pub struct Limits {
     pub max_frame_len: u32,
     /// Cap on `JobConfig::workers` (0 = server default stays allowed).
     pub max_workers: u32,
-    /// Cap on library entries per `LoadLibrary` frame.
-    pub max_library_batch: u32,
-    /// Cap on queries per `SearchQuery` frame.
-    pub max_query_batch: u32,
-    /// Cap on hits kept per query; 0 is always rejected.
-    pub max_top_k: u32,
-    /// Cap on the search window half-width in Dalton.
-    pub max_search_window_da: f64,
-    /// Cap on store-name length in bytes; the `[A-Za-z0-9_-]` alphabet
-    /// and non-emptiness are enforced unconditionally.
-    pub max_store_name_len: u32,
-    /// Cap on spectra per `SubmitIncremental` frame.
-    pub max_incremental_batch: u32,
 }
 
 impl Default for Limits {
@@ -113,12 +104,6 @@ impl Default for Limits {
         Self {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_workers: MAX_WORKERS,
-            max_library_batch: MAX_LIBRARY_BATCH,
-            max_query_batch: MAX_QUERY_BATCH,
-            max_top_k: MAX_TOP_K,
-            max_search_window_da: MAX_SEARCH_WINDOW_DA,
-            max_store_name_len: MAX_STORE_NAME_LEN,
-            max_incremental_batch: MAX_INCREMENTAL_BATCH,
         }
     }
 }
@@ -127,159 +112,109 @@ impl Default for Limits {
 mod tests {
     use super::*;
     use crate::protocol::{
-        decode_payload, encode_payload, Frame, FrameType, JobConfig, QueryWire, WireError,
+        decode_payload, encode_payload, Frame, FrameType, IncrementalAckFrame, LibraryEntryWire,
+        QueryWire, WireError,
     };
     use spechd_ms::{Peak, Precursor, Spectrum};
 
-    fn spectrum() -> Spectrum {
-        Spectrum::new(
-            "s",
-            Precursor::new(500.0, 2).unwrap(),
-            vec![Peak::new(200.0, 1.0)],
-        )
-        .unwrap()
-    }
-
-    fn open_job(workers: u32, watermark: u32) -> Frame {
-        Frame::OpenJob {
+    fn library(entries: u32) -> Frame {
+        let entry = LibraryEntryWire {
+            mass: 900.0,
+            charge: 2,
+            is_decoy: false,
+            id: String::new(),
+            words: vec![1],
+        };
+        Frame::LoadLibrary {
             job_id: 1,
-            client_id: 7,
-            config: JobConfig {
-                workers,
-                watermark,
-                ..JobConfig::default()
-            },
+            dim: 64,
+            entries: vec![entry; entries as usize],
         }
     }
 
-    fn search(window_da: f64, top_k: u32, queries: usize) -> Frame {
+    fn queries(queries: u32) -> Frame {
+        let query = QueryWire {
+            mass: 900.0,
+            words: vec![42],
+        };
         Frame::SearchQuery {
             job_id: 1,
             dim: 64,
-            window_da,
-            top_k,
-            queries: vec![
-                QueryWire {
-                    mass: 900.0,
-                    words: vec![42],
-                };
-                queries
-            ],
+            window_da: 1.0,
+            top_k: 1,
+            queries: vec![query; queries as usize],
         }
     }
 
-    /// Every configurable cap, exercised from one table: each row names
-    /// the limit, a `Limits` value with that cap tightened, a frame
-    /// sitting exactly at the tightened cap (must decode), and a frame
-    /// one past it (must be rejected). This is the single enforcement
-    /// test the scattered per-cap tests used to be.
+    fn installment(spectra: u32) -> Frame {
+        let spectrum = Spectrum::new(
+            "",
+            Precursor::new(500.0, 2).unwrap(),
+            vec![Peak::new(200.0, 1.0)],
+        )
+        .unwrap();
+        Frame::SubmitIncremental {
+            name: "s".into(),
+            seq: 0,
+            spectra: vec![spectrum; spectra as usize],
+        }
+    }
+
+    fn incremental_ack(kept: u32) -> Frame {
+        Frame::IncrementalAck(IncrementalAckFrame {
+            name: "s".into(),
+            seq: 0,
+            base_id: 0,
+            kept: vec![0; kept as usize],
+            labels: vec![0; kept as usize],
+            absorbed: 0,
+            residual: 0,
+            new_clusters: 0,
+            total_spectra: 0,
+            total_clusters: 0,
+        })
+    }
+
+    /// The count caps whose at-cap row `protocol`'s hostile-frame tests
+    /// do not hold: each frame sitting exactly at its constant decodes,
+    /// and the same frame one element longer is refused by the cap
+    /// itself.
     #[test]
-    fn every_cap_is_enforced_from_its_limits_field() {
-        let tighten = |f: fn(&mut Limits)| {
-            let mut l = Limits::default();
-            f(&mut l);
-            l
-        };
-        let table: Vec<(&str, Limits, Frame, Frame)> = vec![
+    fn every_count_cap_holds_at_its_constant() {
+        // (frame type, frame of `n` elements, the cap on `n`)
+        type Row = (FrameType, fn(u32) -> Frame, u32);
+        let table: [Row; 4] = [
+            (FrameType::LoadLibrary, library, MAX_LIBRARY_BATCH),
+            (FrameType::SearchQuery, queries, MAX_QUERY_BATCH),
             (
-                "max_workers",
-                tighten(|l| l.max_workers = 3),
-                open_job(3, 16),
-                open_job(4, 16),
+                FrameType::SubmitIncremental,
+                installment,
+                MAX_INCREMENTAL_BATCH,
             ),
             (
-                "max_library_batch",
-                tighten(|l| l.max_library_batch = 0),
-                Frame::LoadLibrary {
-                    job_id: 1,
-                    dim: 64,
-                    entries: Vec::new(),
-                },
-                Frame::LoadLibrary {
-                    job_id: 1,
-                    dim: 64,
-                    entries: vec![crate::protocol::LibraryEntryWire {
-                        mass: 900.0,
-                        charge: 2,
-                        is_decoy: false,
-                        id: "x".into(),
-                        words: vec![1],
-                    }],
-                },
-            ),
-            (
-                "max_query_batch",
-                tighten(|l| l.max_query_batch = 1),
-                search(1.0, 1, 1),
-                search(1.0, 1, 2),
-            ),
-            (
-                "max_top_k",
-                tighten(|l| l.max_top_k = 2),
-                search(1.0, 2, 1),
-                search(1.0, 3, 1),
-            ),
-            (
-                "max_search_window_da",
-                tighten(|l| l.max_search_window_da = 10.0),
-                search(10.0, 1, 1),
-                search(10.5, 1, 1),
-            ),
-            (
-                "max_store_name_len",
-                tighten(|l| l.max_store_name_len = 2),
-                Frame::StoreStats { name: "ab".into() },
-                Frame::StoreStats { name: "abc".into() },
-            ),
-            (
-                "max_incremental_batch",
-                tighten(|l| l.max_incremental_batch = 1),
-                Frame::SubmitIncremental {
-                    name: "s".into(),
-                    seq: 0,
-                    spectra: vec![spectrum()],
-                },
-                Frame::SubmitIncremental {
-                    name: "s".into(),
-                    seq: 0,
-                    spectra: vec![spectrum(), spectrum()],
-                },
+                FrameType::IncrementalAck,
+                incremental_ack,
+                MAX_INCREMENTAL_BATCH,
             ),
         ];
-        for (limit, limits, at_cap, past_cap) in table {
-            let frame_type = |f: &Frame| match f {
-                Frame::OpenJob { .. } => FrameType::OpenJob,
-                Frame::LoadLibrary { .. } => FrameType::LoadLibrary,
-                Frame::SearchQuery { .. } => FrameType::SearchQuery,
-                Frame::StoreStats { .. } => FrameType::StoreStats,
-                Frame::SubmitIncremental { .. } => FrameType::SubmitIncremental,
-                other => panic!("unexpected table frame {other:?}"),
-            };
+        for (kind, frame, at) in table {
+            let at_cap = frame(at);
+            let decoded = decode_payload(kind, &encode_payload(&at_cap), &Limits::default());
             assert_eq!(
-                decode_payload(frame_type(&at_cap), &encode_payload(&at_cap), &limits)
-                    .unwrap_or_else(|e| panic!("{limit}: at-cap frame rejected: {e}")),
+                decoded.unwrap_or_else(|e| panic!("{kind:?}: at-cap frame rejected: {e}")),
                 at_cap,
-                "{limit}: at-cap frame must decode"
+                "{kind:?}: at-cap frame must decode"
             );
-            assert!(
-                matches!(
-                    decode_payload(frame_type(&past_cap), &encode_payload(&past_cap), &limits),
-                    Err(WireError::Malformed(_))
-                ),
-                "{limit}: past-cap frame must be rejected"
-            );
-            // The same past-cap frame decodes under the defaults —
-            // proving the rejection came from the tightened field, not
-            // some other validation.
-            assert!(
-                decode_payload(
-                    frame_type(&past_cap),
-                    &encode_payload(&past_cap),
-                    &Limits::default()
-                )
-                .is_ok(),
-                "{limit}: past-cap frame must pass under defaults"
-            );
+            let past = encode_payload(&frame(at + 1));
+            match decode_payload(kind, &past, &Limits::default()) {
+                Err(WireError::Malformed(msg)) => {
+                    assert!(
+                        msg.contains("exceeds cap"),
+                        "{kind:?}: refused by the cap: {msg}"
+                    )
+                }
+                other => panic!("{kind:?}: past-cap frame must be rejected, got {other:?}"),
+            }
         }
     }
 
@@ -288,11 +223,5 @@ mod tests {
         let l = Limits::default();
         assert_eq!(l.max_frame_len, DEFAULT_MAX_FRAME_LEN);
         assert_eq!(l.max_workers, MAX_WORKERS);
-        assert_eq!(l.max_library_batch, MAX_LIBRARY_BATCH);
-        assert_eq!(l.max_query_batch, MAX_QUERY_BATCH);
-        assert_eq!(l.max_top_k, MAX_TOP_K);
-        assert_eq!(l.max_search_window_da, MAX_SEARCH_WINDOW_DA);
-        assert_eq!(l.max_store_name_len, MAX_STORE_NAME_LEN);
-        assert_eq!(l.max_incremental_batch, MAX_INCREMENTAL_BATCH);
     }
 }

@@ -20,8 +20,8 @@ OPTIONS:
                             of silence (default 60000)
     --queue-depth N         Per-job ingest queue depth in spectra — the
                             backpressure bound (default 1024)
-    --max-frame-mb N        Reject frames with payloads above N MiB
-                            (default 32)
+    --max-frame-mb N        Reject frames with payloads above N MiB,
+                            1 to 4095 (default 32)
     --max-jobs N            Shed new jobs (retryable Busy) once N are
                             live (default 1024)
     --rejoin-grace-ms N     Keep a disconnected participant's job slot
@@ -66,7 +66,10 @@ fn main() {
             "--queue-depth" => config.queue_depth = parse_arg("--queue-depth", args.next()),
             "--max-frame-mb" => {
                 let mb: u32 = parse_arg("--max-frame-mb", args.next());
-                config.limits.max_frame_len = mb.saturating_mul(1024 * 1024);
+                if !(1..4096).contains(&mb) {
+                    fail(&format!("--max-frame-mb must be 1 to 4095, not {mb}"));
+                }
+                config.limits.max_frame_len = mb * 1024 * 1024;
             }
             "--max-jobs" => config.max_jobs = parse_arg("--max-jobs", args.next()),
             "--rejoin-grace-ms" => {

@@ -34,11 +34,10 @@
 //! *connection* (an [`Frame::Error`] is sent best-effort, then the socket
 //! closes); the server itself keeps serving.
 //!
-//! Every decode-time cap — the frame cap, the worker cap, the batch
-//! counts, the store-name bound — lives in one configurable
-//! [`Limits`] value threaded into
-//! [`decode_payload`] and [`read_frame`]; the `MAX_*` constants
-//! re-exported here are its documented defaults (see [`crate::limits`]).
+//! Every decode-time cap is enforced by [`decode_payload`] and
+//! [`read_frame`] (see [`crate::limits`]): the frame and worker caps a
+//! server sets come in as a [`Limits`] value, and every other cap is one
+//! of the `MAX_*` protocol constants re-exported here.
 
 use crate::limits::Limits;
 use spechd_cluster::Linkage;
@@ -791,8 +790,9 @@ macro_rules! payloads {
 
         /// Decodes a frame's payload, given its type from the header.
         /// Rejects truncated payloads, trailing bytes, and any value
-        /// beyond the caps in `limits` — this is the single enforcement
-        /// point for every decode-time cap (see [`crate::limits`]).
+        /// beyond `limits` or the `MAX_*` protocol caps — this is the
+        /// single enforcement point for every decode-time cap (see
+        /// [`crate::limits`]).
         pub fn decode_payload(
             frame_type: FrameType,
             payload: &[u8],
@@ -1006,8 +1006,8 @@ impl Enc {
 
 /// The read half of every codec in the frame table: each reads its field
 /// and does all of its validation. Besides the cursor it carries the
-/// decode-time caps, the frame's `dim` (set by the `dim` codec, read by
-/// the row codecs after it) and the last count prefix (read by the
+/// server's [`Limits`], the frame's `dim` (set by the `dim` codec, read
+/// by the row codecs after it) and the last count prefix (read by the
 /// `paired_*` lists, which carry no count of their own).
 struct Dec<'a> {
     buf: &'a [u8],
@@ -1106,7 +1106,7 @@ impl<'a> Dec<'a> {
     }
     fn store_name(&mut self) -> Result<String, WireError> {
         let name = self.str()?;
-        check_store_name(&name, self.limits)?;
+        check_store_name(&name)?;
         Ok(name)
     }
     /// The frame's hypervector dimensionality, kept for the rows after it.
@@ -1118,20 +1118,18 @@ impl<'a> Dec<'a> {
     }
     fn window(&mut self) -> Result<f64, WireError> {
         let window_da = self.finite_f64("search window")?;
-        let max = self.limits.max_search_window_da;
-        if !(0.0..=max).contains(&window_da) {
+        if !(0.0..=MAX_SEARCH_WINDOW_DA).contains(&window_da) {
             return Err(WireError::malformed(format!(
-                "search window {window_da} outside [0, {max}]"
+                "search window {window_da} outside [0, {MAX_SEARCH_WINDOW_DA}]"
             )));
         }
         Ok(window_da)
     }
     fn top_k(&mut self) -> Result<u32, WireError> {
         let top_k = self.u32()?;
-        let max = self.limits.max_top_k;
-        if top_k == 0 || top_k > max {
+        if top_k == 0 || top_k > MAX_TOP_K {
             return Err(WireError::malformed(format!(
-                "top_k {top_k} outside [1, {max}]"
+                "top_k {top_k} outside [1, {MAX_TOP_K}]"
             )));
         }
         Ok(top_k)
@@ -1201,14 +1199,12 @@ impl<'a> Dec<'a> {
         self.list(n, Self::spectrum)
     }
     fn installment(&mut self) -> Result<Vec<Spectrum>, WireError> {
-        let cap = self.limits.max_incremental_batch;
-        let n = self.capped_count(cap, 18, "incremental spectrum")?;
+        let n = self.capped_count(MAX_INCREMENTAL_BATCH, 18, "incremental spectrum")?;
         self.list(n, Self::spectrum)
     }
     fn entries(&mut self) -> Result<Vec<LibraryEntryWire>, WireError> {
-        let cap = self.limits.max_library_batch;
         // min entry: mass + charge + decoy flag + empty id + row
-        let n = self.capped_count(cap, 14 + self.row_bytes(), "library entry")?;
+        let n = self.capped_count(MAX_LIBRARY_BATCH, 14 + self.row_bytes(), "library entry")?;
         self.list(n, |d| {
             Ok(LibraryEntryWire {
                 mass: d.finite_f64("entry mass")?,
@@ -1220,8 +1216,7 @@ impl<'a> Dec<'a> {
         })
     }
     fn queries(&mut self) -> Result<Vec<QueryWire>, WireError> {
-        let cap = self.limits.max_query_batch;
-        let n = self.capped_count(cap, 8 + self.row_bytes(), "query")?;
+        let n = self.capped_count(MAX_QUERY_BATCH, 8 + self.row_bytes(), "query")?;
         self.list(n, |d| {
             Ok(QueryWire {
                 mass: d.finite_f64("query mass")?,
@@ -1251,9 +1246,8 @@ impl<'a> Dec<'a> {
         self.list(n, Self::u64)
     }
     fn kept(&mut self) -> Result<Vec<u32>, WireError> {
-        let cap = self.limits.max_incremental_batch;
         // 4 bytes kept index + 8 bytes label per element.
-        let n = self.capped_count(cap, 12, "incremental label")?;
+        let n = self.capped_count(MAX_INCREMENTAL_BATCH, 12, "incremental label")?;
         self.list(n, Self::u32)
     }
     fn paired_u32s(&mut self) -> Result<Vec<u32>, WireError> {
@@ -1338,20 +1332,19 @@ fn check_dim(dim: u32) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Validates a store name: non-empty, at most
-/// [`Limits::max_store_name_len`] bytes, and drawn from `[A-Za-z0-9_-]`.
+/// Validates a store name: non-empty, at most [`MAX_STORE_NAME_LEN`]
+/// bytes, and drawn from `[A-Za-z0-9_-]`.
 /// Store names become server-side file names (`<store_dir>/<name>.shpk`),
 /// so the alphabet admits no separators, no dots, no traversal. The
 /// client checks too, so a bad name fails before a frame is sent.
-pub(crate) fn check_store_name(name: &str, limits: &Limits) -> Result<(), WireError> {
+pub(crate) fn check_store_name(name: &str) -> Result<(), WireError> {
     if name.is_empty() {
         return Err(WireError::malformed("store name is empty"));
     }
-    if name.len() > limits.max_store_name_len as usize {
+    if name.len() > MAX_STORE_NAME_LEN as usize {
         return Err(WireError::malformed(format!(
-            "store name length {} exceeds cap {}",
-            name.len(),
-            limits.max_store_name_len
+            "store name length {} exceeds cap {MAX_STORE_NAME_LEN}",
+            name.len()
         )));
     }
     if !name
@@ -1368,8 +1361,8 @@ pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<
     w.write_all(&encode_frame(frame))
 }
 
-/// Reads one frame from a blocking reader, enforcing every cap in
-/// `limits`. Returns [`WireError::Closed`] on a clean EOF at a frame
+/// Reads one frame from a blocking reader, enforcing `limits` and every
+/// protocol cap. Returns [`WireError::Closed`] on a clean EOF at a frame
 /// boundary; an EOF mid-frame is [`WireError::Truncated`].
 pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, WireError> {
     // First byte separately: EOF here is a clean close, EOF later is a
@@ -1383,8 +1376,8 @@ pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, WireError
 }
 
 /// Reads the rest of a frame whose first byte has arrived — header,
-/// payload, decode — enforcing every cap in `limits`. A stream that ends
-/// or stalls (a read timeout) inside the frame is
+/// payload, decode — enforcing `limits` and every protocol cap. A stream
+/// that ends or stalls (a read timeout) inside the frame is
 /// [`WireError::Truncated`].
 pub(crate) fn finish_frame(
     r: &mut impl Read,
@@ -1415,8 +1408,7 @@ mod tests {
     use super::*;
 
     /// Shadows the real `decode_payload` with the default [`Limits`],
-    /// so the suite reads as the common case; the cap-threading itself
-    /// is covered by `crate::limits`' single-table test.
+    /// so the suite reads as the common case.
     fn decode_payload(frame_type: FrameType, payload: &[u8]) -> Result<Frame, WireError> {
         super::decode_payload(frame_type, payload, &Limits::default())
     }

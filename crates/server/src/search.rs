@@ -32,6 +32,12 @@
 //! clustering jobs there is no pipeline thread and no `CloseJob` —
 //! a search job is passive state, alive exactly as long as someone
 //! holds it open.
+//!
+//! Library entries are bounded twice by [`MAX_LIBRARY_TOTAL_ENTRIES`]:
+//! per job (a load past it is a protocol-state error) and across every
+//! live job together, the registry's entry budget (a load past it is
+//! shed with the retryable [`ErrorCode::Busy`]). A job's entries return
+//! to the budget when the job leaves the registry.
 
 use crate::job::JobError;
 use crate::limits::MAX_LIBRARY_TOTAL_ENTRIES;
@@ -40,7 +46,9 @@ use crate::session::after_grace;
 use spechd_hdc::BinaryHypervector;
 use spechd_search::{HvLibrary, HvLibraryBuilder, PackedSearchConfig, PackedSearchEngine};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 struct SearchState {
     participants: u32,
@@ -83,32 +91,24 @@ impl SearchJob {
 /// The server's table of live search jobs.
 pub(crate) struct SearchRegistry {
     jobs: Mutex<HashMap<u64, Arc<SearchJob>>>,
-    linger: std::time::Duration,
-}
-
-impl Default for SearchRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
+    linger: Duration,
+    /// Library entries held by every job in the table together.
+    entries: AtomicUsize,
+    max_entries: usize,
 }
 
 impl SearchRegistry {
-    /// Creates an empty registry that removes a job the instant its
-    /// last participant leaves. Servers that want reconnecting clients
-    /// to find their library still loaded use
-    /// [`SearchRegistry::with_linger`].
-    pub(crate) fn new() -> Self {
-        Self::with_linger(std::time::Duration::ZERO)
-    }
-
-    /// Creates an empty registry whose jobs survive `linger` after the
-    /// last participant leaves, so a client whose connection dropped
+    /// Creates an empty registry. A job survives `linger` after its last
+    /// participant leaves, so a client whose connection dropped
     /// mid-session can reconnect and rejoin the job (library and all)
-    /// instead of starting over.
-    pub(crate) fn with_linger(linger: std::time::Duration) -> Self {
+    /// instead of starting over; zero removes it at once. The jobs in
+    /// the table hold at most `max_entries` library entries together.
+    pub(crate) fn new(linger: Duration, max_entries: usize) -> Self {
         Self {
             jobs: Mutex::new(HashMap::new()),
             linger,
+            entries: AtomicUsize::new(0),
+            max_entries,
         }
     }
 
@@ -199,9 +199,11 @@ impl SearchHandle {
 
     /// Appends decoded entries to the job's library, returning the
     /// post-load snapshot (the `LoadLibrary` ack). Entry row invariants
-    /// were already enforced at frame decode. Fails once the library is
-    /// sealed or when the load would exceed
-    /// [`MAX_LIBRARY_TOTAL_ENTRIES`].
+    /// were already enforced at frame decode. Fails, applying nothing,
+    /// once the library is sealed, when the load would take the job past
+    /// [`MAX_LIBRARY_TOTAL_ENTRIES`], and with the retryable
+    /// [`ErrorCode::Busy`] when it would take the registry past its
+    /// entry budget.
     pub(crate) fn load(
         &self,
         entries: Vec<LibraryEntryWire>,
@@ -217,6 +219,22 @@ impl SearchHandle {
             return Err(JobError::state(format!(
                 "library would exceed {MAX_LIBRARY_TOTAL_ENTRIES} total entries"
             )));
+        }
+        let registry = &self.registry;
+        let budget =
+            |held: usize| Some(held + entries.len()).filter(|&total| total <= registry.max_entries);
+        if registry
+            .entries
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, budget)
+            .is_err()
+        {
+            return Err(JobError::new(
+                ErrorCode::Busy,
+                format!(
+                    "the server's search jobs would hold more than {} library entries",
+                    registry.max_entries
+                ),
+            ));
         }
         let mut targets = 0u64;
         let mut decoys = 0u64;
@@ -317,9 +335,11 @@ impl Drop for SearchHandle {
             if let Some(job) = jobs.get(&job_id) {
                 let state = job.state.lock().expect("search state poisoned");
                 let expired = state.participants == 0 && state.generation == generation;
+                let held = state.targets + state.decoys;
                 drop(state);
                 if expired {
                     jobs.remove(&job_id);
+                    registry.entries.fetch_sub(held as usize, Ordering::SeqCst);
                 }
             }
         });
@@ -341,6 +361,13 @@ mod tests {
         }
     }
 
+    fn registry() -> Arc<SearchRegistry> {
+        Arc::new(SearchRegistry::new(
+            Duration::ZERO,
+            MAX_LIBRARY_TOTAL_ENTRIES,
+        ))
+    }
+
     fn random_words(dim: usize, seed: u64) -> Vec<u64> {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         BinaryHypervector::random(dim, &mut rng).words().to_vec()
@@ -348,7 +375,7 @@ mod tests {
 
     #[test]
     fn load_then_query_returns_library_path_results() {
-        let registry = Arc::new(SearchRegistry::new());
+        let registry = registry();
         let handle = registry.open_or_join(1, 128).unwrap();
         let rows: Vec<Vec<u64>> = (0..20).map(|i| random_words(128, i)).collect();
         let entries: Vec<LibraryEntryWire> = rows
@@ -409,7 +436,7 @@ mod tests {
 
     #[test]
     fn load_after_seal_is_rejected() {
-        let registry = Arc::new(SearchRegistry::new());
+        let registry = registry();
         let handle = registry.open_or_join(1, 64).unwrap();
         handle
             .load(vec![entry(900.0, "a", false, vec![1])])
@@ -424,7 +451,7 @@ mod tests {
 
     #[test]
     fn total_entry_cap_is_enforced() {
-        let registry = Arc::new(SearchRegistry::new());
+        let registry = registry();
         let handle = registry.open_or_join(1, 64).unwrap();
         // A batch that would blow past the job-total cap is refused
         // outright (its entries are not partially applied).
@@ -437,8 +464,34 @@ mod tests {
     }
 
     #[test]
+    fn library_entries_are_one_budget_over_every_job() {
+        let registry = Arc::new(SearchRegistry::new(Duration::ZERO, 3));
+        let load = |n: u64| {
+            (0..n)
+                .map(|i| entry(900.0, "x", false, vec![i]))
+                .collect::<Vec<_>>()
+        };
+        let first = registry.open_or_join(1, 64).unwrap();
+        first.load(load(2)).unwrap();
+        // Fits the second job's own cap, not what the server holds.
+        let second = registry.open_or_join(2, 64).unwrap();
+        let err = second.load(load(2)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Busy);
+        assert!(err.code.is_retryable());
+        assert_eq!(second.stats().entries, 0, "a refused load applies nothing");
+        // The first job's entries return to the budget when it goes.
+        drop(first);
+        assert_eq!(registry.len(), 1);
+        assert_eq!(second.load(load(2)).unwrap().entries, 2);
+        // A rejoin of the departed job starts from an empty library.
+        let again = registry.open_or_join(1, 64).unwrap();
+        assert_eq!(again.load(load(1)).unwrap().entries, 1);
+        assert_eq!(again.load(load(1)).unwrap_err().code, ErrorCode::Busy);
+    }
+
+    #[test]
     fn join_requires_matching_dim_and_last_drop_removes_job() {
-        let registry = Arc::new(SearchRegistry::new());
+        let registry = registry();
         let a = registry.open_or_join(9, 256).unwrap();
         let err = match registry.open_or_join(9, 128) {
             Err(e) => e,
@@ -455,7 +508,7 @@ mod tests {
 
     #[test]
     fn query_indices_are_contiguous_across_batches() {
-        let registry = Arc::new(SearchRegistry::new());
+        let registry = registry();
         let handle = registry.open_or_join(1, 64).unwrap();
         handle
             .load(vec![entry(900.0, "a", false, vec![3])])
@@ -478,7 +531,7 @@ mod tests {
 
     #[test]
     fn empty_library_query_yields_empty_hits() {
-        let registry = Arc::new(SearchRegistry::new());
+        let registry = registry();
         let handle = registry.open_or_join(1, 64).unwrap();
         let mut frames = Vec::new();
         let stats = handle.query(

@@ -9,15 +9,15 @@
 //! jobs sequentially. The **writer** drains a **bounded** outbound
 //! queue shared by the reader (direct acks) and the connection's job
 //! subscription (streamed results) — one queue, so every client sees a
-//! single total order of server frames, and one cap
-//! ([`ServerConfig::outbound_queue_depth`]) on what a connection can
-//! make the server buffer. The writer flushes at reply boundaries: a
-//! search reply (its `SearchHit` frames and the closing `SearchStats`)
-//! leaves in one flush, and any other frame is flushed once the queue
-//! runs empty behind it. A client that stops draining results is
+//! single total order of server frames, and one cap (4096 frames) on
+//! what a connection can make the server buffer. The writer flushes at
+//! reply boundaries: a search reply (its `SearchHit` frames and the
+//! closing `SearchStats`) leaves in one flush, and any other frame is
+//! flushed once the queue runs empty behind it. A client that stops draining results is
 //! dropped from its job's fan-out when the queue fills, and a socket
-//! that stops accepting writes fails the writer at the frame deadline —
-//! a stalled consumer costs a bounded queue, never the job's output.
+//! that stops accepting writes fails the writer at the frame deadline
+//! (10 s) — a stalled consumer costs a bounded queue, never the job's
+//! output.
 //!
 //! Error policy: anything the frame layer rejects — bad magic or
 //! version, an oversized length prefix, a truncated or undecodable
@@ -30,7 +30,7 @@
 //! connection stays up.
 
 use crate::job::{JobError, JobHandle, JobRegistry};
-use crate::limits::Limits;
+use crate::limits::{Limits, MAX_LIBRARY_TOTAL_ENTRIES};
 use crate::protocol::{finish_frame, write_frame, ErrorCode, Frame, WireError};
 use crate::search::{SearchHandle, SearchRegistry};
 use crate::store::{StoreRegistry, StoreSessionHandle};
@@ -42,12 +42,29 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Cap on frames queued toward one connection (direct acks plus its job
+/// subscription) — the fan-out bound: a subscriber whose queue is full
+/// when a result frame arrives is dropped from the job, so a stalled
+/// client never accumulates a job's output server-side.
+const OUTBOUND_QUEUE_DEPTH: usize = 4096;
+
+/// Once a frame has started arriving, the per-read deadline for the rest
+/// of it; a mid-frame stall is treated as a truncated frame. Also the
+/// writer's per-write deadline: a peer whose socket stops accepting bytes
+/// this long is disconnected.
+const FRAME_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Load-shedding bound on resident cluster stores; an `OpenStore` that
+/// would create one more is refused with the retryable
+/// [`ErrorCode::StoreBusy`].
+const MAX_STORES: usize = 1024;
+
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Every decode-time cap the server enforces — frame length,
-    /// per-batch counts, config ranges, store-name length — in one
-    /// [`Limits`] table applied uniformly by the frame reader.
+    /// The decode-time caps the server sets — frame length and worker
+    /// count — applied by the frame reader. Every other cap is a
+    /// protocol constant (see [`crate::limits`]).
     pub limits: Limits,
     /// How long a connection with no open (unfinished) job may sit
     /// without sending a frame before the server closes it. Connections
@@ -56,19 +73,9 @@ pub struct ServerConfig {
     /// Per-job ingest queue depth, in spectra — the backpressure bound:
     /// submitters block once the pipeline is this far behind.
     pub queue_depth: usize,
-    /// Cap on frames queued toward one connection (direct acks plus its
-    /// job subscription) — the fan-out bound: a subscriber whose queue
-    /// is full when a result frame arrives is dropped from the job, so
-    /// a stalled client never accumulates a job's output server-side.
-    pub outbound_queue_depth: usize,
     /// Reader poll interval: the granularity at which shutdown and idle
     /// deadlines are noticed.
     pub poll_interval: Duration,
-    /// Once a frame has started arriving, the per-read deadline for the
-    /// rest of it; a mid-frame stall is treated as a truncated frame.
-    /// Also the writer's per-write deadline: a peer whose socket stops
-    /// accepting bytes this long is disconnected.
-    pub frame_deadline: Duration,
     /// Load-shedding bound: at most this many clustering jobs may be
     /// live at once. An `OpenJob` that would create one more is refused
     /// with the **retryable** [`ErrorCode::Busy`] — clients back off and
@@ -87,10 +94,6 @@ pub struct ServerConfig {
     /// `OpenStore`/`PersistStore` sessions. `None` (the default) keeps
     /// stores memory-only and refuses `PersistStore`.
     pub store_dir: Option<PathBuf>,
-    /// Load-shedding bound on resident cluster stores; an `OpenStore`
-    /// that would create one more is refused with the retryable
-    /// [`ErrorCode::StoreBusy`].
-    pub max_stores: usize,
 }
 
 impl Default for ServerConfig {
@@ -99,13 +102,10 @@ impl Default for ServerConfig {
             limits: Limits::default(),
             idle_timeout: Duration::from_secs(60),
             queue_depth: 1024,
-            outbound_queue_depth: 4096,
             poll_interval: Duration::from_millis(50),
-            frame_deadline: Duration::from_secs(10),
             max_jobs: 1024,
             rejoin_grace: Duration::from_secs(2),
             store_dir: None,
-            max_stores: 1024,
         }
     }
 }
@@ -137,12 +137,11 @@ impl Server {
                 config.max_jobs,
                 config.rejoin_grace,
             )),
-            searches: Arc::new(SearchRegistry::with_linger(config.rejoin_grace)),
-            stores: StoreRegistry::new(
-                config.store_dir.clone(),
+            searches: Arc::new(SearchRegistry::new(
                 config.rejoin_grace,
-                config.max_stores,
-            ),
+                MAX_LIBRARY_TOTAL_ENTRIES,
+            )),
+            stores: StoreRegistry::new(config.store_dir.clone(), config.rejoin_grace, MAX_STORES),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -246,7 +245,6 @@ enum ReadEvent {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let config = &shared.config;
     let _ = stream.set_nodelay(true);
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -255,8 +253,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // A peer that stops accepting bytes fails the writer at the frame
     // deadline (which shuts the socket down, unblocking the reader too)
     // instead of wedging the connection threads forever.
-    let _ = writer_stream.set_write_timeout(Some(config.frame_deadline));
-    let (out_tx, out_rx) = mpsc::sync_channel::<Frame>(config.outbound_queue_depth.max(1));
+    let _ = writer_stream.set_write_timeout(Some(FRAME_DEADLINE));
+    let (out_tx, out_rx) = mpsc::sync_channel::<Frame>(OUTBOUND_QUEUE_DEPTH);
     let writer = std::thread::Builder::new()
         .name("spechd-conn-writer".into())
         .spawn(move || writer_loop(writer_stream, out_rx))
@@ -350,11 +348,7 @@ impl FrameReader<'_> {
             }
         }
         // Phase 2: the frame has started — finish it under a deadline.
-        if self
-            .stream
-            .set_read_timeout(Some(config.frame_deadline))
-            .is_err()
-        {
+        if self.stream.set_read_timeout(Some(FRAME_DEADLINE)).is_err() {
             return ReadEvent::Hangup(None);
         }
         match finish_frame(&mut self.stream, first[0], &config.limits) {

@@ -131,7 +131,7 @@ impl StoreRegistry {
             stores: Mutex::new(HashMap::new()),
             dir,
             rejoin_grace,
-            max_stores: max_stores.max(1),
+            max_stores,
         }
     }
 
