@@ -16,16 +16,17 @@
 //! `OpenJob`, and resume within the registry's rejoin grace. The slot
 //! rules — epoch steal, exactly-once `seq`, duplicate re-ack, grace
 //! expiry — are `session`'s; a slot whose grace lapses closes as if it
-//! had sent `CloseJob` (with a grace of zero a disconnect *is* a
-//! close). What is this module's own is the other direction of the
-//! stream:
+//! had sent `CloseJob` at the server's next sweep (with a grace of zero
+//! a disconnect *is* a close). What is this module's own is the other
+//! direction of the stream:
 //!
 //! * **Results** are archived per job (`emitted`) and replayed to a
 //!   rejoining participant before it re-subscribes, so frames that were
 //!   in flight when the connection died are not lost. The archive holds
 //!   exactly the job's output frames and is freed when the job leaves
-//!   the registry (a bounded linger after completion, so a participant
-//!   disconnected across finalization can still rejoin for the replay).
+//!   the registry (the first sweep a rejoin grace after completion, so a
+//!   participant disconnected across finalization can still rejoin for
+//!   the replay).
 //!
 //! Backpressure is bounded in both directions. Ingest: the job's
 //! bounded channel — when the pipeline falls behind, `submit` blocks,
@@ -46,16 +47,16 @@
 //! frame pair on the spot.
 
 use crate::protocol::{ErrorCode, Frame, JobConfig, JobStatsFrame};
-use crate::session::{after_grace, Slot};
+use crate::session::{lock, Slot, Table};
 use spechd_core::{ShardAssignment, SpecHd, StreamOutcome};
 use spechd_ms::stream::ChannelStream;
 use spechd_ms::Spectrum;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type IngestItem = (Spectrum, Option<u32>);
 
@@ -98,6 +99,7 @@ struct ClientSlot {
     closed: bool,
 }
 
+#[derive(Default)]
 struct JobState {
     /// Template sender; dropped when the last participant closes, which
     /// ends the job's stream.
@@ -109,7 +111,9 @@ struct JobState {
     subscribers: Vec<Subscriber>,
     /// Shards whose result frames have been sent.
     shards_clustered: u32,
-    finished: bool,
+    /// When the pipeline returned; the job leaves the registry once a
+    /// rejoin grace has passed since.
+    finished: Option<Instant>,
     /// Every result frame the job has broadcast, in order — the replay
     /// backlog for rejoining participants. Bounded by the job's own
     /// output (assignments + consensus + the final stats frame) and
@@ -122,18 +126,15 @@ impl JobState {
         self.clients.values().filter(|c| !c.closed).count() as u32
     }
 
-    /// Closes `client_id`'s slot if `may` allows it, and with the last
-    /// open slot drops the template — ending the job's ingest stream so
-    /// the pipeline can finalize.
-    fn close_slot(&mut self, client_id: u64, may: impl Fn(&Slot<(u64, u32)>) -> bool) {
-        let Some(client) = self.clients.get_mut(&client_id) else {
-            return;
-        };
-        if !client.closed && may(&client.slot) {
-            client.closed = true;
-            if self.participants() == 0 {
-                self.template = None;
-            }
+    /// Closes every slot `shut` picks by `client_id` and slot, and with
+    /// the last open slot drops the template — ending the job's ingest
+    /// stream so the pipeline can finalize.
+    fn close_slots(&mut self, shut: impl Fn(u64, &Slot<(u64, u32)>) -> bool) {
+        for (&client_id, client) in &mut self.clients {
+            client.closed |= shut(client_id, &client.slot);
+        }
+        if self.participants() == 0 {
+            self.template = None;
         }
     }
 }
@@ -181,7 +182,7 @@ impl Job {
     /// Observer callback, run by the pipeline once per shard in ascending
     /// key order: emits the shard's `Assignment` and `Consensus` frames.
     fn on_shard(&self, shard: ShardAssignment) {
-        let mut state = self.state.lock().expect("job state poisoned");
+        let mut state = lock(&self.state);
         state.shards_clustered += 1;
         let raw_base = shard.raw_base as u64;
         let assignment = Frame::Assignment {
@@ -204,8 +205,8 @@ impl Job {
     /// (the pipeline hands over every shard before returning), so the
     /// final `done = 1` stats frame is the job's last.
     fn on_complete(&self, outcome: &StreamOutcome) {
-        let mut state = self.state.lock().expect("job state poisoned");
-        state.finished = true;
+        let mut state = lock(&self.state);
+        state.finished = Some(Instant::now());
         let hac = outcome.outcome.stats().hac;
         let frame = Frame::JobStats(JobStatsFrame {
             job_id: self.id,
@@ -248,10 +249,9 @@ impl Job {
 
 /// The server's table of live jobs, plus their pipeline threads.
 pub struct JobRegistry {
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Table<u64, Job>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     queue_depth: usize,
-    max_jobs: usize,
     rejoin_grace: Duration,
 }
 
@@ -271,24 +271,14 @@ impl JobRegistry {
     /// disconnected participant's slot survives `rejoin_grace` for the
     /// same `client_id` to reconnect and resume. The same grace is the
     /// linger a finished job stays in the registry for result replay.
+    /// A non-zero grace runs out only at a [`sweep`](Self::sweep).
     pub(crate) fn with_policy(queue_depth: usize, max_jobs: usize, rejoin_grace: Duration) -> Self {
         Self {
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Table::new(max_jobs, ErrorCode::Busy, "jobs"),
             threads: Mutex::new(Vec::new()),
             queue_depth: queue_depth.max(1),
-            max_jobs: max_jobs.max(1),
             rejoin_grace,
         }
-    }
-
-    /// Number of live jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.lock().expect("job table poisoned").len()
-    }
-
-    /// Whether no jobs are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Opens `job_id` (creating its pipeline), joins it as a new
@@ -313,36 +303,60 @@ impl JobRegistry {
         out_tx: mpsc::SyncSender<Frame>,
     ) -> Result<JobHandle, JobError> {
         let active = Arc::new(AtomicBool::new(true));
-        let subscriber = Subscriber {
+        let mut subscriber = Some(Subscriber {
             tx: out_tx.clone(),
             active: Arc::clone(&active),
-        };
-        let mut jobs = self.jobs.lock().expect("job table poisoned");
-        if let Some(job) = jobs.get(&job_id) {
-            let job = Arc::clone(job);
-            drop(jobs);
-            let mut state = job.state.lock().expect("job state poisoned");
-            if job.config != config {
-                return Err(JobError::new(
+        });
+        let mut created = None;
+        let job = self.jobs.open(
+            job_id,
+            |job| match job.config == config {
+                true => Ok(()),
+                false => Err(JobError::new(
                     ErrorCode::ConfigMismatch,
                     format!("job {job_id} exists with a different config"),
-                ));
-            }
-            // The same `client_id` back is a rejoin: the epoch bump
-            // turns a zombie handle's close/detach into no-ops, and its
-            // dead subscription self-prunes on the next broadcast.
-            let rejoined = state
-                .clients
-                .get_mut(&client_id)
-                .map(|client| (client.slot.rejoin(), client.closed));
-            let (epoch, closed) = match rejoined {
-                Some(resumed) => {
+                )),
+            },
+            || {
+                // Build the engine before the job is registered: a config
+                // the pipeline rejects must not leave a job that never
+                // retires.
+                let engine = SpecHd::try_new(config.pipeline_config())
+                    .map_err(|e| JobError::new(ErrorCode::ConfigMismatch, e.to_string()))?;
+                let (tx, rx) = mpsc::sync_channel::<IngestItem>(self.queue_depth);
+                created = Some((engine, rx, tx.clone()));
+                Ok(Job {
+                    id: job_id,
+                    config: config.clone(),
+                    rejoin_grace: self.rejoin_grace,
+                    state: Mutex::new(JobState {
+                        template: Some(tx),
+                        clients: HashMap::from([(client_id, ClientSlot::fresh())]),
+                        subscribers: subscriber.take().into_iter().collect(),
+                        ..JobState::default()
+                    }),
+                })
+            },
+        )?;
+
+        let (epoch, closed, sender) = if let Some((engine, rx, sender)) = created {
+            self.start_pipeline(&job, engine, rx);
+            (0, false, Some(sender))
+        } else {
+            let mut state = lock(&job.state);
+            let finalizing = state.finished.is_some() || state.template.is_none();
+            let (epoch, closed) = match state.clients.get_mut(&client_id) {
+                // The same `client_id` back is a rejoin: the epoch bump
+                // turns a zombie handle's close/detach into no-ops, and
+                // its dead subscription self-prunes on the next broadcast.
+                Some(client) => {
+                    let resumed = (client.slot.rejoin(), client.closed);
                     // Replay the backlog *before* subscribing, so the
                     // rejoiner sees every frame exactly once and in order.
                     job.replay_locked(&state, &out_tx);
                     resumed
                 }
-                None if state.finished || state.template.is_none() => {
+                None if finalizing => {
                     return Err(JobError::new(
                         ErrorCode::JobClosed,
                         format!("job {job_id} is finalizing and cannot be joined"),
@@ -353,113 +367,75 @@ impl JobRegistry {
                     (0, false)
                 }
             };
-            let sender = if state.finished {
+            let sender = if state.finished.is_some() {
                 // Nothing further will be broadcast; the replay already
                 // delivered the final done frame.
                 active.store(false, Ordering::Release);
                 None
             } else {
-                state.subscribers.push(subscriber);
+                state.subscribers.extend(subscriber);
                 state.template.clone().filter(|_| !closed)
             };
-            drop(state);
-            return Ok(JobHandle {
-                job,
-                client_id,
-                epoch,
-                sender,
-                active,
-                closed,
-            });
-        }
+            (epoch, closed, sender)
+        };
+        Ok(JobHandle {
+            job,
+            client_id,
+            epoch,
+            sender,
+            active,
+            closed,
+        })
+    }
 
-        if jobs.len() >= self.max_jobs {
-            return Err(JobError::new(
-                ErrorCode::Busy,
-                format!(
-                    "job registry is full ({} jobs); retry after backoff",
-                    jobs.len()
-                ),
-            ));
-        }
-
-        // Build the engine before the job is registered: a config the
-        // pipeline rejects must not leave a job that never retires.
-        let engine = SpecHd::try_new(config.pipeline_config())
-            .map_err(|e| JobError::new(ErrorCode::ConfigMismatch, e.to_string()))?;
-        let (tx, rx) = mpsc::sync_channel::<IngestItem>(self.queue_depth);
-        let job = Arc::new(Job {
-            id: job_id,
-            config: config.clone(),
-            rejoin_grace: self.rejoin_grace,
-            state: Mutex::new(JobState {
-                template: Some(tx.clone()),
-                clients: HashMap::from([(client_id, ClientSlot::fresh())]),
-                next_index: 0,
-                submitted: 0,
-                subscribers: vec![subscriber],
-                shards_clustered: 0,
-                finished: false,
-                emitted: Vec::new(),
-            }),
-        });
-        jobs.insert(job_id, Arc::clone(&job));
-        drop(jobs);
-
+    /// Runs a new job's pipeline on a thread of its own. A zero grace
+    /// removes the job from the table as soon as it finishes (the
+    /// pre-resume behavior); otherwise a sweep does, a grace later.
+    fn start_pipeline(self: &Arc<Self>, job: &Arc<Job>, engine: SpecHd, rx: Receiver<IngestItem>) {
         let registry = Arc::clone(self);
-        let pipeline_job = Arc::clone(&job);
+        let job = Arc::clone(job);
         let handle = std::thread::Builder::new()
-            .name(format!("spechd-job-{job_id}"))
+            .name(format!("spechd-job-{}", job.id))
             .spawn(move || {
-                let stream_cfg = pipeline_job.config.stream_config();
+                let stream_cfg = job.config.stream_config();
                 let outcome =
                     engine.run_streaming_observed(ChannelStream::new(rx), &stream_cfg, |shard| {
-                        pipeline_job.on_shard(shard)
+                        job.on_shard(shard)
                     });
-                pipeline_job.on_complete(&outcome);
-                registry.retire(pipeline_job.id);
+                job.on_complete(&outcome);
+                if registry.rejoin_grace.is_zero() {
+                    registry.jobs.remove_where(|entry| entry.id == job.id);
+                }
             })
             .expect("spawn job pipeline thread");
-        let mut threads = self.threads.lock().expect("thread table poisoned");
+        let mut threads = lock(&self.threads);
         // Prune handles of pipelines that already finished — a
         // long-running server must not retain one handle per job ever
         // created until shutdown.
         threads.retain(|t| !t.is_finished());
         threads.push(handle);
-        drop(threads);
-
-        Ok(JobHandle {
-            job,
-            client_id,
-            epoch: 0,
-            sender: Some(tx),
-            active,
-            closed: false,
-        })
     }
 
-    /// Removes a finished job from the table — after the rejoin grace,
-    /// so a participant disconnected across finalization can still
-    /// rejoin and replay the results it missed. A zero grace removes
-    /// immediately (the pre-resume behavior).
-    fn retire(self: &Arc<Self>, job_id: u64) {
-        let (registry, name) = (Arc::clone(self), format!("spechd-job-{job_id}-linger"));
-        after_grace(self.rejoin_grace, name, move || {
-            let mut jobs = registry.jobs.lock().expect("job table poisoned");
-            jobs.remove(&job_id);
-        });
+    /// Closes every slot detached, and removes every job finished, at
+    /// least `grace` ago. Waits on no job's lock while it holds the
+    /// table's.
+    pub(crate) fn sweep(&self, grace: Duration) {
+        let mut expired = Vec::new();
+        for job in self.jobs.entries() {
+            let mut state = lock(&job.state);
+            state.close_slots(|_, slot| slot.lapsed(grace));
+            if state.finished.is_some_and(|since| since.elapsed() >= grace) {
+                expired.push(job.id);
+            }
+        }
+        self.jobs.remove_where(|job| expired.contains(&job.id));
     }
 
     /// Joins every pipeline thread ever spawned. Call only after all
     /// connections are gone (their dropped senders are what let the
-    /// pipelines finish).
+    /// pipelines finish) and every rejoin grace has run out.
     pub fn join_pipelines(&self) {
-        let handles: Vec<_> = self
-            .threads
-            .lock()
-            .expect("thread table poisoned")
-            .drain(..)
-            .collect();
+        let handles: Vec<_> = lock(&self.threads).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -530,11 +506,14 @@ impl JobHandle {
             return Err(JobError::state("job already closed on this connection"));
         };
         let count = spectra.len() as u32;
-        let mut state = self.job.state.lock().expect("job state poisoned");
-        let client = state
-            .clients
-            .get(&self.client_id)
-            .expect("submitting client has a slot");
+        let mut guard = lock(&self.job.state);
+        let state = &mut *guard;
+        let Some(client) = state.clients.get_mut(&self.client_id) else {
+            return Err(JobError::state(format!(
+                "client {} holds no slot in job {}",
+                self.client_id, self.job.id
+            )));
+        };
         if let Some(receipt) = client.slot.admit(self.epoch, seq)? {
             // A re-sent batch whose ack was lost: re-ack, don't
             // re-ingest.
@@ -551,10 +530,6 @@ impl JobHandle {
         }
         state.next_index += u64::from(count);
         state.submitted += u64::from(count);
-        let client = state
-            .clients
-            .get_mut(&self.client_id)
-            .expect("submitting client has a slot");
         client.slot.record(seq, (base, count));
         Ok((base, count))
     }
@@ -564,8 +539,7 @@ impl JobHandle {
     /// the snapshot is taken every earlier `Submit` on this connection
     /// has been ingested — `Flush` is a per-connection barrier.
     pub fn stats(&self) -> JobStatsFrame {
-        let state = self.job.state.lock().expect("job state poisoned");
-        self.job.stats_locked(&state)
+        self.job.stats_locked(&lock(&self.job.state))
     }
 
     /// Ends this participant's submissions **permanently** (the wire
@@ -578,30 +552,24 @@ impl JobHandle {
         }
         self.closed = true;
         self.sender = None;
-        let mut state = self.job.state.lock().expect("job state poisoned");
-        state.close_slot(self.client_id, |slot| slot.owned_by(self.epoch));
+        let mine =
+            |client_id, slot: &Slot<_>| client_id == self.client_id && slot.owned_by(self.epoch);
+        lock(&self.job.state).close_slots(mine);
     }
 
     /// The connection died without a `CloseJob`: release the slot but
     /// keep it resumable for the job's rejoin grace. If nobody rejoins
-    /// in time the slot closes as if `CloseJob` had arrived; with a
-    /// zero grace that happens immediately.
+    /// in time the slot closes at a sweep as if `CloseJob` had arrived;
+    /// with a zero grace that happens here and now.
     fn detach(&mut self) {
         self.sender = None;
-        let mut state = self.job.state.lock().expect("job state poisoned");
+        let mut state = lock(&self.job.state);
         let Some(client) = state.clients.get_mut(&self.client_id) else {
             return;
         };
-        if !client.slot.detach(self.epoch) || client.closed {
-            return;
+        if client.slot.detach(self.epoch) && self.job.rejoin_grace.is_zero() {
+            state.close_slots(|client_id, _| client_id == self.client_id);
         }
-        drop(state);
-        let (job, client_id, epoch) = (Arc::clone(&self.job), self.client_id, self.epoch);
-        let name = format!("spechd-job-{}-grace", job.id);
-        after_grace(job.rejoin_grace, name, move || {
-            let mut state = job.state.lock().expect("job state poisoned");
-            state.close_slot(client_id, |slot| slot.lapsed(epoch));
-        });
     }
 }
 
@@ -708,7 +676,49 @@ mod tests {
             panic!("a threshold fraction above 1 opened a job");
         };
         assert_eq!(err.code, ErrorCode::ConfigMismatch);
-        assert!(registry.is_empty());
+        assert_eq!(registry.jobs.len(), 0);
+        registry.join_pipelines();
+    }
+
+    /// A thread that panicked while holding job 1's state lock fails
+    /// alone: job 1's handle still submits and closes, and both job 1
+    /// and a second job run to their final frame.
+    #[test]
+    fn a_poisoned_job_lock_fails_no_later_caller() {
+        let spectra = SyntheticGenerator::new(SyntheticConfig {
+            num_spectra: 60,
+            num_peptides: 12,
+            seed: 5,
+            ..SyntheticConfig::default()
+        })
+        .generate()
+        .spectra()
+        .to_vec();
+        let registry = Arc::new(JobRegistry::new(64));
+        let config = JobConfig::default();
+        let (tx1, rx1) = mpsc::sync_channel(4096);
+        let mut first = registry.open_or_join(1, 1, config.clone(), tx1).unwrap();
+        let job = Arc::clone(&first.job);
+        let poisoner = std::thread::spawn(move || {
+            let _held = job.state.lock();
+            panic!("poisoning job 1's state on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(first.job.state.is_poisoned());
+
+        assert_eq!(first.submit(0, spectra.clone()).unwrap(), (0, 60));
+        first.close();
+        let (tx2, rx2) = mpsc::sync_channel(4096);
+        let mut second = registry.open_or_join(2, 1, config, tx2).unwrap();
+        second.submit(0, spectra).unwrap();
+        second.close();
+        for (job_id, rx) in [(1, rx1), (2, rx2)] {
+            let done = rx.iter().find_map(|frame| match frame {
+                Frame::JobStats(stats) if stats.done != 0 => Some(stats),
+                _ => None,
+            });
+            assert_eq!(done.map(|s| s.submitted), Some(60), "job {job_id}");
+        }
         registry.join_pipelines();
     }
 }

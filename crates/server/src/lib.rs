@@ -25,11 +25,14 @@
 //!   bounded per-connection queues whose stalled consumers are dropped
 //!   — in both directions, slow peers cost bounded memory, never the
 //!   job's throughput or the server's heap.
-//! * `session` (private) — the reconnect-and-resume contract, once: a
-//!   participant is its `client_id`, its slot outlives its connection
-//!   for the rejoin grace, the newest connection wins by epoch, and a
-//!   re-sent `seq` is re-acked, never re-ingested. [`job`] and `store`
-//!   both keep their slots in it.
+//! * `session` (private) — served state, once: a participant is its
+//!   `client_id`, its slot outlives its connection for the rejoin grace,
+//!   the newest connection wins by epoch, and a re-sent `seq` is
+//!   re-acked, never re-ingested. [`job`] and `store` both keep their
+//!   slots in it, and all three registries keep their entries in its one
+//!   capped table. A grace is the time its state was left, not a
+//!   thread: the server's one sweeper expires it, and a lock a panicking
+//!   thread held is taken over rather than panicking the next caller.
 //! * [`server`] — the accept loop and per-connection threads: idle
 //!   timeouts, frame deadlines, malformed-frame rejection that kills
 //!   the connection but never the server, graceful drain on shutdown.

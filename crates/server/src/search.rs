@@ -28,10 +28,11 @@
 //!
 //! Lifecycle mirrors clustering jobs where it can: a handle counts as
 //! one participant and its drop (connection gone) leaves the job; the
-//! job itself is removed when the last participant leaves. Unlike
-//! clustering jobs there is no pipeline thread and no `CloseJob` —
-//! a search job is passive state, alive exactly as long as someone
-//! holds it open.
+//! job records when its last participant left, and the server's sweep
+//! removes it a rejoin grace later unless someone joined meanwhile.
+//! Unlike clustering jobs there is no pipeline thread and no `CloseJob`
+//! — a search job is passive state, alive as long as someone holds it
+//! open, plus the grace.
 //!
 //! Library entries are bounded twice by [`MAX_LIBRARY_TOTAL_ENTRIES`]:
 //! per job (a load past it is a protocol-state error) and across every
@@ -42,28 +43,46 @@
 use crate::job::JobError;
 use crate::limits::MAX_LIBRARY_TOTAL_ENTRIES;
 use crate::protocol::{ErrorCode, Frame, HitWire, LibraryEntryWire, QueryWire, SearchStatsFrame};
-use crate::session::after_grace;
+use crate::session::{lock, try_lock, Table};
 use spechd_hdc::BinaryHypervector;
 use spechd_search::{HvLibrary, HvLibraryBuilder, PackedSearchConfig, PackedSearchEngine};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// A search job's library: loading entries until the first query seals
+/// it into its immutable, mass-sorted form.
+enum Library {
+    Loading(HvLibraryBuilder),
+    Sealed(Arc<HvLibrary>),
+}
+
+impl Library {
+    /// The sealed library, sealing a loading one first.
+    fn seal(&mut self, dim: usize) -> Arc<HvLibrary> {
+        match self {
+            Self::Sealed(library) => Arc::clone(library),
+            Self::Loading(builder) => {
+                let built = std::mem::replace(builder, HvLibraryBuilder::new(dim)).build();
+                let library = Arc::new(built);
+                *self = Self::Sealed(Arc::clone(&library));
+                library
+            }
+        }
+    }
+}
 
 struct SearchState {
     participants: u32,
-    /// Accumulates entries until the first query seals the job.
-    builder: Option<HvLibraryBuilder>,
-    /// The sealed, immutable library (`None` until sealed).
-    library: Option<Arc<HvLibrary>>,
+    /// When the last participant left; the job leaves the registry once
+    /// a rejoin grace has passed since. `None` while anyone holds it.
+    emptied: Option<Instant>,
+    library: Library,
     targets: u64,
     decoys: u64,
     queries: u64,
     hits: u64,
     next_query_index: u64,
-    /// Bumped on every join; lets a pending linger-removal recognize it
-    /// has been superseded by a rejoin.
-    generation: u64,
 }
 
 /// One search job: a shared library and its usage counters.
@@ -81,7 +100,7 @@ impl SearchJob {
             entries: state.targets + state.decoys,
             targets: state.targets,
             decoys: state.decoys,
-            sealed: u8::from(state.library.is_some()),
+            sealed: u8::from(matches!(state.library, Library::Sealed(_))),
             queries: state.queries,
             hits: state.hits,
         }
@@ -90,7 +109,7 @@ impl SearchJob {
 
 /// The server's table of live search jobs.
 pub(crate) struct SearchRegistry {
-    jobs: Mutex<HashMap<u64, Arc<SearchJob>>>,
+    jobs: Table<u64, SearchJob>,
     linger: Duration,
     /// Library entries held by every job in the table together.
     entries: AtomicUsize,
@@ -101,75 +120,77 @@ impl SearchRegistry {
     /// Creates an empty registry. A job survives `linger` after its last
     /// participant leaves, so a client whose connection dropped
     /// mid-session can reconnect and rejoin the job (library and all)
-    /// instead of starting over; zero removes it at once. The jobs in
-    /// the table hold at most `max_entries` library entries together.
+    /// instead of starting over; zero removes it at once, and otherwise
+    /// a [`sweep`](Self::sweep) does. The jobs in the table hold at most
+    /// `max_entries` library entries together.
     pub(crate) fn new(linger: Duration, max_entries: usize) -> Self {
         Self {
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Table::new(usize::MAX, ErrorCode::Busy, "search jobs"),
             linger,
             entries: AtomicUsize::new(0),
             max_entries,
         }
     }
 
-    /// Number of live search jobs.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.jobs.lock().expect("search table poisoned").len()
-    }
-
-    /// Whether no search jobs are live.
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Opens `job_id` or joins it as another participant. Joining
     /// requires the same `dim`. The returned handle counts as one
-    /// participant until dropped; the job is removed when the last
-    /// participant leaves.
+    /// participant until dropped.
     pub(crate) fn open_or_join(
         self: &Arc<Self>,
         job_id: u64,
         dim: u32,
     ) -> Result<SearchHandle, JobError> {
-        let mut jobs = self.jobs.lock().expect("search table poisoned");
-        let job = if let Some(job) = jobs.get(&job_id) {
-            let job = Arc::clone(job);
+        let join = |job: &SearchJob| {
             if job.dim != dim {
                 return Err(JobError::new(
                     ErrorCode::ConfigMismatch,
                     format!("search job {job_id} exists with dim {}, not {dim}", job.dim),
                 ));
             }
-            let mut state = job.state.lock().expect("search state poisoned");
+            // Under the table's lock, so no sweep removes the job between
+            // this join and its removal check.
+            let mut state = lock(&job.state);
             state.participants += 1;
-            state.generation += 1;
-            drop(state);
-            job
-        } else {
-            let job = Arc::new(SearchJob {
+            state.emptied = None;
+            Ok(())
+        };
+        let create = || {
+            Ok(SearchJob {
                 id: job_id,
                 dim,
                 state: Mutex::new(SearchState {
                     participants: 1,
-                    builder: Some(HvLibraryBuilder::new(dim as usize)),
-                    library: None,
+                    emptied: None,
+                    library: Library::Loading(HvLibraryBuilder::new(dim as usize)),
                     targets: 0,
                     decoys: 0,
                     queries: 0,
                     hits: 0,
                     next_query_index: 0,
-                    generation: 0,
                 }),
-            });
-            jobs.insert(job_id, Arc::clone(&job));
-            job
+            })
         };
         Ok(SearchHandle {
             registry: Arc::clone(self),
-            job,
+            job: self.jobs.open(job_id, join, create)?,
         })
+    }
+
+    /// Removes every job whose last participant left at least `grace`
+    /// ago, returning its entries to the budget. A job whose lock is
+    /// held right now is in use, and the next sweep looks again.
+    pub(crate) fn sweep(&self, grace: Duration) {
+        self.jobs.remove_where(|job| {
+            let Some(state) = try_lock(&job.state) else {
+                return false;
+            };
+            let expired = state.emptied.is_some_and(|since| since.elapsed() >= grace);
+            if expired {
+                let held = (state.targets + state.decoys) as usize;
+                self.entries.fetch_sub(held, Ordering::SeqCst);
+            }
+            expired
+        });
     }
 }
 
@@ -193,8 +214,7 @@ impl SearchHandle {
     /// A statistics snapshot of the job.
     #[cfg(test)]
     fn stats(&self) -> SearchStatsFrame {
-        let state = self.job.state.lock().expect("search state poisoned");
-        self.job.stats_locked(&state)
+        self.job.stats_locked(&lock(&self.job.state))
     }
 
     /// Appends decoded entries to the job's library, returning the
@@ -208,8 +228,9 @@ impl SearchHandle {
         &self,
         entries: Vec<LibraryEntryWire>,
     ) -> Result<SearchStatsFrame, JobError> {
-        let mut state = self.job.state.lock().expect("search state poisoned");
-        let Some(builder) = state.builder.as_mut() else {
+        let mut guard = lock(&self.job.state);
+        let state = &mut *guard;
+        let Library::Loading(builder) = &mut state.library else {
             return Err(JobError::state(format!(
                 "search job {} is sealed; no further library loads",
                 self.job.id
@@ -248,7 +269,7 @@ impl SearchHandle {
         }
         state.targets += targets;
         state.decoys += decoys;
-        Ok(self.job.stats_locked(&state))
+        Ok(self.job.stats_locked(state))
     }
 
     /// Scores a decoded query batch against the job's library in one
@@ -267,15 +288,11 @@ impl SearchHandle {
         // Seal (if first query), reserve the batch's index range, and
         // snapshot the library Arc — then score without the lock.
         let (library, base) = {
-            let mut state = self.job.state.lock().expect("search state poisoned");
-            if state.library.is_none() {
-                let builder = state.builder.take().expect("unsealed job has a builder");
-                state.library = Some(Arc::new(builder.build()));
-            }
+            let mut state = lock(&self.job.state);
+            let library = state.library.seal(self.job.dim as usize);
             let base = state.next_query_index;
             state.next_query_index += queries.len() as u64;
-            let library = state.library.as_ref().expect("sealed job has a library");
-            (Arc::clone(library), base)
+            (library, base)
         };
         let engine = PackedSearchEngine::new(PackedSearchConfig {
             precursor_tol_da: window_da,
@@ -308,7 +325,7 @@ impl SearchHandle {
                     .collect(),
             });
         }
-        let mut state = self.job.state.lock().expect("search state poisoned");
+        let mut state = lock(&self.job.state);
         state.queries += block.len() as u64;
         state.hits += emitted_hits;
         self.job.stats_locked(&state)
@@ -317,32 +334,19 @@ impl SearchHandle {
 
 impl Drop for SearchHandle {
     fn drop(&mut self) {
-        let generation = {
-            let mut state = self.job.state.lock().expect("search state poisoned");
-            state.participants = state.participants.saturating_sub(1);
-            if state.participants > 0 {
-                return;
-            }
-            state.generation
-        };
-        // Keep the empty job around for the linger so a reconnecting
+        let mut state = lock(&self.job.state);
+        state.participants = state.participants.saturating_sub(1);
+        if state.participants > 0 {
+            return;
+        }
+        // Keep the empty job around for the grace so a reconnecting
         // participant finds its library intact; a rejoin in the
-        // meantime (participants > 0 again) cancels the removal.
-        let (registry, job_id) = (Arc::clone(&self.registry), self.job.id);
-        let name = format!("spechd-search-{job_id}-linger");
-        after_grace(registry.linger, name, move || {
-            let mut jobs = registry.jobs.lock().expect("search table poisoned");
-            if let Some(job) = jobs.get(&job_id) {
-                let state = job.state.lock().expect("search state poisoned");
-                let expired = state.participants == 0 && state.generation == generation;
-                let held = state.targets + state.decoys;
-                drop(state);
-                if expired {
-                    jobs.remove(&job_id);
-                    registry.entries.fetch_sub(held as usize, Ordering::SeqCst);
-                }
-            }
-        });
+        // meantime clears `emptied` again.
+        state.emptied = Some(Instant::now());
+        drop(state);
+        if self.registry.linger.is_zero() {
+            self.registry.sweep(Duration::ZERO);
+        }
     }
 }
 
@@ -481,7 +485,7 @@ mod tests {
         assert_eq!(second.stats().entries, 0, "a refused load applies nothing");
         // The first job's entries return to the budget when it goes.
         drop(first);
-        assert_eq!(registry.len(), 1);
+        assert_eq!(registry.jobs.len(), 1);
         assert_eq!(second.load(load(2)).unwrap().entries, 2);
         // A rejoin of the departed job starts from an empty library.
         let again = registry.open_or_join(1, 64).unwrap();
@@ -501,9 +505,9 @@ mod tests {
         let b = registry.open_or_join(9, 256).unwrap();
         assert_eq!(a.stats().participants, 2);
         drop(a);
-        assert_eq!(registry.len(), 1);
+        assert_eq!(registry.jobs.len(), 1);
         drop(b);
-        assert!(registry.is_empty(), "last participant removes the job");
+        assert_eq!(registry.jobs.len(), 0, "last participant removes the job");
     }
 
     #[test]

@@ -74,7 +74,10 @@ pub struct ServerConfig {
     /// submitters block once the pipeline is this far behind.
     pub queue_depth: usize,
     /// Reader poll interval: the granularity at which shutdown and idle
-    /// deadlines are noticed.
+    /// deadlines are noticed. Also the period of the server's one
+    /// sweeper thread, which expires the job slots, finished jobs and
+    /// empty search jobs whose [`rejoin_grace`](Self::rejoin_grace) ran
+    /// out.
     pub poll_interval: Duration,
     /// Load-shedding bound: at most this many clustering jobs may be
     /// live at once. An `OpenJob` that would create one more is refused
@@ -89,6 +92,10 @@ pub struct ServerConfig {
     /// finished job (and an emptied search job) stays joinable for.
     /// Store sessions use the same window: a disconnected holder's
     /// exclusive slot stays resumable this long before the store frees.
+    /// A grace holds no thread: it is the time its state was left, which
+    /// the sweeper (or, for a store, the next `OpenStore`) judges, and
+    /// shutdown ends every grace at once, since nobody can rejoin a
+    /// stopped server.
     pub rejoin_grace: Duration,
     /// Directory of `<name>.shpk` cluster-store backing files for
     /// `OpenStore`/`PersistStore` sessions. `None` (the default) keeps
@@ -154,10 +161,15 @@ impl Server {
     }
 
     /// Serves until the shutdown flag is set, then drains: waits for
-    /// every connection thread to exit (dropping their job senders) and
-    /// joins every job pipeline. Blocking — see [`Server::spawn`] for
-    /// the backgrounded variant.
+    /// every connection thread to exit (dropping their job senders),
+    /// ends every rejoin grace, and joins every job pipeline. Blocking —
+    /// see [`Server::spawn`] for the backgrounded variant.
     pub fn serve(self) -> std::io::Result<()> {
+        let (stop_sweeper, stopped) = mpsc::channel::<()>();
+        let shared = Arc::clone(&self.shared);
+        let sweeper = std::thread::Builder::new()
+            .name("spechd-sweep".into())
+            .spawn(move || sweep_until(&shared, &stopped))?;
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shared.shutdown.load(Ordering::Acquire) {
@@ -179,6 +191,8 @@ impl Server {
         for conn in connections {
             let _ = conn.join();
         }
+        drop(stop_sweeper);
+        let _ = sweeper.join();
         self.shared.jobs.join_pipelines();
         Ok(())
     }
@@ -233,6 +247,28 @@ impl RunningServer {
 impl Drop for RunningServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// The server's one timer: every poll interval it expires what a rejoin
+/// grace kept. From the shutdown flag on, every grace has run out, since
+/// nobody can rejoin a stopping server: that closes the slots of the
+/// connections already gone, so their jobs finish and the connections
+/// drain. Once `stop` hangs up (every connection is gone) it sweeps a
+/// last time and returns.
+fn sweep_until(shared: &Shared, stop: &mpsc::Receiver<()>) {
+    loop {
+        let stopped =
+            stop.recv_timeout(shared.config.poll_interval) != Err(mpsc::RecvTimeoutError::Timeout);
+        let grace = match stopped || shared.shutdown.load(Ordering::Acquire) {
+            true => Duration::ZERO,
+            false => shared.config.rejoin_grace,
+        };
+        shared.jobs.sweep(grace);
+        shared.searches.sweep(grace);
+        if stopped {
+            return;
+        }
     }
 }
 
@@ -410,23 +446,23 @@ impl Held {
         job_id: u64,
         dim: u32,
     ) -> Result<&SearchHandle, JobError> {
-        if let Some(h) = &self.search {
-            if h.job_id() != job_id {
-                return Err(JobError::state(format!(
-                    "connection is in search job {}, not {job_id}",
-                    h.job_id()
-                )));
-            }
-            if h.dim() != dim {
-                return Err(JobError::new(
-                    ErrorCode::ConfigMismatch,
-                    format!("search job {job_id} has dim {}, not {dim}", h.dim()),
-                ));
-            }
-        } else {
-            self.search = Some(registry.open_or_join(job_id, dim)?);
+        let held = self.search.take();
+        let handle = self
+            .search
+            .insert(held.map_or_else(|| registry.open_or_join(job_id, dim), Ok)?);
+        if handle.job_id() != job_id {
+            return Err(JobError::state(format!(
+                "connection is in search job {}, not {job_id}",
+                handle.job_id()
+            )));
         }
-        Ok(self.search.as_ref().expect("search handle just ensured"))
+        if handle.dim() != dim {
+            return Err(JobError::new(
+                ErrorCode::ConfigMismatch,
+                format!("search job {job_id} has dim {}, not {dim}", handle.dim()),
+            ));
+        }
+        Ok(handle)
     }
 }
 
@@ -581,7 +617,40 @@ fn drain(w: &mut impl Write, out_rx: &mpsc::Receiver<Frame>) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{parse_header, FrameType, SearchStatsFrame, HEADER_LEN};
+    use crate::client::JobClient;
+    use crate::protocol::{parse_header, FrameType, JobConfig, SearchStatsFrame, HEADER_LEN};
+    use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
+
+    /// A participant that submits and vanishes without `CloseJob` keeps
+    /// its slot for the grace, but a stopping server ends that grace:
+    /// `shutdown` does not wait it out.
+    #[test]
+    fn a_detached_participant_does_not_hold_up_shutdown() {
+        let config = ServerConfig {
+            rejoin_grace: Duration::from_secs(20),
+            ..ServerConfig::default()
+        };
+        let running = Server::bind("127.0.0.1:0", config)
+            .and_then(Server::spawn)
+            .expect("bind and spawn");
+        let spectra = SyntheticGenerator::new(SyntheticConfig {
+            num_spectra: 40,
+            num_peptides: 8,
+            seed: 3,
+            ..SyntheticConfig::default()
+        })
+        .generate()
+        .spectra()
+        .to_vec();
+        let mut client =
+            JobClient::connect(running.addr(), 1, JobConfig::default()).expect("open job");
+        client.submit(spectra).expect("submit");
+        drop(client);
+        let started = Instant::now();
+        running.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+    }
 
     #[derive(Debug, PartialEq)]
     enum Event {

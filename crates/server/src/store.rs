@@ -20,7 +20,8 @@
 //! newest connection wins — so a half-dead socket never wedges a store.
 //! What this module adds is exclusivity: the slot belongs to one
 //! `client_id`, and until it is released (disconnect plus grace) every
-//! other client is shed.
+//! other client is shed. Nothing runs when the grace ends: the next
+//! `OpenStore` finds the slot lapsed and treats the store as free.
 //!
 //! ## Persistence
 //!
@@ -38,7 +39,6 @@
 //! disk must carry the matching config fingerprint
 //! ([`ClusterStore::ensure_compatible`]).
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -48,7 +48,7 @@ use spechd_ms::{Spectrum, SpectrumDataset};
 
 use crate::job::JobError;
 use crate::protocol::{ErrorCode, IncrementalAckFrame, JobConfig, StoreAckFrame};
-use crate::session::{after_grace, Slot};
+use crate::session::{lock, Slot, Table};
 
 /// Maps a store-layer failure to the wire error code a client should
 /// see: config/fingerprint disagreements are [`ErrorCode::ConfigMismatch`],
@@ -80,13 +80,17 @@ struct SessionSlot {
     slot: Slot<IncrementalAckFrame>,
 }
 
-/// Mutable state of one store: the archive, its engine, and the session.
-struct StoreState {
+/// The archive of one store and the engine it grows through.
+struct Archive {
     store: ClusterStore,
     engine: SpecHd,
-    config: JobConfig,
     /// Absorptions or refreshes since the last successful persist.
     dirty: bool,
+}
+
+/// Mutable state of one store: the archive and the session.
+struct StoreState {
+    archive: Archive,
     session: Option<SessionSlot>,
 }
 
@@ -95,14 +99,9 @@ struct StoreEntry {
     name: String,
     /// Backing file, when the server has a store directory.
     path: Option<PathBuf>,
-    rejoin_grace: Duration,
+    /// The config the store's engine was built from.
+    config: JobConfig,
     state: Mutex<StoreState>,
-}
-
-impl StoreEntry {
-    fn lock(&self) -> std::sync::MutexGuard<'_, StoreState> {
-        self.state.lock().expect("store state poisoned")
-    }
 }
 
 /// Owns every store resident on this server, by name.
@@ -112,11 +111,10 @@ impl StoreEntry {
 /// in-memory archive *is* the continuation state that makes a later
 /// session's labels extend the earlier session's verbatim.
 pub(crate) struct StoreRegistry {
-    stores: Mutex<HashMap<String, Arc<StoreEntry>>>,
+    stores: Table<String, StoreEntry>,
     /// Directory of `<name>.shpk` backing files; `None` = memory-only.
     dir: Option<PathBuf>,
     rejoin_grace: Duration,
-    max_stores: usize,
 }
 
 impl StoreRegistry {
@@ -128,30 +126,18 @@ impl StoreRegistry {
     /// [`ErrorCode::StoreBusy`]).
     pub(crate) fn new(dir: Option<PathBuf>, rejoin_grace: Duration, max_stores: usize) -> Self {
         Self {
-            stores: Mutex::new(HashMap::new()),
+            stores: Table::new(max_stores, ErrorCode::StoreBusy, "stores"),
             dir,
             rejoin_grace,
-            max_stores,
         }
-    }
-
-    /// Number of resident stores.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.stores.lock().expect("store registry poisoned").len()
-    }
-
-    /// Whether no store is resident.
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Opens `name` for `client_id`, creating or loading the store on
     /// first open, and claims its exclusive session slot.
     ///
     /// * A store held by a *different* client is refused with the
-    ///   retryable [`ErrorCode::StoreBusy`].
+    ///   retryable [`ErrorCode::StoreBusy`], until the holder's session
+    ///   has been detached for the rejoin grace.
     /// * The *same* client rejoining (reconnect inside the grace, or a
     ///   slot-steal while the old connection reads attached) resumes
     ///   its session: sequence numbering and the duplicate-ack record
@@ -165,15 +151,22 @@ impl StoreRegistry {
         client_id: u64,
         config: &JobConfig,
     ) -> Result<StoreSessionHandle, JobError> {
-        let entry = self.entry(name, config)?;
-        let mut state = entry.lock();
-        if state.config != *config {
-            return Err(JobError::new(
+        let join = |entry: &StoreEntry| match entry.config == *config {
+            true => Ok(()),
+            false => Err(JobError::new(
                 ErrorCode::ConfigMismatch,
                 format!("store {name} is bound to a different clustering config"),
-            ));
-        }
-        let epoch = match &mut state.session {
+            )),
+        };
+        let entry = self
+            .stores
+            .open(name.to_string(), join, || self.create(name, config))?;
+        let mut state = lock(&entry.state);
+        let session = state
+            .session
+            .as_mut()
+            .filter(|session| !session.slot.lapsed(self.rejoin_grace));
+        let epoch = match session {
             Some(session) if session.client_id != client_id => {
                 return Err(JobError::new(
                     ErrorCode::StoreBusy,
@@ -198,19 +191,9 @@ impl StoreRegistry {
         })
     }
 
-    /// Looks up or creates the named entry (engine build + optional
-    /// backing-file load happen here, exactly once per store).
-    fn entry(&self, name: &str, config: &JobConfig) -> Result<Arc<StoreEntry>, JobError> {
-        let mut stores = self.stores.lock().expect("store registry poisoned");
-        if let Some(entry) = stores.get(name) {
-            return Ok(Arc::clone(entry));
-        }
-        if stores.len() >= self.max_stores {
-            return Err(JobError::new(
-                ErrorCode::StoreBusy,
-                format!("server store cap {} reached", self.max_stores),
-            ));
-        }
+    /// Builds a new entry's engine and loads its backing file, if any:
+    /// exactly once per store.
+    fn create(&self, name: &str, config: &JobConfig) -> Result<StoreEntry, JobError> {
         let engine = SpecHd::try_new(config.pipeline_config())
             .map_err(|e| store_error(&SpecHdError::Config(e)))?;
         let path = self
@@ -223,20 +206,19 @@ impl StoreRegistry {
                 .new_store_keeping_rows()
                 .map_err(|e| store_error(&e))?,
         };
-        let entry = Arc::new(StoreEntry {
+        Ok(StoreEntry {
             name: name.to_string(),
             path,
-            rejoin_grace: self.rejoin_grace,
+            config: config.clone(),
             state: Mutex::new(StoreState {
-                store,
-                engine,
-                config: config.clone(),
-                dirty: false,
+                archive: Archive {
+                    store,
+                    engine,
+                    dirty: false,
+                },
                 session: None,
             }),
-        });
-        stores.insert(name.to_string(), Arc::clone(&entry));
-        Ok(entry)
+        })
     }
 }
 
@@ -295,20 +277,22 @@ impl StoreSessionHandle {
         self.client_id
     }
 
-    /// Locks the state iff this handle still owns the session.
-    fn owned(&self) -> Result<std::sync::MutexGuard<'_, StoreState>, JobError> {
-        let state = self.entry.lock();
-        let owns = state
-            .session
-            .as_ref()
-            .is_some_and(|s| s.client_id == self.client_id && s.slot.owned_by(self.epoch));
-        if owns {
-            Ok(state)
-        } else {
-            Err(JobError::state(format!(
+    /// Runs `op` on the archive and this handle's session slot, iff the
+    /// handle still owns the session.
+    fn owned<T>(
+        &self,
+        op: impl FnOnce(&mut Archive, &mut Slot<IncrementalAckFrame>) -> Result<T, JobError>,
+    ) -> Result<T, JobError> {
+        let mut state = lock(&self.entry.state);
+        let StoreState { archive, session } = &mut *state;
+        match session {
+            Some(s) if s.client_id == self.client_id && s.slot.owned_by(self.epoch) => {
+                op(archive, &mut s.slot)
+            }
+            _ => Err(JobError::state(format!(
                 "store session for {} was superseded",
                 self.entry.name
-            )))
+            ))),
         }
     }
 
@@ -321,38 +305,36 @@ impl StoreSessionHandle {
         seq: u64,
         spectra: Vec<Spectrum>,
     ) -> Result<IncrementalAckFrame, JobError> {
-        let mut guard = self.owned()?;
-        let state = &mut *guard;
-        let session = state.session.as_ref().expect("owned session");
-        if let Some(ack) = session.slot.admit(self.epoch, seq)? {
-            return Ok(ack);
-        }
-        let dataset = SpectrumDataset::from_spectra(spectra);
-        let outcome = state
-            .engine
-            .run_incremental(&mut state.store, &dataset)
-            .map_err(|e| store_error(&e))?;
-        let stats = outcome.stats();
-        let ack = IncrementalAckFrame {
-            name: self.entry.name.clone(),
-            seq,
-            base_id: outcome.base_id(),
-            kept: outcome.kept().iter().map(|&i| i as u32).collect(),
-            labels: outcome
-                .installment_labels()
-                .iter()
-                .map(|&l| l as u64)
-                .collect(),
-            absorbed: stats.absorbed as u64,
-            residual: stats.residual as u64,
-            new_clusters: stats.new_clusters as u64,
-            total_spectra: state.store.next_spectrum_id(),
-            total_clusters: state.store.num_clusters() as u64,
-        };
-        state.dirty = true;
-        let session = state.session.as_mut().expect("owned session");
-        session.slot.record(seq, ack.clone());
-        Ok(ack)
+        self.owned(|archive, slot| {
+            if let Some(ack) = slot.admit(self.epoch, seq)? {
+                return Ok(ack);
+            }
+            let dataset = SpectrumDataset::from_spectra(spectra);
+            let outcome = archive
+                .engine
+                .run_incremental(&mut archive.store, &dataset)
+                .map_err(|e| store_error(&e))?;
+            let stats = outcome.stats();
+            let ack = IncrementalAckFrame {
+                name: self.entry.name.clone(),
+                seq,
+                base_id: outcome.base_id(),
+                kept: outcome.kept().iter().map(|&i| i as u32).collect(),
+                labels: outcome
+                    .installment_labels()
+                    .iter()
+                    .map(|&l| l as u64)
+                    .collect(),
+                absorbed: stats.absorbed as u64,
+                residual: stats.residual as u64,
+                new_clusters: stats.new_clusters as u64,
+                total_spectra: archive.store.next_spectrum_id(),
+                total_clusters: archive.store.num_clusters() as u64,
+            };
+            archive.dirty = true;
+            slot.record(seq, ack.clone());
+            Ok(ack)
+        })
     }
 
     /// Saves the store to its backing file through the atomic
@@ -361,26 +343,25 @@ impl StoreSessionHandle {
     /// ([`ErrorCode::StoreBusy`]) and leaves any previous replica
     /// intact.
     pub(crate) fn persist(&self) -> Result<StoreAckFrame, JobError> {
-        let mut guard = self.owned()?;
-        let state = &mut *guard;
-        let Some(path) = self.entry.path.as_deref() else {
-            return Err(JobError::state(format!(
-                "store {} cannot persist: server has no store directory",
-                self.entry.name
-            )));
-        };
-        state.store.save(path).map_err(|e| {
-            let message = format!("store {} save failed: {e}", self.entry.name);
-            JobError::new(ErrorCode::StoreBusy, message)
-        })?;
-        state.dirty = false;
-        Ok(self.ack(state, 1, 0, 0))
+        self.owned(|archive, _| {
+            let Some(path) = self.entry.path.as_deref() else {
+                return Err(JobError::state(format!(
+                    "store {} cannot persist: server has no store directory",
+                    self.entry.name
+                )));
+            };
+            archive.store.save(path).map_err(|e| {
+                let message = format!("store {} save failed: {e}", self.entry.name);
+                JobError::new(ErrorCode::StoreBusy, message)
+            })?;
+            archive.dirty = false;
+            Ok(self.ack(archive, 1, 0, 0))
+        })
     }
 
     /// A point-in-time snapshot of the store's shape and session state.
     pub(crate) fn stats(&self) -> Result<StoreAckFrame, JobError> {
-        let guard = self.owned()?;
-        Ok(self.ack(&guard, 0, 0, 0))
+        self.owned(|archive, _| Ok(self.ack(archive, 0, 0, 0)))
     }
 
     /// Runs the medoid refresh / compaction pass
@@ -388,63 +369,46 @@ impl StoreSessionHandle {
     /// stable-label contract: labels may merge. Refused (fatal) on a
     /// store loaded without member rows.
     pub(crate) fn refresh(&self) -> Result<StoreAckFrame, JobError> {
-        let mut guard = self.owned()?;
-        let state = &mut *guard;
-        let report = state
-            .engine
-            .refresh_store(&mut state.store)
-            .map_err(|e| store_error(&e))?;
-        if report.refreshed > 0 || report.merged > 0 {
-            state.dirty = true;
-        }
-        Ok(self.ack(state, 0, report.refreshed, report.merged))
+        self.owned(|archive, _| {
+            let report = archive
+                .engine
+                .refresh_store(&mut archive.store)
+                .map_err(|e| store_error(&e))?;
+            if report.refreshed > 0 || report.merged > 0 {
+                archive.dirty = true;
+            }
+            Ok(self.ack(archive, 0, report.refreshed, report.merged))
+        })
     }
 
-    fn ack(&self, state: &StoreState, persisted: u8, refreshed: u64, merged: u64) -> StoreAckFrame {
+    fn ack(&self, archive: &Archive, persisted: u8, refreshed: u64, merged: u64) -> StoreAckFrame {
+        let store = &archive.store;
         StoreAckFrame {
             name: self.entry.name.clone(),
-            dim: state.store.dim() as u32,
-            fingerprint: state.store.fingerprint(),
-            spectra: state.store.next_spectrum_id(),
-            buckets: state.store.num_buckets() as u64,
-            clusters: state.store.num_clusters() as u64,
-            keeps_member_rows: u8::from(state.store.keeps_member_rows()),
-            dirty: u8::from(state.dirty),
+            dim: store.dim() as u32,
+            fingerprint: store.fingerprint(),
+            spectra: store.next_spectrum_id(),
+            buckets: store.num_buckets() as u64,
+            clusters: store.num_clusters() as u64,
+            keeps_member_rows: u8::from(store.keeps_member_rows()),
+            dirty: u8::from(archive.dirty),
             persisted,
             refreshed,
             merged,
         }
     }
-
-    /// Releases the slot: immediately when the grace is zero, otherwise
-    /// after a grace timer that a rejoin (epoch bump) supersedes.
-    fn detach(&self) {
-        let (client_id, epoch) = (self.client_id, self.epoch);
-        let released = self
-            .entry
-            .lock()
-            .session
-            .as_mut()
-            .is_some_and(|s| s.client_id == client_id && s.slot.detach(epoch));
-        if !released {
-            // Stolen by a newer connection; nothing left to release.
-            return;
-        }
-        let entry = Arc::clone(&self.entry);
-        let name = format!("spechd-store-{}-grace", entry.name);
-        after_grace(entry.rejoin_grace, name, move || {
-            let mut state = entry.lock();
-            let session = state.session.as_ref();
-            if session.is_some_and(|s| s.client_id == client_id && s.slot.lapsed(epoch)) {
-                state.session = None;
-            }
-        });
-    }
 }
 
 impl Drop for StoreSessionHandle {
     fn drop(&mut self) {
-        self.detach();
+        // Starts the session's rejoin grace, unless a newer connection
+        // already holds it.
+        let mut state = lock(&self.entry.state);
+        if let Some(session) = state.session.as_mut() {
+            if session.client_id == self.client_id {
+                session.slot.detach(self.epoch);
+            }
+        }
     }
 }
 
@@ -551,7 +515,7 @@ mod tests {
             panic!("a threshold fraction above 1 opened a store");
         };
         assert_eq!(err.code, ErrorCode::ConfigMismatch);
-        assert!(reg.is_empty());
+        assert_eq!(reg.stores.len(), 0);
     }
 
     #[test]
