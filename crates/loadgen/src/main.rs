@@ -18,6 +18,7 @@ use spechd_core::{SpecHd, SpecHdOutcome};
 use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::{Spectrum, SpectrumDataset};
 use spechd_server::{JobClient, JobConfig, ServiceOutcome};
+use std::sync::Barrier;
 use std::time::Instant;
 
 const USAGE: &str = "\
@@ -67,13 +68,18 @@ fn run_scenario(
     scenario: &Scenario,
 ) -> (Vec<ClientReport>, u128) {
     let spectra = dataset.spectra();
+    // Every client joins before any submits: one that submitted and
+    // closed before a slower sibling's `OpenJob` would let the job
+    // finalize under it.
+    let joined = &Barrier::new(scenario.connections);
     let started = Instant::now();
     let reports: Vec<ClientReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..scenario.connections)
             .map(|conn| {
                 scope.spawn(move || {
-                    let mut client = JobClient::connect(addr, job_id, JobConfig::default())
-                        .unwrap_or_else(|e| panic!("connect {addr}: {e}"));
+                    let client = JobClient::connect(addr, job_id, JobConfig::default());
+                    joined.wait();
+                    let mut client = client.unwrap_or_else(|e| panic!("connect {addr}: {e}"));
                     let slice: Vec<usize> = (conn..spectra.len())
                         .step_by(scenario.connections)
                         .collect();

@@ -56,7 +56,10 @@ const FRAME_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Load-shedding bound on resident cluster stores; an `OpenStore` that
 /// would create one more is refused with the retryable
-/// [`ErrorCode::StoreBusy`].
+/// [`ErrorCode::StoreBusy`]. Every `OpenStore` first drops the idle
+/// stores (see [`crate::store`]), so what counts toward it is the
+/// stores some connection holds, whose session is inside its rejoin
+/// grace, that hold changes their file lacks, or that are memory-only.
 const MAX_STORES: usize = 1024;
 
 /// Tunables of a [`Server`].

@@ -117,8 +117,10 @@ impl<K: Eq + Hash, E> Table<K, E> {
     }
 
     /// Removes every entry `expired` picks. It runs under the table's
-    /// lock, so it takes an entry's own lock only with [`try_lock`].
-    pub(crate) fn remove_where(&self, mut expired: impl FnMut(&E) -> bool) {
+    /// lock, where every clone of an entry is taken, so an entry's
+    /// [`Arc::strong_count`] holds still meanwhile; it takes an entry's
+    /// own lock only with [`try_lock`].
+    pub(crate) fn remove_where(&self, mut expired: impl FnMut(&Arc<E>) -> bool) {
         lock(&self.entries).retain(|_, entry| !expired(entry));
     }
 

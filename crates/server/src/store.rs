@@ -25,19 +25,30 @@
 //!
 //! ## Persistence
 //!
-//! Stores live in memory between sessions. When the server is given a
-//! store directory, `OpenStore` first tries
+//! When the server is given a store directory, `OpenStore` first tries
 //! [`ClusterStore::load_or_recover`] on `<dir>/<name>.shpk` (the
 //! crash-safe read side of the PR 9 durability path), and
 //! `PersistStore` saves through [`ClusterStore::save`] (the atomic
 //! tmp → fsync → backup-rotate → rename write side). Without a store
 //! directory the store is memory-only and `PersistStore` is refused.
 //!
-//! Config binding is strict: the store's engine is built once from the
-//! `OpenStore` config, a later `OpenStore` with a different config is
-//! refused with [`ErrorCode::ConfigMismatch`], and a store loaded from
-//! disk must carry the matching config fingerprint
-//! ([`ClusterStore::ensure_compatible`]).
+//! ## Residency
+//!
+//! An opened store stays in memory while it is *busy*, and leaves once
+//! it is *idle*: no connection holds it, its session has lapsed its
+//! rejoin grace, and reloading its `<name>.shpk` gives its archive back
+//! (it was loaded from that file, found none, or persisted since, and is
+//! not dirty). Every `OpenStore` first drops every idle store but the
+//! one it opens. An idle store opened again comes back through
+//! `load_or_recover`, bit for bit what left (SHPK re-saves
+//! bit-identically). A memory-only store is never idle.
+//!
+//! A store is bound to its dim and config fingerprint, not to the whole
+//! `OpenStore` config: a later `OpenStore` whose config fingerprints
+//! differently is refused with [`ErrorCode::ConfigMismatch`], whether
+//! the store is resident or loaded from disk
+//! ([`ClusterStore::ensure_compatible`]), and one that differs only in
+//! `workers` or `watermark` is accepted either way.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -48,7 +59,7 @@ use spechd_ms::{Spectrum, SpectrumDataset};
 
 use crate::job::JobError;
 use crate::protocol::{ErrorCode, IncrementalAckFrame, JobConfig, StoreAckFrame};
-use crate::session::{lock, Slot, Table};
+use crate::session::{lock, try_lock, Slot, Table};
 
 /// Maps a store-layer failure to the wire error code a client should
 /// see: config/fingerprint disagreements are [`ErrorCode::ConfigMismatch`],
@@ -86,6 +97,10 @@ struct Archive {
     engine: SpecHd,
     /// Absorptions or refreshes since the last successful persist.
     dirty: bool,
+    /// Reloading the backing file gives this archive back while it is
+    /// not dirty: it was loaded from the primary file, found no file at
+    /// all, or persisted since.
+    reloadable: bool,
 }
 
 /// Mutable state of one store: the archive and the session.
@@ -99,17 +114,34 @@ struct StoreEntry {
     name: String,
     /// Backing file, when the server has a store directory.
     path: Option<PathBuf>,
-    /// The config the store's engine was built from.
-    config: JobConfig,
+    /// The dim and config fingerprint the archive is bound to: what
+    /// [`ClusterStore::ensure_compatible`] checks on a reload.
+    binding: (usize, u64),
     state: Mutex<StoreState>,
+}
+
+impl StoreEntry {
+    /// Whether the store is idle, given that no thread holds the entry:
+    /// its session has lapsed (a session is absent only while the
+    /// opening thread holds the entry) and a reload gives its archive
+    /// back.
+    fn idle(&self, grace: Duration) -> bool {
+        try_lock(&self.state).is_some_and(|state| {
+            let archive = &state.archive;
+            let lapsed = state.session.as_ref().is_some_and(|s| s.slot.lapsed(grace));
+            lapsed && archive.reloadable && !archive.dirty
+        })
+    }
 }
 
 /// Owns every store resident on this server, by name.
 ///
-/// Stores are created on first `OpenStore` (loading the backing file
-/// when one exists) and stay resident until the server stops — the
-/// in-memory archive *is* the continuation state that makes a later
-/// session's labels extend the earlier session's verbatim.
+/// A store is created on the `OpenStore` that finds it absent (loading
+/// the backing file when one exists) and stays resident until an
+/// `OpenStore` of another store finds it idle (see the module docs).
+/// Until then the in-memory archive is the continuation state that makes
+/// a later session's labels extend the earlier session's verbatim;
+/// after, its backing file is.
 pub(crate) struct StoreRegistry {
     stores: Table<String, StoreEntry>,
     /// Directory of `<name>.shpk` backing files; `None` = memory-only.
@@ -142,16 +174,23 @@ impl StoreRegistry {
     ///   slot-steal while the old connection reads attached) resumes
     ///   its session: sequence numbering and the duplicate-ack record
     ///   carry over.
-    /// * A config differing from the one the store was opened (or
-    ///   persisted) with is refused with
+    /// * A config whose dim or fingerprint differs from the one the
+    ///   store was opened (or persisted) with is refused with
     ///   [`ErrorCode::ConfigMismatch`].
+    ///
+    /// First it drops every idle store but `name`.
     pub(crate) fn open(
         &self,
         name: &str,
         client_id: u64,
         config: &JobConfig,
     ) -> Result<StoreSessionHandle, JobError> {
-        let join = |entry: &StoreEntry| match entry.config == *config {
+        self.stores.remove_where(|entry| {
+            entry.name != name && Arc::strong_count(entry) == 1 && entry.idle(self.rejoin_grace)
+        });
+        let pipeline = config.pipeline_config();
+        let binding = (pipeline.encoder.dim, pipeline.fingerprint());
+        let join = |entry: &StoreEntry| match entry.binding == binding {
             true => Ok(()),
             false => Err(JobError::new(
                 ErrorCode::ConfigMismatch,
@@ -200,21 +239,20 @@ impl StoreRegistry {
             .dir
             .as_ref()
             .map(|dir| dir.join(format!("{name}.shpk")));
-        let store = match path.as_deref() {
+        let (store, reloadable) = match path.as_deref() {
             Some(p) => load_or_create(&engine, p)?,
-            None => engine
-                .new_store_keeping_rows()
-                .map_err(|e| store_error(&e))?,
+            None => (fresh_store(&engine)?, false),
         };
         Ok(StoreEntry {
             name: name.to_string(),
             path,
-            config: config.clone(),
+            binding: (engine.encoder().dim(), engine.config().fingerprint()),
             state: Mutex::new(StoreState {
                 archive: Archive {
                     store,
                     engine,
                     dirty: false,
+                    reloadable,
                 },
                 session: None,
             }),
@@ -222,23 +260,29 @@ impl StoreRegistry {
     }
 }
 
+/// A fresh row-keeping store for `engine`.
+fn fresh_store(engine: &SpecHd) -> Result<ClusterStore, JobError> {
+    engine.new_store_keeping_rows().map_err(|e| store_error(&e))
+}
+
 /// Loads the backing file (with crash recovery), or creates a fresh
 /// row-keeping store when it was never persisted. A loaded store must
-/// match the engine's dim and config fingerprint.
-fn load_or_create(engine: &SpecHd, path: &Path) -> Result<ClusterStore, JobError> {
+/// match the engine's dim and config fingerprint. The flag is whether
+/// a reload gives the store back: it was not recovered from a backup.
+fn load_or_create(engine: &SpecHd, path: &Path) -> Result<(ClusterStore, bool), JobError> {
     match ClusterStore::load_or_recover(path) {
-        Ok((store, _report)) => {
+        Ok((store, report)) => {
             store
                 .ensure_compatible(engine.encoder().dim(), engine.config().fingerprint())
                 .map_err(|e| store_error(&SpecHdError::Store(e)))?;
-            Ok(store)
+            Ok((store, !report.recovered()))
         }
         // Recovery reports a not-found only when neither the primary nor
         // a backup exists (a lone torn `.tmp` is a crashed first save):
         // the store was never persisted, so start fresh. A lost primary
         // beside a backup reports the backup's error instead.
         Err(StoreError::Io { ref source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
-            engine.new_store_keeping_rows().map_err(|e| store_error(&e))
+            Ok((fresh_store(engine)?, true))
         }
         Err(e) => Err(store_error(&SpecHdError::Store(e))),
     }
@@ -355,6 +399,7 @@ impl StoreSessionHandle {
                 JobError::new(ErrorCode::StoreBusy, message)
             })?;
             archive.dirty = false;
+            archive.reloadable = true;
             Ok(self.ack(archive, 1, 0, 0))
         })
     }
@@ -611,6 +656,175 @@ mod tests {
         // Counters are whatever the pass found; the frame carries them.
         let stats = h.stats().expect("stats");
         assert_eq!(stats.clusters + ack.merged, ack.clusters + ack.merged);
+    }
+
+    /// One session of `client` on `name`: an installment of 12 spectra
+    /// at `seed`, persisted when the registry has a store directory,
+    /// then dropped. Returns the installment's ack.
+    fn session(reg: &StoreRegistry, name: &str, client: u64, seed: u64) -> IncrementalAckFrame {
+        let h = reg.open(name, client, &JobConfig::default()).expect("open");
+        let ack = h.submit_incremental(0, spectra(12, seed)).expect("submit");
+        if reg.dir.is_some() {
+            h.persist().expect("persist");
+        }
+        ack
+    }
+
+    fn resident(reg: &StoreRegistry, name: &str) -> bool {
+        reg.stores.entries().iter().any(|entry| entry.name == name)
+    }
+
+    #[test]
+    fn a_resident_store_takes_a_reopen_that_differs_only_in_workers() {
+        let reg = registry(None);
+        let config = JobConfig::default();
+        drop(reg.open("a", 1, &config).expect("open"));
+        let other = JobConfig {
+            workers: config.workers + 1,
+            watermark: config.watermark + 1,
+            ..config
+        };
+        reg.open("a", 1, &other)
+            .expect("the same dim and fingerprint");
+    }
+
+    #[test]
+    fn a_capped_registry_takes_any_number_of_stores_in_turn() {
+        let dir = temp_dir("cap");
+        let reg = StoreRegistry::new(Some(dir.clone()), Duration::ZERO, 2);
+        for (i, name) in ["a", "b", "c", "d", "e"].into_iter().enumerate() {
+            session(&reg, name, i as u64, 60 + i as u64);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stores_opened_in_turn_leave_only_the_last_resident() {
+        let dir = temp_dir("ten");
+        let reg = registry(Some(dir.clone()));
+        for i in 0..10 {
+            session(&reg, &format!("s{i}"), i, 70 + i);
+        }
+        assert_eq!(reg.stores.len(), 1);
+        // The store being opened is never dropped first: with its file
+        // gone, s9 still continues from memory.
+        std::fs::remove_file(dir.join("s9.shpk")).expect("remove s9's file");
+        let again = reg.open("s9", 9, &JobConfig::default()).expect("reopen");
+        assert_eq!(again.stats().expect("stats").spectra, 12);
+        drop(again);
+        // Opened and dropped without a submit, a store never wrote its
+        // file, and a reload gives the same fresh store back: past the
+        // cap of 8 these too must leave.
+        let config = JobConfig::default();
+        for i in 0..10 {
+            let opened = reg.open(&format!("empty{i}"), 20 + i, &config);
+            drop(opened.expect("open"));
+        }
+        assert_eq!(reg.stores.len(), 1);
+        assert!(resident(&reg, "empty9"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An evicted store reopened from its file acks and persists exactly
+    /// what a store that stayed resident does.
+    #[test]
+    fn an_evicted_store_reopens_as_if_it_had_stayed() {
+        let dirs = [temp_dir("kept"), temp_dir("evicted")];
+        let [kept, evicted] = dirs.clone().map(|dir| registry(Some(dir)));
+        for reg in [&kept, &evicted] {
+            session(reg, "x", 1, 20);
+        }
+        session(&evicted, "y", 2, 21);
+        session(&evicted, "z", 3, 22);
+        assert!(resident(&kept, "x"));
+        assert!(!resident(&evicted, "x"), "x was not evicted");
+
+        let acks = [&kept, &evicted].map(|reg| session(reg, "x", 4, 23));
+        assert_eq!(acks[0], acks[1]);
+        let [a, b] = dirs
+            .each_ref()
+            .map(|dir| std::fs::read(dir.join("x.shpk")).expect("read"));
+        assert_eq!(a, b, "persisted bytes differ");
+        dirs.iter()
+            .for_each(|dir| drop(std::fs::remove_dir_all(dir)));
+    }
+
+    /// Opening other stores drops none of these, since none is idle: a
+    /// store a live handle holds (also one whose slot its own client took
+    /// over and released), a dirty one, one detached inside its rejoin
+    /// grace, and a memory-only one.
+    #[test]
+    fn busy_stores_are_never_evicted() {
+        let config = JobConfig::default();
+        let others = |reg: &StoreRegistry| {
+            for (i, name) in ["a", "b", "c", "d"].into_iter().enumerate() {
+                session(reg, name, 10 + i as u64, 50 + i as u64);
+            }
+        };
+
+        let dir = temp_dir("busy");
+        let reg = registry(Some(dir.clone()));
+        let held = reg.open("held", 1, &config).expect("open");
+        held.submit_incremental(0, spectra(12, 40)).expect("submit");
+        held.persist().expect("persist");
+        let zombie = reg.open("zombie", 4, &config).expect("open");
+        session(&reg, "zombie", 4, 46);
+        let dirty = reg.open("dirty", 2, &config).expect("open");
+        dirty
+            .submit_incremental(0, spectra(12, 41))
+            .expect("submit");
+        dirty.persist().expect("persist");
+        let unsaved = dirty
+            .submit_incremental(1, spectra(12, 42))
+            .expect("submit");
+        drop(dirty);
+        others(&reg);
+        assert!(resident(&reg, "held") && resident(&reg, "zombie"));
+        drop(zombie);
+        held.submit_incremental(1, spectra(8, 43))
+            .expect("the held store is live");
+        let reopened = reg.open("dirty", 3, &config).expect("reopen");
+        let stats = reopened.stats().expect("stats");
+        assert_eq!(
+            stats.spectra, unsaved.total_spectra,
+            "the unsaved installment is lost"
+        );
+
+        let graced = StoreRegistry::new(Some(dir.clone()), Duration::from_secs(60), 8);
+        let detached = session(&graced, "graced", 5, 44);
+        others(&graced);
+        let back = graced.open("graced", 5, &config).expect("rejoin");
+        let replay = back.submit_incremental(0, vec![]).expect("duplicate seq");
+        assert_eq!(replay, detached, "the session did not survive");
+
+        let memory = registry(None);
+        let only = session(&memory, "memory", 6, 45);
+        others(&memory);
+        let reopened = memory.open("memory", 7, &config).expect("reopen");
+        assert_eq!(reopened.stats().expect("stats").spectra, only.total_spectra);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store recovered from its backup is not what its primary file
+    /// holds, so it stays until it is persisted.
+    #[test]
+    fn a_recovered_store_stays_resident() {
+        let dir = temp_dir("recovered");
+        let reg = registry(Some(dir.clone()));
+        session(&reg, "r", 1, 47);
+        session(&reg, "r", 1, 48);
+        let primary = dir.join("r.shpk");
+        let mut damaged = std::fs::read(&primary).expect("primary");
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x04;
+        std::fs::write(&primary, &damaged).expect("damage the primary");
+
+        let reg = registry(Some(dir.clone()));
+        drop(reg.open("r", 2, &JobConfig::default()).expect("recover"));
+        session(&reg, "a", 3, 49);
+        session(&reg, "b", 4, 50);
+        assert!(resident(&reg, "r"), "a recovered store left");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
