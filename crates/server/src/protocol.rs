@@ -748,7 +748,7 @@ impl From<MsError> for WireError {
 // ───────────────────────── the frame table ─────────────────────────
 
 /// Expands the frame table into the four per-frame matches:
-/// `FrameType::from_wire`, `Frame::frame_type`, `encode_payload` and
+/// `FrameType::from_wire`, `Frame::frame_type`, `encode_payload_into` and
 /// [`decode_payload`]. A row is `Variant { field: codec, … }` — or
 /// `Variant[Struct] { … }` for a variant wrapping a named struct — with
 /// the fields in wire order. Each `codec` names a method on both `Enc`
@@ -777,15 +777,13 @@ macro_rules! payloads {
             }
         }
 
-        /// Encodes a frame's payload bytes (no header).
-        pub(crate) fn encode_payload(frame: &Frame) -> Vec<u8> {
-            let mut e = Enc::new();
+        /// Appends a frame's payload bytes (no header) to `e`.
+        fn encode_payload_into(e: &mut Enc, frame: &Frame) {
             match frame {
                 $(payloads!(@shape $name $([$inner])? { $($field),* }) => {
                     $(e.$codec($field);)*
                 })*
             }
-            e.buf
         }
 
         /// Decodes a frame's payload, given its type from the header.
@@ -852,17 +850,19 @@ payloads! {
     Error { code: error_code, message: str }
 }
 
-/// Encodes a full frame: header + payload.
+/// Encodes a full frame into one buffer: the header, the payload behind
+/// it, then the payload's length patched into the header.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(frame.frame_type() as u8);
-    out.push(0); // reserved
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let mut e = Enc::new();
+    e.buf.extend_from_slice(&MAGIC);
+    e.u16(VERSION);
+    e.u8(frame.frame_type() as u8);
+    e.u8(0); // reserved
+    e.u32(0); // payload length, patched below
+    encode_payload_into(&mut e, frame);
+    let len = (e.buf.len() - HEADER_LEN) as u32;
+    e.buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    e.buf
 }
 
 // ───────────────────────── encoding ─────────────────────────
@@ -875,8 +875,12 @@ struct Enc {
 }
 
 impl Enc {
+    /// Room for an ack or a search hit, the frames sent most, so that
+    /// they never regrow: a reallocation per doubling from 8 bytes cost
+    /// more than the rest of their encoding.
     fn new() -> Self {
-        Self { buf: Vec::new() }
+        let buf = Vec::with_capacity(256);
+        Self { buf }
     }
     fn u8(&mut self, v: impl Borrow<u8>) {
         self.buf.push(*v.borrow());
@@ -993,9 +997,9 @@ impl Enc {
     }
     /// Elements with no count of their own: a list parallel to the
     /// frame's last counted one, or a hypervector row (whose word count
-    /// the frame's `dim` implies).
+    /// the frame's `dim` implies). One extend of the bytes, not a write per word.
     fn paired_u64s(&mut self, v: &[u64]) {
-        v.iter().for_each(|x| self.u64(x));
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
     }
     fn paired_u32s(&mut self, v: &[u32]) {
         v.iter().for_each(|x| self.u32(x));
@@ -1049,7 +1053,11 @@ impl<'a> Dec<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(le_u64(self.take(8)?))
+    }
+    /// `n` little-endian words in one conversion of their bytes.
+    fn words(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
+        Ok(self.take(n * 8)?.chunks_exact(8).map(le_u64).collect())
     }
     fn i64(&mut self) -> Result<i64, WireError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -1254,7 +1262,7 @@ impl<'a> Dec<'a> {
         self.list(self.count, Self::u32)
     }
     fn paired_u64s(&mut self) -> Result<Vec<u64>, WireError> {
-        self.list(self.count, Self::u64)
+        self.words(self.count)
     }
     fn row_bytes(&self) -> usize {
         (self.dim as usize).div_ceil(64) * 8
@@ -1266,7 +1274,7 @@ impl<'a> Dec<'a> {
     fn row(&mut self) -> Result<Vec<u64>, WireError> {
         let dim = self.dim;
         let stride = (dim as usize).div_ceil(64);
-        let words = self.list(stride, Self::u64)?;
+        let words = self.words(stride)?;
         if dim % 64 != 0 && words[stride - 1] >> (dim % 64) != 0 {
             return Err(WireError::malformed(format!(
                 "hypervector has non-zero bits beyond dim {dim}"
@@ -1297,6 +1305,10 @@ impl<'a> Dec<'a> {
         }
         Ok(())
     }
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().unwrap())
 }
 
 /// Parses and validates a frame header, returning `(type, payload_len)`.
@@ -1401,6 +1413,12 @@ fn truncated(e: std::io::Error, what: &str) -> WireError {
         }
         _ => WireError::Io(e),
     }
+}
+
+/// A frame's payload bytes (no header).
+#[cfg(test)]
+pub(crate) fn encode_payload(frame: &Frame) -> Vec<u8> {
+    encode_frame(frame).split_off(HEADER_LEN)
 }
 
 #[cfg(test)]
@@ -1655,6 +1673,117 @@ mod tests {
             assert_eq!(encode_frame(&decoded), bytes, "byte round-trip");
         }
     }
+
+    /// FNV-1a 64 over a frame sequence's encoded bytes.
+    fn wire_digest(frames: &[Frame]) -> u64 {
+        frames
+            .iter()
+            .flat_map(encode_frame)
+            .fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
+                (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The SPHD v3 bytes of one frame of every type, of a 64-entry
+    /// `LoadLibrary` and of a 64-query search reply, pinned by digest:
+    /// an encoder rewrite must leave every one of them unchanged.
+    #[test]
+    fn encoded_bytes_match_the_recorded_digests() {
+        let frames = all_frames();
+        let mut types: Vec<u8> = frames.iter().map(|f| f.frame_type() as u8).collect();
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types.len(), 20, "one frame of every type");
+        let digests: Vec<u64> = frames
+            .iter()
+            .map(|f| wire_digest(std::slice::from_ref(f)))
+            .collect();
+        assert_eq!(digests, FRAME_DIGESTS);
+
+        let row = |i: u64| -> Vec<u64> {
+            let mut words: Vec<u64> = (0..32)
+                .map(|w| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(w))
+                .collect();
+            words[31] &= u64::MAX >> 24; // dim 2008: 40 bits in the last word
+            words
+        };
+        let load = Frame::LoadLibrary {
+            job_id: 3,
+            dim: 2008,
+            entries: (0..64)
+                .map(|i| LibraryEntryWire {
+                    mass: 400.0 + i as f64 * 7.25,
+                    charge: (i % 4) as u8,
+                    is_decoy: i % 2 == 1,
+                    id: format!("LIB_{i:04}"),
+                    words: row(i),
+                })
+                .collect(),
+        };
+        let mut reply: Vec<Frame> = (0..64)
+            .map(|q| Frame::SearchHit {
+                job_id: 3,
+                query_index: 128 + q,
+                hits: (0..q % 4)
+                    .map(|h| HitWire {
+                        library_index: (q * 5 + h) % 64,
+                        distance: (900 + q * 3 + h) as u16,
+                        mass_delta: q as f64 * 0.125 - h as f64,
+                        is_decoy: (q + h) % 2 == 1,
+                        id: format!("LIB_{:04}", (q * 5 + h) % 64),
+                    })
+                    .collect(),
+            })
+            .collect();
+        reply.push(Frame::SearchStats(SearchStatsFrame {
+            job_id: 3,
+            participants: 1,
+            entries: 64,
+            targets: 32,
+            decoys: 32,
+            sealed: 1,
+            queries: 192,
+            hits: 96,
+        }));
+        assert_eq!(
+            [wire_digest(&[load]), wire_digest(&reply)],
+            [LOAD_LIBRARY_DIGEST, SEARCH_REPLY_DIGEST]
+        );
+    }
+
+    /// Recorded from the encoder that built each payload in a `Vec` of
+    /// its own and copied it behind the header.
+    const FRAME_DIGESTS: [u64; 27] = [
+        0x5fdd_3902_507d_ab50,
+        0x4f63_fb3c_d5ca_482a,
+        0xf3bd_f099_b48a_6090,
+        0x1857_9481_1b9e_55dd,
+        0xa057_dbf4_7b4f_bced,
+        0xce42_efe5_7858_f512,
+        0x4b78_c976_4a1d_567d,
+        0xc595_47ab_dade_050b,
+        0x9032_4d0a_0bdb_8a5c,
+        0xddcc_fc32_ca1d_c6e8,
+        0x3989_8dff_b08b_34c2,
+        0x2278_d118_ef57_0c66,
+        0x1353_2e78_2c49_8f69,
+        0x734c_b1c6_d8ec_2d04,
+        0xb772_86b9_1ade_6977,
+        0xba0f_bfd6_5d58_9d18,
+        0x3f62_af4d_282f_f0d0,
+        0x6b66_32e1_db1f_2792,
+        0x0b14_57e3_025c_50f2,
+        0x0cd9_fca5_6b7d_4337,
+        0x067e_a38f_6a7e_0a9c,
+        0xaf92_3c76_7334_59e8,
+        0x71c5_019f_9a59_da1c,
+        0x2e3b_6059_ccd8_3da4,
+        0x7654_fb9b_f89d_654b,
+        0xde95_eac3_d09f_bb5f,
+        0x2266_3960_4975_552e,
+    ];
+    const LOAD_LIBRARY_DIGEST: u64 = 0x8891_769d_87f1_954c;
+    const SEARCH_REPLY_DIGEST: u64 = 0x1949_065c_9af5_42f2;
 
     /// Every proper prefix of every frame must decode to an error, never
     /// a frame and never a panic.

@@ -259,8 +259,8 @@ impl SearchHandle {
         }
         let mut targets = 0u64;
         let mut decoys = 0u64;
-        for e in &entries {
-            builder.push_row_words(&e.words, e.mass, e.charge, e.id.as_str(), e.is_decoy);
+        for e in entries {
+            builder.push_row_words(&e.words, e.mass, e.charge, e.id, e.is_decoy);
             if e.is_decoy {
                 decoys += 1;
             } else {

@@ -1,23 +1,28 @@
-//! The TCP front end: accept loop, per-connection reader/writer
-//! threads, timeouts, and graceful shutdown.
+//! The TCP front end: accept loop, per-connection threads, timeouts,
+//! and graceful shutdown.
 //!
-//! Each connection gets two threads. The **reader** polls the socket in
-//! short intervals (so it can notice shutdown and idle deadlines
-//! without a frame arriving), reads and dispatches one frame at a time,
-//! and owns the connection's [`JobHandle`]; once a handle settles (job
-//! closed and finished) the reader vacates it, so a connection can run
-//! jobs sequentially. The **writer** drains a **bounded** outbound
-//! queue shared by the reader (direct acks) and the connection's job
-//! subscription (streamed results) — one queue, so every client sees a
-//! single total order of server frames, and one cap (4096 frames) on
-//! what a connection can make the server buffer. The writer flushes at
-//! reply boundaries: a search reply (its `SearchHit` frames and the
-//! closing `SearchStats`) leaves in one flush, and any other frame is
-//! flushed once the queue runs empty behind it. A client that stops draining results is
-//! dropped from its job's fan-out when the queue fills, and a socket
-//! that stops accepting writes fails the writer at the frame deadline
-//! (10 s) — a stalled consumer costs a bounded queue, never the job's
-//! output.
+//! A connection starts with one thread. It polls the socket in short
+//! intervals (so it can notice shutdown and idle deadlines without a
+//! frame arriving), reads and dispatches one frame at a time through one
+//! buffered reader, and owns the connection's [`JobHandle`]; once a
+//! handle settles (job closed and finished) it vacates it, so a
+//! connection can run jobs sequentially. Until the connection opens a
+//! job, the same thread writes every reply: an ack, or a search reply's
+//! `SearchHit` frames and its closing `SearchStats`, is encoded into the
+//! connection's 64 KiB write buffer and flushed once, before the next
+//! request is read. A job's pipeline makes frames this thread did not
+//! compute, so `OpenJob` starts a **writer** thread and a **bounded**
+//! outbound queue, and from then on every frame of the connection, acks
+//! and streamed results alike, goes through that queue — one queue, so
+//! every client sees a single total order of server frames, and one cap
+//! (4096 frames) on what a connection can make the server buffer. The
+//! writer flushes at reply boundaries: a search reply leaves in one
+//! flush, and any other frame is flushed once the queue runs empty
+//! behind it. A client that stops draining results is dropped from its
+//! job's fan-out when the queue fills, and a socket that stops
+//! accepting writes fails the write at the frame deadline (10 s) and is
+//! shut down — a stalled consumer costs a bounded queue, never the
+//! job's output.
 //!
 //! Error policy: anything the frame layer rejects — bad magic or
 //! version, an oversized length prefix, a truncated or undecodable
@@ -34,25 +39,30 @@ use crate::limits::{Limits, MAX_LIBRARY_TOTAL_ENTRIES};
 use crate::protocol::{finish_frame, write_frame, ErrorCode, Frame, WireError};
 use crate::search::{SearchHandle, SearchRegistry};
 use crate::store::{StoreRegistry, StoreSessionHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Cap on frames queued toward one connection (direct acks plus its job
-/// subscription) — the fan-out bound: a subscriber whose queue is full
-/// when a result frame arrives is dropped from the job, so a stalled
-/// client never accumulates a job's output server-side.
+/// Cap on frames queued toward one connection once it has opened a job
+/// (its acks plus its job subscription) — the fan-out bound: a
+/// subscriber whose queue is full when a result frame arrives is
+/// dropped from the job, so a stalled client never accumulates a job's
+/// output server-side.
 const OUTBOUND_QUEUE_DEPTH: usize = 4096;
 
 /// Once a frame has started arriving, the per-read deadline for the rest
 /// of it; a mid-frame stall is treated as a truncated frame. Also the
-/// writer's per-write deadline: a peer whose socket stops accepting bytes
-/// this long is disconnected.
+/// per-write deadline of every reply: a peer whose socket stops accepting
+/// bytes this long is disconnected.
 const FRAME_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Capacity of a connection's read buffer and of the buffer its own
+/// replies are encoded into: a 64-query search reply is one write.
+const SOCKET_BUFFER: usize = 64 * 1024;
 
 /// Load-shedding bound on resident cluster stores; an `OpenStore` that
 /// would create one more is refused with the retryable
@@ -207,8 +217,7 @@ impl Server {
         let shared = Arc::clone(&self.shared);
         let thread = std::thread::Builder::new()
             .name("spechd-accept".into())
-            .spawn(move || self.serve())
-            .expect("spawn accept thread");
+            .spawn(move || self.serve())?;
         Ok(RunningServer {
             addr,
             shared,
@@ -285,25 +294,31 @@ enum ReadEvent {
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    // A peer that stops accepting bytes fails a write at the frame
+    // deadline instead of wedging the connection forever.
+    let _ = stream.set_write_timeout(Some(FRAME_DEADLINE));
+    let Ok(write_half) = stream.try_clone() else {
+        return;
     };
-    // A peer that stops accepting bytes fails the writer at the frame
-    // deadline (which shuts the socket down, unblocking the reader too)
-    // instead of wedging the connection threads forever.
-    let _ = writer_stream.set_write_timeout(Some(FRAME_DEADLINE));
-    let (out_tx, out_rx) = mpsc::sync_channel::<Frame>(OUTBOUND_QUEUE_DEPTH);
-    let writer = std::thread::Builder::new()
-        .name("spechd-conn-writer".into())
-        .spawn(move || writer_loop(writer_stream, out_rx))
-        .expect("spawn connection writer thread");
-
     let mut reader = FrameReader {
-        stream,
+        stream: BufReader::with_capacity(SOCKET_BUFFER, &stream),
         shared,
         last_activity: Instant::now(),
     };
+    let out = Outbound {
+        direct: BufWriter::with_capacity(SOCKET_BUFFER, write_half),
+        queue: None,
+    };
+    serve_requests(|engaged| reader.next_frame(engaged), shared, out);
+}
+
+/// Answers one connection's requests until it hangs up. Each reply goes
+/// out through `out` before `next_frame` reads the next request.
+fn serve_requests<S: Socket>(
+    mut next_frame: impl FnMut(bool) -> ReadEvent,
+    shared: &Shared,
+    mut out: Outbound<S>,
+) {
     let mut held = Held::default();
     loop {
         // Idle exemption stays clustering-only: search and store
@@ -313,36 +328,103 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         // detaches the store session into its rejoin grace).
         let engaged = held.job.as_ref().is_some_and(JobHandle::is_active);
         // The one place a frame's outcome becomes what goes back.
-        let reply = match reader.next_frame(engaged) {
-            ReadEvent::Frame(frame) => match dispatch(frame, &mut held, shared, &out_tx) {
+        let reply = match next_frame(engaged) {
+            ReadEvent::Frame(frame) => match dispatch(frame, &mut held, shared, &mut out) {
                 Ok(Some(reply)) => reply,
                 Ok(None) => continue,
                 Err(JobError { code, message }) => Frame::Error { code, message },
             },
             ReadEvent::Hangup(parting) => {
                 if let Some((code, message)) = parting {
-                    let _ = out_tx.send(Frame::Error { code, message });
+                    out.send(Frame::Error { code, message }, true);
                 }
                 break;
             }
         };
-        let _ = out_tx.send(reply);
+        out.send(reply, true);
     }
     // Dropping the handles ends this connection's job participations;
     // if it was a job's last participant the clustering stream ends
     // (pipeline finalizes) / the search job is removed / the store
-    // session detaches into its rejoin grace. Dropping `out_tx` lets
-    // the writer exit once the job's subscription (if any) is gone too.
+    // session detaches into its rejoin grace. Dropping the queue's
+    // sender lets the writer, if any, exit once the job's subscription
+    // is gone too.
     drop(held);
-    drop(out_tx);
-    let _ = writer.join();
+    if let Some((out_tx, writer)) = out.queue {
+        drop(out_tx);
+        let _ = writer.join();
+    }
+}
+
+/// The write half of a connection: the socket its thread writes its own
+/// replies to, and a job's writer thread a second handle on.
+trait Socket: Write + Send + Sized + 'static {
+    /// A second handle on the same connection.
+    fn try_clone(&self) -> std::io::Result<Self>;
+    /// Ends the connection both ways, so its reader sees the hang-up.
+    fn shutdown(&self);
+}
+
+impl Socket for TcpStream {
+    fn try_clone(&self) -> std::io::Result<Self> {
+        TcpStream::try_clone(self)
+    }
+
+    fn shutdown(&self) {
+        let _ = TcpStream::shutdown(self, Shutdown::Both);
+    }
+}
+
+/// Where one connection's frames go: into its write buffer, or, once it
+/// has opened a job, through the bounded queue to its writer thread.
+struct Outbound<S: Socket> {
+    direct: BufWriter<S>,
+    queue: Option<(mpsc::SyncSender<Frame>, JoinHandle<()>)>,
+}
+
+impl<S: Socket> Outbound<S> {
+    /// Sends one frame, flushing a direct write once `ends_reply`. A
+    /// write that fails shuts the socket down, on this thread as on the
+    /// writer, so later writes fail at once and the next read hangs up.
+    fn send(&mut self, frame: Frame, ends_reply: bool) {
+        if let Some((out_tx, _)) = &self.queue {
+            let _ = out_tx.send(frame);
+            return;
+        }
+        let mut sent = write_frame(&mut self.direct, &frame);
+        if ends_reply && sent.is_ok() {
+            sent = self.direct.flush();
+        }
+        if sent.is_err() {
+            self.direct.get_ref().shutdown();
+        }
+    }
+
+    /// The queue a job subscribes to, started with its writer on first
+    /// use. A writer that cannot start is the retryable
+    /// [`ErrorCode::Busy`], and the connection goes on writing its own
+    /// replies.
+    fn queue(&mut self) -> Result<mpsc::SyncSender<Frame>, JobError> {
+        if let Some((out_tx, _)) = &self.queue {
+            return Ok(out_tx.clone());
+        }
+        let (out_tx, out_rx) = mpsc::sync_channel(OUTBOUND_QUEUE_DEPTH);
+        let writer = self.direct.get_ref().try_clone().and_then(|socket| {
+            std::thread::Builder::new()
+                .name("spechd-conn-writer".into())
+                .spawn(move || writer_loop(socket, out_rx))
+        });
+        let busy = |e| JobError::new(ErrorCode::Busy, format!("no writer thread: {e}"));
+        self.queue = Some((out_tx.clone(), writer.map_err(busy)?));
+        Ok(out_tx)
+    }
 }
 
 /// Reads frames off a socket with a poll loop for the first byte (so
 /// shutdown and idle deadlines are honored between frames) and a
 /// deadline for the rest of each frame.
 struct FrameReader<'a> {
-    stream: TcpStream,
+    stream: BufReader<&'a TcpStream>,
     shared: &'a Shared,
     last_activity: Instant,
 }
@@ -352,11 +434,8 @@ impl FrameReader<'_> {
         let config = &self.shared.config;
         // Phase 1: poll for the frame's first byte.
         let mut first = [0u8];
-        if self
-            .stream
-            .set_read_timeout(Some(config.poll_interval))
-            .is_err()
-        {
+        let socket = *self.stream.get_ref();
+        if socket.set_read_timeout(Some(config.poll_interval)).is_err() {
             return ReadEvent::Hangup(None);
         }
         loop {
@@ -369,12 +448,7 @@ impl FrameReader<'_> {
             match self.stream.read(&mut first) {
                 Ok(0) => return ReadEvent::Hangup(None),
                 Ok(_) => break,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     if !engaged && self.last_activity.elapsed() >= config.idle_timeout {
                         return ReadEvent::Hangup(Some((
                             ErrorCode::IdleTimeout,
@@ -382,12 +456,12 @@ impl FrameReader<'_> {
                         )));
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return ReadEvent::Hangup(None),
             }
         }
         // Phase 2: the frame has started — finish it under a deadline.
-        if self.stream.set_read_timeout(Some(FRAME_DEADLINE)).is_err() {
+        if socket.set_read_timeout(Some(FRAME_DEADLINE)).is_err() {
             return ReadEvent::Hangup(None);
         }
         match finish_frame(&mut self.stream, first[0], &config.limits) {
@@ -395,17 +469,10 @@ impl FrameReader<'_> {
                 self.last_activity = Instant::now();
                 ReadEvent::Frame(frame)
             }
-            Err(e) => hangup_for(e),
+            Err(WireError::Closed | WireError::Io(_)) => ReadEvent::Hangup(None),
+            Err(e) => ReadEvent::Hangup(Some((e.error_code(), e.to_string()))),
         }
     }
-}
-
-fn hangup_for(e: WireError) -> ReadEvent {
-    let parting = match &e {
-        WireError::Closed | WireError::Io(_) => None,
-        _ => Some((e.error_code(), e.to_string())),
-    };
-    ReadEvent::Hangup(parting)
 }
 
 /// The sessions one connection holds: at most one of each kind at a
@@ -472,11 +539,11 @@ impl Held {
 /// Applies one client frame to the connection's sessions: `Ok(Some)` is
 /// the frame's direct ack, `Ok(None)` means it has none (`CloseJob`),
 /// `Err` becomes a [`Frame::Error`] and the connection stays up.
-fn dispatch(
+fn dispatch<S: Socket>(
     frame: Frame,
     held: &mut Held,
     shared: &Shared,
-    out_tx: &mpsc::SyncSender<Frame>,
+    out: &mut Outbound<S>,
 ) -> Result<Option<Frame>, JobError> {
     Ok(Some(match frame {
         Frame::OpenJob {
@@ -493,9 +560,10 @@ fn dispatch(
             if held.job.is_some() {
                 return Err(JobError::state("connection already has an open job"));
             }
+            let out_tx = out.queue()?;
             let handle = shared
                 .jobs
-                .open_or_join(job_id, client_id, config, out_tx.clone())?;
+                .open_or_join(job_id, client_id, config, out_tx)?;
             Frame::JobStats(held.job.insert(handle).stats())
         }
         Frame::Submit {
@@ -528,15 +596,13 @@ fn dispatch(
             top_k,
             queries,
         } => {
-            // Hit frames go through the same bounded outbound queue as
-            // everything else: a full queue blocks the reader here, so
-            // a client that stops draining its results stops being
-            // served — backpressure, not buffering.
-            let emit = |hit: Frame| {
-                let _ = out_tx.send(hit);
-            };
+            // Hit frames go where every other frame of the connection
+            // goes. Into the write buffer, to leave with the closing
+            // stats; or, once a job is open, into the bounded queue,
+            // where a full queue blocks this thread, so a client that
+            // stops draining its results stops being served.
             let search = held.search(&shared.searches, job_id, dim)?;
-            Frame::SearchStats(search.query(window_da, top_k, queries, emit))
+            Frame::SearchStats(search.query(window_da, top_k, queries, |hit| out.send(hit, false)))
         }
         Frame::OpenStore {
             name,
@@ -584,14 +650,12 @@ fn dispatch(
 
 /// Drains the connection's outbound queue onto the socket, flushing at
 /// reply boundaries (see [`drain`]). Exits when every sender is gone
-/// (reader exited and job subscription pruned) or on a write failure —
-/// in which case it shuts the socket down so the reader notices too.
-fn writer_loop(stream: TcpStream, out_rx: mpsc::Receiver<Frame>) {
-    let mut w = std::io::BufWriter::new(stream);
+/// (reader exited and job subscription pruned) or on a write failure,
+/// and shuts the socket down so the reader notices too.
+fn writer_loop(socket: impl Socket, out_rx: mpsc::Receiver<Frame>) {
+    let mut w = BufWriter::new(socket);
     let _ = drain(&mut w, &out_rx);
-    if let Ok(stream) = w.into_inner() {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
+    w.get_ref().shutdown();
 }
 
 /// Writes queued frames to `w` until every sender is gone or a write
@@ -621,7 +685,10 @@ fn drain(w: &mut impl Write, out_rx: &mpsc::Receiver<Frame>) -> std::io::Result<
 mod tests {
     use super::*;
     use crate::client::JobClient;
-    use crate::protocol::{parse_header, FrameType, JobConfig, SearchStatsFrame, HEADER_LEN};
+    use crate::protocol::{
+        parse_header, FrameType, JobConfig, LibraryEntryWire, QueryWire, SearchStatsFrame,
+        HEADER_LEN,
+    };
     use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 
     /// A participant that submits and vanishes without `CloseJob` keeps
@@ -657,19 +724,29 @@ mod tests {
 
     #[derive(Debug, PartialEq)]
     enum Event {
-        Wrote(FrameType),
+        /// One `write` call, and the frames it carried.
+        Wrote(Vec<FrameType>),
         Flushed,
+        /// The connection asked for its next request.
+        Read,
     }
 
-    /// A writer that reports every frame it is handed and every flush.
-    /// `write_frame` hands it one whole frame per call.
+    /// A writer that reports every write, with the frames in it, and
+    /// every flush. Each write holds whole frames: `write_frame` hands
+    /// over one frame per call, and a `BufWriter` whole buffered ones.
     struct Recorder(mpsc::Sender<Event>);
 
     impl Write for Recorder {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let header: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("a frame");
-            let (frame_type, _) = parse_header(header, u32::MAX).expect("a frame header");
-            let _ = self.0.send(Event::Wrote(frame_type));
+            let mut frames = Vec::new();
+            let mut rest = buf;
+            while !rest.is_empty() {
+                let header: &[u8; HEADER_LEN] = rest[..HEADER_LEN].try_into().expect("a frame");
+                let (frame_type, len) = parse_header(header, u32::MAX).expect("a frame header");
+                frames.push(frame_type);
+                rest = &rest[HEADER_LEN + len as usize..];
+            }
+            let _ = self.0.send(Event::Wrote(frames));
             Ok(buf.len())
         }
 
@@ -677,6 +754,137 @@ mod tests {
             let _ = self.0.send(Event::Flushed);
             Ok(())
         }
+    }
+
+    /// A socket no writer thread can get a second handle on.
+    impl Socket for Recorder {
+        fn try_clone(&self) -> std::io::Result<Self> {
+            Err(std::io::Error::other("a recorder has one handle"))
+        }
+
+        fn shutdown(&self) {}
+    }
+
+    /// A connection's outbound side, writing to a recorder.
+    fn recorded(events: mpsc::Sender<Event>) -> Outbound<Recorder> {
+        Outbound {
+            direct: BufWriter::with_capacity(SOCKET_BUFFER, Recorder(events)),
+            queue: None,
+        }
+    }
+
+    /// Serves `requests` on one connection that writes to a recorder and
+    /// then hangs up: what the connection read and wrote, in order.
+    fn converse(requests: Vec<Frame>) -> Vec<Event> {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let (events_tx, events) = mpsc::channel();
+        let reads = events_tx.clone();
+        let mut requests = requests.into_iter();
+        let next_frame = |_engaged| {
+            let _ = reads.send(Event::Read);
+            requests
+                .next()
+                .map_or(ReadEvent::Hangup(None), ReadEvent::Frame)
+        };
+        serve_requests(next_frame, &server.shared, recorded(events_tx));
+        events.try_iter().collect()
+    }
+
+    fn load_library() -> Frame {
+        Frame::LoadLibrary {
+            job_id: 1,
+            dim: 64,
+            entries: (0..8u32)
+                .map(|i| LibraryEntryWire {
+                    mass: 500.0 + f64::from(i) * 0.01,
+                    charge: 2,
+                    is_decoy: i % 2 == 1,
+                    id: format!("e{i}"),
+                    words: vec![u64::from(i) * 0x0101_0101],
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn a_direct_search_reply_leaves_in_one_write_and_one_flush() {
+        let query = Frame::SearchQuery {
+            job_id: 1,
+            dim: 64,
+            window_da: 0.05,
+            top_k: 3,
+            queries: (0..64u32)
+                .map(|q| QueryWire {
+                    mass: 500.0 + f64::from(q % 8) * 0.01,
+                    words: vec![u64::from(q)],
+                })
+                .collect(),
+        };
+        let mut reply = vec![FrameType::SearchHit; 64];
+        reply.push(FrameType::SearchStats);
+        assert_eq!(
+            converse(vec![load_library(), query]),
+            [
+                Event::Read,
+                Event::Wrote(vec![FrameType::SearchStats]),
+                Event::Flushed,
+                Event::Read,
+                Event::Wrote(reply),
+                Event::Flushed,
+                Event::Read,
+            ]
+        );
+    }
+
+    #[test]
+    fn an_ack_is_flushed_before_the_next_request_is_read() {
+        let name = "acks".to_string();
+        let requests = vec![
+            Frame::OpenStore {
+                name: name.clone(),
+                client_id: 1,
+                config: JobConfig::default(),
+            },
+            Frame::StoreStats { name },
+            // Well-formed but wrong for the connection's state: an error
+            // is an ack too.
+            Frame::Flush { job_id: 9 },
+        ];
+        let acked = |frame_type| [Event::Wrote(vec![frame_type]), Event::Flushed];
+        let mut expected = vec![Event::Read];
+        for frame_type in [FrameType::StoreAck, FrameType::StoreAck, FrameType::Error] {
+            expected.extend(acked(frame_type));
+            expected.push(Event::Read);
+        }
+        assert_eq!(converse(requests), expected);
+    }
+
+    /// A writer thread that cannot start turns `OpenJob` away with the
+    /// retryable `Busy`, and the connection goes on answering directly.
+    #[test]
+    fn open_job_without_a_writer_is_busy_and_replies_stay_direct() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let shared = &server.shared;
+        let (events_tx, events) = mpsc::channel();
+        let mut out = recorded(events_tx);
+        let mut held = Held::default();
+        let open = Frame::OpenJob {
+            job_id: 1,
+            client_id: 1,
+            config: JobConfig::default(),
+        };
+        let refused = dispatch(open, &mut held, shared, &mut out).expect_err("no writer");
+        assert_eq!(refused.code, ErrorCode::Busy);
+        assert!(refused.code.is_retryable());
+        assert!(held.job.is_none() && out.queue.is_none());
+        let ack = dispatch(load_library(), &mut held, shared, &mut out)
+            .expect("load")
+            .expect("an ack");
+        out.send(ack, true);
+        assert_eq!(
+            events.try_iter().collect::<Vec<_>>(),
+            [Event::Wrote(vec![FrameType::SearchStats]), Event::Flushed]
+        );
     }
 
     /// `drain` on its own thread over a queue holding `queued`: the
@@ -723,11 +931,11 @@ mod tests {
             // the queue is empty behind every hit, and still no flush.
             for query_index in first..first + 8 {
                 out_tx.send(hit(query_index)).expect("writer up");
-                assert_eq!(next(&events), Event::Wrote(FrameType::SearchHit));
+                assert_eq!(next(&events), Event::Wrote(vec![FrameType::SearchHit]));
             }
             let stats = Frame::SearchStats(SearchStatsFrame::default());
             out_tx.send(stats).expect("writer up");
-            assert_eq!(next(&events), Event::Wrote(FrameType::SearchStats));
+            assert_eq!(next(&events), Event::Wrote(vec![FrameType::SearchStats]));
             assert_eq!(next(&events), Event::Flushed);
         }
         drop(out_tx);
@@ -751,12 +959,12 @@ mod tests {
         };
         // Frames queued together go out in one flush …
         let (out_tx, events, writer) = spawn_drain(vec![assignment(), consensus]);
-        assert_eq!(next(&events), Event::Wrote(FrameType::Assignment));
-        assert_eq!(next(&events), Event::Wrote(FrameType::Consensus));
+        assert_eq!(next(&events), Event::Wrote(vec![FrameType::Assignment]));
+        assert_eq!(next(&events), Event::Wrote(vec![FrameType::Consensus]));
         assert_eq!(next(&events), Event::Flushed);
         // … and a lone one is flushed without waiting for another.
         out_tx.send(assignment()).expect("writer up");
-        assert_eq!(next(&events), Event::Wrote(FrameType::Assignment));
+        assert_eq!(next(&events), Event::Wrote(vec![FrameType::Assignment]));
         assert_eq!(next(&events), Event::Flushed);
         drop(out_tx);
         writer.join().expect("writer exits");
@@ -765,8 +973,8 @@ mod tests {
     #[test]
     fn a_queue_dropped_mid_reply_ends_the_writer() {
         let (out_tx, events, writer) = spawn_drain(vec![hit(0), hit(1)]);
-        assert_eq!(next(&events), Event::Wrote(FrameType::SearchHit));
-        assert_eq!(next(&events), Event::Wrote(FrameType::SearchHit));
+        assert_eq!(next(&events), Event::Wrote(vec![FrameType::SearchHit]));
+        assert_eq!(next(&events), Event::Wrote(vec![FrameType::SearchHit]));
         drop(out_tx);
         writer.join().expect("writer exits");
         assert_eq!(events.iter().collect::<Vec<_>>(), [Event::Flushed]);

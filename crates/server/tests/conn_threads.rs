@@ -1,0 +1,93 @@
+//! A search or store connection runs on one server thread: it writes its
+//! own replies. The bounded outbound queue and its writer thread start
+//! only with a clustering job, whose pipeline makes frames the
+//! connection thread did not compute.
+#![cfg(target_os = "linux")]
+
+use spechd_server::{
+    JobClient, JobConfig, LibraryEntryWire, RetryPolicy, SearchClient, Server, ServerConfig,
+    StoreClient,
+};
+use std::time::{Duration, Instant};
+
+const K: usize = 8;
+
+/// The process's thread count, as the kernel reports it.
+fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|count| count.trim().parse().ok())
+        .expect("a Threads line")
+}
+
+/// The thread count once it reads `expected`, or after 5 s of not.
+fn settle_at(expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while threads() != expected && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    threads()
+}
+
+#[test]
+fn search_and_store_connections_run_one_thread_each() {
+    let entry = LibraryEntryWire {
+        mass: 500.0,
+        charge: 2,
+        is_decoy: false,
+        id: "e".into(),
+        words: vec![0x5A],
+    };
+    let job_config = JobConfig {
+        workers: 1,
+        ..JobConfig::default()
+    };
+
+    let before = threads();
+    let running = Server::bind("127.0.0.1:0", ServerConfig::default())
+        .and_then(Server::spawn)
+        .expect("bind and spawn");
+    let addr = running.addr();
+    // The accept loop and the sweeper.
+    let base = settle_at(before + 2);
+    assert_eq!(base, before + 2, "a serving server runs two threads");
+
+    // Each call is a round trip, so its connection's threads are up.
+    let mut searches = Vec::new();
+    let mut stores = Vec::new();
+    for k in 0..K {
+        let mut search = SearchClient::connect(addr, k as u64, 64).expect("search connect");
+        search.load(std::slice::from_ref(&entry)).expect("load");
+        searches.push(search);
+        let name = format!("threads-{k}");
+        let retry = RetryPolicy::none();
+        stores.push(
+            StoreClient::connect_with(addr, &name, job_config.clone(), 7, retry)
+                .expect("store open"),
+        );
+    }
+    assert_eq!(
+        threads(),
+        base + 2 * K,
+        "one server thread per search or store connection"
+    );
+
+    // A job's connection adds its writer, and the job its pipeline
+    // thread and that pipeline's one pool worker.
+    let job = JobClient::connect(addr, 1, job_config).expect("job open");
+    assert_eq!(
+        settle_at(base + 2 * K + 4),
+        base + 2 * K + 4,
+        "a job connection runs a reader and a writer, its job a pipeline and one worker"
+    );
+
+    drop((job, searches, stores));
+    running.shutdown();
+    assert_eq!(
+        settle_at(before),
+        before,
+        "threads left running after shutdown"
+    );
+}
