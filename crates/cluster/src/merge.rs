@@ -46,7 +46,7 @@ pub fn cluster_shard(
         };
     }
     // The tiled kernel runs single-threaded — shards already run in
-    // parallel across the bucket/shard worker pool.
+    // parallel across the pipeline's fan-out.
     let condensed_u16 = PackedDistanceEngine::new()
         .threads(1)
         .pairwise_condensed(sub);

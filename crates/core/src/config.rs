@@ -117,6 +117,8 @@ pub struct SpecHdConfig {
     pub distance_threshold_fraction: f64,
     /// Number of worker threads for bucket-parallel clustering (models
     /// the paper's 5 parallel clustering kernels; 0 = all available).
+    /// Workers start with the buckets fed to them, at most one per bucket;
+    /// at 1 the calling thread clusters every bucket itself.
     pub threads: usize,
 }
 

@@ -12,7 +12,9 @@
 //! One shard ingest (module [`stream`]) runs that dataflow for every
 //! entry point: each spectrum is preprocessed on arrival, routed to its
 //! precursor bucket's shard and encoded straight into the shard's packed
-//! rows, and one worker pool clusters shards while ingest continues.
+//! rows, and [`spechd_hdc::fan_out`] clusters each shard once it closes —
+//! on scoped workers that start as shards close, or on the caller at one
+//! worker.
 //! [`SpecHd::run`] feeds it a dataset's spectra, [`SpecHd::run_streaming`]
 //! a [`spechd_ms::stream::SpectrumStream`] — with bit-identical results —
 //! and the incremental [`SpecHd::run_incremental`] (module

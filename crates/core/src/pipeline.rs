@@ -6,12 +6,9 @@ use spechd_cluster::{
     cluster_shard, ClusterAssignment, HacStats, ShardClustering, ShardLabelMerger,
 };
 use spechd_fpga::{SystemConfig, SystemModel, Timeline, WorkloadShape};
-use spechd_hdc::distance::PackedDistanceEngine;
-use spechd_hdc::{HvPack, IdLevelEncoder, MajorityAccumulator};
+use spechd_hdc::{fan_out, HvPack, IdLevelEncoder, MajorityAccumulator};
 use spechd_ms::SpectrumDataset;
 use spechd_preprocess::{Bucket, PrecursorBucketer, PreprocessPipeline};
-use std::collections::BTreeMap;
-use std::sync::{mpsc, Mutex};
 
 /// The SpecHD clustering engine (Fig. 3's dataflow, executed on the host).
 ///
@@ -121,14 +118,10 @@ impl SpecHd {
         pack: &HvPack,
     ) -> (ClusterAssignment, Vec<usize>, HacStats) {
         let (linkage, threshold) = (self.config.linkage, self.config.distance_threshold_bits());
-        let workers = PackedDistanceEngine::new()
-            .threads(self.config.threads)
-            .resolved_threads()
-            .min(buckets.len().max(1));
         // Each worker gathers its bucket's rows into a contiguous sub-pack,
         // clusters it and drops it.
-        let ((), clustered) = pool(
-            workers,
+        let ((), clustered) = fan_out(
+            self.config.threads,
             |send| buckets.iter().for_each(send),
             |bucket: &Bucket| {
                 let sub = pack.gather(&bucket.members);
@@ -153,51 +146,6 @@ impl SpecHd {
     }
 }
 
-/// The one worker pool: `feed` runs on the calling thread and hands jobs
-/// to `workers` scoped threads, which turn each into a result with `work`
-/// while `feed` carries on. A result that finishes ahead of an earlier
-/// job's waits, so `in_order` sees every result in feed order, each as
-/// soon as it and all earlier ones are done (one worker at a time, under
-/// the results lock). Returns what `feed` returned and the results, in
-/// feed order.
-pub(crate) fn pool<J: Send, R: Send, T>(
-    workers: usize,
-    feed: impl FnOnce(&mut dyn FnMut(J)) -> T,
-    work: impl Fn(J) -> R + Sync,
-    in_order: impl FnMut(&mut R) + Send,
-) -> (T, Vec<R>) {
-    let (tx, rx) = mpsc::channel::<(usize, J)>();
-    let rx = Mutex::new(rx);
-    // Results in feed order, those parked ahead of their turn, the hook.
-    let results = Mutex::new((Vec::new(), BTreeMap::new(), in_order));
-    let fed = std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let received = rx.lock().expect("no panics hold the lock").recv();
-                let Ok((seq, job)) = received else {
-                    break; // every sender dropped: the feed is done
-                };
-                let result = work(job);
-                let mut guard = results.lock().expect("no panics hold the lock");
-                let (done, parked, in_order) = &mut *guard;
-                parked.insert(seq, result);
-                while let Some(mut next) = parked.remove(&done.len()) {
-                    in_order(&mut next);
-                    done.push(next);
-                }
-            });
-        }
-        let mut seq = 0;
-        let fed = feed(&mut |job| {
-            tx.send((seq, job)).expect("workers outlive the feed");
-            seq += 1;
-        });
-        drop(tx); // hang up: workers drain the queue and exit
-        fed
-    });
-    (fed, results.into_inner().expect("threads joined").0)
-}
-
 /// The one label merge: shard clusterings, given in ascending key order,
 /// into one dense global assignment over `total` items.
 pub(crate) fn merge<'a>(
@@ -214,7 +162,7 @@ pub(crate) fn merge<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spechd_ms::stream::{sort_dataset_by_mass, DatasetStream};
+    use spechd_ms::stream::{sort_dataset_by_mass, AssertSorted, DatasetStream};
     use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
     use spechd_ms::{Peak, Precursor, Spectrum};
     use spechd_preprocess::bucket_stats;
@@ -371,49 +319,28 @@ mod tests {
     }
 
     /// `RunStats`' timings partition the wall clock on one worker, and
-    /// `run_streaming` fills them the same way.
+    /// `run_streaming` fills them the same way — also on a sorted source,
+    /// whose shards one worker clusters inline in the middle of ingest.
     #[test]
     fn run_stats_times_fit_in_the_total() {
         let ds = dataset(300, 8);
+        let sorted = sort_dataset_by_mass(&ds);
         let engine = SpecHd::new(SpecHdConfig::builder().threads(1).build());
         let stream_config = StreamConfig {
             workers: 1,
             keep_hypervectors: true,
         };
         let streamed = engine.run_streaming(DatasetStream::new(&ds), &stream_config);
-        for stats in [*engine.run(&ds).stats(), *streamed.outcome.stats()] {
+        let sorted = engine.run_streaming(
+            AssertSorted::new(DatasetStream::new(&sorted)),
+            &stream_config,
+        );
+        let runs = [&engine.run(&ds), &streamed.outcome, &sorted.outcome];
+        for stats in runs.map(|outcome| *outcome.stats()) {
             let parts = [stats.preprocess_s, stats.encode_s, stats.cluster_s];
             assert!(parts.iter().all(|&s| s > 0.0), "{stats:?}");
             assert!(parts.iter().sum::<f64>() <= stats.total_s, "{stats:?}");
         }
-    }
-
-    /// Job 0 cannot finish before job 1 has been parked: job 0 waits for
-    /// job 2, which the other worker only takes once job 1 is done. The
-    /// hook and the returned results still see feed order.
-    #[test]
-    fn pool_hands_results_back_in_feed_order() {
-        let (job_2_ran, wait_for_job_2) = mpsc::channel();
-        let (job_2_ran, wait_for_job_2) = (Mutex::new(job_2_ran), Mutex::new(wait_for_job_2));
-        let finished = Mutex::new(Vec::new());
-        let mut hooked = Vec::new();
-        let ((), results) = pool(
-            2,
-            |send| (0..3).for_each(send),
-            |job: usize| {
-                match job {
-                    0 => wait_for_job_2.lock().unwrap().recv().unwrap(),
-                    2 => job_2_ran.lock().unwrap().send(()).unwrap(),
-                    _ => {}
-                }
-                finished.lock().unwrap().push(job);
-                job
-            },
-            |&mut job| hooked.push(job),
-        );
-        assert_eq!(finished.into_inner().unwrap()[0], 1, "job 1 finished first");
-        assert_eq!(hooked, [0, 1, 2]);
-        assert_eq!(results, [0, 1, 2]);
     }
 
     #[test]

@@ -12,10 +12,10 @@ use spechd_preprocess::{BucketStats, PreprocessStats};
 /// The timings mean the same for `run` and `run_streaming`. The stage
 /// seconds are summed, not wall-clock: ingest's two are summed per
 /// spectrum on the ingest thread, `cluster_s` per shard across the
-/// workers. On one worker and an unsorted source, where every shard is
-/// clustered after ingest, the three add up to at most `total_s`. With
-/// several workers, or on a mass-sorted source whose shards cluster
-/// during ingest, they can add up to more.
+/// workers. On one worker, where every shard is clustered on the ingest
+/// thread (during ingest on a mass-sorted source, after it otherwise), the
+/// three add up to at most `total_s`. With several workers, whose shards
+/// cluster beside ingest and beside each other, they can add up to more.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunStats {
     /// Preprocessing volume counters.

@@ -8,15 +8,16 @@
 //! spectrum is preprocessed on arrival, routed into the per-precursor-mass
 //! **shard** Eq. (1) assigns it to, and encoded at once into that shard's
 //! own [`HvPack`] (one reused accumulator; no raw spectrum outlives its
-//! encoding). A [`std::thread::scope`] worker pool clusters shards as they
-//! close while ingest continues, and one key-ordered merge stitches
+//! encoding). Each shard is clustered through [`spechd_hdc::fan_out`] once
+//! it closes — on scoped workers that start as shards close, or on the
+//! ingesting thread at one worker — and one key-ordered merge stitches
 //! per-shard labels into one global [`spechd_cluster::ClusterAssignment`].
 //!
 //! ```text
 //!  source ──▶ preprocess ──▶ sharder ──▶ encode ──▶ [shard: HvPack rows]
 //!  (dataset   (per spectrum)  (Eq. 1)   (on arrival)        │ close
 //!   or stream)                                              ▼
-//!                                      worker pool: packed HAC per shard
+//!                                       fan_out: packed HAC per shard
 //!                                                           │
 //!                                                           ▼
 //!                                     key-ordered label merge ──▶ outcome
@@ -41,18 +42,19 @@
 //! ## Overlapping clustering with ingest
 //!
 //! A shard can only be clustered once no more members can arrive. For an
-//! arbitrary stream that is end-of-stream; the worker pool then drains all
+//! arbitrary stream that is end-of-stream; the workers then drain all
 //! shards concurrently. When the source promises non-decreasing neutral
 //! mass ([`SpectrumStream::sorted_by_mass`] — the paper's precursor-m/z
 //! sorted data organization), every shard lighter than the current key is
-//! closed and handed to the workers *immediately*, so clustering runs
-//! while ingest is still pulling — the RapidOMS streaming-batch shape.
+//! closed and handed over *immediately*. With two or more workers,
+//! clustering then runs while ingest is still pulling — the RapidOMS
+//! streaming-batch shape. At one worker the ingesting thread clusters the
+//! shard itself before it pulls the next spectrum, so nothing overlaps.
 
-use crate::pipeline::{merge, pool};
+use crate::pipeline::merge;
 use crate::{CompressionReport, RunStats, SpecHd, SpecHdOutcome};
 use spechd_cluster::{cluster_shard, ShardClustering};
-use spechd_hdc::distance::PackedDistanceEngine;
-use spechd_hdc::{HvPack, MajorityAccumulator};
+use spechd_hdc::{fan_out, HvPack, MajorityAccumulator};
 use spechd_ms::stream::SpectrumStream;
 use spechd_ms::Spectrum;
 use spechd_preprocess::{bucket_stats_from_sizes, PreprocessStats};
@@ -69,7 +71,9 @@ use std::time::{Duration, Instant};
 pub struct StreamConfig {
     /// Clustering worker threads (`0` = all available).
     /// [`SpecHd::run`](crate::SpecHd::run) takes
-    /// [`crate::SpecHdConfig::threads`] here.
+    /// [`crate::SpecHdConfig::threads`] here. Workers start with the
+    /// shards that close, at most one per shard; at 1 the thread that
+    /// pulls the source clusters every shard itself.
     pub workers: usize,
     /// Whether to retain the encoded hypervector archive in the outcome
     /// (parallel to `kept`, as `run` does). Disabling it lets shard packs
@@ -209,10 +213,11 @@ impl SpecHd {
     /// in ascending key order, as soon as that shard and every lighter
     /// one are clustered.
     ///
-    /// Calls arrive from clustering worker threads, one at a time, so the
-    /// observer needs `Send` but not `Sync`. The observer runs on the
-    /// pipeline's critical path: a slow observer stalls the worker that
-    /// calls it, so observers must stay cheap and non-blocking
+    /// Calls arrive one at a time, from clustering worker threads (from
+    /// the calling thread at one worker), so the observer needs `Send` but
+    /// not `Sync`. The observer runs on the pipeline's critical path: a
+    /// slow observer stalls the thread that calls it, so observers must
+    /// stay cheap and non-blocking
     /// (`spechd-server`'s observer, for instance, hands result frames
     /// to bounded per-connection queues with a non-blocking send and
     /// drops subscribers that stopped draining, rather than ever
@@ -250,7 +255,7 @@ impl SpecHd {
     }
 
     /// The one pipeline body under `run` and `run_streaming*`:
-    /// [`SpecHd::ingest`] feeding the one worker pool, then the one merge.
+    /// [`SpecHd::ingest`] feeding the one fan-out, then the one merge.
     pub(crate) fn run_sharded(
         &self,
         spectra: impl Iterator<Item = impl Borrow<Spectrum>>,
@@ -262,9 +267,6 @@ impl SpecHd {
         let dim = self.encoder.dim();
         let keep_hvs = stream_config.keep_hypervectors;
         let (linkage, threshold) = (self.config.linkage, self.config.distance_threshold_bits());
-        let workers = PackedDistanceEngine::new()
-            .threads(stream_config.workers)
-            .resolved_threads();
         // Cleared packs parked for reuse, so shard churn does not retread
         // the allocator (only populated when the archive is not kept —
         // kept packs live on into the final scatter).
@@ -272,8 +274,8 @@ impl SpecHd {
         let observed = observer.is_some();
         let mut raw_base = 0;
 
-        let (ingested, shards) = pool(
-            workers,
+        let (ingested, shards) = fan_out(
+            stream_config.workers,
             |send| {
                 self.ingest(spectra, sorted, &spare, &mut |shard, kept| {
                     // Stream index per member, for the observer only.
@@ -409,11 +411,14 @@ impl SpecHd {
                      {last_key}; the shard it belongs to may already be clustered"
                 );
                 // Every open shard is lighter than `key`, hence final:
-                // retire it to the workers while we keep ingesting.
+                // retire it while we keep ingesting. At one worker `retire`
+                // clusters it right here, so the stopwatch skips it.
+                done.preprocess_time += t.elapsed();
                 for shard in std::mem::take(&mut open).into_values() {
                     done.stream.early_closed_shards += 1;
                     retire(shard, &done.kept);
                 }
+                t = Instant::now();
                 last_key = key;
             }
             let shard = open.entry(key).or_insert_with(|| {
@@ -611,9 +616,12 @@ mod tests {
             streamed.outcome.hypervectors().dim(),
             engine.config().encoder.dim
         );
-        // Reuse is opportunistic (a pack returns to the pool only once a
-        // worker finishes while ingest still runs), so only bound it.
-        assert!(streamed.stream.packs_reused < streamed.stream.shards_opened);
+        // One worker clusters each shard as it retires, before the next
+        // one opens, so every shard after the first reuses a pack.
+        assert_eq!(
+            streamed.stream.packs_reused,
+            streamed.stream.shards_opened - 1
+        );
         assert_eq!(
             streamed.outcome.assignment(),
             engine.run(&ds).assignment(),

@@ -26,8 +26,8 @@
 //! primitive stays `u32` (it has no dim bound of its own); the batch layer
 //! is where the 16-bit storage contract lives.
 
-use crate::{BinaryHypervector, HvPack};
-use std::sync::Mutex;
+use crate::fan_out::resolve_workers;
+use crate::{fan_out, BinaryHypervector, HvPack};
 
 /// Length of the condensed strict lower triangle over `n` points,
 /// `n·(n−1)/2`, computed with a checked multiply.
@@ -131,10 +131,10 @@ fn assert_query_fits(query: &BinaryHypervector, pack: &HvPack, rows: &std::ops::
 /// column tiles so both operand blocks stay cache-resident (at the paper's
 /// `D = 2048` a 64-row tile is 16 KiB), register-blocks the inner loop four
 /// columns wide so each query word is loaded once per four XOR+popcount
-/// lanes, and distributes row tiles across `std::thread::scope` workers
-/// pulling from a shared queue. Tiles are independent, so the output is
-/// deterministic and bit-exact with the scalar reference regardless of
-/// worker count.
+/// lanes, and hands row tiles to [`fan_out`]'s scoped workers, one worker
+/// started per tile up to the worker count. Tiles are independent, so the
+/// output is deterministic and bit-exact with the scalar reference
+/// regardless of worker count.
 ///
 /// # Examples
 ///
@@ -188,22 +188,6 @@ impl PackedDistanceEngine {
         self
     }
 
-    /// The worker count this engine resolves to at dispatch time.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            // available_parallelism reads cgroup files on Linux — far too
-            // slow to query per kernel call; resolve it once per process.
-            static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-            *AUTO.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-        } else {
-            self.threads
-        }
-    }
-
     /// All pairwise distances over the pack's rows, condensed
     /// lower-triangular (same layout as [`pairwise_condensed`]).
     ///
@@ -217,20 +201,16 @@ impl PackedDistanceEngine {
 
         // Row tiles own disjoint, contiguous output ranges: rows [lo, hi)
         // cover condensed indices [len(lo), len(hi)).
-        let mut jobs: Vec<(usize, usize, &mut [u16])> = Vec::new();
         let mut rest = out.as_mut_slice();
-        let mut lo = 0;
-        while lo < n {
+        let tiles = (0..n).step_by(self.tile_rows).map(|lo| {
             let hi = (lo + self.tile_rows).min(n);
-            let (chunk, tail) = rest.split_at_mut(condensed_len(hi) - condensed_len(lo));
-            jobs.push((lo, hi, chunk));
+            let cells = condensed_len(hi) - condensed_len(lo);
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(cells);
             rest = tail;
-            lo = hi;
-        }
-
-        self.dispatch(jobs, |(lo, hi, chunk)| {
-            fill_row_tile(pack, lo, hi, self.tile_rows, chunk);
+            (lo, hi, chunk)
         });
+        let fill = |(lo, hi, chunk)| fill_row_tile(pack, lo, hi, self.tile_rows, chunk);
+        fan_out(self.threads, |send| tiles.for_each(send), fill, |_| {});
         out
     }
 
@@ -269,15 +249,13 @@ impl PackedDistanceEngine {
         assert_dim_fits_u16(pack.dim());
         assert_query_fits(query, pack, &range);
         let mut out = vec![0u16; range.len()];
-        let workers = sweep_workers(out.len(), pack.stride(), self.resolved_threads());
+        let workers = sweep_workers(out.len(), pack.stride(), self.threads);
         let chunk_rows = out.len().div_ceil(workers).max(1);
-        let jobs: Vec<(usize, &mut [u16])> = out
-            .chunks_mut(chunk_rows)
-            .enumerate()
-            .map(|(k, c)| (range.start + k * chunk_rows, c))
-            .collect();
+        let chunks = out.chunks_mut(chunk_rows).enumerate();
+        let chunks = chunks.map(|(k, chunk)| (range.start + k * chunk_rows, chunk));
         let qw = query.words();
-        self.dispatch(jobs, |(lo, chunk)| sweep_rows(qw, pack, lo, chunk));
+        let sweep = |(lo, chunk)| sweep_rows(qw, pack, lo, chunk);
+        fan_out(workers, |send| chunks.for_each(send), sweep, |_| {});
         out
     }
 
@@ -325,10 +303,14 @@ impl PackedDistanceEngine {
             })
             .collect();
         lanes.sort_unstable_by_key(|lane| (lane.rows.start, lane.query));
-        let groups = split_block(&mut lanes, pack.stride(), self.resolved_threads());
-        self.dispatch(groups, |group| {
-            walk_block(pack, self.tile_rows, group, &feed);
-        });
+        let groups = split_block(&mut lanes, pack.stride(), self.threads);
+        // One worker per group; an empty block has none, and 0 means auto.
+        fan_out(
+            groups.len().max(1),
+            |send| groups.into_iter().for_each(send),
+            |group| walk_block(pack, self.tile_rows, group, &feed),
+            |_| {},
+        );
         lanes.sort_unstable_by_key(|lane| lane.query);
         lanes.into_iter().map(|lane| lane.sink).collect()
     }
@@ -344,81 +326,54 @@ impl PackedDistanceEngine {
     pub fn neighbors_within(&self, pack: &HvPack, eps: u32) -> Vec<Vec<usize>> {
         assert_dim_fits_u16(pack.dim());
         let n = pack.len();
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(self.tile_rows)
-            .map(|lo| (lo, (lo + self.tile_rows).min(n)))
-            .collect();
-        let results: Mutex<Vec<(usize, Vec<Vec<usize>>)>> =
-            Mutex::new(Vec::with_capacity(ranges.len()));
-
         // Each row tile scans all n columns (symmetric pairs are evaluated
-        // once per side): that keeps row tiles fully independent for the
-        // worker queue at the cost of doing the pair space twice.
-        self.dispatch(ranges, |(lo, hi)| {
-            let mut lists: Vec<Vec<usize>> = vec![Vec::new(); hi - lo];
-            // Column tiles ascend, so each list comes out sorted.
-            for cj in (0..n).step_by(self.tile_rows) {
-                let cj_hi = (cj + self.tile_rows).min(n);
-                for (i, list) in (lo..hi).zip(lists.iter_mut()) {
-                    let row_i = pack.row(i);
-                    let mut j = cj;
-                    while j + 4 <= cj_hi {
-                        let d = hamming_words_x4(
-                            row_i,
-                            pack.row(j),
-                            pack.row(j + 1),
-                            pack.row(j + 2),
-                            pack.row(j + 3),
-                        );
-                        for (t, &dt) in d.iter().enumerate() {
-                            if j + t != i && dt <= eps {
-                                list.push(j + t);
-                            }
-                        }
-                        j += 4;
-                    }
-                    while j < cj_hi {
-                        if j != i && hamming_words(row_i, pack.row(j)) <= eps {
-                            list.push(j);
-                        }
-                        j += 1;
+        // once per side): that keeps row tiles fully independent of each
+        // other at the cost of doing the pair space twice.
+        let ((), per_tile) = fan_out(
+            self.threads,
+            |send| (0..n).step_by(self.tile_rows).for_each(send),
+            |lo| neighbor_tile(pack, lo, self.tile_rows, eps),
+            |_| {},
+        );
+        per_tile.into_iter().flatten().collect()
+    }
+}
+
+/// The neighbor lists of rows `[lo, lo + tile)`, scanning every column
+/// tile in ascending order so each list comes out sorted.
+fn neighbor_tile(pack: &HvPack, lo: usize, tile: usize, eps: u32) -> Vec<Vec<usize>> {
+    let n = pack.len();
+    let hi = (lo + tile).min(n);
+    let mut lists: Vec<Vec<usize>> = vec![Vec::new(); hi - lo];
+    for cj in (0..n).step_by(tile) {
+        let cj_hi = (cj + tile).min(n);
+        for (i, list) in (lo..hi).zip(lists.iter_mut()) {
+            let row_i = pack.row(i);
+            let mut j = cj;
+            while j + 4 <= cj_hi {
+                let d = hamming_words_x4(
+                    row_i,
+                    pack.row(j),
+                    pack.row(j + 1),
+                    pack.row(j + 2),
+                    pack.row(j + 3),
+                );
+                for (t, &dt) in d.iter().enumerate() {
+                    if j + t != i && dt <= eps {
+                        list.push(j + t);
                     }
                 }
+                j += 4;
             }
-            results
-                .lock()
-                .expect("no panics hold the lock")
-                .push((lo, lists));
-        });
-
-        let mut per_tile = results.into_inner().expect("workers joined");
-        per_tile.sort_by_key(|&(lo, _)| lo);
-        per_tile.into_iter().flat_map(|(_, lists)| lists).collect()
-    }
-
-    /// Runs `work` over `jobs`, pulling from a shared queue across scoped
-    /// worker threads (or inline when one worker suffices).
-    fn dispatch<J: Send>(&self, jobs: Vec<J>, work: impl Fn(J) + Sync) {
-        let workers = self.resolved_threads().min(jobs.len()).max(1);
-        if workers == 1 {
-            for job in jobs {
-                work(job);
+            while j < cj_hi {
+                if j != i && hamming_words(row_i, pack.row(j)) <= eps {
+                    list.push(j);
+                }
+                j += 1;
             }
-            return;
         }
-        let queue = Mutex::new(jobs.into_iter());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let job = queue.lock().expect("no panics hold the lock").next();
-                    match job {
-                        Some(job) => work(job),
-                        None => break,
-                    }
-                });
-            }
-        });
     }
+    lists
 }
 
 /// Fills the condensed output rows `[lo, hi)` of a row tile, walking
@@ -453,9 +408,9 @@ struct Lane<'a, S> {
 const MIN_SWEEP_WORDS_PER_WORKER: usize = 1 << 17;
 
 /// Workers a sweep of `rows` rows of `stride` words earns: one per work
-/// floor, at least one, at most `threads`.
+/// floor, at least one, at most `threads` (`0` = one per available core).
 fn sweep_workers(rows: usize, stride: usize, threads: usize) -> usize {
-    (rows.saturating_mul(stride) / MIN_SWEEP_WORDS_PER_WORKER).clamp(1, threads.max(1))
+    (rows.saturating_mul(stride) / MIN_SWEEP_WORDS_PER_WORKER).clamp(1, resolve_workers(threads))
 }
 
 /// Cuts range-ordered lanes into contiguous groups of about equal row
@@ -871,12 +826,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn engine_resolves_thread_count() {
-        assert_eq!(PackedDistanceEngine::new().threads(3).resolved_threads(), 3);
-        assert!(PackedDistanceEngine::new().resolved_threads() >= 1);
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! * [`distance`] — batch Hamming distance kernels: the tiled,
 //!   multithreaded [`distance::PackedDistanceEngine`] over an [`HvPack`],
 //!   and two scalar reference functions kept as its test oracle.
+//! * [`fan_out`] — the workspace's one scoped worker fan-out: jobs from a
+//!   feed on the caller, results back in feed order, inline at one worker.
 //!
 //! # Example: encode two peak lists and compare them
 //!
@@ -49,11 +51,13 @@
 mod accumulator;
 pub mod distance;
 mod encoder;
+mod fan_out;
 mod hypervector;
 mod item_memory;
 mod pack;
 
 pub use accumulator::MajorityAccumulator;
 pub use encoder::{EncoderConfig, IdLevelEncoder};
+pub use fan_out::fan_out;
 pub use hypervector::BinaryHypervector;
 pub use pack::{HvPack, PackError};

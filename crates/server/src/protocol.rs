@@ -212,7 +212,9 @@ pub struct JobConfig {
     pub watermark: u32,
     /// [`StreamConfig::workers`] of the job's pipeline (0 = all
     /// available on the server). The wire rejects counts above
-    /// [`MAX_WORKERS`].
+    /// [`MAX_WORKERS`]. Workers start with the shards the job closes, so
+    /// an open job that has closed none holds none; at 1 the job's
+    /// pipeline thread clusters every shard itself.
     pub workers: u32,
 }
 

@@ -1,9 +1,11 @@
 //! A search or store connection runs on one server thread: it writes its
 //! own replies. The bounded outbound queue and its writer thread start
 //! only with a clustering job, whose pipeline makes frames the
-//! connection thread did not compute.
+//! connection thread did not compute. A job's clustering workers start
+//! with the shards it is fed, so an open job holds none before then.
 #![cfg(target_os = "linux")]
 
+use spechd_server::limits::MAX_WORKERS;
 use spechd_server::{
     JobClient, JobConfig, LibraryEntryWire, RetryPolicy, SearchClient, Server, ServerConfig,
     StoreClient,
@@ -75,15 +77,28 @@ fn search_and_store_connections_run_one_thread_each() {
     );
 
     // A job's connection adds its writer, and the job its pipeline
-    // thread and that pipeline's one pool worker.
+    // thread; at one worker the pipeline clusters on its own thread.
     let job = JobClient::connect(addr, 1, job_config).expect("job open");
     assert_eq!(
-        settle_at(base + 2 * K + 4),
-        base + 2 * K + 4,
-        "a job connection runs a reader and a writer, its job a pipeline and one worker"
+        settle_at(base + 2 * K + 3),
+        base + 2 * K + 3,
+        "a job connection runs a reader and a writer, its job a pipeline"
     );
 
-    drop((job, searches, stores));
+    // A job that asks for every worker the wire allows starts none of
+    // them before it is fed a shard.
+    let widest = JobConfig {
+        workers: MAX_WORKERS,
+        ..JobConfig::default()
+    };
+    let wide_job = JobClient::connect(addr, 2, widest).expect("wide job open");
+    assert_eq!(
+        settle_at(base + 2 * K + 6),
+        base + 2 * K + 6,
+        "an open job at MAX_WORKERS adds a reader, a writer and a pipeline"
+    );
+
+    drop((job, wide_job, searches, stores));
     running.shutdown();
     assert_eq!(
         settle_at(before),
