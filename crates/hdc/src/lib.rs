@@ -26,6 +26,10 @@
 //!   and two scalar reference functions kept as its test oracle.
 //! * [`fan_out`] — the workspace's one scoped worker fan-out: jobs from a
 //!   feed on the caller, results back in feed order, inline at one worker.
+//! * [`LeReader`] — the workspace's one little-endian decoder, a
+//!   bounds-checked cursor whose short reads are a [`Short`]: the `SHPK`
+//!   store format and the `SPHD` wire protocol read packed rows and every
+//!   fixed-width field through it.
 //!
 //! # Example: encode two peak lists and compare them
 //!
@@ -49,6 +53,7 @@
 #![warn(missing_docs)]
 
 mod accumulator;
+mod cursor;
 pub mod distance;
 mod encoder;
 mod fan_out;
@@ -57,6 +62,7 @@ mod item_memory;
 mod pack;
 
 pub use accumulator::MajorityAccumulator;
+pub use cursor::{LeReader, Short};
 pub use encoder::{EncoderConfig, IdLevelEncoder};
 pub use fan_out::fan_out;
 pub use hypervector::BinaryHypervector;

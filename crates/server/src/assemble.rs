@@ -119,6 +119,7 @@ impl AssignmentAssembler {
     /// the frame set is internally inconsistent (a raw label without a
     /// medoid), which a correct server never produces.
     pub(crate) fn finish(mut self) -> ServiceOutcome {
+        // Every caller waits for `is_done`, which is this frame's arrival.
         let stats = self
             .stats
             .expect("finish() before the final JobStats frame");
@@ -127,6 +128,7 @@ impl AssignmentAssembler {
         let assignment = ClusterAssignment::from_raw_labels(&raw);
         let mut consensus = vec![0; assignment.num_clusters()];
         for (&dense, raw) in assignment.labels().iter().zip(&raw) {
+            // A correct server sends a consensus medoid for every label.
             consensus[dense] = *self
                 .medoid_by_raw
                 .get(raw)

@@ -407,6 +407,8 @@ impl JobRegistry {
                     registry.jobs.remove_where(|entry| entry.id == job.id);
                 }
             })
+            // Fails only when the OS refuses a thread, and then no job
+            // can run.
             .expect("spawn job pipeline thread");
         let mut threads = lock(&self.threads);
         // Prune handles of pipelines that already finished — a

@@ -42,9 +42,11 @@
 use crate::limits::Limits;
 use spechd_cluster::Linkage;
 use spechd_core::{SpecHdConfig, StreamConfig};
+use spechd_hdc::{LeReader, Short};
 use spechd_ms::{MsError, Peak, Precursor, Spectrum};
 use std::borrow::Borrow;
 use std::io::{ErrorKind, Read, Write};
+use std::ops::{Deref, DerefMut};
 
 pub use crate::limits::{
     DEFAULT_MAX_FRAME_LEN, MAX_INCREMENTAL_BATCH, MAX_LIBRARY_BATCH, MAX_QUERY_BATCH,
@@ -741,6 +743,12 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<Short> for WireError {
+    fn from(short: Short) -> Self {
+        WireError::malformed(format!("truncated payload: {short}"))
+    }
+}
+
 impl From<MsError> for WireError {
     fn from(e: MsError) -> Self {
         WireError::malformed(format!("invalid spectrum: {e}"))
@@ -755,8 +763,9 @@ impl From<MsError> for WireError {
 /// `Variant[Struct] { … }` for a variant wrapping a named struct — with
 /// the fields in wire order. Each `codec` names a method on both `Enc`
 /// (writes the field) and `Dec` (reads it and does all of its
-/// validation), so the wire width is in the table, never inferred from
-/// the field's Rust type.
+/// validation; a width codec is the shared cursor's read, through `Dec`'s
+/// deref), so the wire width is in the table, never inferred from the
+/// field's Rust type.
 macro_rules! payloads {
     (@shape $name:ident { $($field:ident),* }) => {
         Frame::$name { $($field),* }
@@ -1011,64 +1020,41 @@ impl Enc {
 // ───────────────────────── decoding ─────────────────────────
 
 /// The read half of every codec in the frame table: each reads its field
-/// and does all of its validation. Besides the cursor it carries the
-/// server's [`Limits`], the frame's `dim` (set by the `dim` codec, read
-/// by the row codecs after it) and the last count prefix (read by the
-/// `paired_*` lists, which carry no count of their own).
+/// and does all of its validation. It derefs to the shared
+/// [`LeReader`], so the width codecs (`u8`, `u32`, `u64`, `i64`) are the
+/// cursor's own reads and a short read becomes `Malformed` through `?`.
+/// Besides the cursor it carries the server's [`Limits`], the frame's
+/// `dim` (set by the `dim` codec, read by the row codecs after it) and the
+/// last count prefix (read by the `paired_*` lists, which carry no count
+/// of their own).
 struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    cursor: LeReader<'a>,
     limits: &'a Limits,
     dim: u32,
     count: usize,
 }
 
+impl<'a> Deref for Dec<'a> {
+    type Target = LeReader<'a>;
+    fn deref(&self) -> &LeReader<'a> {
+        &self.cursor
+    }
+}
+
+impl DerefMut for Dec<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.cursor
+    }
+}
+
 impl<'a> Dec<'a> {
     fn new(buf: &'a [u8], limits: &'a Limits) -> Self {
         Self {
-            buf,
-            pos: 0,
+            cursor: LeReader::new(buf),
             limits,
             dim: 0,
             count: 0,
         }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::malformed(format!(
-                "truncated payload: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(le_u64(self.take(8)?))
-    }
-    /// `n` little-endian words in one conversion of their bytes.
-    fn words(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
-        Ok(self.take(n * 8)?.chunks_exact(8).map(le_u64).collect())
-    }
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     /// A length prefix that at minimum `elem_size` bytes per element must
     /// follow — rejects absurd counts before any allocation.
@@ -1086,7 +1072,7 @@ impl<'a> Dec<'a> {
             )));
         }
         let n = n as usize;
-        if n.saturating_mul(elem_size) > self.buf.len() - self.pos {
+        if n.saturating_mul(elem_size) > self.remaining() {
             return Err(WireError::malformed(format!(
                 "length prefix {n} exceeds remaining payload"
             )));
@@ -1249,22 +1235,23 @@ impl<'a> Dec<'a> {
     }
     fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
         let n = self.len_prefix(8)?;
-        self.list(n, Self::u64)
+        Ok(self.words(n)?)
     }
     fn members(&mut self) -> Result<Vec<u64>, WireError> {
         let n = self.len_prefix(12)?; // 8 bytes member + 4 bytes label
-        self.list(n, Self::u64)
+        Ok(self.words(n)?)
     }
     fn kept(&mut self) -> Result<Vec<u32>, WireError> {
         // 4 bytes kept index + 8 bytes label per element.
         let n = self.capped_count(MAX_INCREMENTAL_BATCH, 12, "incremental label")?;
-        self.list(n, Self::u32)
+        self.list(n, |d| Ok(d.u32()?))
     }
     fn paired_u32s(&mut self) -> Result<Vec<u32>, WireError> {
-        self.list(self.count, Self::u32)
+        self.list(self.count, |d| Ok(d.u32()?))
     }
     fn paired_u64s(&mut self) -> Result<Vec<u64>, WireError> {
-        self.words(self.count)
+        let n = self.count;
+        Ok(self.words(n)?)
     }
     fn row_bytes(&self) -> usize {
         (self.dim as usize).div_ceil(64) * 8
@@ -1299,18 +1286,14 @@ impl<'a> Dec<'a> {
         }
     }
     fn finish(self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
+        if self.remaining() != 0 {
             return Err(WireError::malformed(format!(
                 "{} trailing bytes after payload",
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         Ok(())
     }
-}
-
-fn le_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().unwrap())
 }
 
 /// Parses and validates a frame header, returning `(type, payload_len)`.
@@ -1318,19 +1301,23 @@ pub fn parse_header(
     header: &[u8; HEADER_LEN],
     max_len: u32,
 ) -> Result<(FrameType, u32), WireError> {
-    if header[0..4] != MAGIC {
-        return Err(WireError::BadMagic(header[0..4].try_into().unwrap()));
+    // A whole header: no read below is short.
+    let mut r = LeReader::new(header);
+    let magic = r.array()?;
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic));
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    let version = r.u16()?;
     if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let frame_type = FrameType::from_wire(header[6])
-        .ok_or_else(|| WireError::malformed(format!("unknown frame type 0x{:02x}", header[6])))?;
-    if header[7] != 0 {
+    let byte = r.u8()?;
+    let frame_type = FrameType::from_wire(byte)
+        .ok_or_else(|| WireError::malformed(format!("unknown frame type 0x{byte:02x}")))?;
+    if r.u8()? != 0 {
         return Err(WireError::malformed("non-zero reserved byte"));
     }
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap());
+    let len = r.u32()?;
     if len > max_len {
         return Err(WireError::Oversized { len, max: max_len });
     }
@@ -1800,6 +1787,37 @@ mod tests {
                     Ok(f) => panic!("cut={cut} of {frame:?} decoded as {f:?}"),
                 }
             }
+        }
+    }
+
+    /// The text of a cut payload, pinned: where the read stood, what it
+    /// wanted and what was left.
+    #[test]
+    fn a_cut_payload_names_the_short_read() {
+        let cases = [
+            (FrameType::Flush, 5, "wanted 8 bytes at offset 0, have 5"),
+            (
+                FrameType::SubmitAck,
+                12,
+                "wanted 8 bytes at offset 8, have 4",
+            ),
+            (
+                FrameType::SubmitAck,
+                27,
+                "wanted 4 bytes at offset 24, have 3",
+            ),
+        ];
+        for (frame_type, cut, text) in cases {
+            let frame = all_frames()
+                .into_iter()
+                .find(|f| f.frame_type() == frame_type)
+                .unwrap();
+            let payload = encode_payload(&frame);
+            let err = decode_payload(frame_type, &payload[..cut]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("malformed frame: truncated payload: {text}")
+            );
         }
     }
 

@@ -198,6 +198,8 @@ impl Server {
                 std::thread::Builder::new()
                     .name("spechd-conn".into())
                     .spawn(move || handle_connection(stream, &shared))
+                    // Fails only when the OS refuses a thread; a server
+                    // that cannot start one cannot serve this client.
                     .expect("spawn connection thread"),
             );
         }

@@ -53,7 +53,9 @@ pub enum StoreError {
         /// Stride the header declares.
         stride: u32,
     },
-    /// The store's hypervector dimensionality does not match the engine's.
+    /// The store's hypervector dimensionality does not match the engine's,
+    /// or, from [`crate::ClusterStore::new`], exceeds the `u32::MAX` that
+    /// the `SHPK` header holds (then `expected` is `u32::MAX`).
     DimMismatch {
         /// Dimensionality of the stored rows.
         store: usize,

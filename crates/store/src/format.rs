@@ -8,10 +8,13 @@
 //! equal bytes. Validation is strictly ordered — truncation, magic,
 //! version, header consistency, total length, checksum, body, then id
 //! coverage — so a hostile file always reports its outermost defect.
+//! Every read goes through the workspace's shared little-endian cursor,
+//! [`spechd_hdc::LeReader`]; each names what it reads, so a short read is
+//! a self-describing [`StoreError::Truncated`].
 
 use crate::store::{ClusterStore, StoredBucket, StoredCluster, StoredMember};
 use crate::StoreError;
-use spechd_hdc::HvPack;
+use spechd_hdc::{HvPack, LeReader, Short};
 use std::collections::BTreeMap;
 
 /// File magic, first four bytes of every store file.
@@ -41,27 +44,35 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn section_len(
-    cluster_count: usize,
-    member_count: usize,
-    stride: usize,
-    member_rows: bool,
-) -> usize {
-    let rows = if member_rows { member_count } else { 0 };
-    cluster_count * CLUSTER_META_LEN
-        + (cluster_count + rows) * stride * 8
-        + member_count * MEMBER_LEN
+/// A bucket section's byte length. Counts and stride of at most
+/// `u32::MAX` keep it under `2^63`, so the sum cannot overflow.
+fn section_len(cluster_count: u32, member_count: u32, stride: u32, member_rows: bool) -> u64 {
+    let (clusters, members) = (u64::from(cluster_count), u64::from(member_count));
+    let rows = if member_rows { members } else { 0 };
+    clusters * CLUSTER_META_LEN as u64
+        + (clusters + rows) * u64::from(stride) * 8
+        + members * MEMBER_LEN as u64
+}
+
+/// A record count as its `u32` field. Memory runs out long before one
+/// store holds `2^32` records of one kind, so the conversion cannot fail.
+fn count_field(count: usize) -> u32 {
+    u32::try_from(count).expect("SHPK counts are u32: no store holds 2^32 records")
 }
 
 pub(crate) fn to_bytes(store: &ClusterStore) -> Vec<u8> {
-    let stride = store.dim().div_ceil(64);
+    let dim = store.header_dim();
+    let stride = dim.div_ceil(64);
     let keep_rows = store.keeps_member_rows();
     let buckets = store.buckets();
-    let body_len: usize = buckets
-        .values()
-        .map(|b| section_len(b.clusters().len(), b.members().len(), stride, keep_rows))
-        .sum();
-    let total = HEADER_LEN + buckets.len() * TABLE_ENTRY_LEN + body_len + FOOTER_LEN;
+    // A bucket's two counts as their fields, and its section's length.
+    let section = |b: &StoredBucket| {
+        let c = count_field(b.clusters().len());
+        let m = count_field(b.members().len());
+        (c, m, section_len(c, m, stride, keep_rows))
+    };
+    let body_len: u64 = buckets.values().map(|b| section(b).2).sum();
+    let total = HEADER_LEN + buckets.len() * TABLE_ENTRY_LEN + body_len as usize + FOOTER_LEN;
     let mut out = Vec::with_capacity(total);
 
     // Header.
@@ -69,35 +80,23 @@ pub(crate) fn to_bytes(store: &ClusterStore) -> Vec<u8> {
     out.extend_from_slice(&VERSION.to_le_bytes());
     let flags = if keep_rows { FLAG_MEMBER_ROWS } else { 0 };
     out.extend_from_slice(&flags.to_le_bytes());
-    let dim = u32::try_from(store.dim()).expect("dim fits u32");
     out.extend_from_slice(&dim.to_le_bytes());
-    out.extend_from_slice(
-        &u32::try_from(stride)
-            .expect("stride fits u32")
-            .to_le_bytes(),
-    );
+    out.extend_from_slice(&stride.to_le_bytes());
     out.extend_from_slice(&store.fingerprint().to_le_bytes());
     out.extend_from_slice(&store.next_spectrum_id().to_le_bytes());
-    let bucket_count = u32::try_from(buckets.len()).expect("bucket count fits u32");
-    out.extend_from_slice(&bucket_count.to_le_bytes());
+    out.extend_from_slice(&count_field(buckets.len()).to_le_bytes());
     debug_assert_eq!(out.len(), HEADER_LEN);
 
     // Section table: offsets are from the body start and strictly
     // sequential — the reader rejects anything else.
     let mut offset = 0u64;
     for (key, bucket) in buckets {
+        let (clusters, members, len) = section(bucket);
         out.extend_from_slice(&key.to_le_bytes());
-        let clusters = u32::try_from(bucket.clusters().len()).expect("cluster count fits u32");
-        let members = u32::try_from(bucket.members().len()).expect("member count fits u32");
         out.extend_from_slice(&clusters.to_le_bytes());
         out.extend_from_slice(&members.to_le_bytes());
         out.extend_from_slice(&offset.to_le_bytes());
-        offset += section_len(
-            bucket.clusters().len(),
-            bucket.members().len(),
-            stride,
-            keep_rows,
-        ) as u64;
+        offset += len;
     }
 
     // Body.
@@ -115,6 +114,7 @@ pub(crate) fn to_bytes(store: &ClusterStore) -> Vec<u8> {
             out.extend_from_slice(&m.cluster.to_le_bytes());
         }
         if keep_rows {
+            // Every constructor gives a row-keeping store's buckets rows.
             let rows = bucket
                 .member_rows()
                 .expect("row-keeping store bucket has member rows");
@@ -131,50 +131,12 @@ pub(crate) fn to_bytes(store: &ClusterStore) -> Vec<u8> {
     out
 }
 
-/// A bounds-checked little-endian cursor; every read names what it was
-/// reading so truncation errors are self-describing.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], StoreError> {
-        let available = self.bytes.len() - self.pos;
-        if n > available {
-            return Err(StoreError::Truncated {
-                context,
-                needed: n,
-                available,
-            });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u16(&mut self, context: &'static str) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, context)?.try_into().unwrap(),
-        ))
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, context)?.try_into().unwrap(),
-        ))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, context)?.try_into().unwrap(),
-        ))
-    }
-
-    fn i64(&mut self, context: &'static str) -> Result<i64, StoreError> {
-        Ok(i64::from_le_bytes(
-            self.take(8, context)?.try_into().unwrap(),
-        ))
+/// Names what a short read was reading.
+fn reading(context: &'static str) -> impl FnOnce(Short) -> StoreError {
+    move |short| StoreError::Truncated {
+        context,
+        needed: short.wanted,
+        available: short.have,
     }
 }
 
@@ -186,40 +148,39 @@ struct TableEntry {
 }
 
 pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = LeReader::new(bytes);
 
     // Header — checked field by field so the first defect wins.
-    let magic: [u8; 4] = r.take(4, "header magic")?.try_into().unwrap();
+    let magic = r.array().map_err(reading("header magic"))?;
     if magic != MAGIC {
         return Err(StoreError::BadMagic { found: magic });
     }
-    let version = r.u16("header version")?;
+    let version = r.u16().map_err(reading("header version"))?;
     if version != VERSION {
         return Err(StoreError::UnsupportedVersion { found: version });
     }
-    let flags = r.u16("header flags")?;
+    let flags = r.u16().map_err(reading("header flags"))?;
     if flags & !FLAG_MEMBER_ROWS != 0 {
         return Err(StoreError::Corrupt(format!(
             "reserved header flags must be zero, found {flags:#06x}"
         )));
     }
     let keep_rows = flags & FLAG_MEMBER_ROWS != 0;
-    let dim = r.u32("header dim")?;
-    let stride = r.u32("header stride")?;
+    let dim = r.u32().map_err(reading("header dim"))?;
+    let stride = r.u32().map_err(reading("header stride"))?;
     if dim == 0 || (dim as usize).div_ceil(64) != stride as usize {
         return Err(StoreError::StrideMismatch { dim, stride });
     }
-    let fingerprint = r.u64("header fingerprint")?;
-    let next_id = r.u64("header next_id")?;
-    let bucket_count = r.u32("header bucket_count")? as usize;
+    let fingerprint = r.u64().map_err(reading("header fingerprint"))?;
+    let next_id = r.u64().map_err(reading("header next_id"))?;
+    let bucket_count = r.u32().map_err(reading("header bucket_count"))? as usize;
 
     // Section table. Offsets must be exactly sequential (canonical form);
     // anything else would let sections alias each other.
-    let stride = stride as usize;
     let mut table = Vec::with_capacity(bucket_count.min(1 << 16));
     let mut expected_offset = 0u64;
     for i in 0..bucket_count {
-        let key = r.i64("table key")?;
+        let key = r.i64().map_err(reading("table key"))?;
         if let Some(prev) = table.last().map(|e: &TableEntry| e.key) {
             if key <= prev {
                 return Err(StoreError::Corrupt(format!(
@@ -227,23 +188,22 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
                 )));
             }
         }
-        let cluster_count = r.u32("table cluster_count")? as usize;
-        let member_count = r.u32("table member_count")? as usize;
-        let offset = r.u64("table offset")?;
+        let cluster_count = r.u32().map_err(reading("table cluster_count"))?;
+        let member_count = r.u32().map_err(reading("table member_count"))?;
+        let offset = r.u64().map_err(reading("table offset"))?;
         if offset != expected_offset {
             return Err(StoreError::Corrupt(format!(
                 "bucket {i} section offset {offset} is not sequential (expected {expected_offset})"
             )));
         }
-        let len = u64::try_from(section_len(cluster_count, member_count, stride, keep_rows))
-            .expect("section length fits u64");
+        let len = section_len(cluster_count, member_count, stride, keep_rows);
         expected_offset = expected_offset.checked_add(len).ok_or_else(|| {
             StoreError::Corrupt("section offsets overflow the 64-bit file space".into())
         })?;
         table.push(TableEntry {
             key,
-            cluster_count,
-            member_count,
+            cluster_count: cluster_count as usize,
+            member_count: member_count as usize,
             offset,
         });
     }
@@ -271,8 +231,8 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
         }
         std::cmp::Ordering::Equal => {}
     }
-    let payload = &bytes[..expected_total - FOOTER_LEN];
-    let stored = u64::from_le_bytes(bytes[expected_total - FOOTER_LEN..].try_into().unwrap());
+    let (payload, footer) = bytes.split_at(expected_total - FOOTER_LEN);
+    let stored = LeReader::new(footer).u64().map_err(reading("footer"))?;
     let computed = fnv1a64(payload);
     if stored != computed {
         return Err(StoreError::ChecksumMismatch { stored, computed });
@@ -280,10 +240,11 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
 
     // Body. The cursor walks sections in table order, which the offset
     // check above made equivalent to file order.
+    let stride = stride as usize;
     let mut buckets = BTreeMap::new();
     for entry in &table {
         debug_assert_eq!(
-            r.pos,
+            r.position(),
             HEADER_LEN + bucket_count * TABLE_ENTRY_LEN + entry.offset as usize
         );
         if entry.cluster_count == 0 && entry.member_count == 0 {
@@ -294,9 +255,9 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
         }
         let mut clusters = Vec::with_capacity(entry.cluster_count);
         for c in 0..entry.cluster_count {
-            let medoid_id = r.u64("cluster medoid id")?;
-            let members = r.u32("cluster member count")?;
-            let reserved = r.u32("cluster reserved field")?;
+            let medoid_id = r.u64().map_err(reading("cluster medoid id"))?;
+            let members = r.u32().map_err(reading("cluster member count"))?;
+            let reserved = r.u32().map_err(reading("cluster reserved field"))?;
             if reserved != 0 {
                 return Err(StoreError::Corrupt(format!(
                     "cluster {c} of bucket {} has non-zero reserved field",
@@ -311,18 +272,16 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
             }
             clusters.push(StoredCluster { medoid_id, members });
         }
-        let row_bytes = r.take(entry.cluster_count * stride * 8, "medoid rows")?;
-        let words: Vec<u64> = row_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let words = r
+            .words(entry.cluster_count * stride)
+            .map_err(reading("medoid rows"))?;
         // Tail-invariant violations surface as StoreError::Pack here.
         let medoids = HvPack::from_raw_parts(dim as usize, words)?;
         let mut counted = vec![0u32; entry.cluster_count];
         let mut members = Vec::with_capacity(entry.member_count);
         for _ in 0..entry.member_count {
-            let id = r.u64("member id")?;
-            let cluster = r.u32("member cluster")?;
+            let id = r.u64().map_err(reading("member id"))?;
+            let cluster = r.u32().map_err(reading("member cluster"))?;
             if id >= next_id {
                 return Err(StoreError::Corrupt(format!(
                     "member id {id} of bucket {} is outside the id space (next id {next_id})",
@@ -347,11 +306,9 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
             }
         }
         let member_rows = if keep_rows {
-            let row_bytes = r.take(entry.member_count * stride * 8, "member rows")?;
-            let words: Vec<u64> = row_bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let words = r
+                .words(entry.member_count * stride)
+                .map_err(reading("member rows"))?;
             Some(HvPack::from_raw_parts(dim as usize, words)?)
         } else {
             None
@@ -366,9 +323,9 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
             },
         );
     }
-    debug_assert_eq!(r.pos, expected_total - FOOTER_LEN);
+    debug_assert_eq!(r.position(), expected_total - FOOTER_LEN);
 
-    let store = ClusterStore::from_parts(dim as usize, fingerprint, next_id, keep_rows, buckets);
+    let store = ClusterStore::from_parts(dim, fingerprint, next_id, keep_rows, buckets);
     store.covered()?;
     Ok(store)
 }

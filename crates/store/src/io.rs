@@ -29,7 +29,7 @@ use std::ffi::OsString;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The file-system operations [`crate::ClusterStore`] persistence is
 /// built from.
@@ -118,6 +118,13 @@ impl StoreIo for DiskIo {
     }
 }
 
+/// Locks `mutex`, taking it over from a thread that panicked while it
+/// held it. Nothing here panics while it holds one of these locks, so the
+/// value is whole and the next holder can go on with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// In-memory [`StoreIo`]: a thread-safe map from path to file contents.
 ///
 /// Clones share the same underlying map, so a test can keep a handle to
@@ -135,18 +142,18 @@ impl MemIo {
 
     /// The current contents of `path`, if present.
     pub fn contents(&self, path: &Path) -> Option<Vec<u8>> {
-        self.files.lock().unwrap().get(path).cloned()
+        lock(&self.files).get(path).cloned()
     }
 
     /// Plants a file directly (bypassing the durability protocol) — for
     /// staging pre-corrupted fixtures.
     pub fn plant(&self, path: &Path, bytes: Vec<u8>) {
-        self.files.lock().unwrap().insert(path.to_path_buf(), bytes);
+        lock(&self.files).insert(path.to_path_buf(), bytes);
     }
 
     /// Every path currently present, in sorted order.
     pub fn paths(&self) -> Vec<PathBuf> {
-        self.files.lock().unwrap().keys().cloned().collect()
+        lock(&self.files).keys().cloned().collect()
     }
 }
 
@@ -176,7 +183,7 @@ impl StoreIo for MemIo {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut files = self.files.lock().unwrap();
+        let mut files = lock(&self.files);
         let bytes = files.remove(from).ok_or_else(|| not_found(from))?;
         files.insert(to.to_path_buf(), bytes);
         Ok(())
@@ -187,13 +194,11 @@ impl StoreIo for MemIo {
     }
 
     fn exists(&self, path: &Path) -> bool {
-        self.files.lock().unwrap().contains_key(path)
+        lock(&self.files).contains_key(path)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        self.files
-            .lock()
-            .unwrap()
+        lock(&self.files)
             .remove(path)
             .map(|_| ())
             .ok_or_else(|| not_found(path))
@@ -297,7 +302,7 @@ impl<I: StoreIo> FaultIo<I> {
 
     /// Whether the fault has fired yet.
     pub fn tripped(&self) -> bool {
-        self.state.lock().unwrap().tripped
+        lock(&self.state).tripped
     }
 
     /// A reference to the wrapped I/O (e.g. to inspect a [`MemIo`]).
@@ -315,7 +320,7 @@ impl<I: StoreIo> FaultIo<I> {
     /// Gate for non-write mutating ops: consumes one op from the budget,
     /// or fails if already tripped / out of budget.
     fn mutate_gate(&self) -> io::Result<()> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         if s.tripped {
             return match s.kind {
                 FaultKind::Crash => Err(Self::fault_error(FaultKind::Crash)),
@@ -335,7 +340,7 @@ impl<I: StoreIo> FaultIo<I> {
 
 impl<I: StoreIo> StoreIo for FaultIo<I> {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         if s.tripped && s.kind == FaultKind::Crash {
             return Err(Self::fault_error(FaultKind::Crash));
         }
@@ -344,7 +349,7 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         if s.tripped {
             return Err(Self::fault_error(s.kind));
         }
@@ -389,7 +394,7 @@ impl<I: StoreIo> StoreIo for FaultIo<I> {
     }
 
     fn exists(&self, path: &Path) -> bool {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         if s.tripped && s.kind == FaultKind::Crash {
             return false;
         }
@@ -500,5 +505,41 @@ mod tests {
         assert!(io.rename(p, Path::new("g")).is_err()); // op 2: fails
         assert!(io.tripped());
         assert!(mem.exists(p), "failed rename must not have happened");
+    }
+
+    /// Panics on another thread while it holds `mutex`, leaving it poisoned.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = mutex.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn both_doubles_keep_working_after_a_poisoned_lock() {
+        let mem = MemIo::new();
+        let (p, q) = (Path::new("f"), Path::new("g"));
+        mem.write(p, b"kept").unwrap();
+        poison(&mem.files);
+        assert_eq!(mem.read(p).unwrap(), b"kept");
+        mem.write(p, b"new").unwrap();
+        mem.rename(p, q).unwrap();
+        assert!(mem.exists(q) && !mem.exists(p));
+        assert_eq!(mem.paths(), [q.to_path_buf()]);
+        mem.remove(q).unwrap();
+
+        let io = FaultIo::new(mem.clone(), FaultPlan::crash_after_ops(3));
+        poison(&io.state);
+        io.write(p, b"x").unwrap(); // op 0
+        io.sync_file(p).unwrap(); // op 1
+        assert_eq!(io.read(p).unwrap(), b"x");
+        assert!(io.exists(p) && !io.tripped());
+        io.rename(p, q).unwrap(); // op 2
+        assert!(io.remove(q).is_err()); // op 3: the planned crash
+        assert!(io.tripped() && mem.exists(q));
     }
 }

@@ -134,7 +134,8 @@ struct BucketChange<'a> {
 /// never because new spectra arrived elsewhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterStore {
-    dim: usize,
+    /// At most `u32::MAX`, the widest the `SHPK` header holds.
+    dim: u32,
     fingerprint: u64,
     next_id: u64,
     keep_rows: bool,
@@ -145,10 +146,18 @@ impl ClusterStore {
     /// Creates an empty store for hypervectors of dimensionality `dim`,
     /// pinned to a pipeline-configuration `fingerprint` (see
     /// [`ClusterStore::ensure_compatible`]).
+    ///
+    /// A zero `dim` is [`StoreError::Pack`]. A `dim` the `SHPK` header's
+    /// `u32` field cannot hold is [`StoreError::DimMismatch`], with
+    /// `u32::MAX` as the dimensionality expected at most.
     pub fn new(dim: usize, fingerprint: u64) -> Result<Self, StoreError> {
         if dim == 0 {
             return Err(StoreError::Pack(spechd_hdc::PackError::ZeroDim));
         }
+        let dim = u32::try_from(dim).map_err(|_| StoreError::DimMismatch {
+            store: dim,
+            expected: u32::MAX as usize,
+        })?;
         Ok(Self {
             dim,
             fingerprint,
@@ -179,6 +188,11 @@ impl ClusterStore {
 
     /// Hypervector dimensionality shared by every stored medoid row.
     pub fn dim(&self) -> usize {
+        self.dim as usize
+    }
+
+    /// [`ClusterStore::dim`] as the `SHPK` header's field.
+    pub(crate) fn header_dim(&self) -> u32 {
         self.dim
     }
 
@@ -230,9 +244,9 @@ impl ClusterStore {
     /// otherwise — hypervectors encoded under different settings are not
     /// comparable, so mixing them would silently corrupt every cluster.
     pub fn ensure_compatible(&self, dim: usize, fingerprint: u64) -> Result<(), StoreError> {
-        if self.dim != dim {
+        if self.dim() != dim {
             return Err(StoreError::DimMismatch {
-                store: self.dim,
+                store: self.dim(),
                 expected: dim,
             });
         }
@@ -276,8 +290,8 @@ impl ClusterStore {
         let next = next.ok_or(StoreError::IdSpaceExhausted)?;
         let shards: Vec<_> = shards.into_iter().collect();
         for (i, &(key, members, rows)) in shards.iter().enumerate() {
-            if rows.dim() != self.dim {
-                let (store, expected) = (self.dim, rows.dim());
+            if rows.dim() != self.dim() {
+                let (store, expected) = (self.dim(), rows.dim());
                 return Err(StoreError::DimMismatch { store, expected });
             }
             if rows.len() != members.len() || (i > 0 && shards[i - 1].0 >= key) {
@@ -348,7 +362,7 @@ impl ClusterStore {
         // Commit: nothing below can fail.
         self.next_id = next;
         stats.spectra_kept = count;
-        let (dim, keep_rows) = (self.dim, self.keep_rows);
+        let (dim, keep_rows) = (self.dim(), self.keep_rows);
         for change in changes {
             let empty = || StoredBucket::empty(dim, keep_rows);
             let bucket = self.buckets.entry(change.key).or_insert_with(empty);
@@ -420,6 +434,8 @@ impl ClusterStore {
         }
         let mut report = RefreshReport::default();
         for bucket in self.buckets.values_mut() {
+            // `keep_rows` is checked above, and a row-keeping store's
+            // buckets are all made with rows.
             let rows = bucket
                 .member_rows
                 .as_ref()
@@ -479,7 +495,7 @@ impl ClusterStore {
             report.merged += (cluster_count - groups.len()) as u64;
 
             let mut clusters = Vec::with_capacity(groups.len());
-            let mut medoids = HvPack::with_capacity(self.dim, groups.len());
+            let mut medoids = HvPack::with_capacity(self.dim as usize, groups.len());
             for (g, members_of_group) in groups.iter().enumerate() {
                 let pos = if members_of_group.len() == 1 {
                     medoid_pos[members_of_group[0]]
@@ -698,7 +714,7 @@ impl ClusterStore {
     }
 
     pub(crate) fn from_parts(
-        dim: usize,
+        dim: u32,
         fingerprint: u64,
         next_id: u64,
         keep_rows: bool,
@@ -783,6 +799,7 @@ impl ClusterStore {
                 rows.push_row_words(row);
             }
         }
+        let dim = u32::try_from(dim).unwrap();
         Self::from_parts(dim, fingerprint, members.len() as u64, keep_rows, buckets)
     }
 }
@@ -823,6 +840,26 @@ mod tests {
         assert_eq!(b.clusters()[0].members, 2);
         assert_eq!(b.medoids().len(), 2);
         assert_eq!(store.cluster_count(7), 0);
+    }
+
+    /// The `SHPK` header holds `dim` in a `u32`: a wider store is refused
+    /// when it is made, not when it is saved.
+    #[test]
+    fn dim_past_the_header_field_is_refused_at_construction() {
+        let wide = u32::MAX as usize + 1;
+        for made in [
+            ClusterStore::new(wide, 0),
+            ClusterStore::new_keeping_rows(wide, 0),
+        ] {
+            assert!(matches!(
+                made,
+                Err(StoreError::DimMismatch { store, expected })
+                    if store == wide && expected == u32::MAX as usize
+            ));
+        }
+        let widest = ClusterStore::new(u32::MAX as usize, 7).unwrap();
+        let back = ClusterStore::from_bytes(&widest.to_bytes()).unwrap();
+        assert_eq!((back.dim(), back), (u32::MAX as usize, widest));
     }
 
     #[test]
