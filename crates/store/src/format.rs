@@ -4,10 +4,13 @@
 //! The writer is canonical: buckets in ascending key order, sections laid
 //! out back-to-back in table order, every reserved field zero. The reader
 //! *requires* that canonical form, so `to_bytes ∘ from_bytes` is the
-//! identity on valid files and any two stores with equal contents have
-//! equal bytes. Validation is strictly ordered — truncation, magic,
-//! version, header consistency, total length, checksum, body, then id
-//! coverage — so a hostile file always reports its outermost defect.
+//! identity on valid version-2 files and any two stores with equal
+//! contents have equal bytes. Version 1 differs only in its footer
+//! ([`fnv1a64`] instead of [`lanes64`]): it is read-only, loads to the
+//! same store, and becomes version 2 at its next save. Validation is
+//! strictly ordered — truncation, magic, version, header consistency,
+//! total length, checksum, body, then id coverage — so a hostile file
+//! always reports its outermost defect.
 //! Every read goes through the workspace's shared little-endian cursor,
 //! [`spechd_hdc::LeReader`]; each names what it reads, so a short read is
 //! a self-describing [`StoreError::Truncated`].
@@ -19,8 +22,9 @@ use std::collections::BTreeMap;
 
 /// File magic, first four bytes of every store file.
 pub(crate) const MAGIC: [u8; 4] = *b"SHPK";
-/// Current (and only) format version.
-pub(crate) const VERSION: u16 = 1;
+/// The format version [`to_bytes`] writes. [`from_bytes`] also reads
+/// version 1, whose footer is [`fnv1a64`] instead of [`lanes64`].
+pub(crate) const VERSION: u16 = 2;
 /// Header flag bit: every bucket section carries a member hypervector
 /// row per member record (a row-keeping store, see
 /// [`ClusterStore::new_keeping_rows`]). All other flag bits are
@@ -33,8 +37,9 @@ const CLUSTER_META_LEN: usize = 16;
 const MEMBER_LEN: usize = 12;
 const FOOTER_LEN: usize = 8;
 
-/// FNV-1a 64 over `bytes` — the footer checksum. Not cryptographic; it
-/// exists to catch bit rot and truncated writes, not tampering.
+/// FNV-1a 64 over `bytes` — the version-1 footer checksum, kept only so
+/// version-1 files still load. One dependent multiply per byte makes it
+/// the slowest step of a load or save; version 2 uses [`lanes64`].
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -42,6 +47,74 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The lane multiplier (2^64 / φ): any odd constant keeps a lane step
+/// invertible; this one spreads every bit upward.
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Distinct lane start states, so equal word streams in two lanes still
+/// end in different states.
+const LANE_SEEDS: [u64; 4] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+];
+
+/// One lane step: XOR in `word`, multiply by the odd [`LANE_MUL`], then
+/// xorshift. For a fixed `word` each of the three is a bijection of `h`,
+/// and for a fixed `h` the whole step is a bijection of `word`.
+#[inline]
+fn lane_step(h: u64, word: u64) -> u64 {
+    let h = (h ^ word).wrapping_mul(LANE_MUL);
+    h ^ (h >> 29)
+}
+
+/// Folds one 32-byte block into the four lanes, one little-endian word
+/// per lane.
+#[inline]
+fn lanes_block(lanes: &mut [u64; 4], block: &[u8]) {
+    for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+        let mut word = [0; 8];
+        word.copy_from_slice(bytes);
+        *lane = lane_step(*lane, u64::from_le_bytes(word));
+    }
+}
+
+/// The version-2 footer checksum: `bytes` as little-endian `u64` words,
+/// word `i` of each 32-byte block into lane `i`, a short tail zero-padded
+/// into one last block; then the byte length and the four lanes, each
+/// rotated by its own amount, folded into one sum by the same step. The
+/// four lanes have no dependency on each other, so a core runs their
+/// multiplies side by side instead of FNV-1a's one per byte.
+///
+/// Changing any one word — hence any one byte or bit — of a payload
+/// always changes the sum. The lane step that takes the word in is a
+/// bijection of the word; each later step of that lane is a bijection of
+/// the lane's state (XOR, multiply by an odd constant, xorshift); the
+/// fold step that takes that lane in is a bijection of the lane, and each
+/// later fold step a bijection of the sum. The length and the other
+/// lanes are unchanged, so the sum must differ. Zero padding cannot hide
+/// a trailing zero byte either: the length is folded in. Not
+/// cryptographic; it exists to catch bit rot and torn writes, not
+/// tampering.
+pub(crate) fn lanes64(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let blocks = bytes.chunks_exact(32);
+    let tail = blocks.remainder();
+    for block in blocks {
+        lanes_block(&mut lanes, block);
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; 32];
+        last[..tail.len()].copy_from_slice(tail);
+        lanes_block(&mut lanes, &last);
+    }
+    let mut sum = lane_step(0, bytes.len() as u64);
+    for (lane, rotation) in lanes.into_iter().zip([0, 16, 32, 48]) {
+        sum = lane_step(sum, lane.rotate_left(rotation));
+    }
+    sum
 }
 
 /// A bucket section's byte length. Counts and stride of at most
@@ -106,9 +179,7 @@ pub(crate) fn to_bytes(store: &ClusterStore) -> Vec<u8> {
             out.extend_from_slice(&c.members.to_le_bytes());
             out.extend_from_slice(&0u32.to_le_bytes()); // reserved
         }
-        for word in bucket.medoids().words() {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
+        put_words(&mut out, bucket.medoids().words());
         for m in bucket.members() {
             out.extend_from_slice(&m.id.to_le_bytes());
             out.extend_from_slice(&m.cluster.to_le_bytes());
@@ -118,17 +189,25 @@ pub(crate) fn to_bytes(store: &ClusterStore) -> Vec<u8> {
             let rows = bucket
                 .member_rows()
                 .expect("row-keeping store bucket has member rows");
-            for word in rows.words() {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
+            put_words(&mut out, rows.words());
         }
     }
 
     // Footer.
-    let checksum = fnv1a64(&out);
+    let checksum = lanes64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     debug_assert_eq!(out.len(), total);
     out
+}
+
+/// Appends `words` little-endian: one `resize`, then one pass over the
+/// new span.
+fn put_words(out: &mut Vec<u8>, words: &[u64]) {
+    let start = out.len();
+    out.resize(start + words.len() * 8, 0);
+    for (bytes, word) in out[start..].chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
 }
 
 /// Names what a short read was reading.
@@ -155,10 +234,12 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
     if magic != MAGIC {
         return Err(StoreError::BadMagic { found: magic });
     }
-    let version = r.u16().map_err(reading("header version"))?;
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion { found: version });
-    }
+    // The version picks the footer checksum; nothing else differs.
+    let checksum: fn(&[u8]) -> u64 = match r.u16().map_err(reading("header version"))? {
+        1 => fnv1a64,
+        VERSION => lanes64,
+        found => return Err(StoreError::UnsupportedVersion { found }),
+    };
     let flags = r.u16().map_err(reading("header flags"))?;
     if flags & !FLAG_MEMBER_ROWS != 0 {
         return Err(StoreError::Corrupt(format!(
@@ -233,7 +314,7 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<ClusterStore, StoreError> {
     }
     let (payload, footer) = bytes.split_at(expected_total - FOOTER_LEN);
     let stored = LeReader::new(footer).u64().map_err(reading("footer"))?;
-    let computed = fnv1a64(payload);
+    let computed = checksum(payload);
     if stored != computed {
         return Err(StoreError::ChecksumMismatch { stored, computed });
     }
@@ -364,6 +445,57 @@ mod tests {
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
+    /// `n` bytes that differ from word to word and lane to lane.
+    fn ramp(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn lanes_match_recorded_sums() {
+        // Recorded from this implementation: a drift here changes every
+        // version-2 footer ever written.
+        let recorded: [(usize, u64); 8] = [
+            (0, 0x8aad_c0dc_6de9_2707),
+            (1, 0x9c30_f73f_b13e_d04b),
+            (7, 0x0657_9b7e_d933_af7f),
+            (8, 0x4680_bd73_2e52_d76a),
+            (31, 0xbbb8_4127_3537_b1bd),
+            (32, 0xf3f1_772b_ce3e_06f3),
+            (33, 0x199a_0e6b_c20e_0ea2),
+            (1000, 0xf9a3_32ee_605b_b6da),
+        ];
+        for (len, sum) in recorded {
+            assert_eq!(lanes64(&ramp(len)), sum, "length {len}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_lane_sum() {
+        // 1 000 bytes: 31 full blocks and an 8-byte tail.
+        let bytes = ramp(1000);
+        let sum = lanes64(&bytes);
+        let mut flipped = bytes.clone();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                assert_ne!(lanes64(&flipped), sum, "byte {i} bit {bit}");
+                flipped[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn a_trailing_zero_byte_changes_the_lane_sum() {
+        // Past length 0 the zero lands in the same zero-padded block;
+        // only the folded length tells the two apart.
+        for len in [0, 1, 31, 1000] {
+            let mut bytes = ramp(len);
+            let sum = lanes64(&bytes);
+            bytes.push(0);
+            assert_ne!(lanes64(&bytes), sum, "length {len}");
+        }
+    }
+
     #[test]
     fn truncated_header_reports_context() {
         let bytes = sample_bytes(100);
@@ -402,10 +534,10 @@ mod tests {
     #[test]
     fn future_version_is_rejected() {
         let mut bytes = sample_bytes(100);
-        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
         assert!(matches!(
             from_bytes(&bytes).unwrap_err(),
-            StoreError::UnsupportedVersion { found: 2 }
+            StoreError::UnsupportedVersion { found: 3 }
         ));
     }
 
@@ -455,11 +587,12 @@ mod tests {
         ));
     }
 
-    /// Re-seals a tampered file so the corruption reaches the body parser
+    /// Re-seals a tampered file with the version-2 checksum, whatever its
+    /// version field now says, so the corruption reaches the body parser
     /// instead of stopping at the checksum.
     fn reseal(bytes: &mut [u8]) {
         let payload_len = bytes.len() - FOOTER_LEN;
-        let checksum = fnv1a64(&bytes[..payload_len]);
+        let checksum = lanes64(&bytes[..payload_len]);
         bytes[payload_len..].copy_from_slice(&checksum.to_le_bytes());
     }
 

@@ -34,7 +34,7 @@
 //!   `tests/tests/store_durability.rs` can prove "any interrupted save
 //!   leaves a loadable store" without crashing a real process.
 //!
-//! ## On-disk format (`SHPK`, version 1, little-endian)
+//! ## On-disk format (`SHPK`, version 2, little-endian)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -53,7 +53,8 @@
 //! │   member rows:   member_count × stride × 8 B — only when     │
 //! │                  header flag bit 0 (member-rows) is set      │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ footer (8 B): FNV-1a 64 checksum of all preceding bytes      │
+//! │ footer (8 B): 4-lane u64 word checksum of all preceding bytes│
+//! │               (version 1: FNV-1a 64; read-only)              │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!

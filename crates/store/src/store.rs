@@ -565,14 +565,18 @@ impl ClusterStore {
         ))
     }
 
-    /// Serializes the store into the versioned `SHPK` byte format (see
-    /// the [crate docs](crate) for the layout).
+    /// Serializes the store into the `SHPK` byte format, always version 2
+    /// (see the [crate docs](crate) for the layout). Equal stores give
+    /// equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         format::to_bytes(self)
     }
 
     /// Deserializes a store from `SHPK` bytes, validating structure,
     /// checksum, and internal consistency before any state is built.
+    /// Reads version 2 and version 1 (which differs only in its FNV-1a
+    /// footer); either way [`ClusterStore::to_bytes`] then writes
+    /// version 2, so a version-1 file migrates at its next save.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         format::from_bytes(bytes)
     }
