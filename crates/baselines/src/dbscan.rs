@@ -29,6 +29,8 @@ impl Default for DbscanParams {
 }
 
 /// DBSCAN output: an optional cluster id per point (`None` = noise).
+///
+/// Public as the result of [`dbscan`] and [`dbscan_packed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbscanResult {
     labels: Vec<Option<usize>>,
@@ -111,7 +113,9 @@ pub fn dbscan(matrix: &CondensedMatrix, params: DbscanParams) -> DbscanResult {
 /// epsilon-neighborhood kernel; `params.eps` is in Hamming-distance bits.
 ///
 /// Label-identical to building a [`CondensedMatrix`] from the pack and
-/// calling [`dbscan`], without the O(n²) matrix.
+/// calling [`dbscan`], without the O(n²) matrix. Like
+/// [`CondensedMatrix::from_pack`], the kernel runs on the caller's thread:
+/// a pack here is one bucket.
 ///
 /// # Panics
 ///
@@ -123,7 +127,9 @@ pub fn dbscan_packed(pack: &HvPack, params: DbscanParams) -> DbscanResult {
     );
     // Integer distances: d <= eps  ⟺  d <= floor(eps), capped at dim.
     let eps_bits = params.eps.min(pack.dim() as f64).floor() as u32;
-    let adjacency = PackedDistanceEngine::new().neighbors_within(pack, eps_bits);
+    let adjacency = PackedDistanceEngine::new()
+        .threads(1)
+        .neighbors_within(pack, eps_bits);
     dbscan_from_neighbors(&adjacency, params.min_pts)
 }
 

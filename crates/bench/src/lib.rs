@@ -338,22 +338,14 @@ fn fig10_rows(dataset: &SpectrumDataset) -> Vec<Vec<String>> {
     rows
 }
 
-/// Result of the Fig. 11 experiment for one precursor charge: unique
-/// peptide identifications from each tool's consensus spectra.
-#[derive(Debug, Clone)]
-pub struct OverlapOutcome {
-    /// Precursor charge this row covers.
-    pub charge: u8,
-    /// Venn region counts (A = SpecHD, B = GLEAMS, C = HyperSpec).
-    pub venn: overlap::Venn3,
-}
-
 /// Fig. 11: identify peptides from each tool's consensus spectra at 1%
-/// FDR and intersect the sets, split by precursor charge.
+/// FDR and intersect the sets, split by precursor charge. One row per
+/// charge: the charge and the Venn region counts of the unique peptide
+/// identifications (A = SpecHD, B = GLEAMS, C = HyperSpec).
 pub fn fig11_overlap(
     generator: &SyntheticGenerator,
     dataset: &SpectrumDataset,
-) -> Vec<OverlapOutcome> {
+) -> Vec<(u8, overlap::Venn3)> {
     let db = PeptideDatabase::build(generator.peptide_library());
     let engine = SearchEngine::new(db, SearchConfig::default());
 
@@ -388,14 +380,14 @@ pub fn fig11_overlap(
             let a = identify(&spechd_consensus, charge);
             let b = identify(&gleams_consensus, charge);
             let c = identify(&hyperspec_consensus, charge);
-            OverlapOutcome {
+            (
                 charge,
-                venn: overlap::venn3(
+                overlap::venn3(
                     a.iter().map(String::as_str),
                     b.iter().map(String::as_str),
                     c.iter().map(String::as_str),
                 ),
-            }
+            )
         })
         .collect()
 }
@@ -556,15 +548,15 @@ pub fn print_fig11() {
     let (generator, dataset) = hard_dataset(2_500, 11);
     let rows: Vec<Vec<String>> = fig11_overlap(&generator, &dataset)
         .iter()
-        .map(|o| {
-            let (a, c) = (o.venn.total_a() as f64, o.venn.total_c() as f64);
+        .map(|(charge, venn)| {
+            let (a, c) = (venn.total_a() as f64, venn.total_c() as f64);
             vec![
-                format!("{}+", o.charge),
-                o.venn.total_a().to_string(),
-                o.venn.total_b().to_string(),
-                o.venn.total_c().to_string(),
-                o.venn.abc.to_string(),
-                format!("{:+.2}%", o.venn.a_vs_b_percent()),
+                format!("{charge}+"),
+                venn.total_a().to_string(),
+                venn.total_b().to_string(),
+                venn.total_c().to_string(),
+                venn.abc.to_string(),
+                format!("{:+.2}%", venn.a_vs_b_percent()),
                 format!("{:+.2}%", if c == 0.0 { 0.0 } else { (a - c) / c * 100.0 }),
             ]
         })

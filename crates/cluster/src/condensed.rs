@@ -135,7 +135,9 @@ impl CondensedMatrix {
     /// Builds the matrix directly from a packed hypervector store, running
     /// the tiled XOR+popcount kernel
     /// ([`PackedDistanceEngine::pairwise_condensed`]) over the contiguous
-    /// buffer and keeping the buffer it returns.
+    /// buffer and keeping the buffer it returns. The kernel runs on the
+    /// caller's thread, as [`crate::cluster_shard`]'s does: a pack here is
+    /// one bucket, mostly a single tile, too small to repay a thread start.
     ///
     /// # Panics
     ///
@@ -144,7 +146,9 @@ impl CondensedMatrix {
     pub fn from_pack(pack: &spechd_hdc::HvPack) -> Self {
         Self::from_condensed_u16(
             pack.len(),
-            PackedDistanceEngine::new().pairwise_condensed(pack),
+            PackedDistanceEngine::new()
+                .threads(1)
+                .pairwise_condensed(pack),
         )
     }
 

@@ -9,6 +9,9 @@
 use crate::{MsasModel, SystemConfig, SystemModel, WorkloadShape};
 
 /// One evaluated design point.
+///
+/// Public as the item of [`explore`] and [`pareto_front`], whose callers
+/// read its fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Encoder kernel count.

@@ -19,6 +19,8 @@ pub enum IonSeries {
 }
 
 /// One theoretical fragment ion.
+///
+/// Public as the item of [`fragment_ions`], which the search scorer reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FragmentIon {
     /// Which series the ion belongs to.

@@ -5,6 +5,8 @@
 //! while quality experiments run on scaled-down synthetic datasets.
 
 /// Static description of one PRIDE evaluation dataset.
+///
+/// Public as the row type of [`TABLE1`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetProfile {
     /// Short name used in reports.

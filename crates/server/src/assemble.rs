@@ -12,7 +12,7 @@
 //! spectra (the core crate's `observed_events_reconstruct_the_outcome`
 //! test pins this contract).
 
-use crate::protocol::{Frame, JobStatsFrame};
+use crate::protocol::{Frame, JobStatsFrame, WireError};
 use spechd_cluster::ClusterAssignment;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -61,6 +61,8 @@ pub(crate) struct AssignmentAssembler {
     /// Raw global label → medoid stream index.
     medoid_by_raw: BTreeMap<usize, u64>,
     stats: Option<JobStatsFrame>,
+    /// The first frame whose raw labels overflow, reported by `finish`.
+    overflow: Option<String>,
 }
 
 impl AssignmentAssembler {
@@ -83,16 +85,18 @@ impl AssignmentAssembler {
                     return;
                 }
                 for (&member, &label) in members.iter().zip(labels) {
-                    self.pairs
-                        .push((member, *raw_base as usize + label as usize));
+                    if let Some(raw) = self.raw_label(*raw_base, label as usize) {
+                        self.pairs.push((member, raw));
+                    }
                 }
             }
             Frame::Consensus {
                 raw_base, medoids, ..
             } => {
                 for (offset, &medoid) in medoids.iter().enumerate() {
-                    self.medoid_by_raw
-                        .insert(*raw_base as usize + offset, medoid);
+                    if let Some(raw) = self.raw_label(*raw_base, offset) {
+                        self.medoid_by_raw.insert(raw, medoid);
+                    }
                 }
             }
             Frame::JobStats(stats) if stats.done != 0 => {
@@ -100,6 +104,18 @@ impl AssignmentAssembler {
             }
             _ => {}
         }
+    }
+
+    /// `raw_base + offset`, or `None` (remembered for `finish`) when a
+    /// hostile frame's block runs past `usize`.
+    fn raw_label(&mut self, raw_base: u64, offset: usize) -> Option<usize> {
+        let raw = usize::try_from(raw_base)
+            .ok()
+            .and_then(|base| base.checked_add(offset));
+        if raw.is_none() && self.overflow.is_none() {
+            self.overflow = Some(format!("raw label block {raw_base} + {offset} overflows"));
+        }
+        raw
     }
 
     /// Whether the job's final `JobStats` frame has been absorbed. The
@@ -113,33 +129,31 @@ impl AssignmentAssembler {
     /// order, renumbers raw labels densely by first appearance, and
     /// maps each dense cluster to its consensus medoid.
     ///
-    /// # Panics
-    ///
-    /// Panics if called before [`AssignmentAssembler::is_done`], or if
-    /// the frame set is internally inconsistent (a raw label without a
-    /// medoid), which a correct server never produces.
-    pub(crate) fn finish(mut self) -> ServiceOutcome {
-        // Every caller waits for `is_done`, which is this frame's arrival.
+    /// A frame set no correct server sends is a
+    /// [`WireError::Malformed`]: no final `JobStats` frame yet, a raw
+    /// label block past `usize`, or a raw label without a medoid.
+    pub(crate) fn finish(mut self) -> Result<ServiceOutcome, WireError> {
         let stats = self
             .stats
-            .expect("finish() before the final JobStats frame");
+            .ok_or_else(|| WireError::malformed("results end before the final JobStats frame"))?;
+        if let Some(overflow) = self.overflow {
+            return Err(WireError::malformed(overflow));
+        }
         self.pairs.sort_unstable();
         let (kept, raw): (Vec<u64>, Vec<usize>) = self.pairs.into_iter().unzip();
         let assignment = ClusterAssignment::from_raw_labels(&raw);
         let mut consensus = vec![0; assignment.num_clusters()];
         for (&dense, raw) in assignment.labels().iter().zip(&raw) {
-            // A correct server sends a consensus medoid for every label.
-            consensus[dense] = *self
-                .medoid_by_raw
-                .get(raw)
-                .expect("raw label without a consensus medoid");
+            consensus[dense] = *self.medoid_by_raw.get(raw).ok_or_else(|| {
+                WireError::malformed(format!("raw label {raw} has no consensus medoid"))
+            })?;
         }
-        ServiceOutcome {
+        Ok(ServiceOutcome {
             kept,
             labels: assignment.labels().to_vec(),
             consensus,
             stats,
-        }
+        })
     }
 }
 
@@ -188,7 +202,7 @@ mod tests {
         }));
         assert!(asm.is_done());
 
-        let outcome = asm.finish();
+        let outcome = asm.finish().expect("a consistent frame set");
         assert_eq!(outcome.kept, vec![0, 1, 2, 3, 4]);
         // First appearances in stream order: raw 2 → 0, raw 0 → 1,
         // raw 3 → 2, (raw 2 again → 0), raw 1 → 3.
@@ -197,10 +211,58 @@ mod tests {
         assert_eq!(outcome.stats.clusters, 4);
     }
 
+    fn done() -> Frame {
+        Frame::JobStats(JobStatsFrame {
+            job_id: 3,
+            done: 1,
+            ..JobStatsFrame::default()
+        })
+    }
+
+    fn malformed(frames: &[Frame]) -> String {
+        let mut asm = AssignmentAssembler::new();
+        for frame in frames {
+            asm.absorb(frame);
+        }
+        match asm.finish() {
+            Err(WireError::Malformed(message)) => message,
+            other => panic!("expected a malformed frame set, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "finish() before the final JobStats frame")]
-    fn finish_before_done_panics() {
-        AssignmentAssembler::new().finish();
+    fn finish_before_done_is_malformed() {
+        assert!(malformed(&[]).contains("JobStats"));
+    }
+
+    /// What a hostile server can send: a label with no medoid, and raw
+    /// label blocks whose end runs past `usize`.
+    #[test]
+    fn hostile_frame_sets_are_malformed_not_panics() {
+        let assignment = |raw_base, labels: Vec<u32>| Frame::Assignment {
+            job_id: 3,
+            key: 1,
+            raw_base,
+            members: (0..labels.len() as u64).collect(),
+            labels,
+        };
+        let consensus = |raw_base, medoids| Frame::Consensus {
+            job_id: 3,
+            raw_base,
+            medoids,
+        };
+        let no_medoid = malformed(&[assignment(0, vec![0, 1]), consensus(0, vec![0]), done()]);
+        assert!(
+            no_medoid.contains("raw label 1 has no consensus medoid"),
+            "{no_medoid}"
+        );
+        let past_usize = malformed(&[assignment(u64::MAX, vec![1]), consensus(0, vec![0]), done()]);
+        assert!(past_usize.contains("overflows"), "{past_usize}");
+        let medoids_past_usize = malformed(&[consensus(u64::MAX, vec![0, 0]), done()]);
+        assert!(
+            medoids_past_usize.contains("overflows"),
+            "{medoids_past_usize}"
+        );
     }
 
     /// A replayed (duplicate) shard frame — what a reconnecting client
@@ -220,11 +282,7 @@ mod tests {
             raw_base: 0,
             medoids: vec![1],
         };
-        let done = Frame::JobStats(JobStatsFrame {
-            job_id: 3,
-            done: 1,
-            ..JobStatsFrame::default()
-        });
+        let done = done();
         let mut once = AssignmentAssembler::new();
         for f in [&assignment, &consensus, &done] {
             once.absorb(f);
@@ -240,6 +298,6 @@ mod tests {
         ] {
             twice.absorb(f);
         }
-        assert_eq!(once.finish(), twice.finish());
+        assert_eq!(once.finish().unwrap(), twice.finish().unwrap());
     }
 }

@@ -516,7 +516,7 @@ impl JobClient {
             }
             Ok(())
         })?;
-        Ok(self.assembler.finish())
+        Ok(self.assembler.finish()?)
     }
 
     /// One [`Link::call`] whose resume re-joins this participant's slot.
@@ -1073,5 +1073,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A server that answers `CloseJob` with a label whose medoid it
+    /// never sends: the client reports a malformed reply, it does not
+    /// panic.
+    #[test]
+    fn a_result_without_its_medoid_is_a_malformed_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let limits = Limits::default();
+            read_frame(&mut stream, &limits).expect("OpenJob");
+            let opened = Frame::JobStats(JobStatsFrame::default());
+            write_frame(&mut stream, &opened).expect("open ack");
+            read_frame(&mut stream, &limits).expect("CloseJob");
+            let done = JobStatsFrame {
+                done: 1,
+                ..JobStatsFrame::default()
+            };
+            let results = [
+                Frame::Assignment {
+                    job_id: 1,
+                    key: 0,
+                    raw_base: 0,
+                    members: vec![0],
+                    labels: vec![0],
+                },
+                Frame::JobStats(done),
+            ];
+            for frame in &results {
+                write_frame(&mut stream, frame).expect("result frame");
+            }
+        });
+        let client = JobClient::connect(addr, 1, JobConfig::default()).expect("connect");
+        let err = client.close_and_wait().expect_err("no medoid for label 0");
+        server.join().expect("fake server");
+        assert!(
+            matches!(&err, ClientError::Wire(WireError::Malformed(m)) if m.contains("medoid")),
+            "{err}"
+        );
     }
 }

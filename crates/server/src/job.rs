@@ -651,7 +651,7 @@ mod tests {
 
             let mut assembler = AssignmentAssembler::new();
             frames.iter().for_each(|f| assembler.absorb(f));
-            let served = assembler.finish();
+            let served = assembler.finish().expect("a consistent frame set");
             let run = SpecHd::new(config.pipeline_config()).run(&ds);
             let wide = |v: &[usize]| v.iter().map(|&i| i as u64).collect::<Vec<_>>();
             assert_eq!(served.kept, wide(run.kept()), "workers {workers}");

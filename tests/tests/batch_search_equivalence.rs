@@ -5,60 +5,14 @@
 //! every dimensionality, library size, thread count, `top_k` and block
 //! size, and on blocks built to hit the walk's corners.
 
-use spechd_hdc::BinaryHypervector;
-use spechd_rng::{Rng, Xoshiro256StarStar};
-use spechd_search::{
-    scalar_search_window, HvLibrary, HvLibraryBuilder, PackedSearchConfig, PackedSearchEngine,
+use spechd_rng::Xoshiro256StarStar;
+use spechd_search::{HvLibrary, PackedSearchConfig, PackedSearchEngine};
+// A ladder's row `i` sits at `1000 + i` Da: a ±w Da window around row
+// `r` is rows `r − w ..= r + w`.
+use spechd_tests::{
+    assert_search_paths, at_threads, ladder_library, random_library, random_queries, random_rows,
+    Query, SearchPath,
 };
-
-type Query = (BinaryHypervector, f64);
-
-/// `n` random rows with random masses in 500–3500 Da, every third one
-/// followed by its shuffled decoy (so some masses are shared).
-fn random_library(n: usize, dim: usize, seed: u64) -> HvLibrary {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let mut b = HvLibraryBuilder::new(dim);
-    for i in 0..n {
-        let hv = BinaryHypervector::random(dim, &mut rng);
-        let mass = rng.range_f64(500.0, 3500.0);
-        if i % 3 == 0 {
-            b.push_with_shuffled_decoy(&hv, mass, 2, &format!("p{i}"), seed.wrapping_add(i as u64));
-        } else {
-            b.push_hypervector(&hv, mass, 2, format!("p{i}"), false);
-        }
-    }
-    b.build()
-}
-
-/// `rows[i]` at mass `1000 + i` Da: row `i` of the built library is
-/// `rows[i]`, and a ±w Da window around row `r` is rows `r − w ..= r + w`.
-fn ladder_library(dim: usize, rows: &[BinaryHypervector]) -> HvLibrary {
-    let mut b = HvLibraryBuilder::new(dim);
-    for (i, hv) in rows.iter().enumerate() {
-        b.push_hypervector(hv, 1000.0 + i as f64, 2, format!("r{i}"), false);
-    }
-    b.build()
-}
-
-fn random_rows(n: usize, dim: usize, seed: u64) -> Vec<BinaryHypervector> {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    (0..n)
-        .map(|_| BinaryHypervector::random(dim, &mut rng))
-        .collect()
-}
-
-fn random_queries(n: usize, dim: usize, seed: u64) -> Vec<Query> {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            (
-                BinaryHypervector::random(dim, &mut rng),
-                // A little past both ends: some windows are clipped or empty.
-                rng.range_f64(300.0, 3700.0),
-            )
-        })
-        .collect()
-}
 
 /// Both batch modes ≡ per-query `search_window` ≡ the scalar oracle, at
 /// 1 / 2 / 4 threads.
@@ -70,36 +24,14 @@ fn assert_block_equivalent(
     top_k: usize,
     what: &str,
 ) {
-    let oracle = |window_da: f64| -> Vec<_> {
-        block
-            .iter()
-            .enumerate()
-            .map(|(i, (q, m))| scalar_search_window(lib, q, *m, i, window_da, top_k))
-            .collect()
-    };
-    let (std_oracle, open_oracle) = (oracle(tol_da), oracle(open_da));
-    for threads in [1usize, 2, 4] {
-        let engine = PackedSearchEngine::new(PackedSearchConfig {
-            precursor_tol_da: tol_da,
-            open_window_da: open_da,
-            top_k,
-            threads,
-            ..PackedSearchConfig::default()
-        });
-        let per_query = |window_da: f64| -> Vec<_> {
-            block
-                .iter()
-                .enumerate()
-                .map(|(i, (q, m))| engine.search_window(lib, q, *m, i, window_da))
-                .collect()
-        };
-        let what = format!("{what}, top_k {top_k}, threads {threads}");
-        let std_hits = engine.search_batch_standard(lib, block);
-        assert_eq!(std_hits, std_oracle, "standard vs oracle: {what}");
-        assert_eq!(std_hits, per_query(tol_da), "standard vs per-query: {what}");
-        let open_hits = engine.search_batch_open(lib, block);
-        assert_eq!(open_hits, open_oracle, "open vs oracle: {what}");
-        assert_eq!(open_hits, per_query(open_da), "open vs per-query: {what}");
+    let blocks = [
+        (tol_da, at_threads(SearchPath::BlockStandard)),
+        (open_da, at_threads(SearchPath::BlockOpen)),
+    ];
+    for (window_da, block_paths) in blocks {
+        let per_query = at_threads(SearchPath::PerQuery);
+        let paths: Vec<SearchPath> = block_paths.into_iter().chain(per_query).collect();
+        assert_search_paths(lib, block, (window_da, top_k), &paths, None, what);
     }
 }
 
@@ -109,7 +41,9 @@ fn batch_search_matches_per_query_and_scalar_everywhere() {
         for size in [0usize, 1, 257, 1500] {
             let lib = random_library(size, dim, 0xB10C ^ (dim * 10_000 + size) as u64);
             for block_len in [0usize, 1, 64] {
-                let block = random_queries(block_len, dim, 0xFACE ^ (dim + block_len) as u64);
+                // A little past both ends: some windows are clipped or empty.
+                let seed = 0xFACE ^ (dim + block_len) as u64;
+                let block = random_queries(block_len, dim, seed, 300.0, 3700.0);
                 // "More than the candidates": the library itself is smaller.
                 for top_k in [1, 5, 2 * lib.len() + 7] {
                     assert_block_equivalent(
@@ -132,7 +66,7 @@ fn every_window_identical() {
     // empties on one `retain`.
     let dim = 2048;
     let rows = random_rows(400, dim, 41);
-    let lib = ladder_library(dim, &rows);
+    let lib = ladder_library(&rows, 1000.0, 1.0, false);
     let block: Vec<Query> = random_rows(64, dim, 42)
         .into_iter()
         .map(|q| (q, 1200.0))
@@ -149,7 +83,7 @@ fn narrow_windows_thousands_of_rows_apart() {
     // a row to a query whose window ended tiles ago.
     let dim = 64;
     let rows = random_rows(9000, dim, 43);
-    let lib = ladder_library(dim, &rows);
+    let lib = ladder_library(&rows, 1000.0, 1.0, false);
     let block: Vec<Query> = [8990usize, 3, 4500, 4503, 31, 2047, 2048, 7000]
         .into_iter()
         .map(|r| (rows[r].clone(), 1000.0 + r as f64))
@@ -176,7 +110,7 @@ fn windows_start_and_end_mid_tile() {
     // a single tile, some across two or three.
     let dim = 2048;
     let rows = random_rows(330, dim, 44);
-    let lib = ladder_library(dim, &rows);
+    let lib = ladder_library(&rows, 1000.0, 1.0, false);
     let queries = random_rows(64, dim, 45);
     let block: Vec<Query> = queries
         .into_iter()
@@ -192,7 +126,7 @@ fn windows_start_and_end_mid_tile() {
 fn whole_library_window_next_to_an_empty_one() {
     let dim = 2048;
     let rows = random_rows(700, dim, 46);
-    let lib = ladder_library(dim, &rows);
+    let lib = ladder_library(&rows, 1000.0, 1.0, false);
     let q = random_rows(3, dim, 47);
     // ±800 Da from the middle covers all 700 rows; the far masses cover none.
     let block = vec![
@@ -230,7 +164,7 @@ fn identical_rows_straddling_a_tile_boundary() {
     for row in &mut rows[150..155] {
         *row = twin.clone();
     }
-    let lib = ladder_library(dim, &rows);
+    let lib = ladder_library(&rows, 1000.0, 1.0, false);
     let mut near = twin.clone();
     near.flip_random_bits(9, &mut Xoshiro256StarStar::seed_from_u64(49));
     let block = vec![

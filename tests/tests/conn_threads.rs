@@ -6,51 +6,21 @@
 #![cfg(target_os = "linux")]
 
 use spechd_server::limits::MAX_WORKERS;
-use spechd_server::{
-    JobClient, JobConfig, LibraryEntryWire, RetryPolicy, SearchClient, Server, ServerConfig,
-    StoreClient,
-};
-use std::time::{Duration, Instant};
+use spechd_server::{JobClient, JobConfig, RetryPolicy, SearchClient, ServerConfig, StoreClient};
+use spechd_tests::{serve, settle_at, threads, tiny_entry};
 
 const K: usize = 8;
 
-/// The process's thread count, as the kernel reports it.
-fn threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    status
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .and_then(|count| count.trim().parse().ok())
-        .expect("a Threads line")
-}
-
-/// The thread count once it reads `expected`, or after 5 s of not.
-fn settle_at(expected: usize) -> usize {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while threads() != expected && Instant::now() < deadline {
-        std::thread::yield_now();
-    }
-    threads()
-}
-
 #[test]
 fn search_and_store_connections_run_one_thread_each() {
-    let entry = LibraryEntryWire {
-        mass: 500.0,
-        charge: 2,
-        is_decoy: false,
-        id: "e".into(),
-        words: vec![0x5A],
-    };
+    let entry = tiny_entry();
     let job_config = JobConfig {
         workers: 1,
         ..JobConfig::default()
     };
 
     let before = threads();
-    let running = Server::bind("127.0.0.1:0", ServerConfig::default())
-        .and_then(Server::spawn)
-        .expect("bind and spawn");
+    let running = serve(ServerConfig::default());
     let addr = running.addr();
     // The accept loop and the sweeper.
     let base = settle_at(before + 2);

@@ -3,18 +3,8 @@
 
 use spechd_core::{SpecHd, SpecHdConfig};
 use spechd_ms::formats::{mgf, ms2};
-use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::SpectrumDataset;
-
-fn dataset(n: usize, seed: u64) -> SpectrumDataset {
-    SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: n,
-        num_peptides: n / 5,
-        seed,
-        ..SyntheticConfig::default()
-    })
-    .generate()
-}
+use spechd_tests::{synthetic_dataset as dataset, Data, Gen};
 
 #[test]
 fn mgf_roundtrip_preserves_clustering() {
@@ -48,14 +38,7 @@ fn consensus_mgf_export_searchable() {
     // The cluster_mgf example's workflow: consensus spectra written as MGF
     // can be read back and searched.
     use spechd_search::{PeptideDatabase, SearchConfig, SearchEngine};
-    let generator = SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: 400,
-        num_peptides: 80,
-        noise_spectrum_fraction: 0.0,
-        seed: 205,
-        ..SyntheticConfig::default()
-    });
-    let ds = generator.generate();
+    let ds = Data::new(Gen::Clean, 400, 205);
     let outcome = SpecHd::new(SpecHdConfig::default()).run(&ds);
     let consensus: Vec<_> = outcome
         .consensus()
@@ -65,7 +48,7 @@ fn consensus_mgf_export_searchable() {
     let text = mgf::to_string(&consensus);
     let parsed = mgf::read(text.as_bytes()).unwrap();
     let engine = SearchEngine::new(
-        PeptideDatabase::build(generator.peptide_library()),
+        PeptideDatabase::build(ds.generator().unwrap().peptide_library()),
         SearchConfig::default(),
     );
     let hits = engine.search_dataset(&parsed).iter().flatten().count();

@@ -11,110 +11,46 @@
 //! is an approximation on buckets that span installments.
 
 use spechd_core::{ClusterStore, IncrementalOutcome, SpecHd, SpecHdConfig};
-use spechd_metrics::EquivalenceGate;
-use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::SpectrumDataset;
-
-fn union_dataset(n: usize, seed: u64) -> SpectrumDataset {
-    SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: n,
-        num_peptides: n / 6,
-        seed,
-        ..SyntheticConfig::default()
-    })
-    .generate()
-}
-
-/// Splits a dataset into `k` contiguous installments.
-fn split(dataset: &SpectrumDataset, k: usize) -> Vec<SpectrumDataset> {
-    let n = dataset.len();
-    let chunk = n.div_ceil(k);
-    let mut parts = Vec::with_capacity(k);
-    let mut iter = dataset.iter();
-    for _ in 0..k {
-        let mut part = SpectrumDataset::new();
-        for (spectrum, label) in iter.by_ref().take(chunk) {
-            part.push(spectrum.clone(), label);
-        }
-        parts.push(part);
-    }
-    parts
-}
-
-/// Runs the incremental pipeline over the installments, returning the
-/// final outcome (the last installment sees the full union assignment).
-fn run_installments(
-    engine: &SpecHd,
-    store: &mut ClusterStore,
-    parts: &[SpectrumDataset],
-) -> IncrementalOutcome {
-    let mut last = None;
-    for part in parts {
-        last = Some(engine.run_incremental(store, part).unwrap());
-    }
-    last.expect("at least one installment")
-}
+use spechd_tests::{
+    assert_gate, assert_paths, assert_same, installments, run_installments, Data, Gen, Outcome,
+    Path,
+};
 
 #[test]
 fn one_installment_is_bit_identical_to_batch() {
-    let union = union_dataset(400, 21);
-    let engine = SpecHd::new(SpecHdConfig::default());
-    let batch = engine.run(&union);
-
-    let mut store = engine.new_store().unwrap();
-    let inc = run_installments(&engine, &mut store, std::slice::from_ref(&union));
-    assert_eq!(inc.assignment(), batch.assignment());
+    let union = Data::new(Gen::Union, 400, 21);
+    assert_paths(&union, &[Path::Incremental, Path::ServedIncremental]);
 }
 
 #[test]
 fn k_installments_stay_inside_the_equivalence_gate() {
-    let union = union_dataset(600, 22);
+    let union = Data::new(Gen::Union, 600, 22);
     let engine = SpecHd::new(SpecHdConfig::default());
     let batch = engine.run(&union);
-    // Ground truth per kept spectrum, in batch kept order — which is
-    // also incremental global-id order because installments are
-    // contiguous slices of the union.
-    let truth: Vec<Option<u32>> = batch
-        .kept()
-        .iter()
-        .map(|&orig| union.labels()[orig])
-        .collect();
-
+    // Installments are contiguous slices of the union, so incremental
+    // global-id order is batch kept order.
     for k in [1usize, 2, 5] {
         let mut store = engine.new_store().unwrap();
-        let inc = run_installments(&engine, &mut store, &split(&union, k));
+        let inc = run_installments(&engine, &mut store, &installments(&union, k));
         assert_eq!(
             inc.assignment().len(),
             batch.assignment().len(),
             "k={k}: same kept spectra"
         );
-        let report = EquivalenceGate::default().check(
-            inc.assignment().labels(),
-            batch.assignment().labels(),
-            &truth,
-        );
-        assert!(
-            report.passed(),
-            "k={k}: gate violations {:?} (NMI {:.4}, ARI {:.4}, v {:.4} vs {:.4}, icr {:.4} vs {:.4})",
-            report.violations,
-            report.agreement.nmi,
-            report.agreement.ari,
-            report.incremental.v_measure,
-            report.batch.v_measure,
-            report.incremental.incorrect_ratio,
-            report.batch.incorrect_ratio,
-        );
+        let path = format!("Incremental, k = {k}");
+        assert_gate(&path, &union, inc.assignment().labels(), &batch);
         if k == 1 {
-            assert_eq!(inc.assignment(), batch.assignment(), "k=1 is exact");
+            assert_same("Incremental", &union.name, &(&inc).into(), &(&batch).into());
         }
     }
 }
 
 #[test]
 fn labels_are_stable_across_sessions() {
-    let union = union_dataset(500, 23);
+    let union = Data::new(Gen::Union, 500, 23);
     let engine = SpecHd::new(SpecHdConfig::default());
-    let parts = split(&union, 5);
+    let parts = installments(&union, 5);
 
     let mut store = engine.new_store().unwrap();
     let mut previous: Option<IncrementalOutcome> = None;
@@ -149,7 +85,7 @@ fn labels_are_stable_across_sessions() {
 
 #[test]
 fn cold_start_on_empty_store_matches_batch() {
-    let union = union_dataset(300, 24);
+    let union = Data::new(Gen::Union, 300, 24);
     let engine = SpecHd::new(SpecHdConfig::default());
     let store = engine.new_store().unwrap();
     assert!(store.is_empty());
@@ -159,14 +95,19 @@ fn cold_start_on_empty_store_matches_batch() {
     let mut store = ClusterStore::from_bytes(&store.to_bytes()).unwrap();
     let inc = engine.run_incremental(&mut store, &union).unwrap();
     let batch = engine.run(&union);
-    assert_eq!(inc.assignment(), batch.assignment());
+    assert_same(
+        "Incremental",
+        &union.name,
+        &Outcome::from(&inc),
+        &(&batch).into(),
+    );
     assert_eq!(inc.stats().dirty_buckets, 0);
     assert_eq!(inc.stats().fresh_buckets, store.num_buckets());
 }
 
 #[test]
 fn single_new_spectrum_lands_in_an_existing_cluster_or_its_own() {
-    let union = union_dataset(400, 25);
+    let union = Data::new(Gen::Union, 400, 25);
     let engine = SpecHd::new(SpecHdConfig::default());
     let mut store = engine.new_store().unwrap();
     let first = engine.run_incremental(&mut store, &union).unwrap();
@@ -199,7 +140,7 @@ fn single_new_spectrum_lands_in_an_existing_cluster_or_its_own() {
 
 #[test]
 fn genuinely_novel_spectrum_starts_a_new_cluster() {
-    let union = union_dataset(200, 26);
+    let union = Data::new(Gen::Union, 200, 26);
     let engine = SpecHd::new(SpecHdConfig::default());
     let mut store = engine.new_store().unwrap();
     engine.run_incremental(&mut store, &union).unwrap();

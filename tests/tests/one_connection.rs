@@ -5,11 +5,8 @@
 //! job's labels equal a local `SpecHd::run` over the same spectra.
 
 use spechd_cluster::ClusterAssignment;
-use spechd_core::SpecHd;
-use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
-use spechd_server::{
-    Connection, Frame, JobConfig, LibraryEntryWire, QueryWire, Server, ServerConfig,
-};
+use spechd_server::{Connection, Frame, JobConfig, LibraryEntryWire, QueryWire, ServerConfig};
+use spechd_tests::{assert_same, engine, serve, Data, Gen, Outcome};
 
 /// Reads frames until `is_reply` picks one, keeping every streamed
 /// result frame read on the way as `(stream index, raw label)`.
@@ -39,9 +36,7 @@ fn reply(
 
 #[test]
 fn a_search_session_then_a_job_share_one_socket_in_request_order() {
-    let running = Server::bind("127.0.0.1:0", ServerConfig::default())
-        .and_then(Server::spawn)
-        .expect("bind and spawn");
+    let running = serve(ServerConfig::default());
     let mut conn = Connection::open(running.addr()).expect("connect");
     let mut members = Vec::new();
 
@@ -107,13 +102,7 @@ fn a_search_session_then_a_job_share_one_socket_in_request_order() {
         workers: 1,
         ..JobConfig::default()
     };
-    let dataset = SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: 300,
-        num_peptides: 60,
-        seed: 5,
-        ..SyntheticConfig::default()
-    })
-    .generate();
+    let dataset = Data::new(Gen::Standard, 300, 5);
     conn.send(&Frame::OpenJob {
         job_id: 2,
         client_id: 1,
@@ -152,18 +141,24 @@ fn a_search_session_then_a_job_share_one_socket_in_request_order() {
         }
     };
 
-    let batch = SpecHd::try_new(config.pipeline_config())
-        .expect("valid config")
-        .run(&dataset);
+    assert_eq!(config.pipeline_config(), engine().config().clone());
     members.sort_unstable();
     let (kept, raw): (Vec<u64>, Vec<usize>) = members.into_iter().unzip();
     let kept: Vec<usize> = kept.into_iter().map(|i| i as usize).collect();
-    assert_eq!(kept, batch.kept());
-    assert_eq!(
-        ClusterAssignment::from_raw_labels(&raw).labels(),
-        batch.assignment().labels()
+    let served = Outcome::default()
+        .with("kept", kept)
+        .with(
+            "labels",
+            ClusterAssignment::from_raw_labels(&raw).labels().to_vec(),
+        )
+        .with("kept count", done.kept);
+    let batch = Outcome::from(&engine().run(&dataset));
+    assert_same(
+        "Served(1), raw frames after a search session",
+        &dataset.name,
+        &served,
+        &batch,
     );
-    assert_eq!(done.kept as usize, batch.kept().len());
     drop(conn);
     running.shutdown();
 }

@@ -9,17 +9,11 @@ use spechd_cluster::CondensedMatrix;
 use spechd_hdc::distance::{self, PackedDistanceEngine};
 use spechd_hdc::{BinaryHypervector, EncoderConfig, HvPack, IdLevelEncoder};
 use spechd_rng::{Rng, Xoshiro256StarStar};
+use spechd_tests::random_rows;
 
 const DIMS: [usize; 4] = [63, 64, 65, 2048];
 const SIZES: [usize; 4] = [0, 1, 2, 257];
 const THREADS: [usize; 3] = [1, 2, 4];
-
-fn random_set(n: usize, dim: usize, seed: u64) -> Vec<BinaryHypervector> {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    (0..n)
-        .map(|_| BinaryHypervector::random(dim, &mut rng))
-        .collect()
-}
 
 /// Scalar oracle built pair-by-pair from `BinaryHypervector::hamming`.
 fn oracle_condensed(hvs: &[BinaryHypervector]) -> Vec<u16> {
@@ -37,7 +31,7 @@ fn oracle_condensed(hvs: &[BinaryHypervector]) -> Vec<u16> {
 fn pairwise_packed_bit_exact_across_shapes_and_threads() {
     for &dim in &DIMS {
         for &n in &SIZES {
-            let hvs = random_set(n, dim, (dim * 1000 + n) as u64);
+            let hvs = random_rows(n, dim, (dim * 1000 + n) as u64);
             let pack = HvPack::from_hypervectors(dim, &hvs);
             let oracle = oracle_condensed(&hvs);
             assert_eq!(distance::pairwise_condensed(&hvs), oracle);
@@ -62,7 +56,7 @@ fn one_to_many_packed_bit_exact_across_shapes_and_threads() {
             if n == 0 {
                 continue;
             }
-            let hvs = random_set(n, dim, (dim * 2000 + n) as u64);
+            let hvs = random_rows(n, dim, (dim * 2000 + n) as u64);
             let pack = HvPack::from_hypervectors(dim, &hvs);
             let query = &hvs[n / 2];
             let oracle: Vec<u16> = hvs.iter().map(|h| query.hamming(h) as u16).collect();
@@ -83,7 +77,7 @@ fn one_to_many_packed_bit_exact_across_shapes_and_threads() {
 fn neighbors_within_bit_exact_across_shapes_and_threads() {
     for &dim in &DIMS {
         for &n in &SIZES {
-            let hvs = random_set(n, dim, (dim * 3000 + n) as u64);
+            let hvs = random_rows(n, dim, (dim * 3000 + n) as u64);
             let pack = HvPack::from_hypervectors(dim, &hvs);
             // Around half the bits differ for random pairs, so dim * 0.48
             // makes both membership outcomes common.
@@ -112,7 +106,7 @@ fn masked_tail_invariant_survives_every_pack_path() {
     for &dim in &[63usize, 65, 127] {
         let rem = dim % 64;
         let tail_mask = !((1u64 << rem) - 1);
-        let hvs = random_set(9, dim, dim as u64);
+        let hvs = random_rows(9, dim, dim as u64);
 
         let mut pack = HvPack::from_hypervectors(dim, &hvs);
         pack.push(&BinaryHypervector::ones(dim));

@@ -7,40 +7,13 @@
 //! entries.
 
 use spechd_hdc::BinaryHypervector;
-use spechd_rng::{Rng, Xoshiro256StarStar};
-use spechd_search::{
-    scalar_search_window, HvLibrary, HvLibraryBuilder, PackedSearchConfig, PackedSearchEngine,
+use spechd_rng::Xoshiro256StarStar;
+use spechd_search::HvLibraryBuilder;
+use spechd_server::{QueryWire, SearchClient, ServerConfig};
+use spechd_tests::{
+    assert_search_paths, at_threads, random_library, random_queries, serve, wire_entries,
+    wire_queries, SearchPath,
 };
-use spechd_server::{LibraryEntryWire, QueryWire, SearchClient, Server, ServerConfig};
-
-fn build_library(n: usize, dim: usize, seed: u64) -> HvLibrary {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let mut b = HvLibraryBuilder::new(dim);
-    for i in 0..n {
-        let hv = BinaryHypervector::random(dim, &mut rng);
-        let mass = rng.range_f64(500.0, 3500.0);
-        // Alternate targets and shuffled decoys so hits carry both
-        // provenances.
-        if i % 3 == 0 {
-            b.push_with_shuffled_decoy(&hv, mass, 2, &format!("p{i}"), seed.wrapping_add(i as u64));
-        } else {
-            b.push_hypervector(&hv, mass, 2, format!("p{i}"), false);
-        }
-    }
-    b.build()
-}
-
-fn queries(n: usize, dim: usize, seed: u64) -> Vec<(BinaryHypervector, f64)> {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            (
-                BinaryHypervector::random(dim, &mut rng),
-                rng.range_f64(500.0, 3500.0),
-            )
-        })
-        .collect()
-}
 
 /// The tentpole guarantee: packed standard + OMS search match the
 /// scalar oracle — same hit ids, same u16 distances, same tie-break —
@@ -50,31 +23,26 @@ fn queries(n: usize, dim: usize, seed: u64) -> Vec<(BinaryHypervector, f64)> {
 fn packed_search_matches_scalar_reference_everywhere() {
     for &dim in &[63usize, 64, 2048] {
         for &size in &[0usize, 1, 257] {
-            let lib = build_library(size, dim, 0x5EED ^ (dim * 1000 + size) as u64);
-            let qs = queries(8, dim, 0xFACE ^ dim as u64);
-            for &threads in &[1usize, 2, 4] {
-                let engine = PackedSearchEngine::new(PackedSearchConfig {
-                    precursor_tol_da: 50.0, // wide enough to catch candidates
-                    open_window_da: 800.0,
-                    top_k: 5,
-                    batch_rows: 13, // force multi-batch sweeps over the window
-                    threads,
-                });
-                for (qi, (q, mass)) in qs.iter().enumerate() {
-                    let std_hits = engine.search_standard(&lib, q, *mass, qi);
-                    let oms_hits = engine.search_open(&lib, q, *mass, qi);
-                    assert_eq!(
-                        std_hits,
-                        scalar_search_window(&lib, q, *mass, qi, 50.0, 5),
-                        "standard mismatch: dim {dim} size {size} threads {threads} query {qi}"
-                    );
-                    assert_eq!(
-                        oms_hits,
-                        scalar_search_window(&lib, q, *mass, qi, 800.0, 5),
-                        "OMS mismatch: dim {dim} size {size} threads {threads} query {qi}"
-                    );
-                }
-            }
+            let lib = random_library(size, dim, 0x5EED ^ (dim * 1000 + size) as u64);
+            let qs = random_queries(8, dim, 0xFACE ^ dim as u64, 500.0, 3500.0);
+            let what = format!("dim {dim}, size {size}");
+            // 50 Da is wide enough to catch candidates.
+            assert_search_paths(
+                &lib,
+                &qs,
+                (50.0, 5),
+                &at_threads(SearchPath::Standard),
+                None,
+                &what,
+            );
+            assert_search_paths(
+                &lib,
+                &qs,
+                (800.0, 5),
+                &at_threads(SearchPath::Open),
+                None,
+                &what,
+            );
         }
     }
 }
@@ -98,42 +66,14 @@ fn tie_breaks_are_deterministic_across_thread_counts() {
         b.push_hypervector(&row, 1000.0, 2, format!("d{i}"), false);
     }
     let lib = b.build();
-    let mut reference = None;
-    for &threads in &[1usize, 2, 4] {
-        let engine = PackedSearchEngine::new(PackedSearchConfig {
-            top_k: 7,
-            batch_rows: 5,
-            threads,
-            ..PackedSearchConfig::default()
-        });
-        let hits = engine.search_standard(&lib, &hv, 1000.0, 0);
-        assert_eq!(
-            hits,
-            scalar_search_window(&lib, &hv, 1000.0, 0, 0.05, 7),
-            "threads {threads}"
-        );
-        assert!(
-            hits.windows(2)
-                .all(|w| (w[0].distance, w[0].library_index) < (w[1].distance, w[1].library_index)),
-            "strict (distance, index) order at threads {threads}"
-        );
-        match &reference {
-            None => reference = Some(hits),
-            Some(r) => assert_eq!(&hits, r, "thread count changed results"),
-        }
-    }
-}
-
-fn wire_entries(lib: &HvLibrary) -> Vec<LibraryEntryWire> {
-    (0..lib.len())
-        .map(|i| LibraryEntryWire {
-            mass: lib.mass(i),
-            charge: lib.charge(i),
-            is_decoy: lib.is_decoy(i),
-            id: lib.id(i).to_string(),
-            words: lib.pack().row(i).to_vec(),
-        })
-        .collect()
+    let block = [(hv, 1000.0)];
+    let paths = at_threads(SearchPath::Standard);
+    let hits = &assert_search_paths(&lib, &block, (0.05, 7), &paths, None, "12 tied rows")[0];
+    assert!(
+        hits.windows(2)
+            .all(|w| (w[0].distance, w[0].library_index) < (w[1].distance, w[1].library_index)),
+        "strict (distance, index) order"
+    );
 }
 
 /// The served path — library loaded over TCP, queries scored by the
@@ -143,18 +83,13 @@ fn wire_entries(lib: &HvLibrary) -> Vec<LibraryEntryWire> {
 #[test]
 fn served_search_is_bit_identical_to_library_path() {
     let dim = 256;
-    let lib = build_library(120, dim, 0xBEEF);
-    let qs = queries(17, dim, 0xCAFE);
+    let lib = random_library(120, dim, 0xBEEF);
+    let qs = random_queries(17, dim, 0xCAFE, 500.0, 3500.0);
 
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            idle_timeout: std::time::Duration::from_secs(30),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let running = server.spawn().expect("spawn");
+    let running = serve(ServerConfig {
+        idle_timeout: std::time::Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
 
     let mut client = SearchClient::connect(running.addr(), 77, dim as u32).expect("connect");
     let stats = client.load(&wire_entries(&lib)).expect("load");
@@ -163,39 +98,14 @@ fn served_search_is_bit_identical_to_library_path() {
     assert_eq!(stats.decoys as usize, lib.decoy_count());
     assert_eq!(stats.sealed, 0);
 
-    let wire_queries: Vec<QueryWire> = qs
-        .iter()
-        .map(|(hv, mass)| QueryWire {
-            mass: *mass,
-            words: hv.words().to_vec(),
-        })
-        .collect();
-
     for &(window_da, top_k) in &[(0.5f64, 3u32), (400.0, 5)] {
         let (served, stats) = client
-            .search(&wire_queries, window_da, top_k)
+            .search(&wire_queries(&qs), window_da, top_k)
             .expect("search");
         assert_eq!(stats.sealed, 1);
-        assert_eq!(served.len(), qs.len());
-        let engine = PackedSearchEngine::new(PackedSearchConfig {
-            top_k: top_k as usize,
-            ..PackedSearchConfig::default()
-        });
-        for (qi, ((hv, mass), result)) in qs.iter().zip(&served).enumerate() {
-            let local = engine.search_window(&lib, hv, *mass, qi, window_da);
-            assert_eq!(
-                result.hits.len(),
-                local.len(),
-                "hit count: window {window_da} query {qi}"
-            );
-            for (h, p) in result.hits.iter().zip(&local) {
-                assert_eq!(h.library_index, p.library_index as u64, "query {qi}");
-                assert_eq!(h.distance, p.distance, "query {qi}");
-                assert_eq!(h.mass_delta, p.mass_delta, "query {qi}");
-                assert_eq!(h.is_decoy, p.is_decoy, "query {qi}");
-                assert_eq!(h.id, lib.id(p.library_index), "query {qi}");
-            }
-        }
+        let (window, local) = ((window_da, top_k as usize), [SearchPath::PerQuery(0)]);
+        let what = "random_library(120, 256)";
+        assert_search_paths(&lib, &qs, window, &local, Some(&served), what);
     }
 
     // Sealed: further loads must be rejected server-side.
@@ -208,12 +118,11 @@ fn served_search_is_bit_identical_to_library_path() {
 #[test]
 fn search_job_is_shared_between_participants() {
     let dim = 64;
-    let lib = build_library(30, dim, 0xABBA);
+    let lib = random_library(30, dim, 0xABBA);
     let entries = wire_entries(&lib);
     let (first, second) = entries.split_at(entries.len() / 2);
 
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let running = server.spawn().expect("spawn");
+    let running = serve(ServerConfig::default());
 
     let mut a = SearchClient::connect(running.addr(), 5, dim as u32).expect("connect a");
     let mut b = SearchClient::connect(running.addr(), 5, dim as u32).expect("connect b");

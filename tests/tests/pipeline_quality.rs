@@ -2,17 +2,7 @@
 //! the repository's primary acceptance gate.
 
 use spechd_core::{Linkage, SpecHd, SpecHdConfig};
-use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
-
-fn easy_dataset(n: usize, seed: u64) -> spechd_ms::SpectrumDataset {
-    SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: n,
-        num_peptides: n / 5,
-        seed,
-        ..SyntheticConfig::default()
-    })
-    .generate()
-}
+use spechd_tests::synthetic_dataset as easy_dataset;
 
 #[test]
 fn default_pipeline_clusters_replicates_with_low_icr() {

@@ -1,8 +1,13 @@
-//! Public-surface census (ROADMAP items 11 and 16): every `pub fn` in a
-//! library must be named, as a whole word, outside that library — `pub`
-//! means "crosses a crate boundary". Offenders are reported as
-//! `crate::name`, where `crate` is the directory under `crates/`; there is
-//! no allow-list.
+//! Public-surface census (ROADMAP items 11 and 16): `pub` means "crosses
+//! a boundary", checked by two word censuses with no allow-list.
+//!
+//! - Every `pub fn` in a library must be named, as a whole word, outside
+//!   that library. Offenders are reported as `crate::name`, where `crate`
+//!   is the directory under `crates/`.
+//! - Every `pub struct`, `pub enum` and `pub trait` must be named outside
+//!   the file that defines it — by a re-export, another module, another
+//!   crate — or say in one line of its doc, starting `Public as`, what
+//!   makes it public. Offenders are reported as `file::name`.
 //!
 //! A library is `crates/<crate>/src` minus its binaries (`src/bin/`,
 //! `src/main.rs`). Everything else scanned is outside it: other crates, the
@@ -12,9 +17,9 @@
 //! name used only by the library itself, its `#[cfg(test)]` modules
 //! included, should be `pub(crate)`, test-only or gone.
 //!
-//! It is a word census, not name resolution — a `pub fn` sharing its name
-//! with any identifier outside its library passes — so it under-reports;
-//! what it does report has no caller outside its library.
+//! It is a word census, not name resolution — an item sharing its name
+//! with any identifier outside its scope passes — so it under-reports;
+//! what it does report has no user outside its scope.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -77,27 +82,59 @@ fn split_doc_code(text: &str) -> (String, String) {
     (own, doc_code)
 }
 
-/// `crate::name` of every library `pub fn` that nothing outside its library
-/// names, and the number of `pub fn` definitions looked at.
-fn census(root: &Path) -> (BTreeSet<String>, usize) {
+/// What a definition must be named outside of.
+#[derive(Clone, Copy, PartialEq)]
+enum Scope {
+    Library,
+    File,
+}
+
+/// Whether the doc comment above byte `at` of `text` has a line starting
+/// `Public as`.
+fn justified(text: &str, at: usize) -> bool {
+    let above = text[..text[..at].rfind('\n').unwrap_or(0)].lines().rev();
+    let doc = above
+        .map(str::trim_start)
+        .skip_while(|line| line.starts_with("#["))
+        .take_while(|line| line.starts_with("///"));
+    doc.into_iter().any(|line| {
+        line.trim_start_matches('/')
+            .trim_start()
+            .starts_with("Public as")
+    })
+}
+
+/// `place::name` of every library item one of `keywords` (`"pub fn "`, …)
+/// defines that nothing outside its `scope` names, and the number of
+/// definitions looked at.
+fn census(keywords: &[&str], scope: Scope) -> (BTreeSet<String>, usize) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("tests/ sits in the repo root");
     let mut files = Vec::new();
     for dir in SCANNED {
         rust_files(&root.join(dir), &mut files);
     }
     files.sort();
 
-    // (library or "" for outside, text) for every scanned piece of code.
-    let mut pieces: Vec<(&str, String)> = Vec::new();
+    // (scope, or "" for outside every library, text) for every scanned
+    // piece of code.
+    let mut pieces: Vec<(String, String)> = Vec::new();
     for file in &files {
         let text = std::fs::read_to_string(file)
             .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
-        match library_of(file.strip_prefix(root).expect("under the root")) {
+        let rel = file.strip_prefix(root).expect("under the root");
+        match library_of(rel) {
             Some(krate) => {
                 let (own, doc_code) = split_doc_code(&text);
-                pieces.push((krate, own));
-                pieces.push(("", doc_code));
+                let place = match scope {
+                    Scope::Library => krate.to_string(),
+                    Scope::File => rel.display().to_string(),
+                };
+                pieces.push((place, own));
+                pieces.push((String::new(), doc_code));
             }
-            None => pieces.push(("", text)),
+            None => pieces.push((String::new(), text)),
         }
     }
 
@@ -106,7 +143,7 @@ fn census(root: &Path) -> (BTreeSet<String>, usize) {
     for (place, text) in &pieces {
         for word in words(text) {
             let entry = named_in.entry(word).or_insert((place, false));
-            entry.1 |= entry.0 != *place;
+            entry.1 |= entry.0 != place;
         }
     }
 
@@ -116,13 +153,16 @@ fn census(root: &Path) -> (BTreeSet<String>, usize) {
         if place.is_empty() {
             continue;
         }
-        for (at, _) in text.match_indices("pub fn ") {
-            let rest = &text[at + "pub fn ".len()..];
-            let name = words(rest).next().expect("a name follows `pub fn`");
-            defined += 1;
-            let (first, elsewhere) = named_in[name];
-            if first == *place && !elsewhere {
-                offenders.insert(format!("{place}::{name}"));
+        for keyword in keywords {
+            for (at, _) in text.match_indices(keyword) {
+                let rest = &text[at + keyword.len()..];
+                let name = words(rest).next().expect("a name follows the keyword");
+                defined += 1;
+                let (first, elsewhere) = named_in[name];
+                let exempt = scope == Scope::File && justified(text, at);
+                if first == place && !elsewhere && !exempt {
+                    offenders.insert(format!("{place}::{name}"));
+                }
             }
         }
     }
@@ -131,10 +171,7 @@ fn census(root: &Path) -> (BTreeSet<String>, usize) {
 
 #[test]
 fn every_pub_fn_is_named_outside_its_library() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("tests/ sits in the repo root");
-    let (offenders, defined) = census(root);
+    let (offenders, defined) = census(&["pub fn "], Scope::Library);
     assert!(
         defined > 400,
         "census saw only {defined} `pub fn`: wrong root?"
@@ -143,5 +180,21 @@ fn every_pub_fn_is_named_outside_its_library() {
         offenders.is_empty(),
         "`pub fn` named nowhere outside its library — call it from another crate, \
          make it `pub(crate)` or test-only, or delete it: {offenders:?}"
+    );
+}
+
+/// A `pub struct`, `pub enum` or `pub trait` no other file names, and
+/// whose doc does not say what makes it public, is `pub(crate)` or gone.
+#[test]
+fn every_pub_type_is_named_outside_its_file() {
+    let (offenders, defined) = census(&["pub struct ", "pub enum ", "pub trait "], Scope::File);
+    assert!(
+        defined > 100,
+        "census saw only {defined} `pub` types: wrong root?"
+    );
+    assert!(
+        offenders.is_empty(),
+        "`pub` type named in no file but its own — make it `pub(crate)`, delete it, or \
+         say in a `/// Public as …` doc line what makes it public: {offenders:?}"
     );
 }

@@ -10,6 +10,7 @@ use spechd_search::{
     encode_spectrum_peaks, filter_at_fdr, HdPsm, HvLibrary, PackedSearchConfig, PackedSearchEngine,
     PeptideDatabase, SearchConfig, SearchEngine,
 };
+use spechd_tests::{Data, Gen};
 use std::collections::BTreeSet;
 
 #[test]
@@ -17,30 +18,30 @@ fn fig11_overlap_shape() {
     let (generator, dataset) = spechd_bench::hard_dataset(1_500, 401);
     let outcomes = spechd_bench::fig11_overlap(&generator, &dataset);
     assert_eq!(outcomes.len(), 2, "charges 2+ and 3+");
-    for o in &outcomes {
-        let a = o.venn.total_a();
-        let b = o.venn.total_b();
-        let c = o.venn.total_c();
+    for (charge, venn) in &outcomes {
+        let a = venn.total_a();
+        let b = venn.total_b();
+        let c = venn.total_c();
         assert!(a > 0 && b > 0 && c > 0, "every tool identifies peptides");
         // The three tools must substantially agree: the triple overlap is
         // the dominant region (Fig. 11's visual message).
         assert!(
-            o.venn.abc * 2 > o.venn.union(),
+            venn.abc * 2 > venn.union(),
             "charge {}: triple overlap {} of union {}",
-            o.charge,
-            o.venn.abc,
-            o.venn.union()
+            charge,
+            venn.abc,
+            venn.union()
         );
         // SpecHD within 25% of either competitor (paper: within ~7%).
         assert!(
             (a as f64 - b as f64).abs() / b as f64 <= 0.25,
             "charge {}: SpecHD {a} vs GLEAMS {b}",
-            o.charge
+            charge
         );
         assert!(
             (a as f64 - c as f64).abs() / c as f64 <= 0.25,
             "charge {}: SpecHD {a} vs HyperSpec {c}",
-            o.charge
+            charge
         );
     }
 }
@@ -157,14 +158,8 @@ fn hd_search_identifies_what_hyperscore_identifies() {
     // Hyperscore vs packed-standard vs packed-OMS top-1 target ids on one
     // noise-free peptide workload, searched as real encoded spectra
     // against a library encoded from the same database.
-    let generator = SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: 400,
-        num_peptides: 80,
-        noise_spectrum_fraction: 0.0,
-        seed: 0x7EA5,
-        ..SyntheticConfig::default()
-    });
-    let dataset = generator.generate();
+    let dataset = Data::new(Gen::Clean, 400, 0x7EA5);
+    let generator = dataset.generator().unwrap();
     let db = PeptideDatabase::build(generator.peptide_library());
     let hyper_ids: BTreeSet<String> = SearchEngine::new(db.clone(), SearchConfig::default())
         .search_dataset(dataset.spectra())

@@ -9,8 +9,11 @@
 
 use spechd_hdc::BinaryHypervector;
 use spechd_rng::Xoshiro256StarStar;
-use spechd_search::{HdPsm, HvLibrary, HvLibraryBuilder, PackedSearchConfig, PackedSearchEngine};
-use spechd_server::{LibraryEntryWire, QueryHits, QueryWire, SearchClient, Server, ServerConfig};
+use spechd_search::PackedSearchConfig;
+use spechd_server::{SearchClient, ServerConfig};
+use spechd_tests::{
+    assert_search_paths, ladder_library, random_rows, serve, wire_entries, wire_queries, SearchPath,
+};
 
 const DIM: usize = 2048;
 const ROWS: usize = 4000;
@@ -22,26 +25,6 @@ const BATCH: usize = 12;
 /// `200·w` rows; every third row is a decoy.
 fn mass_of(row: usize) -> f64 {
     1000.0 + row as f64 * 0.01
-}
-
-fn library(rows: &[BinaryHypervector]) -> HvLibrary {
-    let mut b = HvLibraryBuilder::new(DIM);
-    for (r, hv) in rows.iter().enumerate() {
-        b.push_hypervector(hv, mass_of(r), 2, format!("r{r}"), r % 3 == 0);
-    }
-    b.build()
-}
-
-fn wire_entries(lib: &HvLibrary) -> Vec<LibraryEntryWire> {
-    (0..lib.len())
-        .map(|i| LibraryEntryWire {
-            mass: lib.mass(i),
-            charge: lib.charge(i),
-            is_decoy: lib.is_decoy(i),
-            id: lib.id(i).to_string(),
-            words: lib.pack().row(i).to_vec(),
-        })
-        .collect()
 }
 
 /// `BATCH` queries near library rows spread over the middle of the
@@ -68,54 +51,12 @@ fn batch(
         .collect()
 }
 
-fn assert_served_matches(
-    lib: &HvLibrary,
-    block: &[(BinaryHypervector, f64)],
-    window_da: f64,
-    top_k: u32,
-    served: &[QueryHits],
-    what: &str,
-) {
-    let engine = PackedSearchEngine::new(PackedSearchConfig {
-        precursor_tol_da: window_da,
-        top_k: top_k as usize,
-        ..PackedSearchConfig::default()
-    });
-    let local = engine.search_batch_standard(lib, block);
-    assert_eq!(served.len(), local.len(), "{what}: one reply per query");
-    for (i, ((served, local), (hv, mass))) in served.iter().zip(&local).zip(block).enumerate() {
-        let per_query: Vec<HdPsm> = engine.search_window(lib, hv, *mass, i, window_da);
-        assert_eq!(local, &per_query, "{what}: block vs per-query, query {i}");
-        assert_eq!(
-            served.hits.len(),
-            local.len(),
-            "{what}: hit count, query {i}"
-        );
-        for (h, p) in served.hits.iter().zip(local) {
-            assert_eq!(h.library_index, p.library_index as u64, "{what}: query {i}");
-            assert_eq!(h.distance, p.distance, "{what}: query {i}");
-            assert_eq!(
-                h.mass_delta.to_bits(),
-                p.mass_delta.to_bits(),
-                "{what}: query {i}"
-            );
-            assert_eq!(h.is_decoy, p.is_decoy, "{what}: query {i}");
-            assert_eq!(h.id, lib.id(p.library_index), "{what}: query {i}");
-        }
-    }
-}
-
 #[test]
 fn served_search_matches_the_library_across_window_shapes() {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(0x5EA2C4);
-    let rows: Vec<BinaryHypervector> = (0..ROWS)
-        .map(|_| BinaryHypervector::random(DIM, &mut rng))
-        .collect();
-    let lib = library(&rows);
+    let rows = random_rows(ROWS, DIM, 0x5EA2C4);
+    let lib = ladder_library(&rows, mass_of(0), 0.01, true);
 
-    let running = Server::bind("127.0.0.1:0", ServerConfig::default())
-        .and_then(Server::spawn)
-        .expect("bind and spawn");
+    let running = serve(ServerConfig::default());
     let mut client = SearchClient::connect(running.addr(), 3, DIM as u32).expect("connect");
     assert_eq!(
         client.load(&wire_entries(&lib)).expect("load").entries,
@@ -158,16 +99,12 @@ fn served_search_matches_the_library_across_window_shapes() {
                 .collect();
             assert!(holds(&candidates), "{what}: candidates {candidates:?}");
 
-            let wire: Vec<QueryWire> = block
-                .iter()
-                .map(|(hv, mass)| QueryWire {
-                    mass: *mass,
-                    words: hv.words().to_vec(),
-                })
-                .collect();
+            let wire = wire_queries(&block);
             let (served, stats) = client.search(&wire, window_da, top_k).expect("search");
             let what = format!("{what}, batch {half}");
-            assert_served_matches(&lib, &block, window_da, top_k, &served, &what);
+            let local = [SearchPath::BlockStandard(0), SearchPath::PerQuery(0)];
+            let window = (window_da, top_k as usize);
+            assert_search_paths(&lib, &block, window, &local, Some(&served), &what);
 
             let indices: Vec<u64> = served.iter().map(|q| q.query_index).collect();
             let expect: Vec<u64> = (next_index..next_index + BATCH as u64).collect();

@@ -9,131 +9,22 @@
 //! connection and never the server, idle connections are reaped, and
 //! shutdown drains every pipeline.
 
-use spechd_core::SpecHd;
-use spechd_ms::{Spectrum, SpectrumDataset};
 use spechd_server::protocol::{encode_frame, read_frame};
-use spechd_server::{
-    ClientError, ErrorCode, Frame, JobClient, JobConfig, Limits, RunningServer, Server,
-    ServerConfig, ServiceOutcome, SubmitReceipt,
+use spechd_server::{ErrorCode, Frame, JobClient, JobConfig, Limits, ServerConfig};
+use spechd_tests::{
+    assert_paths, assert_served, exchange, expect_closed, expect_error, job_id, refused, serve,
+    submit_slice, union_in_stream_order, Data, Gen, Path,
 };
-use spechd_tests::{assert_service_equivalent, synthetic_dataset};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Barrier;
 use std::time::Duration;
-
-fn start_server(config: ServerConfig) -> RunningServer {
-    Server::bind("127.0.0.1:0", config)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
-}
-
-/// Unique-enough job ids across tests sharing a server.
-fn job_id(tag: u64) -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_nanos() as u64
-        ^ (tag << 48)
-}
-
-/// Submit receipts paired with the dataset indices they placed.
-type Placements = Vec<(SubmitReceipt, Vec<usize>)>;
-
-/// Submits `dataset`'s round-robin slice `conn` of `connections` in
-/// batches, returning the receipts paired with the dataset indices
-/// they placed.
-fn submit_slice(
-    client: &mut JobClient,
-    dataset: &SpectrumDataset,
-    conn: usize,
-    connections: usize,
-    batch: usize,
-) -> Placements {
-    let indices: Vec<usize> = (conn..dataset.len()).step_by(connections).collect();
-    indices
-        .chunks(batch)
-        .map(|chunk| {
-            let spectra: Vec<Spectrum> = chunk
-                .iter()
-                .map(|&i| dataset.spectra()[i].clone())
-                .collect();
-            let receipt = client.submit(spectra).expect("submit");
-            assert_eq!(receipt.count as usize, chunk.len());
-            (receipt, chunk.to_vec())
-        })
-        .collect()
-}
-
-/// Rebuilds the union dataset in stream order from submit receipts.
-fn union_in_stream_order(dataset: &SpectrumDataset, placements: &Placements) -> SpectrumDataset {
-    let mut order: Vec<Option<usize>> = vec![None; dataset.len()];
-    for (receipt, indices) in placements {
-        for (offset, &dataset_index) in indices.iter().enumerate() {
-            let slot = receipt.base as usize + offset;
-            assert!(order[slot].is_none(), "stream slot {slot} double-booked");
-            order[slot] = Some(dataset_index);
-        }
-    }
-    let mut union = SpectrumDataset::new();
-    for slot in order.into_iter().flatten() {
-        union.push(dataset.spectra()[slot].clone(), dataset.labels()[slot]);
-    }
-    union
-}
 
 /// The acceptance-gate test: four concurrent clients, one job, disjoint
 /// slices — every participant's reassembled outcome is identical, and
 /// bit-identical to the batch pipeline on the union in stream order.
 #[test]
 fn four_concurrent_clients_reassemble_the_batch_outcome() {
-    const CONNECTIONS: usize = 4;
-    let server = start_server(ServerConfig::default());
-    let addr = server.addr();
-    let dataset = synthetic_dataset(600, 0x5E4F);
-    let job = job_id(1);
-
-    // Every client joins before any submits: a client that closed before
-    // the last one connected would let the job finalize without it.
-    let joined = Barrier::new(CONNECTIONS);
-    let results: Vec<(Placements, ServiceOutcome)> = std::thread::scope(|scope| {
-        let (dataset, joined) = (&dataset, &joined);
-        let handles: Vec<_> = (0..CONNECTIONS)
-            .map(|conn| {
-                scope.spawn(move || {
-                    let mut client =
-                        JobClient::connect(addr, job, JobConfig::default()).expect("connect");
-                    joined.wait();
-                    let placements = submit_slice(&mut client, dataset, conn, CONNECTIONS, 13);
-                    let stats = client.flush().expect("flush");
-                    assert!(stats.submitted > 0);
-                    let outcome = client.close_and_wait().expect("close_and_wait");
-                    (placements, outcome)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Every participant saw the same reassembled outcome.
-    for (c, (_, outcome)) in results.iter().enumerate().skip(1) {
-        assert_eq!(
-            outcome, &results[0].1,
-            "participant {c} reassembled a different outcome"
-        );
-    }
-    // And it is bit-identical to the batch run on the union.
-    let all_placements: Placements = results.iter().flat_map(|(p, _)| p.clone()).collect();
-    let union = union_in_stream_order(&dataset, &all_placements);
-    assert_eq!(union.len(), dataset.len(), "all spectra placed");
-    let engine = SpecHd::new(JobConfig::default().pipeline_config());
-    let batch = engine.run(&union);
-    assert_service_equivalent(&results[0].1, &batch, "4 concurrent clients");
-    assert_eq!(results[0].1.stats.done, 1);
-    assert_eq!(results[0].1.stats.submitted as usize, dataset.len());
-
-    server.shutdown();
+    assert_paths(&Data::new(Gen::Standard, 600, 0x5E4F), &[Path::Served(4)]);
 }
 
 /// Satellite regression: a client that disconnects abruptly mid-stream
@@ -142,9 +33,9 @@ fn four_concurrent_clients_reassemble_the_batch_outcome() {
 /// server drains cleanly afterwards (no leaked pipeline).
 #[test]
 fn client_disconnect_mid_stream_finalizes_for_survivors() {
-    let server = start_server(ServerConfig::default());
+    let server = serve(ServerConfig::default());
     let addr = server.addr();
-    let dataset = synthetic_dataset(240, 0xD15C);
+    let dataset = Data::new(Gen::Standard, 240, 0xD15C);
     let job = job_id(2);
 
     let mut casualty = JobClient::connect(addr, job, JobConfig::default()).expect("connect A");
@@ -159,10 +50,7 @@ fn client_disconnect_mid_stream_finalizes_for_survivors() {
     let outcome = survivor.close_and_wait().expect("survivor close_and_wait");
 
     let union = union_in_stream_order(&dataset, &placements);
-    assert_eq!(union.len(), dataset.len());
-    let engine = SpecHd::new(JobConfig::default().pipeline_config());
-    let batch = engine.run(&union);
-    assert_service_equivalent(&outcome, &batch, "disconnect mid-stream");
+    assert_served("Served(2), one client dropped", &dataset, &outcome, &union);
 
     // Shutdown joins every pipeline thread: if the dead client's shard
     // worker scope leaked, this would hang instead of returning.
@@ -174,31 +62,33 @@ fn client_disconnect_mid_stream_finalizes_for_survivors() {
 /// untouched, proving the server itself survived.
 #[test]
 fn malformed_frame_kills_connection_not_server() {
-    let server = start_server(ServerConfig::default());
+    let server = serve(ServerConfig::default());
     let addr = server.addr();
 
     let mut rogue = TcpStream::connect(addr).expect("connect rogue");
     rogue
         .write_all(b"GET / HTTP/1.1\r\n\r\n")
         .expect("write junk");
-    match read_frame(&mut rogue, &Limits::default()) {
-        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
-        other => panic!("expected Malformed error frame, got {other:?}"),
-    }
+    expect_error(
+        read_frame(&mut rogue, &Limits::default()),
+        ErrorCode::Malformed,
+    );
     // The server closed the connection after the error frame.
-    let mut rest = Vec::new();
-    rogue.read_to_end(&mut rest).expect("read EOF");
-    assert!(rest.is_empty(), "no frames after the fatal error");
+    expect_closed(&mut rogue);
 
     // The server still serves: a full job on a fresh connection works.
-    let dataset = synthetic_dataset(120, 0xBAD);
+    let dataset = Data::new(Gen::Standard, 120, 0xBAD);
     let mut client =
         JobClient::connect(addr, job_id(3), JobConfig::default()).expect("connect after rogue");
     let placements = submit_slice(&mut client, &dataset, 0, 1, 40);
     let outcome = client.close_and_wait().expect("close_and_wait");
     let union = union_in_stream_order(&dataset, &placements);
-    let engine = SpecHd::new(JobConfig::default().pipeline_config());
-    assert_service_equivalent(&outcome, &engine.run(&union), "after malformed peer");
+    assert_served(
+        "Served(1), after a malformed peer",
+        &dataset,
+        &outcome,
+        &union,
+    );
 
     server.shutdown();
 }
@@ -214,18 +104,16 @@ fn oversized_length_prefix_rejected_with_error_frame() {
         },
         ..ServerConfig::default()
     };
-    let server = start_server(config);
+    let server = serve(config);
     let mut rogue = TcpStream::connect(server.addr()).expect("connect");
     let mut bytes = encode_frame(&Frame::Flush { job_id: 1 });
     bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     rogue.write_all(&bytes[..12]).expect("write header");
-    match read_frame(&mut rogue, &Limits::default()) {
-        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::Oversized),
-        other => panic!("expected Oversized error frame, got {other:?}"),
-    }
-    let mut rest = Vec::new();
-    rogue.read_to_end(&mut rest).expect("read EOF");
-    assert!(rest.is_empty());
+    expect_error(
+        read_frame(&mut rogue, &Limits::default()),
+        ErrorCode::Oversized,
+    );
+    expect_closed(&mut rogue);
     server.shutdown();
 }
 
@@ -234,46 +122,31 @@ fn oversized_length_prefix_rejected_with_error_frame() {
 /// can then open a job and use it.
 #[test]
 fn state_errors_do_not_kill_the_connection() {
-    let server = start_server(ServerConfig::default());
+    let server = serve(ServerConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
 
     // Submit before OpenJob.
-    stream
-        .write_all(&encode_frame(&Frame::Submit {
-            job_id: 9,
-            seq: 0,
-            spectra: Vec::new(),
-        }))
-        .expect("write premature submit");
-    match read_frame(&mut stream, &Limits::default()) {
-        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::ProtocolState),
-        other => panic!("expected ProtocolState error, got {other:?}"),
-    }
+    let premature = Frame::Submit {
+        job_id: 9,
+        seq: 0,
+        spectra: Vec::new(),
+    };
+    expect_error(exchange(&mut stream, &premature), ErrorCode::ProtocolState);
 
     // Same connection, proper handshake: works.
-    stream
-        .write_all(&encode_frame(&Frame::OpenJob {
-            job_id: 9,
-            client_id: 1,
-            config: JobConfig::default(),
-        }))
-        .expect("write open");
-    match read_frame(&mut stream, &Limits::default()) {
+    let open = Frame::OpenJob {
+        job_id: 9,
+        client_id: 1,
+        config: JobConfig::default(),
+    };
+    match exchange(&mut stream, &open) {
         Ok(Frame::JobStats(stats)) => assert_eq!(stats.job_id, 9),
         other => panic!("expected JobStats ack, got {other:?}"),
     }
     // Wrong job id on an open connection: state error, still alive.
-    stream
-        .write_all(&encode_frame(&Frame::Flush { job_id: 10 }))
-        .expect("write wrong-job flush");
-    match read_frame(&mut stream, &Limits::default()) {
-        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::ProtocolState),
-        other => panic!("expected ProtocolState error, got {other:?}"),
-    }
-    stream
-        .write_all(&encode_frame(&Frame::Flush { job_id: 9 }))
-        .expect("write good flush");
-    match read_frame(&mut stream, &Limits::default()) {
+    let wrong_job = exchange(&mut stream, &Frame::Flush { job_id: 10 });
+    expect_error(wrong_job, ErrorCode::ProtocolState);
+    match exchange(&mut stream, &Frame::Flush { job_id: 9 }) {
         Ok(Frame::JobStats(stats)) => assert_eq!(stats.job_id, 9),
         other => panic!("expected JobStats ack, got {other:?}"),
     }
@@ -287,18 +160,16 @@ fn state_errors_do_not_kill_the_connection() {
 /// has an open job".
 #[test]
 fn connection_can_run_sequential_jobs() {
-    let server = start_server(ServerConfig::default());
+    let server = serve(ServerConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     for tag in [7u64, 8] {
         let job = job_id(tag);
-        stream
-            .write_all(&encode_frame(&Frame::OpenJob {
-                job_id: job,
-                client_id: 1,
-                config: JobConfig::default(),
-            }))
-            .expect("write open");
-        match read_frame(&mut stream, &Limits::default()) {
+        let open = Frame::OpenJob {
+            job_id: job,
+            client_id: 1,
+            config: JobConfig::default(),
+        };
+        match exchange(&mut stream, &open) {
             Ok(Frame::JobStats(stats)) => assert_eq!(stats.job_id, job),
             other => panic!("expected open ack for job tag {tag}, got {other:?}"),
         }
@@ -332,7 +203,7 @@ fn stalled_subscriber_is_dropped_not_buffered() {
     let mut handle = registry
         .open_or_join(1, 1, JobConfig::default(), tx)
         .expect("open job");
-    let dataset = synthetic_dataset(240, 0x57A1);
+    let dataset = Data::new(Gen::Standard, 240, 0x57A1);
     handle
         .submit(0, dataset.spectra().to_vec())
         .expect("submit");
@@ -350,7 +221,7 @@ fn stalled_subscriber_is_dropped_not_buffered() {
 /// Joining an existing job with a different config is refused.
 #[test]
 fn config_mismatch_on_join_is_rejected() {
-    let server = start_server(ServerConfig::default());
+    let server = serve(ServerConfig::default());
     let job = job_id(4);
     let _first =
         JobClient::connect(server.addr(), job, JobConfig::default()).expect("first participant");
@@ -358,11 +229,8 @@ fn config_mismatch_on_join_is_rejected() {
         resolution: 2.5,
         ..JobConfig::default()
     };
-    match JobClient::connect(server.addr(), job, different) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::ConfigMismatch),
-        Err(other) => panic!("expected ConfigMismatch, got {other}"),
-        Ok(_) => panic!("join with a different config must be rejected"),
-    }
+    let join = JobClient::connect(server.addr(), job, different);
+    refused(join, ErrorCode::ConfigMismatch);
     server.shutdown();
 }
 
@@ -375,21 +243,21 @@ fn idle_connections_are_reaped_busy_ones_are_not() {
         poll_interval: Duration::from_millis(20),
         ..ServerConfig::default()
     };
-    let server = start_server(config);
+    let server = serve(config);
 
     // Busy: holds an open job, sits longer than the idle timeout, and
     // must still be alive to close it.
-    let dataset = synthetic_dataset(40, 0x1D7E);
+    let dataset = Data::new(Gen::Standard, 40, 0x1D7E);
     let mut busy =
         JobClient::connect(server.addr(), job_id(5), JobConfig::default()).expect("busy connect");
     submit_slice(&mut busy, &dataset, 0, 1, 40);
 
     // Idle: never opens a job.
     let mut idle = TcpStream::connect(server.addr()).expect("idle connect");
-    match read_frame(&mut idle, &Limits::default()) {
-        Ok(Frame::Error { code, .. }) => assert_eq!(code, ErrorCode::IdleTimeout),
-        other => panic!("expected IdleTimeout error, got {other:?}"),
-    }
+    expect_error(
+        read_frame(&mut idle, &Limits::default()),
+        ErrorCode::IdleTimeout,
+    );
 
     let outcome = busy
         .close_and_wait()
@@ -402,7 +270,7 @@ fn idle_connections_are_reaped_busy_ones_are_not() {
 /// outcome instead of wedging the pipeline.
 #[test]
 fn empty_job_finalizes_empty() {
-    let server = start_server(ServerConfig::default());
+    let server = serve(ServerConfig::default());
     let client =
         JobClient::connect(server.addr(), job_id(6), JobConfig::default()).expect("connect");
     let outcome = client.close_and_wait().expect("close empty job");
@@ -422,7 +290,7 @@ fn shutdown_notifies_parked_connections_and_stops_accepting() {
         poll_interval: Duration::from_millis(20),
         ..ServerConfig::default()
     };
-    let server = start_server(config);
+    let server = serve(config);
     let addr = server.addr();
     let mut parked = TcpStream::connect(addr).expect("parked connect");
 

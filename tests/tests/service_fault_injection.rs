@@ -10,23 +10,18 @@
 //! [`RetryPolicy`] + `client_id`/sequence-number resume protocol; the
 //! assertions then hold the repo's central promise against it.
 
-use spechd_core::SpecHd;
 use spechd_hdc::BinaryHypervector;
 use spechd_rng::Xoshiro256StarStar;
 use spechd_server::{
-    ClientError, ErrorCode, JobClient, JobConfig, LibraryEntryWire, QueryWire, RetryPolicy,
-    RunningServer, SearchClient, Server, ServerConfig,
+    ErrorCode, JobClient, JobConfig, LibraryEntryWire, QueryWire, RetryPolicy, SearchClient,
+    ServerConfig, ServiceOutcome,
 };
 use spechd_tests::proxy::{FaultProxy, ProxyPlan};
-use spechd_tests::{assert_service_equivalent, synthetic_dataset};
+use spechd_tests::{
+    assert_same, assert_served, job_id, refused, serve, served_hits, synthetic_dataset, Data, Gen,
+};
+use std::net::SocketAddr;
 use std::time::Duration;
-
-fn start_server(config: ServerConfig) -> RunningServer {
-    Server::bind("127.0.0.1:0", config)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
-}
 
 fn resilient_config() -> ServerConfig {
     ServerConfig {
@@ -51,13 +46,12 @@ fn test_retry() -> RetryPolicy {
 /// outcome. A single sequential submitter means stream order equals
 /// dataset order, so the batch reference is simply `engine.run(dataset)`.
 fn run_job_via(
-    addr: std::net::SocketAddr,
-    job_id: u64,
-    client_id: u64,
+    addr: SocketAddr,
+    (job_id, client_id): (u64, u64),
     retry: RetryPolicy,
-    dataset: &spechd_ms::SpectrumDataset,
+    dataset: &Data,
     batch: usize,
-) -> (spechd_server::ServiceOutcome, u64) {
+) -> (ServiceOutcome, u64) {
     let mut client = JobClient::connect_with(addr, job_id, JobConfig::default(), client_id, retry)
         .expect("connect");
     for chunk in dataset.spectra().chunks(batch) {
@@ -68,36 +62,19 @@ fn run_job_via(
     (outcome, reconnects)
 }
 
-/// Unique-enough job ids across tests sharing a server.
-fn job_id(tag: u64) -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_nanos() as u64
-        ^ (tag << 48)
-}
-
 /// Frames chopped into 512-byte TCP writes with a pause between them —
 /// every frame arrives in many fragments at arbitrary boundaries — must
 /// decode and cluster exactly as if they had arrived whole.
 #[test]
 fn fragmented_frames_reassemble_bit_identically() {
-    let server = start_server(resilient_config());
+    let server = serve(resilient_config());
     let proxy = FaultProxy::start(server.addr()).expect("start proxy");
     proxy.push_plan(ProxyPlan::fragmented(512, Duration::from_millis(1)));
 
-    let dataset = synthetic_dataset(120, 0xFA07);
-    let (outcome, _) = run_job_via(
-        proxy.addr(),
-        job_id(1),
-        0xF1,
-        RetryPolicy::none(),
-        &dataset,
-        30,
-    );
-
-    let batch = SpecHd::new(JobConfig::default().pipeline_config()).run(&dataset);
-    assert_service_equivalent(&outcome, &batch, "fragmented frames");
+    let dataset = Data::new(Gen::Standard, 120, 0xFA07);
+    let ids = (job_id(1), 0xF1);
+    let (outcome, _) = run_job_via(proxy.addr(), ids, RetryPolicy::none(), &dataset, 30);
+    assert_served("Served(1), fragmented frames", &dataset, &outcome, &dataset);
     proxy.shutdown();
     server.shutdown();
 }
@@ -108,27 +85,25 @@ fn fragmented_frames_reassemble_bit_identically() {
 /// an undisturbed batch run: nothing lost, nothing ingested twice.
 #[test]
 fn mid_submit_disconnect_resumes_bit_identically() {
-    let server = start_server(resilient_config());
+    let server = serve(resilient_config());
     let proxy = FaultProxy::start(server.addr()).expect("start proxy");
     // ~360 KB of submit traffic; the kill lands inside an early batch.
     proxy.push_plan(ProxyPlan::kill_client_to_server_after(60_000));
 
-    let dataset = synthetic_dataset(240, 0xC1A0);
-    let (outcome, reconnects) = run_job_via(
-        proxy.addr(),
-        job_id(2),
-        0xC0FFEE,
-        test_retry(),
-        &dataset,
-        25,
-    );
+    let dataset = Data::new(Gen::Standard, 240, 0xC1A0);
+    let ids = (job_id(2), 0xC0FFEE);
+    let (outcome, reconnects) = run_job_via(proxy.addr(), ids, test_retry(), &dataset, 25);
     assert!(
         reconnects >= 1,
         "the kill must have forced at least one reconnect"
     );
 
-    let batch = SpecHd::new(JobConfig::default().pipeline_config()).run(&dataset);
-    assert_service_equivalent(&outcome, &batch, "mid-submit disconnect + resume");
+    assert_served(
+        "Served(1), mid-submit disconnect",
+        &dataset,
+        &outcome,
+        &dataset,
+    );
     proxy.shutdown();
     server.shutdown();
 }
@@ -139,28 +114,21 @@ fn mid_submit_disconnect_resumes_bit_identically() {
 /// bit-identical.
 #[test]
 fn result_stream_disconnect_replays_bit_identically() {
-    let server = start_server(resilient_config());
+    let server = serve(resilient_config());
     let proxy = FaultProxy::start(server.addr()).expect("start proxy");
     // Acks for open + a few submits come first; 1500 bytes lands inside
     // the assignment/consensus stream for this dataset.
     proxy.push_plan(ProxyPlan::kill_server_to_client_after(1_500));
 
-    let dataset = synthetic_dataset(240, 0xBEEF);
-    let mut client = JobClient::connect_with(
-        proxy.addr(),
-        job_id(3),
-        JobConfig::default(),
-        0xD15C,
-        test_retry(),
-    )
-    .expect("connect");
-    for chunk in dataset.spectra().chunks(40) {
-        client.submit(chunk.to_vec()).expect("submit");
-    }
-    let outcome = client.close_and_wait().expect("close_and_wait");
-
-    let batch = SpecHd::new(JobConfig::default().pipeline_config()).run(&dataset);
-    assert_service_equivalent(&outcome, &batch, "result-stream disconnect + replay");
+    let dataset = Data::new(Gen::Standard, 240, 0xBEEF);
+    let ids = (job_id(3), 0xD15C);
+    let (outcome, _) = run_job_via(proxy.addr(), ids, test_retry(), &dataset, 40);
+    assert_served(
+        "Served(1), result-stream disconnect",
+        &dataset,
+        &outcome,
+        &dataset,
+    );
     proxy.shutdown();
     server.shutdown();
 }
@@ -208,7 +176,7 @@ fn duplicate_submit_is_reacked_not_reingested() {
 /// (config mismatch) are never retried.
 #[test]
 fn busy_shedding_is_retryable_and_fatal_errors_are_not() {
-    let server = start_server(ServerConfig {
+    let server = serve(ServerConfig {
         max_jobs: 1,
         // Immediate retirement so the slot frees as soon as job A ends.
         rejoin_grace: Duration::ZERO,
@@ -221,14 +189,8 @@ fn busy_shedding_is_retryable_and_fatal_errors_are_not() {
     let client_a = JobClient::connect(addr, job_a, JobConfig::default()).expect("open job A");
 
     // Without retries, the shed is surfaced as a retryable error.
-    let err = match JobClient::connect(addr, job_b, JobConfig::default()) {
-        Err(e) => e,
-        Ok(_) => panic!("second job must be shed"),
-    };
-    match &err {
-        ClientError::Server { code, .. } => assert_eq!(*code, ErrorCode::Busy),
-        other => panic!("expected Busy error frame, got {other}"),
-    }
+    let shed = JobClient::connect(addr, job_b, JobConfig::default());
+    let err = refused(shed, ErrorCode::Busy);
     assert!(err.is_retryable(), "Busy is classified retryable");
 
     // A mismatched config on an existing job is fatal: no retry loop,
@@ -237,14 +199,8 @@ fn busy_shedding_is_retryable_and_fatal_errors_are_not() {
         watermark: JobConfig::default().watermark + 1,
         ..JobConfig::default()
     };
-    let err = match JobClient::connect_with(addr, job_a, different, 99, test_retry()) {
-        Err(e) => e,
-        Ok(_) => panic!("mismatched config must be rejected"),
-    };
-    match &err {
-        ClientError::Server { code, .. } => assert_eq!(*code, ErrorCode::ConfigMismatch),
-        other => panic!("expected ConfigMismatch, got {other}"),
-    }
+    let mismatched = JobClient::connect_with(addr, job_a, different, 99, test_retry());
+    let err = refused(mismatched, ErrorCode::ConfigMismatch);
     assert!(!err.is_retryable());
 
     // Retire job A shortly; the retrying connect to job B then lands.
@@ -281,7 +237,7 @@ fn library_entries(dim: usize, n: usize) -> Vec<LibraryEntryWire> {
 #[test]
 fn search_queries_retry_across_disconnect_with_identical_hits() {
     const DIM: usize = 128;
-    let server = start_server(resilient_config());
+    let server = serve(resilient_config());
     let job = job_id(6);
 
     // A direct participant loads the shared library and stays attached,
@@ -310,10 +266,13 @@ fn search_queries_retry_across_disconnect_with_identical_hits() {
     );
     let (direct_hits, _) = direct.search(&queries, 5.0, 3).expect("direct search");
 
-    assert_eq!(chaotic_hits.len(), direct_hits.len());
-    for (c, d) in chaotic_hits.iter().zip(&direct_hits) {
-        assert_eq!(c.hits, d.hits, "hits must be bit-identical across retries");
-    }
+    let (got, want) = (served_hits(&chaotic_hits), served_hits(&direct_hits));
+    assert_same(
+        "Served, retried across a disconnect",
+        "library_entries(128, 40)",
+        &got,
+        &want,
+    );
     proxy.shutdown();
     server.shutdown();
 }

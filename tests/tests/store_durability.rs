@@ -14,7 +14,7 @@
 use spechd_core::{SpecHd, SpecHdConfig};
 use spechd_store::io::{backup_path, pending_path};
 use spechd_store::{ClusterStore, FaultIo, FaultPlan, MemIo, RecoverySource, StoreError, StoreIo};
-use spechd_tests::synthetic_dataset;
+use spechd_tests::{synthetic_dataset, TempDir};
 use std::path::Path;
 
 /// Two consecutive generations of one store, produced by the real
@@ -200,8 +200,7 @@ fn interrupted_first_save_reports_a_typed_error() {
 #[test]
 fn backup_recovery_works_on_the_real_filesystem() {
     let (gen1, gen2) = two_generations();
-    let dir = std::env::temp_dir().join(format!("spechd-durability-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("durability");
     let path = dir.join("store.shpk");
 
     gen1.save(&path).unwrap();
@@ -222,8 +221,6 @@ fn backup_recovery_works_on_the_real_filesystem() {
     assert_eq!(loaded, gen2);
     assert!(!report.recovered());
     assert!(report.primary_error.is_none());
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `MemIo` honors the same `StoreIo` contract `DiskIo` does for the

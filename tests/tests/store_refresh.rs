@@ -17,59 +17,24 @@
 //!   image, checksum-clean.
 
 use spechd_core::{ClusterStore, SpecHd, SpecHdConfig};
-use spechd_metrics::EquivalenceGate;
-use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
 use spechd_ms::SpectrumDataset;
 use spechd_store::{FaultIo, FaultPlan, MemIo};
+use spechd_tests::{assert_gate, installments, run_installments, Data, Gen};
 use std::path::Path;
-
-fn union_dataset(n: usize, seed: u64) -> SpectrumDataset {
-    SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: n,
-        num_peptides: n / 6,
-        seed,
-        ..SyntheticConfig::default()
-    })
-    .generate()
-}
-
-/// Splits a dataset into `k` contiguous installments.
-fn split(dataset: &SpectrumDataset, k: usize) -> Vec<SpectrumDataset> {
-    let n = dataset.len();
-    let chunk = n.div_ceil(k);
-    let mut parts = Vec::with_capacity(k);
-    let mut iter = dataset.iter();
-    for _ in 0..k {
-        let mut part = SpectrumDataset::new();
-        for (spectrum, label) in iter.by_ref().take(chunk) {
-            part.push(spectrum.clone(), label);
-        }
-        parts.push(part);
-    }
-    parts
-}
 
 /// A store drifted by `k` installments of the union, keeping member
 /// rows so it is refreshable.
 fn drifted_store(engine: &SpecHd, union: &SpectrumDataset, k: usize) -> ClusterStore {
     let mut store = engine.new_store_keeping_rows().unwrap();
-    for part in split(union, k) {
-        engine.run_incremental(&mut store, &part).unwrap();
-    }
+    run_installments(engine, &mut store, &installments(union, k));
     store
 }
 
 #[test]
 fn refreshed_labels_stay_inside_the_equivalence_gate() {
-    let union = union_dataset(600, 31);
+    let union = Data::new(Gen::Union, 600, 31);
     let engine = SpecHd::new(SpecHdConfig::default());
     let batch = engine.run(&union);
-    let truth: Vec<Option<u32>> = batch
-        .kept()
-        .iter()
-        .map(|&orig| union.labels()[orig])
-        .collect();
-
     let mut store = drifted_store(&engine, &union, 6);
     let clusters_before = store.num_clusters();
     let report = engine.refresh_store(&mut store).unwrap();
@@ -82,21 +47,12 @@ fn refreshed_labels_stay_inside_the_equivalence_gate() {
     let (assignment, _medoids) = store.union_assignment().unwrap();
     assert_eq!(assignment.len(), batch.kept().len());
 
-    let gate = EquivalenceGate::default();
-    let report = gate.check(assignment.labels(), batch.assignment().labels(), &truth);
-    assert!(
-        report.passed(),
-        "refresh left the gate: violations {:?} (NMI {:.4}, v {:.4} vs {:.4})",
-        report.violations,
-        report.agreement.nmi,
-        report.incremental.v_measure,
-        report.batch.v_measure,
-    );
+    assert_gate("refreshed", &union, assignment.labels(), &batch);
 }
 
 #[test]
 fn refresh_is_a_fixed_point_and_compaction_round_trips() {
-    let union = union_dataset(400, 32);
+    let union = Data::new(Gen::Union, 400, 32);
     let engine = SpecHd::new(SpecHdConfig::default());
     let mut store = drifted_store(&engine, &union, 5);
 
@@ -125,9 +81,9 @@ fn refresh_keeps_the_stable_prefix_out_of_scope_but_consistent() {
     // relabel their members. What must still hold afterwards is a
     // consistent store — every spectrum id labelled exactly once, and
     // later installments continue from the compacted state.
-    let union = union_dataset(500, 33);
+    let union = Data::new(Gen::Union, 500, 33);
     let engine = SpecHd::new(SpecHdConfig::default());
-    let parts = split(&union, 5);
+    let parts = installments(&union, 5);
     let mut store = engine.new_store_keeping_rows().unwrap();
     for part in &parts[..4] {
         engine.run_incremental(&mut store, part).unwrap();
@@ -145,7 +101,7 @@ fn refresh_keeps_the_stable_prefix_out_of_scope_but_consistent() {
 
 #[test]
 fn crash_at_any_byte_of_the_post_refresh_save_never_corrupts() {
-    let union = union_dataset(300, 34);
+    let union = Data::new(Gen::Union, 300, 34);
     let engine = SpecHd::new(SpecHdConfig::default());
     let path = Path::new("stores/refreshed.shpk");
 

@@ -5,19 +5,8 @@
 //! never a panic, never partial state.
 
 use spechd_core::{SpecHd, SpecHdConfig};
-use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
-use spechd_ms::SpectrumDataset;
 use spechd_store::{ClusterStore, StoreError};
-
-fn dataset(n: usize, seed: u64) -> SpectrumDataset {
-    SyntheticGenerator::new(SyntheticConfig {
-        num_spectra: n,
-        num_peptides: n / 5,
-        seed,
-        ..SyntheticConfig::default()
-    })
-    .generate()
-}
+use spechd_tests::{synthetic_dataset as dataset, TempDir};
 
 /// A store populated through the real incremental pipeline, so the bytes
 /// under test carry genuine medoid rows and memberships.
@@ -30,16 +19,13 @@ fn populated_store() -> (SpecHd, ClusterStore) {
     (engine, store)
 }
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("spechd-store-{}-{name}.shpk", std::process::id()))
-}
-
 #[test]
 fn file_round_trip_is_bit_identical() {
     let (_, store) = populated_store();
     assert!(store.num_buckets() > 0 && store.num_clusters() > 0);
 
-    let path = temp_path("roundtrip");
+    let dir = TempDir::new("store-roundtrip");
+    let path = dir.join("store.shpk");
     store.save(&path).unwrap();
     let reloaded = ClusterStore::load(&path).unwrap();
     assert_eq!(reloaded, store, "reload must reproduce the exact store");
@@ -48,7 +34,6 @@ fn file_round_trip_is_bit_identical() {
     // format is canonical, so persistence is idempotent across sessions.
     let original_bytes = std::fs::read(&path).unwrap();
     assert_eq!(reloaded.to_bytes(), original_bytes);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -66,7 +51,8 @@ fn reloaded_store_continues_clustering_identically() {
 
 #[test]
 fn missing_file_is_io_error_naming_the_path() {
-    let path = temp_path("never-written");
+    let dir = TempDir::new("store-missing");
+    let path = dir.join("never-written.shpk");
     let err = ClusterStore::load(&path).unwrap_err();
     assert!(matches!(err, StoreError::Io { .. }), "{err}");
     let msg = err.to_string();
@@ -159,10 +145,9 @@ fn corruption_and_trailing_bytes_are_caught() {
 #[test]
 fn config_skew_is_refused_before_any_clustering() {
     let (_, store) = populated_store();
-    let path = temp_path("skew");
-    store.save(&path).unwrap();
-    let reloaded = ClusterStore::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    let dir = TempDir::new("store-skew");
+    store.save(dir.join("store.shpk")).unwrap();
+    let reloaded = ClusterStore::load(dir.join("store.shpk")).unwrap();
 
     // An engine with any result-affecting knob changed must refuse the
     // store up front rather than silently mixing incomparable

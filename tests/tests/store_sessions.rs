@@ -13,80 +13,21 @@
 //! corrupts the store.
 
 use spechd_core::{ClusterStore, SpecHd};
-use spechd_ms::{Spectrum, SpectrumDataset};
+use spechd_ms::SpectrumDataset;
 use spechd_server::protocol::encode_frame;
-use spechd_server::{
-    ClientError, ErrorCode, Frame, IncrementalAckFrame, JobConfig, RetryPolicy, RunningServer,
-    Server, ServerConfig, StoreAckFrame, StoreClient,
-};
+use spechd_server::{ErrorCode, Frame, JobConfig, RetryPolicy, StoreAckFrame, StoreClient};
 use spechd_tests::proxy::{FaultProxy, ProxyPlan};
-use spechd_tests::synthetic_dataset;
-use std::path::PathBuf;
+use spechd_tests::{
+    assert_field, assert_same, installments, refused, store_server, Data, Gen, TempDir,
+};
 use std::time::Duration;
 
-fn store_server(store_dir: PathBuf) -> RunningServer {
-    let config = ServerConfig {
-        store_dir: Some(store_dir),
-        rejoin_grace: Duration::from_millis(200),
-        ..ServerConfig::default()
-    };
-    Server::bind("127.0.0.1:0", config)
-        .expect("bind ephemeral port")
-        .spawn()
-        .expect("spawn server")
-}
+const GRACE: Duration = Duration::from_millis(200);
 
-fn temp_store_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "spechd-sessions-{tag}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock")
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).expect("create store dir");
-    dir
-}
-
-/// `k` contiguous installments of the standard synthetic dataset.
-fn installments(n: usize, seed: u64, k: usize) -> Vec<Vec<Spectrum>> {
-    let dataset = synthetic_dataset(n, seed);
-    let chunk = dataset.len().div_ceil(k);
-    dataset
-        .spectra()
-        .chunks(chunk)
-        .map(|c| c.to_vec())
-        .collect()
-}
-
-/// Asserts one served installment ack equals the library outcome for
-/// the same installment.
-fn assert_ack_matches(
-    ack: &IncrementalAckFrame,
-    outcome: &spechd_core::IncrementalOutcome,
-    context: &str,
-) {
-    assert_eq!(
-        ack.base_id,
-        outcome.base_id(),
-        "base id diverged: {context}"
-    );
-    let lib_kept: Vec<u32> = outcome.kept().iter().map(|&i| i as u32).collect();
-    assert_eq!(ack.kept, lib_kept, "kept set diverged: {context}");
-    let lib_labels: Vec<u64> = outcome
-        .installment_labels()
-        .iter()
-        .map(|&l| l as u64)
-        .collect();
-    assert_eq!(ack.labels, lib_labels, "labels diverged: {context}");
-    let stats = outcome.stats();
-    assert_eq!(ack.absorbed, stats.absorbed as u64, "absorbed: {context}");
-    assert_eq!(ack.residual, stats.residual as u64, "residual: {context}");
-    assert_eq!(
-        ack.new_clusters, stats.new_clusters as u64,
-        "new clusters: {context}"
-    );
+/// `k` contiguous installments of the standard synthetic dataset, and its name.
+fn parts(n: usize, seed: u64, k: usize) -> (Vec<SpectrumDataset>, String) {
+    let data = Data::new(Gen::Standard, n, seed);
+    (installments(&data, k), data.name)
 }
 
 /// The acceptance core: two server processes over one backing file, a
@@ -94,153 +35,100 @@ fn assert_ack_matches(
 /// persisted SHPK against a local library run of the same installments.
 #[test]
 fn served_sessions_are_bit_identical_to_library_across_restart_and_disconnect() {
-    let dir = temp_store_dir("acc");
-    let parts = installments(600, 41, 4);
+    let dir = TempDir::new("sessions-acc");
+    let (parts, name) = parts(600, 41, 4);
     let config = JobConfig::default();
     let client_id = 0xACC_0001;
 
-    // The library reference: the same installments, driven locally.
+    // The library reference: the same installments, driven locally, and
+    // its SHPK bytes after the first two.
     let engine = SpecHd::new(config.pipeline_config());
     let mut lib_store = engine.new_store_keeping_rows().unwrap();
+    let mut lib_after_two = Vec::new();
     let lib_outcomes: Vec<_> = parts
         .iter()
-        .map(|part| {
-            engine
-                .run_incremental(&mut lib_store, &SpectrumDataset::from_spectra(part.clone()))
-                .unwrap()
+        .enumerate()
+        .map(|(i, part)| {
+            let outcome = engine.run_incremental(&mut lib_store, part).unwrap();
+            if i == 1 {
+                lib_after_two = lib_store.to_bytes();
+            }
+            outcome
         })
         .collect();
+    // One session's installments, each ack against the library's.
+    let session = |addr, installments: std::ops::Range<usize>, what: &str| {
+        let retry = RetryPolicy::default();
+        let mut client =
+            StoreClient::connect_with(addr, "acc", config.clone(), client_id, retry).expect(what);
+        let opened = client.opened().spectra;
+        for i in installments {
+            let ack = client
+                .submit_incremental(parts[i].spectra().to_vec())
+                .expect("installment");
+            let path = format!("ServedIncremental, {what}, installment {i}");
+            assert_same(&path, &name, &(&ack).into(), &(&lib_outcomes[i]).into());
+        }
+        (client, opened)
+    };
+    let persisted = |lib: &[u8], when: &str| {
+        let disk = std::fs::read(dir.join("acc.shpk")).expect("persisted file");
+        let path = format!("ServedIncremental, {when}");
+        assert_field(&path, &name, "SHPK bytes", disk.as_slice(), lib);
+    };
 
     // Session 1: first two installments, persisted, server stops.
-    {
-        let server = store_server(dir.clone());
-        let mut client = StoreClient::connect_with(
-            server.addr(),
-            "acc",
-            config.clone(),
-            client_id,
-            RetryPolicy::default(),
-        )
-        .expect("open store");
-        assert_eq!(client.opened().spectra, 0, "fresh store");
-        for (i, part) in parts[..2].iter().enumerate() {
-            let ack = client
-                .submit_incremental(part.clone())
-                .expect("installment");
-            assert_ack_matches(
-                &ack,
-                &lib_outcomes[i],
-                &format!("session 1 installment {i}"),
-            );
-        }
-        let ack = client.persist().expect("persist");
-        assert_eq!(ack.persisted, 1);
-        assert_eq!(ack.dirty, 0);
-        drop(client);
-        server.shutdown();
-    }
-
-    // The persisted file after session 1 equals the library store at
-    // the same point in the installment stream.
-    {
-        let mut lib_mid = engine.new_store_keeping_rows().unwrap();
-        for part in &parts[..2] {
-            engine
-                .run_incremental(&mut lib_mid, &SpectrumDataset::from_spectra(part.clone()))
-                .unwrap();
-        }
-        let disk = std::fs::read(dir.join("acc.shpk")).expect("session 1 file");
-        assert_eq!(
-            disk,
-            lib_mid.to_bytes(),
-            "persisted SHPK diverged from library after session 1"
-        );
-    }
+    let server = store_server(&dir, GRACE);
+    let (mut client, opened) = session(server.addr(), 0..2, "session 1");
+    assert_eq!(opened, 0, "fresh store");
+    let ack = client.persist().expect("persist");
+    assert_eq!((ack.persisted, ack.dirty), (1, 0));
+    drop(client);
+    server.shutdown();
+    // The persisted file equals the library store at the same point.
+    persisted(&lib_after_two, "session 1");
 
     // Session 2: a NEW server process loads the same file; the client
     // talks through a fault proxy that kills the connection mid-stream,
     // exercising reconnect-and-resume inside the session.
-    {
-        let server = store_server(dir.clone());
-        let proxy = FaultProxy::start(server.addr()).expect("start proxy");
-        // Let the OpenStore ack through, then cut the server-to-client
-        // leg inside the first large IncrementalAck — the client must
-        // reconnect, resume its session, and re-send the installment
-        // under the same sequence number (re-acked, never re-ingested).
-        proxy.push_plan(ProxyPlan::kill_server_to_client_after(200));
-        let mut client = StoreClient::connect_with(
-            proxy.addr(),
-            "acc",
-            config.clone(),
-            client_id,
-            RetryPolicy::default(),
-        )
-        .expect("resume store");
-        assert_eq!(
-            client.opened().spectra,
-            lib_outcomes[1].base_id() + lib_outcomes[1].kept().len() as u64,
-            "session 2 opens on session 1's archive"
-        );
-        for (i, part) in parts[2..].iter().enumerate() {
-            let ack = client
-                .submit_incremental(part.clone())
-                .expect("installment");
-            assert_ack_matches(
-                &ack,
-                &lib_outcomes[2 + i],
-                &format!("session 2 installment {}", 2 + i),
-            );
-        }
-        assert!(
-            client.reconnects() > 0,
-            "the proxy cut must have forced a resume"
-        );
-        let ack = client.persist().expect("persist");
-        assert_eq!(ack.spectra, lib_store.next_spectrum_id());
-        assert_eq!(ack.clusters, lib_store.num_clusters() as u64);
-        drop(client);
-        proxy.shutdown();
-        server.shutdown();
-    }
+    let server = store_server(&dir, GRACE);
+    let proxy = FaultProxy::start(server.addr()).expect("start proxy");
+    // Let the OpenStore ack through, then cut the server-to-client
+    // leg inside the first large IncrementalAck — the client must
+    // reconnect, resume its session, and re-send the installment
+    // under the same sequence number (re-acked, never re-ingested).
+    proxy.push_plan(ProxyPlan::kill_server_to_client_after(200));
+    let (mut client, opened) = session(proxy.addr(), 2..4, "session 2");
+    let after_two = lib_outcomes[1].base_id() + lib_outcomes[1].kept().len() as u64;
+    assert_eq!(opened, after_two, "session 2 opens on session 1's archive");
+    assert!(
+        client.reconnects() > 0,
+        "the proxy cut must have forced a resume"
+    );
+    let ack = client.persist().expect("persist");
+    assert_eq!(ack.spectra, lib_store.next_spectrum_id());
+    assert_eq!(ack.clusters, lib_store.num_clusters() as u64);
+    drop(client);
+    proxy.shutdown();
+    server.shutdown();
 
     // Final byte-equality: the served path's backing file IS the
     // library store, bit for bit — and it loads checksum-clean.
-    let disk = std::fs::read(dir.join("acc.shpk")).expect("final file");
-    assert_eq!(
-        disk,
-        lib_store.to_bytes(),
-        "persisted SHPK diverged from library after session 2"
-    );
+    persisted(&lib_store.to_bytes(), "session 2");
     ClusterStore::load(dir.join("acc.shpk")).expect("final file loads clean");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn second_writer_is_shed_with_retryable_store_busy() {
-    let dir = temp_store_dir("busy");
-    let server = store_server(dir.clone());
+    let dir = TempDir::new("sessions-busy");
+    let server = store_server(&dir, GRACE);
     let config = JobConfig::default();
 
-    let holder = StoreClient::connect_with(
-        server.addr(),
-        "busy",
-        config.clone(),
-        1,
-        RetryPolicy::none(),
-    )
-    .expect("first writer");
-    let err = StoreClient::connect_with(
-        server.addr(),
-        "busy",
-        config.clone(),
-        2,
-        RetryPolicy::none(),
-    )
-    .expect_err("second writer must be shed");
-    match &err {
-        ClientError::Server { code, .. } => assert_eq!(*code, ErrorCode::StoreBusy),
-        other => panic!("expected StoreBusy, got {other:?}"),
-    }
+    let addr = server.addr();
+    let holder = StoreClient::connect_with(addr, "busy", config.clone(), 1, RetryPolicy::none())
+        .expect("first writer");
+    let second = StoreClient::connect_with(addr, "busy", config.clone(), 2, RetryPolicy::none());
+    let err = refused(second, ErrorCode::StoreBusy);
     assert!(err.is_retryable(), "StoreBusy is retryable by contract");
 
     // Once the holder disconnects and its rejoin grace lapses, a
@@ -252,13 +140,12 @@ fn second_writer_is_shed_with_retryable_store_busy() {
     second.stats().expect("session works");
     drop(second);
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn mismatched_config_is_fatal_config_mismatch() {
-    let dir = temp_store_dir("cfg");
-    let server = store_server(dir.clone());
+    let dir = TempDir::new("sessions-cfg");
+    let server = store_server(&dir, GRACE);
     let config = JobConfig::default();
     let holder =
         StoreClient::connect_with(server.addr(), "cfg", config.clone(), 1, RetryPolicy::none())
@@ -270,15 +157,10 @@ fn mismatched_config_is_fatal_config_mismatch() {
         resolution: config.resolution * 2.0,
         ..config
     };
-    let err = StoreClient::connect_with(server.addr(), "cfg", other, 2, RetryPolicy::none())
-        .expect_err("different config must be refused");
-    match &err {
-        ClientError::Server { code, .. } => assert_eq!(*code, ErrorCode::ConfigMismatch),
-        other => panic!("expected ConfigMismatch, got {other:?}"),
-    }
+    let mismatched = StoreClient::connect_with(server.addr(), "cfg", other, 2, RetryPolicy::none());
+    let err = refused(mismatched, ErrorCode::ConfigMismatch);
     assert!(!err.is_retryable(), "ConfigMismatch is fatal");
     server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A connection killed around a `RefreshStore` admin frame — in either
@@ -295,10 +177,10 @@ fn mismatched_config_is_fatal_config_mismatch() {
 /// retry to re-run the idempotent pass on connection 3.
 #[test]
 fn connection_kill_around_refresh_never_corrupts_the_store() {
-    let dir = temp_store_dir("refresh");
-    let server = store_server(dir.clone());
+    let dir = TempDir::new("sessions-refresh");
+    let server = store_server(&dir, GRACE);
     let config = JobConfig::default();
-    let parts = installments(400, 42, 3);
+    let (parts, _) = parts(400, 42, 3);
 
     // Byte budgets, computed from the deterministic wire encoding.
     let open = encode_frame(&Frame::OpenStore {
@@ -313,7 +195,7 @@ fn connection_kill_around_refresh_never_corrupts_the_store() {
             encode_frame(&Frame::SubmitIncremental {
                 name: "refresh".into(),
                 seq: seq as u64,
-                spectra: part.clone(),
+                spectra: part.spectra().to_vec(),
             })
             .len() as u64
         })
@@ -356,7 +238,7 @@ fn connection_kill_around_refresh_never_corrupts_the_store() {
     let mut total = 0u64;
     for part in &parts {
         let ack = client
-            .submit_incremental(part.clone())
+            .submit_incremental(part.spectra().to_vec())
             .expect("installment");
         total = ack.total_spectra;
     }
@@ -386,5 +268,4 @@ fn connection_kill_around_refresh_never_corrupts_the_store() {
     let (assignment, medoids) = store.union_assignment().expect("consistent membership");
     assert_eq!(assignment.len() as u64, total);
     assert_eq!(medoids.len(), store.num_clusters());
-    std::fs::remove_dir_all(&dir).ok();
 }
