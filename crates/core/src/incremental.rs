@@ -31,7 +31,6 @@ use crate::{SpecHd, SpecHdError};
 use spechd_cluster::ClusterAssignment;
 use spechd_ms::SpectrumDataset;
 use spechd_store::{ClusterStore, RefreshReport};
-use std::sync::Mutex;
 
 pub use spechd_store::IncrementalStats;
 
@@ -143,7 +142,7 @@ impl SpecHd {
         let mut shards = Vec::new();
         let spectra = dataset.spectra().iter();
         let mut keep = |shard, _: &[usize]| shards.push(shard);
-        let ingested = self.ingest(spectra, false, &Mutex::default(), &mut keep);
+        let ingested = self.ingest(spectra, false, &mut keep);
         let installment = shards.iter().map(|s| (s.key, &s.members[..], &s.pack));
         let (linkage, threshold) = (self.config.linkage, self.config.distance_threshold_bits());
         let (base_id, mut stats) =

@@ -137,10 +137,16 @@ impl SpecHd {
 
     /// Predicts the FPGA timeline for running this configuration on a
     /// workload of the given shape (see [`spechd_fpga::SystemModel`]).
+    /// `threads` clustering threads are priced as that many clustering
+    /// kernels; `0` (all available) prices the deployed device,
+    /// [`SystemConfig::default`]'s five kernels.
     pub fn estimate_fpga_timeline(&self, shape: &WorkloadShape) -> Timeline {
-        let cfg = SystemConfig {
-            num_cluster_kernels: self.config.threads.max(1),
-            ..SystemConfig::default()
+        let cfg = match self.config.threads {
+            0 => SystemConfig::default(),
+            kernels => SystemConfig {
+                num_cluster_kernels: kernels,
+                ..SystemConfig::default()
+            },
         };
         SystemModel::new(cfg).end_to_end(shape)
     }
@@ -348,5 +354,15 @@ mod tests {
         let engine = SpecHd::new(SpecHdConfig::default());
         let t = engine.estimate_fpga_timeline(&WorkloadShape::pxd001468());
         assert!(t.total_s > 0.0 && t.total_s < 100.0);
+    }
+
+    #[test]
+    fn fpga_estimate_at_all_threads_prices_the_deployed_device() {
+        let estimate = |threads| {
+            let engine = SpecHd::new(SpecHdConfig::builder().threads(threads).build());
+            engine.estimate_fpga_timeline(&WorkloadShape::pxd001468())
+        };
+        assert_eq!(estimate(0), estimate(5));
+        assert_ne!(estimate(0), estimate(1));
     }
 }

@@ -60,7 +60,6 @@ use spechd_ms::Spectrum;
 use spechd_preprocess::{bucket_stats_from_sizes, PreprocessStats};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of [`SpecHd::run_streaming`](crate::SpecHd::run_streaming).
@@ -76,10 +75,10 @@ pub struct StreamConfig {
     /// pulls the source clusters every shard itself.
     pub workers: usize,
     /// Whether to retain the encoded hypervector archive in the outcome
-    /// (parallel to `kept`, as `run` does). Disabling it lets shard packs
-    /// be recycled through the pack pool as soon as their shard is
-    /// clustered, dropping steady-state memory to the open shards; the
-    /// outcome's `hypervectors()` is then an empty pack.
+    /// (parallel to `kept`, as `run` does). Disabling it frees each shard's
+    /// pack as soon as the shard is clustered, dropping steady-state memory
+    /// to the open shards; the outcome's `hypervectors()` is then an empty
+    /// pack.
     pub keep_hypervectors: bool,
 }
 
@@ -107,8 +106,6 @@ pub struct StreamStats {
     /// Shards closed before end-of-stream (sorted sources only) — shards
     /// whose clustering overlapped further ingest.
     pub early_closed_shards: usize,
-    /// Packs recycled from the pool instead of freshly allocated.
-    pub packs_reused: usize,
 }
 
 /// Result of a streaming run: the standard outcome plus stream counters.
@@ -267,17 +264,13 @@ impl SpecHd {
         let dim = self.encoder.dim();
         let keep_hvs = stream_config.keep_hypervectors;
         let (linkage, threshold) = (self.config.linkage, self.config.distance_threshold_bits());
-        // Cleared packs parked for reuse, so shard churn does not retread
-        // the allocator (only populated when the archive is not kept —
-        // kept packs live on into the final scatter).
-        let spare = Mutex::default();
         let observed = observer.is_some();
         let mut raw_base = 0;
 
         let (ingested, shards) = fan_out(
             stream_config.workers,
             |send| {
-                self.ingest(spectra, sorted, &spare, &mut |shard, kept| {
+                self.ingest(spectra, sorted, &mut |shard, kept| {
                     // Stream index per member, for the observer only.
                     let stream_members = if observed {
                         shard.members.iter().map(|&m| kept[m]).collect()
@@ -291,19 +284,11 @@ impl SpecHd {
                 let t_cluster = Instant::now();
                 let clustering = cluster_shard(&shard.members, &shard.pack, linkage, threshold);
                 let cluster_time = t_cluster.elapsed();
-                let mut pack = shard.pack;
-                let pack = if keep_hvs {
-                    Some(pack)
-                } else {
-                    pack.clear();
-                    spare.lock().expect("no panics hold the lock").push(pack);
-                    None
-                };
                 Clustered {
                     key: shard.key,
                     members: shard.members,
                     clustering,
-                    pack,
+                    pack: keep_hvs.then_some(shard.pack),
                     cluster_time,
                     stream_members,
                 }
@@ -386,7 +371,6 @@ impl SpecHd {
         &self,
         spectra: impl Iterator<Item = impl Borrow<Spectrum>>,
         sorted: bool,
-        spare: &Mutex<Vec<HvPack>>,
         retire: &mut dyn FnMut(Shard, &[usize]),
     ) -> Ingested {
         let dim = self.encoder.dim();
@@ -423,12 +407,10 @@ impl SpecHd {
             }
             let shard = open.entry(key).or_insert_with(|| {
                 done.stream.shards_opened += 1;
-                let recycled = spare.lock().expect("no panics hold the lock").pop();
-                done.stream.packs_reused += usize::from(recycled.is_some());
                 Shard {
                     key,
                     members: Vec::new(),
-                    pack: recycled.unwrap_or_else(|| HvPack::new(dim)),
+                    pack: HvPack::new(dim),
                 }
             });
             shard.members.push(done.kept.len());
@@ -615,12 +597,6 @@ mod tests {
         assert_eq!(
             streamed.outcome.hypervectors().dim(),
             engine.config().encoder.dim
-        );
-        // One worker clusters each shard as it retires, before the next
-        // one opens, so every shard after the first reuses a pack.
-        assert_eq!(
-            streamed.stream.packs_reused,
-            streamed.stream.shards_opened - 1
         );
         assert_eq!(
             streamed.outcome.assignment(),

@@ -222,14 +222,6 @@ impl HvPack {
         })
     }
 
-    /// Removes every row while keeping the allocated storage, so a pack
-    /// can be recycled across shards/batches without reallocating — the
-    /// pack-pool primitive of the streaming pipeline.
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
-    }
-
     /// Copies the selected rows (in order, repeats allowed) into a new
     /// pack — the bucket-gather step of the clustering pipeline.
     ///
@@ -320,11 +312,17 @@ impl HvPack {
     }
 }
 
+/// The shape and an FNV-1a 64 digest of the words, so two packs of one
+/// shape that differ in content print differently.
 impl std::fmt::Debug for HvPack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let bytes = self.words.iter().flat_map(|w| w.to_le_bytes());
+        let digest = bytes.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
         write!(
             f,
-            "HvPack {{ len: {}, dim: {}, stride: {} }}",
+            "HvPack {{ len: {}, dim: {}, stride: {}, words_fnv1a64: {digest:#018x} }}",
             self.len, self.dim, self.stride
         )
     }
@@ -386,17 +384,20 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity_for_reuse() {
+    fn debug_shows_content_not_just_shape() {
         let hvs = random_set(4, 2048, 9);
-        let mut pack = HvPack::from_hypervectors(2048, &hvs);
-        let cap_before = pack.words.capacity();
-        pack.clear();
-        assert!(pack.is_empty());
-        assert_eq!(pack.words.capacity(), cap_before, "clear must not free");
-        // Refill with different content; reads see only the new rows.
-        pack.push(&hvs[2]);
-        assert_eq!(pack.len(), 1);
-        assert_eq!(pack.hypervector(0), hvs[2]);
+        let pack = HvPack::from_hypervectors(2048, &hvs);
+        let mut words = pack.words().to_vec();
+        words[5] ^= 1 << 17;
+        let flipped = HvPack::from_raw_parts(2048, words).unwrap();
+        assert_ne!(format!("{pack:?}"), format!("{flipped:?}"));
+        let twin = HvPack::from_hypervectors(2048, &hvs);
+        assert_eq!(format!("{pack:?}"), format!("{twin:?}"));
+        // The empty pack's digest is the FNV-1a 64 offset basis.
+        assert_eq!(
+            format!("{:?}", HvPack::new(64)),
+            "HvPack { len: 0, dim: 64, stride: 1, words_fnv1a64: 0xcbf29ce484222325 }"
+        );
     }
 
     #[test]

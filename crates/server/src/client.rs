@@ -63,6 +63,8 @@ use crate::protocol::{
     WireError, MAX_INCREMENTAL_BATCH, MAX_LIBRARY_BATCH, MAX_QUERY_BATCH,
 };
 use spechd_ms::Spectrum;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -160,11 +162,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Whether this policy retries at all.
-    pub fn enabled(&self) -> bool {
-        self.max_retries > 0
-    }
-
     /// The backoff before retry `attempt` (1-based):
     /// `base_delay × 2^(attempt-1)`, capped at `max_delay`.
     fn delay_for(&self, attempt: u32) -> Duration {
@@ -203,26 +200,13 @@ impl Default for RetryPolicy {
 }
 
 /// A process-unique-ish participant id for clients that did not choose
-/// one: a hash of wall clock, pid, and a process-global counter. Two
-/// *concurrent* participants of one job must not share a `client_id`
-/// (the server binds a job slot to it); explicit ids belong to callers
-/// that want deterministic resume identities across process restarts.
+/// one: a hash under a fresh [`RandomState`], whose keys are random per
+/// thread and step on every call. Two *concurrent* participants of one
+/// job must not share a `client_id` (the server binds a job slot to it);
+/// explicit ids belong to callers that want deterministic resume
+/// identities across process restarts.
 fn default_client_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let pid = u64::from(std::process::id());
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [nanos, pid, n] {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    RandomState::new().hash_one(())
 }
 
 /// One established client connection: socket pair, frame codec, and the
@@ -235,7 +219,6 @@ fn default_client_id() -> u64 {
 pub struct Connection {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    limits: Limits,
 }
 
 impl Connection {
@@ -248,7 +231,6 @@ impl Connection {
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
-            limits: Limits::default(),
         })
     }
 
@@ -263,7 +245,7 @@ impl Connection {
     /// Reads one frame, turning server `Error` frames into
     /// [`ClientError::Server`].
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
-        match read_frame(&mut self.reader, &self.limits)? {
+        match read_frame(&mut self.reader, &Limits::default())? {
             Frame::Error { code, message } => Err(ClientError::Server { code, message }),
             frame => Ok(frame),
         }
@@ -1114,5 +1096,22 @@ mod tests {
             matches!(&err, ClientError::Wire(WireError::Malformed(m)) if m.contains("medoid")),
             "{err}"
         );
+    }
+
+    /// Ids drawn without a caller's choice do not collide: not in a
+    /// burst on one thread, nor across threads drawing at once.
+    #[test]
+    fn default_client_ids_are_distinct() {
+        let mut ids: Vec<u64> = (0..1000).map(|_| default_client_id()).collect();
+        let threads: Vec<_> = (0..8)
+            .map(|_| std::thread::spawn(|| (0..100).map(|_| default_client_id()).collect()))
+            .collect();
+        for thread in threads {
+            ids.extend::<Vec<u64>>(thread.join().expect("drawing thread"));
+        }
+        let drawn = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!((drawn, ids.len()), (1800, 1800));
     }
 }

@@ -63,7 +63,7 @@ type IngestItem = (Spectrum, Option<u32>);
 /// Why an open/join or submit was rejected; maps onto a
 /// [`Frame::Error`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobError {
+pub(crate) struct JobError {
     /// Wire error code.
     pub code: ErrorCode,
     /// Human-readable detail.
@@ -248,7 +248,7 @@ impl Job {
 }
 
 /// The server's table of live jobs, plus their pipeline threads.
-pub struct JobRegistry {
+pub(crate) struct JobRegistry {
     jobs: Table<u64, Job>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     queue_depth: usize,
@@ -261,7 +261,8 @@ impl JobRegistry {
     /// and a zero rejoin grace — disconnect means close, exactly the
     /// pre-resume semantics. Servers also set a job cap and a rejoin
     /// grace ([`ServerConfig`](crate::ServerConfig)).
-    pub fn new(queue_depth: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(queue_depth: usize) -> Self {
         Self::with_policy(queue_depth, usize::MAX, Duration::ZERO)
     }
 
@@ -293,9 +294,10 @@ impl JobRegistry {
     /// and a subscriber whose queue is full is dropped from the job.
     /// The returned [`JobHandle`] counts as one participant until
     /// closed or dropped. Creating a new job when `max_jobs` are live
-    /// is shed with a retryable [`ErrorCode::Busy`], and one whose
-    /// config the pipeline rejects with [`ErrorCode::ConfigMismatch`].
-    pub fn open_or_join(
+    /// is shed with a retryable [`ErrorCode::Busy`], as is one whose
+    /// pipeline thread the OS refuses, and one whose config the pipeline
+    /// rejects with [`ErrorCode::ConfigMismatch`].
+    pub(crate) fn open_or_join(
         self: &Arc<Self>,
         job_id: u64,
         client_id: u64,
@@ -340,7 +342,20 @@ impl JobRegistry {
         )?;
 
         let (epoch, closed, sender) = if let Some((engine, rx, sender)) = created {
-            self.start_pipeline(&job, engine, rx);
+            if let Err(e) = self.start_pipeline(&job, engine, rx) {
+                // No pipeline, no job: whoever joined it meanwhile is
+                // unsubscribed and has its submits refused, a later joiner
+                // finds it finalizing (`JobClosed`), and it leaves the table.
+                let mut state = lock(&job.state);
+                state.template = None;
+                for sub in state.subscribers.drain(..) {
+                    sub.active.store(false, Ordering::Release);
+                }
+                drop(state);
+                self.jobs.remove_where(|entry| Arc::ptr_eq(entry, &job));
+                let message = format!("no pipeline thread: {e}");
+                return Err(JobError::new(ErrorCode::Busy, message));
+            }
             (0, false, Some(sender))
         } else {
             let mut state = lock(&job.state);
@@ -388,10 +403,16 @@ impl JobRegistry {
         })
     }
 
-    /// Runs a new job's pipeline on a thread of its own. A zero grace
-    /// removes the job from the table as soon as it finishes (the
-    /// pre-resume behavior); otherwise a sweep does, a grace later.
-    fn start_pipeline(self: &Arc<Self>, job: &Arc<Job>, engine: SpecHd, rx: Receiver<IngestItem>) {
+    /// Runs a new job's pipeline on a thread of its own, or returns why
+    /// the OS refused one. A zero grace removes the job from the table as
+    /// soon as it finishes (the pre-resume behavior); otherwise a sweep
+    /// does, a grace later.
+    fn start_pipeline(
+        self: &Arc<Self>,
+        job: &Arc<Job>,
+        engine: SpecHd,
+        rx: Receiver<IngestItem>,
+    ) -> std::io::Result<()> {
         let registry = Arc::clone(self);
         let job = Arc::clone(job);
         let handle = std::thread::Builder::new()
@@ -406,16 +427,14 @@ impl JobRegistry {
                 if registry.rejoin_grace.is_zero() {
                     registry.jobs.remove_where(|entry| entry.id == job.id);
                 }
-            })
-            // Fails only when the OS refuses a thread, and then no job
-            // can run.
-            .expect("spawn job pipeline thread");
+            })?;
         let mut threads = lock(&self.threads);
         // Prune handles of pipelines that already finished — a
         // long-running server must not retain one handle per job ever
         // created until shutdown.
         threads.retain(|t| !t.is_finished());
         threads.push(handle);
+        Ok(())
     }
 
     /// Closes every slot detached, and removes every job finished, at
@@ -436,7 +455,7 @@ impl JobRegistry {
     /// Joins every pipeline thread ever spawned. Call only after all
     /// connections are gone (their dropped senders are what let the
     /// pipelines finish) and every rejoin grace has run out.
-    pub fn join_pipelines(&self) {
+    pub(crate) fn join_pipelines(&self) {
         let handles: Vec<_> = lock(&self.threads).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
@@ -454,7 +473,7 @@ impl ClientSlot {
 }
 
 /// One connection's participation in one job.
-pub struct JobHandle {
+pub(crate) struct JobHandle {
     job: Arc<Job>,
     client_id: u64,
     /// The slot epoch this handle was issued under; once a rejoin has
@@ -468,13 +487,8 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// The job this handle participates in.
-    pub fn job_id(&self) -> u64 {
+    pub(crate) fn job_id(&self) -> u64 {
         self.job.id
-    }
-
-    /// The participant (wire `client_id`) this handle carries.
-    pub fn client_id(&self) -> u64 {
-        self.client_id
     }
 
     /// Whether the subscription is still live (job not finished).
@@ -488,7 +502,7 @@ impl JobHandle {
     /// more submits) and no longer subscribed (the job finished, or the
     /// subscription was dropped as a stalled consumer). A connection
     /// whose handle is settled may vacate it and open a new job.
-    pub fn is_settled(&self) -> bool {
+    pub(crate) fn is_settled(&self) -> bool {
         self.closed && !self.is_active()
     }
 
@@ -503,7 +517,7 @@ impl JobHandle {
     /// stored `(base, count)` without ingesting anything, and any other
     /// out-of-order `seq` is a protocol error — each batch enters the
     /// clustering input exactly once.
-    pub fn submit(&self, seq: u64, spectra: Vec<Spectrum>) -> Result<(u64, u32), JobError> {
+    pub(crate) fn submit(&self, seq: u64, spectra: Vec<Spectrum>) -> Result<(u64, u32), JobError> {
         let Some(sender) = &self.sender else {
             return Err(JobError::state("job already closed on this connection"));
         };
@@ -540,7 +554,7 @@ impl JobHandle {
     /// Because a connection's frames are processed in order, by the time
     /// the snapshot is taken every earlier `Submit` on this connection
     /// has been ingested — `Flush` is a per-connection barrier.
-    pub fn stats(&self) -> JobStatsFrame {
+    pub(crate) fn stats(&self) -> JobStatsFrame {
         self.job.stats_locked(&lock(&self.job.state))
     }
 
@@ -548,7 +562,7 @@ impl JobHandle {
     /// `CloseJob`). When the last slot closes, the job's stream ends
     /// and the pipeline finalizes. Idempotent — a re-sent `CloseJob`
     /// after a reconnect is a no-op.
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         if self.closed {
             return;
         }
@@ -592,6 +606,18 @@ mod tests {
     use super::*;
     use crate::assemble::AssignmentAssembler;
     use spechd_ms::synth::{SyntheticConfig, SyntheticGenerator};
+    use spechd_ms::SpectrumDataset;
+
+    /// `n` synthetic spectra of `n / 5` peptides, deterministic in `seed`.
+    fn dataset(n: usize, seed: u64) -> SpectrumDataset {
+        SyntheticGenerator::new(SyntheticConfig {
+            num_spectra: n,
+            num_peptides: n / 5,
+            seed,
+            ..SyntheticConfig::default()
+        })
+        .generate()
+    }
 
     /// One job's frames, read off its subscriber queue with no socket in
     /// between: per shard an `Assignment` then its `Consensus`, keys
@@ -599,13 +625,7 @@ mod tests {
     /// last — and together they reassemble to a local `run`.
     #[test]
     fn job_frames_leave_in_key_order_and_reassemble_to_run() {
-        let ds = SyntheticGenerator::new(SyntheticConfig {
-            num_spectra: 400,
-            num_peptides: 80,
-            seed: 31,
-            ..SyntheticConfig::default()
-        })
-        .generate();
+        let ds = dataset(400, 31);
         for workers in [1, 4] {
             let config = JobConfig {
                 workers,
@@ -687,15 +707,7 @@ mod tests {
     /// and a second job run to their final frame.
     #[test]
     fn a_poisoned_job_lock_fails_no_later_caller() {
-        let spectra = SyntheticGenerator::new(SyntheticConfig {
-            num_spectra: 60,
-            num_peptides: 12,
-            seed: 5,
-            ..SyntheticConfig::default()
-        })
-        .generate()
-        .spectra()
-        .to_vec();
+        let spectra = dataset(60, 5).spectra().to_vec();
         let registry = Arc::new(JobRegistry::new(64));
         let config = JobConfig::default();
         let (tx1, rx1) = mpsc::sync_channel(4096);
@@ -722,5 +734,66 @@ mod tests {
             assert_eq!(done.map(|s| s.submitted), Some(60), "job {job_id}");
         }
         registry.join_pipelines();
+    }
+
+    /// A subscriber that never drains its result queue is dropped from the
+    /// job once the queue fills: the pipeline still completes (a stalled
+    /// consumer cannot wedge it) and the server buffers no more than the
+    /// queue's bound on its behalf.
+    #[test]
+    fn stalled_subscriber_is_dropped_not_buffered() {
+        const FANOUT_BOUND: usize = 2;
+        let registry = Arc::new(JobRegistry::new(8192));
+        let (tx, rx) = mpsc::sync_channel(FANOUT_BOUND);
+        let mut handle = registry
+            .open_or_join(1, 1, JobConfig::default(), tx)
+            .expect("open job");
+        let dataset = dataset(240, 0x57A1);
+        handle
+            .submit(0, dataset.spectra().to_vec())
+            .expect("submit");
+        handle.close();
+
+        // Joins the pipeline: hangs here if the stalled subscriber blocked it.
+        registry.join_pipelines();
+        assert!(handle.is_settled(), "settled once closed and finished");
+        assert!(
+            rx.try_iter().count() <= FANOUT_BOUND,
+            "fan-out buffered beyond the queue bound for a stalled consumer"
+        );
+    }
+
+    /// The registry-level resume contract: a re-sent batch under the last
+    /// acknowledged sequence number is re-acked with the stored receipt and
+    /// **not** re-ingested, and an out-of-order sequence is a protocol
+    /// error.
+    #[test]
+    fn duplicate_submit_is_reacked_not_reingested() {
+        let registry = Arc::new(JobRegistry::new(8192));
+        let (tx, _rx) = mpsc::sync_channel(64);
+        let mut handle = registry
+            .open_or_join(1, 7, JobConfig::default(), tx)
+            .expect("open");
+        let dataset = dataset(40, 0xD0D0);
+        let batch: Vec<_> = dataset.spectra().to_vec();
+
+        let first = handle.submit(0, batch.clone()).expect("seq 0");
+        // The ack was "lost"; the client re-sends the same seq.
+        let replayed = handle.submit(0, batch.clone()).expect("seq 0 again");
+        assert_eq!(first, replayed, "duplicate seq re-acks the stored receipt");
+        assert_eq!(
+            handle.stats().submitted,
+            batch.len() as u64,
+            "the duplicate must not have been ingested"
+        );
+
+        let err = handle.submit(5, batch.clone()).expect_err("seq gap");
+        assert_eq!(err.code, ErrorCode::ProtocolState);
+
+        let second = handle.submit(1, batch.clone()).expect("seq 1");
+        assert_eq!(second.0, batch.len() as u64, "stream indices continue");
+        handle.close();
+        registry.join_pipelines();
+        assert!(handle.is_settled());
     }
 }

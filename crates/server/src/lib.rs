@@ -17,18 +17,18 @@
 //! * [`protocol`] — the wire format: 12-byte header, capped length
 //!   prefixes, byte-exact round-trippable frames. Every decode-time
 //!   cap it enforces lives in the [`limits`] table: a server sets the
-//!   frame and worker caps through [`ServerConfig::limits`], and the
-//!   rest are protocol constants both sides split their batches at.
-//! * [`job`] — job lifecycle and backpressure: the last participant's
-//!   close (or disconnect) ends the stream; a full ingest queue blocks
-//!   the submitter at the socket, and result fan-out goes through
-//!   bounded per-connection queues whose stalled consumers are dropped
-//!   — in both directions, slow peers cost bounded memory, never the
-//!   job's throughput or the server's heap.
+//!   frame cap through [`ServerConfig::limits`], and the rest are
+//!   protocol constants both sides split their batches at.
+//! * `job` (private) — job lifecycle and backpressure: the last
+//!   participant's close (or disconnect) ends the stream; a full ingest
+//!   queue blocks the submitter at the socket, and result fan-out goes
+//!   through bounded per-connection queues whose stalled consumers are
+//!   dropped — in both directions, slow peers cost bounded memory,
+//!   never the job's throughput or the server's heap.
 //! * `session` (private) — served state, once: a participant is its
 //!   `client_id`, its slot outlives its connection for the rejoin grace,
 //!   the newest connection wins by epoch, and a re-sent `seq` is
-//!   re-acked, never re-ingested. [`job`] and `store` both keep their
+//!   re-acked, never re-ingested. `job` and `store` both keep their
 //!   slots in it, and all three registries keep their entries in its one
 //!   capped table. A grace is the time its state was left, not a
 //!   thread: the server's one sweeper expires it, and a lock a panicking
@@ -66,7 +66,7 @@
 
 pub mod assemble;
 pub mod client;
-pub mod job;
+mod job;
 pub mod limits;
 pub mod protocol;
 mod search;
@@ -79,7 +79,6 @@ pub use client::{
     ClientError, Connection, JobClient, QueryHits, RetryPolicy, SearchClient, StoreClient,
     SubmitReceipt,
 };
-pub use job::{JobError, JobHandle, JobRegistry};
 pub use limits::Limits;
 pub use protocol::{
     ErrorCode, Frame, FrameType, HitWire, IncrementalAckFrame, JobConfig, JobStatsFrame,

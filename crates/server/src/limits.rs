@@ -10,16 +10,16 @@
 //! [`read_frame`](crate::protocol::read_frame) are the *only*
 //! enforcement points.
 //!
-//! Two caps are per-server settings, the fields of [`Limits`] (surfaced
-//! through [`ServerConfig`](crate::server::ServerConfig); the binary's
-//! `--max-frame-mb` sets the first). Every other cap is a protocol
+//! One cap is a per-server setting, the one field of [`Limits`]
+//! (surfaced through [`ServerConfig`](crate::server::ServerConfig); the
+//! binary's `--max-frame-mb` sets it). Every other cap is a protocol
 //! constant: both bundled clients split their batches at the `MAX_*`
 //! values, so a server that refused less would refuse its own clients.
 //!
 //! | cap | value | guards against |
 //! |---|---|---|
 //! | [`Limits::max_frame_len`] | [`DEFAULT_MAX_FRAME_LEN`] by default | a 4 GiB length prefix becoming an allocation |
-//! | [`Limits::max_workers`] | [`MAX_WORKERS`] by default | one `OpenJob` demanding billions of threads |
+//! | [`MAX_WORKERS`] | 64 pipeline threads per `OpenJob` (0 = all cores) | one `OpenJob` demanding billions of threads |
 //! | [`MAX_LIBRARY_BATCH`] | 65 536 entries per `LoadLibrary` | a hostile entry-count prefix |
 //! | [`MAX_QUERY_BATCH`] | 4 096 queries per `SearchQuery` | one frame demanding unbounded scans |
 //! | [`MAX_TOP_K`] | 1 024 hits per query | unbounded per-query result memory |
@@ -36,8 +36,8 @@
 /// peak this is roughly 40k spectra of 50 peaks in one `Submit` — far
 /// above any sane batch, far below an OOM.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 32 * 1024 * 1024;
-/// Default cap on `JobConfig::workers` accepted over the wire (0 = all
-/// cores available on the server is still allowed). A worker count is a
+/// Cap on `JobConfig::workers` accepted over the wire (0 = all cores
+/// available on the server is still allowed). A worker count is a
 /// thread count: without this cap a single well-formed `OpenJob` frame
 /// could demand billions of pipeline threads.
 pub const MAX_WORKERS: u32 = 64;
@@ -85,25 +85,22 @@ pub const MAX_STORE_NAME_LEN: u32 = 64;
 /// frames.
 pub const MAX_INCREMENTAL_BATCH: u32 = 65_536;
 
-/// The decode-time caps a server sets, threaded into
+/// The decode-time cap a server sets, threaded into
 /// [`decode_payload`](crate::protocol::decode_payload) and
 /// [`read_frame`](crate::protocol::read_frame). [`Limits::default`]
-/// mirrors the documented defaults.
+/// mirrors the documented default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Limits {
     /// Cap on a frame's payload length in bytes; longer frames are
     /// rejected from the header alone
     /// ([`WireError::Oversized`](crate::protocol::WireError)).
     pub max_frame_len: u32,
-    /// Cap on `JobConfig::workers` (0 = server default stays allowed).
-    pub max_workers: u32,
 }
 
 impl Default for Limits {
     fn default() -> Self {
         Self {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            max_workers: MAX_WORKERS,
         }
     }
 }
@@ -222,6 +219,5 @@ mod tests {
     fn defaults_mirror_the_documented_constants() {
         let l = Limits::default();
         assert_eq!(l.max_frame_len, DEFAULT_MAX_FRAME_LEN);
-        assert_eq!(l.max_workers, MAX_WORKERS);
     }
 }

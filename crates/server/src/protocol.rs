@@ -35,9 +35,9 @@
 //! closes); the server itself keeps serving.
 //!
 //! Every decode-time cap is enforced by [`decode_payload`] and
-//! [`read_frame`] (see [`crate::limits`]): the frame and worker caps a
-//! server sets come in as a [`Limits`] value, and every other cap is one
-//! of the `MAX_*` protocol constants re-exported here.
+//! [`read_frame`] (see [`crate::limits`]): the frame cap a server sets
+//! comes in as a [`Limits`] value, and every other cap is one of the
+//! `MAX_*` protocol constants re-exported here.
 
 use crate::limits::Limits;
 use spechd_cluster::Linkage;
@@ -798,8 +798,9 @@ macro_rules! payloads {
         }
 
         /// Decodes a frame's payload, given its type from the header.
-        /// Rejects truncated payloads, trailing bytes, and any value
-        /// beyond `limits` or the `MAX_*` protocol caps — this is the
+        /// Rejects a payload longer than `limits` allows
+        /// ([`WireError::Oversized`]), truncated payloads, trailing bytes,
+        /// and any value beyond the `MAX_*` protocol caps — this is the
         /// single enforcement point for every decode-time cap (see
         /// [`crate::limits`]).
         pub fn decode_payload(
@@ -807,7 +808,11 @@ macro_rules! payloads {
             payload: &[u8],
             limits: &Limits,
         ) -> Result<Frame, WireError> {
-            let mut d = Dec::new(payload, limits);
+            let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+            if len > limits.max_frame_len {
+                return Err(WireError::Oversized { len, max: limits.max_frame_len });
+            }
+            let mut d = Dec::new(payload);
             let frame = match frame_type {
                 $(FrameType::$name => {
                     $(let $field = d.$codec()?;)*
@@ -1023,13 +1028,11 @@ impl Enc {
 /// and does all of its validation. It derefs to the shared
 /// [`LeReader`], so the width codecs (`u8`, `u32`, `u64`, `i64`) are the
 /// cursor's own reads and a short read becomes `Malformed` through `?`.
-/// Besides the cursor it carries the server's [`Limits`], the frame's
-/// `dim` (set by the `dim` codec, read by the row codecs after it) and the
-/// last count prefix (read by the `paired_*` lists, which carry no count
-/// of their own).
+/// Besides the cursor it carries the frame's `dim` (set by the `dim`
+/// codec, read by the row codecs after it) and the last count prefix
+/// (read by the `paired_*` lists, which carry no count of their own).
 struct Dec<'a> {
     cursor: LeReader<'a>,
-    limits: &'a Limits,
     dim: u32,
     count: usize,
 }
@@ -1048,10 +1051,9 @@ impl DerefMut for Dec<'_> {
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8], limits: &'a Limits) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Self {
             cursor: LeReader::new(buf),
-            limits,
             dim: 0,
             count: 0,
         }
@@ -1137,8 +1139,8 @@ impl<'a> Dec<'a> {
     }
     /// The [`JobConfig`] field block shared by `OpenJob` and
     /// `OpenStore`, with its full validation: dim bounds, finite
-    /// positive resolution, threshold in `[0, 1]`, the worker cap from
-    /// the limits and the watermark range `[1, MAX_WATERMARK]`.
+    /// positive resolution, threshold in `[0, 1]`, the worker cap
+    /// [`MAX_WORKERS`] and the watermark range `[1, MAX_WATERMARK]`.
     fn job_config(&mut self) -> Result<JobConfig, WireError> {
         let config = JobConfig {
             dim: self.u32()?,
@@ -1155,10 +1157,10 @@ impl<'a> Dec<'a> {
         {
             return Err(WireError::malformed("invalid job config values"));
         }
-        if config.workers > self.limits.max_workers {
+        if config.workers > MAX_WORKERS {
             return Err(WireError::malformed(format!(
-                "workers {} exceeds cap {}",
-                config.workers, self.limits.max_workers
+                "workers {} exceeds cap {MAX_WORKERS}",
+                config.workers
             )));
         }
         if config.watermark == 0 || config.watermark > MAX_WATERMARK {
@@ -1424,7 +1426,6 @@ mod tests {
     fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Frame, WireError> {
         let limits = Limits {
             max_frame_len: max_len,
-            ..Limits::default()
         };
         super::read_frame(r, &limits)
     }
@@ -1846,6 +1847,25 @@ mod tests {
             read_frame(&mut &ok[..], 7),
             Err(WireError::Oversized { len: 8, max: 7 })
         ));
+    }
+
+    /// `decode_payload` holds the frame cap itself, for a payload that
+    /// reached it without a header: one byte over is `Oversized`, and a
+    /// payload at the cap decodes.
+    #[test]
+    fn decode_payload_refuses_a_payload_over_the_frame_cap() {
+        let payload = encode_payload(&Frame::Flush { job_id: 1 });
+        let cap = |max_frame_len| Limits { max_frame_len };
+        let over = cap(payload.len() as u32 - 1);
+        assert!(matches!(
+            super::decode_payload(FrameType::Flush, &payload, &over),
+            Err(WireError::Oversized { len: 8, max: 7 })
+        ));
+        let at = cap(payload.len() as u32);
+        assert_eq!(
+            super::decode_payload(FrameType::Flush, &payload, &at).unwrap(),
+            Frame::Flush { job_id: 1 }
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A connection starts with one thread. It polls the socket in short
 //! intervals (so it can notice shutdown and idle deadlines without a
 //! frame arriving), reads and dispatches one frame at a time through one
-//! buffered reader, and owns the connection's [`JobHandle`]; once a
+//! buffered reader, and owns the connection's job handle; once a
 //! handle settles (job closed and finished) it vacates it, so a
 //! connection can run jobs sequentially. Until the connection opens a
 //! job, the same thread writes every reply: an ack, or a search reply's
@@ -72,12 +72,18 @@ const SOCKET_BUFFER: usize = 64 * 1024;
 /// grace, that hold changes their file lacks, or that are memory-only.
 const MAX_STORES: usize = 1024;
 
+/// Reader poll interval: the granularity at which shutdown and idle
+/// deadlines are noticed. Also the period of the server's one sweeper
+/// thread, which expires the job slots, finished jobs and empty search
+/// jobs whose [`rejoin_grace`](ServerConfig::rejoin_grace) ran out.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The decode-time caps the server sets — frame length and worker
-    /// count — applied by the frame reader. Every other cap is a
-    /// protocol constant (see [`crate::limits`]).
+    /// The decode-time cap the server sets — frame length — applied by
+    /// the frame reader. Every other cap is a protocol constant (see
+    /// [`crate::limits`]).
     pub limits: Limits,
     /// How long a connection with no open (unfinished) job may sit
     /// without sending a frame before the server closes it. Connections
@@ -86,12 +92,6 @@ pub struct ServerConfig {
     /// Per-job ingest queue depth, in spectra — the backpressure bound:
     /// submitters block once the pipeline is this far behind.
     pub queue_depth: usize,
-    /// Reader poll interval: the granularity at which shutdown and idle
-    /// deadlines are noticed. Also the period of the server's one
-    /// sweeper thread, which expires the job slots, finished jobs and
-    /// empty search jobs whose [`rejoin_grace`](Self::rejoin_grace) ran
-    /// out.
-    pub poll_interval: Duration,
     /// Load-shedding bound: at most this many clustering jobs may be
     /// live at once. An `OpenJob` that would create one more is refused
     /// with the **retryable** [`ErrorCode::Busy`] — clients back off and
@@ -122,7 +122,6 @@ impl Default for ServerConfig {
             limits: Limits::default(),
             idle_timeout: Duration::from_secs(60),
             queue_depth: 1024,
-            poll_interval: Duration::from_millis(50),
             max_jobs: 1024,
             rejoin_grace: Duration::from_secs(2),
             store_dir: None,
@@ -194,14 +193,14 @@ impl Server {
             };
             let shared = Arc::clone(&self.shared);
             connections.retain(|c| !c.is_finished());
-            connections.push(
-                std::thread::Builder::new()
-                    .name("spechd-conn".into())
-                    .spawn(move || handle_connection(stream, &shared))
-                    // Fails only when the OS refuses a thread; a server
-                    // that cannot start one cannot serve this client.
-                    .expect("spawn connection thread"),
-            );
+            // When the OS refuses a thread, the refused closure drops the
+            // socket: that client is hung up on, and the loop serves on.
+            let conn = std::thread::Builder::new()
+                .name("spechd-conn".into())
+                .spawn(move || handle_connection(stream, &shared));
+            if let Ok(conn) = conn {
+                connections.push(conn);
+            }
         }
         for conn in connections {
             let _ = conn.join();
@@ -272,8 +271,7 @@ impl Drop for RunningServer {
 /// last time and returns.
 fn sweep_until(shared: &Shared, stop: &mpsc::Receiver<()>) {
     loop {
-        let stopped =
-            stop.recv_timeout(shared.config.poll_interval) != Err(mpsc::RecvTimeoutError::Timeout);
+        let stopped = stop.recv_timeout(POLL_INTERVAL) != Err(mpsc::RecvTimeoutError::Timeout);
         let grace = match stopped || shared.shutdown.load(Ordering::Acquire) {
             true => Duration::ZERO,
             false => shared.config.rejoin_grace,
@@ -437,7 +435,7 @@ impl FrameReader<'_> {
         // Phase 1: poll for the frame's first byte.
         let mut first = [0u8];
         let socket = *self.stream.get_ref();
-        if socket.set_read_timeout(Some(config.poll_interval)).is_err() {
+        if socket.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
             return ReadEvent::Hangup(None);
         }
         loop {

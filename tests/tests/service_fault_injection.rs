@@ -17,9 +17,7 @@ use spechd_server::{
     ServerConfig, ServiceOutcome,
 };
 use spechd_tests::proxy::{FaultProxy, ProxyPlan};
-use spechd_tests::{
-    assert_same, assert_served, job_id, refused, serve, served_hits, synthetic_dataset, Data, Gen,
-};
+use spechd_tests::{assert_same, assert_served, job_id, refused, serve, served_hits, Data, Gen};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -131,43 +129,6 @@ fn result_stream_disconnect_replays_bit_identically() {
     );
     proxy.shutdown();
     server.shutdown();
-}
-
-/// The registry-level resume contract: a re-sent batch under the last
-/// acknowledged sequence number is re-acked with the stored receipt and
-/// **not** re-ingested, and an out-of-order sequence is a protocol
-/// error.
-#[test]
-fn duplicate_submit_is_reacked_not_reingested() {
-    use spechd_server::JobRegistry;
-    use std::sync::{mpsc, Arc};
-
-    let registry = Arc::new(JobRegistry::new(8192));
-    let (tx, _rx) = mpsc::sync_channel(64);
-    let mut handle = registry
-        .open_or_join(1, 7, JobConfig::default(), tx)
-        .expect("open");
-    let dataset = synthetic_dataset(40, 0xD0D0);
-    let batch: Vec<_> = dataset.spectra().to_vec();
-
-    let first = handle.submit(0, batch.clone()).expect("seq 0");
-    // The ack was "lost"; the client re-sends the same seq.
-    let replayed = handle.submit(0, batch.clone()).expect("seq 0 again");
-    assert_eq!(first, replayed, "duplicate seq re-acks the stored receipt");
-    assert_eq!(
-        handle.stats().submitted,
-        batch.len() as u64,
-        "the duplicate must not have been ingested"
-    );
-
-    let err = handle.submit(5, batch.clone()).expect_err("seq gap");
-    assert_eq!(err.code, ErrorCode::ProtocolState);
-
-    let second = handle.submit(1, batch.clone()).expect("seq 1");
-    assert_eq!(second.0, batch.len() as u64, "stream indices continue");
-    handle.close();
-    registry.join_pipelines();
-    assert!(handle.is_settled());
 }
 
 /// Load shedding: with `max_jobs = 1`, opening a second job is refused
